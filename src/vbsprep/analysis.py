@@ -8,9 +8,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .builders import mitigated_islands_circuit, probabilistic_method_circuit
 from .errors import ConfigError, UnsupportedError
-from .ir import Circuit, simulate_circuit
-from .spinops import symmetric_fraction
+from .ir import Circuit, cnot_depth, simulate_circuit
+from .lattice import assign_qubits, build_chain, build_three_link_pair
+from .routing import heavy_hex_pair_mitigated, heavy_hex_pair_probabilistic
+from .spinops import SpinValue, symmetric_fraction
 
 TAIL_EPS = 1e-12
 
@@ -255,18 +258,6 @@ def retry_histogram_zscores(hist: dict[int, int], p: float, n_islands: int) -> d
 # resource summary
 # ---------------------------------------------------------------------------
 
-# Stage depths (CNOT layers) for the declared compositions.
-VB_LAYER_DEPTH = 1
-TEST_DEPTH = {
-    2: {"all_to_all": 7, "linear": 9},
-    3: {"all_to_all": 26, "heavy_hex_bare": 41, "heavy_hex_mitigated": 39},
-}
-ISLAND_DEPTH = {
-    2: {"all_to_all": 4, "linear": 8},
-    3: {"all_to_all": 19, "heavy_hex": 57},
-}
-DISPLACEMENT_DEPTH = 9
-
 TABLE_I = {
     (2, "probabilistic", "all_to_all"): 8,
     (2, "probabilistic", "linear"): 10,
@@ -278,9 +269,31 @@ TABLE_I = {
     (3, "mitigated_islands", "heavy_hex"): 105,
 }
 
+# Stage of each opaque block in the grid circuits; every other gate belongs
+# to the first stage, the bond layer or the island stage.
+_BLOCK_STAGES = {
+    "bond_displacement": "displacement",
+    "ctrl_exp_sym_2": "local_test",
+    "ctrl_exp_sym_3": "local_test",
+}
+
+
+def _grid_circuit(twice_s: int, method: str, coupling: str) -> Circuit:
+    """The circuit a depth-grid cell measures: the route's own builder on a
+    ring of four spin-1 sites or on the spin-3/2 pair (placed on heavy-hex)."""
+    if coupling == "heavy_hex":
+        pipeline = heavy_hex_pair_probabilistic if method == "probabilistic" else heavy_hex_pair_mitigated
+        return pipeline()[0].circuit
+    lattice = build_chain(4, "ring") if twice_s == 2 else build_three_link_pair()
+    if method == "probabilistic":
+        return probabilistic_method_circuit(lattice, assign_qubits(lattice, "hadamard_all"), SpinValue(twice_s))
+    encoding = assign_qubits(lattice, "islands_plus_sublattice")
+    return mitigated_islands_circuit(lattice, encoding, SpinValue(twice_s))
+
 
 def resource_summary(twice_s: int, method: str, coupling: str) -> dict:
-    """Composed CNOT depth for a preparation method on a coupling family."""
+    """CNOT depth of a preparation method's circuit on a coupling family,
+    overall and per stage."""
     if method == "lcu":
         from .symmetrize import lcu_spin2_resources
 
@@ -292,27 +305,18 @@ def resource_summary(twice_s: int, method: str, coupling: str) -> dict:
     key = (twice_s, method, coupling)
     if key not in TABLE_I:
         raise UnsupportedError(f"no declared composition for {key}")
-    parts: dict[str, int] = {}
-    if method == "probabilistic":
-        parts["bond_layer"] = VB_LAYER_DEPTH
-        if coupling == "heavy_hex":
-            parts["displacement"] = DISPLACEMENT_DEPTH
-            parts["local_test"] = TEST_DEPTH[3]["heavy_hex_bare"]
-        else:
-            parts["local_test"] = TEST_DEPTH[twice_s][coupling]
-    else:
-        parts["island_stage"] = ISLAND_DEPTH[twice_s][coupling]
-        if coupling == "heavy_hex":
-            parts["displacement"] = DISPLACEMENT_DEPTH
-            parts["local_test"] = TEST_DEPTH[3]["heavy_hex_mitigated"]
-        else:
-            parts["local_test"] = TEST_DEPTH[twice_s][coupling]
-    total = sum(parts.values())
+    circ = _grid_circuit(twice_s, method, coupling)
+    first = "bond_layer" if method == "probabilistic" else "island_stage"
+    stages: dict[str, Circuit] = {}
+    for g in circ.gates:
+        stage = _BLOCK_STAGES.get(getattr(g, "label", None), first)
+        stages.setdefault(stage, Circuit(circ.n_qubits)).gates.append(g)
+    total = cnot_depth(circ, coupling)
     return {
         "twice_s": twice_s,
         "method": method,
         "coupling": coupling,
-        "stages": parts,
+        "stages": {name: cnot_depth(sub, coupling) for name, sub in stages.items()},
         "cnot_depth": total,
         "table_value": TABLE_I[key],
         "match": total == TABLE_I[key],

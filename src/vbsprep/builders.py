@@ -2,30 +2,30 @@
 tests, the full probabilistic circuit, and the island-based variant."""
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .errors import ConfigError, UnsupportedError
-from .ir import Circuit, CNot, Measure, Opaque, u_h, u_t, u_tdg, u_x, u_z
+from .ir import (
+    DECLARED_COSTS,
+    Circuit,
+    CNot,
+    Measure,
+    Opaque,
+    circuit_unitary,
+    cnot_count,
+    cnot_depth,
+    u_h,
+    u_t,
+    u_tdg,
+    u_x,
+    u_z,
+)
 from .lattice import SPIN_DOWN, Lattice, SiteEncoding
-from .schmidt import ISLAND_BLOCK_COSTS, SINGLET, schmidt_prepare
+from .schmidt import ISLAND_SITE_SLOTS, SINGLET, island_prep_circuit, schmidt_prepare
 from .spinops import SpinValue, exp_minus_i_pi_symmetrizer, symmetrizer
 from .statesim import Statevector
-
-# Declared CNOT (count, depth) of the local test block, per coupling family.
-# The heavy-hex entry depends on the shape of the four-qubit box the routed
-# test lands on: a T-shaped box is cheaper than an in-line box.
-HADAMARD_TEST_COSTS = {
-    2: {
-        "all_to_all": (7, 7),
-        "linear": (9, 9),
-        "heavy_hex": (9, 9),
-    },
-    3: {
-        "all_to_all": (26, 26),
-        "linear": (39, 39),
-    },
-}
-HEAVY_HEX_TEST_COSTS_S32 = {"t": (39, 39), "line": (41, 41)}
 
 
 def controlled(mat: np.ndarray) -> np.ndarray:
@@ -98,6 +98,8 @@ def hadamard_test_fragment(
     heavy_hex_box: str | None = None,
     site_qubits: tuple[int, ...] | None = None,
     drop_phase_gate: bool = False,
+    anc: int | None = None,
+    retry_reset: tuple[int, ...] = (),
 ) -> Circuit:
     """One-ancilla test whose retained branch symmetrizes the site's qubits.
 
@@ -105,10 +107,12 @@ def hadamard_test_fragment(
     phased controlled-SWAP; `drop_phase_gate` omits the phase, which flips
     the retained outcome to |0> (flag recorded in the circuit metadata).
     `heavy_hex_box` selects the declared heavy-hex cost variant ("t" or
-    "line") for the spin-3/2 block; `site_qubits` overrides the encoding's
-    qubit list (used after routing displaces qubits).
+    "line") for the spin-3/2 block; `site_qubits` and `anc` override the
+    encoding's qubits (used after routing displaces qubits); `retry_reset`
+    marks the test for measure-and-reset retries (see ir.Measure).
     """
-    anc = encoding.site_ancilla(site)
+    if anc is None:
+        anc = encoding.site_ancilla(site)
     qubits = site_qubits if site_qubits is not None else encoding.site_qubits[site]
     if len(qubits) != s.twice_s:
         raise ConfigError(f"site {site} has {len(qubits)} qubits, expected {s.twice_s}")
@@ -116,14 +120,9 @@ def hadamard_test_fragment(
         raise ConfigError("the phase gate can only be dropped for 2S=2")
     if circ is None:
         circ = Circuit(encoding.total_qubits, metadata={"builder": "hadamard_test"})
-    costs = dict(HADAMARD_TEST_COSTS.get(s.twice_s, {}))
-    if s.twice_s == 3:
-        box = heavy_hex_box or "line"
-        costs["heavy_hex"] = HEAVY_HEX_TEST_COSTS_S32[box]
-    if not costs:
+    cost_key = f"test_2s{s.twice_s}" + (f"_{heavy_hex_box or 'line'}" if s.twice_s == 3 else "")
+    if cost_key not in DECLARED_COSTS:
         raise UnsupportedError(f"no declared test costs for 2S={s.twice_s}")
-    count = {k: v[0] for k, v in costs.items()}
-    depth = {k: v[1] for k, v in costs.items()}
     block = controlled(exp_minus_i_pi_symmetrizer(s.twice_s).matrix)
     expect = 1
     label = f"ctrl_exp_sym_{s.twice_s}"
@@ -133,9 +132,9 @@ def hadamard_test_fragment(
         label = "ctrl_swap"
         circ.metadata["phase_gate_dropped"] = True
     circ.add(u_h(anc))
-    circ.add(Opaque(label, (anc, *qubits), block, cnot_cost=count, cnot_depth=depth))
+    circ.add(Opaque(label, (anc, *qubits), block, **DECLARED_COSTS[cost_key]))
     circ.add(u_h(anc))
-    circ.add(Measure(anc, expect=expect, creg=circ.next_creg()))
+    circ.add(Measure(anc, expect=expect, creg=circ.next_creg(), retry_reset=retry_reset))
     return circ
 
 
@@ -198,8 +197,46 @@ def island_local_state(lattice: Lattice, encoding: SiteEncoding, site: int, grou
     return state
 
 
+@functools.cache
+def _island_prep(twice_s: int) -> tuple[np.ndarray, dict]:
+    """Matrix and CNOT costs of island_prep_circuit; routed depths are declared."""
+    prep = island_prep_circuit(SpinValue(twice_s))
+    routed = DECLARED_COSTS[f"island_2s{twice_s}"]["cnot_depth"]
+    costs = {
+        "cnot_cost": {"all_to_all": cnot_count(prep, "all_to_all")},
+        "cnot_depth": {"all_to_all": cnot_depth(prep, "all_to_all"), **routed},
+    }
+    return circuit_unitary(prep), costs
+
+
+def island_block(lattice: Lattice, encoding: SiteEncoding, site: int, s: SpinValue) -> Opaque:
+    """A full island (site plus its 2S bond partners) as one opaque block.
+
+    The qubits are listed in island_state's order: each site qubit at its
+    ISLAND_SITE_SLOTS slot and its bond partner at the other slot of the
+    pair.  A bond listed against its singlet's orientation only flips the
+    global sign.
+    """
+    partner = {}
+    for k, (a, b) in enumerate(lattice.links):
+        qa, qb = encoding.link_qubits[k]
+        if site == a:
+            partner[qa] = qb
+        elif site == b:
+            partner[qb] = qa
+    order = [0] * (2 * s.twice_s)
+    for q, slot in zip(encoding.site_qubits[site], ISLAND_SITE_SLOTS[s.twice_s]):
+        order[slot], order[slot ^ 1] = q, partner[q]
+    mat, costs = _island_prep(s.twice_s)
+    return Opaque(f"island_site{site}", tuple(order), mat, **costs)
+
+
 def mitigated_islands_circuit(lattice: Lattice, encoding: SiteEncoding, s: SpinValue) -> Circuit:
-    """Deterministic island initialization on sublattice A, tests on sublattice B."""
+    """Deterministic island initialization on sublattice A, tests on sublattice B.
+
+    Full islands enter as one island_block each; boundary islands, which
+    miss a bond, are prepared by a generic Schmidt split.
+    """
     if encoding.method != "islands_plus_sublattice":
         raise ConfigError("islands method needs the islands_plus_sublattice encoding")
     colors = lattice.sublattice()
@@ -207,10 +244,11 @@ def mitigated_islands_circuit(lattice: Lattice, encoding: SiteEncoding, s: SpinV
     groups = island_qubit_groups(lattice, encoding)
     covered: set[int] = set()
     for site, group in sorted(groups.items()):
-        target = island_local_state(lattice, encoding, site, group)
-        costs = ISLAND_BLOCK_COSTS.get(s.twice_s, {}) if len(group) == 2 * s.twice_s else {}
-        sub = schmidt_prepare(target.amps, qubits=group, label=f"island_site{site}", **costs)
-        circ.extend(sub.gates)
+        if len(group) == 2 * s.twice_s and s.twice_s in ISLAND_SITE_SLOTS:
+            circ.add(island_block(lattice, encoding, site, s))
+        else:
+            target = island_local_state(lattice, encoding, site, group)
+            circ.extend(schmidt_prepare(target.amps, qubits=group, label=f"island_site{site}").gates)
         covered |= set(group)
     for qubit, spin in encoding.boundary_qubits:
         if qubit not in covered and spin == SPIN_DOWN:
@@ -235,19 +273,7 @@ def mitigated_retry_circuit(lattice: Lattice, encoding: SiteEncoding, s: SpinVal
     groups = island_qubit_groups(lattice, encoding)
     anc_bank = [encoding.ancilla[site] for site in range(lattice.n_sites) if colors[site] == "B"]
     for idx, (site, group) in enumerate(sorted(groups.items())):
-        anc = anc_bank[idx % len(anc_bank)]
-        qubits = encoding.site_qubits[site]
-        circ.add(u_h(anc))
-        circ.add(
-            Opaque(
-                f"ctrl_exp_sym_{s.twice_s}",
-                (anc, *qubits),
-                controlled(exp_minus_i_pi_symmetrizer(s.twice_s).matrix),
-                cnot_cost={k: v[0] for k, v in HADAMARD_TEST_COSTS.get(s.twice_s, {}).items()},
-            )
-        )
-        circ.add(u_h(anc))
-        circ.add(Measure(anc, expect=1, creg=circ.next_creg(), retry_reset=group))
+        hadamard_test_fragment(site, encoding, s, circ, anc=anc_bank[idx % len(anc_bank)], retry_reset=group)
     for site in range(lattice.n_sites):
         if colors[site] == "B":
             hadamard_test_fragment(site, encoding, s, circ)

@@ -34,14 +34,7 @@ from .lattice import (
     build_three_link_ring,
     lattice_from_json,
 )
-from .methods import (
-    oracle_vbs_state,
-    run_lcu,
-    run_mitigated_islands,
-    run_mitigated_retry,
-    run_mps,
-    run_probabilistic,
-)
+from .methods import ROUTES, oracle_vbs_state
 from .qasm import emit_qasm
 from .spinops import SpinValue, aklt_two_site_projector
 
@@ -51,18 +44,29 @@ EXIT_CHECK_FAILED = 3
 EXIT_UNSUPPORTED = 4
 EXIT_IO = 5
 
-METHODS = ("probabilistic", "mitigated_islands", "mitigated_retry", "lcu", "mps")
+METHODS = tuple(ROUTES)
 COUPLINGS = ("all_to_all", "linear", "heavy_hex")
+
+
+# Accepted forms and field counts (after the kind) of each lattice spec kind.
+LATTICE_FORMS = {
+    "chain": ("chain:N:open[:aligned|anti] or chain:N:ring", (2, 3)),
+    "three-link-pair": ("three-link-pair", (0,)),
+    "three-link-ring": ("three-link-ring:N", (1,)),
+    "honeycomb": ("honeycomb:R:C", (2,)),
+}
 
 
 def parse_lattice(spec: str) -> Lattice:
     parts = spec.split(":")
     kind = parts[0]
+    if kind in LATTICE_FORMS:
+        form, arities = LATTICE_FORMS[kind]
+        if len(parts) - 1 not in arities:
+            raise ConfigError(f"malformed lattice spec {spec!r}; expected {form}")
     if kind == "chain":
-        if len(parts) < 3:
-            raise ConfigError("chain spec is chain:N:open:aligned|anti or chain:N:ring")
         n = int(parts[1])
-        if parts[2] == "ring":
+        if parts[2:] == ["ring"]:
             return build_chain(n, "ring")
         if parts[2] == "open":
             mode = parts[3] if len(parts) > 3 else "aligned"
@@ -73,7 +77,7 @@ def parse_lattice(spec: str) -> Lattice:
             else:
                 raise ConfigError(f"unknown chain boundary flavor {mode!r}")
             return build_chain(n, "open", spins)
-        raise ConfigError(f"unknown chain boundary {parts[2]!r}")
+        raise ConfigError(f"malformed lattice spec {spec!r}; expected {form}")
     if kind == "three-link-pair":
         return build_three_link_pair()
     if kind == "three-link-ring":
@@ -106,20 +110,6 @@ def validate_config(lattice: Lattice, twice_s: int, method: str):
         raise UnsupportedError("lcu simulation supports 2S in {2, 3}")
 
 
-def _run_method(method: str, lattice: Lattice, s: SpinValue, seed: int):
-    if method == "probabilistic":
-        return run_probabilistic(lattice, s)
-    if method == "mitigated_islands":
-        return run_mitigated_islands(lattice, s)
-    if method == "mitigated_retry":
-        return run_mitigated_retry(lattice, s, seed)
-    if method == "lcu":
-        return run_lcu(lattice, s, "sparse")
-    if method == "mps":
-        return run_mps(lattice, s)
-    raise ConfigError(f"unknown method {method!r}")
-
-
 def _analytic_norm(lattice: Lattice, twice_s: int) -> float | None:
     if twice_s == 2 and lattice.boundary in ("open_chain", "ring"):
         boundary = "ring" if lattice.boundary == "ring" else "open"
@@ -131,7 +121,7 @@ def cmd_prepare(args) -> int:
     lattice = parse_lattice(args.lattice)
     validate_config(lattice, args.spin, args.method)
     s = SpinValue(args.spin)
-    result = _run_method(args.method, lattice, s, args.seed)
+    result = ROUTES[args.method](lattice, s, args.seed)
     oracle, oracle_norm = oracle_vbs_state(lattice, s)
 
     report = analysis.Report(
@@ -198,7 +188,7 @@ def cmd_verify(args) -> int:
     validate_config(lattice, args.spin, args.method)
     s = SpinValue(args.spin)
     state, norm_sq = oracle_vbs_state(lattice, s)
-    result = _run_method(args.method, lattice, s, args.seed)
+    result = ROUTES[args.method](lattice, s, args.seed)
 
     report = analysis.Report(
         method=args.method,

@@ -79,6 +79,9 @@ class Opaque:
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "qubits", tuple(self.qubits))
+        # own copies: the declared costs come from shared tables
+        object.__setattr__(self, "cnot_cost", dict(self.cnot_cost))
+        object.__setattr__(self, "cnot_depth", dict(self.cnot_depth))
 
     def declared_count(self, coupling_name: str) -> int:
         val = self.cnot_cost.get(coupling_name)
@@ -174,6 +177,34 @@ class Circuit:
 # ---------------------------------------------------------------------------
 # resource accounting
 # ---------------------------------------------------------------------------
+
+_TEST_2S3 = {"all_to_all": 26, "linear": 39}
+
+# Declared CNOT costs of every opaque block, by block name, as the ready
+# `cnot_cost` / `cnot_depth` keyword arguments of Opaque (coupling -> number).
+# A depth left out equals the count.  The spin-3/2 test's heavy-hex cost
+# depends on the four-qubit box it lands on: a T-shaped box is cheaper than
+# an in-line box.  A full island declares only its routed depths; its
+# all-to-all numbers are counted on schmidt.island_prep_circuit, whose
+# optimized singular-vector blocks are the island_2s*_{u,v,b} entries.
+DECLARED_COSTS = {
+    "test_2s2": {"cnot_cost": {"all_to_all": 7, "linear": 9, "heavy_hex": 9}},
+    "test_2s3_line": {"cnot_cost": {**_TEST_2S3, "heavy_hex": 41}},
+    "test_2s3_t": {"cnot_cost": {**_TEST_2S3, "heavy_hex": 39}},
+    "displacement": {"cnot_cost": {"heavy_hex": 9}},
+    "cswap": {"cnot_cost": {"all_to_all": 7}},
+    "island_2s2": {"cnot_depth": {"linear": 8}},
+    "island_2s3": {"cnot_depth": {"heavy_hex": 57}},
+    "island_2s2_u": {"cnot_cost": {"all_to_all": 2}},
+    "island_2s2_v": {"cnot_cost": {"all_to_all": 2}},
+    "island_2s3_u": {"cnot_cost": {"all_to_all": 14}},
+    "island_2s3_v": {"cnot_cost": {"all_to_all": 15}},
+    "island_2s3_b": {"cnot_cost": {"all_to_all": 2}},
+    # worst case for an arbitrary Schmidt singular-vector block, by qubit count
+    "schmidt_2q": {"cnot_cost": {"all_to_all": 3}},
+    "schmidt_3q": {"cnot_cost": {"all_to_all": 20}},
+}
+
 
 def cnot_count(circuit: Circuit, coupling_name: str) -> int:
     total = 0

@@ -218,7 +218,13 @@ def run_mps(lattice: Lattice, s: SpinValue, embed_scale: float | None = None) ->
     return {"state": state, "success_probability": prob, "encoding": assign_qubits(lattice, "mps")}
 
 
+# Every route under one call shape, route(lattice, s, seed).  Each entry looks
+# its runner up in this module when called, so a runner rebound here (for
+# example by a tracer) is the one that runs.
 ROUTES = {
-    "probabilistic": run_probabilistic,
-    "mitigated_islands": run_mitigated_islands,
+    "probabilistic": lambda lattice, s, seed: run_probabilistic(lattice, s),
+    "mitigated_islands": lambda lattice, s, seed: run_mitigated_islands(lattice, s),
+    "mitigated_retry": lambda lattice, s, seed: run_mitigated_retry(lattice, s, seed),
+    "lcu": lambda lattice, s, seed: run_lcu(lattice, s, "sparse"),
+    "mps": lambda lattice, s, seed: run_mps(lattice, s),
 }

@@ -9,18 +9,18 @@ can undo the permutation when comparing states.
 
 The heavy-hex pipeline is a declared layout: per six-qubit set the three
 valence bonds start on coupled pairs, and a fixed displacement of three
-SWAPs (9 CNOTs, counted as a depth-9 stage) regroups the qubits so one
-site lands on an in-line four-qubit box and the other on a T-shaped box.
+SWAPs (one declared block) regroups the qubits so one site lands on an
+in-line four-qubit box and the other on a T-shaped box.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .builders import valence_bond_subcircuit
+from .builders import hadamard_test_fragment, island_block, island_qubit_groups, valence_bond_subcircuit
 from .errors import ConfigError
-from .ir import CNot, Circuit, Measure, Opaque, U1Q
+from .ir import DECLARED_COSTS, CNot, Circuit, Measure, Opaque, U1Q
 from .lattice import (
     CouplingMap,
     Lattice,
@@ -29,13 +29,8 @@ from .lattice import (
     build_three_link_pair,
     heavy_hex_patch,
 )
-from .schmidt import ISLAND_BLOCK_COSTS, schmidt_prepare
 from .spinops import SpinValue
 from .statesim import Statevector
-
-# Stage depths declared for the heavy-hex compositions.
-DISPLACEMENT_COSTS = {"heavy_hex": (9, 9)}
-ISLAND_STAGE_HEAVY_HEX_DEPTH = 57
 
 
 @dataclass
@@ -180,7 +175,7 @@ def heavy_hex_pair_layout() -> HeavyHexPairLayout:
 
 
 def displacement_block(swaps: tuple[tuple[int, int], ...], label: str = "bond_displacement") -> Opaque:
-    """The per-set displacement as one opaque block (count 9, depth 9)."""
+    """The per-set displacement as one opaque block with its declared cost."""
     qubits = tuple(sorted({q for pair in swaps for q in pair}))
     local = {q: i for i, q in enumerate(qubits)}
     k = len(qubits)
@@ -198,121 +193,62 @@ def displacement_block(swaps: tuple[tuple[int, int], ...], label: str = "bond_di
             perm[idx, idx] = 0.0
             perm[j, idx] = 1.0
         mat = perm @ mat
-    return Opaque(
-        label,
-        qubits,
-        mat,
-        cnot_cost={k_: v[0] for k_, v in DISPLACEMENT_COSTS.items()},
-        cnot_depth={k_: v[1] for k_, v in DISPLACEMENT_COSTS.items()},
-    )
+    return Opaque(label, qubits, mat, **DECLARED_COSTS["displacement"])
 
 
-def _pair_site_map(encoding: SiteEncoding) -> dict[str, int]:
-    """Logical data/ancilla qubit index for each layout role."""
-    roles = {}
-    for k in range(3):
-        qa, qb = encoding.link_qubits[k]
-        roles[f"A{k + 1}"] = qa
-        roles[f"B{k + 1}"] = qb
+def _pair_on_layout(method: str) -> tuple[Lattice, SiteEncoding, HeavyHexPairLayout, list[int], list[int]]:
+    """The pair under `method`'s encoding, with each logical qubit's position
+    on the heavy-hex set before and after the displacement."""
+    lattice = build_three_link_pair()
+    encoding = assign_qubits(lattice, method)
+    layout = heavy_hex_pair_layout()
+    roles = {"anc_B": encoding.site_ancilla(1)}
     if encoding.ancilla[0] is not None:
         roles["anc_A"] = encoding.ancilla[0]
-    roles["anc_B"] = encoding.site_ancilla(1)
-    return roles
+    for k, (qa, qb) in enumerate(encoding.link_qubits):
+        roles[f"A{k + 1}"], roles[f"B{k + 1}"] = qa, qb
+    initial, final = [0] * encoding.total_qubits, [0] * encoding.total_qubits
+    for role, logical in roles.items():
+        initial[logical], final[logical] = layout.initial[role], layout.final[role]
+    return lattice, encoding, layout, initial, final
 
 
 def heavy_hex_pair_probabilistic() -> tuple[RoutedCircuit, Lattice, SiteEncoding]:
     """Bare probabilistic preparation of the pair, placed on the heavy-hex set."""
-    lattice = build_three_link_pair()
-    encoding = assign_qubits(lattice, "hadamard_all")
-    layout = heavy_hex_pair_layout()
-    roles = _pair_site_map(encoding)
-    logical_to_phys = [None] * encoding.total_qubits
-    for role, logical in roles.items():
-        logical_to_phys[logical] = layout.initial[role]
-
+    lattice, encoding, layout, initial, final = _pair_on_layout("hadamard_all")
     circ = Circuit(layout.coupling.n_qubits, metadata={"builder": "probabilistic_heavy_hex"})
     for qa, qb in encoding.link_qubits:
-        valence_bond_subcircuit(logical_to_phys[qa], logical_to_phys[qb], circ)
+        valence_bond_subcircuit(initial[qa], initial[qb], circ)
     circ.add(displacement_block(layout.displacement))
-
-    placement = list(logical_to_phys)
-    for role, logical in roles.items():
-        placement[logical] = layout.final[role]
-
-    s = SpinValue(3)
     for site, box in ((0, "line"), (1, "t")):
-        site_phys = tuple(placement[q] for q in encoding.site_qubits[site])
-        anc_phys = placement[encoding.site_ancilla(site)]
-        _add_test_on_physical(circ, anc_phys, site_phys, s, box)
-    return RoutedCircuit(circ, placement), lattice, encoding
+        _add_physical_test(circ, encoding, final, site, box)
+    return RoutedCircuit(circ, final), lattice, encoding
 
 
 def heavy_hex_pair_mitigated() -> tuple[RoutedCircuit, Lattice, SiteEncoding]:
     """Island initialization of site A plus a T-box test on site B, heavy-hex.
 
-    The island stage enters the circuit as a single opaque block carrying
-    the declared all-to-all (35 CNOTs, depth 19) and heavy-hex (depth 57)
-    numbers of the optimized six-qubit initialization.
+    Site A's island enters as one builders.island_block on the qubits its
+    bonds start on.
     """
-    from .builders import island_local_state, island_qubit_groups
-    from .ir import circuit_unitary
-
-    lattice = build_three_link_pair()
-    encoding = assign_qubits(lattice, "islands_plus_sublattice")
-    layout = heavy_hex_pair_layout()
-    roles = _pair_site_map(encoding)
-    logical_to_phys = [None] * encoding.total_qubits
-    for role, logical in roles.items():
-        logical_to_phys[logical] = layout.initial[role]
-
+    lattice, encoding, layout, initial, final = _pair_on_layout("islands_plus_sublattice")
     circ = Circuit(layout.coupling.n_qubits, metadata={"builder": "mitigated_heavy_hex"})
-    groups = island_qubit_groups(lattice, encoding)
-    ((site_a, group),) = groups.items()
-    target = island_local_state(lattice, encoding, site_a, group)
-    phys_group = tuple(logical_to_phys[q] for q in group)
-    order = list(np.argsort(phys_group))
-    target_phys = np.transpose(target.amps.reshape([2] * 6), order).reshape(-1)
-    sub = schmidt_prepare(target_phys, label="island_heavy_hex", **ISLAND_BLOCK_COSTS[3])
-    circ.add(
-        Opaque(
-            "island_stage",
-            tuple(sorted(phys_group)),
-            circuit_unitary(sub),
-            cnot_cost={"all_to_all": 35},
-            cnot_depth={"all_to_all": 19, "heavy_hex": ISLAND_STAGE_HEAVY_HEX_DEPTH},
-        )
-    )
-
+    (site_a,) = island_qubit_groups(lattice, encoding)
+    block = island_block(lattice, encoding, site_a, SpinValue(3))
+    circ.add(replace(block, qubits=tuple(initial[q] for q in block.qubits)))
     circ.add(displacement_block(layout.displacement))
-    placement = list(logical_to_phys)
-    for role, logical in roles.items():
-        placement[logical] = layout.final[role]
-
-    s = SpinValue(3)
-    site_b = 1
-    site_phys = tuple(placement[q] for q in encoding.site_qubits[site_b])
-    _add_test_on_physical(circ, placement[encoding.site_ancilla(site_b)], site_phys, s, "t")
-    return RoutedCircuit(circ, placement), lattice, encoding
+    _add_physical_test(circ, encoding, final, 1, "t")
+    return RoutedCircuit(circ, final), lattice, encoding
 
 
-def _add_test_on_physical(circ: Circuit, anc: int, site_qubits: tuple[int, ...], s: SpinValue, box: str):
-    from .builders import HEAVY_HEX_TEST_COSTS_S32, controlled
-    from .ir import u_h
-    from .spinops import exp_minus_i_pi_symmetrizer
-
-    costs = {
-        "all_to_all": (26, 26),
-        "heavy_hex": HEAVY_HEX_TEST_COSTS_S32[box],
-    }
-    circ.add(u_h(anc))
-    circ.add(
-        Opaque(
-            f"ctrl_exp_sym_3_{box}",
-            (anc, *site_qubits),
-            controlled(exp_minus_i_pi_symmetrizer(3).matrix),
-            cnot_cost={k: v[0] for k, v in costs.items()},
-            cnot_depth={k: v[1] for k, v in costs.items()},
-        )
+def _add_physical_test(circ: Circuit, encoding: SiteEncoding, placement: list[int], site: int, box: str):
+    """Spin-3/2 test of `site` on its displaced physical qubits and heavy-hex box."""
+    hadamard_test_fragment(
+        site,
+        encoding,
+        SpinValue(3),
+        circ,
+        heavy_hex_box=box,
+        site_qubits=tuple(placement[q] for q in encoding.site_qubits[site]),
+        anc=placement[encoding.site_ancilla(site)],
     )
-    circ.add(u_h(anc))
-    circ.add(Measure(anc, expect=1, creg=circ.next_creg()))

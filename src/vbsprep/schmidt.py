@@ -14,12 +14,9 @@ import math
 import numpy as np
 
 from .errors import UnsupportedError
-from .ir import Circuit, CNot, Opaque, U1Q, u_ry
+from .ir import DECLARED_COSTS, Circuit, CNot, Opaque, U1Q, u_ry
 from .spinops import SpinValue, symmetrizer
 from .statesim import Statevector
-
-# Worst-case CNOT counts for undeclared opaque blocks, by qubit count.
-GENERIC_BLOCK_COST = {1: 0, 2: 3, 3: 20}
 
 DEGENERATE_TOL = 1e-12
 
@@ -56,26 +53,27 @@ def prepare_single_qubit(target: np.ndarray, qubit: int) -> U1Q:
     return U1Q(theta, phi, 0.0, qubit, "prep")
 
 
-def _block(label: str, qubits: tuple[int, ...], mat: np.ndarray, cost: int | None) -> Opaque:
-    n = len(qubits)
-    declared = cost if cost is not None else GENERIC_BLOCK_COST.get(n)
-    return Opaque(label, qubits, mat, cnot_cost={"all_to_all": declared})
+def _block(label: str, qubits: tuple[int, ...], mat: np.ndarray, costs: dict | None) -> Opaque:
+    if costs is None:
+        costs = DECLARED_COSTS.get(f"schmidt_{len(qubits)}q", {})
+    return Opaque(label, qubits, mat, **costs)
 
 
 def schmidt_prepare(
     target,
     *,
     qubits: tuple[int, ...] | None = None,
-    u_cost: int | None = None,
-    v_cost: int | None = None,
-    b_inner_cost: int | None = None,
+    u_cost: dict | None = None,
+    v_cost: dict | None = None,
+    b_inner_cost: dict | None = None,
     label: str = "schmidt",
 ) -> Circuit:
     """Circuit preparing `target` from |0...0> via its Schmidt decomposition.
 
-    u_cost / v_cost / b_inner_cost override the declared all-to-all CNOT
-    costs of the singular-vector blocks (b_inner_cost applies to the
-    two-qubit block inside an odd-register coefficient preparation).
+    u_cost / v_cost / b_inner_cost override the declared CNOT costs (Opaque
+    cost keyword arguments) of the singular-vector blocks; b_inner_cost
+    applies to the blocks of the coefficient preparation.  Blocks without
+    an override carry the generic worst-case cost.
     """
     target = np.asarray(target, dtype=complex).reshape(-1)
     nq = target.size.bit_length() - 1
@@ -155,35 +153,36 @@ def _schmidt_into(circ, target, qubits, u_cost, v_cost, b_inner_cost, label):
 
 SINGLET = np.array([0, 1, -1, 0], dtype=complex) / math.sqrt(2)
 
-# Optimized block costs for the two island instances (all-to-all coupling).
-ISLAND_BLOCK_COSTS = {
-    2: {"u_cost": 2, "v_cost": 2, "b_inner_cost": None},
-    3: {"u_cost": 14, "v_cost": 15, "b_inner_cost": 2},
-}
+# Qubits of island_state's symmetrized site, by 2S: one qubit of each bond,
+# the middle pair for 2S=2 and the odd-index triple for 2S=3.
+ISLAND_SITE_SLOTS = {2: (1, 2), 3: (1, 3, 5)}
 
 
 def island_state(s: SpinValue) -> Statevector:
     """Normalized 4S-qubit island: 2S valence bonds, symmetrized center site.
 
-    Bonds sit on qubit pairs (0,1), (2,3), ...; the symmetrized site is the
-    odd-index qubits.
+    Bonds sit on qubit pairs (0,1), (2,3), ...; the symmetrized site holds
+    one qubit of each bond, at ISLAND_SITE_SLOTS.
     """
-    if s.twice_s not in (2, 3):
+    if s.twice_s not in ISLAND_SITE_SLOTS:
         raise UnsupportedError("island states implemented for 2S in {2, 3}")
     n = 2 * s.twice_s
     factors = [((2 * k, 2 * k + 1), SINGLET) for k in range(s.twice_s)]
     state = Statevector.product_of_factors(n, factors)
-    # one qubit per bond encodes the central site: the middle pair for 2S=2,
-    # the odd-index triple for 2S=3
-    site_qubits = (1, 2) if s.twice_s == 2 else (1, 3, 5)
-    state.apply_nonunitary(symmetrizer(s.twice_s), site_qubits)
+    state.apply_nonunitary(symmetrizer(s.twice_s), ISLAND_SITE_SLOTS[s.twice_s])
     return state
 
 
 def island_prep_circuit(s: SpinValue) -> Circuit:
     """Deterministic island initialization via the Schmidt split down the middle."""
     target = island_state(s)
-    costs = ISLAND_BLOCK_COSTS[s.twice_s]
-    circ = schmidt_prepare(target.amps, label=f"island_2s{s.twice_s}", **costs)
+    block = f"island_2s{s.twice_s}"
+    circ = schmidt_prepare(
+        target.amps,
+        u_cost=DECLARED_COSTS[block + "_u"],
+        v_cost=DECLARED_COSTS[block + "_v"],
+        b_inner_cost=DECLARED_COSTS.get(block + "_b"),
+        label=block,
+    )
     circ.metadata["island_twice_s"] = s.twice_s
     return circ

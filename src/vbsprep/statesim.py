@@ -14,7 +14,7 @@ import os
 
 import numpy as np
 
-from .errors import CapExceededError, ImpossibleOutcomeError, NonUnitaryError
+from .errors import CapExceededError, ConfigError, ImpossibleOutcomeError, NonUnitaryError
 from .spinops import DenseOperator
 
 DEFAULT_MAX_QUBITS = 26
@@ -25,7 +25,12 @@ PROB_FLOOR = 1e-14
 def max_qubits() -> int:
     """Simulator size cap; override with the VBS_MAX_QUBITS env var."""
     raw = os.environ.get("VBS_MAX_QUBITS")
-    return int(raw) if raw else DEFAULT_MAX_QUBITS
+    if not raw:
+        return DEFAULT_MAX_QUBITS
+    try:
+        return int(raw)
+    except ValueError:
+        raise ConfigError(f"VBS_MAX_QUBITS must be an integer, got {raw!r}") from None
 
 
 def _as_matrix(op) -> np.ndarray:

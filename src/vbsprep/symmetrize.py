@@ -7,21 +7,18 @@ import math
 import numpy as np
 
 from .errors import ConfigError, UnsupportedError
-from .ir import Circuit, CNot, Measure, Opaque, u_h, u_ry, u_x
+from .ir import DECLARED_COSTS, Circuit, CNot, Measure, Opaque, u_h, u_ry, u_x
 from .spinops import permutation_operator
-
-CSWAP_COSTS = {"all_to_all": (7, 7)}
 
 _CSWAP = None
 
 
-def _cswap_matrix() -> np.ndarray:
+def _cswap(control: int, a: int, b: int) -> Opaque:
     global _CSWAP
     if _CSWAP is None:
-        m = np.eye(8, dtype=complex)
-        m[[5, 6]] = m[[6, 5]]
-        _CSWAP = m
-    return _CSWAP
+        _CSWAP = np.eye(8, dtype=complex)
+        _CSWAP[[5, 6]] = _CSWAP[[6, 5]]
+    return Opaque("cswap", (control, a, b), _CSWAP, **DECLARED_COSTS["cswap"])
 
 
 def block_angle(p: float) -> float:
@@ -141,15 +138,7 @@ def lcu_symmetrization_circuit(
         prep_gates = list(circ.gates[prep_start:])
         for anc, seq in zip(ancillas, seqs):
             for i, j in seq:
-                circ.add(
-                    Opaque(
-                        "cswap",
-                        (anc, site_qubits[i], site_qubits[j]),
-                        _cswap_matrix(),
-                        cnot_cost={k: v[0] for k, v in CSWAP_COSTS.items()},
-                        cnot_depth={k: v[1] for k, v in CSWAP_COSTS.items()},
-                    )
-                )
+                circ.add(_cswap(anc, site_qubits[i], site_qubits[j]))
         circ.extend(inverse_gates(prep_gates))
     elif variant == "dense":
         if n_halves != 2:
@@ -158,15 +147,7 @@ def lcu_symmetrization_circuit(
             raise ConfigError("dense variant for n=2 needs exactly 1 ancilla")
         anc = ancillas[0]
         circ.add(u_h(anc))
-        circ.add(
-            Opaque(
-                "cswap",
-                (anc, site_qubits[0], site_qubits[1]),
-                _cswap_matrix(),
-                cnot_cost={k: v[0] for k, v in CSWAP_COSTS.items()},
-                cnot_depth={k: v[1] for k, v in CSWAP_COSTS.items()},
-            )
-        )
+        circ.add(_cswap(anc, site_qubits[0], site_qubits[1]))
         circ.add(u_h(anc))
     else:
         raise ConfigError(f"unknown LCU variant {variant!r}")
@@ -181,7 +162,7 @@ def lcu_spin2_resources() -> dict:
     seqs = permutation_swap_sequences(4)
     n_cswaps = sum(len(s) for s in seqs)
     prepare = 2 * (math.factorial(4) - 1)
-    select = n_cswaps * CSWAP_COSTS["all_to_all"][0]
+    select = n_cswaps * DECLARED_COSTS["cswap"]["cnot_cost"]["all_to_all"]
     return {
         "cswaps": n_cswaps,
         "prepare_cnots": prepare,

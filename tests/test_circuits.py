@@ -137,6 +137,15 @@ def test_probabilistic_depths():
     circ_p = probabilistic_method_circuit(pair, enc_p, SpinValue(3))
     assert cnot_depth(circ_p, "all_to_all") == 27  # 1 + 26
 
+    # the simulated island circuits carry the printed depths: every full
+    # island is one block counted on island_prep_circuit
+    from vbsprep.methods import run_mitigated_islands
+
+    islands_p = run_mitigated_islands(pair, SpinValue(3))["circuit"]
+    assert cnot_depth(islands_p, "all_to_all") == 45  # 19 + 26
+    islands_ring = run_mitigated_islands(build_chain(4, "ring"), SpinValue(2))["circuit"]
+    assert cnot_depth(islands_ring, "linear") == 17  # 8 + 9
+
 
 def test_probabilistic_matches_closed_form_probability():
     # ring N=3 -> 3/8; open N=2 aligned -> 1/2; anti-aligned -> 5/8

@@ -1,5 +1,6 @@
 """Command-line interface: configs, exit codes, report files."""
 import json
+from pathlib import Path
 
 import pytest
 
@@ -54,8 +55,19 @@ def test_prepare_lcu_pair(tmp_path):
     assert fid["actual"] == pytest.approx(1.0, abs=1e-10)
 
 
-def test_invalid_method_spin_combination():
+def test_invalid_method_spin_combination(capsys):
     assert main(["prepare", "--method", "mps", "--spin", "3", "--lattice", "three-link-pair"]) == EXIT_CONFIG
+    # malformed lattice specs exit 2 with the expected form, not a traceback
+    for spec, form in (
+        ("three-link-ring", "three-link-ring:N"),
+        ("honeycomb:1", "honeycomb:R:C"),
+        ("chain:4", "chain:N:ring"),
+        ("chain:4:ring:aligned", "chain:N:ring"),
+        ("three-link-pair:2", "expected three-link-pair"),
+    ):
+        capsys.readouterr()
+        assert main(["prepare", "--spin", "3", "--lattice", spec]) == EXIT_CONFIG, spec
+        assert form in capsys.readouterr().err, spec
 
 
 def test_spin_lattice_mismatch():
@@ -98,6 +110,13 @@ def test_resources_grid(tmp_path):
     assert depths[(3, "mitigated_islands", "heavy_hex")] == 105
     assert doc["resources"]["lcu_spin2"]["total_cnots"] == 414
     assert len(doc["resources"]["repetitions"]) == 20
+
+
+def test_resources_stdout_matches_golden(capsys):
+    # the depth grid comes from built circuits; its report must not move
+    assert main(["resources"]) == EXIT_OK
+    golden = Path(__file__).parent / "data" / "resources.json"
+    assert capsys.readouterr().out.encode() == golden.read_bytes()
 
 
 def test_emit_qasm_basis_and_structural(tmp_path):
@@ -155,3 +174,9 @@ def test_env_cap_override(tmp_path, monkeypatch):
     # 3-site ring needs 9 qubits with ancillas; the cap makes it fail cleanly
     code = main(["prepare", "--spin", "2", "--lattice", "chain:3:ring", "--method", "probabilistic"])
     assert code in (EXIT_CONFIG, EXIT_CHECK_FAILED)
+
+
+def test_env_cap_not_an_integer(capsys, monkeypatch):
+    monkeypatch.setenv("VBS_MAX_QUBITS", "abc")
+    assert main(["prepare", "--spin", "2", "--lattice", "chain:3:ring"]) == EXIT_CONFIG
+    assert "VBS_MAX_QUBITS" in capsys.readouterr().err
