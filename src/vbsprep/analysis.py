@@ -10,10 +10,11 @@ import numpy as np
 
 from .builders import mitigated_islands_circuit, probabilistic_method_circuit
 from .errors import ConfigError, UnsupportedError
-from .ir import Circuit, cnot_depth, simulate_circuit
+from .ir import Circuit, cnot_depth
 from .lattice import assign_qubits, build_chain, build_three_link_pair
 from .routing import heavy_hex_pair_mitigated, heavy_hex_pair_probabilistic
 from .spinops import SpinValue, symmetric_fraction
+from .statesim import Statevector
 
 TAIL_EPS = 1e-12
 
@@ -212,11 +213,14 @@ def repetitions_table(twice_s: int, n_list=TABLE_N_VALUES) -> list[dict]:
 # Monte Carlo
 # ---------------------------------------------------------------------------
 
-def monte_carlo_success(circuit: Circuit, expected_p: float, shots: int, seed: int) -> tuple[float, float]:
-    """Empirical all-markers-pass rate and its z-score against expected_p."""
+def monte_carlo_success(state: Statevector, markers, expected_p: float, shots: int, seed: int) -> tuple[float, float]:
+    """Empirical all-markers-pass rate and its z-score against expected_p.
+
+    Samples `state`, the simulated circuit before post-selection (as
+    `ir.simulate_circuit` returns it with its markers).
+    """
     if not 0 < expected_p < 1:
         raise ConfigError("expected_p must be inside (0, 1)")
-    state, markers = simulate_circuit(circuit)
     if not markers:
         raise ConfigError("circuit has no measurement markers")
     counts = state.sample(shots, seed)

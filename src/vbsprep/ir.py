@@ -19,9 +19,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import MissingCostError, NonUnitaryError
-from .statesim import Statevector
+from .statesim import Statevector, _contract
 
 OPAQUE_UNITARY_TOL = 1e-10
+FUSE_WIDTH = 4  # qubits in the widest block simulate_circuit fuses gates into
 
 
 @dataclass(frozen=True)
@@ -235,28 +236,68 @@ def cnot_depth(circuit: Circuit, coupling_name: str) -> int:
 # simulation
 # ---------------------------------------------------------------------------
 
+_CNOT_MAT = np.array(
+    [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex
+)
+
+
+def _gate_matrix(g) -> np.ndarray:
+    """Matrix of a unitary gate on g.qubits; qubits[0] is its MSB."""
+    if isinstance(g, CNot):
+        return _CNOT_MAT
+    if isinstance(g, U1Q):
+        return g.matrix()
+    if isinstance(g, Opaque):
+        return g.matrix
+    raise TypeError(f"not a unitary gate: {g!r}")
+
+
+def _block_matrix(support: list[int], gates: list) -> np.ndarray:
+    """Product of consecutive gates as one matrix on `support` (first qubit is the MSB)."""
+    if len(gates) == 1:
+        return _gate_matrix(gates[0])  # its support is its own qubit order
+    m = len(support)
+    pos = {q: i for i, q in enumerate(support)}
+    # rows on the first m axes, columns on the last: gates act on the rows
+    t = np.eye(2**m, dtype=complex).reshape([2] * m + [2**m])
+    for g in gates:
+        t = _contract(t, _gate_matrix(g), [pos[q] for q in g.qubits])
+    return t.reshape(2**m, 2**m)
+
+
 def simulate_circuit(circuit: Circuit, initial: Statevector | None = None) -> tuple[Statevector, list[Measure]]:
-    """Run all unitary gates; measurement markers are collected, not applied."""
+    """Run all unitary gates; measurement markers are collected, not applied.
+
+    Consecutive gates are fused greedily into blocks of at most FUSE_WIDTH
+    qubits, and each block is applied to the state once.  Markers do not
+    end a block: none is applied here.
+    """
     state = initial.copy() if initial is not None else Statevector.zero(circuit.n_qubits)
     if state.n_qubits != circuit.n_qubits:
         raise ValueError("initial state size mismatch")
     markers: list[Measure] = []
+    support: list[int] = []
+    block: list = []
     for g in circuit.gates:
         if isinstance(g, Measure):
             markers.append(g)
-        elif isinstance(g, CNot):
-            state.apply_unitary(_CNOT_MAT, g.qubits)
-        elif isinstance(g, U1Q):
-            state.apply_unitary(g.matrix(), g.qubits)
-        elif isinstance(g, Opaque):
-            state.apply_unitary(g.matrix, g.qubits)
-        else:
-            raise TypeError(f"unknown gate {g!r}")
+            continue
+        grown = support + [q for q in g.qubits if q not in support]
+        if len(grown) > FUSE_WIDTH and block:
+            state.apply_unitary(_block_matrix(support, block), support)
+            grown, block = list(g.qubits), []
+        support = grown
+        block.append(g)
+    if block:
+        state.apply_unitary(_block_matrix(support, block), support)
     return state, markers
 
 
 def post_select(state: Statevector, markers) -> tuple[float, Statevector]:
-    """Project every marker qubit on its expected outcome; joint probability."""
+    """Project every marker qubit on its expected outcome; joint probability.
+
+    Projects one copy in place; `state` itself is left unchanged.
+    """
     out = state.copy()
     prob = 1.0
     for m in markers:
@@ -268,11 +309,6 @@ def success_probability(state: Statevector, markers) -> float:
     """Joint probability of all markers reading their expected outcome."""
     prob, _ = post_select(state, markers)
     return prob
-
-
-_CNOT_MAT = np.array(
-    [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex
-)
 
 
 def circuit_to_json_dict(circuit: Circuit) -> dict:
@@ -328,7 +364,11 @@ def circuit_from_json_dict(doc: dict) -> Circuit:
 
 
 def circuit_unitary(circuit: Circuit) -> np.ndarray:
-    """Full matrix of a measurement-free circuit (small registers only)."""
+    """Full matrix of a measurement-free circuit (small registers only).
+
+    Applies the gates one by one, unfused; tests use it as the reference
+    for the gate fusion in simulate_circuit.
+    """
     n = circuit.n_qubits
     if n > 12:
         raise ValueError("circuit_unitary capped at 12 qubits")
@@ -341,11 +381,6 @@ def circuit_unitary(circuit: Circuit) -> np.ndarray:
         for g in circuit.gates:
             if isinstance(g, Measure):
                 raise ValueError("circuit_unitary does not support measurement markers")
-            if isinstance(g, CNot):
-                sv.apply_unitary(_CNOT_MAT, g.qubits)
-            elif isinstance(g, U1Q):
-                sv.apply_unitary(g.matrix(), g.qubits)
-            else:
-                sv.apply_unitary(g.matrix, g.qubits)
+            sv.apply_unitary(_gate_matrix(g), g.qubits)
         mat[:, col] = sv.amps
     return mat

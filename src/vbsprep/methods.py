@@ -65,13 +65,16 @@ def run_probabilistic(lattice: Lattice, s: SpinValue) -> dict:
     """Full-ancilla circuit, post-selected on every marker."""
     encoding = assign_qubits(lattice, "hadamard_all")
     circ = probabilistic_method_circuit(lattice, encoding, s)
-    state, markers = simulate_circuit(circ)
-    prob, state = post_select(state, markers)
+    simulated, markers = simulate_circuit(circ)
+    prob, state = post_select(simulated, markers)
     return {
         "state": data_state(state, encoding),
         "success_probability": prob,
         "circuit": circ,
         "encoding": encoding,
+        # the state before post-selection, for Monte-Carlo sampling
+        "simulated": simulated,
+        "markers": markers,
     }
 
 

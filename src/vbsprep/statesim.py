@@ -33,10 +33,28 @@ def max_qubits() -> int:
         raise ConfigError(f"VBS_MAX_QUBITS must be an integer, got {raw!r}") from None
 
 
+def _checked_width(n_qubits: int) -> int:
+    cap = max_qubits()
+    if not 1 <= n_qubits <= cap:
+        raise CapExceededError(f"n_qubits={n_qubits} outside [1, {cap}]")
+    return n_qubits
+
+
 def _as_matrix(op) -> np.ndarray:
     if isinstance(op, DenseOperator):
         return op.matrix
     return np.asarray(op, dtype=complex)
+
+
+def _contract(tensor: np.ndarray, mat: np.ndarray, axes) -> np.ndarray:
+    """`mat` applied to the listed axes of a [2, 2, ...] tensor; axes[0] is its MSB.
+
+    One tensordot over the target axes, then the new axes moved back in
+    place and made contiguous: the result is a fresh array.
+    """
+    k = len(axes)
+    out = np.tensordot(mat.reshape([2] * (2 * k)), tensor, axes=(range(k, 2 * k), axes))
+    return np.ascontiguousarray(np.moveaxis(out, range(k), axes))
 
 
 class Statevector:
@@ -50,7 +68,7 @@ class Statevector:
     __slots__ = ("n_qubits", "amps", "tracked_norm_sq")
 
     def __init__(self, n_qubits: int, amps: np.ndarray, tracked_norm_sq: float = 1.0):
-        self.n_qubits = n_qubits
+        self.n_qubits = _checked_width(n_qubits)
         self.amps = amps
         self.tracked_norm_sq = tracked_norm_sq
 
@@ -58,9 +76,7 @@ class Statevector:
 
     @classmethod
     def zero(cls, n_qubits: int) -> "Statevector":
-        if not 1 <= n_qubits <= max_qubits():
-            raise CapExceededError(f"n_qubits={n_qubits} outside [1, {max_qubits()}]")
-        amps = np.zeros(2**n_qubits, dtype=complex)
+        amps = np.zeros(2 ** _checked_width(n_qubits), dtype=complex)
         amps[0] = 1.0
         return cls(n_qubits, amps)
 
@@ -78,8 +94,7 @@ class Statevector:
 
         The qubit tuples must partition range(n_qubits).
         """
-        if not 1 <= n_qubits <= max_qubits():
-            raise CapExceededError(f"n_qubits={n_qubits} outside [1, {max_qubits()}]")
+        _checked_width(n_qubits)  # before the product is allocated
         axes: list[int] = []
         full = np.array(1.0 + 0j)
         for qubits, vec in factors:
@@ -100,19 +115,19 @@ class Statevector:
 
     # -- operator application ---------------------------------------------
 
-    def _apply_matrix(self, mat: np.ndarray, qubits) -> None:
+    def _applied(self, mat: np.ndarray, qubits) -> np.ndarray:
+        # The other methods call this, not applied_amplitudes, so that a
+        # per-method timer (perfbench/tracer.py) counts the kernel as theirs.
         n, k = self.n_qubits, len(qubits)
         if mat.shape != (2**k, 2**k):
             raise ValueError(f"operator dim {mat.shape} does not match {k} qubits")
         if len(set(qubits)) != k or any(not 0 <= q < n for q in qubits):
             raise ValueError(f"bad qubit list {qubits} for {n}-qubit state")
-        t = self.amps.reshape([2] * n)
-        rest = [q for q in range(n) if q not in qubits]
-        t = np.transpose(t, list(qubits) + rest).reshape(2**k, -1)
-        t = mat @ t
-        t = t.reshape([2] * n)
-        inv = np.argsort(list(qubits) + rest)
-        self.amps = np.transpose(t, inv).reshape(-1).copy()
+        return _contract(self.amps.reshape([2] * n), mat, qubits).reshape(-1)
+
+    def applied_amplitudes(self, op, qubits) -> np.ndarray:
+        """Amplitudes of op|psi> (not renormalized) as a fresh array; the state is unchanged."""
+        return self._applied(_as_matrix(op), tuple(qubits))
 
     def apply_unitary(self, op, qubits, *, allow_nonunitary: bool = False) -> "Statevector":
         """Apply `op` on the listed qubits; qubits[0] is the op's MSB."""
@@ -121,17 +136,17 @@ class Statevector:
             eye = np.eye(mat.shape[0])
             if np.max(np.abs(mat.conj().T @ mat - eye)) > UNITARY_TOL:
                 raise NonUnitaryError("operator is not unitary; pass allow_nonunitary=True to override")
-        self._apply_matrix(mat, tuple(qubits))
+        self.amps = self._applied(mat, tuple(qubits))
         return self
 
     def apply_nonunitary(self, op, qubits) -> float:
         """Apply a general operator, renormalize, return the norm-squared ratio."""
         before = float(np.vdot(self.amps, self.amps).real)
-        self._apply_matrix(_as_matrix(op), tuple(qubits))
+        self.amps = self._applied(_as_matrix(op), tuple(qubits))
         after = float(np.vdot(self.amps, self.amps).real)
-        ratio = after / before
         if after < PROB_FLOOR:
             raise ImpossibleOutcomeError("operator annihilated the state")
+        ratio = after / before
         self.amps /= np.sqrt(after)
         self.tracked_norm_sq *= ratio
         return ratio
@@ -147,19 +162,19 @@ class Statevector:
         return float(np.vdot(branch, branch).real) / total
 
     def project_qubit(self, qubit: int, outcome: int, renormalize: bool = True) -> float:
-        """Project a qubit onto an outcome; returns the branch probability."""
+        """Project a qubit onto an outcome in place; returns the branch probability."""
         if outcome not in (0, 1):
             raise ValueError("outcome must be 0 or 1")
         prob = self.outcome_probability(qubit, outcome)
         if prob < PROB_FLOOR:
             raise ImpossibleOutcomeError(f"outcome {outcome} on qubit {qubit} has probability {prob:.3e}")
-        t = self.amps.reshape([2] * self.n_qubits).copy()
+        t = self.amps.reshape([2] * self.n_qubits)
         sl = [slice(None)] * self.n_qubits
         sl[qubit] = 1 - outcome
         t[tuple(sl)] = 0.0
         self.amps = t.reshape(-1)
         if renormalize:
-            self.amps = self.amps / np.linalg.norm(self.amps)
+            self.amps /= np.linalg.norm(self.amps)
             self.tracked_norm_sq *= prob
         return prob
 
@@ -189,10 +204,8 @@ class Statevector:
         mat = _as_matrix(op)
         if np.max(np.abs(mat - mat.conj().T)) > UNITARY_TOL:
             raise ValueError("expectation requires a Hermitian operator")
-        work = self.copy()
-        work._apply_matrix(mat, tuple(qubits))
         norm_sq = float(np.vdot(self.amps, self.amps).real)
-        return float(np.vdot(self.amps, work.amps).real) / norm_sq
+        return float(np.vdot(self.amps, self._applied(mat, tuple(qubits))).real) / norm_sq
 
     def probabilities(self) -> np.ndarray:
         p = np.abs(self.amps) ** 2

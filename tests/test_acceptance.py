@@ -156,13 +156,13 @@ def test_criterion_04_success_probabilities():
         # the measured probability equals the squared norm itself
         _, norm = oracle_vbs_state(lattice, S1)
         assert abs(result["success_probability"] - norm) <= 1e-10
-        rate, z = monte_carlo_success(result["circuit"], expected, 100_000, seed)
+        rate, z = monte_carlo_success(*simulate_circuit(result["circuit"]), expected, 100_000, seed)
         assert abs(z) < 3.0, (lattice.name, rate, z)
     # seed sweep: at most one 3-sigma outlier in 20 seeds
     lat = build_chain(2, "open", ("up", "up"))
     circ = run_probabilistic(lat, S1)["circuit"]
     outliers = sum(
-        1 for seed in range(20) if abs(monte_carlo_success(circ, 0.5, 10_000, seed)[1]) >= 3.0
+        1 for seed in range(20) if abs(monte_carlo_success(*simulate_circuit(circ), 0.5, 10_000, seed)[1]) >= 3.0
     )
     assert outliers < 2
     _report(4)

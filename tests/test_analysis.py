@@ -19,6 +19,7 @@ from vbsprep.analysis import (
 )
 from vbsprep.builders import probabilistic_method_circuit
 from vbsprep.errors import UnsupportedError
+from vbsprep.ir import simulate_circuit
 from vbsprep.lattice import assign_qubits, build_chain, build_three_link_pair
 from vbsprep.methods import oracle_vbs_state
 from vbsprep.spinops import SpinValue
@@ -130,8 +131,8 @@ def test_monte_carlo_deterministic_and_calibrated():
     lat = build_chain(2, "open", ("up", "up"))
     enc = assign_qubits(lat, "hadamard_all")
     circ = probabilistic_method_circuit(lat, enc, SpinValue(2))
-    rate1, z1 = monte_carlo_success(circ, 0.5, 100_000, seed=3)
-    rate2, _ = monte_carlo_success(circ, 0.5, 100_000, seed=3)
+    rate1, z1 = monte_carlo_success(*simulate_circuit(circ), 0.5, 100_000, seed=3)
+    rate2, _ = monte_carlo_success(*simulate_circuit(circ), 0.5, 100_000, seed=3)
     assert rate1 == rate2
     assert abs(z1) < 3.0
 
@@ -140,7 +141,7 @@ def test_monte_carlo_deterministic_circuit_rate_is_one():
     from vbsprep.ir import Circuit, Measure, u_x
 
     circ = Circuit(1, gates=[u_x(0), Measure(0, expect=1)])
-    rate, _ = monte_carlo_success(circ, 0.5, 1000, seed=1)
+    rate, _ = monte_carlo_success(*simulate_circuit(circ), 0.5, 1000, seed=1)
     assert rate == 1.0
 
 
@@ -151,7 +152,7 @@ def test_monte_carlo_three_link_single_site():
     enc = assign_qubits(lat, "hadamard_all")
     circ = pre_vbs_circuit(lat, enc)
     hadamard_test_fragment(0, enc, SpinValue(3), circ)
-    rate, z = monte_carlo_success(circ, 0.5, 100_000, seed=5)
+    rate, z = monte_carlo_success(*simulate_circuit(circ), 0.5, 100_000, seed=5)
     assert abs(z) < 3.0
 
 

@@ -17,6 +17,7 @@ from vbsprep.ir import (
     CNot,
     Measure,
     Opaque,
+    U1Q,
     circuit_unitary,
     cnot_count,
     cnot_depth,
@@ -26,6 +27,7 @@ from vbsprep.ir import (
 )
 from vbsprep.lattice import assign_qubits, build_chain, build_three_link_pair
 from vbsprep.spinops import SpinValue
+from vbsprep.statesim import Statevector
 
 INV_SQRT2 = 1.0 / np.sqrt(2.0)
 
@@ -251,6 +253,49 @@ def test_circuit_json_round_trip():
     assert abs(p0 - p1) < 1e-12
     assert abs(s0.fidelity(s1) - 1.0) < 1e-12
     assert cnot_depth(again, "all_to_all") == cnot_depth(circ, "all_to_all")
+
+
+def _random_circuit(rng, n: int, n_gates: int) -> Circuit:
+    circ = Circuit(n)
+    for _ in range(n_gates):
+        kind = rng.integers(4)
+        if kind == 0:
+            a, b = (int(q) for q in rng.permutation(n)[:2])
+            circ.add(CNot(a, b))
+        elif kind == 1:
+            theta, phi, lam = rng.uniform(-np.pi, np.pi, size=3)
+            circ.add(U1Q(theta, phi, lam, int(rng.integers(n))))
+        elif kind == 2:
+            k = int(rng.integers(1, min(n, 5) + 1))
+            m = rng.normal(size=(2**k, 2**k)) + 1j * rng.normal(size=(2**k, 2**k))
+            u, _ = np.linalg.qr(m)
+            circ.add(Opaque("random", tuple(int(q) for q in rng.permutation(n)[:k]), u))
+        else:
+            circ.add(Measure(int(rng.integers(n)), int(rng.integers(2))))
+    return circ
+
+
+def test_fused_simulation_matches_gate_by_gate_unitary():
+    rng = np.random.default_rng(29)
+    for _ in range(30):
+        n = int(rng.integers(2, 8))
+        circ = _random_circuit(rng, n, int(rng.integers(1, 25)))
+        v = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
+        v /= np.linalg.norm(v)
+        state, markers = simulate_circuit(circ, initial=Statevector.from_amplitudes(v))
+        unitary = circuit_unitary(Circuit(n, gates=[g for g in circ.gates if not isinstance(g, Measure)]))
+        assert np.max(np.abs(state.amps - unitary @ v)) < 1e-12
+        assert markers == circ.measures()
+
+
+def test_post_select_leaves_its_input_unchanged():
+    lat = build_chain(3, "ring")
+    circ = probabilistic_method_circuit(lat, assign_qubits(lat, "hadamard_all"), SpinValue(2))
+    state, markers = simulate_circuit(circ)
+    before = state.amps.copy()
+    post_select(state, markers)
+    assert np.array_equal(state.amps, before)
+    assert state.tracked_norm_sq == 1.0
 
 
 def test_measure_markers_collected_not_applied():

@@ -85,6 +85,27 @@ def test_reports_are_byte_identical(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_prepare_shots_samples_the_simulated_circuit(tmp_path):
+    from vbsprep.analysis import monte_carlo_success
+    from vbsprep.builders import probabilistic_method_circuit
+    from vbsprep.ir import simulate_circuit
+    from vbsprep.lattice import assign_qubits
+    from vbsprep.methods import oracle_vbs_state
+    from vbsprep.spinops import SpinValue
+
+    out = tmp_path / "r.json"
+    argv = ["prepare", "--spin", "2", "--lattice", "chain:3:ring", "--method", "probabilistic",
+            "--shots", "2000", "--seed", "5", "--out", str(out)]
+    assert main(argv) == EXIT_OK
+    doc = json.loads(out.read_text())
+    lat = parse_lattice("chain:3:ring")
+    circ = probabilistic_method_circuit(lat, assign_qubits(lat, "hadamard_all"), SpinValue(2))
+    _, norm_sq = oracle_vbs_state(lat, SpinValue(2))
+    rate, z = monte_carlo_success(*simulate_circuit(circ), norm_sq, 2000, 5)
+    assert doc["simulated"]["mc_rate"] == rate
+    assert doc["simulated"]["mc_z"] == z
+
+
 def test_verify_open_chain(tmp_path):
     out = tmp_path / "v.json"
     code = main(["verify", "--spin", "2", "--lattice", "chain:5:open:aligned", "--out", str(out)])

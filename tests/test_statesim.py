@@ -27,6 +27,8 @@ def test_cap_override(monkeypatch):
     monkeypatch.setenv("VBS_MAX_QUBITS", "4")
     with pytest.raises(CapExceededError):
         Statevector.zero(5)
+    with pytest.raises(CapExceededError):
+        Statevector.from_amplitudes(np.ones(32))
 
 
 def test_swap_action_msb_convention():
@@ -120,6 +122,12 @@ def test_apply_nonunitary_identity():
     assert abs(st.apply_nonunitary(np.eye(2), (1,)) - 1.0) < 1e-12
 
 
+def test_apply_nonunitary_zero_norm_is_impossible_outcome():
+    st = Statevector(1, np.zeros(2, dtype=complex))
+    with pytest.raises(ImpossibleOutcomeError):
+        st.apply_nonunitary(np.eye(2), (0,))
+
+
 def test_overlap_and_fidelity():
     a = Statevector.from_amplitudes([1, 0])
     b = Statevector.from_amplitudes([0, 1])
@@ -186,6 +194,25 @@ def test_apply_unitary_matches_explicit_kron_embedding():
         st = Statevector.from_amplitudes(v)
         st.apply_unitary(q, qubits)
         expected = _embed_by_kron(q, qubits, n) @ v
+        assert np.max(np.abs(st.amps - expected)) < 1e-12
+
+
+def test_apply_unitary_kernel_random_widths():
+    """Every width k = 1..4, unsorted qubit lists, registers of up to 8 qubits."""
+    rng = np.random.default_rng(23)
+    for _ in range(40):
+        n = int(rng.integers(1, 9))
+        k = int(rng.integers(1, min(n, 4) + 1))
+        qubits = tuple(int(q) for q in rng.permutation(n)[:k])
+        m = rng.normal(size=(2**k, 2**k)) + 1j * rng.normal(size=(2**k, 2**k))
+        u, _ = np.linalg.qr(m)
+        v = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
+        v /= np.linalg.norm(v)
+        expected = _embed_by_kron(u, qubits, n) @ v
+        st = Statevector.from_amplitudes(v)
+        assert np.max(np.abs(st.applied_amplitudes(u, qubits) - expected)) < 1e-12
+        assert np.array_equal(st.amps, v)  # applied_amplitudes leaves the state alone
+        st.apply_unitary(u, qubits)
         assert np.max(np.abs(st.amps - expected)) < 1e-12
 
 
