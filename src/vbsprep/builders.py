@@ -263,7 +263,9 @@ def mitigated_retry_circuit(lattice: Lattice, encoding: SiteEncoding, s: SpinVal
     """Bond layer plus retry-marked tests on sublattice A, plain tests on B.
 
     The retry markers carry the island qubits to reset between rounds; the
-    simulator realizes the protocol by branch resampling.
+    simulator realizes the protocol by branch resampling.  Each retry-marked
+    test returns its ancilla from the retained |1> to |0>, so the next test
+    on that ancilla starts clean.
     """
     if encoding.method != "islands_plus_sublattice":
         raise ConfigError("retry method needs the islands_plus_sublattice encoding")
@@ -273,7 +275,9 @@ def mitigated_retry_circuit(lattice: Lattice, encoding: SiteEncoding, s: SpinVal
     groups = island_qubit_groups(lattice, encoding)
     anc_bank = [encoding.ancilla[site] for site in range(lattice.n_sites) if colors[site] == "B"]
     for idx, (site, group) in enumerate(sorted(groups.items())):
-        hadamard_test_fragment(site, encoding, s, circ, anc=anc_bank[idx % len(anc_bank)], retry_reset=group)
+        anc = anc_bank[idx % len(anc_bank)]
+        hadamard_test_fragment(site, encoding, s, circ, anc=anc, retry_reset=group)
+        circ.add(u_x(anc))
     for site in range(lattice.n_sites):
         if colors[site] == "B":
             hadamard_test_fragment(site, encoding, s, circ)

@@ -103,6 +103,10 @@ class Opaque:
 class Measure:
     """Measurement marker with an expected post-selection outcome.
 
+    simulate_circuit projects a marker before the first later gate that
+    touches its qubit, so an ancilla can be reused after it is measured; a
+    marker no later gate touches is left to post_select.
+
     A non-empty `retry_reset` marks the measure-and-reset protocol: on the
     unwanted outcome the listed qubits are reset, their bonds re-prepared,
     and the test repeated.  The simulator realizes this as branch
@@ -265,23 +269,50 @@ def _block_matrix(support: list[int], gates: list) -> np.ndarray:
     return t.reshape(2**m, 2**m)
 
 
+def _reused_markers(gates: list) -> set[int]:
+    """Indices of the markers whose qubit a later gate touches."""
+    touched: set[int] = set()
+    reused: set[int] = set()
+    for i in range(len(gates) - 1, -1, -1):
+        g = gates[i]
+        if isinstance(g, Measure):
+            if g.qubit in touched:
+                reused.add(i)
+        else:
+            touched.update(g.qubits)
+    return reused
+
+
 def simulate_circuit(circuit: Circuit, initial: Statevector | None = None) -> tuple[Statevector, list[Measure]]:
-    """Run all unitary gates; measurement markers are collected, not applied.
+    """Run the circuit; return the state and the markers left to post-select.
 
     Consecutive gates are fused greedily into blocks of at most FUSE_WIDTH
-    qubits, and each block is applied to the state once.  Markers do not
-    end a block: none is applied here.
+    qubits, and each block is applied to the state once.  A marker whose
+    qubit a later gate reuses is projected on its expected outcome before
+    that gate: the block built so far is applied, then every such pending
+    marker is projected, in circuit order, and `tracked_norm_sq` carries
+    their probability.  A marker that no later gate touches does not end a
+    block; it is returned, unprojected, in circuit order.
     """
     state = initial.copy() if initial is not None else Statevector.zero(circuit.n_qubits)
     if state.n_qubits != circuit.n_qubits:
         raise ValueError("initial state size mismatch")
+    reused = _reused_markers(circuit.gates)
     markers: list[Measure] = []
+    pending: list[Measure] = []
     support: list[int] = []
     block: list = []
-    for g in circuit.gates:
+    for i, g in enumerate(circuit.gates):
         if isinstance(g, Measure):
-            markers.append(g)
+            (pending if i in reused else markers).append(g)
             continue
+        if any(m.qubit in g.qubits for m in pending):
+            if block:
+                state.apply_unitary(_block_matrix(support, block), support)
+                support, block = [], []
+            for m in pending:
+                state.project_qubit(m.qubit, m.expect)
+            pending = []
         grown = support + [q for q in g.qubits if q not in support]
         if len(grown) > FUSE_WIDTH and block:
             state.apply_unitary(_block_matrix(support, block), support)
@@ -296,19 +327,14 @@ def simulate_circuit(circuit: Circuit, initial: Statevector | None = None) -> tu
 def post_select(state: Statevector, markers) -> tuple[float, Statevector]:
     """Project every marker qubit on its expected outcome; joint probability.
 
-    Projects one copy in place; `state` itself is left unchanged.
+    The probability is the projected copy's `tracked_norm_sq`, so it also
+    covers the markers simulate_circuit projected mid-circuit.  Projects
+    one copy in place; `state` itself is left unchanged.
     """
     out = state.copy()
-    prob = 1.0
     for m in markers:
-        prob *= out.project_qubit(m.qubit, m.expect)
-    return prob, out
-
-
-def success_probability(state: Statevector, markers) -> float:
-    """Joint probability of all markers reading their expected outcome."""
-    prob, _ = post_select(state, markers)
-    return prob
+        out.project_qubit(m.qubit, m.expect)
+    return out.tracked_norm_sq, out
 
 
 def circuit_to_json_dict(circuit: Circuit) -> dict:
@@ -366,8 +392,7 @@ def circuit_from_json_dict(doc: dict) -> Circuit:
 def circuit_unitary(circuit: Circuit) -> np.ndarray:
     """Full matrix of a measurement-free circuit (small registers only).
 
-    Applies the gates one by one, unfused; tests use it as the reference
-    for the gate fusion in simulate_circuit.
+    Applies the gates one by one, unfused.
     """
     n = circuit.n_qubits
     if n > 12:

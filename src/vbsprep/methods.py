@@ -78,42 +78,6 @@ def run_probabilistic(lattice: Lattice, s: SpinValue) -> dict:
     }
 
 
-def _bond_product_data_state(lattice: Lattice) -> tuple[Statevector, SiteEncoding]:
-    encoding = assign_qubits(lattice, "hadamard_all")
-    return pre_vbs_data_state(encoding), encoding
-
-
-def run_probabilistic_sequential(lattice: Lattice, s: SpinValue) -> dict:
-    """Ancilla-frugal path: one reused test ancilla, projected site by site.
-
-    Locality of the tests makes the joint statistics identical to the
-    all-ancillas-at-once circuit while peaking at 2NS + 1 qubits.
-    """
-    from .builders import controlled
-    from .spinops import exp_minus_i_pi_symmetrizer
-
-    base, encoding = _bond_product_data_state(lattice)
-    n_data = encoding.n_data_qubits
-    anc = n_data
-    work = Statevector.product_of_factors(
-        n_data + 1,
-        [(tuple(range(n_data)), base.amps), ((anc,), np.array([1, 0], dtype=complex))],
-    )
-    prob = 1.0
-    h = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
-    x = np.array([[0, 1], [1, 0]], dtype=complex)
-    for site in range(lattice.n_sites):
-        qs = encoding.site_qubits[site]
-        ctrl = controlled(exp_minus_i_pi_symmetrizer(len(qs)).matrix)
-        work.apply_unitary(h, (anc,))
-        work.apply_unitary(ctrl, (anc, *qs))
-        work.apply_unitary(h, (anc,))
-        prob *= work.project_qubit(anc, 1)
-        work.apply_unitary(x, (anc,))  # reset for reuse
-    t = work.amps.reshape(2**n_data, 2)[:, 0]
-    return {"state": Statevector(n_data, t.copy()), "success_probability": prob, "encoding": encoding}
-
-
 def run_mitigated_islands(lattice: Lattice, s: SpinValue) -> dict:
     encoding = assign_qubits(lattice, "islands_plus_sublattice")
     circ = mitigated_islands_circuit(lattice, encoding, s)
@@ -142,18 +106,13 @@ def run_mitigated_retry(lattice: Lattice, s: SpinValue, seed: int) -> dict:
     factors = []
     covered: set[int] = set()
     for site, group in sorted(groups.items()):
-        fresh = island_bond_state(lattice, encoding, site, group)
+        state = island_bond_state(lattice, encoding, site, group)
         qs_local = tuple(sorted(group).index(q) for q in encoding.site_qubits[site])
-        sym = symmetrizer(len(qs_local))
-        n_rounds = 0
-        while True:
-            n_rounds += 1
-            state = fresh.copy()
-            p_succ = _symmetrize_probability(state, sym, qs_local)
-            if rng.random() < p_succ:
-                state.apply_nonunitary(sym, qs_local)
-                break
+        p_succ = state.apply_nonunitary(symmetrizer(len(qs_local)), qs_local)
+        n_rounds = 1
+        while rng.random() >= p_succ:
             # failed round: the island is reset and its bonds re-prepared
+            n_rounds += 1
         rounds_used[site] = n_rounds
         factors.append((tuple(sorted(group)), state.amps))
         covered |= set(group)
@@ -176,37 +135,28 @@ def run_mitigated_retry(lattice: Lattice, s: SpinValue, seed: int) -> dict:
     }
 
 
-def _symmetrize_probability(state: Statevector, sym, qubits) -> float:
-    work = state.copy()
-    return work.apply_nonunitary(sym, qubits)
-
-
 def run_lcu(lattice: Lattice, s: SpinValue, variant: str = "sparse") -> dict:
     """Prepare/select/unprepare symmetrization at every site, post-selected.
 
-    Ancillas are reused between sites, so the register holds the data
-    qubits plus one ancilla bank.
+    Every site's circuit uses one shared ancilla bank, which
+    simulate_circuit projects before the next site reuses it, so the
+    register holds the data qubits plus one bank.
     """
     n_anc = math.factorial(s.twice_s) if variant == "sparse" else max(1, (math.factorial(s.twice_s) - 1).bit_length())
-    base, encoding = _bond_product_data_state(lattice)
+    encoding = assign_qubits(lattice, "hadamard_all")
     n_data = encoding.n_data_qubits
-    total = n_data + n_anc
-    work = Statevector.product_of_factors(
-        total,
-        [(tuple(range(n_data)), base.amps)]
-        + [((n_data + i,), np.array([1, 0], dtype=complex)) for i in range(n_anc)],
-    )
-    ancillas = tuple(range(n_data, total))
-    prob = 1.0
+    ancillas = tuple(range(n_data, n_data + n_anc))
+    circ = Circuit(n_data + n_anc, metadata={"builder": f"lcu_{variant}"})
     for site in range(lattice.n_sites):
         qs = encoding.site_qubits[site]
-        circ = lcu_symmetrization_circuit(len(qs), qs, ancillas, variant)
-        state, markers = simulate_circuit(Circuit(total, gates=circ.gates), initial=work)
-        for m in markers:
-            prob *= state.project_qubit(m.qubit, m.expect)
-        work = state
-    t = work.amps.reshape(2**n_data, -1)[:, 0]
-    return {"state": Statevector(n_data, t.copy()), "success_probability": prob, "encoding": encoding}
+        circ.extend(lcu_symmetrization_circuit(len(qs), qs, ancillas, variant).gates)
+    bonds = Statevector.product_of_factors(
+        circ.n_qubits,
+        [(tuple(range(n_data)), pre_vbs_data_state(encoding).amps)]
+        + [((q,), np.array([1, 0], dtype=complex)) for q in ancillas],
+    )
+    prob, state = post_select(*simulate_circuit(circ, initial=bonds))
+    return {"state": data_state(state, encoding), "success_probability": prob, "encoding": encoding}
 
 
 def run_mps(lattice: Lattice, s: SpinValue, embed_scale: float | None = None) -> dict:

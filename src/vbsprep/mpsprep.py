@@ -240,7 +240,6 @@ def prepare_via_mps(
 
     n_q = 2 * n_sites + 1  # one post-selected ancilla
     anc = 2 * n_sites
-    state = Statevector.zero(n_q)
 
     # First operation: initialize the fused last-site tensor as a 4-qubit
     # state on (R_{N-1}, L_N, R_N, R_1) via its Schmidt decomposition.
@@ -248,8 +247,7 @@ def prepare_via_mps(
     vec = vec / np.linalg.norm(vec)
     init_qubits = (2 * n_sites - 3, 2 * n_sites - 2, 2 * n_sites - 1, 1)
     sub = schmidt_prepare(vec, qubits=init_qubits, label="mps_init")
-    sub_full = Circuit(n_q, gates=sub.gates)
-    state, _ = simulate_circuit(sub_full, initial=state)
+    state, _ = simulate_circuit(Circuit(n_q, gates=sub.gates))
 
     for i in range(n_sites - 1, 2, -1):
         gate = build_disentangler(tensors[i - 1], ROLE_BULK)

@@ -64,7 +64,12 @@ def _swap_cnots(a: int, b: int) -> list[CNot]:
 
 
 def route(circuit: Circuit, coupling: CouplingMap, initial_placement: list[int] | None = None) -> RoutedCircuit:
-    """Rewrite a circuit so all multi-qubit gates respect the coupling map."""
+    """Rewrite a circuit so all multi-qubit gates respect the coupling map.
+
+    A marker keeps its place in the gate list, on the physical qubit its
+    logical qubit holds there; simulate_circuit projects it before any
+    later SWAP moves that qubit.
+    """
     if circuit.n_qubits > coupling.n_qubits:
         raise ConfigError("circuit does not fit on the coupling map")
     if initial_placement is None:
@@ -116,12 +121,10 @@ def route(circuit: Circuit, coupling: CouplingMap, initial_placement: list[int] 
             path = coupling.shortest_path(best[0], best[1])
             do_swap(path[0], path[1])
 
-    deferred_measures: list[tuple[int, int]] = []  # (gate index, logical qubit)
     for g in circuit.gates:
         if isinstance(g, U1Q):
             out.add(U1Q(g.theta, g.phi, g.lam, placement[g.qubit], g.label))
         elif isinstance(g, Measure):
-            deferred_measures.append((len(out.gates), g.qubit))
             out.add(Measure(placement[g.qubit], g.expect, g.creg,
                             tuple(placement[q] for q in g.retry_reset)))
         elif isinstance(g, CNot):
@@ -132,11 +135,6 @@ def route(circuit: Circuit, coupling: CouplingMap, initial_placement: list[int] 
             out.add(Opaque(g.label, tuple(placement[q] for q in g.qubits), g.matrix, g.cnot_cost, g.cnot_depth))
         else:
             raise TypeError(f"unknown gate {g!r}")
-    # Later SWAP insertions may have moved a measured qubit; markers are
-    # post-selection events, so point them at the final physical position.
-    for idx, logical in deferred_measures:
-        m = out.gates[idx]
-        out.gates[idx] = Measure(placement[logical], m.expect, m.creg, m.retry_reset)
     out.metadata["routed"] = coupling.name
     return RoutedCircuit(out, placement)
 

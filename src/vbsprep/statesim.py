@@ -69,6 +69,8 @@ class Statevector:
 
     def __init__(self, n_qubits: int, amps: np.ndarray, tracked_norm_sq: float = 1.0):
         self.n_qubits = _checked_width(n_qubits)
+        if amps.size != 2**n_qubits:
+            raise ValueError(f"{amps.size} amplitudes do not make a {n_qubits}-qubit state of {2**n_qubits}")
         self.amps = amps
         self.tracked_norm_sq = tracked_norm_sq
 

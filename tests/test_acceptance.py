@@ -38,7 +38,6 @@ from vbsprep.methods import (
     run_mitigated_retry,
     run_mps,
     run_probabilistic,
-    run_probabilistic_sequential,
 )
 from vbsprep.routing import heavy_hex_pair_mitigated, heavy_hex_pair_probabilistic, route
 from vbsprep.schmidt import island_prep_circuit, island_state
@@ -178,7 +177,6 @@ def test_criterion_05_route_equivalence():
         oracle, _ = oracle_vbs_state(lattice, S1)
         states = {
             "probabilistic": run_probabilistic(lattice, S1)["state"],
-            "sequential": run_probabilistic_sequential(lattice, S1)["state"],
             "lcu_sparse": run_lcu(lattice, S1, "sparse")["state"],
             "lcu_dense": run_lcu(lattice, S1, "dense")["state"],
         }

@@ -11,13 +11,14 @@ from vbsprep.builders import (
     toffoli_fragment,
     valence_bond_subcircuit,
 )
-from vbsprep.errors import MissingCostError
+from vbsprep.errors import ImpossibleOutcomeError, MissingCostError
 from vbsprep.ir import (
     Circuit,
     CNot,
     Measure,
     Opaque,
     U1Q,
+    _gate_matrix,
     circuit_unitary,
     cnot_count,
     cnot_depth,
@@ -275,17 +276,43 @@ def _random_circuit(rng, n: int, n_gates: int) -> Circuit:
     return circ
 
 
+def _gate_by_gate(circ: Circuit, v: np.ndarray) -> tuple[Statevector, list]:
+    """Unfused reference: every gate applied alone, and each marker projected
+    just before the first later gate on its qubit."""
+    state = Statevector.from_amplitudes(v)
+    pending = []
+    for g in circ.gates:
+        if isinstance(g, Measure):
+            pending.append(g)
+            continue
+        for m in [m for m in pending if m.qubit in g.qubits]:
+            state.project_qubit(m.qubit, m.expect)
+            pending.remove(m)
+        state.apply_unitary(_gate_matrix(g), g.qubits)
+    return state, pending
+
+
 def test_fused_simulation_matches_gate_by_gate_unitary():
     rng = np.random.default_rng(29)
+    kinds = {"reused": 0, "impossible": 0}
     for _ in range(30):
         n = int(rng.integers(2, 8))
         circ = _random_circuit(rng, n, int(rng.integers(1, 25)))
         v = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
         v /= np.linalg.norm(v)
+        try:
+            expected, left = _gate_by_gate(circ, v)
+        except ImpossibleOutcomeError:
+            kinds["impossible"] += 1
+            with pytest.raises(ImpossibleOutcomeError):
+                simulate_circuit(circ, initial=Statevector.from_amplitudes(v))
+            continue
         state, markers = simulate_circuit(circ, initial=Statevector.from_amplitudes(v))
-        unitary = circuit_unitary(Circuit(n, gates=[g for g in circ.gates if not isinstance(g, Measure)]))
-        assert np.max(np.abs(state.amps - unitary @ v)) < 1e-12
-        assert markers == circ.measures()
+        assert np.max(np.abs(state.amps - expected.amps)) < 1e-12
+        assert abs(state.tracked_norm_sq - expected.tracked_norm_sq) < 1e-12
+        assert markers == left
+        kinds["reused"] += len(left) < len(circ.measures())
+    assert kinds["reused"] and kinds["impossible"]  # both marker rules are exercised
 
 
 def test_post_select_leaves_its_input_unchanged():

@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from vbsprep.lattice import build_chain, build_honeycomb_patch, build_three_link_pair
+from vbsprep.lattice import build_chain, build_honeycomb_patch, build_three_link_pair, build_three_link_ring
 from vbsprep.methods import (
     oracle_vbs_state,
     run_lcu,
@@ -10,7 +10,6 @@ from vbsprep.methods import (
     run_mitigated_retry,
     run_mps,
     run_probabilistic,
-    run_probabilistic_sequential,
 )
 from vbsprep.spinops import SpinValue
 
@@ -20,7 +19,6 @@ S1, S32 = SpinValue(2), SpinValue(3)
 def spin1_routes(lattice, seed=13):
     routes = {
         "probabilistic": run_probabilistic(lattice, S1),
-        "sequential": run_probabilistic_sequential(lattice, S1),
         "lcu_sparse": run_lcu(lattice, S1, "sparse"),
         "lcu_dense": run_lcu(lattice, S1, "dense"),
     }
@@ -75,7 +73,6 @@ def test_spin32_pair_routes():
     oracle, _ = oracle_vbs_state(pair, S32)
     results = {
         "probabilistic": run_probabilistic(pair, S32),
-        "sequential": run_probabilistic_sequential(pair, S32),
         "lcu_sparse": run_lcu(pair, S32, "sparse"),
         "islands": run_mitigated_islands(pair, S32),
         "retry": run_mitigated_retry(pair, S32, 21),
@@ -87,7 +84,7 @@ def test_spin32_pair_routes():
 def test_hexagon_ring_probabilistic():
     hexagon = build_honeycomb_patch(1, 1)
     oracle, norm = oracle_vbs_state(hexagon, S1)
-    r = run_probabilistic_sequential(hexagon, S1)
+    r = run_probabilistic(hexagon, S1)
     assert abs(r["state"].fidelity(oracle) - 1.0) < 1e-10
     assert abs(r["success_probability"] - norm) < 1e-12
     # six-site ring: same closed form as the chain ring
@@ -123,15 +120,15 @@ def test_mitigated_probability_is_square_root_scale():
     assert abs(half * (9.0 / 16.0) - full) < 1e-10  # A-sites cost (3/4)^2
 
 
-def test_sequential_uses_fewer_qubits():
+def test_lcu_returns_data_qubits_only():
     lat = build_chain(5, "ring")
-    r = run_probabilistic_sequential(lat, S1)
-    assert r["state"].n_qubits == 10  # data only; peak was 11
+    r = run_lcu(lat, S1)
+    assert r["state"].n_qubits == 10  # data only; peak was 12
 
 
-def test_sequential_scales_to_eight_sites():
+def test_lcu_scales_to_eight_sites():
     lat = build_chain(8, "ring")
-    r = run_probabilistic_sequential(lat, S1)
+    r = run_lcu(lat, S1)
     from vbsprep.analysis import vbs_norm
 
     assert abs(r["success_probability"] - vbs_norm(2, 8, "ring")) < 1e-10
@@ -187,3 +184,27 @@ def test_retry_circuit_carries_reset_markers():
     assert len(retry_markers) == 2  # one per retried island
     for m in retry_markers:
         assert len(m.retry_reset) == 4  # the 4S-qubit island
+
+
+@pytest.mark.parametrize(
+    "lattice,s",
+    [
+        (build_chain(4, "ring"), S1),
+        (build_chain(4, "open", ("up", "down")), S1),
+        (build_three_link_pair(), S32),
+        (build_three_link_ring(4), S32),
+    ],
+    ids=["ring4", "open4anti", "pair", "ring4_s32"],
+)
+def test_retry_circuit_post_selected_matches_oracle(lattice, s):
+    # the retry markers reuse their ancilla, so they are projected mid-circuit
+    from vbsprep.builders import mitigated_retry_circuit
+    from vbsprep.ir import post_select, simulate_circuit
+    from vbsprep.lattice import assign_qubits
+    from vbsprep.methods import data_state
+
+    enc = assign_qubits(lattice, "islands_plus_sublattice")
+    prob, state = post_select(*simulate_circuit(mitigated_retry_circuit(lattice, enc, s)))
+    oracle, norm = oracle_vbs_state(lattice, s)
+    assert abs(data_state(state, enc).fidelity(oracle) - 1.0) < 1e-10
+    assert abs(prob - norm) < 1e-12

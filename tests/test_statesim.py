@@ -31,6 +31,11 @@ def test_cap_override(monkeypatch):
         Statevector.from_amplitudes(np.ones(32))
 
 
+def test_amplitude_count_must_match_width():
+    with pytest.raises(ValueError, match="4 amplitudes .* 3-qubit state of 8"):
+        Statevector(3, np.zeros(4, dtype=complex))
+
+
 def test_swap_action_msb_convention():
     st = Statevector.from_amplitudes([0, 1, 0, 0])  # |01>
     st.apply_unitary(SWAP, (0, 1))
