@@ -22,7 +22,7 @@ from .ir import (
     u_x,
     u_z,
 )
-from .lattice import SPIN_DOWN, Lattice, SiteEncoding
+from .lattice import SPIN_DOWN, SPIN_UP, Lattice, SiteEncoding
 from .schmidt import ISLAND_SITE_SLOTS, SINGLET, island_prep_circuit, schmidt_prepare
 from .spinops import SpinValue, exp_minus_i_pi_symmetrizer, symmetrizer
 from .statesim import Statevector
@@ -62,32 +62,21 @@ def pre_vbs_circuit(lattice: Lattice, encoding: SiteEncoding) -> Circuit:
     return circ
 
 
-def _bond_factors(encoding: SiteEncoding, n_qubits: int) -> list:
-    factors = []
-    for qa, qb in encoding.link_qubits:
-        factors.append(((qa, qb), SINGLET))
-    for qubit, spin in encoding.boundary_qubits:
-        vec = np.array([0, 1], dtype=complex) if spin == SPIN_DOWN else np.array([1, 0], dtype=complex)
-        factors.append(((qubit,), vec))
+def spin_ket(spin: str) -> np.ndarray:
+    """|0> for a fixed spin up, |1> for a fixed spin down."""
+    return np.array([0, 1] if spin == SPIN_DOWN else [1, 0], dtype=complex)
+
+
+def pre_vbs_state(encoding: SiteEncoding, n_qubits: int) -> Statevector:
+    """Bond product on the first n_qubits qubits by direct tensor products.
+
+    Every qubit that carries no bond or fixed spin (an ancilla) is |0>.
+    """
+    factors = [((qa, qb), SINGLET) for qa, qb in encoding.link_qubits]
+    factors += [((qubit,), spin_ket(spin)) for qubit, spin in encoding.boundary_qubits]
     covered = {q for qs, _ in factors for q in qs}
-    for q in range(n_qubits):
-        if q not in covered:
-            factors.append(((q,), np.array([1, 0], dtype=complex)))
-    return factors
-
-
-def pre_vbs_oracle_state(encoding: SiteEncoding) -> Statevector:
-    """Direct tensor-product construction over the full register (ancillas |0>)."""
-    return Statevector.product_of_factors(
-        encoding.total_qubits, _bond_factors(encoding, encoding.total_qubits)
-    )
-
-
-def pre_vbs_data_state(encoding: SiteEncoding) -> Statevector:
-    """Same construction restricted to the data qubits (no ancilla axes)."""
-    return Statevector.product_of_factors(
-        encoding.n_data_qubits, _bond_factors(encoding, encoding.n_data_qubits)
-    )
+    factors += [((q,), spin_ket(SPIN_UP)) for q in range(n_qubits) if q not in covered]
+    return Statevector.product_of_factors(n_qubits, factors)
 
 
 def hadamard_test_fragment(
@@ -183,8 +172,7 @@ def island_bond_state(lattice: Lattice, encoding: SiteEncoding, site: int, group
             factors.append(((local[qa], local[qb]), SINGLET))
     for qubit, spin in encoding.boundary_qubits:
         if qubit in local:
-            vec = np.array([0, 1], dtype=complex) if spin == SPIN_DOWN else np.array([1, 0], dtype=complex)
-            factors.append(((local[qubit],), vec))
+            factors.append(((local[qubit],), spin_ket(spin)))
     return Statevector.product_of_factors(len(group), factors)
 
 

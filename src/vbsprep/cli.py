@@ -150,11 +150,11 @@ def cmd_prepare(args) -> int:
     if args.method == "mps" and lattice.boundary == "ring":
         report.add_check("mps_ancilla_probability", 0.5, result["success_probability"], 1e-10)
     if args.coupling != "all_to_all":
-        _routed_checks(args, lattice, s, oracle, report)
+        _routed_checks(args, lattice, result, oracle, report)
     return _finish(report, args)
 
 
-def _routed_checks(args, lattice, s, oracle, report):
+def _routed_checks(args, lattice, result, oracle, report):
     """Route the circuit onto the requested coupling and re-verify it."""
     from .ir import post_select, simulate_circuit
     from .lattice import linear_coupling
@@ -164,9 +164,8 @@ def _routed_checks(args, lattice, s, oracle, report):
     if args.coupling == "linear":
         if args.method != "probabilistic":
             raise UnsupportedError("linear routing is wired up for the probabilistic method")
-        encoding = assign_qubits(lattice, "hadamard_all")
-        circ = probabilistic_method_circuit(lattice, encoding, s)
-        routed = route(circ, linear_coupling(encoding.total_qubits))
+        encoding = result["encoding"]
+        routed = route(result["circuit"], linear_coupling(encoding.total_qubits))
     else:  # heavy_hex
         if lattice.name != "three-link-pair":
             raise UnsupportedError("heavy-hex placement is declared for the three-link pair")

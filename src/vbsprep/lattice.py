@@ -17,6 +17,8 @@ BOUNDARY_OPEN = "open_chain"
 BOUNDARY_RING = "ring"
 BOUNDARY_EXPLICIT = "explicit_graph"
 
+BOUNDARIES = (BOUNDARY_OPEN, BOUNDARY_RING, BOUNDARY_EXPLICIT)
+
 SPIN_UP = "up"
 SPIN_DOWN = "down"
 
@@ -30,13 +32,22 @@ class Lattice:
     name: str = "lattice"
 
     def __post_init__(self):
-        for a, b in self.links:
+        if self.boundary not in BOUNDARIES:
+            raise ConfigError(f"unknown lattice boundary {self.boundary!r}; expected one of {BOUNDARIES}")
+        for link in self.links:
+            if len(link) != 2:
+                raise ConfigError(f"link {list(link)} must join exactly two sites")
+            a, b = link
             if not (0 <= a < self.n_sites and 0 <= b < self.n_sites):
                 raise ConfigError(f"link ({a},{b}) references a missing site")
             if a == b:
                 raise ConfigError("self-loops are not allowed")
-        if self.boundary == BOUNDARY_OPEN and self.boundary_spins is None:
-            raise ConfigError("open chains need boundary_spins")
+        if self.boundary == BOUNDARY_OPEN:
+            if self.boundary_spins is None or len(self.boundary_spins) != 2:
+                raise ConfigError(f"open chains need two boundary_spins, got {self.boundary_spins!r}")
+            for spin in self.boundary_spins:
+                if spin not in (SPIN_UP, SPIN_DOWN):
+                    raise ConfigError(f"boundary spin must be up/down, got {spin!r}")
 
     def coordination(self, site: int) -> int:
         return sum(1 for a, b in self.links if site in (a, b))
@@ -101,9 +112,6 @@ def build_chain(n_sites: int, boundary: str, boundary_spins: tuple[str, str] = (
         raise ConfigError("a chain needs at least 2 sites")
     if boundary in ("open", BOUNDARY_OPEN):
         links = tuple((i, i + 1) for i in range(n_sites - 1))
-        for s in boundary_spins:
-            if s not in (SPIN_UP, SPIN_DOWN):
-                raise ConfigError(f"boundary spin must be up/down, got {s!r}")
         return Lattice(n_sites, links, BOUNDARY_OPEN, tuple(boundary_spins), name=f"chain:{n_sites}:open")
     if boundary in ("ring", BOUNDARY_RING):
         links = tuple((i, (i + 1) % n_sites) for i in range(n_sites))
@@ -171,6 +179,8 @@ def lattice_from_json(text: str) -> Lattice:
         links = tuple(tuple(int(v) for v in l) for l in doc["links"])
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad lattice document: {exc}") from exc
+    if not isinstance(sites, list):
+        raise ConfigError(f"lattice 'sites' must be a list of site ids, got {sites!r}")
     boundary = doc.get("boundary", BOUNDARY_EXPLICIT)
     spins = doc.get("boundary_spins")
     return Lattice(

@@ -15,13 +15,14 @@ from .builders import (
     island_bond_state,
     island_qubit_groups,
     mitigated_islands_circuit,
-    pre_vbs_data_state,
+    pre_vbs_state,
     probabilistic_method_circuit,
+    spin_ket,
 )
 from .errors import ConfigError
 from .ir import Circuit, post_select, simulate_circuit
-from .lattice import Lattice, SiteEncoding, assign_qubits
-from .mpsprep import prepare_via_mps
+from .lattice import BOUNDARY_OPEN, BOUNDARY_RING, Lattice, SiteEncoding, assign_qubits
+from .mpsprep import mps_circuit
 from .spinops import SpinValue, symmetrizer
 from .statesim import Statevector
 from .symmetrize import lcu_symmetrization_circuit
@@ -35,7 +36,7 @@ def oracle_vbs_state(lattice: Lattice, s: SpinValue, encoding: SiteEncoding | No
     """
     if encoding is None:
         encoding = assign_qubits(lattice, "hadamard_all")
-    state = pre_vbs_data_state(encoding)
+    state = pre_vbs_state(encoding, encoding.n_data_qubits)
     norm_sq = 1.0
     for site in range(lattice.n_sites):
         qs = encoding.site_qubits[site]
@@ -61,11 +62,9 @@ def data_state(full: Statevector, encoding: SiteEncoding) -> Statevector:
 # routes
 # ---------------------------------------------------------------------------
 
-def run_probabilistic(lattice: Lattice, s: SpinValue) -> dict:
-    """Full-ancilla circuit, post-selected on every marker."""
-    encoding = assign_qubits(lattice, "hadamard_all")
-    circ = probabilistic_method_circuit(lattice, encoding, s)
-    simulated, markers = simulate_circuit(circ)
+def _post_selected(circ: Circuit, encoding: SiteEncoding, initial: Statevector | None = None) -> dict:
+    """Simulate, post-select every marker and keep the data qubits: a route's result."""
+    simulated, markers = simulate_circuit(circ, initial)
     prob, state = post_select(simulated, markers)
     return {
         "state": data_state(state, encoding),
@@ -78,17 +77,15 @@ def run_probabilistic(lattice: Lattice, s: SpinValue) -> dict:
     }
 
 
+def run_probabilistic(lattice: Lattice, s: SpinValue) -> dict:
+    """Full-ancilla circuit, post-selected on every marker."""
+    encoding = assign_qubits(lattice, "hadamard_all")
+    return _post_selected(probabilistic_method_circuit(lattice, encoding, s), encoding)
+
+
 def run_mitigated_islands(lattice: Lattice, s: SpinValue) -> dict:
     encoding = assign_qubits(lattice, "islands_plus_sublattice")
-    circ = mitigated_islands_circuit(lattice, encoding, s)
-    state, markers = simulate_circuit(circ)
-    prob, state = post_select(state, markers)
-    return {
-        "state": data_state(state, encoding),
-        "success_probability": prob,
-        "circuit": circ,
-        "encoding": encoding,
-    }
+    return _post_selected(mitigated_islands_circuit(lattice, encoding, s), encoding)
 
 
 def run_mitigated_retry(lattice: Lattice, s: SpinValue, seed: int) -> dict:
@@ -118,8 +115,7 @@ def run_mitigated_retry(lattice: Lattice, s: SpinValue, seed: int) -> dict:
         covered |= set(group)
     for qubit, spin in encoding.boundary_qubits:
         if qubit not in covered:
-            vec = np.array([0, 1], dtype=complex) if spin == "down" else np.array([1, 0], dtype=complex)
-            factors.append(((qubit,), vec))
+            factors.append(((qubit,), spin_ket(spin)))
             covered.add(qubit)
     full = Statevector.product_of_factors(encoding.n_data_qubits, factors)
     prob = 1.0
@@ -150,25 +146,16 @@ def run_lcu(lattice: Lattice, s: SpinValue, variant: str = "sparse") -> dict:
     for site in range(lattice.n_sites):
         qs = encoding.site_qubits[site]
         circ.extend(lcu_symmetrization_circuit(len(qs), qs, ancillas, variant).gates)
-    bonds = Statevector.product_of_factors(
-        circ.n_qubits,
-        [(tuple(range(n_data)), pre_vbs_data_state(encoding).amps)]
-        + [((q,), np.array([1, 0], dtype=complex)) for q in ancillas],
-    )
-    prob, state = post_select(*simulate_circuit(circ, initial=bonds))
-    return {"state": data_state(state, encoding), "success_probability": prob, "encoding": encoding}
+    return _post_selected(circ, encoding, initial=pre_vbs_state(encoding, circ.n_qubits))
 
 
-def run_mps(lattice: Lattice, s: SpinValue, embed_scale: float | None = None) -> dict:
+def run_mps(lattice: Lattice, s: SpinValue) -> dict:
     if s.twice_s != 2:
         raise ConfigError("the MPS route requires spin 2S=2")
-    if lattice.boundary == "open_chain":
-        state, prob = prepare_via_mps(lattice.n_sites, "open", lattice.boundary_spins, embed_scale)
-    elif lattice.boundary == "ring":
-        state, prob = prepare_via_mps(lattice.n_sites, "ring", embed_scale=embed_scale)
-    else:
+    if lattice.boundary not in (BOUNDARY_OPEN, BOUNDARY_RING):
         raise ConfigError("the MPS route requires a 1D chain")
-    return {"state": state, "success_probability": prob, "encoding": assign_qubits(lattice, "mps")}
+    circ = mps_circuit(lattice.n_sites, lattice.boundary, lattice.boundary_spins)
+    return _post_selected(circ, assign_qubits(lattice, "mps"))
 
 
 # Every route under one call shape, route(lattice, s, seed).  Each entry looks

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, UnsupportedError
-from .ir import Circuit, simulate_circuit
+from .ir import Circuit, Measure, Opaque
 from .schmidt import schmidt_prepare
 from .statesim import Statevector
 
@@ -27,10 +27,6 @@ CANONICAL_TOL = 1e-12
 class MpsTensor:
     array: np.ndarray  # (left, 2, 2, right)
     left_canonical: bool = False
-
-    @property
-    def left_dim(self) -> int:
-        return self.array.shape[0]
 
     @property
     def right_dim(self) -> int:
@@ -122,14 +118,6 @@ def contract_mps(tensors: list[MpsTensor], boundary: str) -> Statevector:
 ROLE_FIRST_OPEN = "first_open"
 ROLE_BULK = "bulk"
 ROLE_LAST_OPEN = "last_open"
-ROLE_FIRST_PERIODIC = "first_periodic_embedded"
-ROLE_LAST_PERIODIC = "last_periodic_state"
-
-
-@dataclass(frozen=True)
-class Disentangler:
-    matrix: np.ndarray
-    role: str
 
 
 def complete_to_unitary(cols: np.ndarray) -> np.ndarray:
@@ -162,7 +150,7 @@ def complete_to_unitary(cols: np.ndarray) -> np.ndarray:
     return out
 
 
-def build_disentangler(tensor: MpsTensor, role: str) -> Disentangler:
+def build_disentangler(tensor: MpsTensor, role: str) -> np.ndarray:
     """Unitary whose constrained input columns reproduce the enlarged tensor."""
     if role not in (ROLE_FIRST_OPEN, ROLE_BULK, ROLE_LAST_OPEN):
         raise ConfigError(f"build_disentangler does not handle role {role!r}")
@@ -176,7 +164,7 @@ def build_disentangler(tensor: MpsTensor, role: str) -> Disentangler:
     else:  # last site: single column
         cols = arr.reshape(arr.shape[0] * 4, 1)
         cols = cols / np.linalg.norm(cols)
-    return Disentangler(complete_to_unitary(cols), role)
+    return complete_to_unitary(cols)
 
 
 def fuse_boundary_tensor(arr: np.ndarray) -> np.ndarray:
@@ -207,70 +195,54 @@ def admissible_scale_bound(a_tilde: np.ndarray) -> float:
 # preparation
 # ---------------------------------------------------------------------------
 
-def prepare_via_mps(
-    n_sites: int,
-    boundary: str,
-    boundary_spins=("up", "up"),
-    embed_scale: float | None = None,
-) -> tuple[Statevector, float]:
-    """Sequential disentangler-inverse preparation.
+def ring_embedding_weight(n_sites: int) -> float:
+    """<a~^dag a~> on (L_1, R_1) of the ring circuit just before its boundary block.
 
-    Returns the prepared 2N-qubit state and the ancilla success probability
-    (1.0 for open chains).  For rings, `embed_scale` overrides the default
-    scale of the non-unitary final block; the default is chosen so the
-    ancilla reads |0> with probability exactly 1/2.
+    Equals Tr(E^N) / 2, with E the 4x4 transfer matrix of local_vbs_tensor
+    (eigenvalues 1, -1/3, -1/3, -1/3).
+    """
+    a = local_vbs_tensor()
+    e = np.einsum("labr,mabs->lmrs", a, a.conj()).reshape(4, 4)
+    return float(np.trace(np.linalg.matrix_power(e, n_sites)).real) / 2
+
+
+def mps_circuit(n_sites: int, boundary: str, boundary_spins=("up", "up")) -> Circuit:
+    """Sequential disentangler-inverse preparation (Schön et al., PRL 95, 110503, 2005).
+
+    Site i's disentangler is the opaque block `mps_site{i}`.  An open chain
+    needs no ancilla.  A ring starts from its last tensor prepared by a
+    Schmidt split on (R_{N-1}, L_N, R_N, R_1) and ends with the non-unitary
+    first-site tensor embedded on (ancilla, L_1, R_1), ancilla 2N measured
+    for |0>; the embedding scale makes that outcome's probability 1/2.
     """
     if not 2 <= n_sites <= 6:
-        raise UnsupportedError("prepare_via_mps supports 2..6 sites")
+        raise UnsupportedError("mps_circuit supports 2..6 sites")
     periodic = boundary in ("ring", "periodic")
     if periodic and n_sites < 3:
         raise UnsupportedError("periodic preparation needs at least 3 sites")
     tensors = vbs_mps(n_sites, "ring" if periodic else "open", boundary_spins)
+    circ = Circuit(2 * n_sites + periodic, metadata={"builder": "mps"})
 
+    def block_qubits(site: int) -> tuple[int, ...]:  # (R_{i-1}, L_i, R_i)
+        return (2 * site - 3, 2 * site - 2, 2 * site - 1)
+
+    def disentangler(site: int, role: str, qubits: tuple[int, ...]):
+        circ.add(Opaque(f"mps_site{site}", qubits, build_disentangler(tensors[site - 1], role)))
+
+    if periodic:
+        vec = tensors[-1].array.reshape(16)
+        circ.extend(schmidt_prepare(vec, qubits=(*block_qubits(n_sites), 1), label="mps_init").gates)
+    else:
+        disentangler(n_sites, ROLE_LAST_OPEN, block_qubits(n_sites))
+    for i in range(n_sites - 1, 1, -1):
+        # on a ring R_1 already holds the closing bond, so site 2 emits on L_1
+        disentangler(i, ROLE_BULK, (0, 2, 3) if periodic and i == 2 else block_qubits(i))
     if not periodic:
-        state = Statevector.zero(2 * n_sites)
-        last = build_disentangler(tensors[-1], ROLE_LAST_OPEN)
-        state.apply_unitary(last.matrix, (2 * n_sites - 3, 2 * n_sites - 2, 2 * n_sites - 1))
-        for i in range(n_sites - 1, 1, -1):
-            gate = build_disentangler(tensors[i - 1], ROLE_BULK)
-            state.apply_unitary(gate.matrix, (2 * i - 3, 2 * i - 2, 2 * i - 1))
-        first = build_disentangler(tensors[0], ROLE_FIRST_OPEN)
-        state.apply_unitary(first.matrix, (0, 1))
-        return state, 1.0
-
-    n_q = 2 * n_sites + 1  # one post-selected ancilla
+        disentangler(1, ROLE_FIRST_OPEN, (0, 1))
+        return circ
     anc = 2 * n_sites
-
-    # First operation: initialize the fused last-site tensor as a 4-qubit
-    # state on (R_{N-1}, L_N, R_N, R_1) via its Schmidt decomposition.
-    vec = tensors[-1].array.reshape(16)
-    vec = vec / np.linalg.norm(vec)
-    init_qubits = (2 * n_sites - 3, 2 * n_sites - 2, 2 * n_sites - 1, 1)
-    sub = schmidt_prepare(vec, qubits=init_qubits, label="mps_init")
-    state, _ = simulate_circuit(Circuit(n_q, gates=sub.gates))
-
-    for i in range(n_sites - 1, 2, -1):
-        gate = build_disentangler(tensors[i - 1], ROLE_BULK)
-        state.apply_unitary(gate.matrix, (2 * i - 3, 2 * i - 2, 2 * i - 1))
-    if n_sites >= 3:
-        gate = build_disentangler(tensors[1], ROLE_BULK)
-        state.apply_unitary(gate.matrix, (0, 2, 3))
-
-    a_tilde = fuse_boundary_tensor(tensors[0].array)
-    if embed_scale is None:
-        weight = state.expectation(a_tilde.conj().T @ a_tilde, (0, 1))
-        embed_scale = math.sqrt(0.5 / weight)
-    gate = embed_nonunitary_periodic(a_tilde, embed_scale)
-    state.apply_unitary(gate, (anc, 0, 1))
-    prob = state.project_qubit(anc, 0)
-
-    # Drop the spent ancilla (now |0>) to return a 2N-qubit state.
-    amps = _drop_msb_zero_qubit(state, anc)
-    return Statevector.from_amplitudes(amps), prob
-
-
-def _drop_msb_zero_qubit(state: Statevector, qubit: int) -> np.ndarray:
-    t = state.amps.reshape([2] * state.n_qubits)
-    sl = [slice(None)] * state.n_qubits
-    sl[qubit] = 0
-    return t[tuple(sl)].reshape(-1)
+    scale = math.sqrt(0.5 / ring_embedding_weight(n_sites))
+    block = embed_nonunitary_periodic(fuse_boundary_tensor(tensors[0].array), scale)
+    circ.add(Opaque("mps_site1", (anc, 0, 1), block))
+    circ.add(Measure(anc, expect=0))
+    return circ

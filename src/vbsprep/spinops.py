@@ -61,12 +61,6 @@ class DenseOperator:
     def is_idempotent(self, tol: float = ALGEBRA_TOL) -> bool:
         return np.max(np.abs(self.matrix @ self.matrix - self.matrix)) <= tol
 
-    def dagger(self) -> "DenseOperator":
-        return DenseOperator(self.matrix.conj().T, label=self.label + "^dag")
-
-    def __matmul__(self, other: "DenseOperator") -> "DenseOperator":
-        return DenseOperator(self.matrix @ other.matrix)
-
 
 @dataclass(frozen=True)
 class SpinValue:

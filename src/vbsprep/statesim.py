@@ -163,7 +163,7 @@ class Statevector:
         total = float(np.vdot(self.amps, self.amps).real)
         return float(np.vdot(branch, branch).real) / total
 
-    def project_qubit(self, qubit: int, outcome: int, renormalize: bool = True) -> float:
+    def project_qubit(self, qubit: int, outcome: int) -> float:
         """Project a qubit onto an outcome in place; returns the branch probability."""
         if outcome not in (0, 1):
             raise ValueError("outcome must be 0 or 1")
@@ -175,19 +175,9 @@ class Statevector:
         sl[qubit] = 1 - outcome
         t[tuple(sl)] = 0.0
         self.amps = t.reshape(-1)
-        if renormalize:
-            self.amps /= np.linalg.norm(self.amps)
-            self.tracked_norm_sq *= prob
+        self.amps /= np.linalg.norm(self.amps)
+        self.tracked_norm_sq *= prob
         return prob
-
-    def reset_qubit(self, qubit: int, rng: np.random.Generator) -> int:
-        """Measure a qubit (sampling the outcome) and return it to |0>."""
-        p1 = self.outcome_probability(qubit, 1)
-        outcome = 1 if rng.random() < p1 else 0
-        self.project_qubit(qubit, outcome)
-        if outcome == 1:
-            self.apply_unitary(np.array([[0, 1], [1, 0]], dtype=complex), (qubit,))
-        return outcome
 
     # -- scalar queries ------------------------------------------------------
 

@@ -6,7 +6,7 @@ from vbsprep.builders import (
     fredkin_fragment,
     hadamard_test_fragment,
     pre_vbs_circuit,
-    pre_vbs_oracle_state,
+    pre_vbs_state,
     probabilistic_method_circuit,
     toffoli_fragment,
     valence_bond_subcircuit,
@@ -73,7 +73,7 @@ def test_pre_vbs_matches_tensor_product_construction():
     for lat in (build_chain(3, "open", ("up", "down")), build_three_link_pair()):
         enc = assign_qubits(lat, "hadamard_all")
         state, _ = simulate_circuit(pre_vbs_circuit(lat, enc))
-        oracle = pre_vbs_oracle_state(enc)
+        oracle = pre_vbs_state(enc, enc.total_qubits)
         assert abs(state.fidelity(oracle) - 1.0) < 1e-12
 
 
@@ -94,7 +94,7 @@ def test_hadamard_test_postselection_equals_symmetrizer():
 
     lat = build_chain(2, "open")
     enc = assign_qubits(lat, "hadamard_all")
-    base = pre_vbs_oracle_state(enc)
+    base = pre_vbs_state(enc, enc.total_qubits)
     circ = hadamard_test_fragment(0, enc, SpinValue(2))
     state, markers = simulate_circuit(circ, initial=base)
     prob, state = post_select(state, markers)
@@ -111,7 +111,7 @@ def test_dropped_phase_gate_flips_expected_outcome():
 
     lat = build_chain(2, "open")
     enc = assign_qubits(lat, "hadamard_all")
-    base = pre_vbs_oracle_state(enc)
+    base = pre_vbs_state(enc, enc.total_qubits)
 
     phased = hadamard_test_fragment(0, enc, SpinValue(2))
     plain = hadamard_test_fragment(0, enc, SpinValue(2), drop_phase_gate=True)

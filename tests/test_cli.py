@@ -28,6 +28,27 @@ def test_lattice_file_loading(tmp_path):
     assert lat.coordination(0) == 3
 
 
+_PAIR = {"sites": [0, 1], "links": [[0, 1]]}
+
+
+@pytest.mark.parametrize(
+    "doc,cause",
+    [
+        ({"sites": 3, "links": [[0, 1]]}, "'sites' must be a list"),
+        ({**_PAIR, "boundary": "open_chain", "boundary_spins": ["up"]}, "two boundary_spins"),
+        ({**_PAIR, "boundary": "open_chain", "boundary_spins": ["sideways", "up"]}, "'sideways'"),
+        ({**_PAIR, "boundary": "weird"}, "'weird'"),
+        ({"sites": [0, 1, 2], "links": [[0, 1, 2]]}, "exactly two sites"),
+    ],
+    ids=["sites-not-a-list", "one-boundary-spin", "unknown-boundary-spin", "unknown-boundary", "three-site-link"],
+)
+def test_malformed_lattice_file_exits_config(tmp_path, capsys, doc, cause):
+    path = tmp_path / "lat.json"
+    path.write_text(json.dumps(doc))
+    assert main(["prepare", "--spin", "2", "--lattice", f"file:{path}"]) == EXIT_CONFIG
+    assert cause in capsys.readouterr().err
+
+
 def test_prepare_writes_passing_report(tmp_path):
     out = tmp_path / "report.json"
     code = main(

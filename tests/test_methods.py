@@ -136,12 +136,12 @@ def test_lcu_scales_to_eight_sites():
 
 def test_overlap_of_normalized_state_with_bond_product():
     # <vbs~|pre-vbs> equals the square root of the squared norm
-    from vbsprep.builders import pre_vbs_data_state
+    from vbsprep.builders import pre_vbs_state
     from vbsprep.lattice import assign_qubits
 
     lat = build_chain(3, "ring")
     enc = assign_qubits(lat, "hadamard_all")
-    pre = pre_vbs_data_state(enc)
+    pre = pre_vbs_state(enc, enc.n_data_qubits)
     state, norm = oracle_vbs_state(lat, S1)
     overlap = state.overlap(pre)
     assert abs(abs(overlap) - np.sqrt(3.0 / 8.0)) < 1e-12

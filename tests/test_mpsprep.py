@@ -1,12 +1,14 @@
 """MPS tensors, canonical form, disentanglers, and the sequential route."""
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from vbsprep.errors import ConfigError, UnsupportedError
-from vbsprep.lattice import build_chain
-from vbsprep.methods import oracle_vbs_state
+from vbsprep.errors import ConfigError, MissingCostError, UnsupportedError
+from vbsprep.ir import Circuit, Opaque, cnot_count, post_select, simulate_circuit
+from vbsprep.lattice import assign_qubits, build_chain
+from vbsprep.methods import data_state, oracle_vbs_state, run_mps
 from vbsprep.mpsprep import (
     ROLE_BULK,
     ROLE_FIRST_OPEN,
@@ -19,9 +21,11 @@ from vbsprep.mpsprep import (
     fuse_boundary_tensor,
     left_canonicalize,
     local_vbs_tensor,
-    prepare_via_mps,
+    mps_circuit,
+    ring_embedding_weight,
     vbs_mps,
 )
+from vbsprep.qasm import emit_qasm, parse_qasm
 from vbsprep.spinops import SpinValue
 from vbsprep.statesim import Statevector
 
@@ -100,14 +104,14 @@ def test_left_canonicalization_idempotent_and_rank2():
 def test_bulk_disentangler_shapes_and_unitarity():
     tensors = vbs_mps(4, "ring")
     d = build_disentangler(tensors[1], ROLE_BULK)
-    assert d.matrix.shape == (8, 8)
-    assert np.max(np.abs(d.matrix.conj().T @ d.matrix - np.eye(8))) < 1e-12
+    assert d.shape == (8, 8)
+    assert np.max(np.abs(d.conj().T @ d - np.eye(8))) < 1e-12
 
     open_tensors = vbs_mps(4, "open", ("up", "up"))
     d1 = build_disentangler(open_tensors[0], ROLE_FIRST_OPEN)
-    assert d1.matrix.shape == (4, 4)
+    assert d1.shape == (4, 4)
     dn = build_disentangler(open_tensors[-1], ROLE_LAST_OPEN)
-    assert dn.matrix.shape == (8, 8)
+    assert dn.shape == (8, 8)
 
 
 def test_disentangler_requires_canonical_tensor():
@@ -121,7 +125,7 @@ def test_disentangler_requires_canonical_tensor():
 def test_reference_disentangler_is_unitary_and_extends_tensor():
     ref = _reference_bulk_disentangler()
     assert np.max(np.abs(ref.conj().T @ ref - np.eye(8))) < 1e-10
-    mine = build_disentangler(vbs_mps(4, "ring")[0], ROLE_BULK).matrix
+    mine = build_disentangler(vbs_mps(4, "ring")[0], ROLE_BULK)
     # constrained columns (dummy inputs |00>) agree exactly
     assert np.max(np.abs(ref[:, :2] - mine[:, :2])) < 1e-12
 
@@ -135,7 +139,6 @@ def test_completion_choice_independence():
     tensors = vbs_mps(4, "ring")
     vec = tensors[-1].array.reshape(16)
     vec = vec / np.linalg.norm(vec)
-    from vbsprep.ir import Circuit, simulate_circuit
     from vbsprep.schmidt import schmidt_prepare
 
     sub = schmidt_prepare(vec, qubits=(5, 6, 7, 1), label="init")
@@ -171,37 +174,94 @@ def test_embedding_structure_and_bounds():
         embed_nonunitary_periodic(a_tilde, bound + 0.01)
 
 
+def _prepared(circ: Circuit, lattice) -> tuple:
+    """Post-selected 2N-qubit state of the lattice's mps circuit, and its probability."""
+    prob, state = post_select(*simulate_circuit(circ))
+    return data_state(state, assign_qubits(lattice, "mps")), prob
+
+
 @pytest.mark.parametrize(
     "n,spins",
     [(2, ("up", "up")), (3, ("up", "up")), (4, ("up", "down")), (5, ("down", "down")), (6, ("up", "up"))],
 )
 def test_prepare_open_matches_oracle(n, spins):
     oracle, _ = oracle_vbs_state(build_chain(n, "open", spins), S1)
-    state, prob = prepare_via_mps(n, "open", spins)
-    assert prob == 1.0
-    assert abs(state.fidelity(oracle) - 1.0) < 1e-10
+    result = run_mps(build_chain(n, "open", spins), S1)
+    assert result["success_probability"] == 1.0
+    assert abs(result["state"].fidelity(oracle) - 1.0) < 1e-10
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])
 def test_prepare_periodic_matches_oracle_with_half_probability(n):
     oracle, _ = oracle_vbs_state(build_chain(n, "ring"), S1)
-    state, prob = prepare_via_mps(n, "ring")
-    assert abs(prob - 0.5) < 1e-10
-    assert abs(state.fidelity(oracle) - 1.0) < 1e-10
+    result = run_mps(build_chain(n, "ring"), S1)
+    assert abs(result["success_probability"] - 0.5) < 1e-10
+    assert abs(result["state"].fidelity(oracle) - 1.0) < 1e-10
 
 
 def test_prepare_periodic_scale_independence():
-    s1, p1 = prepare_via_mps(4, "ring", embed_scale=0.6)
-    s2, p2 = prepare_via_mps(4, "ring", embed_scale=1.1)
+    # the embedding scale sets the ancilla probability, not the state
+    circ = mps_circuit(4, "ring")
+    *body, boundary, marker = circ.gates
+    a_tilde = fuse_boundary_tensor(local_vbs_tensor())
+    runs = []
+    for scale in (0.6, 1.1):
+        block = dataclasses.replace(boundary, matrix=embed_nonunitary_periodic(a_tilde, scale))
+        runs.append(_prepared(Circuit(circ.n_qubits, [*body, block, marker]), build_chain(4, "ring")))
+    (s1, p1), (s2, p2) = runs
     assert abs(s1.fidelity(s2) - 1.0) < 1e-10
-    assert p1 != pytest.approx(p2)
+    assert p1 == pytest.approx(0.6**2 * ring_embedding_weight(4), abs=1e-12)
+    assert p2 == pytest.approx(1.1**2 * ring_embedding_weight(4), abs=1e-12)
 
 
-def test_prepare_via_mps_range_checks():
+def test_mps_circuit_range_checks():
     with pytest.raises(UnsupportedError):
-        prepare_via_mps(7, "open")
+        mps_circuit(7, "open")
     with pytest.raises(UnsupportedError):
-        prepare_via_mps(2, "ring")
+        mps_circuit(2, "ring")
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_ring_embedding_weight_is_simulated_weight(n):
+    circ = mps_circuit(n, "ring")
+    *body, boundary, marker = circ.gates
+    assert boundary.qubits == (2 * n, 0, 1) and marker.qubit == 2 * n and marker.expect == 0
+    before, _ = simulate_circuit(Circuit(circ.n_qubits, body))
+    a_tilde = fuse_boundary_tensor(local_vbs_tensor())
+    simulated = before.expectation(a_tilde.conj().T @ a_tilde, (0, 1))
+    assert abs(ring_embedding_weight(n) - simulated) < 1e-12
+    assert abs(ring_embedding_weight(n) - (1 + 3 * (-1 / 3) ** n) / 2) < 1e-12
+    assert abs(run_mps(build_chain(n, "ring"), S1)["success_probability"] - 0.5) < 1e-12
+
+
+@pytest.mark.parametrize(
+    "lattice,sites", [(build_chain(4, "open", ("up", "down")), 4), (build_chain(4, "ring"), 3)], ids=["open", "ring"]
+)
+def test_run_mps_returns_its_circuit(lattice, sites):
+    # a ring prepares its last site by a Schmidt split, not a disentangler
+    result = run_mps(lattice, S1)
+    circ = result["circuit"]
+    assert circ.n_qubits == result["encoding"].total_qubits
+    labels = [g.label for g in circ.gates if isinstance(g, Opaque) and g.label.startswith("mps_site")]
+    assert labels == [f"mps_site{i}" for i in range(sites, 0, -1)]
+    # the disentanglers declare no CNOT cost yet
+    with pytest.raises(MissingCostError):
+        cnot_count(circ, "all_to_all")
+
+
+@pytest.mark.parametrize("lattice", [build_chain(3, "open", ("up", "up")), build_chain(3, "ring")], ids=["open", "ring"])
+def test_mps_structural_qasm_round_trips(lattice):
+    circ = run_mps(lattice, S1)["circuit"]
+    matrices = {g.label: g.matrix for g in circ.gates if isinstance(g, Opaque)}
+    parsed = parse_qasm(emit_qasm(circ, "structural"), matrices)
+    assert parsed.n_qubits == circ.n_qubits
+    assert [(type(g), g.qubits) for g in parsed.gates] == [(type(g), g.qubits) for g in circ.gates]
+    assert [m.expect for m in parsed.measures()] == [m.expect for m in circ.measures()]
+    # every block label is unique, so the parsed circuit prepares the same state
+    mine, p_mine = _prepared(circ, lattice)
+    theirs, p_theirs = _prepared(parsed, lattice)
+    assert abs(mine.fidelity(theirs) - 1.0) < 1e-12
+    assert abs(p_mine - p_theirs) < 1e-12
 
 
 def test_forward_disentangle_returns_to_zero():
@@ -209,13 +269,13 @@ def test_forward_disentangle_returns_to_zero():
     # recovers |0...0>, confirming the retrosynthetic reading
     n = 4
     tensors = vbs_mps(n, "open", ("up", "up"))
-    state, _ = prepare_via_mps(n, "open", ("up", "up"))
+    state, _ = simulate_circuit(mps_circuit(n, "open", ("up", "up")))
     work = state.copy()
     first = build_disentangler(tensors[0], ROLE_FIRST_OPEN)
-    work.apply_unitary(first.matrix.conj().T, (0, 1))
+    work.apply_unitary(first.conj().T, (0, 1))
     for i in range(2, n):
         gate = build_disentangler(tensors[i - 1], ROLE_BULK)
-        work.apply_unitary(gate.matrix.conj().T, (2 * i - 3, 2 * i - 2, 2 * i - 1))
+        work.apply_unitary(gate.conj().T, (2 * i - 3, 2 * i - 2, 2 * i - 1))
     last = build_disentangler(tensors[-1], ROLE_LAST_OPEN)
-    work.apply_unitary(last.matrix.conj().T, (2 * n - 3, 2 * n - 2, 2 * n - 1))
+    work.apply_unitary(last.conj().T, (2 * n - 3, 2 * n - 2, 2 * n - 1))
     assert abs(abs(work.amps[0]) - 1.0) < 1e-10
