@@ -223,11 +223,17 @@ def monte_carlo_success(state: Statevector, markers, expected_p: float, shots: i
         raise ConfigError("expected_p must be inside (0, 1)")
     if not markers:
         raise ConfigError("circuit has no measurement markers")
-    counts = state.sample(shots, seed)
-    hits = 0
-    for bits, c in counts.items():
-        if all(int(bits[m.qubit]) == m.expect for m in markers):
-            hits += c
+    # A shot passes when its basis index has every marker's bit at the
+    # expected value; qubit q is bit n-1-q (qubit 0 is the MSB).
+    mask = want = 0
+    clash = False  # a qubit post-selected on both outcomes: no shot passes
+    for m in markers:
+        bit = 1 << (state.n_qubits - 1 - m.qubit)
+        clash |= bool(mask & bit) and bool(want & bit) != bool(m.expect)
+        mask |= bit
+        want |= bit * m.expect
+    outcomes = state.sample_indices(shots, seed)
+    hits = 0 if clash else int(np.count_nonzero((outcomes & mask) == want))
     rate = hits / shots
     sigma = math.sqrt(expected_p * (1 - expected_p) / shots)
     return rate, (rate - expected_p) / sigma

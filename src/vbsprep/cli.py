@@ -60,12 +60,26 @@ LATTICE_FORMS = {
 def parse_lattice(spec: str) -> Lattice:
     parts = spec.split(":")
     kind = parts[0]
-    if kind in LATTICE_FORMS:
-        form, arities = LATTICE_FORMS[kind]
-        if len(parts) - 1 not in arities:
-            raise ConfigError(f"malformed lattice spec {spec!r}; expected {form}")
+    if kind == "file":
+        path = Path(spec[len("file:"):])
+        try:
+            return lattice_from_json(path.read_text())
+        except OSError as exc:
+            raise ConfigError(f"cannot read lattice file: {exc}") from exc
+    if kind not in LATTICE_FORMS:
+        raise ConfigError(f"unknown lattice spec {spec!r}")
+    form, arities = LATTICE_FORMS[kind]
+    if len(parts) - 1 not in arities:
+        raise ConfigError(f"malformed lattice spec {spec!r}; expected {form}")
+
+    def number(field: str) -> int:
+        try:
+            return int(field)
+        except ValueError:
+            raise ConfigError(f"malformed lattice spec {spec!r}: {field!r} is not an integer; expected {form}") from None
+
     if kind == "chain":
-        n = int(parts[1])
+        n = number(parts[1])
         if parts[2:] == ["ring"]:
             return build_chain(n, "ring")
         if parts[2] == "open":
@@ -81,16 +95,8 @@ def parse_lattice(spec: str) -> Lattice:
     if kind == "three-link-pair":
         return build_three_link_pair()
     if kind == "three-link-ring":
-        return build_three_link_ring(int(parts[1]))
-    if kind == "honeycomb":
-        return build_honeycomb_patch(int(parts[1]), int(parts[2]))
-    if kind == "file":
-        path = Path(spec[len("file:"):])
-        try:
-            return lattice_from_json(path.read_text())
-        except OSError as exc:
-            raise ConfigError(f"cannot read lattice file: {exc}") from exc
-    raise ConfigError(f"unknown lattice spec {spec!r}")
+        return build_three_link_ring(number(parts[1]))
+    return build_honeycomb_patch(number(parts[1]), number(parts[2]))
 
 
 def validate_config(lattice: Lattice, twice_s: int, method: str):
@@ -104,10 +110,25 @@ def validate_config(lattice: Lattice, twice_s: int, method: str):
     if method == "mps":
         if twice_s != 2 or lattice.boundary not in ("open_chain", "ring"):
             raise ConfigError("the mps method requires a 1D chain with --spin 2")
+        _check_site_order(lattice)
     if method in ("mitigated_islands", "mitigated_retry"):
         lattice.sublattice()  # raises NotBipartiteError on odd cycles
     if method == "lcu" and twice_s not in (2, 3):
         raise UnsupportedError("lcu simulation supports 2S in {2, 3}")
+
+
+def _check_site_order(lattice: Lattice):
+    """The mps circuit links the sites 0-1-...-N-1 (and N-1 to 0 on a ring): the lattice must too."""
+    n = lattice.n_sites
+    path = [(i, i + 1) for i in range(n - 1)]
+    if lattice.boundary == "ring":
+        path.append((0, n - 1))
+    if sorted(tuple(sorted(link)) for link in lattice.links) != sorted(path):
+        chain = "-".join(map(str, range(n))) + ("-0" if lattice.boundary == "ring" else "")
+        given = ", ".join(f"{a}-{b}" for a, b in lattice.links)
+        raise ConfigError(
+            f"the mps method links the sites in order {chain}; lattice {lattice.name!r} has the links {given}"
+        )
 
 
 def _analytic_norm(lattice: Lattice, twice_s: int) -> float | None:

@@ -18,8 +18,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import MissingCostError, NonUnitaryError
-from .statesim import Statevector, _contract
+from .errors import ImpossibleOutcomeError, MissingCostError, NonUnitaryError
+from .statesim import PROB_FLOOR, Statevector, _checked_width, _contract
 
 OPAQUE_UNITARY_TOL = 1e-10
 FUSE_WIDTH = 4  # qubits in the widest block simulate_circuit fuses gates into
@@ -243,6 +243,7 @@ def cnot_depth(circuit: Circuit, coupling_name: str) -> int:
 _CNOT_MAT = np.array(
     [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex
 )
+_IDENTITY_1Q = np.eye(2, dtype=complex)
 
 
 def _gate_matrix(g) -> np.ndarray:
@@ -286,6 +287,12 @@ def _reused_markers(gates: list) -> set[int]:
 def simulate_circuit(circuit: Circuit, initial: Statevector | None = None) -> tuple[Statevector, list[Measure]]:
     """Run the circuit; return the state and the markers left to post-select.
 
+    Without `initial` the register starts empty: a qubit gets its |0> axis
+    when the first block that touches it is applied, and the qubits no gate
+    touches join at the end, so the state returned always holds the whole
+    register, in qubit order.  The size cap is checked on the register
+    width before anything is allocated.  `initial` is not modified.
+
     Consecutive gates are fused greedily into blocks of at most FUSE_WIDTH
     qubits, and each block is applied to the state once.  A marker whose
     qubit a later gate reuses is projected on its expected outcome before
@@ -294,9 +301,29 @@ def simulate_circuit(circuit: Circuit, initial: Statevector | None = None) -> tu
     their probability.  A marker that no later gate touches does not end a
     block; it is returned, unprojected, in circuit order.
     """
-    state = initial.copy() if initial is not None else Statevector.zero(circuit.n_qubits)
-    if state.n_qubits != circuit.n_qubits:
+    n = _checked_width(circuit.n_qubits)
+    if initial is not None and initial.n_qubits != n:
         raise ValueError("initial state size mismatch")
+    # Every block writes a fresh array, so the state may share the caller's
+    # amplitudes until its first projection, which copies them.
+    state = None if initial is None else Statevector(n, initial.amps, initial.tracked_norm_sq)
+    live = [] if initial is None else list(range(n))  # the qubits with an axis, in order
+
+    def apply(mat: np.ndarray, qubits) -> None:
+        """Apply `mat` on `qubits`; a qubit not yet live joins the state in |0>."""
+        nonlocal state
+        new = [q for q in qubits if q not in live]
+        live.extend(new)
+        live.sort()
+        if state is None:
+            state, new = Statevector.zero(len(live)), []
+        state.apply_unitary(mat, [live.index(q) for q in qubits], new_qubits=[live.index(q) for q in new])
+
+    def make_live(qubits) -> None:
+        for q in qubits:
+            if q not in live:
+                apply(_IDENTITY_1Q, [q])
+
     reused = _reused_markers(circuit.gates)
     markers: list[Measure] = []
     pending: list[Measure] = []
@@ -308,33 +335,58 @@ def simulate_circuit(circuit: Circuit, initial: Statevector | None = None) -> tu
             continue
         if any(m.qubit in g.qubits for m in pending):
             if block:
-                state.apply_unitary(_block_matrix(support, block), support)
+                apply(_block_matrix(support, block), support)
                 support, block = [], []
             for m in pending:
-                state.project_qubit(m.qubit, m.expect)
+                make_live([m.qubit])
+                if initial is not None and state.amps is initial.amps:
+                    state = state.copy()  # the projection works in place
+                axis = live.index(m.qubit)
+                try:
+                    state.project_qubit(axis, m.expect)
+                except ImpossibleOutcomeError as exc:
+                    exc.args = (f"marker on qubit {m.qubit} (state axis {axis}): {exc}",)
+                    raise
             pending = []
         grown = support + [q for q in g.qubits if q not in support]
         if len(grown) > FUSE_WIDTH and block:
-            state.apply_unitary(_block_matrix(support, block), support)
+            apply(_block_matrix(support, block), support)
             grown, block = list(g.qubits), []
         support = grown
         block.append(g)
     if block:
-        state.apply_unitary(_block_matrix(support, block), support)
+        apply(_block_matrix(support, block), support)
+    if state is None:  # no gate at all
+        return Statevector.zero(n), markers
+    make_live(range(n))  # the qubits no gate touched
     return state, markers
 
 
 def post_select(state: Statevector, markers) -> tuple[float, Statevector]:
-    """Project every marker qubit on its expected outcome; joint probability.
+    """Post-select every marker on its expected outcome in one pass; joint probability.
 
-    The probability is the projected copy's `tracked_norm_sq`, so it also
-    covers the markers simulate_circuit projected mid-circuit.  Projects
-    one copy in place; `state` itself is left unchanged.
+    Takes the slice of `state` where every marker qubit holds its expected
+    value.  The probability is the slice's share of the norm times the
+    state's `tracked_norm_sq`, so it also covers the markers
+    simulate_circuit projected mid-circuit.  Returns a new, zeroed state
+    that holds the renormalized slice; `state` itself is left unchanged.
     """
-    out = state.copy()
+    expect: dict[int, int] = {}
     for m in markers:
-        out.project_qubit(m.qubit, m.expect)
-    return out.tracked_norm_sq, out
+        if expect.setdefault(m.qubit, m.expect) != m.expect:
+            raise ImpossibleOutcomeError(f"qubit {m.qubit} is post-selected on both outcomes")
+    n = state.n_qubits
+    t = state.amps.reshape([2] * n)
+    where = tuple(expect.get(q, slice(None)) for q in range(n))
+    kept = t[where]
+    kept_sq = float(np.vdot(kept, kept).real)
+    prob = kept_sq / float(np.vdot(state.amps, state.amps).real)
+    if prob < PROB_FLOOR:
+        raise ImpossibleOutcomeError(f"markers on qubits {sorted(expect)} have joint probability {prob:.3e}")
+    out = np.zeros_like(t)
+    out[where] = kept / math.sqrt(kept_sq)
+    norm_sq = state.tracked_norm_sq * prob
+    return norm_sq, Statevector(n, out.reshape(-1), norm_sq)
 
 
 def circuit_to_json_dict(circuit: Circuit) -> dict:

@@ -46,14 +46,23 @@ def _as_matrix(op) -> np.ndarray:
     return np.asarray(op, dtype=complex)
 
 
-def _contract(tensor: np.ndarray, mat: np.ndarray, axes) -> np.ndarray:
+def _contract(tensor: np.ndarray, mat: np.ndarray, axes, new=()) -> np.ndarray:
     """`mat` applied to the listed axes of a [2, 2, ...] tensor; axes[0] is its MSB.
 
-    One tensordot over the target axes, then the new axes moved back in
-    place and made contiguous: the result is a fresh array.
+    One tensordot over the target axes, then the matrix's output axes moved
+    back in place and made contiguous: the result is a fresh array.  Axes
+    are numbered in the result.  The axes in `new` are not in `tensor` yet:
+    they join it in |0>, so only the columns of `mat` where they read 0 act.
     """
     k = len(axes)
-    out = np.tensordot(mat.reshape([2] * (2 * k)), tensor, axes=(range(k, 2 * k), axes))
+    mat = mat.reshape([2] * (2 * k))
+    if new:
+        mat = mat[(slice(None),) * k + tuple(0 if a in new else slice(None) for a in axes)]
+        # an axis of `tensor` sits below its result position by the new axes before it
+        axes_in = [a - sum(b < a for b in new) for a in axes if a not in new]
+    else:
+        axes_in = axes
+    out = np.tensordot(mat, tensor, axes=(range(k, mat.ndim), axes_in))
     return np.ascontiguousarray(np.moveaxis(out, range(k), axes))
 
 
@@ -117,28 +126,36 @@ class Statevector:
 
     # -- operator application ---------------------------------------------
 
-    def _applied(self, mat: np.ndarray, qubits) -> np.ndarray:
+    def _applied(self, mat: np.ndarray, qubits, new=()) -> np.ndarray:
         # The other methods call this, not applied_amplitudes, so that a
         # per-method timer (perfbench/tracer.py) counts the kernel as theirs.
-        n, k = self.n_qubits, len(qubits)
+        n, k = self.n_qubits + len(new), len(qubits)
         if mat.shape != (2**k, 2**k):
             raise ValueError(f"operator dim {mat.shape} does not match {k} qubits")
-        if len(set(qubits)) != k or any(not 0 <= q < n for q in qubits):
-            raise ValueError(f"bad qubit list {qubits} for {n}-qubit state")
-        return _contract(self.amps.reshape([2] * n), mat, qubits).reshape(-1)
+        if len(set(qubits)) != k or any(not 0 <= q < n for q in qubits) or not set(new) <= set(qubits):
+            raise ValueError(f"bad qubit list {qubits} (new {new}) for {n}-qubit state")
+        return _contract(self.amps.reshape([2] * self.n_qubits), mat, qubits, new).reshape(-1)
 
     def applied_amplitudes(self, op, qubits) -> np.ndarray:
         """Amplitudes of op|psi> (not renormalized) as a fresh array; the state is unchanged."""
         return self._applied(_as_matrix(op), tuple(qubits))
 
-    def apply_unitary(self, op, qubits, *, allow_nonunitary: bool = False) -> "Statevector":
-        """Apply `op` on the listed qubits; qubits[0] is the op's MSB."""
+    def apply_unitary(self, op, qubits, *, allow_nonunitary: bool = False, new_qubits=()) -> "Statevector":
+        """Apply `op` on the listed qubits; qubits[0] is the op's MSB.
+
+        The qubits in `new_qubits`, a subset of `qubits`, join the state in
+        |0> as `op` acts, so the state grows by their count; every qubit is
+        numbered in the grown state.
+        """
         mat = _as_matrix(op)
         if not allow_nonunitary:
             eye = np.eye(mat.shape[0])
             if np.max(np.abs(mat.conj().T @ mat - eye)) > UNITARY_TOL:
                 raise NonUnitaryError("operator is not unitary; pass allow_nonunitary=True to override")
-        self.amps = self._applied(mat, tuple(qubits))
+        new = tuple(new_qubits)
+        n = _checked_width(self.n_qubits + len(new)) if new else self.n_qubits
+        self.amps = self._applied(mat, tuple(qubits), new)
+        self.n_qubits = n
         return self
 
     def apply_nonunitary(self, op, qubits) -> float:
@@ -203,13 +220,16 @@ class Statevector:
         p = np.abs(self.amps) ** 2
         return p / p.sum()
 
-    def sample(self, shots: int, seed: int) -> dict[str, int]:
-        """Deterministic Born-rule sampling; returns bitstring -> count."""
+    def sample_indices(self, shots: int, seed: int) -> np.ndarray:
+        """Basis indices of `shots` deterministic Born-rule draws."""
         if shots < 1:
             raise ValueError("shots must be >= 1")
         rng = np.random.default_rng(seed)
-        outcomes = rng.choice(self.amps.size, size=shots, p=self.probabilities())
-        values, counts = np.unique(outcomes, return_counts=True)
+        return rng.choice(self.amps.size, size=shots, p=self.probabilities())
+
+    def sample(self, shots: int, seed: int) -> dict[str, int]:
+        """Deterministic Born-rule sampling; returns bitstring -> count."""
+        values, counts = np.unique(self.sample_indices(shots, seed), return_counts=True)
         n = self.n_qubits
         return {format(v, f"0{n}b"): int(c) for v, c in zip(values, counts)}
 

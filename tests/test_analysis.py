@@ -156,6 +156,21 @@ def test_monte_carlo_three_link_single_site():
     assert abs(z) < 3.0
 
 
+def test_monte_carlo_bit_masks_count_like_bitstrings():
+    from vbsprep.ir import Measure
+
+    lat = build_chain(3, "ring")
+    simulated, markers = simulate_circuit(probabilistic_method_circuit(lat, assign_qubits(lat, "hadamard_all"), SpinValue(2)))
+    n = simulated.n_qubits
+    for marks in (markers, markers + markers[:1], markers + [Measure(markers[0].qubit, 1 - markers[0].expect)],
+                  [Measure(0, 1), Measure(n - 1, 0)]):
+        for seed in (0, 1, 7, 12345):
+            counts = simulated.sample(5000, seed)
+            hits = sum(c for bits, c in counts.items() if all(int(bits[m.qubit]) == m.expect for m in marks))
+            rate, _ = monte_carlo_success(simulated, marks, 0.5, 5000, seed)
+            assert rate == hits / 5000, (marks, seed)
+
+
 def test_retry_simulation_statistics():
     hist = sublattice_retry_simulation(n_islands=2, p=0.75, trials=10_000, seed=9)
     zs = retry_histogram_zscores(hist, 0.75, 2)

@@ -1,4 +1,6 @@
 """Circuit IR, builders, declared-cost accounting, Fredkin expansion."""
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,7 @@ from vbsprep.builders import (
     toffoli_fragment,
     valence_bond_subcircuit,
 )
-from vbsprep.errors import ImpossibleOutcomeError, MissingCostError
+from vbsprep.errors import CapExceededError, ImpossibleOutcomeError, MissingCostError
 from vbsprep.ir import (
     Circuit,
     CNot,
@@ -313,6 +315,134 @@ def test_fused_simulation_matches_gate_by_gate_unitary():
         assert markers == left
         kinds["reused"] += len(left) < len(circ.measures())
     assert kinds["reused"] and kinds["impossible"]  # both marker rules are exercised
+
+
+def _relabelled(circ: Circuit, label, n: int) -> Circuit:
+    """The same gates on an n-qubit register, qubit q moved to label[q]."""
+    out = Circuit(n)
+    for g in circ.gates:
+        if isinstance(g, CNot):
+            out.add(CNot(label[g.control], label[g.target]))
+        elif isinstance(g, Opaque):
+            out.add(dataclasses.replace(g, qubits=tuple(label[q] for q in g.qubits)))
+        else:
+            out.add(dataclasses.replace(g, qubit=label[g.qubit]))
+    return out
+
+
+def _first_touches(circ: Circuit) -> list[int]:
+    order: list[int] = []
+    for g in circ.gates:
+        if not isinstance(g, Measure):
+            order += [q for q in g.qubits if q not in order]
+    return order
+
+
+def test_simulation_from_empty_register_matches_gate_by_gate():
+    # The circuits of the fused-simulation test, run from |0...0>: as given,
+    # and reversed onto a wider register whose even qubits stay idle.
+    rng = np.random.default_rng(29)
+    circuits = []
+    for _ in range(30):
+        n = int(rng.integers(2, 8))
+        circ = _random_circuit(rng, n, int(rng.integers(1, 25)))
+        circuits += [circ, _relabelled(circ, [2 * (n - 1 - q) + 1 for q in range(n)], 2 * n + 1)]
+    # qubits first touched in descending order, with idle ones in between
+    circuits.append(Circuit(6, gates=[u_h(5), CNot(5, 3), Measure(3, 1), U1Q(0.3, 0.2, 0.1, 3),
+                                      CNot(3, 1), Measure(5, 0)]))
+    kinds = {"idle": 0, "descending": 0, "impossible": 0}
+    for circ in circuits:
+        touched = _first_touches(circ)
+        kinds["idle"] += len(touched) < circ.n_qubits
+        kinds["descending"] += len(touched) > 2 and touched == sorted(touched, reverse=True)
+        zero = np.zeros(2**circ.n_qubits, dtype=complex)
+        zero[0] = 1.0
+        try:
+            expected, left = _gate_by_gate(circ, zero)
+        except ImpossibleOutcomeError:
+            kinds["impossible"] += 1
+            with pytest.raises(ImpossibleOutcomeError):
+                simulate_circuit(circ)
+            continue
+        state, markers = simulate_circuit(circ)
+        assert state.n_qubits == circ.n_qubits
+        assert np.max(np.abs(state.amps - expected.amps)) < 1e-12
+        assert abs(state.tracked_norm_sq - expected.tracked_norm_sq) < 1e-12
+        assert markers == left
+    assert all(kinds.values()), kinds
+
+
+def test_impossible_reused_marker_names_its_circuit_qubit():
+    # qubits 1 and 2 are not live yet, so qubit 3 sits on axis 1 of the state
+    circ = Circuit(4, gates=[U1Q(np.pi, 0.0, np.pi, 0), u_h(3), u_h(3), Measure(3, 1), CNot(3, 2)])
+    with pytest.raises(ImpossibleOutcomeError, match="marker on qubit 3 "):
+        simulate_circuit(circ)
+
+
+def test_register_cap_is_checked_before_any_block(monkeypatch):
+    def no_block(*args, **kwargs):
+        raise AssertionError("a block ran on an oversized register")
+
+    monkeypatch.setenv("VBS_MAX_QUBITS", "4")
+    monkeypatch.setattr(Statevector, "apply_unitary", no_block)
+    monkeypatch.setattr(Statevector, "zero", no_block)
+    circ = Circuit(5, gates=[u_h(0), CNot(0, 1), u_h(3), CNot(3, 4), CNot(1, 2)])
+    with pytest.raises(CapExceededError):
+        simulate_circuit(circ)
+
+
+def test_simulation_leaves_initial_unchanged():
+    rng = np.random.default_rng(3)
+    v = rng.normal(size=8) + 1j * rng.normal(size=8)
+    for gates in (
+        [u_h(0), CNot(0, 2), Measure(2, 1), CNot(2, 1)],
+        # the first operation projects a reused marker, which works in place
+        [Measure(0, 1), u_h(0), CNot(0, 1)],
+    ):
+        initial = Statevector(3, v / np.linalg.norm(v), tracked_norm_sq=0.25)
+        before = initial.amps.copy()
+        state, _ = simulate_circuit(Circuit(3, gates=gates), initial=initial)
+        assert np.array_equal(initial.amps, before)
+        assert initial.tracked_norm_sq == 0.25
+        assert state.tracked_norm_sq < 0.25  # the reused marker was projected
+
+
+def _project_each(state: Statevector, markers) -> tuple[float, Statevector]:
+    out = state.copy()
+    for m in markers:
+        out.project_qubit(m.qubit, m.expect)
+    return out.tracked_norm_sq, out
+
+
+def test_one_pass_post_select_matches_marker_by_marker_projection():
+    rng = np.random.default_rng(41)
+    kinds = {"duplicate": 0, "impossible": 0}
+    for _ in range(40):
+        n = int(rng.integers(1, 8))
+        v = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
+        if rng.random() < 0.3:  # qubit 0 definitely |0>: expecting 1 there is impossible
+            v[2 ** (n - 1):] = 0.0
+        state = Statevector(n, v / np.linalg.norm(v), tracked_norm_sq=float(rng.uniform(0.1, 1.0)))
+        markers = [Measure(int(q), int(rng.integers(2))) for q in rng.integers(n, size=int(rng.integers(0, n + 2)))]
+        if markers and rng.random() < 0.3:
+            markers.append(markers[0])  # the same marker twice
+        qubits = [m.qubit for m in markers]
+        kinds["duplicate"] += len(set(qubits)) < len(qubits)
+        try:
+            prob_ref, ref = _project_each(state, markers)
+        except ImpossibleOutcomeError:
+            kinds["impossible"] += 1
+            with pytest.raises(ImpossibleOutcomeError):
+                post_select(state, markers)
+            continue
+        prob, out = post_select(state, markers)
+        assert abs(prob - prob_ref) < 1e-12
+        assert abs(out.tracked_norm_sq - ref.tracked_norm_sq) < 1e-12
+        assert np.max(np.abs(out.amps - ref.amps)) < 1e-12
+    assert all(kinds.values()), kinds
+    # one qubit post-selected on both outcomes
+    with pytest.raises(ImpossibleOutcomeError):
+        post_select(Statevector.from_amplitudes([INV_SQRT2, INV_SQRT2]), [Measure(0, 0), Measure(0, 1)])
 
 
 def test_post_select_leaves_its_input_unchanged():

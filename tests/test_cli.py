@@ -49,6 +49,25 @@ def test_malformed_lattice_file_exits_config(tmp_path, capsys, doc, cause):
     assert cause in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "links,boundary,spins,order",
+    [
+        ([[0, 2], [2, 1], [1, 3]], "open_chain", ["up", "up"], "0-2, 2-1, 1-3"),
+        ([[0, 2], [2, 1], [1, 3], [3, 0]], "ring", None, "0-2, 2-1, 1-3, 3-0"),
+    ],
+    ids=["open", "ring"],
+)
+def test_mps_rejects_links_out_of_site_order(tmp_path, capsys, links, boundary, spins, order):
+    path = tmp_path / "lat.json"
+    path.write_text(json.dumps({"sites": [0, 1, 2, 3], "links": links, "boundary": boundary, "boundary_spins": spins}))
+    assert main(["prepare", "--spin", "2", "--lattice", f"file:{path}", "--method", "mps"]) == EXIT_CONFIG
+    assert f"has the links {order}" in capsys.readouterr().err
+    # the same lattice in site order is accepted
+    ordered = [[i, i + 1] for i in range(3)] + ([[3, 0]] if boundary == "ring" else [])
+    path.write_text(json.dumps({"sites": [0, 1, 2, 3], "links": ordered, "boundary": boundary, "boundary_spins": spins}))
+    assert main(["prepare", "--spin", "2", "--lattice", f"file:{path}", "--method", "mps"]) == EXIT_OK
+
+
 def test_prepare_writes_passing_report(tmp_path):
     out = tmp_path / "report.json"
     code = main(
@@ -85,6 +104,10 @@ def test_invalid_method_spin_combination(capsys):
         ("chain:4", "chain:N:ring"),
         ("chain:4:ring:aligned", "chain:N:ring"),
         ("three-link-pair:2", "expected three-link-pair"),
+        # fields that must be integers
+        ("chain:x:ring", "'chain:x:ring': 'x' is not an integer; expected chain:N:open[:aligned|anti] or chain:N:ring"),
+        ("three-link-ring:x", "'three-link-ring:x': 'x' is not an integer; expected three-link-ring:N"),
+        ("honeycomb:a:1", "'honeycomb:a:1': 'a' is not an integer; expected honeycomb:R:C"),
     ):
         capsys.readouterr()
         assert main(["prepare", "--spin", "3", "--lattice", spec]) == EXIT_CONFIG, spec

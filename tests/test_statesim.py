@@ -221,6 +221,23 @@ def test_apply_unitary_kernel_random_widths():
         assert np.max(np.abs(st.amps - expected)) < 1e-12
 
 
+def test_apply_unitary_with_new_qubits_equals_padding_them_first():
+    """Qubits that join in |0> as a gate acts: same as inserting them, then applying."""
+    rng = np.random.default_rng(31)
+    for _ in range(40):
+        n = int(rng.integers(1, 9))  # width after the gate
+        k = int(rng.integers(1, min(n, 4) + 1))
+        qubits = tuple(int(q) for q in rng.permutation(n)[:k])
+        new = tuple(int(q) for q in rng.permutation(qubits)[: int(rng.integers(0, min(k, n - 1) + 1))])
+        u, _ = np.linalg.qr(rng.normal(size=(2**k, 2**k)) + 1j * rng.normal(size=(2**k, 2**k)))
+        v = rng.normal(size=2 ** (n - len(new))) + 1j * rng.normal(size=2 ** (n - len(new)))
+        padded = np.zeros([2] * n, dtype=complex)
+        padded[tuple(0 if q in new else slice(None) for q in range(n))] = v.reshape([2] * (n - len(new)))
+        st = Statevector.from_amplitudes(v).apply_unitary(u, qubits, new_qubits=new)
+        assert st.n_qubits == n
+        assert np.max(np.abs(st.amps - _embed_by_kron(u, qubits, n) @ padded.reshape(-1))) < 1e-12
+
+
 def test_product_of_factors_orders_qubits():
     vec = np.array([1, 2], dtype=complex) / np.sqrt(5)
     st = Statevector.product_of_factors(3, [((1,), vec), ((0, 2), SINGLET)])
