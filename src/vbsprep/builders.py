@@ -162,8 +162,12 @@ def island_qubit_groups(lattice: Lattice, encoding: SiteEncoding) -> dict[int, t
     return groups
 
 
-def island_bond_state(lattice: Lattice, encoding: SiteEncoding, site: int, group: tuple[int, ...]) -> Statevector:
-    """Bond product of one island, in the group's local qubit order."""
+def island_local_state(lattice: Lattice, encoding: SiteEncoding, site: int, group: tuple[int, ...]) -> Statevector:
+    """Island state in the group's local qubit order (bonds + symmetrized site).
+
+    Its `tracked_norm_sq` is the symmetrizer's success probability on the
+    island's bond product.
+    """
     local = {q: i for i, q in enumerate(group)}
     factors = []
     for k, (a, b) in enumerate(lattice.links):
@@ -173,13 +177,7 @@ def island_bond_state(lattice: Lattice, encoding: SiteEncoding, site: int, group
     for qubit, spin in encoding.boundary_qubits:
         if qubit in local:
             factors.append(((local[qubit],), spin_ket(spin)))
-    return Statevector.product_of_factors(len(group), factors)
-
-
-def island_local_state(lattice: Lattice, encoding: SiteEncoding, site: int, group: tuple[int, ...]) -> Statevector:
-    """Island state in the group's local qubit order (bonds + symmetrized site)."""
-    local = {q: i for i, q in enumerate(group)}
-    state = island_bond_state(lattice, encoding, site, group)
+    state = Statevector.product_of_factors(len(group), factors)
     site_local = tuple(local[q] for q in encoding.site_qubits[site])
     state.apply_nonunitary(symmetrizer(len(site_local)), site_local)
     return state

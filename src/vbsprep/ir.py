@@ -362,31 +362,47 @@ def simulate_circuit(circuit: Circuit, initial: Statevector | None = None) -> tu
     return state, markers
 
 
-def post_select(state: Statevector, markers) -> tuple[float, Statevector]:
-    """Post-select every marker on its expected outcome in one pass; joint probability.
+def post_select(state: Statevector, markers, keep) -> tuple[float, Statevector]:
+    """Post-select every marker on its expected outcome and keep the `keep` qubits.
 
     Takes the slice of `state` where every marker qubit holds its expected
-    value.  The probability is the slice's share of the norm times the
-    state's `tracked_norm_sq`, so it also covers the markers
-    simulate_circuit projected mid-circuit.  Returns a new, zeroed state
-    that holds the renormalized slice; `state` itself is left unchanged.
+    value, in one pass.  The probability is the slice's share of the norm
+    times the state's `tracked_norm_sq`, so it also covers the markers
+    simulate_circuit projected mid-circuit.  Any other qubit not in `keep`
+    (an ancilla a SWAP moved after its projection, an idle qubit) must hold
+    one definite value, and is dropped on it.  Returns the renormalized
+    state of the `keep` qubits, in the order given; `state` is unchanged.
     """
     expect: dict[int, int] = {}
     for m in markers:
         if expect.setdefault(m.qubit, m.expect) != m.expect:
             raise ImpossibleOutcomeError(f"qubit {m.qubit} is post-selected on both outcomes")
     n = state.n_qubits
-    t = state.amps.reshape([2] * n)
-    where = tuple(expect.get(q, slice(None)) for q in range(n))
-    kept = t[where]
+    keep = list(keep)
+    if len(set(keep)) != len(keep) or not set(keep) <= set(range(n)):
+        raise ValueError(f"keep {keep} must list distinct qubits of the {n}-qubit state")
+    both = sorted(set(keep) & set(expect))
+    if both:
+        raise ValueError(f"qubits {both} are both kept and post-selected")
+    kept = state.amps.reshape([2] * n)[tuple(expect.get(q, slice(None)) for q in range(n))]
     kept_sq = float(np.vdot(kept, kept).real)
     prob = kept_sq / float(np.vdot(state.amps, state.amps).real)
     if prob < PROB_FLOOR:
         raise ImpossibleOutcomeError(f"markers on qubits {sorted(expect)} have joint probability {prob:.3e}")
-    out = np.zeros_like(t)
-    out[where] = kept / math.sqrt(kept_sq)
+    free = [q for q in range(n) if q not in expect]  # the axes of `kept`
+    where = []
+    for axis, q in enumerate(free):
+        if q in keep:
+            where.append(slice(None))
+            continue
+        n0, n1 = (np.linalg.norm(kept[(slice(None),) * axis + (b,)]) for b in (0, 1))
+        if min(n0, n1) > 1e-8 * max(n0, n1):
+            raise ValueError(f"qubit {q} is neither kept nor post-selected, and is in superposition")
+        where.append(0 if n0 >= n1 else 1)
+    left = [q for q in free if q in keep]  # the axes of `kept` after dropping the others
+    amps = np.transpose(kept[tuple(where)], [left.index(q) for q in keep]) / math.sqrt(kept_sq)
     norm_sq = state.tracked_norm_sq * prob
-    return norm_sq, Statevector(n, out.reshape(-1), norm_sq)
+    return norm_sq, Statevector(len(keep), amps.reshape(-1), norm_sq)
 
 
 def circuit_to_json_dict(circuit: Circuit) -> dict:

@@ -308,22 +308,8 @@ class CouplingMap:
         for a, b in self.edges:
             if not (0 <= a < self.n_qubits and 0 <= b < self.n_qubits):
                 raise ConfigError("coupling edge references a missing qubit")
-        if self.name != ALL_TO_ALL and self.n_qubits > 1 and not self._connected():
+        if not self.connected_subset(range(self.n_qubits)):
             raise ConfigError("coupling map must be connected")
-
-    def _connected(self) -> bool:
-        adj = {q: set() for q in range(self.n_qubits)}
-        for a, b in self.edges:
-            adj[a].add(b)
-            adj[b].add(a)
-        seen, stack = {0}, [0]
-        while stack:
-            u = stack.pop()
-            for v in adj[u]:
-                if v not in seen:
-                    seen.add(v)
-                    stack.append(v)
-        return len(seen) == self.n_qubits
 
     def connected_subset(self, qubits) -> bool:
         qs = set(qubits)

@@ -12,7 +12,7 @@ import math
 import numpy as np
 
 from .builders import (
-    island_bond_state,
+    island_local_state,
     island_qubit_groups,
     mitigated_islands_circuit,
     pre_vbs_state,
@@ -44,20 +44,6 @@ def oracle_vbs_state(lattice: Lattice, s: SpinValue, encoding: SiteEncoding | No
     return state, norm_sq
 
 
-def data_state(full: Statevector, encoding: SiteEncoding) -> Statevector:
-    """Drop ancilla qubits that are computationally definite after post-selection."""
-    n_data = encoding.n_data_qubits
-    t = full.amps.reshape([2] * full.n_qubits)
-    for q in range(full.n_qubits - 1, n_data - 1, -1):
-        sub0 = np.take(t, 0, axis=q)
-        sub1 = np.take(t, 1, axis=q)
-        n0, n1 = np.linalg.norm(sub0), np.linalg.norm(sub1)
-        if min(n0, n1) > 1e-8 * max(n0, n1):
-            raise ValueError(f"qubit {q} is still in superposition; post-select first")
-        t = sub0 if n0 >= n1 else sub1
-    return Statevector(n_data, t.reshape(-1).copy(), full.tracked_norm_sq)
-
-
 # ---------------------------------------------------------------------------
 # routes
 # ---------------------------------------------------------------------------
@@ -65,9 +51,9 @@ def data_state(full: Statevector, encoding: SiteEncoding) -> Statevector:
 def _post_selected(circ: Circuit, encoding: SiteEncoding, initial: Statevector | None = None) -> dict:
     """Simulate, post-select every marker and keep the data qubits: a route's result."""
     simulated, markers = simulate_circuit(circ, initial)
-    prob, state = post_select(simulated, markers)
+    prob, state = post_select(simulated, markers, range(encoding.n_data_qubits))
     return {
-        "state": data_state(state, encoding),
+        "state": state,
         "success_probability": prob,
         "circuit": circ,
         "encoding": encoding,
@@ -103,9 +89,8 @@ def run_mitigated_retry(lattice: Lattice, s: SpinValue, seed: int) -> dict:
     factors = []
     covered: set[int] = set()
     for site, group in sorted(groups.items()):
-        state = island_bond_state(lattice, encoding, site, group)
-        qs_local = tuple(sorted(group).index(q) for q in encoding.site_qubits[site])
-        p_succ = state.apply_nonunitary(symmetrizer(len(qs_local)), qs_local)
+        state = island_local_state(lattice, encoding, site, group)
+        p_succ = state.tracked_norm_sq
         n_rounds = 1
         while rng.random() >= p_succ:
             # failed round: the island is reset and its bonds re-prepared

@@ -4,8 +4,8 @@ layout and displacement stage used by the coordination-3 preparation.
 The generic router walks the gate list, moving logical qubits along
 shortest paths (each inserted SWAP is expanded to 3 CNOTs) until every
 CNOT acts on a coupled pair and every opaque block sits on a connected
-subgraph.  It returns the final logical-to-physical placement so callers
-can undo the permutation when comparing states.
+subgraph.  It returns the final logical-to-physical placement, so callers
+can post-select straight to the physical qubits that hold the data.
 
 The heavy-hex pipeline is a declared layout: per six-qubit set the three
 valence bonds start on coupled pairs, and a fixed displacement of three
@@ -15,8 +15,6 @@ in-line four-qubit box and the other on a T-shaped box.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-
-import numpy as np
 
 from .builders import hadamard_test_fragment, island_block, island_qubit_groups, valence_bond_subcircuit
 from .errors import ConfigError
@@ -30,33 +28,13 @@ from .lattice import (
     heavy_hex_patch,
 )
 from .spinops import SpinValue
-from .statesim import Statevector
+from .symmetrize import swap_sequence_matrix
 
 
 @dataclass
 class RoutedCircuit:
     circuit: Circuit
     placement: list[int]  # logical -> physical at the end of the circuit
-
-    def undo_permutation(self, state: Statevector) -> Statevector:
-        """Reorder a simulated state so qubit q holds logical qubit q.
-
-        Physical qubits never assigned a logical index are appended as
-        trailing virtual qubits, in physical order.
-        """
-        n = state.n_qubits
-        t = state.amps.reshape([2] * n)
-        p2l = [None] * n
-        for logical, phys in enumerate(self.placement):
-            p2l[phys] = logical
-        next_virtual = len(self.placement)
-        for p in range(n):
-            if p2l[p] is None:
-                p2l[p] = next_virtual
-                next_virtual += 1
-        order = [p2l.index(l) for l in range(n)]
-        out = np.transpose(t, order).reshape(-1)
-        return Statevector(n, out.copy(), state.tracked_norm_sq)
 
 
 def _swap_cnots(a: int, b: int) -> list[CNot]:
@@ -176,21 +154,7 @@ def displacement_block(swaps: tuple[tuple[int, int], ...], label: str = "bond_di
     """The per-set displacement as one opaque block with its declared cost."""
     qubits = tuple(sorted({q for pair in swaps for q in pair}))
     local = {q: i for i, q in enumerate(qubits)}
-    k = len(qubits)
-    mat = np.eye(2**k)
-    for a, b in swaps:
-        perm = np.eye(2**k)
-        la, lb = local[a], local[b]
-        for idx in range(2**k):
-            ba = (idx >> (k - 1 - la)) & 1
-            bb = (idx >> (k - 1 - lb)) & 1
-            if ba != bb:
-                j = idx ^ ((1 << (k - 1 - la)) | (1 << (k - 1 - lb)))
-            else:
-                j = idx
-            perm[idx, idx] = 0.0
-            perm[j, idx] = 1.0
-        mat = perm @ mat
+    mat = swap_sequence_matrix([(local[a], local[b]) for a, b in swaps], len(qubits))
     return Opaque(label, qubits, mat, **DECLARED_COSTS["displacement"])
 
 

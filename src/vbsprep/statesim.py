@@ -77,7 +77,8 @@ class Statevector:
     __slots__ = ("n_qubits", "amps", "tracked_norm_sq")
 
     def __init__(self, n_qubits: int, amps: np.ndarray, tracked_norm_sq: float = 1.0):
-        self.n_qubits = _checked_width(n_qubits)
+        # a state of no qubit is one amplitude: what post_select returns when it keeps none
+        self.n_qubits = _checked_width(n_qubits) if n_qubits else 0
         if amps.size != 2**n_qubits:
             raise ValueError(f"{amps.size} amplitudes do not make a {n_qubits}-qubit state of {2**n_qubits}")
         self.amps = amps
@@ -140,7 +141,7 @@ class Statevector:
         """Amplitudes of op|psi> (not renormalized) as a fresh array; the state is unchanged."""
         return self._applied(_as_matrix(op), tuple(qubits))
 
-    def apply_unitary(self, op, qubits, *, allow_nonunitary: bool = False, new_qubits=()) -> "Statevector":
+    def apply_unitary(self, op, qubits, *, new_qubits=()) -> "Statevector":
         """Apply `op` on the listed qubits; qubits[0] is the op's MSB.
 
         The qubits in `new_qubits`, a subset of `qubits`, join the state in
@@ -148,10 +149,8 @@ class Statevector:
         numbered in the grown state.
         """
         mat = _as_matrix(op)
-        if not allow_nonunitary:
-            eye = np.eye(mat.shape[0])
-            if np.max(np.abs(mat.conj().T @ mat - eye)) > UNITARY_TOL:
-                raise NonUnitaryError("operator is not unitary; pass allow_nonunitary=True to override")
+        if np.max(np.abs(mat.conj().T @ mat - np.eye(mat.shape[0]))) > UNITARY_TOL:
+            raise NonUnitaryError("operator is not unitary; use apply_nonunitary for a general operator")
         new = tuple(new_qubits)
         n = _checked_width(self.n_qubits + len(new)) if new else self.n_qubits
         self.amps = self._applied(mat, tuple(qubits), new)

@@ -31,7 +31,6 @@ from vbsprep.lattice import (
     linear_coupling,
 )
 from vbsprep.methods import (
-    data_state,
     oracle_vbs_state,
     run_lcu,
     run_mitigated_islands,
@@ -129,9 +128,7 @@ def test_criterion_03_ground_state_verification():
         state, _ = oracle_vbs_state(lattice, s, encoding)
         for a, b in set(lattice.links):
             qs = encoding.site_qubits[a] + encoding.site_qubits[b]
-            work = state.copy()
-            work.apply_unitary(proj.matrix, qs, allow_nonunitary=True)
-            assert np.linalg.norm(work.amps) <= 1e-10, (lattice.name, a, b)
+            assert np.linalg.norm(state.applied_amplitudes(proj.matrix, qs)) <= 1e-10, (lattice.name, a, b)
         if s is S1 and lattice.boundary == "open_chain":
             energy = sum(
                 state.expectation(term.matrix, encoding.site_qubits[a] + encoding.site_qubits[b])
@@ -292,18 +289,18 @@ def test_criterion_10_routing_soundness():
     circ = probabilistic_method_circuit(lat, enc, S1)
     routed = route(circ, linear_coupling(enc.total_qubits))
     s0, m0 = simulate_circuit(circ)
-    p0, s0 = post_select(s0, m0)
+    p0, s0 = post_select(s0, m0, range(enc.n_data_qubits))
     s1, m1 = simulate_circuit(routed.circuit)
-    p1, s1 = post_select(s1, m1)
-    assert routed.undo_permutation(s1).fidelity(s0) >= 1 - 1e-12
+    p1, s1 = post_select(s1, m1, routed.placement[: enc.n_data_qubits])
+    assert s1.fidelity(s0) >= 1 - 1e-12
     assert abs(p0 - p1) <= 1e-12
 
     # heavy-hex pipelines: displacement overhead and composite totals
     bare, lattice, encoding = heavy_hex_pair_probabilistic()
     oracle, norm = oracle_vbs_state(lattice, S32)
     sb, mb = simulate_circuit(bare.circuit)
-    pb, sb = post_select(sb, mb)
-    assert data_state(bare.undo_permutation(sb), encoding).fidelity(oracle) >= 1 - 1e-12
+    pb, sb = post_select(sb, mb, bare.placement[: encoding.n_data_qubits])
+    assert sb.fidelity(oracle) >= 1 - 1e-12
     blocks = [g for g in bare.circuit.gates if isinstance(g, Opaque) and g.label == "bond_displacement"]
     assert len(blocks) == 1
     assert all(b.declared_count("heavy_hex") == 9 for b in blocks)
@@ -311,7 +308,7 @@ def test_criterion_10_routing_soundness():
 
     mit, lattice2, encoding2 = heavy_hex_pair_mitigated()
     sm, mm = simulate_circuit(mit.circuit)
-    pm, sm = post_select(sm, mm)
-    assert data_state(mit.undo_permutation(sm), encoding2).fidelity(oracle) >= 1 - 1e-12
+    pm, sm = post_select(sm, mm, mit.placement[: encoding2.n_data_qubits])
+    assert sm.fidelity(oracle) >= 1 - 1e-12
     assert cnot_depth(mit.circuit, "heavy_hex") == 57 + 9 + 39 == 105
     _report(10)

@@ -91,7 +91,6 @@ def test_hadamard_test_declared_costs(twice_s, coupling, count):
 
 
 def test_hadamard_test_postselection_equals_symmetrizer():
-    from vbsprep.methods import data_state
     from vbsprep.spinops import symmetrizer
 
     lat = build_chain(2, "open")
@@ -99,18 +98,17 @@ def test_hadamard_test_postselection_equals_symmetrizer():
     base = pre_vbs_state(enc, enc.total_qubits)
     circ = hadamard_test_fragment(0, enc, SpinValue(2))
     state, markers = simulate_circuit(circ, initial=base)
-    prob, state = post_select(state, markers)
+    data = range(enc.n_data_qubits)
+    prob, state = post_select(state, markers, data)
 
     oracle = base.copy()
     ratio = oracle.apply_nonunitary(symmetrizer(2), enc.site_qubits[0])
     assert abs(prob - ratio) < 1e-12
-    assert abs(data_state(state, enc).fidelity(data_state(oracle, enc)) - 1.0) < 1e-10
+    _, oracle = post_select(oracle, [], data)  # drops the idle ancilla
+    assert abs(state.fidelity(oracle) - 1.0) < 1e-10
 
 
 def test_dropped_phase_gate_flips_expected_outcome():
-    from vbsprep.methods import data_state
-    from vbsprep.spinops import symmetrizer
-
     lat = build_chain(2, "open")
     enc = assign_qubits(lat, "hadamard_all")
     base = pre_vbs_state(enc, enc.total_qubits)
@@ -124,8 +122,7 @@ def test_dropped_phase_gate_flips_expected_outcome():
     outs = []
     for circ in (phased, plain):
         state, markers = simulate_circuit(circ, initial=base)
-        prob, state = post_select(state, markers)
-        outs.append((prob, data_state(state, enc)))
+        outs.append(post_select(state, markers, range(enc.n_data_qubits)))
     assert abs(outs[0][0] - outs[1][0]) < 1e-12
     assert abs(outs[0][1].fidelity(outs[1][1]) - 1.0) < 1e-12
 
@@ -163,7 +160,7 @@ def test_probabilistic_matches_closed_form_probability():
         enc = assign_qubits(lat, "hadamard_all")
         circ = probabilistic_method_circuit(lat, enc, SpinValue(2))
         state, markers = simulate_circuit(circ)
-        prob, _ = post_select(state, markers)
+        prob, _ = post_select(state, markers, range(enc.n_data_qubits))
         assert abs(prob - expected) < 1e-10
 
 
@@ -251,8 +248,8 @@ def test_circuit_json_round_trip():
     circ = probabilistic_method_circuit(lat, enc, SpinValue(3))
     doc = json.loads(json.dumps(circuit_to_json_dict(circ)))
     again = circuit_from_json_dict(doc)
-    p0, s0 = post_select(*simulate_circuit(circ))
-    p1, s1 = post_select(*simulate_circuit(again))
+    p0, s0 = post_select(*simulate_circuit(circ), range(enc.n_data_qubits))
+    p1, s1 = post_select(*simulate_circuit(again), range(enc.n_data_qubits))
     assert abs(p0 - p1) < 1e-12
     assert abs(s0.fidelity(s1) - 1.0) < 1e-12
     assert cnot_depth(again, "all_to_all") == cnot_depth(circ, "all_to_all")
@@ -428,29 +425,69 @@ def test_one_pass_post_select_matches_marker_by_marker_projection():
             markers.append(markers[0])  # the same marker twice
         qubits = [m.qubit for m in markers]
         kinds["duplicate"] += len(set(qubits)) < len(qubits)
+        keep = [q for q in range(n) if q not in qubits]
         try:
             prob_ref, ref = _project_each(state, markers)
         except ImpossibleOutcomeError:
             kinds["impossible"] += 1
             with pytest.raises(ImpossibleOutcomeError):
-                post_select(state, markers)
+                post_select(state, markers, keep)
             continue
-        prob, out = post_select(state, markers)
+        prob, out = post_select(state, markers, keep)
         assert abs(prob - prob_ref) < 1e-12
         assert abs(out.tracked_norm_sq - ref.tracked_norm_sq) < 1e-12
-        assert np.max(np.abs(out.amps - ref.amps)) < 1e-12
+        expect = {m.qubit: m.expect for m in markers}
+        sliced = ref.amps.reshape([2] * n)[tuple(expect.get(q, slice(None)) for q in range(n))]
+        assert np.max(np.abs(out.amps - sliced.reshape(-1))) < 1e-12
     assert all(kinds.values()), kinds
     # one qubit post-selected on both outcomes
     with pytest.raises(ImpossibleOutcomeError):
-        post_select(Statevector.from_amplitudes([INV_SQRT2, INV_SQRT2]), [Measure(0, 0), Measure(0, 1)])
+        post_select(Statevector.from_amplitudes([INV_SQRT2, INV_SQRT2]), [Measure(0, 0), Measure(0, 1)], [])
+
+
+def test_post_select_keeps_qubits_in_the_order_given():
+    rng = np.random.default_rng(3)
+    v = rng.normal(size=16) + 1j * rng.normal(size=16)
+    state = Statevector(4, v / np.linalg.norm(v))
+    prob, out = post_select(state, [Measure(1, 1)], [3, 0, 2])
+    sliced = state.amps.reshape(2, 2, 2, 2)[:, 1]  # axes: qubits 0, 2, 3
+    assert abs(prob - np.vdot(sliced, sliced).real) < 1e-12
+    assert out.n_qubits == 3
+    expected = np.transpose(sliced, (2, 0, 1)).reshape(-1) / np.linalg.norm(sliced)
+    assert np.max(np.abs(out.amps - expected)) < 1e-12
+
+
+def test_post_select_drops_a_definite_unmarked_qubit():
+    # qubit 1 is neither kept nor marked, and definitely |1>
+    pair = np.array([0.6, 0.8j])
+    state = Statevector.product_of_factors(3, [((0, 2), np.kron(pair, [INV_SQRT2, INV_SQRT2])), ((1,), [0, 1])])
+    prob, out = post_select(state, [Measure(2, 0)], [0])
+    assert abs(prob - 0.5) < 1e-12
+    assert out.n_qubits == 1
+    assert np.max(np.abs(out.amps - pair)) < 1e-12
+
+
+def test_post_select_rejects_an_unmarked_qubit_in_superposition():
+    state = Statevector(2, np.full(4, 0.5, dtype=complex))
+    with pytest.raises(ValueError, match="qubit 1 is neither kept nor post-selected"):
+        post_select(state, [], [0])
+
+
+def test_post_select_rejects_a_bad_keep():
+    state = Statevector(2, np.full(4, 0.5, dtype=complex))
+    with pytest.raises(ValueError, match=r"qubits \[1\] are both kept and post-selected"):
+        post_select(state, [Measure(1, 0)], [0, 1])
+    for keep in ([0, 0], [0, 2]):
+        with pytest.raises(ValueError, match="must list distinct qubits of the 2-qubit state"):
+            post_select(state, [], keep)
 
 
 def test_post_select_leaves_its_input_unchanged():
     lat = build_chain(3, "ring")
-    circ = probabilistic_method_circuit(lat, assign_qubits(lat, "hadamard_all"), SpinValue(2))
-    state, markers = simulate_circuit(circ)
+    enc = assign_qubits(lat, "hadamard_all")
+    state, markers = simulate_circuit(probabilistic_method_circuit(lat, enc, SpinValue(2)))
     before = state.amps.copy()
-    post_select(state, markers)
+    post_select(state, markers, range(enc.n_data_qubits))
     assert np.array_equal(state.amps, before)
     assert state.tracked_norm_sq == 1.0
 
@@ -460,5 +497,5 @@ def test_measure_markers_collected_not_applied():
     state, markers = simulate_circuit(circ)
     assert len(markers) == 1
     assert abs(np.vdot(state.amps, state.amps).real - 1.0) < 1e-12
-    prob, state = post_select(state, markers)
+    prob, state = post_select(state, markers, [])
     assert abs(prob - 0.5) < 1e-12

@@ -5,6 +5,8 @@ import pytest
 
 from vbsprep.errors import ConfigError, NotBipartiteError
 from vbsprep.lattice import (
+    LINEAR,
+    CouplingMap,
     all_to_all,
     assign_qubits,
     build_chain,
@@ -137,6 +139,11 @@ def test_coupling_maps():
     assert hh.are_coupled(5, 7)  # bridge
     assert hh.connected_subset([4, 5, 6, 7])  # the T-shaped box
     assert not hh.connected_subset([0, 2, 4])
+
+
+def test_coupling_map_must_be_connected():
+    with pytest.raises(ConfigError, match="coupling map must be connected"):
+        CouplingMap(LINEAR, 3, frozenset({(0, 1)}))
 
 
 def test_heavy_hex_multi_set():

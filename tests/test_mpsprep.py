@@ -8,7 +8,7 @@ import pytest
 from vbsprep.errors import ConfigError, MissingCostError, UnsupportedError
 from vbsprep.ir import Circuit, Opaque, cnot_count, post_select, simulate_circuit
 from vbsprep.lattice import assign_qubits, build_chain
-from vbsprep.methods import data_state, oracle_vbs_state, run_mps
+from vbsprep.methods import oracle_vbs_state, run_mps
 from vbsprep.mpsprep import (
     ROLE_BULK,
     ROLE_FIRST_OPEN,
@@ -176,8 +176,8 @@ def test_embedding_structure_and_bounds():
 
 def _prepared(circ: Circuit, lattice) -> tuple:
     """Post-selected 2N-qubit state of the lattice's mps circuit, and its probability."""
-    prob, state = post_select(*simulate_circuit(circ))
-    return data_state(state, assign_qubits(lattice, "mps")), prob
+    prob, state = post_select(*simulate_circuit(circ), range(assign_qubits(lattice, "mps").n_data_qubits))
+    return state, prob
 
 
 @pytest.mark.parametrize(

@@ -13,7 +13,7 @@ from vbsprep.lattice import (
     heavy_hex_patch,
     linear_coupling,
 )
-from vbsprep.methods import data_state, oracle_vbs_state
+from vbsprep.methods import oracle_vbs_state
 from vbsprep.qasm import emit_qasm, parse_qasm
 from vbsprep.routing import (
     displacement_block,
@@ -25,9 +25,9 @@ from vbsprep.routing import (
 from vbsprep.spinops import SpinValue
 
 
-def _run_post_selected(circ):
+def _run_post_selected(circ, keep):
     state, markers = simulate_circuit(circ)
-    return post_select(state, markers)
+    return post_select(state, markers, keep)
 
 
 def test_route_all_to_all_unchanged():
@@ -51,10 +51,10 @@ def test_route_linear_preserves_semantics(lattice, twice_s):
     enc = assign_qubits(lattice, "hadamard_all")
     circ = probabilistic_method_circuit(lattice, enc, SpinValue(twice_s))
     routed = route(circ, linear_coupling(enc.total_qubits))
-    p0, s0 = _run_post_selected(circ)
-    p1, s1 = _run_post_selected(routed.circuit)
+    p0, s0 = _run_post_selected(circ, range(enc.n_data_qubits))
+    p1, s1 = _run_post_selected(routed.circuit, routed.placement[: enc.n_data_qubits])
     assert abs(p0 - p1) < 1e-12
-    assert abs(routed.undo_permutation(s1).fidelity(s0) - 1.0) < 1e-12
+    assert abs(s1.fidelity(s0) - 1.0) < 1e-12
     # every CNOT acts on a coupled pair
     coupling = linear_coupling(enc.total_qubits)
     for g in routed.circuit.gates:
@@ -71,21 +71,11 @@ def test_route_with_custom_initial_placement():
     coupling = linear_coupling(enc.total_qubits + 2)
     placement = [5, 3, 0, 1, 6, 7]  # scatter the logical qubits
     routed = route(circ, coupling, initial_placement=placement)
-    p0, s0 = _run_post_selected(circ)
-    p1, s1 = _run_post_selected(routed.circuit)
+    p0, s0 = _run_post_selected(circ, range(enc.n_data_qubits))
+    # the physical qubits no logical qubit lands on stay |0> and are dropped
+    p1, s1 = _run_post_selected(routed.circuit, routed.placement[: enc.n_data_qubits])
     assert abs(p0 - p1) < 1e-12
-    undone = routed.undo_permutation(s1)
-    # compare on the logical qubits: pad the original with virtual zeros
-    import numpy as np
-
-    from vbsprep.statesim import Statevector
-
-    padded = Statevector.product_of_factors(
-        coupling.n_qubits,
-        [(tuple(range(circ.n_qubits)), s0.amps)]
-        + [((q,), np.array([1, 0], dtype=complex)) for q in range(circ.n_qubits, coupling.n_qubits)],
-    )
-    assert abs(undone.fidelity(padded) - 1.0) < 1e-12
+    assert abs(s1.fidelity(s0) - 1.0) < 1e-12
 
 
 def test_route_does_not_fit():
@@ -108,9 +98,8 @@ def test_displacement_block_counts():
 def test_heavy_hex_bare_pipeline():
     routed, lattice, encoding = heavy_hex_pair_probabilistic()
     oracle, norm = oracle_vbs_state(lattice, SpinValue(3))
-    prob, state = _run_post_selected(routed.circuit)
-    undone = routed.undo_permutation(state)
-    assert abs(data_state(undone, encoding).fidelity(oracle) - 1.0) < 1e-12
+    prob, state = _run_post_selected(routed.circuit, routed.placement[: encoding.n_data_qubits])
+    assert abs(state.fidelity(oracle) - 1.0) < 1e-12
     assert abs(prob - norm) < 1e-12
     assert cnot_depth(routed.circuit, "heavy_hex") == 51  # 1 + 9 + 41
     blocks = [g for g in routed.circuit.gates if isinstance(g, Opaque) and g.label == "bond_displacement"]
@@ -121,9 +110,8 @@ def test_heavy_hex_bare_pipeline():
 def test_heavy_hex_mitigated_pipeline():
     routed, lattice, encoding = heavy_hex_pair_mitigated()
     oracle, _ = oracle_vbs_state(lattice, SpinValue(3))
-    prob, state = _run_post_selected(routed.circuit)
-    undone = routed.undo_permutation(state)
-    assert abs(data_state(undone, encoding).fidelity(oracle) - 1.0) < 1e-12
+    prob, state = _run_post_selected(routed.circuit, routed.placement[: encoding.n_data_qubits])
+    assert abs(state.fidelity(oracle) - 1.0) < 1e-12
     assert cnot_depth(routed.circuit, "heavy_hex") == 105  # 57 + 9 + 39
 
 
@@ -167,8 +155,8 @@ def test_basis_mode_round_trip_spin1():
     text = emit_qasm(circ, "basis")
     assert "opaque" not in text
     parsed = parse_qasm(text)
-    p0, s0 = _run_post_selected(circ)
-    p1, s1 = _run_post_selected(parsed)
+    p0, s0 = _run_post_selected(circ, range(enc.n_data_qubits))
+    p1, s1 = _run_post_selected(parsed, range(enc.n_data_qubits))
     assert abs(p0 - p1) < 1e-12
     assert abs(s0.fidelity(s1) - 1.0) < 1e-12
 
@@ -182,8 +170,8 @@ def test_structural_mode_spin32_has_4_qubit_opaque():
     parsed = parse_qasm(text, opaque_matrices={
         g.label: g.matrix for g in circ.gates if isinstance(g, Opaque)
     })
-    p0, s0 = _run_post_selected(circ)
-    p1, s1 = _run_post_selected(parsed)
+    p0, s0 = _run_post_selected(circ, range(enc.n_data_qubits))
+    p1, s1 = _run_post_selected(parsed, range(enc.n_data_qubits))
     assert abs(p0 - p1) < 1e-12
     assert abs(s0.fidelity(s1) - 1.0) < 1e-12
 

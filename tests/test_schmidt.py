@@ -224,9 +224,7 @@ def _lcu_apply(n_halves: int, variant: str, input_state: Statevector):
         + [((n_halves + i,), np.array([1, 0], dtype=complex)) for i in range(m)],
     )
     state, markers = simulate_circuit(circ, initial=full)
-    prob, state = post_select(state, markers)
-    t = state.amps.reshape(2**n_halves, -1)[:, 0]
-    return prob, Statevector.from_amplitudes(t)
+    return post_select(state, markers, range(n_halves))
 
 
 @pytest.mark.parametrize("n_halves,variant", [(2, "sparse"), (2, "dense"), (3, "sparse")])

@@ -63,7 +63,6 @@ def test_unitarity_guard():
     st = Statevector.zero(1)
     with pytest.raises(NonUnitaryError):
         st.apply_unitary(np.array([[1, 0], [0, 0.5]]), (0,))
-    st.apply_unitary(np.array([[1, 0], [0, 0.5]]), (0,), allow_nonunitary=True)
 
 
 def test_unitary_preserves_norm():
