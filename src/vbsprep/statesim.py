@@ -20,6 +20,20 @@ from .spinops import DenseOperator
 DEFAULT_MAX_QUBITS = 26
 UNITARY_TOL = 1e-10
 PROB_FLOOR = 1e-14
+# The kernel views a contiguous target run in place only on states of at
+# least 2^18 amplitudes.  At 22 qubits one call that way takes 22-96 ms
+# against tensordot's 39-208 ms, at every run position for k = 1..4
+# (BENCH_8.json, 2-core VM).  Smaller states, up to 16 qubits in the
+# route-sweep workload, gained less than that workload's run-to-run spread
+# (4 pairs, one lost), so they keep tensordot and its outputs bit for bit.
+VIEW_MIN_AMPS = 2**18
+# A run whose view rows hold at most this many amplitudes (2^k * R) folds
+# into one gemm against M (x) I_R; longer rows use batched matmul, which is
+# slow when R is small.  The fold's flops grow with the row length: at 22
+# qubits it takes 27-29 ms at 32 against matmul's 60-115 ms and 34-38 ms
+# at 64 against 56-69 ms, but 54-61 ms at 128 against 45-50 ms and about
+# 100 ms at 256 against 41-48 ms.
+FOLD_MAX_COLS = 64
 
 
 def max_qubits() -> int:
@@ -49,12 +63,25 @@ def _as_matrix(op) -> np.ndarray:
 def _contract(tensor: np.ndarray, mat: np.ndarray, axes, new=()) -> np.ndarray:
     """`mat` applied to the listed axes of a [2, 2, ...] tensor; axes[0] is its MSB.
 
-    One tensordot over the target axes, then the matrix's output axes moved
-    back in place and made contiguous: the result is a fresh array.  Axes
-    are numbered in the result.  The axes in `new` are not in `tensor` yet:
-    they join it in |0>, so only the columns of `mat` where they read 0 act.
+    The result is a fresh C-contiguous array; axes are numbered in it.  The
+    axes in `new` are not in `tensor` yet: they join it in |0>, so only the
+    columns of `mat` where they read 0 act.
+
+    Two paths.  When the targets form a contiguous run of axes (in any
+    order), no axis joins and the tensor holds at least VIEW_MIN_AMPS
+    amplitudes, the tensor is viewed as (L, 2^k, R), L and R the sizes of
+    the axes before and after the run.  The matrix, its rows and columns
+    permuted into the run's order, acts on the middle axis without moving
+    the tensor: by batched `matmul` when 2^k * R exceeds FOLD_MAX_COLS,
+    else by one gemm against M (x) I_R.  Every other call takes one
+    tensordot over the target axes, which copies the tensor into
+    target-major order first; the output axes are then moved back in
+    place and made contiguous.
     """
     k = len(axes)
+    lo = min(axes)
+    if not new and tensor.size >= VIEW_MIN_AMPS and max(axes) - lo == k - 1:
+        return _contract_run(tensor, mat, [a - lo for a in axes], lo)
     mat = mat.reshape([2] * (2 * k))
     if new:
         mat = mat[(slice(None),) * k + tuple(0 if a in new else slice(None) for a in axes)]
@@ -64,6 +91,24 @@ def _contract(tensor: np.ndarray, mat: np.ndarray, axes, new=()) -> np.ndarray:
         axes_in = axes
     out = np.tensordot(mat, tensor, axes=(range(k, mat.ndim), axes_in))
     return np.ascontiguousarray(np.moveaxis(out, range(k), axes))
+
+
+def _contract_run(tensor: np.ndarray, mat: np.ndarray, run, lo: int) -> np.ndarray:
+    """`mat` on axes lo..lo+k-1 of `tensor`, where run[i] is the place of its i-th qubit."""
+    k = len(run)
+    if run != list(range(k)):
+        order = [run.index(j) for j in range(k)]
+        mat = mat.reshape([2] * (2 * k)).transpose(order + [k + i for i in order]).reshape(2**k, 2**k)
+    dim = 2**k
+    left = int(np.prod(tensor.shape[:lo]))
+    right = tensor.size // (left * dim)
+    if dim * right > FOLD_MAX_COLS:
+        out = np.matmul(mat, tensor.reshape(left, dim, right))
+    else:
+        # M (x) I_R by broadcasting: np.kron costs about 30 us a call
+        fold = (mat[:, None, :, None] * np.eye(right)[None, :, None, :]).reshape(dim * right, dim * right)
+        out = tensor.reshape(left, dim * right) @ fold.T
+    return out.reshape(tensor.shape)
 
 
 class Statevector:
@@ -104,12 +149,14 @@ class Statevector:
     def product_of_factors(cls, n_qubits: int, factors) -> "Statevector":
         """Tensor product of local vectors given as (qubit_tuple, vector) pairs.
 
-        The qubit tuples must partition range(n_qubits).
+        The qubit tuples must partition range(n_qubits).  The factors are
+        multiplied in the order of their first qubit, so that factors listed
+        out of order cost no state-sized transpose.
         """
         _checked_width(n_qubits)  # before the product is allocated
         axes: list[int] = []
         full = np.array(1.0 + 0j)
-        for qubits, vec in factors:
+        for qubits, vec in sorted(factors, key=lambda f: tuple(f[0])):
             vec = np.asarray(vec, dtype=complex)
             k = len(qubits)
             if vec.size != 2**k:
@@ -118,9 +165,10 @@ class Statevector:
             axes.extend(qubits)
         if sorted(axes) != list(range(n_qubits)):
             raise ValueError("factors must partition the qubit set")
-        full = full.reshape([2] * n_qubits)
-        order = [axes.index(q) for q in range(n_qubits)]
-        return cls(n_qubits, np.transpose(full, order).reshape(-1).copy())
+        if axes != list(range(n_qubits)):
+            order = [axes.index(q) for q in range(n_qubits)]
+            full = np.ascontiguousarray(np.transpose(full.reshape([2] * n_qubits), order))
+        return cls(n_qubits, full.reshape(-1))
 
     def copy(self) -> "Statevector":
         return Statevector(self.n_qubits, self.amps.copy(), self.tracked_norm_sq)
@@ -201,9 +249,7 @@ class Statevector:
         """<self|other> on the renormalized states."""
         if self.n_qubits != other.n_qubits:
             raise ValueError("qubit count mismatch")
-        a = self.amps / np.linalg.norm(self.amps)
-        b = other.amps / np.linalg.norm(other.amps)
-        return complex(np.vdot(a, b))
+        return complex(np.vdot(self.amps, other.amps) / (np.linalg.norm(self.amps) * np.linalg.norm(other.amps)))
 
     def fidelity(self, other: "Statevector") -> float:
         return abs(self.overlap(other)) ** 2

@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 
+from vbsprep import statesim
 from vbsprep.errors import CapExceededError, ImpossibleOutcomeError, NonUnitaryError
 from vbsprep.spinops import symmetrizer
 from vbsprep.statesim import Statevector
@@ -141,6 +142,15 @@ def test_overlap_and_fidelity():
     assert abs(c.fidelity(c) - 1.0) < 1e-12
 
 
+def test_overlap_of_unnormalized_states_is_the_normalized_overlap():
+    rng = np.random.default_rng(41)
+    v, w = (rng.normal(size=64) + 1j * rng.normal(size=64) for _ in range(2))
+    expected = np.vdot(v / np.linalg.norm(v), w / np.linalg.norm(w))
+    a, b = Statevector.from_amplitudes(3.7 * v), Statevector.from_amplitudes(0.02 * w)
+    assert abs(a.overlap(b) - expected) < 1e-15
+    assert np.array_equal(a.amps, 3.7 * v)  # the states are left as they were
+
+
 def test_expectation_z_on_zero():
     st = Statevector.zero(1)
     z = np.diag([1.0, -1.0])
@@ -245,3 +255,82 @@ def test_product_of_factors_orders_qubits():
     assert abs(t[0, 0, 1] - vec[0] / np.sqrt(2)) < 1e-12
     assert abs(t[0, 1, 1] - vec[1] / np.sqrt(2)) < 1e-12
     assert abs(t[1, 0, 0] + vec[0] / np.sqrt(2)) < 1e-12
+
+
+def test_product_of_factors_any_factor_order():
+    """Shuffled factor lists, some with descending qubit tuples: same amplitudes, C-contiguous."""
+    rng = np.random.default_rng(43)
+    n = 8
+    factors = [((0, 5), None), ((3, 1), None), ((2,), None), ((7, 4, 6), None)]
+    factors = [(qs, rng.normal(size=2 ** len(qs)) + 1j * rng.normal(size=2 ** len(qs))) for qs, _ in factors]
+    expected = np.ones(2**n, dtype=complex)  # amplitude by amplitude, from the bits of each factor's qubits
+    for idx in range(2**n):
+        bits = [(idx >> (n - 1 - q)) & 1 for q in range(n)]
+        for qs, vec in factors:
+            expected[idx] *= vec[int("".join(str(bits[q]) for q in qs), 2)]
+    for _ in range(6):
+        shuffled = [factors[i] for i in rng.permutation(len(factors))]
+        st = Statevector.product_of_factors(n, shuffled)
+        assert st.amps.flags.c_contiguous
+        assert np.max(np.abs(st.amps - expected)) < 1e-15
+    ordered = [((0, 1, 2), rng.normal(size=8) + 0j), ((3, 4, 5, 6, 7), rng.normal(size=32) + 0j)]
+    st = Statevector.product_of_factors(n, ordered)  # already in qubit order: no transpose
+    assert st.amps.flags.c_contiguous
+    assert not any(np.shares_memory(st.amps, vec) for _, vec in ordered)
+    assert np.max(np.abs(st.amps - np.kron(ordered[0][1], ordered[1][1]))) < 1e-15
+
+
+def _einsum_apply(v: np.ndarray, mat: np.ndarray, qubits, n: int) -> np.ndarray:
+    """`mat` on `qubits` of an n-qubit vector by one einsum, independent of the kernel."""
+    k = len(qubits)
+    state_in = list(range(n))
+    for i, q in enumerate(qubits):
+        state_in[q] = n + i
+    out = np.einsum(mat.reshape([2] * (2 * k)), list(qubits) + [n + i for i in range(k)], v.reshape([2] * n), state_in, list(range(n)))
+    return out.reshape(-1)
+
+
+def _kernel_cases(n: int, k: int, rng):
+    """Target lists on an n-qubit state: every region of a run, in and out of order, and scattered."""
+    fold_lo = n - k - max(0, (statesim.FOLD_MAX_COLS >> k).bit_length() - 1)  # largest fold run: 2^k R = FOLD_MAX_COLS
+    starts = {0, n - k, fold_lo, fold_lo - 1, n // 2}  # front (L=1), end (R=1), fold, matmul just past it, middle
+    for lo in sorted(starts):
+        run = list(range(lo, lo + k))
+        yield tuple(run)
+        if k > 1:
+            yield tuple(run[::-1])
+            yield tuple(int(q) for q in rng.permutation(run))
+    if k > 1:
+        yield (0,) + tuple(range(n - k + 1, n))  # scattered: a gap after the first target
+        yield tuple(int(q) for q in rng.choice(n, size=k, replace=False))
+
+
+@pytest.mark.parametrize("n", [17, 18])
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_kernel_matches_einsum_on_both_sides_of_the_view_bound(n, k, monkeypatch):
+    """Contiguous runs at 2^18 amplitudes take the (L, 2^k, R) view; 2^17 and scattered ones tensordot."""
+    rng = np.random.default_rng(100 * n + k)
+    views = []
+    contract_run = statesim._contract_run
+    monkeypatch.setattr(statesim, "_contract_run", lambda *a: views.append(a[2]) or contract_run(*a))
+    v = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
+    v /= np.linalg.norm(v)
+    st = Statevector.from_amplitudes(v)
+    for qubits in _kernel_cases(n, k, rng):
+        mat = rng.normal(size=(2**k, 2**k)) + 1j * rng.normal(size=(2**k, 2**k))
+        out = st.applied_amplitudes(mat, qubits)
+        assert np.max(np.abs(out - _einsum_apply(v, mat, qubits, n))) < 1e-12, qubits
+        assert not np.shares_memory(out, st.amps)
+        assert np.array_equal(st.amps, v)  # bitwise unchanged
+        contiguous = max(qubits) - min(qubits) == k - 1
+        assert (views[-1:] == [[q - min(qubits) for q in qubits]]) == (2**n >= statesim.VIEW_MIN_AMPS and contiguous), qubits
+        views.clear()
+    u, _ = np.linalg.qr(rng.normal(size=(2**k, 2**k)) + 1j * rng.normal(size=(2**k, 2**k)))
+    grown = Statevector.from_amplitudes(v).apply_unitary(u, tuple(range(n + 1 - k, n + 1)), new_qubits=(n,))
+    padded = np.stack([v, np.zeros_like(v)], axis=1).reshape(-1)  # qubit n joins in |0>
+    assert np.max(np.abs(grown.amps - _einsum_apply(padded, u, tuple(range(n + 1 - k, n + 1)), n + 1))) < 1e-12
+    assert views == []  # a joining qubit always takes tensordot
+    before = st.amps
+    st.apply_unitary(u, tuple(range(n - k, n)))
+    assert not np.shares_memory(st.amps, before)
+    assert np.max(np.abs(st.amps - _einsum_apply(v, u, tuple(range(n - k, n)), n))) < 1e-12
