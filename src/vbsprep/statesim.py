@@ -20,19 +20,16 @@ from .spinops import DenseOperator
 DEFAULT_MAX_QUBITS = 26
 UNITARY_TOL = 1e-10
 PROB_FLOOR = 1e-14
-# The kernel views a contiguous target run in place only on states of at
-# least 2^18 amplitudes.  At 22 qubits one call that way takes 22-96 ms
-# against tensordot's 39-208 ms, at every run position for k = 1..4
-# (BENCH_8.json, 2-core VM).  Smaller states, up to 16 qubits in the
-# route-sweep workload, gained less than that workload's run-to-run spread
-# (4 pairs, one lost), so they keep tensordot and its outputs bit for bit.
-VIEW_MIN_AMPS = 2**18
-# A run whose view rows hold at most this many amplitudes (2^k * R) folds
-# into one gemm against M (x) I_R; longer rows use batched matmul, which is
-# slow when R is small.  The fold's flops grow with the row length: at 22
-# qubits it takes 27-29 ms at 32 against matmul's 60-115 ms and 34-38 ms
-# at 64 against 56-69 ms, but 54-61 ms at 128 against 45-50 ms and about
-# 100 ms at 256 against 41-48 ms.
+# A contiguous target run is applied through an (L, 2^k, R) view of the
+# state.  A run whose view rows hold at most this many amplitudes (2^k * R)
+# folds into one gemm against M (x) I_R; longer rows use batched matmul,
+# which loops over L small gemms and is slow when R is small.  The fold's
+# flops grow with the row length: at 22 qubits it takes 27-29 ms at 32
+# against matmul's 60-115 ms and 34-38 ms at 64 against 56-69 ms, but
+# 54-61 ms at 128 against 45-50 ms and about 100 ms at 256 against 41-48 ms
+# (BENCH_8.json, 2-core VM).  In oracle-verify, 41 of the 139 kernel calls
+# on 18 qubits and more land in the fold's region; with batched matmul in
+# their place its pass_s median rose from 3.49 s to 4.21 s (10 of 10 pairs).
 FOLD_MAX_COLS = 64
 
 
@@ -68,19 +65,18 @@ def _contract(tensor: np.ndarray, mat: np.ndarray, axes, new=()) -> np.ndarray:
     columns of `mat` where they read 0 act.
 
     Two paths.  When the targets form a contiguous run of axes (in any
-    order), no axis joins and the tensor holds at least VIEW_MIN_AMPS
-    amplitudes, the tensor is viewed as (L, 2^k, R), L and R the sizes of
-    the axes before and after the run.  The matrix, its rows and columns
-    permuted into the run's order, acts on the middle axis without moving
-    the tensor: by batched `matmul` when 2^k * R exceeds FOLD_MAX_COLS,
-    else by one gemm against M (x) I_R.  Every other call takes one
-    tensordot over the target axes, which copies the tensor into
-    target-major order first; the output axes are then moved back in
-    place and made contiguous.
+    order) and no axis joins, the tensor is viewed as (L, 2^k, R), L and R
+    the sizes of the axes before and after the run.  The matrix, its rows
+    and columns permuted into the run's order, acts on the middle axis
+    without moving the tensor: by batched `matmul` when 2^k * R exceeds
+    FOLD_MAX_COLS, else by one gemm against M (x) I_R.  Every other call
+    takes one tensordot over the target axes, which copies the tensor into
+    target-major order first; the output axes are then moved back in place
+    and made contiguous.
     """
     k = len(axes)
-    lo = min(axes)
-    if not new and tensor.size >= VIEW_MIN_AMPS and max(axes) - lo == k - 1:
+    if k and not new and max(axes) - min(axes) == k - 1:
+        lo = min(axes)
         return _contract_run(tensor, mat, [a - lo for a in axes], lo)
     mat = mat.reshape([2] * (2 * k))
     if new:

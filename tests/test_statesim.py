@@ -308,8 +308,8 @@ def _kernel_cases(n: int, k: int, rng):
 
 @pytest.mark.parametrize("n", [17, 18])
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
-def test_kernel_matches_einsum_on_both_sides_of_the_view_bound(n, k, monkeypatch):
-    """Contiguous runs at 2^18 amplitudes take the (L, 2^k, R) view; 2^17 and scattered ones tensordot."""
+def test_kernel_matches_einsum_on_runs_and_scattered_targets(n, k, monkeypatch):
+    """Contiguous runs take the (L, 2^k, R) view at 2^17 and 2^18 amplitudes; scattered ones tensordot."""
     rng = np.random.default_rng(100 * n + k)
     views = []
     contract_run = statesim._contract_run
@@ -323,7 +323,7 @@ def test_kernel_matches_einsum_on_both_sides_of_the_view_bound(n, k, monkeypatch
         assert np.max(np.abs(out - _einsum_apply(v, mat, qubits, n))) < 1e-12, qubits
         assert not np.shares_memory(out, st.amps)
         assert np.array_equal(st.amps, v)  # bitwise unchanged
-        viewed = 2**n >= statesim.VIEW_MIN_AMPS and max(qubits) - min(qubits) == k - 1
+        viewed = max(qubits) - min(qubits) == k - 1
         assert (views == [[q - min(qubits) for q in qubits]]) == viewed, qubits
         views.clear()
     u, _ = np.linalg.qr(rng.normal(size=(2**k, 2**k)) + 1j * rng.normal(size=(2**k, 2**k)))
@@ -335,3 +335,10 @@ def test_kernel_matches_einsum_on_both_sides_of_the_view_bound(n, k, monkeypatch
     st.apply_unitary(u, tuple(range(n - k, n)))
     assert not np.shares_memory(st.amps, before)
     assert np.max(np.abs(st.amps - _einsum_apply(v, u, tuple(range(n - k, n)), n))) < 1e-12
+
+
+def test_operator_on_no_qubit_scales_the_state():
+    v = np.arange(8) + 1j
+    st = Statevector.from_amplitudes(v / np.linalg.norm(v))
+    assert np.array_equal(st.applied_amplitudes(np.array([[2.0]]), []), 2 * st.amps)
+    assert st.expectation(np.eye(1), []) == pytest.approx(1.0)
