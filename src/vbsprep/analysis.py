@@ -350,6 +350,8 @@ class Report:
     simulated: dict = field(default_factory=dict)
     resources: dict = field(default_factory=dict)
     checks: list = field(default_factory=list)
+    # check name -> what a failure points at; printed on stderr, never in the JSON
+    notes: dict = field(default_factory=dict)
 
     SCHEMA_VERSION = 1
 

@@ -32,15 +32,14 @@ def oracle_vbs_state(lattice: Lattice, s: SpinValue, encoding: SiteEncoding | No
     """Direct symmetrizer application; returns (state, squared norm).
 
     Works for mixed-spin lattices too: each site gets the symmetrizer of
-    its own qubit count.
+    its own qubit count.  The state is renormalized once, after the last
+    site.
     """
     if encoding is None:
         encoding = assign_qubits(lattice, "hadamard_all")
     state = pre_vbs_state(encoding, encoding.n_data_qubits)
-    norm_sq = 1.0
-    for site in range(lattice.n_sites):
-        qs = encoding.site_qubits[site]
-        norm_sq *= state.apply_nonunitary(symmetrizer(len(qs)), qs)
+    sites = [encoding.site_qubits[site] for site in range(lattice.n_sites)]
+    norm_sq = state.apply_nonunitaries([(symmetrizer(len(qs)), qs) for qs in sites])
     return state, norm_sq
 
 
@@ -103,11 +102,8 @@ def run_mitigated_retry(lattice: Lattice, s: SpinValue, seed: int) -> dict:
             factors.append(((qubit,), spin_ket(spin)))
             covered.add(qubit)
     full = Statevector.product_of_factors(encoding.n_data_qubits, factors)
-    prob = 1.0
-    for site in range(lattice.n_sites):
-        if colors[site] == "B":
-            qs = encoding.site_qubits[site]
-            prob *= full.apply_nonunitary(symmetrizer(len(qs)), qs)
+    b_sites = [encoding.site_qubits[site] for site in range(lattice.n_sites) if colors[site] == "B"]
+    prob = full.apply_nonunitaries([(symmetrizer(len(qs)), qs) for qs in b_sites])
     return {
         "state": full,
         "success_probability": prob,

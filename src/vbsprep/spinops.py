@@ -294,6 +294,37 @@ def blbq_hamiltonian_term(beta: float) -> DenseOperator:
     return DenseOperator(x + beta * (x @ x), f"blbq(beta={beta})")
 
 
+@lru_cache(maxsize=None)
+def link_eigenbasis(twice_s: int) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """One link's eigenbasis of S_a . S_b, with the link operators' eigenvalues in it.
+
+    Returns (U^dagger, p, h) on the 4S qubits of two sites: the rows of
+    U^dagger are eigenvectors of S_a . S_b, p is the diagonal of
+    `aklt_two_site_projector` in that basis and h the diagonal of the AKLT
+    term `blbq_hamiltonian_term(1/3)` (None unless 2S=2).  Both operators
+    are polynomials in S_a . S_b, so they are diagonal there; building the
+    basis checks that their off-diagonal entries are below ALGEBRA_TOL.
+    """
+    s = SpinValue(twice_s)
+    projector = aklt_two_site_projector(s).matrix  # raises UnsupportedError first
+    u = np.linalg.eigh(two_site_spin_dot(s))[1]
+
+    def eigenvalues(op: np.ndarray) -> np.ndarray:
+        d = u.conj().T @ op @ u
+        off = np.max(np.abs(d - np.diag(np.diag(d))))
+        if off > ALGEBRA_TOL:
+            raise RuntimeError(f"link operator is not diagonal in the S_a.S_b eigenbasis (off-diagonal {off:.1e})")
+        return np.diag(d).real.copy()
+
+    p = eigenvalues(projector)
+    h = eigenvalues(blbq_hamiltonian_term(1.0 / 3.0).matrix) if twice_s == 2 else None
+    rotation = u.conj().T.copy()
+    for arr in (rotation, p, h):
+        if arr is not None:
+            arr.setflags(write=False)
+    return rotation, p, h
+
+
 def symmetric_fraction(coordination: int) -> Fraction:
     """Fraction of the 2^N local states with maximal total spin N/2."""
     if coordination < 1:
