@@ -10,6 +10,7 @@ reproduces the spin-S algebra.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -294,6 +295,44 @@ def blbq_hamiltonian_term(beta: float) -> DenseOperator:
     return DenseOperator(x + beta * (x @ x), f"blbq(beta={beta})")
 
 
+def _spin_dot_eigenbasis(s: SpinValue) -> np.ndarray:
+    """Orthonormal eigenvectors of x = S_a . S_b on two qubit-encoded sites, as rows.
+
+    A site of 2S spin-1/2s holds total spins j = S, S-1, ...; two sites
+    couple to J = |j_a - j_b| .. j_a + j_b, where 8x takes the integer value
+    4J(J+1) - 4j_a(j_a+1) - 4j_b(j_b+1).  Each eigenspace is the range of
+    its spectral projector prod (8x - 8mu) / (8lam - 8mu), orthonormalized by
+    Gram-Schmidt.  8x has integer entries and each factor a spectral norm of
+    at most 48, so the products are exact in float64.  No LAPACK call and no
+    real-valued gemm: their code pages (about 1.5 MB) would stay resident
+    through every later job of a process that otherwise loads only the
+    complex BLAS kernels.
+    """
+    twice = range(s.twice_s % 2, s.twice_s + 1, 2)  # 2j of each site
+    lams = sorted({
+        tj * (tj + 2) - ta * (ta + 2) - tb * (tb + 2)
+        for ta in twice for tb in twice for tj in range(abs(ta - tb), ta + tb + 1, 2)
+    })
+    x8 = 8 * two_site_spin_dot(s)
+    eye = np.eye(len(x8), dtype=complex)
+    rows = np.zeros((0, len(x8)), dtype=complex)
+    for lam in lams:
+        proj = eye
+        for mu in lams:
+            if mu != lam:
+                proj = proj @ (x8 - mu * eye)
+        proj = proj / math.prod(lam - mu for mu in lams if mu != lam)
+        for col in proj.T:
+            for _ in range(2):  # a second sweep removes the first one's round-off
+                col = col - rows.conj().T @ (rows @ col)
+            norm = np.sqrt(np.vdot(col, col).real)
+            if norm > 1e-8:
+                rows = np.vstack([rows, col.conj() / norm])
+    if len(rows) != len(x8):
+        raise RuntimeError(f"found {len(rows)} of {len(x8)} eigenvectors of S_a.S_b")
+    return rows
+
+
 @lru_cache(maxsize=None)
 def link_eigenbasis(twice_s: int) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
     """One link's eigenbasis of S_a . S_b, with the link operators' eigenvalues in it.
@@ -307,10 +346,10 @@ def link_eigenbasis(twice_s: int) -> tuple[np.ndarray, np.ndarray, np.ndarray | 
     """
     s = SpinValue(twice_s)
     projector = aklt_two_site_projector(s).matrix  # raises UnsupportedError first
-    u = np.linalg.eigh(two_site_spin_dot(s))[1]
+    rotation = _spin_dot_eigenbasis(s)
 
     def eigenvalues(op: np.ndarray) -> np.ndarray:
-        d = u.conj().T @ op @ u
+        d = rotation @ op @ rotation.conj().T
         off = np.max(np.abs(d - np.diag(np.diag(d))))
         if off > ALGEBRA_TOL:
             raise RuntimeError(f"link operator is not diagonal in the S_a.S_b eigenbasis (off-diagonal {off:.1e})")
@@ -318,7 +357,6 @@ def link_eigenbasis(twice_s: int) -> tuple[np.ndarray, np.ndarray, np.ndarray | 
 
     p = eigenvalues(projector)
     h = eigenvalues(blbq_hamiltonian_term(1.0 / 3.0).matrix) if twice_s == 2 else None
-    rotation = u.conj().T.copy()
     for arr in (rotation, p, h):
         if arr is not None:
             arr.setflags(write=False)

@@ -66,8 +66,7 @@ def _as_matrix(op) -> np.ndarray:
 
 
 def _norm_sq(amps: np.ndarray) -> float:
-    floats = amps.view(np.float64)
-    return float(np.dot(floats, floats))
+    return float(np.vdot(amps, amps).real)
 
 
 def _scale(amps: np.ndarray, factor: float) -> None:
@@ -248,15 +247,16 @@ class Statevector:
         ImpossibleOutcomeError.
         """
         before = _norm_sq(self.amps)
-        amps = self.amps
+        fresh = False  # holding the input array instead would keep one more state alive
         for op, qubits in ops:
             self.amps = self._applied(_as_matrix(op), tuple(qubits))
+            fresh = True
         after = _norm_sq(self.amps)
         ratio = after / before if before else 0.0
         if ratio < PROB_FLOOR:
             raise ImpossibleOutcomeError("operator annihilated the state")
-        if self.amps is amps:  # no operator: keep the caller's array intact
-            self.amps = amps.copy()
+        if not fresh:  # no operator: keep the caller's array intact
+            self.amps = self.amps.copy()
         _scale(self.amps, 1 / math.sqrt(after))
         self.tracked_norm_sq *= ratio
         return ratio
