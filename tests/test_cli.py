@@ -245,3 +245,126 @@ def test_env_cap_not_an_integer(capsys, monkeypatch):
     monkeypatch.setenv("VBS_MAX_QUBITS", "abc")
     assert main(["prepare", "--spin", "2", "--lattice", "chain:3:ring"]) == EXIT_CONFIG
     assert "VBS_MAX_QUBITS" in capsys.readouterr().err
+
+
+def _link_lattices():
+    from vbsprep.lattice import BOUNDARY_EXPLICIT, Lattice, build_chain
+
+    return [
+        (build_chain(5, "open", ("up", "down")), 2),  # contiguous runs
+        (Lattice(4, ((1, 0), (2, 1), (3, 2), (0, 3)), BOUNDARY_EXPLICIT, name="reversed"), 2),  # reversed runs
+        (build_chain(5, "ring"), 2),  # the ring closure (4, 0): qubits (8, 9, 0, 1)
+        (parse_lattice("three-link-ring:4"), 3),  # 6-qubit spin-3/2 links, double links, closure (3, 0)
+    ]
+
+
+@pytest.mark.parametrize("lattice,twice_s", _link_lattices(), ids=["open", "reversed", "ring", "spin32"])
+def test_link_pass_matches_direct_projector_norm_and_expectation(lattice, twice_s):
+    """One eigenbasis pass per pair gives ||P psi|| and <H> of a random, non-VBS state."""
+    import numpy as np
+
+    from vbsprep.cli import _link_values
+    from vbsprep.lattice import assign_qubits
+    from vbsprep.spinops import SpinValue, aklt_two_site_projector, blbq_hamiltonian_term
+    from vbsprep.statesim import Statevector
+
+    s = SpinValue(twice_s)
+    encoding = assign_qubits(lattice, "hadamard_all")
+    n = encoding.n_data_qubits
+    rng = np.random.default_rng(n)
+    st = Statevector.from_amplitudes(rng.normal(size=2**n) + 1j * rng.normal(size=2**n))
+    residuals, energies = _link_values(st, lattice, s)
+    pairs = {frozenset(link) for link in lattice.links}
+    assert set(residuals) == pairs
+    proj = aklt_two_site_projector(s).matrix
+    term = blbq_hamiltonian_term(1.0 / 3.0).matrix
+    for a, b in lattice.links:
+        qs = encoding.site_qubits[a] + encoding.site_qubits[b]
+        direct = np.linalg.norm(st.applied_amplitudes(proj, qs))
+        assert abs(residuals[frozenset((a, b))] - direct) < 1e-12 * direct, (a, b)
+        if twice_s == 2:
+            assert abs(energies[frozenset((a, b))] - st.expectation(term, qs)) < 1e-12, (a, b)
+    assert energies if twice_s == 2 else not energies
+
+
+@pytest.mark.parametrize(
+    "spec,spin,passes",
+    [("chain:2:ring", 2, 1), ("chain:4:open:aligned", 2, 3), ("chain:4:ring", 2, 4),
+     ("three-link-pair", 3, 1), ("three-link-ring:4", 3, 4)],
+)
+def test_verify_reads_each_site_pair_once(spec, spin, passes, monkeypatch, tmp_path):
+    from vbsprep.statesim import Statevector
+
+    calls = []
+    row_weights = Statevector.row_weights
+    monkeypatch.setattr(Statevector, "row_weights", lambda st, *a: calls.append(a[1]) or row_weights(st, *a))
+    for unused in ("expectation", "applied_amplitudes"):
+        monkeypatch.setattr(Statevector, unused, lambda *a: pytest.fail("verify reads links through row_weights"))
+    argv = ["verify", "--spin", str(spin), "--lattice", spec, "--method", "lcu", "--out", str(tmp_path / "v.json")]
+    assert main(argv) == EXIT_OK
+    assert len(calls) == passes
+    assert len({frozenset(qs) for qs in calls}) == passes
+
+
+def _state_with_a_broken_link(lattice, s, link: int):
+    """The VBS state with one bond a triplet: only that link's sites can reach spin 2S."""
+    import numpy as np
+
+    from vbsprep.builders import pre_vbs_state
+    from vbsprep.lattice import assign_qubits
+    from vbsprep.spinops import symmetrizer
+
+    encoding = assign_qubits(lattice, "hadamard_all")
+    state = pre_vbs_state(encoding, encoding.n_data_qubits)
+    state.apply_unitary(np.array([[0, 1], [1, 0]]), (encoding.link_qubits[link][0],))
+    sites = [encoding.site_qubits[site] for site in range(lattice.n_sites)]
+    return state, state.apply_nonunitaries([(symmetrizer(len(qs)), qs) for qs in sites])
+
+
+@pytest.mark.parametrize("link", [0, 2])
+def test_failed_link_checks_name_the_worst_link(link, monkeypatch, capsys, tmp_path):
+    import vbsprep.cli as cli
+
+    monkeypatch.setattr(cli, "oracle_vbs_state", lambda lattice, s: _state_with_a_broken_link(lattice, s, link))
+    out = tmp_path / "v.json"
+    argv = ["verify", "--spin", "2", "--lattice", "chain:5:open:aligned", "--method", "lcu", "--out", str(out)]
+    assert main(argv) == EXIT_CHECK_FAILED
+    lines = {line.split(":")[0]: line for line in capsys.readouterr().err.splitlines()}
+    name = f"worst link {link}-{link + 1}"
+    assert lines["[FAIL] projector_annihilation"].endswith(f"({name})")
+    assert lines["[FAIL] open_chain_energy"].endswith(f"({name})")
+    assert "worst link" not in out.read_text()
+
+
+def test_passing_link_checks_print_no_link(capsys):
+    assert main(["verify", "--spin", "2", "--lattice", "chain:4:open:aligned"]) == EXIT_OK
+    assert "worst link" not in capsys.readouterr().err
+
+
+def test_link_pass_holds_one_state_sized_temporary(monkeypatch, tmp_path):
+    """The check phase of a 20-qubit verify holds the oracle, at most one more state and one rotated copy."""
+    import tracemalloc
+
+    from vbsprep.statesim import Statevector
+
+    state_bytes = 16 << 20  # chain:10 open: 20 data qubits
+    seen = []
+    row_weights = Statevector.row_weights
+
+    def spy(st, *a):
+        if not seen:  # the check phase starts: measure from here
+            seen.append(tracemalloc.get_traced_memory()[0])
+            tracemalloc.reset_peak()
+        return row_weights(st, *a)
+
+    monkeypatch.setattr(Statevector, "row_weights", spy)
+    argv = ["verify", "--spin", "2", "--lattice", "chain:10:open:aligned", "--method", "mitigated_retry",
+            "--out", str(tmp_path / "v.json")]
+    tracemalloc.start()
+    try:
+        assert main(argv) == EXIT_OK
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert seen[0] <= 2 * state_bytes + (1 << 20)  # the two live states, at most
+    assert peak <= seen[0] + state_bytes + (1 << 20)  # plus one rotated state

@@ -226,3 +226,26 @@ def test_symmetric_fraction_values():
 def test_dense_operator_rejects_nonfinite():
     with pytest.raises(ValueError):
         DenseOperator(np.array([[np.inf, 0], [0, 1]]))
+
+
+@pytest.mark.parametrize("twice_s", [2, 3])
+def test_link_eigenbasis_diagonalizes_spin_dot_projector_and_term(twice_s):
+    from vbsprep.spinops import link_eigenbasis
+
+    s = SpinValue(twice_s)
+    rotation, p, h = link_eigenbasis(twice_s)
+    assert np.max(np.abs(rotation @ rotation.conj().T - np.eye(len(rotation)))) < TOL
+    x = rotation @ two_site_spin_dot(s) @ rotation.conj().T
+    assert np.max(np.abs(x - np.diag(np.diag(x)))) < TOL
+    proj = aklt_two_site_projector(s).matrix
+    assert np.max(np.abs(rotation.conj().T @ np.diag(p) @ rotation - proj)) < TOL
+    if twice_s == 2:
+        term = blbq_hamiltonian_term(1.0 / 3.0).matrix
+        assert np.max(np.abs(rotation.conj().T @ np.diag(h) @ rotation - term)) < TOL
+    else:
+        assert h is None
+    assert link_eigenbasis(twice_s) is link_eigenbasis(twice_s)  # built once per 2S
+    with pytest.raises(ValueError):
+        rotation[0, 0] = 1.0  # the cached arrays are read-only
+    with pytest.raises(UnsupportedError):
+        link_eigenbasis(4)

@@ -342,3 +342,104 @@ def test_operator_on_no_qubit_scales_the_state():
     st = Statevector.from_amplitudes(v / np.linalg.norm(v))
     assert np.array_equal(st.applied_amplitudes(np.array([[2.0]]), []), 2 * st.amps)
     assert st.expectation(np.eye(1), []) == pytest.approx(1.0)
+
+
+def _random_state(n: int, rng) -> np.ndarray:
+    v = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
+    return v / np.linalg.norm(v)
+
+
+def test_normalize_once_matches_renormalizing_after_every_operator():
+    """apply_nonunitaries: one renormalization, the per-operator product of ratios and states."""
+    rng = np.random.default_rng(9)
+    for _ in range(12):
+        n = int(rng.integers(3, 9))
+        ops = []
+        for _ in range(int(rng.integers(1, 5))):
+            k = int(rng.integers(1, 4))
+            qubits = tuple(int(q) for q in rng.choice(n, size=k, replace=False))
+            ops.append((rng.normal(size=(2**k, 2**k)) + 1j * rng.normal(size=(2**k, 2**k)), qubits))
+        v = _random_state(n, rng) * rng.uniform(0.5, 2.0)  # not normalized: the ratio divides by ||psi||^2
+        step = Statevector(n, v.copy(), tracked_norm_sq=0.5)
+        ratios = [step.apply_nonunitary(op, qubits) for op, qubits in ops]
+        once = Statevector(n, v.copy(), tracked_norm_sq=0.5)
+        ratio = once.apply_nonunitaries(ops)
+        assert ratio == pytest.approx(np.prod(ratios), rel=1e-12)
+        assert once.tracked_norm_sq == pytest.approx(step.tracked_norm_sq, rel=1e-12)
+        assert np.max(np.abs(once.amps - step.amps)) < 1e-12
+        assert abs(np.linalg.norm(once.amps) - 1.0) < 1e-12
+    st = Statevector.from_amplitudes(_random_state(4, rng))
+    before = st.amps
+    assert st.apply_nonunitaries([]) == pytest.approx(1.0, rel=1e-15)
+    assert st.amps is not before and np.max(np.abs(st.amps - before)) < 1e-15
+
+
+def test_normalize_once_raises_on_an_annihilating_operator_or_a_zero_state():
+    rng = np.random.default_rng(10)
+    up, down = np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
+    ops = [(symmetrizer(2), (0, 1)), (up, (2,)), (down, (2,)), (symmetrizer(2), (2, 3))]  # annihilates in the middle
+    with pytest.raises(ImpossibleOutcomeError):
+        Statevector.from_amplitudes(_random_state(4, rng)).apply_nonunitaries(ops)
+    for operators in (ops[:1], ops[:2], []):
+        with pytest.raises(ImpossibleOutcomeError):
+            Statevector(4, np.zeros(16, dtype=complex)).apply_nonunitaries(operators)
+    tiny = np.diag([1.0, 1e-8])  # a ratio of 1e-16 on |1>, below PROB_FLOOR
+    with pytest.raises(ImpossibleOutcomeError):
+        Statevector.from_amplitudes([0, 1]).apply_nonunitaries([(tiny, (0,))])
+
+
+def test_normalize_once_keeps_at_most_one_extra_state_alive():
+    """Each operator's output replaces its input: the input of the first one is not held."""
+    import tracemalloc
+
+    n = 16
+    v = _random_state(n, np.random.default_rng(11))
+    ops = [(symmetrizer(2), (q, q + 1)) for q in range(0, n, 2)]
+    tracemalloc.start()
+    try:
+        st = Statevector.from_amplitudes(v)  # traced, so that freeing it counts
+        start = tracemalloc.get_traced_memory()[0]
+        st.apply_nonunitaries(ops)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - start <= 1.25 * st.amps.nbytes  # the output of one operator, with room for small buffers
+
+
+def test_project_qubit_matches_slicing_reference():
+    rng = np.random.default_rng(12)
+    for n in (1, 2, 5, 9):
+        v = _random_state(n, rng) * 1.5  # not normalized
+        for qubit in range(n):
+            for outcome in (0, 1):
+                st = Statevector(n, v.copy(), tracked_norm_sq=0.25)
+                prob = st.project_qubit(qubit, outcome)
+                t = v.reshape(2**qubit, 2, -1).copy()
+                kept = np.linalg.norm(t[:, outcome]) ** 2
+                t[:, 1 - outcome] = 0.0
+                assert prob == pytest.approx(kept / np.linalg.norm(v) ** 2, rel=1e-15, abs=1e-15)
+                assert np.max(np.abs(st.amps - t.reshape(-1) / np.sqrt(kept))) < 1e-15
+                assert st.tracked_norm_sq == pytest.approx(0.25 * prob, rel=1e-15)
+                assert st.outcome_probability(qubit, outcome) == pytest.approx(1.0, rel=1e-15)
+    with pytest.raises(ImpossibleOutcomeError):
+        Statevector(2, np.zeros(4, dtype=complex)).project_qubit(1, 0)
+    with pytest.raises(ValueError):
+        Statevector.zero(2).project_qubit(2, 0)
+
+
+@pytest.mark.parametrize("n", [1, 6, 11])
+def test_row_weights_are_the_squared_row_norms(n):
+    """Row k of op|psi> is where the listed qubits read k, in the order listed."""
+    rng = np.random.default_rng(13 + n)
+    v = _random_state(n, rng)
+    st = Statevector.from_amplitudes(v)
+    cases = [(q,) for q in range(n)] + [tuple(range(n)), tuple(range(n))[::-1]]
+    if n > 4:
+        cases += [(0, 1, n - 2, n - 1), (n - 1, n - 2, 0, 1), (n - 4, n - 3, n - 2, n - 1), (2, 0, 4)]
+    for qubits in cases:
+        k = len(qubits)
+        mat = rng.normal(size=(2**k, 2**k)) + 1j * rng.normal(size=(2**k, 2**k))
+        rotated = np.moveaxis(st.applied_amplitudes(mat, qubits).reshape([2] * n), qubits, range(k))
+        expected = np.sum(np.abs(rotated.reshape(2**k, -1)) ** 2, axis=1)
+        assert np.max(np.abs(st.row_weights(mat, qubits) - expected)) < 1e-12 * expected.sum(), qubits
+        assert np.array_equal(st.amps, v)
