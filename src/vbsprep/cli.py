@@ -36,6 +36,7 @@ from .lattice import (
 from .methods import ROUTES, oracle_vbs_state
 from .qasm import emit_qasm
 from .spinops import SpinValue, link_eigenbasis
+from .statesim import Statevector
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -221,35 +222,47 @@ def cmd_verify(args) -> int:
         report.analytic["norm_closed_form"] = closed
         report.add_check("norm_vs_closed_form", closed, norm_sq, 1e-12)
 
-    # One pass per distinct site pair, into the eigenbasis of S_a.S_b, where
-    # the AKLT projector and term are diagonal: with w_k the squared norm of
-    # row k of U^dagger psi, ||P psi|| = sqrt(sum p_k^2 w_k), still a sum of
-    # squares, and <H> = sum h_k w_k / sum w_k.  (0, 1) and (1, 0) are one pair.
-    encoding = assign_qubits(lattice, "hadamard_all")
-    rotation, proj_eigs, energy_eigs = link_eigenbasis(s.twice_s)
-    weights = {}
-    for a, b in lattice.links:
-        pair = frozenset((a, b))
-        if pair not in weights:
-            weights[pair] = state.row_weights(rotation, encoding.site_qubits[a] + encoding.site_qubits[b])
-    residuals = {pair: math.sqrt(float(proj_eigs**2 @ w)) for pair, w in weights.items()}
+    residuals, energies = _link_values(state, lattice, s)
     worst = max(residuals.values(), default=0.0)
     report.simulated["max_projector_residual"] = worst
     report.add_check("projector_annihilation", 0.0, worst, 1e-10)
     report.notes["projector_annihilation"] = _worst_link(lattice, residuals)
 
     if s.twice_s == 2 and lattice.boundary == "open_chain":
-        # every link of the AKLT chain holds -2/3: the worst link deviates most from it
-        energies = {pair: float(energy_eigs @ w) / float(w.sum()) for pair, w in weights.items()}
         energy = sum(energies[frozenset(link)] for link in lattice.links)
         expected = -2.0 * (lattice.n_sites - 1) / 3.0
         report.simulated["aklt_energy"] = energy
         report.add_check("open_chain_energy", expected, energy, 1e-10)
-        report.notes["open_chain_energy"] = _worst_link(
-            lattice, {pair: abs(e + 2.0 / 3.0) for pair, e in energies.items()}
-        )
+        # every link of the AKLT chain holds -2/3: the worst link deviates most from it
+        deviations = {pair: abs(e + 2.0 / 3.0) for pair, e in energies.items()}
+        report.notes["open_chain_energy"] = _worst_link(lattice, deviations)
     report.analytic["norm_sq"] = norm_sq
     return _finish(report, args)
+
+
+def _link_values(state: Statevector, lattice: Lattice, s: SpinValue) -> tuple[dict, dict]:
+    """||P psi|| and (spin 1 only) <H> of each site pair, keyed by frozenset({a, b}).
+
+    P is the AKLT two-site projector and H the AKLT term.  One pass per
+    distinct pair (the links (0, 1) and (1, 0) are one pair) into the
+    eigenbasis of S_a.S_b, where P and H are diagonal: with w_k the squared
+    norm of row k of U^dagger psi, ||P psi|| = sqrt(sum p_k^2 w_k) and
+    <H> = sum h_k w_k / sum w_k.  The residual stays a sum of squares, so
+    round-off stays near 1e-16; sqrt(Tr P rho) would turn it into ~3e-9.
+    """
+    encoding = assign_qubits(lattice, "hadamard_all")
+    rotation, proj_eigs, energy_eigs = link_eigenbasis(s.twice_s)
+    residuals: dict = {}
+    energies: dict = {}
+    for a, b in lattice.links:
+        pair = frozenset((a, b))
+        if pair in residuals:
+            continue
+        w = state.row_weights(rotation, encoding.site_qubits[a] + encoding.site_qubits[b])
+        residuals[pair] = math.sqrt(float(proj_eigs**2 @ w))
+        if energy_eigs is not None:
+            energies[pair] = float(energy_eigs @ w) / float(w.sum())
+    return residuals, energies
 
 
 def _worst_link(lattice: Lattice, deviation: dict) -> str:

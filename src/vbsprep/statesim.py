@@ -265,13 +265,13 @@ class Statevector:
 
     def outcome_probability(self, qubit: int, outcome: int) -> float:
         weights = _row_weights(self.amps, self.n_qubits, (qubit,))
-        return float(weights[outcome] / weights.sum())
+        return float(weights[outcome]) / float(weights.sum())
 
     def project_qubit(self, qubit: int, outcome: int) -> float:
         """Project a qubit onto an outcome in place; returns the branch probability.
 
-        One read of both branch norms, then the other branch is zeroed and
-        the kept one scaled by a real factor.
+        One read of both branch norms; then the other branch is zeroed and
+        the state scaled by a real factor.
         """
         if outcome not in (0, 1):
             raise ValueError("outcome must be 0 or 1")
