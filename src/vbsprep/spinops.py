@@ -314,22 +314,29 @@ def _spin_dot_eigenbasis(s: SpinValue) -> np.ndarray:
         for ta in twice for tb in twice for tj in range(abs(ta - tb), ta + tb + 1, 2)
     })
     x8 = 8 * two_site_spin_dot(s)
-    eye = np.eye(len(x8), dtype=complex)
-    rows = np.zeros((0, len(x8)), dtype=complex)
+    dim = len(x8)
+    eye = np.eye(dim, dtype=complex)
+    rows = np.zeros((dim, dim), dtype=complex)
+    found = 0
     for lam in lams:
         proj = eye
         for mu in lams:
             if mu != lam:
                 proj = proj @ (x8 - mu * eye)
         proj = proj / math.prod(lam - mu for mu in lams if mu != lam)
+        missing = round(proj.trace().real)  # the eigenspace's dimension
         for col in proj.T:
+            if not missing:
+                break
             for _ in range(2):  # a second sweep removes the first one's round-off
-                col = col - rows.conj().T @ (rows @ col)
+                col = col - ((rows[:found] @ col).conj() @ rows[:found]).conj()
             norm = np.sqrt(np.vdot(col, col).real)
             if norm > 1e-8:
-                rows = np.vstack([rows, col.conj() / norm])
-    if len(rows) != len(x8):
-        raise RuntimeError(f"found {len(rows)} of {len(x8)} eigenvectors of S_a.S_b")
+                rows[found] = col.conj() / norm
+                found += 1
+                missing -= 1
+    if found != dim:
+        raise RuntimeError(f"found {found} of {dim} eigenvectors of S_a.S_b")
     return rows
 
 
