@@ -39,7 +39,7 @@ def oracle_vbs_state(lattice: Lattice, s: SpinValue, encoding: SiteEncoding | No
         encoding = assign_qubits(lattice, "hadamard_all")
     state = pre_vbs_state(encoding, encoding.n_data_qubits)
     sites = [encoding.site_qubits[site] for site in range(lattice.n_sites)]
-    norm_sq = state.apply_nonunitaries([(symmetrizer(len(qs)), qs) for qs in sites])
+    norm_sq = state.apply_nonunitary_sequence([(symmetrizer(len(qs)), qs) for qs in sites])
     return state, norm_sq
 
 
@@ -103,7 +103,7 @@ def run_mitigated_retry(lattice: Lattice, s: SpinValue, seed: int) -> dict:
             covered.add(qubit)
     full = Statevector.product_of_factors(encoding.n_data_qubits, factors)
     b_sites = [encoding.site_qubits[site] for site in range(lattice.n_sites) if colors[site] == "B"]
-    prob = full.apply_nonunitaries([(symmetrizer(len(qs)), qs) for qs in b_sites])
+    prob = full.apply_nonunitary_sequence([(symmetrizer(len(qs)), qs) for qs in b_sites])
     return {
         "state": full,
         "success_probability": prob,

@@ -236,9 +236,9 @@ class Statevector:
 
     def apply_nonunitary(self, op, qubits) -> float:
         """Apply a general operator, renormalize, return the norm-squared ratio."""
-        return self.apply_nonunitaries([(op, qubits)])
+        return self.apply_nonunitary_sequence([(op, qubits)])
 
-    def apply_nonunitaries(self, ops) -> float:
+    def apply_nonunitary_sequence(self, ops) -> float:
         """Apply general operators in turn, renormalize once, return the norm-squared ratio.
 
         `ops` lists (op, qubits) pairs.  The ratio ||O_m ... O_1 psi||^2 / ||psi||^2

@@ -318,7 +318,7 @@ def _state_with_a_broken_link(lattice, s, link: int):
     state = pre_vbs_state(encoding, encoding.n_data_qubits)
     state.apply_unitary(np.array([[0, 1], [1, 0]]), (encoding.link_qubits[link][0],))
     sites = [encoding.site_qubits[site] for site in range(lattice.n_sites)]
-    return state, state.apply_nonunitaries([(symmetrizer(len(qs)), qs) for qs in sites])
+    return state, state.apply_nonunitary_sequence([(symmetrizer(len(qs)), qs) for qs in sites])
 
 
 @pytest.mark.parametrize("link", [0, 2])

@@ -350,7 +350,7 @@ def _random_state(n: int, rng) -> np.ndarray:
 
 
 def test_normalize_once_matches_renormalizing_after_every_operator():
-    """apply_nonunitaries: one renormalization, the per-operator product of ratios and states."""
+    """apply_nonunitary_sequence: one renormalization, the per-operator product of ratios and states."""
     rng = np.random.default_rng(9)
     for _ in range(12):
         n = int(rng.integers(3, 9))
@@ -363,14 +363,14 @@ def test_normalize_once_matches_renormalizing_after_every_operator():
         step = Statevector(n, v.copy(), tracked_norm_sq=0.5)
         ratios = [step.apply_nonunitary(op, qubits) for op, qubits in ops]
         once = Statevector(n, v.copy(), tracked_norm_sq=0.5)
-        ratio = once.apply_nonunitaries(ops)
+        ratio = once.apply_nonunitary_sequence(ops)
         assert ratio == pytest.approx(np.prod(ratios), rel=1e-12)
         assert once.tracked_norm_sq == pytest.approx(step.tracked_norm_sq, rel=1e-12)
         assert np.max(np.abs(once.amps - step.amps)) < 1e-12
         assert abs(np.linalg.norm(once.amps) - 1.0) < 1e-12
     st = Statevector.from_amplitudes(_random_state(4, rng))
     before = st.amps
-    assert st.apply_nonunitaries([]) == pytest.approx(1.0, rel=1e-15)
+    assert st.apply_nonunitary_sequence([]) == pytest.approx(1.0, rel=1e-15)
     assert st.amps is not before and np.max(np.abs(st.amps - before)) < 1e-15
 
 
@@ -379,13 +379,13 @@ def test_normalize_once_raises_on_an_annihilating_operator_or_a_zero_state():
     up, down = np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
     ops = [(symmetrizer(2), (0, 1)), (up, (2,)), (down, (2,)), (symmetrizer(2), (2, 3))]  # annihilates in the middle
     with pytest.raises(ImpossibleOutcomeError):
-        Statevector.from_amplitudes(_random_state(4, rng)).apply_nonunitaries(ops)
+        Statevector.from_amplitudes(_random_state(4, rng)).apply_nonunitary_sequence(ops)
     for operators in (ops[:1], ops[:2], []):
         with pytest.raises(ImpossibleOutcomeError):
-            Statevector(4, np.zeros(16, dtype=complex)).apply_nonunitaries(operators)
+            Statevector(4, np.zeros(16, dtype=complex)).apply_nonunitary_sequence(operators)
     tiny = np.diag([1.0, 1e-8])  # a ratio of 1e-16 on |1>, below PROB_FLOOR
     with pytest.raises(ImpossibleOutcomeError):
-        Statevector.from_amplitudes([0, 1]).apply_nonunitaries([(tiny, (0,))])
+        Statevector.from_amplitudes([0, 1]).apply_nonunitary_sequence([(tiny, (0,))])
 
 
 def test_normalize_once_keeps_at_most_one_extra_state_alive():
@@ -399,7 +399,7 @@ def test_normalize_once_keeps_at_most_one_extra_state_alive():
     try:
         st = Statevector.from_amplitudes(v)  # traced, so that freeing it counts
         start = tracemalloc.get_traced_memory()[0]
-        st.apply_nonunitaries(ops)
+        st.apply_nonunitary_sequence(ops)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
