@@ -266,7 +266,7 @@ def _block_matrix(support: list[int], gates: list) -> np.ndarray:
     # rows on the first m axes, columns on the last: gates act on the rows
     t = np.eye(2**m, dtype=complex).reshape([2] * m + [2**m])
     for g in gates:
-        t = _contract(t, _gate_matrix(g), [pos[q] for q in g.qubits])
+        _contract(t, _gate_matrix(g), [pos[q] for q in g.qubits])
     return t.reshape(2**m, 2**m)
 
 
@@ -291,23 +291,32 @@ def simulate_circuit(circuit: Circuit, initial: Statevector | None = None) -> tu
     when the first block that touches it is applied, and the qubits no gate
     touches join at the end, so the state returned always holds the whole
     register, in qubit order.  The size cap is checked on the register
-    width before anything is allocated.  `initial` is not modified.
+    width before anything is allocated.  `initial` is not modified: its
+    amplitudes are copied at the first write.
 
     Consecutive gates are fused greedily into blocks of at most FUSE_WIDTH
     qubits, and each block is applied to the state once.  A marker whose
     qubit a later gate reuses is projected on its expected outcome before
     that gate: the block built so far is applied, then every such pending
-    marker is projected, in circuit order, and `tracked_norm_sq` carries
-    their probability.  A marker that no later gate touches does not end a
+    marker is projected, all in one pass, and `tracked_norm_sq` carries
+    their joint probability; an impossible outcome names the first marker,
+    in circuit order, whose probability given the ones before it is below
+    PROB_FLOOR.  A marker that no later gate touches does not end a
     block; it is returned, unprojected, in circuit order.
     """
     n = _checked_width(circuit.n_qubits)
     if initial is not None and initial.n_qubits != n:
         raise ValueError("initial state size mismatch")
-    # Every block writes a fresh array, so the state may share the caller's
-    # amplitudes until its first projection, which copies them.
+    # The state shares the caller's amplitudes until its first write, which
+    # copies them: blocks and projections work in place.
     state = None if initial is None else Statevector(n, initial.amps, initial.tracked_norm_sq)
     live = [] if initial is None else list(range(n))  # the qubits with an axis, in order
+
+    def writable() -> Statevector:
+        nonlocal state
+        if initial is not None and state.amps is initial.amps:
+            state = state.copy()
+        return state
 
     def apply(mat: np.ndarray, qubits) -> None:
         """Apply `mat` on `qubits`; a qubit not yet live joins the state in |0>."""
@@ -317,7 +326,7 @@ def simulate_circuit(circuit: Circuit, initial: Statevector | None = None) -> tu
         live.sort()
         if state is None:
             state, new = Statevector.zero(len(live)), []
-        state.apply_unitary(mat, [live.index(q) for q in qubits], new_qubits=[live.index(q) for q in new])
+        writable().apply_unitary(mat, [live.index(q) for q in qubits], new_qubits=[live.index(q) for q in new])
 
     def make_live(qubits) -> None:
         for q in qubits:
@@ -337,16 +346,14 @@ def simulate_circuit(circuit: Circuit, initial: Statevector | None = None) -> tu
             if block:
                 apply(_block_matrix(support, block), support)
                 support, block = [], []
-            for m in pending:
-                make_live([m.qubit])
-                if initial is not None and state.amps is initial.amps:
-                    state = state.copy()  # the projection works in place
-                axis = live.index(m.qubit)
-                try:
-                    state.project_qubit(axis, m.expect)
-                except ImpossibleOutcomeError as exc:
-                    exc.args = (f"marker on qubit {m.qubit} (state axis {axis}): {exc}",)
-                    raise
+            make_live([m.qubit for m in pending])
+            axes = [live.index(m.qubit) for m in pending]
+            try:
+                writable().project_qubits(axes, [m.expect for m in pending])
+            except ImpossibleOutcomeError as exc:
+                m = pending[exc.index]
+                exc.args = (f"marker on qubit {m.qubit} (state axis {axes[exc.index]}): {exc}",)
+                raise
             pending = []
         grown = support + [q for q in g.qubits if q not in support]
         if len(grown) > FUSE_WIDTH and block:

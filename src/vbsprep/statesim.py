@@ -10,6 +10,7 @@ convention.
 """
 from __future__ import annotations
 
+import itertools
 import math
 import os
 
@@ -22,16 +23,21 @@ DEFAULT_MAX_QUBITS = 26
 UNITARY_TOL = 1e-10
 PROB_FLOOR = 1e-14
 # A contiguous target run is applied through an (L, 2^k, R) view of the
-# state.  A run whose view rows hold at most this many amplitudes (2^k * R)
-# folds into one gemm against M (x) I_R; longer rows use batched matmul,
-# which loops over L small gemms and is slow when R is small.  The fold's
-# flops grow with the row length: at 22 qubits it takes 27-29 ms at 32
-# against matmul's 60-115 ms and 34-38 ms at 64 against 56-69 ms, but
-# 54-61 ms at 128 against 45-50 ms and about 100 ms at 256 against 41-48 ms
-# (BENCH_8.json, 2-core VM).  In oracle-verify, 41 of the 139 kernel calls
-# on 18 qubits and more land in the fold's region; with batched matmul in
-# their place its pass_s median rose from 3.49 s to 4.21 s (10 of 10 pairs).
+# state, tile by tile.  A run whose view rows hold at most this many
+# amplitudes (2^k * R) folds into one gemm per tile against M (x) I_R;
+# longer rows use batched matmul, which loops over the tile's rows in small
+# gemms and is slow when R is small.  The fold's flops grow with the row
+# length.  Inside tiles of TILE amplitudes on 22 qubits, median of 9 calls
+# (k = 2, 3, 4): the fold takes 26-41 ms at 16 against matmul's 46-193 ms,
+# 29-54 ms at 32 against 92-158 ms and 43-75 ms at 64 against 69-90 ms,
+# but 72-118 ms at 128 against 54-72 ms and 120-200 ms at 256 against
+# 30-48 ms (BENCH_10.json, 2-core VM).
 FOLD_MAX_COLS = 64
+# Operators act on the state in place, one tile of at most this many
+# amplitudes (512 KB, so that a tile and its scratch stay in cache) at a
+# time.  The result of a tile goes to tile-sized scratch, then back into the
+# tile, so no operator holds a second state-sized array.
+TILE = 1 << 15
 # `_row_weights` keeps the innermost axes of the float view (5 qubits and
 # re/im: 64 floats) in its einsum's output and sums them after, so that the
 # einsum's inner loop never reduces only a few floats.  Reducing every
@@ -89,54 +95,136 @@ def _row_weights(amps: np.ndarray, n: int, qubits) -> np.ndarray:
     return w.transpose([ascending.index(q) for q in qubits]).reshape(-1)
 
 
-def _contract(tensor: np.ndarray, mat: np.ndarray, axes, new=()) -> np.ndarray:
-    """`mat` applied to the listed axes of a [2, 2, ...] tensor; axes[0] is its MSB.
+def _tile_slices(shape, whole):
+    """Index tuples of the tiles that cover an array of `shape`, each at most TILE entries.
 
-    The result is a fresh C-contiguous array; axes are numbered in it.  The
-    axes in `new` are not in `tensor` yet: they join it in |0>, so only the
-    columns of `mat` where they read 0 act.
+    The dims in `whole` are never split.  The others are split from the
+    outermost in: an inner dim is split only when it alone overflows a tile.
+    Every size is a power of two, so every tile has the same shape.
+    """
+    if math.prod(shape) <= TILE:
+        return [()]  # one tile: the whole array
+    budget = max(1, TILE // math.prod(shape[d] for d in whole))
+    steps = list(shape)
+    for d in reversed(range(len(shape))):
+        if d not in whole:
+            steps[d] = min(shape[d], budget)
+            budget //= steps[d]
+    starts = itertools.product(*(range(0, size, step) for size, step in zip(shape, steps)))
+    return (tuple(slice(start, start + step) for start, step in zip(first, steps)) for first in starts)
 
-    Two paths.  When the targets form a contiguous run of axes (in any
-    order) and no axis joins, the tensor is viewed as (L, 2^k, R), L and R
-    the sizes of the axes before and after the run.  The matrix, its rows
-    and columns permuted into the run's order, acts on the middle axis
-    without moving the tensor: by batched `matmul` when 2^k * R exceeds
-    FOLD_MAX_COLS, else by one gemm against M (x) I_R.  Every other call
-    takes one tensordot over the target axes, which copies the tensor into
-    target-major order first; the output axes are then moved back in place
-    and made contiguous.
+
+def _tiles(tensor: np.ndarray, mat: np.ndarray, axes):
+    """`mat` on the listed axes of `tensor` (axes[0] its MSB), one tile at a time.
+
+    The listed axes have size 2, the others any power of two.  Yields
+    (tile, out, rows) per tile: `tile` is a view into `tensor`, `out` the
+    operator applied to it, in the tile's layout, in tile-sized scratch that
+    the next tile may reuse (`tensor` is not written; `out` may be a strided
+    view), and `rows` the bit positions of the listed axes in a flattened
+    tile, the same for every tile.  A caller writes `out` back, takes an
+    inner product or sums row weights, so no caller holds a second
+    state-sized array.
+
+    A contiguous run of axes (in any order; an empty list is a run) takes
+    `_contract_run`; scattered axes take `_contract_scattered`.
     """
     k = len(axes)
-    if k and not new and max(axes) - min(axes) == k - 1:
-        lo = min(axes)
+    if not k or max(axes) - min(axes) == k - 1:
+        lo = min(axes, default=0)
         return _contract_run(tensor, mat, [a - lo for a in axes], lo)
-    mat = mat.reshape([2] * (2 * k))
-    if new:
-        mat = mat[(slice(None),) * k + tuple(0 if a in new else slice(None) for a in axes)]
-        # an axis of `tensor` sits below its result position by the new axes before it
-        axes_in = [a - sum(b < a for b in new) for a in axes if a not in new]
-    else:
-        axes_in = axes
-    out = np.tensordot(mat, tensor, axes=(range(k, mat.ndim), axes_in))
-    return np.ascontiguousarray(np.moveaxis(out, range(k), axes))
+    return _contract_scattered(tensor, mat, axes)
 
 
-def _contract_run(tensor: np.ndarray, mat: np.ndarray, run, lo: int) -> np.ndarray:
-    """`mat` on axes lo..lo+k-1 of `tensor`, where run[i] is the place of its i-th qubit."""
+def _contract_run(tensor: np.ndarray, mat: np.ndarray, run, lo: int):
+    """Tiles of `mat` on axes lo..lo+k-1 of `tensor`, where run[i] is the place of its i-th qubit.
+
+    The tensor is viewed as (L, 2^k, R), L and R the sizes of the axes
+    before and after the run, and never moved: the matrix, its rows and
+    columns permuted into the run's order, acts on the middle axis of each
+    (l, 2^k, r) tile, by batched `matmul` when 2^k * R exceeds
+    FOLD_MAX_COLS, else by one gemm against M (x) I_R.
+    """
     k = len(run)
     if run != list(range(k)):
         order = [run.index(j) for j in range(k)]
         mat = mat.reshape([2] * (2 * k)).transpose(order + [k + i for i in order]).reshape(2**k, 2**k)
     dim = 2**k
-    left = int(np.prod(tensor.shape[:lo]))
+    left = math.prod(tensor.shape[:lo])
     right = tensor.size // (left * dim)
-    if dim * right > FOLD_MAX_COLS:
-        out = np.matmul(mat, tensor.reshape(left, dim, right))
-    else:
+    view = tensor.reshape(left, dim, right)
+    fold = None
+    if dim * right <= FOLD_MAX_COLS:
         # M (x) I_R by broadcasting: np.kron costs about 30 us a call
-        fold = (mat[:, None, :, None] * np.eye(right)[None, :, None, :]).reshape(dim * right, dim * right)
-        out = tensor.reshape(left, dim * right) @ fold.T
-    return out.reshape(tensor.shape)
+        fold = (mat[:, None, :, None] * np.eye(right)[None, :, None, :]).reshape(dim * right, dim * right).T
+    out = None
+    for index in _tile_slices(view.shape, (1,)):
+        tile = view[index]
+        if out is None:
+            out = np.empty(tile.shape, dtype=complex)
+            rows = [(tile.shape[0].bit_length() - 1) + r for r in run]
+        if fold is None:
+            np.matmul(mat, tile, out=out)
+        else:
+            np.matmul(tile.reshape(len(tile), -1), fold, out=out.reshape(len(tile), -1))
+        yield tile, out, rows
+
+
+def _contract_scattered(tensor: np.ndarray, mat: np.ndarray, axes):
+    """Tiles of `mat` on scattered axes of `tensor`: one tensordot per tile.
+
+    Each run of untouched axes is one dim of the tile grid, so a tile holds
+    every target axis whole and as many untouched amplitudes as fit, however
+    far apart the targets lie.
+    """
+    k = len(axes)
+    shape: list[int] = []  # the tensor with every run of untouched axes merged
+    dims = {}  # target axis -> its dim in `shape`
+    for a, size in enumerate(tensor.shape):
+        if a in axes:
+            dims[a] = len(shape)
+            shape.append(size)
+        elif a and a - 1 not in axes:
+            shape[-1] *= size
+        else:
+            shape.append(size)
+    targets = [dims[a] for a in axes]
+    view = tensor.reshape(shape)
+    mat = mat.reshape([2] * (2 * k))
+    rows = None
+    for index in _tile_slices(view.shape, targets):
+        tile = view[index]
+        if rows is None:
+            bits = list(itertools.accumulate((size.bit_length() - 1 for size in tile.shape), initial=0))
+            rows = [bits[d] for d in targets]
+        out = np.tensordot(mat, tile, axes=(range(k, 2 * k), targets))
+        yield tile, np.moveaxis(out, range(k), targets), rows
+
+
+def _contract(tensor: np.ndarray, mat: np.ndarray, axes) -> None:
+    """`mat` applied in place to the listed axes of `tensor` (see `_tiles`); axes[0] is its MSB.
+
+    Tile by tile (`_tiles`): each tile's result goes back into the tile, so
+    the only memory this takes beyond `tensor` is one tile's scratch.
+    """
+    for tile, out, _ in _tiles(tensor, mat, axes):
+        np.copyto(tile, out)
+
+
+def _joined(tensor: np.ndarray, mat: np.ndarray, axes, new) -> np.ndarray:
+    """`mat` on the listed axes, as the axes in `new` join `tensor` in |0>; a fresh array.
+
+    Axes are numbered in the result.  Only the columns of `mat` where the
+    new axes read 0 act.  One tensordot over the target axes, which copies
+    the tensor into target-major order first; the output axes are then
+    moved back in place and made contiguous.
+    """
+    k = len(axes)
+    mat = mat.reshape([2] * (2 * k))[(slice(None),) * k + tuple(0 if a in new else slice(None) for a in axes)]
+    # an axis of `tensor` sits below its result position by the new axes before it
+    axes_in = [a - sum(b < a for b in new) for a in axes if a not in new]
+    out = np.tensordot(mat, tensor, axes=(range(k, mat.ndim), axes_in))
+    return np.ascontiguousarray(np.moveaxis(out, range(k), axes))
 
 
 class Statevector:
@@ -145,6 +233,10 @@ class Statevector:
     `tracked_norm_sq` is the product of the probabilities of every retained
     projection branch since initialization; it equals 1 until the first
     projection or non-unitary application.
+
+    A Statevector owns the array it is given: operators, projections and
+    renormalizations write into it in place, and only a qubit joining the
+    state replaces it.  Pass a copy to keep the original.
     """
 
     __slots__ = ("n_qubits", "amps", "tracked_norm_sq")
@@ -154,7 +246,7 @@ class Statevector:
         self.n_qubits = _checked_width(n_qubits) if n_qubits else 0
         if amps.size != 2**n_qubits:
             raise ValueError(f"{amps.size} amplitudes do not make a {n_qubits}-qubit state of {2**n_qubits}")
-        # the float views below need contiguous complex amplitudes; these are not copied
+        # the float views and in-place kernels need contiguous complex amplitudes; these are not copied
         self.amps = np.ascontiguousarray(amps, dtype=complex)
         self.tracked_norm_sq = tracked_norm_sq
 
@@ -204,33 +296,41 @@ class Statevector:
 
     # -- operator application ---------------------------------------------
 
-    def _applied(self, mat: np.ndarray, qubits, new=()) -> np.ndarray:
-        # The other methods call this, not applied_amplitudes, so that a
-        # per-method timer (perfbench/tracer.py) counts the kernel as theirs.
+    def _tensor(self, mat: np.ndarray, qubits, new=()) -> np.ndarray:
+        """The amplitudes as a [2, 2, ...] tensor, once `mat` and `qubits` are checked."""
         n, k = self.n_qubits + len(new), len(qubits)
         if mat.shape != (2**k, 2**k):
             raise ValueError(f"operator dim {mat.shape} does not match {k} qubits")
         if len(set(qubits)) != k or any(not 0 <= q < n for q in qubits) or not set(new) <= set(qubits):
             raise ValueError(f"bad qubit list {qubits} (new {new}) for {n}-qubit state")
-        return _contract(self.amps.reshape([2] * self.n_qubits), mat, qubits, new).reshape(-1)
+        return self.amps.reshape([2] * self.n_qubits)
+
+    # The methods below call the kernel themselves, not each other, so that a
+    # per-method timer (perfbench/tracer.py) counts the kernel as theirs.
 
     def applied_amplitudes(self, op, qubits) -> np.ndarray:
         """Amplitudes of op|psi> (not renormalized) as a fresh array; the state is unchanged."""
-        return self._applied(_as_matrix(op), tuple(qubits))
+        mat, qubits = _as_matrix(op), tuple(qubits)
+        out = self._tensor(mat, qubits).copy()
+        _contract(out, mat, qubits)
+        return out.reshape(-1)
 
     def apply_unitary(self, op, qubits, *, new_qubits=()) -> "Statevector":
-        """Apply `op` on the listed qubits; qubits[0] is the op's MSB.
+        """Apply `op` on the listed qubits, in place; qubits[0] is the op's MSB.
 
         The qubits in `new_qubits`, a subset of `qubits`, join the state in
-        |0> as `op` acts, so the state grows by their count; every qubit is
-        numbered in the grown state.
+        |0> as `op` acts, so the state grows by their count into a fresh
+        array; every qubit is numbered in the grown state.
         """
         mat = _as_matrix(op)
         if np.max(np.abs(mat.conj().T @ mat - np.eye(mat.shape[0]))) > UNITARY_TOL:
             raise NonUnitaryError("operator is not unitary; use apply_nonunitary for a general operator")
-        new = tuple(new_qubits)
-        n = _checked_width(self.n_qubits + len(new)) if new else self.n_qubits
-        self.amps = self._applied(mat, tuple(qubits), new)
+        qubits, new = tuple(qubits), tuple(new_qubits)
+        if not new:
+            _contract(self._tensor(mat, qubits), mat, qubits)
+            return self
+        n = _checked_width(self.n_qubits + len(new))
+        self.amps = _joined(self._tensor(mat, qubits, new), mat, qubits, new).reshape(-1)
         self.n_qubits = n
         return self
 
@@ -239,7 +339,7 @@ class Statevector:
         return self.apply_nonunitary_sequence([(op, qubits)])
 
     def apply_nonunitary_sequence(self, ops) -> float:
-        """Apply general operators in turn, renormalize once, return the norm-squared ratio.
+        """Apply general operators in turn, in place, renormalize once, return the norm-squared ratio.
 
         `ops` lists (op, qubits) pairs.  The ratio ||O_m ... O_1 psi||^2 / ||psi||^2
         is the product of the ratios that renormalizing after every operator
@@ -247,16 +347,13 @@ class Statevector:
         ImpossibleOutcomeError.
         """
         before = _norm_sq(self.amps)
-        fresh = False  # holding the input array instead would keep one more state alive
         for op, qubits in ops:
-            self.amps = self._applied(_as_matrix(op), tuple(qubits))
-            fresh = True
+            mat, qubits = _as_matrix(op), tuple(qubits)
+            _contract(self._tensor(mat, qubits), mat, qubits)
         after = _norm_sq(self.amps)
         ratio = after / before if before else 0.0
         if ratio < PROB_FLOOR:
             raise ImpossibleOutcomeError("operator annihilated the state")
-        if not fresh:  # no operator: keep the caller's array intact
-            self.amps = self.amps.copy()
         _scale(self.amps, 1 / math.sqrt(after))
         self.tracked_norm_sq *= ratio
         return ratio
@@ -273,17 +370,47 @@ class Statevector:
         One read of both branch norms; then the other branch is zeroed and
         the state scaled by a real factor.
         """
-        if outcome not in (0, 1):
-            raise ValueError("outcome must be 0 or 1")
-        if not 0 <= qubit < self.n_qubits:
-            raise ValueError(f"qubit {qubit} is not in the {self.n_qubits}-qubit state")
-        weights = _row_weights(self.amps, self.n_qubits, (qubit,))
-        kept, total = float(weights[outcome]), float(weights.sum())
-        prob = kept / total if total else 0.0
-        if prob < PROB_FLOOR:
-            raise ImpossibleOutcomeError(f"outcome {outcome} on qubit {qubit} has probability {prob:.3e}")
-        self.amps.reshape(2**qubit, 2, -1)[:, 1 - outcome] = 0.0
+        return self._project((qubit,), (outcome,))
+
+    def project_qubits(self, qubits, outcomes) -> float:
+        """Project the listed qubits onto their outcomes in place, as one; returns the joint probability.
+
+        Equals projecting them one by one in the order listed: the outcome
+        whose probability, given the ones listed before it, is below
+        PROB_FLOOR first raises the ImpossibleOutcomeError that
+        `project_qubit` would, with `index` its place in the list.  One read
+        of the weights of every branch, then the other branches are zeroed
+        and the state scaled once.
+        """
+        return self._project(tuple(qubits), tuple(outcomes))
+
+    def _project(self, qubits, outcomes) -> float:
+        if len(qubits) != len(outcomes):
+            raise ValueError("one outcome per qubit")
+        for qubit, outcome in zip(qubits, outcomes):
+            if outcome not in (0, 1):
+                raise ValueError("outcome must be 0 or 1")
+            if not 0 <= qubit < self.n_qubits:
+                raise ValueError(f"qubit {qubit} is not in the {self.n_qubits}-qubit state")
+        distinct = list(dict.fromkeys(qubits))
+        weights = _row_weights(self.amps, self.n_qubits, distinct).reshape([2] * len(distinct))
+        fixed: dict[int, int] = {}
+        kept = total = float(weights.sum())
+        for index, (qubit, outcome) in enumerate(zip(qubits, outcomes)):
+            given = kept
+            if fixed.setdefault(qubit, outcome) != outcome:
+                kept = 0.0  # the qubit is already fixed on the other outcome
+            else:
+                kept = float(weights[tuple(fixed.get(q, slice(None)) for q in distinct)].sum())
+            prob = kept / given if given else 0.0
+            if prob < PROB_FLOOR:
+                exc = ImpossibleOutcomeError(f"outcome {outcome} on qubit {qubit} has probability {prob:.3e}")
+                exc.index = index
+                raise exc
+        for qubit, outcome in fixed.items():
+            self.amps.reshape(2**qubit, 2, -1)[:, 1 - outcome] = 0.0
         _scale(self.amps, 1 / math.sqrt(kept))
+        prob = kept / total
         self.tracked_norm_sq *= prob
         return prob
 
@@ -302,21 +429,27 @@ class Statevector:
         mat = _as_matrix(op)
         if np.max(np.abs(mat - mat.conj().T)) > UNITARY_TOL:
             raise ValueError("expectation requires a Hermitian operator")
-        norm_sq = float(np.vdot(self.amps, self.amps).real)
-        return float(np.vdot(self.amps, self._applied(mat, tuple(qubits))).real) / norm_sq
+        qubits = tuple(qubits)
+        value = sum(np.vdot(tile, out) for tile, out, _ in _tiles(self._tensor(mat, qubits), mat, qubits))
+        return float(value.real) / _norm_sq(self.amps)
 
     def row_weights(self, op, qubits) -> np.ndarray:
         """Squared norms of the rows of op|psi>; the state is unchanged.
 
         Row k holds the amplitudes where the listed qubits read k (qubits[0]
-        its MSB).  op|psi> lives only inside this call.
+        its MSB).  op|psi> is never held whole: each tile of it is summed
+        into the row weights and dropped.
         """
-        qubits = tuple(qubits)
-        return _row_weights(self._applied(_as_matrix(op), qubits), self.n_qubits, qubits)
+        mat, qubits = _as_matrix(op), tuple(qubits)
+        weights = 0.0
+        for _, out, rows in _tiles(self._tensor(mat, qubits), mat, qubits):
+            weights = weights + _row_weights(np.ascontiguousarray(out), out.size.bit_length() - 1, rows)
+        return weights
 
     def probabilities(self) -> np.ndarray:
         p = np.abs(self.amps) ** 2
-        return p / p.sum()
+        p /= p.sum()  # in place: no second 2^n array
+        return p
 
     def sample_indices(self, shots: int, seed: int) -> np.ndarray:
         """Basis indices of `shots` deterministic Born-rule draws."""

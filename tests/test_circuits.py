@@ -376,6 +376,19 @@ def test_impossible_reused_marker_names_its_circuit_qubit():
         simulate_circuit(circ)
 
 
+
+def test_pending_markers_are_projected_as_one_and_name_the_first_impossible_one():
+    # both markers are pending at CNot(0, 2); qubit 2 joins in |0>, so expecting 1 there is impossible
+    gates = [u_h(0), CNot(0, 1), Measure(0, 1), Measure(2, 1), CNot(0, 2)]
+    msg = r"^marker on qubit 2 \(state axis 2\): outcome 1 on qubit 2 has probability 0.000e\+00$"
+    with pytest.raises(ImpossibleOutcomeError, match=msg):
+        simulate_circuit(Circuit(3, gates=gates))
+    gates[3:] = [Measure(1, 1), CNot(0, 1)]
+    state, markers = simulate_circuit(Circuit(3, gates=gates))
+    assert markers == [] and state.tracked_norm_sq == pytest.approx(0.5, rel=1e-15)
+    assert np.max(np.abs(state.amps - np.eye(8)[4])) < 1e-15  # |11> after the projections, then CNot(0, 1)
+
+
 def test_register_cap_is_checked_before_any_block(monkeypatch):
     def no_block(*args, **kwargs):
         raise AssertionError("a block ran on an oversized register")

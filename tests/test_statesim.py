@@ -333,7 +333,7 @@ def test_kernel_matches_einsum_on_runs_and_scattered_targets(n, k, monkeypatch):
     assert views == []  # a joining qubit always takes tensordot
     before = st.amps
     st.apply_unitary(u, tuple(range(n - k, n)))
-    assert not np.shares_memory(st.amps, before)
+    assert st.amps is before  # the operator writes into the state's own array
     assert np.max(np.abs(st.amps - _einsum_apply(v, u, tuple(range(n - k, n)), n))) < 1e-12
 
 
@@ -347,6 +347,76 @@ def test_operator_on_no_qubit_scales_the_state():
 def _random_state(n: int, rng) -> np.ndarray:
     v = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
     return v / np.linalg.norm(v)
+
+
+def _layouts(n: int, rng):
+    """Target lists of every layout on an n-qubit state (n >= 8)."""
+    yield ()  # no target: a scalar
+    yield (0, 1)  # L = 1
+    yield (n - 2, n - 1)  # R = 1
+    yield (n - 4, n - 3)  # 2^k R = 16: the fold region
+    yield (n - 5, n - 7, n - 6)  # a shuffled run
+    yield (5, 4, 3, 2)  # a reversed run
+    yield (n - 1, n - 3)  # scattered, a span of 3: inside one tile
+    yield (n - 2, n - 1, n - 6, n - 5)  # scattered, like an lcu site and its ancilla bank
+    yield (0, n - 1)  # scattered, a span of n: wider than a tile
+    yield tuple(int(q) for q in rng.choice(n, size=3, replace=False))
+
+
+@pytest.mark.parametrize("tile", [1 << 5, statesim.TILE])
+def test_in_place_kernel_matches_einsum_on_every_layout(tile, monkeypatch):
+    """Every consumer of the tiled kernel, on tiles of 32 amplitudes and of the default size."""
+    monkeypatch.setattr(statesim, "TILE", tile)
+    rng = np.random.default_rng(tile)
+    n = 12
+    v = _random_state(n, rng)
+    for qubits in _layouts(n, rng):
+        k = len(qubits)
+        mat = rng.normal(size=(2**k, 2**k)) + 1j * rng.normal(size=(2**k, 2**k))
+        u, _ = np.linalg.qr(mat)
+        expected = _einsum_apply(v, mat, qubits, n)
+        st = Statevector.from_amplitudes(v)
+        assert np.max(np.abs(st.applied_amplitudes(mat, qubits) - expected)) < 1e-12, qubits
+        rows = np.moveaxis(expected.reshape([2] * n), qubits, range(k)).reshape(2**k, -1)
+        weights = np.sum(np.abs(rows) ** 2, axis=1)
+        assert np.max(np.abs(st.row_weights(mat, qubits) - weights)) < 1e-12 * weights.sum(), qubits
+        herm = mat + mat.conj().T
+        assert abs(st.expectation(herm, qubits) - np.vdot(v, _einsum_apply(v, herm, qubits, n)).real) < 1e-12
+        assert np.array_equal(st.amps, v)  # none of the three writes into the state
+        amps = st.amps
+        st.apply_unitary(u, qubits)
+        assert st.amps is amps and np.max(np.abs(st.amps - _einsum_apply(v, u, qubits, n))) < 1e-12, qubits
+        st = Statevector.from_amplitudes(v)
+        ratio = st.apply_nonunitary_sequence([(mat, qubits)])
+        assert ratio == pytest.approx(np.linalg.norm(expected) ** 2, rel=1e-12)
+        assert np.max(np.abs(st.amps - expected / np.linalg.norm(expected))) < 1e-12, qubits
+
+
+@pytest.mark.parametrize("method", ["apply_unitary", "apply_nonunitary_sequence", "row_weights", "expectation"])
+def test_operators_allocate_less_than_an_eighth_of_the_state(method):
+    """On 20 qubits, each operator call takes tile-sized scratch only, whatever the target layout."""
+    import tracemalloc
+
+    n = 20
+    rng = np.random.default_rng(20)
+    st = Statevector.from_amplitudes(_random_state(n, rng))
+    for qubits in [(0, 1), (9, 10), (n - 3, n - 2), (n - 1,), (n - 2, n - 1, n - 6, n - 5), (0, n - 1)]:
+        k = len(qubits)
+        u, _ = np.linalg.qr(rng.normal(size=(2**k, 2**k)) + 1j * rng.normal(size=(2**k, 2**k)))
+        call = {
+            "apply_unitary": lambda: st.apply_unitary(u, qubits),
+            "apply_nonunitary_sequence": lambda: st.apply_nonunitary_sequence([(u, qubits), (u, qubits)]),
+            "row_weights": lambda: st.row_weights(u, qubits),
+            "expectation": lambda: st.expectation(u + u.conj().T, qubits),
+        }[method]
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - start < st.amps.nbytes / 8, qubits
 
 
 def test_normalize_once_matches_renormalizing_after_every_operator():
@@ -368,10 +438,12 @@ def test_normalize_once_matches_renormalizing_after_every_operator():
         assert once.tracked_norm_sq == pytest.approx(step.tracked_norm_sq, rel=1e-12)
         assert np.max(np.abs(once.amps - step.amps)) < 1e-12
         assert abs(np.linalg.norm(once.amps) - 1.0) < 1e-12
-    st = Statevector.from_amplitudes(_random_state(4, rng))
+    v = _random_state(4, rng)
+    st = Statevector.from_amplitudes(v)
     before = st.amps
     assert st.apply_nonunitary_sequence([]) == pytest.approx(1.0, rel=1e-15)
-    assert st.amps is not before and np.max(np.abs(st.amps - before)) < 1e-15
+    assert st.amps is before  # renormalized in the state's own array
+    assert np.max(np.abs(st.amps - v)) < 1e-15
 
 
 def test_normalize_once_raises_on_an_annihilating_operator_or_a_zero_state():
@@ -443,3 +515,42 @@ def test_row_weights_are_the_squared_row_norms(n):
         expected = np.sum(np.abs(rotated.reshape(2**k, -1)) ** 2, axis=1)
         assert np.max(np.abs(st.row_weights(mat, qubits) - expected)) < 1e-12 * expected.sum(), qubits
         assert np.array_equal(st.amps, v)
+
+
+def _project_one_by_one(st: Statevector, qubits, outcomes):
+    """Reference for project_qubits: project_qubit in list order; (index, message) of a failure."""
+    for index, (qubit, outcome) in enumerate(zip(qubits, outcomes)):
+        try:
+            st.project_qubit(qubit, outcome)
+        except ImpossibleOutcomeError as exc:
+            return index, str(exc)
+    return None
+
+
+def test_joint_projection_matches_projecting_one_by_one():
+    """project_qubits: one read, one scale; the same state, probability and first failing outcome."""
+    rng = np.random.default_rng(14)
+    failures = 0
+    for _ in range(60):
+        n = int(rng.integers(1, 9))
+        v = _random_state(n, rng) * 1.5  # not normalized
+        if rng.random() < 0.4:  # qubit `sure` definitely |0>: expecting 1 there is impossible
+            sure = int(rng.integers(n))
+            v.reshape(2**sure, 2, -1)[:, 1] = 0.0
+        m = int(rng.integers(1, 5))
+        qubits = [int(q) for q in rng.integers(n, size=m)]  # repeats allowed, with either outcome
+        outcomes = [int(o) for o in rng.integers(2, size=m)]
+        step = Statevector(n, v.copy(), tracked_norm_sq=0.5)
+        failed = _project_one_by_one(step, qubits, outcomes)
+        joint = Statevector(n, v.copy(), tracked_norm_sq=0.5)
+        if failed is not None:
+            failures += 1
+            with pytest.raises(ImpossibleOutcomeError) as caught:
+                joint.project_qubits(qubits, outcomes)
+            assert (caught.value.index, str(caught.value)) == failed
+            continue
+        prob = joint.project_qubits(qubits, outcomes)
+        assert prob == pytest.approx(step.tracked_norm_sq / 0.5, rel=1e-12)
+        assert joint.tracked_norm_sq == pytest.approx(step.tracked_norm_sq, rel=1e-12)
+        assert np.max(np.abs(joint.amps - step.amps)) < 1e-12
+    assert 0 < failures < 60
