@@ -22,7 +22,7 @@ from .ir import (
     u_x,
     u_z,
 )
-from .lattice import SPIN_DOWN, SPIN_UP, Lattice, SiteEncoding
+from .lattice import SPIN_DOWN, Lattice, SiteEncoding
 from .schmidt import ISLAND_SITE_SLOTS, SINGLET, island_prep_circuit, schmidt_prepare
 from .spinops import SpinValue, exp_minus_i_pi_symmetrizer, symmetrizer
 from .statesim import Statevector
@@ -65,18 +65,6 @@ def pre_vbs_circuit(lattice: Lattice, encoding: SiteEncoding) -> Circuit:
 def spin_ket(spin: str) -> np.ndarray:
     """|0> for a fixed spin up, |1> for a fixed spin down."""
     return np.array([0, 1] if spin == SPIN_DOWN else [1, 0], dtype=complex)
-
-
-def pre_vbs_state(encoding: SiteEncoding, n_qubits: int) -> Statevector:
-    """Bond product on the first n_qubits qubits by direct tensor products.
-
-    Every qubit that carries no bond or fixed spin (an ancilla) is |0>.
-    """
-    factors = [((qa, qb), SINGLET) for qa, qb in encoding.link_qubits]
-    factors += [((qubit,), spin_ket(spin)) for qubit, spin in encoding.boundary_qubits]
-    covered = {q for qs, _ in factors for q in qs}
-    factors += [((q,), spin_ket(SPIN_UP)) for q in range(n_qubits) if q not in covered]
-    return Statevector.product_of_factors(n_qubits, factors)
 
 
 def hadamard_test_fragment(

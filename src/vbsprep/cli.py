@@ -13,6 +13,8 @@ import math
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import analysis
 from .builders import probabilistic_method_circuit
 from .errors import (
@@ -35,8 +37,7 @@ from .lattice import (
 )
 from .methods import ROUTES, oracle_vbs_state
 from .qasm import emit_qasm
-from .spinops import SpinValue, link_eigenbasis
-from .statesim import Statevector
+from .spinops import SpinValue, link_operators
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -150,7 +151,7 @@ def cmd_prepare(args) -> int:
         lattice=lattice.to_json_dict(),
         config={"spin": args.spin, "seed": args.seed, "shots": args.shots, "coupling": args.coupling},
     )
-    fid = result["state"].fidelity(oracle)
+    fid = result["state"].spin_fidelity(oracle)
     report.simulated["fidelity_vs_oracle"] = fid
     report.simulated["success_probability"] = result["success_probability"]
     report.analytic["oracle_norm_sq"] = oracle_norm
@@ -197,7 +198,7 @@ def _routed_checks(args, lattice, result, oracle, report):
             raise UnsupportedError("heavy-hex placement covers probabilistic and mitigated_islands")
     state, markers = simulate_circuit(routed.circuit)
     _, state = post_select(state, markers, routed.placement[: encoding.n_data_qubits])
-    routed_fid = state.fidelity(oracle)
+    routed_fid = state.spin_fidelity(oracle)
     report.simulated["routed_fidelity_vs_oracle"] = routed_fid
     report.add_check("routed_fidelity_vs_oracle", 1.0, routed_fid, 1e-10)
     report.resources["routed_cnot_depth"] = cnot_depth(routed.circuit, args.coupling)
@@ -207,9 +208,9 @@ def cmd_verify(args) -> int:
     lattice = parse_lattice(args.lattice)
     validate_config(lattice, args.spin, args.method)
     s = SpinValue(args.spin)
-    state, norm_sq = oracle_vbs_state(lattice, s)
+    psi, norm_sq = oracle_vbs_state(lattice, s)
     # only the route's fidelity is checked, so its states are not kept through the link pass
-    route_fidelity = ROUTES[args.method](lattice, s, args.seed)["state"].fidelity(state)
+    route_fidelity = ROUTES[args.method](lattice, s, args.seed)["state"].spin_fidelity(psi)
 
     report = analysis.Report(
         method=args.method,
@@ -222,7 +223,7 @@ def cmd_verify(args) -> int:
         report.analytic["norm_closed_form"] = closed
         report.add_check("norm_vs_closed_form", closed, norm_sq, 1e-12)
 
-    residuals, energies = _link_values(state, lattice, s)
+    residuals, energies = _link_values(psi, lattice, s)
     worst = max(residuals.values(), default=0.0)
     report.simulated["max_projector_residual"] = worst
     report.add_check("projector_annihilation", 0.0, worst, 1e-10)
@@ -240,29 +241,29 @@ def cmd_verify(args) -> int:
     return _finish(report, args)
 
 
-def _link_values(state: Statevector, lattice: Lattice, s: SpinValue) -> tuple[dict, dict]:
-    """||P psi|| and (spin 1 only) <H> of each site pair, keyed by frozenset({a, b}).
+def _link_values(psi: np.ndarray, lattice: Lattice, s: SpinValue) -> tuple[dict, dict]:
+    """||P psi|| and (spin 1 only) <H> of each site pair of a spin-basis state, keyed by frozenset({a, b}).
 
-    P is the AKLT two-site projector and H the AKLT term.  One pass per
-    distinct pair (the links (0, 1) and (1, 0) are one pair) into the
-    eigenbasis of S_a.S_b, where P and H are diagonal: with w_k the squared
-    norm of row k of U^dagger psi, ||P psi|| = sqrt(sum p_k^2 w_k) and
-    <H> = sum h_k w_k / sum w_k.  The residual stays a sum of squares, so
-    round-off stays near 1e-16; sqrt(Tr P rho) would turn it into ~3e-9.
+    P and H are the AKLT projector and term on two spin sites
+    (`spinops.link_operators`), applied once per distinct pair.  ||P psi||
+    stays a sum of squares, so round-off stays near 1e-16 (sqrt(<P>) ~3e-9).
     """
-    encoding = assign_qubits(lattice, "hadamard_all")
-    rotation, proj_eigs, energy_eigs = link_eigenbasis(s.twice_s)
+    proj, term = link_operators(s.twice_s)
+    norm_sq = float(np.vdot(psi, psi).real)
     residuals: dict = {}
     energies: dict = {}
-    for a, b in lattice.links:
-        pair = frozenset((a, b))
-        if pair in residuals:
-            continue
-        w = state.row_weights(rotation, encoding.site_qubits[a] + encoding.site_qubits[b])
-        residuals[pair] = math.sqrt(float(proj_eigs**2 @ w))
-        if energy_eigs is not None:
-            energies[pair] = float(energy_eigs @ w) / float(w.sum())
+    for pair, (a, b) in {frozenset(link): link for link in lattice.links}.items():  # (0, 1) and (1, 0): one pair
+        applied = _on_pair(psi, proj, a, b)
+        residuals[pair] = math.sqrt(float(np.vdot(applied, applied).real))
+        if term is not None:
+            energies[pair] = float(np.vdot(np.moveaxis(psi, (a, b), (0, 1)), _on_pair(psi, term, a, b)).real) / norm_sq
     return residuals, energies
+
+
+def _on_pair(psi: np.ndarray, op: np.ndarray, a: int, b: int) -> np.ndarray:
+    """`op` on axes a and b of psi (a the more significant), those axes moved to the front."""
+    d = psi.shape[a]
+    return np.tensordot(op.reshape(d, d, d, d), psi, axes=([2, 3], [a, b]))
 
 
 def _worst_link(lattice: Lattice, deviation: dict) -> str:

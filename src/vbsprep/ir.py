@@ -266,7 +266,7 @@ def _block_matrix(support: list[int], gates: list) -> np.ndarray:
     # rows on the first m axes, columns on the last: gates act on the rows
     t = np.eye(2**m, dtype=complex).reshape([2] * m + [2**m])
     for g in gates:
-        _contract(t, _gate_matrix(g), [pos[q] for q in g.qubits])
+        t = _contract(t, _gate_matrix(g), [pos[q] for q in g.qubits])
     return t.reshape(2**m, 2**m)
 
 

@@ -1,9 +1,6 @@
-"""End-to-end preparation runners for every route, plus the direct-operator
-oracle they are all checked against.
-
-The oracle builds the bond product state by explicit tensor products and
-applies the symmetrizer matrix at every site, tracking the norm; every
-circuit route must reproduce its output state up to global phase.
+"""End-to-end preparation runners for every route, plus the spin-basis
+oracle they are all checked against: every circuit route must reproduce its
+output state up to global phase (`statesim.Statevector.spin_fidelity`).
 """
 from __future__ import annotations
 
@@ -15,41 +12,67 @@ from .builders import (
     island_local_state,
     island_qubit_groups,
     mitigated_islands_circuit,
-    pre_vbs_state,
+    pre_vbs_circuit,
     probabilistic_method_circuit,
     spin_ket,
 )
-from .errors import ConfigError
+from .errors import CapExceededError, ConfigError, ImpossibleOutcomeError
 from .ir import Circuit, post_select, simulate_circuit
-from .lattice import BOUNDARY_OPEN, BOUNDARY_RING, Lattice, SiteEncoding, assign_qubits
+from .lattice import BOUNDARY_OPEN, BOUNDARY_RING, SPIN_DOWN, Lattice, SiteEncoding, assign_qubits
 from .mpsprep import mps_circuit
-from .spinops import SpinValue, symmetrizer
-from .statesim import Statevector
+from .schmidt import SINGLET
+from .spinops import SpinValue, symmetric_subspace_isometry, symmetrizer
+from .statesim import PROB_FLOOR, Statevector, max_qubits
 from .symmetrize import lcu_symmetrization_circuit
 
+def oracle_vbs_state(lattice: Lattice, s: SpinValue) -> tuple[np.ndarray, float]:
+    """The VBS state in the spin basis; returns (psi, squared norm), psi normalized.
 
-def oracle_vbs_state(lattice: Lattice, s: SpinValue, encoding: SiteEncoding | None = None) -> tuple[Statevector, float]:
-    """Direct symmetrizer application; returns (state, squared norm).
-
-    Works for mixed-spin lattices too: each site gets the symmetrizer of
-    its own qubit count.  The state is renormalized once, after the last
-    site.
+    psi has one axis of 2S+1 values k = S - m per site (2S its own qubit
+    count).  Unnormalized, psi is V^dagger |bonds>, V the sites'
+    `spinops.symmetric_subspace_isometry`; V V^dagger is the symmetrizers'
+    product, so the squared norm is the probabilistic success probability.
+    Contracted site by site with `np.tensordot` (einsum's 52 index letters
+    run out on honeycomb patches), each intermediate checked against the
+    cap of 2^max_qubits() amplitudes before it is allocated.
     """
-    if encoding is None:
-        encoding = assign_qubits(lattice, "hadamard_all")
-    state = pre_vbs_state(encoding, encoding.n_data_qubits)
-    sites = [encoding.site_qubits[site] for site in range(lattice.n_sites)]
-    norm_sq = state.apply_nonunitary_sequence([(symmetrizer(len(qs)), qs) for qs in sites])
-    return state, norm_sq
+    cap, singlet = max_qubits(), SINGLET.real.reshape(2, 2)  # its first qubit at the link's first site
+    acc = np.ones(1)
+    open_links: list[int] = []  # acc: the sites done in one axis, then a leg per link to a later site
+    for site in range(lattice.n_sites):
+        n = lattice.site_twice_spin(site)
+        tensor = symmetric_subspace_isometry(n).T.reshape((n + 1,) + (2,) * n)
+        for _ in range(lattice.boundary_slots(site)):  # an open chain's end: its last qubit is fixed
+            tensor = tensor[..., int(lattice.boundary_spins[site > 0] == SPIN_DOWN)]
+        legs = [k for k, link in enumerate(lattice.links) if site in link]
+        closing = [i for i, k in enumerate(legs) if k in open_links]
+        for i in closing:  # a link's singlet enters with its later site
+            bond = singlet if lattice.links[legs[i]][1] == site else singlet.T
+            tensor = np.moveaxis(np.tensordot(bond, tensor, axes=(1, 1 + i)), 0, 1 + i)
+        kept = [k for k in open_links if k not in {legs[i] for i in closing}]
+        opened = [k for i, k in enumerate(legs) if i not in closing]
+        size = len(acc) * (n + 1) * 2 ** (len(kept) + len(opened))
+        if size > 2**cap:
+            raise CapExceededError(f"the spin-basis oracle of {lattice.name!r} needs {size} amplitudes "
+                                   f"at site {site}, over the cap of 2^{cap} = {2**cap}")
+        acc = np.tensordot(acc, tensor, axes=([1 + open_links.index(legs[i]) for i in closing], [1 + i for i in closing]))
+        # (done, kept legs, k, opened legs) -> (done * k, kept legs, opened legs)
+        acc = np.moveaxis(acc, 1 + len(kept), 1).reshape((-1,) + (2,) * (len(kept) + len(opened)))
+        open_links = kept + opened
+    psi = acc.reshape([lattice.site_twice_spin(site) + 1 for site in range(lattice.n_sites)])
+    norm_sq = float(np.vdot(psi, psi))
+    if norm_sq < PROB_FLOOR:
+        raise ImpossibleOutcomeError("the site symmetrizers annihilate the bond product")
+    return psi / math.sqrt(norm_sq), norm_sq
 
 
 # ---------------------------------------------------------------------------
 # routes
 # ---------------------------------------------------------------------------
 
-def _post_selected(circ: Circuit, encoding: SiteEncoding, initial: Statevector | None = None) -> dict:
-    """Simulate, post-select every marker and keep the data qubits: a route's result."""
-    simulated, markers = simulate_circuit(circ, initial)
+def _post_selected(circ: Circuit, encoding: SiteEncoding) -> dict:
+    """Simulate from the empty register, post-select every marker and keep the data qubits: a route's result."""
+    simulated, markers = simulate_circuit(circ)
     prob, state = post_select(simulated, markers, range(encoding.n_data_qubits))
     return {
         "state": state,
@@ -113,7 +136,7 @@ def run_mitigated_retry(lattice: Lattice, s: SpinValue, seed: int) -> dict:
 
 
 def run_lcu(lattice: Lattice, s: SpinValue, variant: str = "sparse") -> dict:
-    """Prepare/select/unprepare symmetrization at every site, post-selected.
+    """The bond layer, then prepare/select/unprepare symmetrization at every site, post-selected.
 
     Every site's circuit uses one shared ancilla bank, which
     simulate_circuit projects before the next site reuses it, so the
@@ -124,10 +147,11 @@ def run_lcu(lattice: Lattice, s: SpinValue, variant: str = "sparse") -> dict:
     n_data = encoding.n_data_qubits
     ancillas = tuple(range(n_data, n_data + n_anc))
     circ = Circuit(n_data + n_anc, metadata={"builder": f"lcu_{variant}"})
+    circ.extend(pre_vbs_circuit(lattice, encoding).gates)
     for site in range(lattice.n_sites):
         qs = encoding.site_qubits[site]
         circ.extend(lcu_symmetrization_circuit(len(qs), qs, ancillas, variant).gates)
-    return _post_selected(circ, encoding, initial=pre_vbs_state(encoding, circ.n_qubits))
+    return _post_selected(circ, encoding)
 
 
 def run_mps(lattice: Lattice, s: SpinValue) -> dict:

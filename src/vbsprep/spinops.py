@@ -207,14 +207,18 @@ def exp_minus_i_pi_symmetrizer(n_halves: int) -> DenseOperator:
     return DenseOperator(np.eye(s.dim) - 2 * s.matrix, f"exp(-i*pi*S({n_halves}))")
 
 
+@lru_cache(maxsize=None)
 def symmetric_subspace_isometry(n_halves: int) -> np.ndarray:
-    """2^n x (n+1) isometry whose columns span the symmetric subspace."""
-    s = symmetrizer(n_halves).matrix
-    vals, vecs = np.linalg.eigh(s)
-    cols = vecs[:, vals > 0.5]
-    if cols.shape[1] != n_halves + 1:
-        raise RuntimeError("unexpected symmetric-subspace dimension")
-    return cols
+    """2^n x (n+1) isometry V onto the symmetric subspace of n qubits; read-only.
+
+    Column k, the normalized symmetric state with k ones (m = n/2 - k), is
+    1/sqrt(C(n, k)) at every index of Hamming weight k: one nonzero per row.
+    """
+    ones = [bin(index).count("1") for index in range(2**n_halves)]
+    iso = np.zeros((2**n_halves, n_halves + 1))
+    iso[range(2**n_halves), ones] = [1 / math.sqrt(math.comb(n_halves, k)) for k in ones]
+    iso.setflags(write=False)
+    return iso
 
 
 # ---------------------------------------------------------------------------
@@ -295,79 +299,23 @@ def blbq_hamiltonian_term(beta: float) -> DenseOperator:
     return DenseOperator(x + beta * (x @ x), f"blbq(beta={beta})")
 
 
-def _spin_dot_eigenbasis(s: SpinValue) -> np.ndarray:
-    """Orthonormal eigenvectors of x = S_a . S_b on two qubit-encoded sites, as rows.
-
-    A site of 2S spin-1/2s holds total spins j = S, S-1, ...; two sites
-    couple to J = |j_a - j_b| .. j_a + j_b, where 8x takes the integer value
-    4J(J+1) - 4j_a(j_a+1) - 4j_b(j_b+1).  Each eigenspace is the range of
-    its spectral projector prod (8x - 8mu) / (8lam - 8mu), orthonormalized by
-    Gram-Schmidt.  8x has integer entries and each factor a spectral norm of
-    at most 48, so the products are exact in float64.  No LAPACK call and no
-    real-valued gemm: their code pages (about 1.5 MB) would stay resident
-    through every later job of a process that otherwise loads only the
-    complex BLAS kernels.
-    """
-    twice = range(s.twice_s % 2, s.twice_s + 1, 2)  # 2j of each site
-    lams = sorted({
-        tj * (tj + 2) - ta * (ta + 2) - tb * (tb + 2)
-        for ta in twice for tb in twice for tj in range(abs(ta - tb), ta + tb + 1, 2)
-    })
-    x8 = 8 * two_site_spin_dot(s)
-    dim = len(x8)
-    eye = np.eye(dim, dtype=complex)
-    rows = np.zeros((dim, dim), dtype=complex)
-    found = 0
-    for lam in lams:
-        proj = eye
-        for mu in lams:
-            if mu != lam:
-                proj = proj @ (x8 - mu * eye)
-        proj = proj / math.prod(lam - mu for mu in lams if mu != lam)
-        missing = round(proj.trace().real)  # the eigenspace's dimension
-        for col in proj.T:
-            if not missing:
-                break
-            for _ in range(2):  # a second sweep removes the first one's round-off
-                col = col - ((rows[:found] @ col).conj() @ rows[:found]).conj()
-            norm = np.sqrt(np.vdot(col, col).real)
-            if norm > 1e-8:
-                rows[found] = col.conj() / norm
-                found += 1
-                missing -= 1
-    if found != dim:
-        raise RuntimeError(f"found {found} of {dim} eigenvectors of S_a.S_b")
-    return rows
-
-
 @lru_cache(maxsize=None)
-def link_eigenbasis(twice_s: int) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-    """One link's eigenbasis of S_a . S_b, with the link operators' eigenvalues in it.
+def link_operators(twice_s: int) -> tuple[np.ndarray, np.ndarray | None]:
+    """(V (x) V)^dagger O (V (x) V) on two spin-S sites, V = `symmetric_subspace_isometry(2S)`; read-only.
 
-    Returns (U^dagger, p, h) on the 4S qubits of two sites: the rows of
-    U^dagger are eigenvectors of S_a . S_b, p is the diagonal of
-    `aklt_two_site_projector` in that basis and h the diagonal of the AKLT
-    term `blbq_hamiltonian_term(1/3)` (None unless 2S=2).  Both operators
-    are polynomials in S_a . S_b, so they are diagonal there; building the
-    basis checks that their off-diagonal entries are below ALGEBRA_TOL.
+    Returns (p, h): O = `aklt_two_site_projector` and the AKLT term
+    `blbq_hamiltonian_term(1/3)` (h None unless 2S=2).  Both are real
+    polynomials in S_a . S_b, so the arrays are real.
     """
-    s = SpinValue(twice_s)
-    projector = aklt_two_site_projector(s).matrix  # raises UnsupportedError first
-    rotation = _spin_dot_eigenbasis(s)
-
-    def eigenvalues(op: np.ndarray) -> np.ndarray:
-        d = rotation @ op @ rotation.conj().T
-        off = np.max(np.abs(d - np.diag(np.diag(d))))
-        if off > ALGEBRA_TOL:
-            raise RuntimeError(f"link operator is not diagonal in the S_a.S_b eigenbasis (off-diagonal {off:.1e})")
-        return np.diag(d).real.copy()
-
-    p = eigenvalues(projector)
-    h = eigenvalues(blbq_hamiltonian_term(1.0 / 3.0).matrix) if twice_s == 2 else None
-    for arr in (rotation, p, h):
+    projector = aklt_two_site_projector(SpinValue(twice_s)).matrix  # raises UnsupportedError first
+    iso = symmetric_subspace_isometry(twice_s)
+    pair = np.kron(iso, iso)
+    p = (pair.T @ projector @ pair).real
+    h = (pair.T @ blbq_hamiltonian_term(1.0 / 3.0).matrix @ pair).real if twice_s == 2 else None
+    for arr in (p, h):
         if arr is not None:
             arr.setflags(write=False)
-    return rotation, p, h
+    return p, h
 
 
 def symmetric_fraction(coordination: int) -> Fraction:

@@ -17,7 +17,7 @@ import os
 import numpy as np
 
 from .errors import CapExceededError, ConfigError, ImpossibleOutcomeError, NonUnitaryError
-from .spinops import DenseOperator
+from .spinops import DenseOperator, symmetric_subspace_isometry
 
 DEFAULT_MAX_QUBITS = 26
 UNITARY_TOL = 1e-10
@@ -36,7 +36,8 @@ FOLD_MAX_COLS = 64
 # Operators act on the state in place, one tile of at most this many
 # amplitudes (512 KB, so that a tile and its scratch stay in cache) at a
 # time.  The result of a tile goes to tile-sized scratch, then back into the
-# tile, so no operator holds a second state-sized array.
+# tile (a state of one tile takes the scratch instead), so no operator holds a
+# second state-sized array.
 TILE = 1 << 15
 # `_row_weights` keeps the innermost axes of the float view (5 qubits and
 # re/im: 64 floats) in its einsum's output and sums them after, so that the
@@ -118,13 +119,11 @@ def _tiles(tensor: np.ndarray, mat: np.ndarray, axes):
     """`mat` on the listed axes of `tensor` (axes[0] its MSB), one tile at a time.
 
     The listed axes have size 2, the others any power of two.  Yields
-    (tile, out, rows) per tile: `tile` is a view into `tensor`, `out` the
-    operator applied to it, in the tile's layout, in tile-sized scratch that
-    the next tile may reuse (`tensor` is not written; `out` may be a strided
-    view), and `rows` the bit positions of the listed axes in a flattened
-    tile, the same for every tile.  A caller writes `out` back, takes an
-    inner product or sums row weights, so no caller holds a second
-    state-sized array.
+    (tile, out) per tile: `tile` is a view into `tensor`, `out` the operator
+    applied to it, in the tile's layout, in tile-sized scratch that the next
+    tile may reuse (`tensor` is not written; `out` may be a strided view).
+    A caller writes `out` back or takes an inner product, so no caller
+    holds a second state-sized array.
 
     A contiguous run of axes (in any order; an empty list is a run) takes
     `_contract_run`; scattered axes take `_contract_scattered`.
@@ -134,6 +133,12 @@ def _tiles(tensor: np.ndarray, mat: np.ndarray, axes):
         lo = min(axes, default=0)
         return _contract_run(tensor, mat, [a - lo for a in axes], lo)
     return _contract_scattered(tensor, mat, axes)
+
+
+def _fold(mat: np.ndarray, right: int) -> np.ndarray:
+    """(M (x) I_R)^T by broadcasting (np.kron costs about 30 us a call): M on the middle axis of (L, cols, R)."""
+    rows, cols = mat.shape
+    return (mat[:, None, :, None] * np.eye(right)[None, :, None, :]).reshape(rows * right, cols * right).T
 
 
 def _contract_run(tensor: np.ndarray, mat: np.ndarray, run, lo: int):
@@ -153,21 +158,18 @@ def _contract_run(tensor: np.ndarray, mat: np.ndarray, run, lo: int):
     left = math.prod(tensor.shape[:lo])
     right = tensor.size // (left * dim)
     view = tensor.reshape(left, dim, right)
-    fold = None
-    if dim * right <= FOLD_MAX_COLS:
-        # M (x) I_R by broadcasting: np.kron costs about 30 us a call
-        fold = (mat[:, None, :, None] * np.eye(right)[None, :, None, :]).reshape(dim * right, dim * right).T
+    # the fold needs whole rows in every tile: a tile smaller than a row splits R
+    fold = _fold(mat, right) if dim * right <= min(FOLD_MAX_COLS, TILE) else None
     out = None
     for index in _tile_slices(view.shape, (1,)):
         tile = view[index]
         if out is None:
             out = np.empty(tile.shape, dtype=complex)
-            rows = [(tile.shape[0].bit_length() - 1) + r for r in run]
         if fold is None:
             np.matmul(mat, tile, out=out)
         else:
             np.matmul(tile.reshape(len(tile), -1), fold, out=out.reshape(len(tile), -1))
-        yield tile, out, rows
+        yield tile, out
 
 
 def _contract_scattered(tensor: np.ndarray, mat: np.ndarray, axes):
@@ -191,24 +193,25 @@ def _contract_scattered(tensor: np.ndarray, mat: np.ndarray, axes):
     targets = [dims[a] for a in axes]
     view = tensor.reshape(shape)
     mat = mat.reshape([2] * (2 * k))
-    rows = None
     for index in _tile_slices(view.shape, targets):
         tile = view[index]
-        if rows is None:
-            bits = list(itertools.accumulate((size.bit_length() - 1 for size in tile.shape), initial=0))
-            rows = [bits[d] for d in targets]
         out = np.tensordot(mat, tile, axes=(range(k, 2 * k), targets))
-        yield tile, np.moveaxis(out, range(k), targets), rows
+        yield tile, np.moveaxis(out, range(k), targets)
 
 
-def _contract(tensor: np.ndarray, mat: np.ndarray, axes) -> None:
-    """`mat` applied in place to the listed axes of `tensor` (see `_tiles`); axes[0] is its MSB.
+def _contract(tensor: np.ndarray, mat: np.ndarray, axes) -> np.ndarray:
+    """`mat` applied to the listed axes of `tensor` (see `_tiles`); axes[0] is its MSB.
 
-    Tile by tile (`_tiles`): each tile's result goes back into the tile, so
-    the only memory this takes beyond `tensor` is one tile's scratch.
+    Returns the result in `tensor`'s shape.  A tensor of several tiles is
+    written in place, tile by tile: beyond `tensor` this takes one tile's
+    scratch.  Of one tile, the kernel's output is already a fresh array: it
+    is returned (made contiguous), `tensor` unchanged, with no copy back.
     """
-    for tile, out, _ in _tiles(tensor, mat, axes):
+    for tile, out in _tiles(tensor, mat, axes):
+        if tile.size == tensor.size:
+            return np.ascontiguousarray(out).reshape(tensor.shape)
         np.copyto(tile, out)
+    return tensor
 
 
 def _joined(tensor: np.ndarray, mat: np.ndarray, axes, new) -> np.ndarray:
@@ -236,7 +239,8 @@ class Statevector:
 
     A Statevector owns the array it is given: operators, projections and
     renormalizations write into it in place, and only a qubit joining the
-    state replaces it.  Pass a copy to keep the original.
+    state, or an operator on a state of one tile, replaces it.  Pass a copy
+    to keep the original.
     """
 
     __slots__ = ("n_qubits", "amps", "tracked_norm_sq")
@@ -305,29 +309,35 @@ class Statevector:
             raise ValueError(f"bad qubit list {qubits} (new {new}) for {n}-qubit state")
         return self.amps.reshape([2] * self.n_qubits)
 
-    # The methods below call the kernel themselves, not each other, so that a
-    # per-method timer (perfbench/tracer.py) counts the kernel as theirs.
+    def _apply(self, mat: np.ndarray, qubits) -> None:
+        """`mat` on the listed qubits through `_contract`: in place, or rebound to its one-tile result."""
+        tensor = self._tensor(mat, qubits)
+        out = _contract(tensor, mat, qubits)
+        if out is not tensor:
+            self.amps = out.reshape(-1)
+
+    # The public methods below do not call each other, so that a per-method
+    # timer (perfbench/tracer.py) counts the kernel as theirs.
 
     def applied_amplitudes(self, op, qubits) -> np.ndarray:
         """Amplitudes of op|psi> (not renormalized) as a fresh array; the state is unchanged."""
         mat, qubits = _as_matrix(op), tuple(qubits)
-        out = self._tensor(mat, qubits).copy()
-        _contract(out, mat, qubits)
-        return out.reshape(-1)
+        return _contract(self._tensor(mat, qubits).copy(), mat, qubits).reshape(-1)
 
     def apply_unitary(self, op, qubits, *, new_qubits=()) -> "Statevector":
-        """Apply `op` on the listed qubits, in place; qubits[0] is the op's MSB.
+        """Apply `op` on the listed qubits; qubits[0] is the op's MSB.
 
-        The qubits in `new_qubits`, a subset of `qubits`, join the state in
-        |0> as `op` acts, so the state grows by their count into a fresh
-        array; every qubit is numbered in the grown state.
+        In place, except on a state of one tile (see `_contract`).  The
+        qubits in `new_qubits`, a subset of `qubits`, join the state in |0>
+        as `op` acts, so the state grows by their count into a fresh array;
+        every qubit is numbered in the grown state.
         """
         mat = _as_matrix(op)
         if np.max(np.abs(mat.conj().T @ mat - np.eye(mat.shape[0]))) > UNITARY_TOL:
             raise NonUnitaryError("operator is not unitary; use apply_nonunitary for a general operator")
         qubits, new = tuple(qubits), tuple(new_qubits)
         if not new:
-            _contract(self._tensor(mat, qubits), mat, qubits)
+            self._apply(mat, qubits)
             return self
         n = _checked_width(self.n_qubits + len(new))
         self.amps = _joined(self._tensor(mat, qubits, new), mat, qubits, new).reshape(-1)
@@ -339,7 +349,7 @@ class Statevector:
         return self.apply_nonunitary_sequence([(op, qubits)])
 
     def apply_nonunitary_sequence(self, ops) -> float:
-        """Apply general operators in turn, in place, renormalize once, return the norm-squared ratio.
+        """Apply general operators in turn (as `apply_unitary` does), renormalize once, return the norm-squared ratio.
 
         `ops` lists (op, qubits) pairs.  The ratio ||O_m ... O_1 psi||^2 / ||psi||^2
         is the product of the ratios that renormalizing after every operator
@@ -348,8 +358,7 @@ class Statevector:
         """
         before = _norm_sq(self.amps)
         for op, qubits in ops:
-            mat, qubits = _as_matrix(op), tuple(qubits)
-            _contract(self._tensor(mat, qubits), mat, qubits)
+            self._apply(_as_matrix(op), tuple(qubits))
         after = _norm_sq(self.amps)
         ratio = after / before if before else 0.0
         if ratio < PROB_FLOOR:
@@ -416,35 +425,56 @@ class Statevector:
 
     # -- scalar queries ------------------------------------------------------
 
-    def overlap(self, other: "Statevector") -> complex:
-        """<self|other> on the renormalized states."""
-        if self.n_qubits != other.n_qubits:
-            raise ValueError("qubit count mismatch")
-        return complex(np.vdot(self.amps, other.amps) / (np.linalg.norm(self.amps) * np.linalg.norm(other.amps)))
+    def spin_fidelity(self, psi: np.ndarray) -> float:
+        """|<psi|V^dagger r>|^2 / (||psi||^2 ||r||^2) of this state r against a spin-basis state psi.
 
-    def fidelity(self, other: "Statevector") -> float:
-        return abs(self.overlap(other)) ** 2
-
-    def expectation(self, op, qubits) -> float:
-        mat = _as_matrix(op)
-        if np.max(np.abs(mat - mat.conj().T)) > UNITARY_TOL:
-            raise ValueError("expectation requires a Hermitian operator")
-        qubits = tuple(qubits)
-        value = sum(np.vdot(tile, out) for tile, out, _ in _tiles(self._tensor(mat, qubits), mat, qubits))
-        return float(value.real) / _norm_sq(self.amps)
-
-    def row_weights(self, op, qubits) -> np.ndarray:
-        """Squared norms of the rows of op|psi>; the state is unchanged.
-
-        Row k holds the amplitudes where the listed qubits read k (qubits[0]
-        its MSB).  op|psi> is never held whole: each tile of it is summed
-        into the row weights and dropped.
+        psi has an axis of 2S+1 values per site, whose 2S qubits run in r in
+        site order; V is `spinops.symmetric_subspace_isometry` per site, and
+        ||r||^2 spans the register, so weight outside V's range lowers F.
+        r is cut into rows of the trailing sites that fit a tile.  V^dagger has
+        one nonzero per qubit index, so a row's index picks one row of psi and
+        one Dicke coefficient; only the trailing sites are compressed, a batch
+        of rows at a time, in tile-sized scratch.  Batch sums use math.fsum.
         """
-        mat, qubits = _as_matrix(op), tuple(qubits)
-        weights = 0.0
-        for _, out, rows in _tiles(self._tensor(mat, qubits), mat, qubits):
-            weights = weights + _row_weights(np.ascontiguousarray(out), out.size.bit_length() - 1, rows)
-        return weights
+        widths = [d - 1 for d in psi.shape]
+        if sum(widths) != self.n_qubits:
+            raise ValueError(f"spin-basis state of shape {psi.shape} does not fit a {self.n_qubits}-qubit state")
+        lead, tail = len(widths), 0  # the trailing sites start at `lead` and hold `tail` qubits
+        while lead and tail + widths[lead - 1] <= TILE.bit_length() - 1:
+            lead -= 1
+            tail += widths[lead]
+        index, coef = np.zeros(1, dtype=np.intp), np.ones(1)  # psi's row and coefficient of each leading index
+        for w in widths[:lead]:
+            iso = symmetric_subspace_isometry(w)
+            index = (index[:, None] * (w + 1) + iso.argmax(axis=1)).reshape(-1)
+            coef = (coef[:, None] * iso.max(axis=1)).reshape(-1)
+        rows = self.amps.reshape(len(index), -1)
+        psi_rows = psi.reshape(math.prod(psi.shape[:lead]), -1)
+        batch = min(len(rows), max(1, TILE >> tail))
+        # V^dagger is real, so it acts on the float view (re and im alike), one gemm per trailing site
+        # into alternate halves of one buffer: per site, V^dagger, its fold or None, its output (rows, 2S+1, floats after)
+        steps, size, right = [], batch * 2 ** (tail + 1), 2 ** (tail + 1)
+        buffer = np.empty(2 * size)
+        for i, w in enumerate(widths[lead:]):
+            right >>= w
+            size = size // 2**w * (w + 1)
+            shrink = symmetric_subspace_isometry(w).T
+            out = buffer[i % 2 * len(buffer) // 2 :][:size].reshape(-1, w + 1, right)
+            steps.append((shrink, _fold(shrink, right) if 2**w * right <= FOLD_MAX_COLS else None, out))
+        parts, norms = [], []
+        for start in range(0, len(rows), batch):
+            tile = rows[start : start + batch]
+            norms.append(_norm_sq(tile))
+            out = tile.view(np.float64)
+            for shrink, fold, scratch in steps:
+                if fold is None:
+                    out = np.matmul(shrink, out.reshape(len(scratch), -1, scratch.shape[2]), out=scratch)
+                else:
+                    out = np.matmul(out.reshape(len(scratch), -1), fold, out=scratch.reshape(len(scratch), -1))
+            picked = slice(start, start + batch)
+            parts.append(complex(np.vdot(psi_rows[index[picked]] * coef[picked, None], out.reshape(-1).view(complex))))
+        overlap = complex(math.fsum(p.real for p in parts), math.fsum(p.imag for p in parts))
+        return abs(overlap) ** 2 / (_norm_sq(psi) * math.fsum(norms))
 
     def probabilities(self) -> np.ndarray:
         p = np.abs(self.amps) ** 2

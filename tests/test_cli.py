@@ -7,6 +7,8 @@ import pytest
 from vbsprep.cli import EXIT_CHECK_FAILED, EXIT_CONFIG, EXIT_OK, main, parse_lattice
 from vbsprep.errors import ConfigError
 
+from oracle_reference import bond_product, compress, embed, expectation
+
 
 def test_parse_lattice_mini_language():
     assert parse_lattice("chain:4:open:aligned").boundary_spins == ("up", "up")
@@ -260,20 +262,24 @@ def _link_lattices():
 
 @pytest.mark.parametrize("lattice,twice_s", _link_lattices(), ids=["open", "reversed", "ring", "spin32"])
 def test_link_pass_matches_direct_projector_norm_and_expectation(lattice, twice_s):
-    """One eigenbasis pass per pair gives ||P psi|| and <H> of a random, non-VBS state."""
+    """One application per pair gives ||P psi|| and <H> of a random, non-VBS spin-basis state.
+
+    The reference applies the qubit-basis P and H to the state's embedding,
+    V psi, on the pair's qubits.
+    """
     import numpy as np
 
     from vbsprep.cli import _link_values
     from vbsprep.lattice import assign_qubits
     from vbsprep.spinops import SpinValue, aklt_two_site_projector, blbq_hamiltonian_term
-    from vbsprep.statesim import Statevector
 
     s = SpinValue(twice_s)
     encoding = assign_qubits(lattice, "hadamard_all")
-    n = encoding.n_data_qubits
-    rng = np.random.default_rng(n)
-    st = Statevector.from_amplitudes(rng.normal(size=2**n) + 1j * rng.normal(size=2**n))
-    residuals, energies = _link_values(st, lattice, s)
+    shape = (twice_s + 1,) * lattice.n_sites
+    rng = np.random.default_rng(encoding.n_data_qubits)
+    psi = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    st = embed(psi)
+    residuals, energies = _link_values(psi, lattice, s)
     pairs = {frozenset(link) for link in lattice.links}
     assert set(residuals) == pairs
     proj = aklt_two_site_projector(s).matrix
@@ -283,7 +289,7 @@ def test_link_pass_matches_direct_projector_norm_and_expectation(lattice, twice_
         direct = np.linalg.norm(st.applied_amplitudes(proj, qs))
         assert abs(residuals[frozenset((a, b))] - direct) < 1e-12 * direct, (a, b)
         if twice_s == 2:
-            assert abs(energies[frozenset((a, b))] - st.expectation(term, qs)) < 1e-12, (a, b)
+            assert abs(energies[frozenset((a, b))] - expectation(st, term, qs)) < 1e-12, (a, b)
     assert energies if twice_s == 2 else not energies
 
 
@@ -293,32 +299,34 @@ def test_link_pass_matches_direct_projector_norm_and_expectation(lattice, twice_
      ("three-link-pair", 3, 1), ("three-link-ring:4", 3, 4)],
 )
 def test_verify_reads_each_site_pair_once(spec, spin, passes, monkeypatch, tmp_path):
+    import vbsprep.cli as cli
     from vbsprep.statesim import Statevector
 
     calls = []
-    row_weights = Statevector.row_weights
-    monkeypatch.setattr(Statevector, "row_weights", lambda st, *a: calls.append(a[1]) or row_weights(st, *a))
-    for unused in ("expectation", "applied_amplitudes"):
-        monkeypatch.setattr(Statevector, unused, lambda *a: pytest.fail("verify reads links through row_weights"))
+    on_pair = cli._on_pair
+    monkeypatch.setattr(cli, "_on_pair", lambda psi, op, a, b: calls.append((op, a, b)) or on_pair(psi, op, a, b))
+    monkeypatch.setattr(Statevector, "applied_amplitudes", lambda *a: pytest.fail("verify reads links in the spin basis"))
     argv = ["verify", "--spin", str(spin), "--lattice", spec, "--method", "lcu", "--out", str(tmp_path / "v.json")]
     assert main(argv) == EXIT_OK
-    assert len(calls) == passes
-    assert len({frozenset(qs) for qs in calls}) == passes
+    # P on every pair, and H too on spin 1
+    assert len(calls) == passes * (2 if spin == 2 else 1)
+    assert len({frozenset((a, b)) for _, a, b in calls}) == passes
+    assert len({(id(op), frozenset((a, b))) for op, a, b in calls}) == len(calls)
 
 
 def _state_with_a_broken_link(lattice, s, link: int):
-    """The VBS state with one bond a triplet: only that link's sites can reach spin 2S."""
+    """The VBS state with one bond a triplet, in the spin basis: only that link's sites can reach spin 2S."""
     import numpy as np
 
-    from vbsprep.builders import pre_vbs_state
     from vbsprep.lattice import assign_qubits
     from vbsprep.spinops import symmetrizer
 
     encoding = assign_qubits(lattice, "hadamard_all")
-    state = pre_vbs_state(encoding, encoding.n_data_qubits)
+    state = bond_product(encoding, encoding.n_data_qubits)
     state.apply_unitary(np.array([[0, 1], [1, 0]]), (encoding.link_qubits[link][0],))
     sites = [encoding.site_qubits[site] for site in range(lattice.n_sites)]
-    return state, state.apply_nonunitary_sequence([(symmetrizer(len(qs)), qs) for qs in sites])
+    norm_sq = state.apply_nonunitary_sequence([(symmetrizer(len(qs)), qs) for qs in sites])
+    return compress(state, [len(qs) + 1 for qs in sites]), norm_sq
 
 
 @pytest.mark.parametrize("link", [0, 2])
@@ -341,23 +349,22 @@ def test_passing_link_checks_print_no_link(capsys):
     assert "worst link" not in capsys.readouterr().err
 
 
-def test_link_pass_holds_one_state_sized_temporary(monkeypatch, tmp_path):
-    """The check phase of a 20-qubit verify holds the oracle, at most one more state and one rotated copy."""
+def test_check_phase_allocates_under_an_eighth_of_a_state(monkeypatch, tmp_path):
+    """The checks of a 20-qubit verify (fidelity and link pass) take less than 1/8 of a state beyond the route state."""
     import tracemalloc
 
     from vbsprep.statesim import Statevector
 
     state_bytes = 16 << 20  # chain:10 open: 20 data qubits
     seen = []
-    row_weights = Statevector.row_weights
+    spin_fidelity = Statevector.spin_fidelity
 
-    def spy(st, *a):
-        if not seen:  # the check phase starts: measure from here
-            seen.append(tracemalloc.get_traced_memory()[0])
-            tracemalloc.reset_peak()
-        return row_weights(st, *a)
+    def spy(st, psi):
+        seen.append(tracemalloc.get_traced_memory()[0])  # the check phase starts: measure from here
+        tracemalloc.reset_peak()
+        return spin_fidelity(st, psi)
 
-    monkeypatch.setattr(Statevector, "row_weights", spy)
+    monkeypatch.setattr(Statevector, "spin_fidelity", spy)
     argv = ["verify", "--spin", "2", "--lattice", "chain:10:open:aligned", "--method", "mitigated_retry",
             "--out", str(tmp_path / "v.json")]
     tracemalloc.start()
@@ -366,5 +373,28 @@ def test_link_pass_holds_one_state_sized_temporary(monkeypatch, tmp_path):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert seen[0] <= 2 * state_bytes + (1 << 20)  # the two live states, at most
-    assert peak <= seen[0] + state_bytes + (1 << 20)  # plus one rotated state
+    assert len(seen) == 1
+    assert seen[0] <= state_bytes + (2 << 20)  # the route state, the spin-basis oracle (0.5 MB), modules loaded since
+    assert peak <= seen[0] + state_bytes // 8
+
+
+def _cube_graph(tmp_path) -> str:
+    """The 3-regular bipartite cube graph as a `file:` lattice: 8 spin-3/2 sites, 24 data qubits."""
+    links = [[a, a ^ bit] for a in range(8) for bit in (1, 2, 4) if a < a ^ bit]
+    path = tmp_path / "cube.json"
+    path.write_text(json.dumps({"name": "cube", "sites": list(range(8)), "links": links}))
+    return f"file:{path}"
+
+
+@pytest.mark.parametrize("lattice,spin,cap", [("honeycomb:1:1", 2, 9), ("cube", 3, 15)])
+def test_oracle_over_the_cap_exits_config_naming_its_size(lattice, spin, cap, monkeypatch, capsys, tmp_path):
+    """3^6 and 4^8 amplitudes against caps of 2^9 and 2^15: exit 2 before the network is built."""
+    if lattice == "cube":
+        lattice = _cube_graph(tmp_path)
+    monkeypatch.setenv("VBS_MAX_QUBITS", str(cap))
+    argv = ["verify", "--spin", str(spin), "--lattice", lattice, "--method", "mitigated_retry"]
+    assert main(argv) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "config error: the spin-basis oracle of" in err
+    assert "amplitudes at site" in err and f"over the cap of 2^{cap}" in err
+    assert "Traceback" not in err

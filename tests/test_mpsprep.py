@@ -29,6 +29,8 @@ from vbsprep.qasm import emit_qasm, parse_qasm
 from vbsprep.spinops import SpinValue
 from vbsprep.statesim import Statevector
 
+from oracle_reference import expectation, fidelity
+
 S1 = SpinValue(2)
 R6 = 1.0 / math.sqrt(6.0)
 
@@ -80,14 +82,14 @@ def test_local_tensor_left_and_right_normalized():
 def test_periodic_contraction_matches_oracle(n):
     oracle, _ = oracle_vbs_state(build_chain(n, "ring"), S1)
     state = contract_mps(vbs_mps(n, "ring"), "ring")
-    assert abs(state.fidelity(oracle) - 1.0) < 1e-10
+    assert abs(state.spin_fidelity(oracle) - 1.0) < 1e-10
 
 
 @pytest.mark.parametrize("spins", [("up", "up"), ("up", "down"), ("down", "up"), ("down", "down")])
 def test_open_contraction_matches_oracle(spins):
     oracle, _ = oracle_vbs_state(build_chain(4, "open", spins), S1)
     state = contract_mps(vbs_mps(4, "open", spins), "open")
-    assert abs(state.fidelity(oracle) - 1.0) < 1e-10
+    assert abs(state.spin_fidelity(oracle) - 1.0) < 1e-10
 
 
 def test_left_canonicalization_idempotent_and_rank2():
@@ -98,7 +100,7 @@ def test_left_canonicalization_idempotent_and_rank2():
     again = left_canonicalize([t.array for t in tensors])
     state1 = contract_mps(tensors, "open")
     state2 = contract_mps(again, "open")
-    assert abs(state1.fidelity(state2) - 1.0) < 1e-12
+    assert abs(fidelity(state1, state2) - 1.0) < 1e-12
 
 
 def test_bulk_disentangler_shapes_and_unitarity():
@@ -146,13 +148,13 @@ def test_completion_choice_independence():
     state.apply_unitary(ref, (3, 4, 5))
     state.apply_unitary(ref, (0, 2, 3))
     a_tilde = fuse_boundary_tensor(tensors[0].array)
-    weight = state.expectation(a_tilde.conj().T @ a_tilde, (0, 1))
+    weight = expectation(state, a_tilde.conj().T @ a_tilde, (0, 1))
     gate = embed_nonunitary_periodic(a_tilde, math.sqrt(0.5 / weight))
     state.apply_unitary(gate, (8, 0, 1))
     prob = state.project_qubit(8, 0)
     reduced = Statevector.from_amplitudes(state.amps.reshape(256, 2)[:, 0])
     assert abs(prob - 0.5) < 1e-10
-    assert abs(reduced.fidelity(oracle) - 1.0) < 1e-10
+    assert abs(reduced.spin_fidelity(oracle) - 1.0) < 1e-10
 
 
 def test_complete_to_unitary_rejects_rank_deficiency():
@@ -188,7 +190,7 @@ def test_prepare_open_matches_oracle(n, spins):
     oracle, _ = oracle_vbs_state(build_chain(n, "open", spins), S1)
     result = run_mps(build_chain(n, "open", spins), S1)
     assert result["success_probability"] == 1.0
-    assert abs(result["state"].fidelity(oracle) - 1.0) < 1e-10
+    assert abs(result["state"].spin_fidelity(oracle) - 1.0) < 1e-10
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])
@@ -196,7 +198,7 @@ def test_prepare_periodic_matches_oracle_with_half_probability(n):
     oracle, _ = oracle_vbs_state(build_chain(n, "ring"), S1)
     result = run_mps(build_chain(n, "ring"), S1)
     assert abs(result["success_probability"] - 0.5) < 1e-10
-    assert abs(result["state"].fidelity(oracle) - 1.0) < 1e-10
+    assert abs(result["state"].spin_fidelity(oracle) - 1.0) < 1e-10
 
 
 def test_prepare_periodic_scale_independence():
@@ -209,7 +211,7 @@ def test_prepare_periodic_scale_independence():
         block = dataclasses.replace(boundary, matrix=embed_nonunitary_periodic(a_tilde, scale))
         runs.append(_prepared(Circuit(circ.n_qubits, [*body, block, marker]), build_chain(4, "ring")))
     (s1, p1), (s2, p2) = runs
-    assert abs(s1.fidelity(s2) - 1.0) < 1e-10
+    assert abs(fidelity(s1, s2) - 1.0) < 1e-10
     assert p1 == pytest.approx(0.6**2 * ring_embedding_weight(4), abs=1e-12)
     assert p2 == pytest.approx(1.1**2 * ring_embedding_weight(4), abs=1e-12)
 
@@ -228,7 +230,7 @@ def test_ring_embedding_weight_is_simulated_weight(n):
     assert boundary.qubits == (2 * n, 0, 1) and marker.qubit == 2 * n and marker.expect == 0
     before, _ = simulate_circuit(Circuit(circ.n_qubits, body))
     a_tilde = fuse_boundary_tensor(local_vbs_tensor())
-    simulated = before.expectation(a_tilde.conj().T @ a_tilde, (0, 1))
+    simulated = expectation(before, a_tilde.conj().T @ a_tilde, (0, 1))
     assert abs(ring_embedding_weight(n) - simulated) < 1e-12
     assert abs(ring_embedding_weight(n) - (1 + 3 * (-1 / 3) ** n) / 2) < 1e-12
     assert abs(run_mps(build_chain(n, "ring"), S1)["success_probability"] - 0.5) < 1e-12
@@ -260,7 +262,7 @@ def test_mps_structural_qasm_round_trips(lattice):
     # every block label is unique, so the parsed circuit prepares the same state
     mine, p_mine = _prepared(circ, lattice)
     theirs, p_theirs = _prepared(parsed, lattice)
-    assert abs(mine.fidelity(theirs) - 1.0) < 1e-12
+    assert abs(fidelity(mine, theirs) - 1.0) < 1e-12
     assert abs(p_mine - p_theirs) < 1e-12
 
 

@@ -229,23 +229,39 @@ def test_dense_operator_rejects_nonfinite():
 
 
 @pytest.mark.parametrize("twice_s", [2, 3])
-def test_link_eigenbasis_diagonalizes_spin_dot_projector_and_term(twice_s):
-    from vbsprep.spinops import link_eigenbasis
+def test_spin_basis_link_projector_is_idempotent(twice_s):
+    """P and H restricted to two spin sites: P is a projector with eigenvalues 0 and 1, H = 2P - 2/3."""
+    from vbsprep.spinops import link_operators
 
     s = SpinValue(twice_s)
-    rotation, p, h = link_eigenbasis(twice_s)
-    assert np.max(np.abs(rotation @ rotation.conj().T - np.eye(len(rotation)))) < TOL
-    x = rotation @ two_site_spin_dot(s) @ rotation.conj().T
-    assert np.max(np.abs(x - np.diag(np.diag(x)))) < TOL
-    proj = aklt_two_site_projector(s).matrix
-    assert np.max(np.abs(rotation.conj().T @ np.diag(p) @ rotation - proj)) < TOL
+    p, h = link_operators(twice_s)
+    d = twice_s + 1
+    assert p.shape == (d * d, d * d)
+    assert np.max(np.abs(p @ p - p)) < TOL
+    assert np.max(np.abs(p - p.T)) < TOL
+    vals = np.linalg.eigvalsh(p)
+    assert all(min(abs(v), abs(v - 1)) < TOL for v in vals)
+    # the top total spin 2S of two spin-S sites has 4S+1 states
+    assert round(np.trace(p)) == 2 * twice_s + 1
+    pair = np.kron(symmetric_subspace_isometry(twice_s), symmetric_subspace_isometry(twice_s))
+    assert np.max(np.abs(pair @ p @ pair.T - pair @ pair.T @ aklt_two_site_projector(s).matrix @ pair @ pair.T)) < TOL
     if twice_s == 2:
-        term = blbq_hamiltonian_term(1.0 / 3.0).matrix
-        assert np.max(np.abs(rotation.conj().T @ np.diag(h) @ rotation - term)) < TOL
+        assert np.max(np.abs(h - (2 * p - 2.0 / 3.0 * np.eye(d * d)))) < TOL
     else:
         assert h is None
-    assert link_eigenbasis(twice_s) is link_eigenbasis(twice_s)  # built once per 2S
+    assert link_operators(twice_s) is link_operators(twice_s)  # built once per 2S
     with pytest.raises(ValueError):
-        rotation[0, 0] = 1.0  # the cached arrays are read-only
+        p[0, 0] = 1.0  # the cached arrays are read-only
     with pytest.raises(UnsupportedError):
-        link_eigenbasis(4)
+        link_operators(4)
+
+
+@pytest.mark.parametrize("n_halves", [1, 2, 3, 4, 5])
+def test_symmetric_subspace_isometry_is_the_closed_form_dicke_basis(n_halves):
+    """V^dagger V = 1, V V^dagger = the symmetrizer, column k the normalized state with k ones."""
+    iso = symmetric_subspace_isometry(n_halves)
+    assert iso.shape == (2**n_halves, n_halves + 1)
+    assert np.max(np.abs(iso.T @ iso - np.eye(n_halves + 1))) < TOL
+    assert np.max(np.abs(iso @ iso.T - symmetrizer(n_halves).matrix)) < TOL
+    for index, row in enumerate(iso):
+        assert np.count_nonzero(row) == 1 and row.argmax() == bin(index).count("1")
