@@ -122,8 +122,8 @@ def _tiles(tensor: np.ndarray, mat: np.ndarray, axes):
     (tile, out) per tile: `tile` is a view into `tensor`, `out` the operator
     applied to it, in the tile's layout, in tile-sized scratch that the next
     tile may reuse (`tensor` is not written; `out` may be a strided view).
-    A caller writes `out` back or takes an inner product, so no caller
-    holds a second state-sized array.
+    `_contract` writes `out` back, so no operator holds a second
+    state-sized array.
 
     A contiguous run of axes (in any order; an empty list is a run) takes
     `_contract_run`; scattered axes take `_contract_scattered`.
