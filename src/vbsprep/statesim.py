@@ -37,7 +37,7 @@ FOLD_MAX_COLS = 64
 # amplitudes (512 KB, so that a tile and its scratch stay in cache) at a
 # time.  The result of a tile goes to tile-sized scratch, then back into the
 # tile (a state of one tile takes the scratch instead), so no operator holds a
-# second state-sized array.
+# second state-sized array; a join holds only its input and the grown state.
 TILE = 1 << 15
 # `_row_weights` keeps the innermost axes of the float view (5 qubits and
 # re/im: 64 floats) in its einsum's output and sums them after, so that the
@@ -123,7 +123,8 @@ def _tiles(tensor: np.ndarray, mat: np.ndarray, axes):
     applied to it, in the tile's layout, in tile-sized scratch that the next
     tile may reuse (`tensor` is not written; `out` may be a strided view).
     `_contract` writes `out` back, so no operator holds a second
-    state-sized array.
+    state-sized array.  Every operator comes through here, joins too
+    (`_joined` hands in the grown state).
 
     A contiguous run of axes (in any order; an empty list is a run) takes
     `_contract_run`; scattered axes take `_contract_scattered`.
@@ -217,17 +218,14 @@ def _contract(tensor: np.ndarray, mat: np.ndarray, axes) -> np.ndarray:
 def _joined(tensor: np.ndarray, mat: np.ndarray, axes, new) -> np.ndarray:
     """`mat` on the listed axes, as the axes in `new` join `tensor` in |0>; a fresh array.
 
-    Axes are numbered in the result.  Only the columns of `mat` where the
-    new axes read 0 act.  One tensordot over the target axes, which copies
-    the tensor into target-major order first; the output axes are then
-    moved back in place and made contiguous.
+    Axes are numbered in the result.  The grown state is zeroed, `tensor`
+    is copied into its slice where the new axes read 0, and `_contract`
+    applies `mat` to it in place: a join holds `tensor`, the grown state and
+    one tile's scratch.
     """
-    k = len(axes)
-    mat = mat.reshape([2] * (2 * k))[(slice(None),) * k + tuple(0 if a in new else slice(None) for a in axes)]
-    # an axis of `tensor` sits below its result position by the new axes before it
-    axes_in = [a - sum(b < a for b in new) for a in axes if a not in new]
-    out = np.tensordot(mat, tensor, axes=(range(k, mat.ndim), axes_in))
-    return np.ascontiguousarray(np.moveaxis(out, range(k), axes))
+    grown = np.zeros((2,) * (tensor.ndim + len(new)), dtype=complex)
+    grown[tuple(0 if a in new else slice(None) for a in range(grown.ndim))] = tensor
+    return _contract(grown, mat, axes)
 
 
 class Statevector:
@@ -239,8 +237,8 @@ class Statevector:
 
     A Statevector owns the array it is given: operators, projections and
     renormalizations write into it in place, and only a qubit joining the
-    state, or an operator on a state of one tile, replaces it.  Pass a copy
-    to keep the original.
+    state (into a zeroed grown array, then in place), or an operator on a
+    state of one tile, replaces it.  Pass a copy to keep the original.
     """
 
     __slots__ = ("n_qubits", "amps", "tracked_norm_sq")
@@ -330,7 +328,9 @@ class Statevector:
         In place, except on a state of one tile (see `_contract`).  The
         qubits in `new_qubits`, a subset of `qubits`, join the state in |0>
         as `op` acts, so the state grows by their count into a fresh array;
-        every qubit is numbered in the grown state.
+        every qubit is numbered in the grown state.  The width is checked
+        before the grown array is allocated; a join then holds the old
+        state, the grown one and tile-sized scratch (see `_joined`).
         """
         mat = _as_matrix(op)
         if np.max(np.abs(mat.conj().T @ mat - np.eye(mat.shape[0]))) > UNITARY_TOL:
@@ -495,8 +495,5 @@ class Statevector:
         return {format(v, f"0{n}b"): int(c) for v, c in zip(values, counts)}
 
     def dump_binary(self) -> bytes:
-        """Little-endian interleaved re/im float64 amplitude dump (debug aid)."""
-        inter = np.empty(2 * self.amps.size)
-        inter[0::2] = self.amps.real
-        inter[1::2] = self.amps.imag
-        return inter.astype("<f8").tobytes()
+        """Little-endian interleaved re/im float64 amplitude dump (debug aid): one copy, into the bytes."""
+        return self.amps.view(np.float64).astype("<f8", copy=False).tobytes()

@@ -177,7 +177,8 @@ def test_binary_dump_round_trip():
     v = rng.normal(size=4) + 1j * rng.normal(size=4)
     st = Statevector.from_amplitudes(v / np.linalg.norm(v))
     raw = np.frombuffer(st.dump_binary(), dtype="<f8")
-    assert np.allclose(raw[0::2] + 1j * raw[1::2], st.amps)
+    assert np.array_equal(raw[0::2], st.amps.real)
+    assert np.array_equal(raw[1::2], st.amps.imag)
 
 
 def _embed_by_kron(op: np.ndarray, qubits: tuple[int, ...], n: int) -> np.ndarray:
@@ -232,21 +233,40 @@ def test_apply_unitary_kernel_random_widths():
         assert np.max(np.abs(st.amps - expected)) < 1e-12
 
 
-def test_apply_unitary_with_new_qubits_equals_padding_them_first():
-    """Qubits that join in |0> as a gate acts: same as inserting them, then applying."""
-    rng = np.random.default_rng(31)
+def _join_cases(rng):
+    """(n, qubits, new) joins: random ones, then a new qubit at axis 0, at the last axis, inside a run, and three at once."""
     for _ in range(40):
         n = int(rng.integers(1, 9))  # width after the gate
         k = int(rng.integers(1, min(n, 4) + 1))
         qubits = tuple(int(q) for q in rng.permutation(n)[:k])
-        new = tuple(int(q) for q in rng.permutation(qubits)[: int(rng.integers(0, min(k, n - 1) + 1))])
+        yield n, qubits, tuple(int(q) for q in rng.permutation(qubits)[: int(rng.integers(0, min(k, n - 1) + 1))])
+    yield 8, (0, 1, 5), (0,)
+    yield 8, (7, 2), (7,)
+    yield 8, (3, 4, 5), (4,)
+    yield 9, (8, 1, 6, 2), (1, 6, 8)
+
+
+def _check_joins_equal_padding(rng):
+    for n, qubits, new in _join_cases(rng):
+        k = len(qubits)
         u, _ = np.linalg.qr(rng.normal(size=(2**k, 2**k)) + 1j * rng.normal(size=(2**k, 2**k)))
         v = rng.normal(size=2 ** (n - len(new))) + 1j * rng.normal(size=2 ** (n - len(new)))
         padded = np.zeros([2] * n, dtype=complex)
         padded[tuple(0 if q in new else slice(None) for q in range(n))] = v.reshape([2] * (n - len(new)))
         st = Statevector.from_amplitudes(v).apply_unitary(u, qubits, new_qubits=new)
         assert st.n_qubits == n
-        assert np.max(np.abs(st.amps - _embed_by_kron(u, qubits, n) @ padded.reshape(-1))) < 1e-12
+        assert np.max(np.abs(st.amps - _embed_by_kron(u, qubits, n) @ padded.reshape(-1))) < 1e-12, (qubits, new)
+
+
+def test_apply_unitary_with_new_qubits_equals_padding_them_first():
+    """Qubits that join in |0> as a gate acts: same as inserting them, then applying."""
+    _check_joins_equal_padding(np.random.default_rng(31))
+
+
+def test_joins_across_several_tiles_equal_padding_them_first(monkeypatch):
+    """The same joins on tiles of 32 amplitudes, so that most grown states span several tiles."""
+    monkeypatch.setattr(statesim, "TILE", 1 << 5)
+    _check_joins_equal_padding(np.random.default_rng(31))
 
 
 def test_product_of_factors_orders_qubits():
@@ -332,7 +352,13 @@ def test_kernel_matches_einsum_on_runs_and_scattered_targets(n, k, monkeypatch):
     grown = Statevector.from_amplitudes(v).apply_unitary(u, tuple(range(n + 1 - k, n + 1)), new_qubits=(n,))
     padded = np.stack([v, np.zeros_like(v)], axis=1).reshape(-1)  # qubit n joins in |0>
     assert np.max(np.abs(grown.amps - _einsum_apply(padded, u, tuple(range(n + 1 - k, n + 1)), n + 1))) < 1e-12
-    assert views == []  # a joining qubit always takes tensordot
+    assert views == [list(range(k))]  # a join on a contiguous run takes the view too
+    views.clear()
+    if k > 1:
+        scattered = (n,) + tuple(range(k - 1))  # the joining qubit far from the others
+        grown = Statevector.from_amplitudes(v).apply_unitary(u, scattered, new_qubits=(n,))
+        assert np.max(np.abs(grown.amps - _einsum_apply(padded, u, scattered, n + 1))) < 1e-12
+        assert views == []  # a scattered join does not
     before = st.amps
     st.apply_unitary(u, tuple(range(n - k, n)))
     assert st.amps is before  # the operator writes into the state's own array
@@ -423,6 +449,31 @@ def test_operators_allocate_less_than_an_eighth_of_the_state(method):
         finally:
             tracemalloc.stop()
         assert peak - start < st.amps.nbytes / 8, qubits
+
+
+@pytest.mark.parametrize(
+    "qubits, new",
+    [((18, 10, 11, 19), (19,)), ((17, 19, 18), (19,)), ((16, 17, 18, 19), (17, 18, 19))],
+    ids=["scattered", "run", "three-new"],
+)
+def test_joins_allocate_the_grown_state_and_an_eighth(qubits, new):
+    """A join into 20 qubits allocates the grown state and tile-sized scratch: no second state-sized array."""
+    import tracemalloc
+
+    n = 20
+    rng = np.random.default_rng(21)
+    st = Statevector.from_amplitudes(_random_state(n - len(new), rng))
+    k = len(qubits)
+    u, _ = np.linalg.qr(rng.normal(size=(2**k, 2**k)) + 1j * rng.normal(size=(2**k, 2**k)))
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        st.apply_unitary(u, qubits, new_qubits=new)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert st.n_qubits == n
+    assert peak - start <= st.amps.nbytes * (1 + 1 / 8)
 
 
 def test_normalize_once_matches_renormalizing_after_every_operator():
