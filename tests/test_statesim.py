@@ -234,7 +234,7 @@ def test_apply_unitary_kernel_random_widths():
 
 
 def _join_cases(rng):
-    """(n, qubits, new) joins: random ones, then a new qubit at axis 0, at the last axis, inside a run, and three at once."""
+    """(n, qubits, new) joins: random ones, then a new qubit at axis 0, at the last axis, in a run, three at once."""
     for _ in range(40):
         n = int(rng.integers(1, 9))  # width after the gate
         k = int(rng.integers(1, min(n, 4) + 1))
@@ -264,7 +264,7 @@ def test_apply_unitary_with_new_qubits_equals_padding_them_first():
 
 
 def test_joins_across_several_tiles_equal_padding_them_first(monkeypatch):
-    """The same joins on tiles of 32 amplitudes, so that most grown states span several tiles."""
+    """The same joins on tiles of 32 amplitudes: grown states of 6 qubits or more span several tiles."""
     monkeypatch.setattr(statesim, "TILE", 1 << 5)
     _check_joins_equal_padding(np.random.default_rng(31))
 
