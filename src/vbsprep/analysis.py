@@ -31,7 +31,7 @@ def vbs_norm(twice_s: int, n_sites: int, boundary: str, boundary_spins=("up", "u
     """
     if twice_s == 2:
         p, q = 0.75, -0.25
-        if boundary in ("ring", "periodic"):
+        if boundary == "ring":
             return p**n_sites + 3 * q**n_sites
         if boundary in ("open", "open_chain"):
             aligned = boundary_spins[0] == boundary_spins[1]

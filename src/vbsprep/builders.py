@@ -167,7 +167,7 @@ def island_local_state(lattice: Lattice, encoding: SiteEncoding, site: int, grou
             factors.append(((local[qubit],), spin_ket(spin)))
     state = Statevector.product_of_factors(len(group), factors)
     site_local = tuple(local[q] for q in encoding.site_qubits[site])
-    state.apply_nonunitary(symmetrizer(len(site_local)), site_local)
+    state.apply_nonunitary_sequence([(symmetrizer(len(site_local)), site_local)])
     return state
 
 

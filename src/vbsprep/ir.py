@@ -412,58 +412,6 @@ def post_select(state: Statevector, markers, keep) -> tuple[float, Statevector]:
     return norm_sq, Statevector(len(keep), amps.reshape(-1), norm_sq)
 
 
-def circuit_to_json_dict(circuit: Circuit) -> dict:
-    """Tagged-record dump of a circuit; matrices as [re, im] entry pairs."""
-    gates = []
-    for g in circuit.gates:
-        if isinstance(g, CNot):
-            gates.append({"kind": "cnot", "control": g.control, "target": g.target})
-        elif isinstance(g, U1Q):
-            gates.append(
-                {"kind": "u1q", "theta": g.theta, "phi": g.phi, "lam": g.lam,
-                 "qubit": g.qubit, "label": g.label}
-            )
-        elif isinstance(g, Opaque):
-            gates.append(
-                {
-                    "kind": "opaque",
-                    "label": g.label,
-                    "qubits": list(g.qubits),
-                    "matrix": [[[v.real, v.imag] for v in row] for row in g.matrix],
-                    "cnot_cost": dict(g.cnot_cost),
-                    "cnot_depth": dict(g.cnot_depth),
-                }
-            )
-        elif isinstance(g, Measure):
-            gates.append(
-                {"kind": "measure", "qubit": g.qubit, "expect": g.expect,
-                 "creg": g.creg, "retry_reset": list(g.retry_reset)}
-            )
-        else:
-            raise TypeError(f"unknown gate {g!r}")
-    return {"n_qubits": circuit.n_qubits, "gates": gates, "metadata": dict(circuit.metadata)}
-
-
-def circuit_from_json_dict(doc: dict) -> Circuit:
-    circ = Circuit(int(doc["n_qubits"]), metadata=dict(doc.get("metadata", {})))
-    for rec in doc["gates"]:
-        kind = rec["kind"]
-        if kind == "cnot":
-            circ.add(CNot(rec["control"], rec["target"]))
-        elif kind == "u1q":
-            circ.add(U1Q(rec["theta"], rec["phi"], rec["lam"], rec["qubit"], rec.get("label", "")))
-        elif kind == "opaque":
-            mat = np.array([[complex(re, im) for re, im in row] for row in rec["matrix"]])
-            circ.add(Opaque(rec["label"], tuple(rec["qubits"]), mat,
-                            dict(rec.get("cnot_cost", {})), dict(rec.get("cnot_depth", {}))))
-        elif kind == "measure":
-            circ.add(Measure(rec["qubit"], rec["expect"], rec.get("creg", 0),
-                             tuple(rec.get("retry_reset", ()))))
-        else:
-            raise ValueError(f"unknown gate record kind {kind!r}")
-    return circ
-
-
 def circuit_unitary(circuit: Circuit) -> np.ndarray:
     """Full matrix of a measurement-free circuit (small registers only).
 

@@ -363,10 +363,6 @@ class CouplingMap:
         return path[::-1]
 
 
-def all_to_all(n_qubits: int) -> CouplingMap:
-    return CouplingMap(ALL_TO_ALL, n_qubits)
-
-
 def linear_coupling(n_qubits: int) -> CouplingMap:
     edges = frozenset((i, i + 1) for i in range(n_qubits - 1))
     return CouplingMap(LINEAR, n_qubits, edges)

@@ -28,10 +28,6 @@ class MpsTensor:
     array: np.ndarray  # (left, 2, 2, right)
     left_canonical: bool = False
 
-    @property
-    def right_dim(self) -> int:
-        return self.array.shape[3]
-
     def left_normalization_defect(self) -> float:
         a = self.array.reshape(-1, self.array.shape[3])
         gram = a.conj().T @ a
@@ -62,7 +58,7 @@ def vbs_mps(n_sites: int, boundary: str, boundary_spins=("up", "up")) -> list[Mp
     if n_sites < 2:
         raise ConfigError("need at least 2 sites")
     a = local_vbs_tensor()
-    if boundary in ("ring", "periodic"):
+    if boundary == "ring":
         return [MpsTensor(a, left_canonical=True) for _ in range(n_sites)]
     if boundary not in ("open", "open_chain"):
         raise ConfigError(f"unknown boundary {boundary!r}")
@@ -95,6 +91,8 @@ def left_canonicalize(arrays: list[np.ndarray]) -> list[MpsTensor]:
 
 def contract_mps(tensors: list[MpsTensor], boundary: str) -> Statevector:
     """Exact 2N-qubit statevector of the MPS (normalized)."""
+    if boundary not in ("ring", "open", "open_chain"):
+        raise ConfigError(f"unknown boundary {boundary!r}")
     arrs = [t.array for t in tensors]
     running = arrs[0]
     l0 = running.shape[0]
@@ -103,7 +101,7 @@ def contract_mps(tensors: list[MpsTensor], boundary: str) -> Statevector:
         nxt = arr.reshape(arr.shape[0], 4, arr.shape[3])
         running = np.tensordot(running, nxt, axes=(2, 0))
         running = running.reshape(l0, -1, arr.shape[3])
-    if boundary in ("ring", "periodic"):
+    if boundary == "ring":
         amps = np.trace(running, axis1=0, axis2=2)
     else:
         amps = running.reshape(-1)
@@ -187,10 +185,6 @@ def embed_nonunitary_periodic(a_tilde: np.ndarray, n_scale: float) -> np.ndarray
     return complete_to_unitary(top)
 
 
-def admissible_scale_bound(a_tilde: np.ndarray) -> float:
-    return float(1.0 / np.max(np.linalg.svd(a_tilde, compute_uv=False)))
-
-
 # ---------------------------------------------------------------------------
 # preparation
 # ---------------------------------------------------------------------------
@@ -217,10 +211,10 @@ def mps_circuit(n_sites: int, boundary: str, boundary_spins=("up", "up")) -> Cir
     """
     if not 2 <= n_sites <= 6:
         raise UnsupportedError("mps_circuit supports 2..6 sites")
-    periodic = boundary in ("ring", "periodic")
+    periodic = boundary == "ring"
     if periodic and n_sites < 3:
         raise UnsupportedError("periodic preparation needs at least 3 sites")
-    tensors = vbs_mps(n_sites, "ring" if periodic else "open", boundary_spins)
+    tensors = vbs_mps(n_sites, boundary, boundary_spins)
     circ = Circuit(2 * n_sites + periodic, metadata={"builder": "mps"})
 
     def block_qubits(site: int) -> tuple[int, ...]:  # (R_{i-1}, L_i, R_i)

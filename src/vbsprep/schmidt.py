@@ -169,7 +169,7 @@ def island_state(s: SpinValue) -> Statevector:
     n = 2 * s.twice_s
     factors = [((2 * k, 2 * k + 1), SINGLET) for k in range(s.twice_s)]
     state = Statevector.product_of_factors(n, factors)
-    state.apply_nonunitary(symmetrizer(s.twice_s), ISLAND_SITE_SLOTS[s.twice_s])
+    state.apply_nonunitary_sequence([(symmetrizer(s.twice_s), ISLAND_SITE_SLOTS[s.twice_s])])
     return state
 
 

@@ -19,8 +19,6 @@ import numpy as np
 
 from .errors import CapExceededError, UnsupportedError
 
-ALGEBRA_TOL = 1e-12
-
 MAX_SYMMETRIZER_HALVES = 5
 MAX_TOTAL_SPIN_HALVES = 6
 
@@ -44,23 +42,6 @@ class DenseOperator:
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
-
-    @property
-    def n_qubits(self) -> int:
-        n = self.dim.bit_length() - 1
-        if 2**n != self.dim:
-            raise ValueError(f"dimension {self.dim} is not a power of 2")
-        return n
-
-    def is_hermitian(self, tol: float = ALGEBRA_TOL) -> bool:
-        return np.max(np.abs(self.matrix - self.matrix.conj().T)) <= tol
-
-    def is_unitary(self, tol: float = ALGEBRA_TOL) -> bool:
-        eye = np.eye(self.dim)
-        return np.max(np.abs(self.matrix.conj().T @ self.matrix - eye)) <= tol
-
-    def is_idempotent(self, tol: float = ALGEBRA_TOL) -> bool:
-        return np.max(np.abs(self.matrix @ self.matrix - self.matrix)) <= tol
 
 
 @dataclass(frozen=True)

@@ -317,11 +317,6 @@ class Statevector:
     # The public methods below do not call each other, so that a per-method
     # timer (perfbench/tracer.py) counts the kernel as theirs.
 
-    def applied_amplitudes(self, op, qubits) -> np.ndarray:
-        """Amplitudes of op|psi> (not renormalized) as a fresh array; the state is unchanged."""
-        mat, qubits = _as_matrix(op), tuple(qubits)
-        return _contract(self._tensor(mat, qubits).copy(), mat, qubits).reshape(-1)
-
     def apply_unitary(self, op, qubits, *, new_qubits=()) -> "Statevector":
         """Apply `op` on the listed qubits; qubits[0] is the op's MSB.
 
@@ -334,7 +329,7 @@ class Statevector:
         """
         mat = _as_matrix(op)
         if np.max(np.abs(mat.conj().T @ mat - np.eye(mat.shape[0]))) > UNITARY_TOL:
-            raise NonUnitaryError("operator is not unitary; use apply_nonunitary for a general operator")
+            raise NonUnitaryError("operator is not unitary; use apply_nonunitary_sequence for a general operator")
         qubits, new = tuple(qubits), tuple(new_qubits)
         if not new:
             self._apply(mat, qubits)
@@ -343,10 +338,6 @@ class Statevector:
         self.amps = _joined(self._tensor(mat, qubits, new), mat, qubits, new).reshape(-1)
         self.n_qubits = n
         return self
-
-    def apply_nonunitary(self, op, qubits) -> float:
-        """Apply a general operator, renormalize, return the norm-squared ratio."""
-        return self.apply_nonunitary_sequence([(op, qubits)])
 
     def apply_nonunitary_sequence(self, ops) -> float:
         """Apply general operators in turn (as `apply_unitary` does), renormalize once, return the norm-squared ratio.
@@ -369,31 +360,16 @@ class Statevector:
 
     # -- measurement -------------------------------------------------------
 
-    def outcome_probability(self, qubit: int, outcome: int) -> float:
-        weights = _row_weights(self.amps, self.n_qubits, (qubit,))
-        return float(weights[outcome]) / float(weights.sum())
-
-    def project_qubit(self, qubit: int, outcome: int) -> float:
-        """Project a qubit onto an outcome in place; returns the branch probability.
-
-        One read of both branch norms; then the other branch is zeroed and
-        the state scaled by a real factor.
-        """
-        return self._project((qubit,), (outcome,))
-
     def project_qubits(self, qubits, outcomes) -> float:
         """Project the listed qubits onto their outcomes in place, as one; returns the joint probability.
 
-        Equals projecting them one by one in the order listed: the outcome
-        whose probability, given the ones listed before it, is below
-        PROB_FLOOR first raises the ImpossibleOutcomeError that
-        `project_qubit` would, with `index` its place in the list.  One read
-        of the weights of every branch, then the other branches are zeroed
-        and the state scaled once.
+        Equals projecting them one by one in the order listed: the first
+        outcome whose probability, given the ones listed before it, is below
+        PROB_FLOOR raises ImpossibleOutcomeError, with `index` its place in
+        the list.  One read of the weights of every branch, then the other
+        branches are zeroed and the state scaled once.
         """
-        return self._project(tuple(qubits), tuple(outcomes))
-
-    def _project(self, qubits, outcomes) -> float:
+        qubits, outcomes = tuple(qubits), tuple(outcomes)
         if len(qubits) != len(outcomes):
             raise ValueError("one outcome per qubit")
         for qubit, outcome in zip(qubits, outcomes):
@@ -476,24 +452,10 @@ class Statevector:
         overlap = complex(math.fsum(p.real for p in parts), math.fsum(p.imag for p in parts))
         return abs(overlap) ** 2 / (_norm_sq(psi) * math.fsum(norms))
 
-    def probabilities(self) -> np.ndarray:
-        p = np.abs(self.amps) ** 2
-        p /= p.sum()  # in place: no second 2^n array
-        return p
-
     def sample_indices(self, shots: int, seed: int) -> np.ndarray:
         """Basis indices of `shots` deterministic Born-rule draws."""
         if shots < 1:
             raise ValueError("shots must be >= 1")
-        rng = np.random.default_rng(seed)
-        return rng.choice(self.amps.size, size=shots, p=self.probabilities())
-
-    def sample(self, shots: int, seed: int) -> dict[str, int]:
-        """Deterministic Born-rule sampling; returns bitstring -> count."""
-        values, counts = np.unique(self.sample_indices(shots, seed), return_counts=True)
-        n = self.n_qubits
-        return {format(v, f"0{n}b"): int(c) for v, c in zip(values, counts)}
-
-    def dump_binary(self) -> bytes:
-        """Little-endian interleaved re/im float64 amplitude dump (debug aid): one copy, into the bytes."""
-        return self.amps.view(np.float64).astype("<f8", copy=False).tobytes()
+        p = np.abs(self.amps) ** 2
+        p /= p.sum()  # in place: no second 2^n array
+        return np.random.default_rng(seed).choice(self.amps.size, size=shots, p=p)

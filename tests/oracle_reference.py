@@ -5,8 +5,8 @@ tensor network in `methods.oracle_vbs_state`: the bond product by explicit
 tensor products, then the symmetrizer matrix at every site.  `embed` and
 `compress` move a state between the spin basis (one axis of 2S+1 values per
 site) and the qubit basis (a run of 2S qubits per site, in site order).
-`overlap`, `fidelity` and `expectation` compare and measure qubit-basis
-states.
+`overlap`, `fidelity`, `expectation` and `applied_norm` compare and
+measure qubit-basis states.
 """
 from __future__ import annotations
 
@@ -73,3 +73,10 @@ def expectation(state: Statevector, op, qubits) -> float:
     qubits = tuple(qubits)
     tiles = statesim._tiles(state._tensor(mat, qubits), mat, qubits)
     return float(sum(np.vdot(tile, out) for tile, out in tiles).real) / statesim._norm_sq(state.amps)
+
+
+def applied_norm(state: Statevector, op, qubits) -> float:
+    """||op|psi>|| for op on the listed qubits of the state as it stands, by one tensordot over the whole state."""
+    k = len(qubits)
+    tensor = state.amps.reshape([2] * state.n_qubits)
+    return float(np.linalg.norm(np.tensordot(np.reshape(op, [2] * (2 * k)), tensor, (range(k, 2 * k), qubits))))

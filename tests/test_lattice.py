@@ -5,9 +5,9 @@ import pytest
 
 from vbsprep.errors import ConfigError, NotBipartiteError
 from vbsprep.lattice import (
+    ALL_TO_ALL,
     LINEAR,
     CouplingMap,
-    all_to_all,
     assign_qubits,
     build_chain,
     build_honeycomb_patch,
@@ -132,7 +132,7 @@ def test_coupling_maps():
     lin = linear_coupling(5)
     assert lin.are_coupled(2, 3) and not lin.are_coupled(0, 4)
     assert lin.shortest_path(0, 3) == [0, 1, 2, 3]
-    ata = all_to_all(5)
+    ata = CouplingMap(ALL_TO_ALL, 5)
     assert ata.are_coupled(0, 4)
     hh = heavy_hex_patch(1)
     assert hh.n_qubits == 8

@@ -13,7 +13,6 @@ from vbsprep.mpsprep import (
     ROLE_BULK,
     ROLE_FIRST_OPEN,
     ROLE_LAST_OPEN,
-    admissible_scale_bound,
     build_disentangler,
     complete_to_unitary,
     contract_mps,
@@ -96,7 +95,7 @@ def test_left_canonicalization_idempotent_and_rank2():
     tensors = vbs_mps(5, "open", ("up", "up"))
     for t in tensors:
         assert t.left_normalization_defect() < 1e-12
-        assert t.right_dim <= 2
+        assert t.array.shape[3] <= 2
     again = left_canonicalize([t.array for t in tensors])
     state1 = contract_mps(tensors, "open")
     state2 = contract_mps(again, "open")
@@ -151,7 +150,7 @@ def test_completion_choice_independence():
     weight = expectation(state, a_tilde.conj().T @ a_tilde, (0, 1))
     gate = embed_nonunitary_periodic(a_tilde, math.sqrt(0.5 / weight))
     state.apply_unitary(gate, (8, 0, 1))
-    prob = state.project_qubit(8, 0)
+    prob = state.project_qubits([8], [0])
     reduced = Statevector.from_amplitudes(state.amps.reshape(256, 2)[:, 0])
     assert abs(prob - 0.5) < 1e-10
     assert abs(reduced.spin_fidelity(oracle) - 1.0) < 1e-10
@@ -167,7 +166,7 @@ def test_complete_to_unitary_rejects_rank_deficiency():
 
 def test_embedding_structure_and_bounds():
     a_tilde = fuse_boundary_tensor(local_vbs_tensor())
-    bound = admissible_scale_bound(a_tilde)
+    bound = 1 / np.linalg.norm(a_tilde, 2)  # 1 / sigma_max
     assert abs(bound - math.sqrt(1.5)) < 1e-12
     u = embed_nonunitary_periodic(a_tilde, 0.8)
     assert np.max(np.abs(u.conj().T @ u - np.eye(8))) < 1e-12
@@ -221,6 +220,11 @@ def test_mps_circuit_range_checks():
         mps_circuit(7, "open")
     with pytest.raises(UnsupportedError):
         mps_circuit(2, "ring")
+    for boundary in ("rnig", "periodic"):  # no boundary falls back to an open chain
+        with pytest.raises(ConfigError, match=f"unknown boundary '{boundary}'"):
+            mps_circuit(4, boundary)
+        with pytest.raises(ConfigError, match=f"unknown boundary '{boundary}'"):
+            contract_mps(vbs_mps(4, "ring"), boundary)
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6])

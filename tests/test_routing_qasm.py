@@ -6,7 +6,8 @@ from vbsprep.builders import probabilistic_method_circuit
 from vbsprep.errors import ConfigError, UnsupportedError
 from vbsprep.ir import CNot, Opaque, cnot_depth, post_select, simulate_circuit
 from vbsprep.lattice import (
-    all_to_all,
+    ALL_TO_ALL,
+    CouplingMap,
     assign_qubits,
     build_chain,
     build_three_link_pair,
@@ -36,7 +37,7 @@ def test_route_all_to_all_unchanged():
     lat = build_chain(3, "ring")
     enc = assign_qubits(lat, "hadamard_all")
     circ = probabilistic_method_circuit(lat, enc, SpinValue(2))
-    routed = route(circ, all_to_all(enc.total_qubits))
+    routed = route(circ, CouplingMap(ALL_TO_ALL, enc.total_qubits))
     assert routed.circuit.gates == circ.gates
     assert routed.placement == list(range(enc.total_qubits))
 

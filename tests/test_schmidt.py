@@ -237,7 +237,7 @@ def test_lcu_applies_symmetrizer(n_halves, variant):
     inp = Statevector.from_amplitudes(v)
 
     oracle = inp.copy()
-    ratio = oracle.apply_nonunitary(symmetrizer(n_halves), tuple(range(n_halves)))
+    ratio = oracle.apply_nonunitary_sequence([(symmetrizer(n_halves), tuple(range(n_halves)))])
     prob, out = _lcu_apply(n_halves, variant, inp)
     assert abs(prob - ratio) < 1e-10
     assert abs(fidelity(out, oracle) - 1.0) < 1e-10
@@ -268,7 +268,7 @@ def test_lcu_dense_equals_local_hadamard_test():
     work.apply_unitary(h, (2,))
     work.apply_unitary(controlled(exp_minus_i_pi_symmetrizer(2).matrix), (2, 0, 1))
     work.apply_unitary(h, (2,))
-    p_had = work.project_qubit(2, 1)
+    p_had = work.project_qubits([2], [1])
     s_had = Statevector.from_amplitudes(work.amps.reshape(4, 2)[:, 1])
     assert abs(p_lcu - p_had) < 1e-12
     assert abs(fidelity(s_lcu, s_had) - 1.0) < 1e-12

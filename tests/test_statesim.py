@@ -80,7 +80,7 @@ def test_unitary_preserves_norm():
 
 def test_project_plus_state():
     st = Statevector.from_amplitudes(np.array([1, 1]) / np.sqrt(2))
-    p = st.project_qubit(0, 1)
+    p = st.project_qubits([0], [1])
     assert abs(p - 0.5) < 1e-12
     assert abs(st.tracked_norm_sq - 0.5) < 1e-12
 
@@ -89,14 +89,14 @@ def test_project_branches_sum_to_one():
     rng = np.random.default_rng(8)
     v = rng.normal(size=8) + 1j * rng.normal(size=8)
     st = Statevector.from_amplitudes(v / np.linalg.norm(v))
-    p0 = st.outcome_probability(1, 0)
-    p1 = st.outcome_probability(1, 1)
+    p0 = st.copy().project_qubits([1], [0])
+    p1 = st.copy().project_qubits([1], [1])
     assert abs(p0 + p1 - 1.0) < 1e-12
 
 
 def test_project_singlet_partner():
     st = Statevector.from_amplitudes(SINGLET)
-    p = st.project_qubit(0, 0)
+    p = st.project_qubits([0], [0])
     assert abs(p - 0.5) < 1e-12
     assert np.allclose(st.amps, [0, 1, 0, 0])  # partner fixed to |1>
 
@@ -104,13 +104,13 @@ def test_project_singlet_partner():
 def test_impossible_outcome():
     st = Statevector.zero(2)
     with pytest.raises(ImpossibleOutcomeError):
-        st.project_qubit(0, 1)
+        st.project_qubits([0], [1])
 
 
 def test_apply_nonunitary_symmetrizer_ratio():
     # single bulk site of a bond product: the double-bond ring on two sites
     st = Statevector.product_of_factors(4, [((0, 1), SINGLET), ((2, 3), SINGLET)])
-    ratio = st.apply_nonunitary(symmetrizer(2), (1, 2))
+    ratio = st.apply_nonunitary_sequence([(symmetrizer(2), (1, 2))])
     assert abs(ratio - 0.75) < 1e-12
     assert abs(st.tracked_norm_sq - 0.75) < 1e-12
     assert abs(np.vdot(st.amps, st.amps).real - 1.0) < 1e-12
@@ -120,19 +120,19 @@ def test_apply_nonunitary_three_halves_ratio():
     st = Statevector.product_of_factors(
         6, [((0, 1), SINGLET), ((2, 3), SINGLET), ((4, 5), SINGLET)]
     )
-    ratio = st.apply_nonunitary(symmetrizer(3), (1, 3, 5))
+    ratio = st.apply_nonunitary_sequence([(symmetrizer(3), (1, 3, 5))])
     assert abs(ratio - 0.5) < 1e-12
 
 
 def test_apply_nonunitary_identity():
     st = Statevector.zero(3)
-    assert abs(st.apply_nonunitary(np.eye(2), (1,)) - 1.0) < 1e-12
+    assert abs(st.apply_nonunitary_sequence([(np.eye(2), (1,))]) - 1.0) < 1e-12
 
 
 def test_apply_nonunitary_zero_norm_is_impossible_outcome():
     st = Statevector(1, np.zeros(2, dtype=complex))
     with pytest.raises(ImpossibleOutcomeError):
-        st.apply_nonunitary(np.eye(2), (0,))
+        st.apply_nonunitary_sequence([(np.eye(2), (0,))])
 
 
 def test_overlap_and_fidelity():
@@ -161,24 +161,26 @@ def test_expectation_z_on_zero():
         expectation(st, np.array([[0, 1], [0, 0]]), (0,))
 
 
+def _counts(st: Statevector, shots: int, seed: int) -> dict[str, int]:
+    values, counts = np.unique(st.sample_indices(shots, seed), return_counts=True)
+    return {format(v, f"0{st.n_qubits}b"): int(c) for v, c in zip(values, counts)}
+
+
 def test_sampling_deterministic_and_binomial():
     st = Statevector.zero(1)
-    counts = st.sample(100, seed=1)
+    counts = _counts(st, 100, seed=1)
     assert counts == {"0": 100}
     plus = Statevector.from_amplitudes(np.array([1, 1]) / np.sqrt(2))
-    counts = plus.sample(100_000, seed=2)
+    counts = _counts(plus, 100_000, seed=2)
     ones = counts.get("1", 0) / 100_000
     assert abs(ones - 0.5) < 3 * np.sqrt(0.25 / 100_000)
-    assert plus.sample(1000, seed=3) == plus.sample(1000, seed=3)
+    assert _counts(plus, 1000, seed=3) == _counts(plus, 1000, seed=3)
 
 
-def test_binary_dump_round_trip():
-    rng = np.random.default_rng(11)
-    v = rng.normal(size=4) + 1j * rng.normal(size=4)
-    st = Statevector.from_amplitudes(v / np.linalg.norm(v))
-    raw = np.frombuffer(st.dump_binary(), dtype="<f8")
-    assert np.array_equal(raw[0::2], st.amps.real)
-    assert np.array_equal(raw[1::2], st.amps.imag)
+def _applied(st: Statevector, mat, qubits) -> np.ndarray:
+    """op|psi> (not renormalized) through the kernel, on a copy: the state is unchanged."""
+    tensor = st.amps.reshape([2] * st.n_qubits).copy()
+    return statesim._contract(tensor, np.asarray(mat, dtype=complex), tuple(qubits)).reshape(-1)
 
 
 def _embed_by_kron(op: np.ndarray, qubits: tuple[int, ...], n: int) -> np.ndarray:
@@ -227,8 +229,8 @@ def test_apply_unitary_kernel_random_widths():
         v /= np.linalg.norm(v)
         expected = _embed_by_kron(u, qubits, n) @ v
         st = Statevector.from_amplitudes(v)
-        assert np.max(np.abs(st.applied_amplitudes(u, qubits) - expected)) < 1e-12
-        assert np.array_equal(st.amps, v)  # applied_amplitudes leaves the state alone
+        assert np.max(np.abs(_applied(st, u, qubits) - expected)) < 1e-12
+        assert np.array_equal(st.amps, v)  # _applied leaves the state alone
         st.apply_unitary(u, qubits)
         assert np.max(np.abs(st.amps - expected)) < 1e-12
 
@@ -341,7 +343,7 @@ def test_kernel_matches_einsum_on_runs_and_scattered_targets(n, k, monkeypatch):
     st = Statevector.from_amplitudes(v)
     for qubits in _kernel_cases(n, k, rng):
         mat = rng.normal(size=(2**k, 2**k)) + 1j * rng.normal(size=(2**k, 2**k))
-        out = st.applied_amplitudes(mat, qubits)
+        out = _applied(st, mat, qubits)
         assert np.max(np.abs(out - _einsum_apply(v, mat, qubits, n))) < 1e-12, qubits
         assert not np.shares_memory(out, st.amps)
         assert np.array_equal(st.amps, v)  # bitwise unchanged
@@ -368,7 +370,7 @@ def test_kernel_matches_einsum_on_runs_and_scattered_targets(n, k, monkeypatch):
 def test_operator_on_no_qubit_scales_the_state():
     v = np.arange(8) + 1j
     st = Statevector.from_amplitudes(v / np.linalg.norm(v))
-    assert np.array_equal(st.applied_amplitudes(np.array([[2.0]]), []), 2 * st.amps)
+    assert np.array_equal(_applied(st, np.array([[2.0]]), []), 2 * st.amps)
     assert expectation(st, np.eye(1), []) == pytest.approx(1.0)
 
 
@@ -404,10 +406,10 @@ def test_in_place_kernel_matches_einsum_on_every_layout(tile, monkeypatch):
         u, _ = np.linalg.qr(mat)
         expected = _einsum_apply(v, mat, qubits, n)
         st = Statevector.from_amplitudes(v)
-        assert np.max(np.abs(st.applied_amplitudes(mat, qubits) - expected)) < 1e-12, qubits
+        assert np.max(np.abs(_applied(st, mat, qubits) - expected)) < 1e-12, qubits
         rows = np.moveaxis(expected.reshape([2] * n), qubits, range(k)).reshape(2**k, -1)
         weights = np.sum(np.abs(rows) ** 2, axis=1)
-        applied = st.applied_amplitudes(mat, qubits)
+        applied = _applied(st, mat, qubits)
         assert np.max(np.abs(statesim._row_weights(applied, n, qubits) - weights)) < 1e-12 * weights.sum(), qubits
         herm = mat + mat.conj().T
         assert abs(expectation(st, herm, qubits) - np.vdot(v, _einsum_apply(v, herm, qubits, n)).real) < 1e-12
@@ -488,7 +490,7 @@ def test_normalize_once_matches_renormalizing_after_every_operator():
             ops.append((rng.normal(size=(2**k, 2**k)) + 1j * rng.normal(size=(2**k, 2**k)), qubits))
         v = _random_state(n, rng) * rng.uniform(0.5, 2.0)  # not normalized: the ratio divides by ||psi||^2
         step = Statevector(n, v.copy(), tracked_norm_sq=0.5)
-        ratios = [step.apply_nonunitary(op, qubits) for op, qubits in ops]
+        ratios = [step.apply_nonunitary_sequence([(op, qubits)]) for op, qubits in ops]
         once = Statevector(n, v.copy(), tracked_norm_sq=0.5)
         ratio = once.apply_nonunitary_sequence(ops)
         assert ratio == pytest.approx(np.prod(ratios), rel=1e-12)
@@ -542,18 +544,18 @@ def test_project_qubit_matches_slicing_reference():
         for qubit in range(n):
             for outcome in (0, 1):
                 st = Statevector(n, v.copy(), tracked_norm_sq=0.25)
-                prob = st.project_qubit(qubit, outcome)
+                prob = st.project_qubits([qubit], [outcome])
                 t = v.reshape(2**qubit, 2, -1).copy()
                 kept = np.linalg.norm(t[:, outcome]) ** 2
                 t[:, 1 - outcome] = 0.0
                 assert prob == pytest.approx(kept / np.linalg.norm(v) ** 2, rel=1e-15, abs=1e-15)
                 assert np.max(np.abs(st.amps - t.reshape(-1) / np.sqrt(kept))) < 1e-15
                 assert st.tracked_norm_sq == pytest.approx(0.25 * prob, rel=1e-15)
-                assert st.outcome_probability(qubit, outcome) == pytest.approx(1.0, rel=1e-15)
+                assert st.copy().project_qubits([qubit], [outcome]) == pytest.approx(1.0, rel=1e-15)
     with pytest.raises(ImpossibleOutcomeError):
-        Statevector(2, np.zeros(4, dtype=complex)).project_qubit(1, 0)
+        Statevector(2, np.zeros(4, dtype=complex)).project_qubits([1], [0])
     with pytest.raises(ValueError):
-        Statevector.zero(2).project_qubit(2, 0)
+        Statevector.zero(2).project_qubits([2], [0])
 
 
 @pytest.mark.parametrize("n", [1, 6, 11])
@@ -568,18 +570,18 @@ def test_row_weights_are_the_squared_row_norms(n):
     for qubits in cases:
         k = len(qubits)
         mat = rng.normal(size=(2**k, 2**k)) + 1j * rng.normal(size=(2**k, 2**k))
-        rotated = np.moveaxis(st.applied_amplitudes(mat, qubits).reshape([2] * n), qubits, range(k))
+        rotated = np.moveaxis(_applied(st, mat, qubits).reshape([2] * n), qubits, range(k))
         expected = np.sum(np.abs(rotated.reshape(2**k, -1)) ** 2, axis=1)
-        applied = st.applied_amplitudes(mat, qubits)
+        applied = _applied(st, mat, qubits)
         assert np.max(np.abs(statesim._row_weights(applied, n, qubits) - expected)) < 1e-12 * expected.sum(), qubits
         assert np.array_equal(st.amps, v)
 
 
 def _project_one_by_one(st: Statevector, qubits, outcomes):
-    """Reference for project_qubits: project_qubit in list order; (index, message) of a failure."""
+    """Reference for project_qubits: one qubit at a time, in list order; (index, message) of a failure."""
     for index, (qubit, outcome) in enumerate(zip(qubits, outcomes)):
         try:
-            st.project_qubit(qubit, outcome)
+            st.project_qubits([qubit], [outcome])
         except ImpossibleOutcomeError as exc:
             return index, str(exc)
     return None
