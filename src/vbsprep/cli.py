@@ -134,8 +134,7 @@ def _check_site_order(lattice: Lattice):
 
 def _analytic_norm(lattice: Lattice, twice_s: int) -> float | None:
     if twice_s == 2 and lattice.boundary in ("open_chain", "ring"):
-        boundary = "ring" if lattice.boundary == "ring" else "open"
-        return analysis.vbs_norm(2, lattice.n_sites, boundary, lattice.boundary_spins or ("up", "up"))
+        return analysis.vbs_norm(2, lattice.n_sites, lattice.boundary, lattice.boundary_spins or ("up", "up"))
     return None
 
 

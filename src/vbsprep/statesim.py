@@ -115,25 +115,30 @@ def _tile_slices(shape, whole):
     return (tuple(slice(start, start + step) for start, step in zip(first, steps)) for first in starts)
 
 
-def _tiles(tensor: np.ndarray, mat: np.ndarray, axes):
-    """`mat` on the listed axes of `tensor` (axes[0] its MSB), one tile at a time.
+def _tiles(tensor: np.ndarray, mat: np.ndarray, axes, source=None):
+    """`mat` on the listed axes of `source` (axes[0] its MSB), one tile at a time, in `tensor`'s layout.
 
-    The listed axes have size 2, the others any power of two.  Yields
-    (tile, out) per tile: `tile` is a view into `tensor`, `out` the operator
-    applied to it, in the tile's layout, in tile-sized scratch that the next
-    tile may reuse (`tensor` is not written; `out` may be a strided view).
-    `_contract` writes `out` back, so no operator holds a second
-    state-sized array.  Every operator comes through here, joins too
-    (`_joined` hands in the grown state).
+    The listed axes have size 2, the others any power of two.  `source`
+    defaults to `tensor`: an operator in place.  A join (`_joined`) hands in
+    the grown state as `tensor` and the old one as `source`, with a size-1
+    axis for each new qubit; only the columns of `mat` where the new qubits
+    read 0 meet an amplitude, so the matrix is cut to those, 2^k x 2^(k-m).
+    Yields (tile, out) per tile: `tile` is a view into `tensor`, `out` the
+    operator applied to the same tile of `source`, in the tile's layout, in
+    tile-sized scratch that the next tile may reuse (`tensor` is not written;
+    `out` may be a strided view).  `_contract` writes `out` into `tile`, so
+    no operator holds a second state-sized array.
 
     A contiguous run of axes (in any order; an empty list is a run) takes
     `_contract_run`; scattered axes take `_contract_scattered`.
     """
+    source = tensor if source is None else source
     k = len(axes)
+    mat = mat.reshape([2] * (2 * k))[(slice(None),) * k + tuple(slice(source.shape[a]) for a in axes)]
     if not k or max(axes) - min(axes) == k - 1:
         lo = min(axes, default=0)
-        return _contract_run(tensor, mat, [a - lo for a in axes], lo)
-    return _contract_scattered(tensor, mat, axes)
+        return _contract_run(tensor, mat, [a - lo for a in axes], lo, source)
+    return _contract_scattered(tensor, mat, axes, source)
 
 
 def _fold(mat: np.ndarray, right: int) -> np.ndarray:
@@ -142,39 +147,41 @@ def _fold(mat: np.ndarray, right: int) -> np.ndarray:
     return (mat[:, None, :, None] * np.eye(right)[None, :, None, :]).reshape(rows * right, cols * right).T
 
 
-def _contract_run(tensor: np.ndarray, mat: np.ndarray, run, lo: int):
-    """Tiles of `mat` on axes lo..lo+k-1 of `tensor`, where run[i] is the place of its i-th qubit.
+def _contract_run(tensor: np.ndarray, mat: np.ndarray, run, lo: int, source: np.ndarray):
+    """Tiles of `mat` on axes lo..lo+k-1 of `source`, where run[i] is the place of its i-th qubit.
 
-    The tensor is viewed as (L, 2^k, R), L and R the sizes of the axes
-    before and after the run, and never moved: the matrix, its rows and
-    columns permuted into the run's order, acts on the middle axis of each
-    (l, 2^k, r) tile, by batched `matmul` when 2^k * R exceeds
-    FOLD_MAX_COLS, else by one gemm against M (x) I_R.
+    `tensor` is viewed as (L, 2^k, R) and `source` as (L, cols, R), L and R
+    the sizes of the axes before and after the run, and neither is moved:
+    the matrix (rows, then columns, one axis per qubit), permuted into the
+    run's order, acts on the middle axis of each (l, cols, r) tile, by
+    batched `matmul` when 2^k * R exceeds FOLD_MAX_COLS, else by one gemm
+    against M (x) I_R.
     """
     k = len(run)
     if run != list(range(k)):
         order = [run.index(j) for j in range(k)]
-        mat = mat.reshape([2] * (2 * k)).transpose(order + [k + i for i in order]).reshape(2**k, 2**k)
-    dim = 2**k
+        mat = mat.transpose(order + [k + i for i in order])
+    mat = mat.reshape(2**k, -1)
     left = math.prod(tensor.shape[:lo])
-    right = tensor.size // (left * dim)
-    view = tensor.reshape(left, dim, right)
+    view = tensor.reshape(left, 2**k, -1)
+    src = source.reshape(left, mat.shape[1], -1)
+    right = view.shape[2]
     # the fold needs whole rows in every tile: a tile smaller than a row splits R
-    fold = _fold(mat, right) if dim * right <= min(FOLD_MAX_COLS, TILE) else None
+    fold = _fold(mat, right) if 2**k * right <= min(FOLD_MAX_COLS, TILE) else None
     out = None
     for index in _tile_slices(view.shape, (1,)):
-        tile = view[index]
+        tile, part = view[index], src[index]
         if out is None:
             out = np.empty(tile.shape, dtype=complex)
         if fold is None:
-            np.matmul(mat, tile, out=out)
+            np.matmul(mat, part, out=out)
         else:
-            np.matmul(tile.reshape(len(tile), -1), fold, out=out.reshape(len(tile), -1))
+            np.matmul(part.reshape(len(part), -1), fold, out=out.reshape(len(tile), -1))
         yield tile, out
 
 
-def _contract_scattered(tensor: np.ndarray, mat: np.ndarray, axes):
-    """Tiles of `mat` on scattered axes of `tensor`: one tensordot per tile.
+def _contract_scattered(tensor: np.ndarray, mat: np.ndarray, axes, source: np.ndarray):
+    """Tiles of `mat` on scattered axes of `source`: one tensordot per tile.
 
     Each run of untouched axes is one dim of the tile grid, so a tile holds
     every target axis whole and as many untouched amplitudes as fit, however
@@ -193,22 +200,23 @@ def _contract_scattered(tensor: np.ndarray, mat: np.ndarray, axes):
             shape.append(size)
     targets = [dims[a] for a in axes]
     view = tensor.reshape(shape)
-    mat = mat.reshape([2] * (2 * k))
+    for a in axes:
+        shape[dims[a]] = source.shape[a]
+    src = source.reshape(shape)
     for index in _tile_slices(view.shape, targets):
-        tile = view[index]
-        out = np.tensordot(mat, tile, axes=(range(k, 2 * k), targets))
-        yield tile, np.moveaxis(out, range(k), targets)
+        out = np.tensordot(mat, src[index], axes=(range(k, 2 * k), targets))
+        yield view[index], np.moveaxis(out, range(k), targets)
 
 
-def _contract(tensor: np.ndarray, mat: np.ndarray, axes) -> np.ndarray:
-    """`mat` applied to the listed axes of `tensor` (see `_tiles`); axes[0] is its MSB.
+def _contract(tensor: np.ndarray, mat: np.ndarray, axes, source=None) -> np.ndarray:
+    """`mat` applied to the listed axes of `source` (default `tensor`; see `_tiles`); axes[0] is its MSB.
 
     Returns the result in `tensor`'s shape.  A tensor of several tiles is
     written in place, tile by tile: beyond `tensor` this takes one tile's
     scratch.  Of one tile, the kernel's output is already a fresh array: it
     is returned (made contiguous), `tensor` unchanged, with no copy back.
     """
-    for tile, out in _tiles(tensor, mat, axes):
+    for tile, out in _tiles(tensor, mat, axes, source):
         if tile.size == tensor.size:
             return np.ascontiguousarray(out).reshape(tensor.shape)
         np.copyto(tile, out)
@@ -218,14 +226,14 @@ def _contract(tensor: np.ndarray, mat: np.ndarray, axes) -> np.ndarray:
 def _joined(tensor: np.ndarray, mat: np.ndarray, axes, new) -> np.ndarray:
     """`mat` on the listed axes, as the axes in `new` join `tensor` in |0>; a fresh array.
 
-    Axes are numbered in the result.  The grown state is zeroed, `tensor`
-    is copied into its slice where the new axes read 0, and `_contract`
-    applies `mat` to it in place: a join holds `tensor`, the grown state and
-    one tile's scratch.
+    Axes are numbered in the result.  `_contract` reads `tensor`, with a
+    size-1 axis for each new qubit, and writes the grown state tile by tile
+    into an array it never zeroes: a join holds `tensor`, the grown state and
+    one tile's scratch, and multiplies only the matrix's live columns.
     """
-    grown = np.zeros((2,) * (tensor.ndim + len(new)), dtype=complex)
-    grown[tuple(0 if a in new else slice(None) for a in range(grown.ndim))] = tensor
-    return _contract(grown, mat, axes)
+    n = tensor.ndim + len(new)
+    source = tensor.reshape([1 if a in new else 2 for a in range(n)])
+    return _contract(np.empty((2,) * n, dtype=complex), mat, axes, source)
 
 
 class Statevector:
@@ -453,9 +461,29 @@ class Statevector:
         return abs(overlap) ** 2 / (_norm_sq(psi) * math.fsum(norms))
 
     def sample_indices(self, shots: int, seed: int) -> np.ndarray:
-        """Basis indices of `shots` deterministic Born-rule draws."""
+        """Basis indices of `shots` Born-rule draws: what `choice(2**n, shots, p=|a|^2 / sum |a|^2)` returns.
+
+        Bit for bit `np.random.default_rng(seed).choice`, which builds the
+        cdf of p, draws `shots` uniforms u and searches the cdf for each u in
+        draw order.  Here the cdf is built in one float array, in place, by
+        the same operations, and the same u are searched in ascending order:
+        each search then starts where the last one ended and the cdf is read
+        front to back.  A search's result does not depend on the other keys,
+        so scattering the results back to their shots gives `choice`'s
+        indices.  A zero or non-finite state raises ValueError.
+        """
         if shots < 1:
             raise ValueError("shots must be >= 1")
-        p = np.abs(self.amps) ** 2
-        p /= p.sum()  # in place: no second 2^n array
-        return np.random.default_rng(seed).choice(self.amps.size, size=shots, p=p)
+        cdf = np.abs(self.amps)
+        np.square(cdf, out=cdf)
+        total = cdf.sum()
+        if not 0 < total < math.inf:
+            raise ValueError(f"cannot sample a state of squared norm {total}")
+        cdf /= total
+        np.cumsum(cdf, out=cdf)
+        cdf /= cdf[-1]
+        keys = np.random.default_rng(seed).random(shots)
+        order = keys.argsort()
+        indices = np.empty(shots, dtype=np.intp)
+        indices[order] = cdf.searchsorted(keys[order], side="right")
+        return indices

@@ -152,6 +152,22 @@ def test_prepare_shots_samples_the_simulated_circuit(tmp_path):
     assert doc["simulated"]["mc_z"] == z
 
 
+def test_sampling_a_zero_state_exits_config(monkeypatch, capsys):
+    """The draw's ValueError on a zero state reaches the CLI as a config error, exit 2."""
+    from vbsprep.statesim import Statevector
+
+    draw = Statevector.sample_indices
+
+    def on_a_zero_state(self, shots, seed):
+        self.amps[:] = 0
+        return draw(self, shots, seed)
+
+    monkeypatch.setattr(Statevector, "sample_indices", on_a_zero_state)
+    argv = ["prepare", "--spin", "2", "--lattice", "chain:2:open:aligned", "--method", "probabilistic", "--shots", "10"]
+    assert main(argv) == EXIT_CONFIG
+    assert "cannot sample a state of squared norm 0" in capsys.readouterr().err
+
+
 def test_verify_open_chain(tmp_path):
     out = tmp_path / "v.json"
     code = main(["verify", "--spin", "2", "--lattice", "chain:5:open:aligned", "--out", str(out)])

@@ -177,6 +177,30 @@ def test_sampling_deterministic_and_binomial():
     assert _counts(plus, 1000, seed=3) == _counts(plus, 1000, seed=3)
 
 
+@pytest.mark.parametrize("n", [1, 6, 16])
+def test_sample_indices_are_choice_bit_for_bit(n):
+    """The draw returns `Generator.choice`'s indices exactly, zero amplitudes included."""
+    rng = np.random.default_rng(n)
+    for zeros in (False, True):
+        v = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
+        if zeros:
+            v[rng.permutation(2**n)[: 2**n // 2]] = 0  # half the amplitudes, and one of two at n = 1
+        st = Statevector.from_amplitudes(v)
+        p = np.abs(v) ** 2
+        for seed in (0, 1, 5):
+            for shots in (1, 100_000):
+                expected = np.random.default_rng(seed).choice(2**n, size=shots, p=p / p.sum())
+                drawn = st.sample_indices(shots, seed)
+                assert drawn.dtype == expected.dtype and np.array_equal(drawn, expected), (zeros, seed, shots)
+        assert np.array_equal(st.amps, v)  # the draw leaves the state alone
+
+
+def test_sampling_a_zero_or_non_finite_state_raises():
+    for amps in (np.zeros(8), np.array([1, np.nan, 0, 0]), np.array([np.inf, 0])):
+        with pytest.raises(ValueError):
+            Statevector.from_amplitudes(amps).sample_indices(10, seed=1)
+
+
 def _applied(st: Statevector, mat, qubits) -> np.ndarray:
     """op|psi> (not renormalized) through the kernel, on a copy: the state is unchanged."""
     tensor = st.amps.reshape([2] * st.n_qubits).copy()
@@ -365,6 +389,64 @@ def test_kernel_matches_einsum_on_runs_and_scattered_targets(n, k, monkeypatch):
     st.apply_unitary(u, tuple(range(n - k, n)))
     assert st.amps is before  # the operator writes into the state's own array
     assert np.max(np.abs(st.amps - _einsum_apply(v, u, tuple(range(n - k, n)), n))) < 1e-12
+
+
+def _join_layouts(n: int, rng):
+    """(qubits, new) joins into an n-qubit state: m = 1, 2, 3 new qubits first, in the middle and last in `qubits`.
+
+    Each comes on a contiguous run (shuffled, at the front and at the end)
+    and on scattered targets; k = m + 2, so the three places differ.
+    """
+    for m in (1, 2, 3):
+        k = m + 2
+        scattered = [0, 2] + list(range(n - k + 2, n))[::-1]  # gaps after qubits 0 and 2
+        for targets in ([int(q) for q in rng.permutation(k)], list(range(n - k, n)), scattered):
+            for at in (0, 1, 2):  # the new ones first, in the middle, last
+                yield tuple(targets), tuple(targets[at : at + m])
+
+
+@pytest.mark.parametrize("tile", [1 << 5, statesim.TILE])
+def test_joins_match_einsum_on_the_zero_padded_state(tile, monkeypatch):
+    """Joins of 1-3 qubits read the old state: the einsum of the padded state, on one tile and on many."""
+    monkeypatch.setattr(statesim, "TILE", tile)
+    views = []
+    contract_run = statesim._contract_run
+    monkeypatch.setattr(statesim, "_contract_run", lambda *a: views.append(a[2]) or contract_run(*a))
+    rng = np.random.default_rng(tile + 3)
+    n = 11
+    for qubits, new in _join_layouts(n, rng):
+        k = len(qubits)
+        u, _ = np.linalg.qr(rng.normal(size=(2**k, 2**k)) + 1j * rng.normal(size=(2**k, 2**k)))
+        v = _random_state(n - len(new), rng)
+        padded = np.zeros([2] * n, dtype=complex)
+        padded[tuple(0 if q in new else slice(None) for q in range(n))] = v.reshape([2] * (n - len(new)))
+        grown = Statevector.from_amplitudes(v).apply_unitary(u, qubits, new_qubits=new)
+        assert np.max(np.abs(grown.amps - _einsum_apply(padded.reshape(-1), u, qubits, n))) < 1e-12, (qubits, new)
+        run = max(qubits) - min(qubits) == k - 1
+        assert views == ([[q - min(qubits) for q in qubits]] if run else []), (qubits, new)
+        views.clear()
+
+
+def test_join_into_21_qubits_allocates_the_grown_state_and_a_few_tiles(monkeypatch):
+    """The ring's 20 -> 21 join: the grown state, never zero-filled, and at most four tiles of scratch."""
+    import tracemalloc
+
+    zeroed = []
+    zeros = np.zeros
+    monkeypatch.setattr(np, "zeros", lambda shape, *a, **kw: zeroed.append(np.prod(shape)) or zeros(shape, *a, **kw))
+    rng = np.random.default_rng(22)
+    st = Statevector.from_amplitudes(_random_state(20, rng))
+    u, _ = np.linalg.qr(rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16)))
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        st.apply_unitary(u, (19, 10, 11, 20), new_qubits=(20,))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert st.n_qubits == 21
+    assert peak - start <= st.amps.nbytes + 4 * statesim.TILE * st.amps.itemsize
+    assert all(size < statesim.TILE for size in zeroed)  # no zero-filled grown state
 
 
 def test_operator_on_no_qubit_scales_the_state():
