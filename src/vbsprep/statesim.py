@@ -37,7 +37,8 @@ FOLD_MAX_COLS = 64
 # amplitudes (512 KB, so that a tile and its scratch stay in cache) at a
 # time.  The result of a tile goes to tile-sized scratch, then back into the
 # tile (a state of one tile takes the scratch instead), so no operator holds a
-# second state-sized array; a join holds only its input and the grown state.
+# second state-sized array.  A join reads each tile from the old state and
+# writes it into the grown one, so it holds only those two.
 TILE = 1 << 15
 # `_row_weights` keeps the innermost axes of the float view (5 qubits and
 # re/im: 64 floats) in its einsum's output and sums them after, so that the
@@ -118,23 +119,21 @@ def _tile_slices(shape, whole):
 def _tiles(tensor: np.ndarray, mat: np.ndarray, axes, source=None):
     """`mat` on the listed axes of `source` (axes[0] its MSB), one tile at a time, in `tensor`'s layout.
 
-    The listed axes have size 2, the others any power of two.  `source`
-    defaults to `tensor`: an operator in place.  A join (`_joined`) hands in
-    the grown state as `tensor` and the old one as `source`, with a size-1
-    axis for each new qubit; only the columns of `mat` where the new qubits
-    read 0 meet an amplitude, so the matrix is cut to those, 2^k x 2^(k-m).
+    The listed axes have size 2 in `tensor`, the others any power of two.
+    `source` is `tensor` for an operator in place; a join (`_joined`) passes
+    the old state, with a size-1 axis per new qubit, the grown one as
+    `tensor`, and `mat` cut to its 2^(k-m) columns where the new qubits read 0.
     Yields (tile, out) per tile: `tile` is a view into `tensor`, `out` the
-    operator applied to the same tile of `source`, in the tile's layout, in
-    tile-sized scratch that the next tile may reuse (`tensor` is not written;
-    `out` may be a strided view).  `_contract` writes `out` into `tile`, so
-    no operator holds a second state-sized array.
+    operator applied to the same tile of `source`, in tile-sized scratch
+    that the next tile may reuse (`tensor` is not written; `out` may be a
+    strided view).  `_contract` writes `out` into `tile`, so no operator
+    holds a second state-sized array.
 
     A contiguous run of axes (in any order; an empty list is a run) takes
     `_contract_run`; scattered axes take `_contract_scattered`.
     """
     source = tensor if source is None else source
     k = len(axes)
-    mat = mat.reshape([2] * (2 * k))[(slice(None),) * k + tuple(slice(source.shape[a]) for a in axes)]
     if not k or max(axes) - min(axes) == k - 1:
         lo = min(axes, default=0)
         return _contract_run(tensor, mat, [a - lo for a in axes], lo, source)
@@ -150,22 +149,21 @@ def _fold(mat: np.ndarray, right: int) -> np.ndarray:
 def _contract_run(tensor: np.ndarray, mat: np.ndarray, run, lo: int, source: np.ndarray):
     """Tiles of `mat` on axes lo..lo+k-1 of `source`, where run[i] is the place of its i-th qubit.
 
-    `tensor` is viewed as (L, 2^k, R) and `source` as (L, cols, R), L and R
-    the sizes of the axes before and after the run, and neither is moved:
-    the matrix (rows, then columns, one axis per qubit), permuted into the
-    run's order, acts on the middle axis of each (l, cols, r) tile, by
-    batched `matmul` when 2^k * R exceeds FOLD_MAX_COLS, else by one gemm
-    against M (x) I_R.
+    `tensor` is viewed as (L, 2^k, R) and `source` as (L, cols, R), cols
+    2^(k-m) in a join of m qubits, L and R the sizes of the axes before and
+    after the run; neither is moved.  The matrix, permuted into the run's
+    order, acts on the middle axis of each (l, cols, r) tile, by batched
+    `matmul` when 2^k * R exceeds FOLD_MAX_COLS, else by one gemm against
+    M (x) I_R.
     """
     k = len(run)
     if run != list(range(k)):
         order = [run.index(j) for j in range(k)]
-        mat = mat.transpose(order + [k + i for i in order])
-    mat = mat.reshape(2**k, -1)
+        cols = [source.shape[lo + j] for j in run]  # 1 for a qubit that joins
+        mat = mat.reshape([2] * k + cols).transpose(order + [k + i for i in order]).reshape(2**k, -1)
     left = math.prod(tensor.shape[:lo])
-    view = tensor.reshape(left, 2**k, -1)
-    src = source.reshape(left, mat.shape[1], -1)
-    right = view.shape[2]
+    right = tensor.size // (left * 2**k)
+    view, src = tensor.reshape(left, 2**k, right), source.reshape(left, -1, right)
     # the fold needs whole rows in every tile: a tile smaller than a row splits R
     fold = _fold(mat, right) if 2**k * right <= min(FOLD_MAX_COLS, TILE) else None
     out = None
@@ -188,9 +186,9 @@ def _contract_scattered(tensor: np.ndarray, mat: np.ndarray, axes, source: np.nd
     far apart the targets lie.
     """
     k = len(axes)
-    shape: list[int] = []  # the tensor with every run of untouched axes merged
+    shape: list[int] = []  # the source with every run of untouched axes merged
     dims = {}  # target axis -> its dim in `shape`
-    for a, size in enumerate(tensor.shape):
+    for a, size in enumerate(source.shape):
         if a in axes:
             dims[a] = len(shape)
             shape.append(size)
@@ -199,10 +197,9 @@ def _contract_scattered(tensor: np.ndarray, mat: np.ndarray, axes, source: np.nd
         else:
             shape.append(size)
     targets = [dims[a] for a in axes]
-    view = tensor.reshape(shape)
-    for a in axes:
-        shape[dims[a]] = source.shape[a]
     src = source.reshape(shape)
+    view = tensor.reshape([2 if d in targets else size for d, size in enumerate(shape)])
+    mat = mat.reshape([2] * k + [source.shape[a] for a in axes])
     for index in _tile_slices(view.shape, targets):
         out = np.tensordot(mat, src[index], axes=(range(k, 2 * k), targets))
         yield view[index], np.moveaxis(out, range(k), targets)
@@ -227,13 +224,14 @@ def _joined(tensor: np.ndarray, mat: np.ndarray, axes, new) -> np.ndarray:
     """`mat` on the listed axes, as the axes in `new` join `tensor` in |0>; a fresh array.
 
     Axes are numbered in the result.  `_contract` reads `tensor`, with a
-    size-1 axis for each new qubit, and writes the grown state tile by tile
-    into an array it never zeroes: a join holds `tensor`, the grown state and
-    one tile's scratch, and multiplies only the matrix's live columns.
+    size-1 axis per new qubit, and writes the grown state, tile by tile, into
+    an array that is never zeroed: a join holds `tensor`, the grown state and
+    one tile's scratch, and multiplies only the columns of `mat` it needs.
     """
-    n = tensor.ndim + len(new)
+    n, k = tensor.ndim + len(new), len(axes)
     source = tensor.reshape([1 if a in new else 2 for a in range(n)])
-    return _contract(np.empty((2,) * n, dtype=complex), mat, axes, source)
+    live = mat.reshape([2] * (2 * k))[(slice(None),) * k + tuple(slice(1 if a in new else 2) for a in axes)]
+    return _contract(np.empty((2,) * n, dtype=complex), live.reshape(2**k, -1), axes, source)
 
 
 class Statevector:
@@ -245,7 +243,7 @@ class Statevector:
 
     A Statevector owns the array it is given: operators, projections and
     renormalizations write into it in place, and only a qubit joining the
-    state (into a zeroed grown array, then in place), or an operator on a
+    state (the grown array is written from the old one), or an operator on a
     state of one tile, replaces it.  Pass a copy to keep the original.
     """
 
@@ -461,16 +459,15 @@ class Statevector:
         return abs(overlap) ** 2 / (_norm_sq(psi) * math.fsum(norms))
 
     def sample_indices(self, shots: int, seed: int) -> np.ndarray:
-        """Basis indices of `shots` Born-rule draws: what `choice(2**n, shots, p=|a|^2 / sum |a|^2)` returns.
+        """Basis indices of `shots` Born-rule draws: `default_rng(seed).choice(2**n, shots, p=|a|^2/sum)`, bit for bit.
 
-        Bit for bit `np.random.default_rng(seed).choice`, which builds the
-        cdf of p, draws `shots` uniforms u and searches the cdf for each u in
-        draw order.  Here the cdf is built in one float array, in place, by
-        the same operations, and the same u are searched in ascending order:
-        each search then starts where the last one ended and the cdf is read
-        front to back.  A search's result does not depend on the other keys,
-        so scattering the results back to their shots gives `choice`'s
-        indices.  A zero or non-finite state raises ValueError.
+        `choice` searches the cdf of p for each of `shots` uniforms u in draw
+        order.  The same operations build the cdf here, in place in one float
+        array, and the same u are searched in ascending order, so that each
+        search starts where the last ended and the cdf is read front to back;
+        a search's result does not depend on the other keys, so put back in
+        shot order they are `choice`'s.  A zero or non-finite state raises
+        ValueError.
         """
         if shots < 1:
             raise ValueError("shots must be >= 1")
