@@ -67,6 +67,19 @@ def spin_ket(spin: str) -> np.ndarray:
     return np.array([0, 1] if spin == SPIN_DOWN else [1, 0], dtype=complex)
 
 
+@functools.cache
+def _test_block(twice_s: int, plain_cswap: bool = False) -> np.ndarray:
+    """The site test's controlled exp(-i pi P_sym), or its negation, read-only.
+
+    One array serves every site, so `ir.simulate_circuit`, which keys an
+    Opaque by its matrix's identity, composes a repeated test once.
+    """
+    mat = exp_minus_i_pi_symmetrizer(twice_s).matrix
+    block = controlled(-mat if plain_cswap else mat)
+    block.setflags(write=False)
+    return block
+
+
 def hadamard_test_fragment(
     site: int,
     encoding: SiteEncoding,
@@ -100,11 +113,11 @@ def hadamard_test_fragment(
     cost_key = f"test_2s{s.twice_s}" + (f"_{heavy_hex_box or 'line'}" if s.twice_s == 3 else "")
     if cost_key not in DECLARED_COSTS:
         raise UnsupportedError(f"no declared test costs for 2S={s.twice_s}")
-    block = controlled(exp_minus_i_pi_symmetrizer(s.twice_s).matrix)
+    block = _test_block(s.twice_s)
     expect = 1
     label = f"ctrl_exp_sym_{s.twice_s}"
     if drop_phase_gate:
-        block = controlled(-exp_minus_i_pi_symmetrizer(2).matrix)  # plain CSWAP
+        block = _test_block(2, plain_cswap=True)
         expect = 0
         label = "ctrl_swap"
         circ.metadata["phase_gate_dropped"] = True
@@ -165,10 +178,8 @@ def island_local_state(lattice: Lattice, encoding: SiteEncoding, site: int, grou
     for qubit, spin in encoding.boundary_qubits:
         if qubit in local:
             factors.append(((local[qubit],), spin_ket(spin)))
-    state = Statevector.product_of_factors(len(group), factors)
     site_local = tuple(local[q] for q in encoding.site_qubits[site])
-    state.apply_nonunitary_sequence([(symmetrizer(len(site_local)), site_local)])
-    return state
+    return Statevector.product_of_factors(len(group), factors, [(symmetrizer(len(site_local)), site_local)])
 
 
 @functools.cache

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import struct
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -270,6 +271,24 @@ def _block_matrix(support: list[int], gates: list) -> np.ndarray:
     return t.reshape(2**m, 2**m)
 
 
+def _block_key(support: list[int], gates: list) -> tuple:
+    """What `_block_matrix(support, gates)` depends on: equal keys give the same matrix bit for bit.
+
+    A gate enters as its kind, its parameters (a U1Q's angles as their bits,
+    so that -0.0 and 0.0 stay apart) and its qubits' places in `support`; an
+    Opaque by the identity of its matrix, which the caller keeps alive.
+    """
+    pos = {q: i for i, q in enumerate(support)}
+    key: list = [len(support)]
+    for g in gates:
+        if isinstance(g, U1Q):
+            params = struct.pack("3d", g.theta, g.phi, g.lam)
+        else:
+            params = id(g.matrix) if isinstance(g, Opaque) else None
+        key.append((type(g), params, *(pos[q] for q in g.qubits)))
+    return tuple(key)
+
+
 def _reused_markers(gates: list) -> set[int]:
     """Indices of the markers whose qubit a later gate touches."""
     touched: set[int] = set()
@@ -295,7 +314,9 @@ def simulate_circuit(circuit: Circuit, initial: Statevector | None = None) -> tu
     amplitudes are copied at the first write.
 
     Consecutive gates are fused greedily into blocks of at most FUSE_WIDTH
-    qubits, and each block is applied to the state once.  A marker whose
+    qubits, and each block is applied to the state once.  A block's matrix
+    is composed once per call: a later block with the same `_block_key`
+    (the same gates on the same relative qubits) reuses it.  A marker whose
     qubit a later gate reuses is projected on its expected outcome before
     that gate: the block built so far is applied, then every such pending
     marker is projected, all in one pass, and `tracked_norm_sq` carries
@@ -333,6 +354,14 @@ def simulate_circuit(circuit: Circuit, initial: Statevector | None = None) -> tu
             if q not in live:
                 apply(_IDENTITY_1Q, [q])
 
+    blocks: dict[tuple, np.ndarray] = {}  # _block_key -> matrix, for this call only
+
+    def apply_block(support: list[int], block: list) -> None:
+        key = _block_key(support, block)
+        if key not in blocks:
+            blocks[key] = _block_matrix(support, block)
+        apply(blocks[key], support)
+
     reused = _reused_markers(circuit.gates)
     markers: list[Measure] = []
     pending: list[Measure] = []
@@ -344,7 +373,7 @@ def simulate_circuit(circuit: Circuit, initial: Statevector | None = None) -> tu
             continue
         if any(m.qubit in g.qubits for m in pending):
             if block:
-                apply(_block_matrix(support, block), support)
+                apply_block(support, block)
                 support, block = [], []
             make_live([m.qubit for m in pending])
             axes = [live.index(m.qubit) for m in pending]
@@ -357,12 +386,12 @@ def simulate_circuit(circuit: Circuit, initial: Statevector | None = None) -> tu
             pending = []
         grown = support + [q for q in g.qubits if q not in support]
         if len(grown) > FUSE_WIDTH and block:
-            apply(_block_matrix(support, block), support)
+            apply_block(support, block)
             grown, block = list(g.qubits), []
         support = grown
         block.append(g)
     if block:
-        apply(_block_matrix(support, block), support)
+        apply_block(support, block)
     if state is None:  # no gate at all
         return Statevector.zero(n), markers
     make_live(range(n))  # the qubits no gate touched

@@ -9,7 +9,9 @@ equal to half their coordination number.
 from __future__ import annotations
 
 import json
+from collections import deque
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .errors import ConfigError, NotBipartiteError
 
@@ -317,17 +319,11 @@ class CouplingMap:
             return True
         if len(qs) <= 1:
             return True
-        adj = {q: set() for q in qs}
-        for a, b in self.edges:
-            if a in qs and b in qs:
-                adj[a].add(b)
-                adj[b].add(a)
-        start = next(iter(qs))
+        start, adj = next(iter(qs)), self._adjacency
         seen, stack = {start}, [start]
         while stack:
-            u = stack.pop()
-            for v in adj[u]:
-                if v not in seen:
+            for v in adj.get(stack.pop(), ()):
+                if v in qs and v not in seen:
                     seen.add(v)
                     stack.append(v)
         return len(seen) == len(qs)
@@ -337,18 +333,27 @@ class CouplingMap:
             return a != b
         return (min(a, b), max(a, b)) in self.edges
 
-    def neighbors(self, q: int):
+    @cached_property
+    def _adjacency(self) -> dict[int, tuple[int, ...]]:
+        """Each coupled qubit's neighbours, ascending; built on first use, once per map."""
+        adj: dict[int, set[int]] = {}
+        for a, b in self.edges:
+            adj.setdefault(a, set()).add(b)
+            adj.setdefault(b, set()).add(a)
+        return {q: tuple(sorted(vs)) for q, vs in adj.items()}
+
+    def neighbors(self, q: int) -> tuple[int, ...]:
         if self.name == ALL_TO_ALL:
-            return [p for p in range(self.n_qubits) if p != q]
-        return sorted({b if a == q else a for a, b in self.edges if q in (a, b)})
+            return tuple(p for p in range(self.n_qubits) if p != q)
+        return self._adjacency.get(q, ())
 
     def shortest_path(self, a: int, b: int) -> list[int]:
         if self.name == ALL_TO_ALL:
             return [a, b]
         prev = {a: None}
-        queue = [a]
+        queue = deque([a])
         while queue:
-            u = queue.pop(0)
+            u = queue.popleft()
             if u == b:
                 break
             for v in self.neighbors(u):

@@ -124,12 +124,12 @@ def run_mitigated_retry(lattice: Lattice, s: SpinValue, seed: int) -> dict:
         if qubit not in covered:
             factors.append(((qubit,), spin_ket(spin)))
             covered.add(qubit)
-    full = Statevector.product_of_factors(encoding.n_data_qubits, factors)
     b_sites = [encoding.site_qubits[site] for site in range(lattice.n_sites) if colors[site] == "B"]
-    prob = full.apply_nonunitary_sequence([(symmetrizer(len(qs)), qs) for qs in b_sites])
+    full = Statevector.product_of_factors(encoding.n_data_qubits, factors,
+                                          [(symmetrizer(len(qs)), qs) for qs in b_sites])
     return {
         "state": full,
-        "success_probability": prob,
+        "success_probability": full.tracked_norm_sq,
         "rounds_used": rounds_used,
         "encoding": encoding,
     }

@@ -168,9 +168,7 @@ def island_state(s: SpinValue) -> Statevector:
         raise UnsupportedError("island states implemented for 2S in {2, 3}")
     n = 2 * s.twice_s
     factors = [((2 * k, 2 * k + 1), SINGLET) for k in range(s.twice_s)]
-    state = Statevector.product_of_factors(n, factors)
-    state.apply_nonunitary_sequence([(symmetrizer(s.twice_s), ISLAND_SITE_SLOTS[s.twice_s])])
-    return state
+    return Statevector.product_of_factors(n, factors, [(symmetrizer(s.twice_s), ISLAND_SITE_SLOTS[s.twice_s])])
 
 
 def island_prep_circuit(s: SpinValue) -> Circuit:

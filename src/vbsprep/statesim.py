@@ -275,16 +275,26 @@ class Statevector:
         return cls(n, amps.copy())
 
     @classmethod
-    def product_of_factors(cls, n_qubits: int, factors) -> "Statevector":
-        """Tensor product of local vectors given as (qubit_tuple, vector) pairs.
+    def product_of_factors(cls, n_qubits: int, factors, ops=()) -> "Statevector":
+        """Tensor product of local vectors given as (qubit_tuple, vector) pairs, then `ops` on it.
 
         The qubit tuples must partition range(n_qubits).  The factors are
         multiplied in the order of their first qubit, so that factors listed
-        out of order cost no state-sized transpose.
+        out of order cost no state-sized transpose.  `ops` lists (op, qubits)
+        pairs for `apply_nonunitary_sequence`, applied in list order, each as
+        soon as the partial product holds its qubits, since
+        (O (x) I)(psi (x) phi) = (O psi) (x) phi: only the ops that wait for
+        the last factor touch the whole state.  `tracked_norm_sq` is then
+        ||O psi||^2 / ||psi||^2, as the product and one
+        `apply_nonunitary_sequence(ops)` give; the state is normalized when
+        the factors multiplied in after the last op are.
         """
         _checked_width(n_qubits)  # before the product is allocated
+        ops = [(op, tuple(qubits)) for op, qubits in ops]
+        if any(not 0 <= q < n_qubits for _, qubits in ops for q in qubits):
+            raise ValueError(f"an op names a qubit outside the {n_qubits}-qubit register")
         axes: list[int] = []
-        full = np.array(1.0 + 0j)
+        full, norm_sq = np.array(1.0 + 0j), 1.0
         for qubits, vec in sorted(factors, key=lambda f: tuple(f[0])):
             vec = np.asarray(vec, dtype=complex)
             k = len(qubits)
@@ -292,12 +302,19 @@ class Statevector:
                 raise ValueError("factor dimension mismatch")
             full = np.multiply.outer(full, vec.reshape([2] * k))
             axes.extend(qubits)
+            ready = 0
+            while ready < len(ops) and set(ops[ready][1]) <= set(axes):
+                ready += 1
+            if ready:
+                partial = cls(len(axes), full.reshape(-1), norm_sq)
+                partial.apply_nonunitary_sequence([(op, [axes.index(q) for q in qs]) for op, qs in ops[:ready]])
+                full, norm_sq, ops = partial.amps, partial.tracked_norm_sq, ops[ready:]
         if sorted(axes) != list(range(n_qubits)):
             raise ValueError("factors must partition the qubit set")
         if axes != list(range(n_qubits)):
             order = [axes.index(q) for q in range(n_qubits)]
             full = np.ascontiguousarray(np.transpose(full.reshape([2] * n_qubits), order))
-        return cls(n_qubits, full.reshape(-1))
+        return cls(n_qubits, full.reshape(-1), norm_sq)
 
     def copy(self) -> "Statevector":
         return Statevector(self.n_qubits, self.amps.copy(), self.tracked_norm_sq)

@@ -353,6 +353,26 @@ def test_simulation_from_empty_register_matches_gate_by_gate():
     assert all(kinds.values()), kinds
 
 
+def test_simulation_composes_each_distinct_block_once(monkeypatch):
+    """Repeated site blocks are composed once per call, with the state bit for bit as composing every block."""
+    from vbsprep import ir
+
+    lattice = build_chain(4, "ring")
+    circ = probabilistic_method_circuit(lattice, assign_qubits(lattice, "hadamard_all"), SpinValue(2))
+    keys, composed = [], []
+    block_key, block_matrix = ir._block_key, ir._block_matrix
+    monkeypatch.setattr(ir, "_block_key", lambda support, gates: keys.append(block_key(support, gates)) or keys[-1])
+    monkeypatch.setattr(ir, "_block_matrix", lambda support, gates: composed.append(1) or block_matrix(support, gates))
+    cached, markers = simulate_circuit(circ)
+    assert len(composed) == len(set(keys)) < len(keys)
+    monkeypatch.setattr(ir, "_block_key", lambda support, gates: object())  # no two blocks share a key
+    uncached, _ = simulate_circuit(circ)
+    assert len(composed) == len(set(keys)) + len(keys)
+    assert np.array_equal(cached.amps, uncached.amps) and markers == circ.measures()
+    # signed zeros give different matrices, so they key apart
+    assert block_key([0], [U1Q(0.0, 0.0, 0.0, 0)]) != block_key([0], [U1Q(-0.0, 0.0, 0.0, 0)])
+
+
 def test_impossible_reused_marker_names_its_circuit_qubit():
     # qubits 1 and 2 are not live yet, so qubit 3 sits on axis 1 of the state
     circ = Circuit(4, gates=[U1Q(np.pi, 0.0, np.pi, 0), u_h(3), u_h(3), Measure(3, 1), CNot(3, 2)])

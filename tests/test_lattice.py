@@ -141,6 +141,16 @@ def test_coupling_maps():
     assert not hh.connected_subset([0, 2, 4])
 
 
+def test_neighbors_are_the_edge_scan():
+    """The adjacency built once per map lists what scanning the edges lists, ascending, and cannot be changed."""
+    for coupling in (linear_coupling(9), heavy_hex_patch(2)):
+        for q in range(coupling.n_qubits + 1):
+            scan = sorted({b if a == q else a for a, b in coupling.edges if q in (a, b)})
+            assert list(coupling.neighbors(q)) == scan
+        assert isinstance(coupling.neighbors(0), tuple)
+        assert coupling.neighbors(1) is coupling.neighbors(1)
+
+
 def test_coupling_map_must_be_connected():
     with pytest.raises(ConfigError, match="coupling map must be connected"):
         CouplingMap(LINEAR, 3, frozenset({(0, 1)}))

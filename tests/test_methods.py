@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 
+from vbsprep import statesim
 from vbsprep.lattice import build_chain, build_honeycomb_patch, build_three_link_pair, build_three_link_ring
 from vbsprep.methods import (
     oracle_vbs_state,
@@ -12,6 +13,7 @@ from vbsprep.methods import (
     run_probabilistic,
 )
 from vbsprep.spinops import SpinValue
+from vbsprep.statesim import Statevector
 
 from oracle_reference import applied_norm, bond_product, embed, fidelity, overlap, reference_oracle
 
@@ -291,3 +293,41 @@ def test_oracle_contraction_stops_at_the_cap(monkeypatch):
     monkeypatch.setenv("VBS_MAX_QUBITS", str(psi.size.bit_length() - 1))
     with pytest.raises(CapExceededError, match=r"spin-basis oracle of 'honeycomb:1:2' needs \d+ amplitudes"):
         oracle_vbs_state(lattice, S32)
+
+
+CHAIN_11 = build_chain(11, "open", ("up", "up"))  # 22 data qubits, 64 MB
+
+
+def test_retry_symmetrizes_each_b_site_as_the_island_product_grows(monkeypatch):
+    """Only the last B-site symmetrizer of chain:11 acts on the whole register."""
+    widths = []
+    apply = Statevector.apply_nonunitary_sequence
+    monkeypatch.setattr(Statevector, "apply_nonunitary_sequence",
+                        lambda self, ops: widths.append(self.n_qubits) or apply(self, ops))
+    assert run_mitigated_retry(CHAIN_11, S1, 3)["state"].n_qubits == 22
+    assert widths[-1] == 22 and max(widths[:-1]) < 22
+
+
+def test_retry_product_holds_the_state_and_the_partial_before_it(monkeypatch):
+    """chain:11's product allocates its 22 qubits, the 19-qubit partial before them and tile scratch."""
+    import tracemalloc
+
+    peaks = []
+    product = Statevector.product_of_factors
+
+    def traced(n_qubits, factors, ops=()):
+        start = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        state = product(n_qubits, factors, ops)
+        peaks.append((tracemalloc.get_traced_memory()[1] - start, state.amps.nbytes))
+        return state
+
+    monkeypatch.setattr(Statevector, "product_of_factors", traced)
+    tracemalloc.start()
+    try:
+        run_mitigated_retry(CHAIN_11, S1, 3)
+    finally:
+        tracemalloc.stop()
+    peak, nbytes = peaks[-1]
+    assert nbytes == 16 << 22
+    assert peak <= nbytes + nbytes // 8 + 4 * statesim.TILE * 16

@@ -328,6 +328,65 @@ def test_product_of_factors_any_factor_order():
     assert np.max(np.abs(st.amps - np.kron(ordered[0][1], ordered[1][1]))) < 1e-15
 
 
+def _ops_cases(rng):
+    """(n, factors, ops): normalized factors listed out of order, non-unitary ops on overlapping qubits."""
+    def op(k):
+        return rng.normal(size=(2**k, 2**k)) + 1j * rng.normal(size=(2**k, 2**k))
+
+    factors = [((7, 4, 6), None), ((0, 5), None), ((2,), None), ((3, 1), None)]
+    factors = [(qs, _random_state(len(qs), rng)) for qs, _ in factors]
+    yield 8, factors, [(op(2), (5, 1)), (op(3), (1, 2, 3)), (op(1), (0,)), (op(2), (3, 5))]
+    # an op that needs the last factor, listed first: every op waits for it
+    yield 8, factors, [(op(2), (6, 0)), (op(1), (0,)), (symmetrizer(2), (1, 2))]
+    yield 8, factors, [(symmetrizer(3), (2, 3, 0)), (op(4), (7, 1, 0, 4))]
+    pairs = [((2 * i, 2 * i + 1), SINGLET) for i in range(5)]
+    yield 10, pairs[::-1], [(symmetrizer(2), (2 * i + 1, 2 * i + 2)) for i in range(4)]
+
+
+@pytest.mark.parametrize("tile", [statesim.TILE, 1 << 5], ids=["one-tile", "multi-tile"])
+def test_product_of_factors_applies_ops_as_the_product_grows(tile, monkeypatch):
+    """Equal to the product then one apply_nonunitary_sequence(ops), in amplitudes and ratio."""
+    monkeypatch.setattr(statesim, "TILE", tile)
+    cases = list(_ops_cases(np.random.default_rng(47)))
+    references = [Statevector.product_of_factors(n, factors) for n, factors, _ in cases]
+    ratios = [ref.apply_nonunitary_sequence(ops) for ref, (_, _, ops) in zip(references, cases)]
+    widths = []
+    apply = Statevector.apply_nonunitary_sequence
+    monkeypatch.setattr(Statevector, "apply_nonunitary_sequence",
+                        lambda self, ops: widths.append(self.n_qubits) or apply(self, ops))
+    for (n, factors, ops), expected, ratio in zip(cases, references, ratios):
+        st = Statevector.product_of_factors(n, factors, ops)
+        assert st.n_qubits == n and st.amps.flags.c_contiguous
+        assert np.max(np.abs(st.amps - expected.amps)) < 1e-12
+        assert st.tracked_norm_sq == pytest.approx(ratio, rel=1e-12)
+    # the product grows by (0, 5), (2,), (3, 1), (7, 4, 6) and by the pairs in turn
+    assert widths == [5, 8, 5, 8, 4, 6, 8, 10]
+
+
+def test_product_of_factors_without_ops_is_the_outer_product():
+    """ops=() multiplies the factors in the order of their first qubit, then transposes once, bit for bit."""
+    rng = np.random.default_rng(53)
+    _, factors, _ = next(_ops_cases(rng))
+    full = np.array(1.0 + 0j)
+    axes = []
+    for qs, vec in sorted(factors):
+        full = np.multiply.outer(full, vec.reshape([2] * len(qs)))
+        axes.extend(qs)
+    expected = np.transpose(full, [axes.index(q) for q in range(8)]).reshape(-1)
+    for st in (Statevector.product_of_factors(8, factors), Statevector.product_of_factors(8, factors, ())):
+        assert np.array_equal(st.amps, expected) and st.tracked_norm_sq == 1.0
+
+
+def test_product_of_factors_rejects_bad_ops():
+    zero = np.array([1, 0], dtype=complex)
+    onto_one = np.diag([0, 1]).astype(complex)  # annihilates |0>
+    with pytest.raises(ImpossibleOutcomeError):
+        Statevector.product_of_factors(3, [((0, 1), SINGLET), ((2,), zero)], [(onto_one, (2,))])
+    for qubits in [(3,), (-1,), (0, 5)]:
+        with pytest.raises(ValueError, match="outside the 3-qubit register"):
+            Statevector.product_of_factors(3, [((0, 1), SINGLET), ((2,), zero)], [(np.eye(2 ** len(qubits)), qubits)])
+
+
 def _einsum_apply(v: np.ndarray, mat: np.ndarray, qubits, n: int) -> np.ndarray:
     """`mat` on `qubits` of an n-qubit vector by one einsum, independent of the kernel."""
     k = len(qubits)
