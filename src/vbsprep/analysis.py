@@ -11,7 +11,7 @@ import numpy as np
 from .builders import mitigated_islands_circuit, probabilistic_method_circuit
 from .errors import ConfigError, UnsupportedError
 from .ir import Circuit, cnot_depth
-from .lattice import assign_qubits, build_chain, build_three_link_pair
+from .lattice import BOUNDARY_OPEN, BOUNDARY_RING, assign_qubits, build_chain, build_three_link_pair
 from .routing import heavy_hex_pair_mitigated, heavy_hex_pair_probabilistic
 from .spinops import SpinValue, symmetric_fraction
 from .statesim import Statevector
@@ -28,12 +28,13 @@ def vbs_norm(twice_s: int, n_sites: int, boundary: str, boundary_spins=("up", "u
 
     Spin-1 chains have exact closed forms for rings and for open chains with
     aligned or anti-aligned end spins; other spins use the asymptotic p^N.
+    `boundary` is a lattice boundary name: BOUNDARY_RING or BOUNDARY_OPEN.
     """
     if twice_s == 2:
         p, q = 0.75, -0.25
-        if boundary == "ring":
+        if boundary == BOUNDARY_RING:
             return p**n_sites + 3 * q**n_sites
-        if boundary in ("open", "open_chain"):
+        if boundary == BOUNDARY_OPEN:
             aligned = boundary_spins[0] == boundary_spins[1]
             return p**n_sites - q**n_sites if aligned else p**n_sites + q**n_sites
         raise ConfigError(f"unknown boundary {boundary!r}")

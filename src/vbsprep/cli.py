@@ -9,6 +9,7 @@ cost or unsupported combination, 5 I/O failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from pathlib import Path
@@ -335,6 +336,7 @@ def _finish(report: analysis.Report, args) -> int:
     return EXIT_OK if report.all_passed() else EXIT_CHECK_FAILED
 
 
+@functools.cache  # argparse keeps no state between parses: every main call gets a fresh namespace
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="vbsprep", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)

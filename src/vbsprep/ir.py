@@ -20,9 +20,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ImpossibleOutcomeError, MissingCostError, NonUnitaryError
-from .statesim import PROB_FLOOR, Statevector, _checked_width, _contract
+from .statesim import PROB_FLOOR, UNITARY_TOL, Statevector, _checked_width, _contract, _known_unitary, _scoped
 
-OPAQUE_UNITARY_TOL = 1e-10
+OPAQUE_UNITARY_TOL = UNITARY_TOL  # simulate_circuit does not check an Opaque's matrix again
 FUSE_WIDTH = 4  # qubits in the widest block simulate_circuit fuses gates into
 
 
@@ -245,6 +245,9 @@ _CNOT_MAT = np.array(
     [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex
 )
 _IDENTITY_1Q = np.eye(2, dtype=complex)
+# read-only, so that Statevector.apply_unitary checks them once per simulate_circuit call
+_CNOT_MAT.setflags(write=False)
+_IDENTITY_1Q.setflags(write=False)
 
 
 def _gate_matrix(g) -> np.ndarray:
@@ -260,8 +263,8 @@ def _gate_matrix(g) -> np.ndarray:
 
 def _block_matrix(support: list[int], gates: list) -> np.ndarray:
     """Product of consecutive gates as one matrix on `support` (first qubit is the MSB)."""
-    if len(gates) == 1:
-        return _gate_matrix(gates[0])  # its support is its own qubit order
+    if len(gates) == 1 and list(gates[0].qubits) == list(support):
+        return _gate_matrix(gates[0])
     m = len(support)
     pos = {q: i for i, q in enumerate(support)}
     # rows on the first m axes, columns on the last: gates act on the rows
@@ -303,6 +306,7 @@ def _reused_markers(gates: list) -> set[int]:
     return reused
 
 
+@_scoped()
 def simulate_circuit(circuit: Circuit, initial: Statevector | None = None) -> tuple[Statevector, list[Measure]]:
     """Run the circuit; return the state and the markers left to post-select.
 
@@ -316,7 +320,11 @@ def simulate_circuit(circuit: Circuit, initial: Statevector | None = None) -> tu
     Consecutive gates are fused greedily into blocks of at most FUSE_WIDTH
     qubits, and each block is applied to the state once.  A block's matrix
     is composed once per call: a later block with the same `_block_key`
-    (the same gates on the same relative qubits) reuses it.  A marker whose
+    (the same gates on the same relative qubits) reuses it.  The call runs
+    in one `statesim._Scope`: the size cap is read once, a block matrix is
+    made read-only and checked for unitarity once (an Opaque's, checked when
+    it was made, not again), and folded once per run order and R; all of it
+    goes when the call returns.  A marker whose
     qubit a later gate reuses is projected on its expected outcome before
     that gate: the block built so far is applied, then every such pending
     marker is projected, all in one pass, and `tracked_norm_sq` carries
@@ -359,7 +367,10 @@ def simulate_circuit(circuit: Circuit, initial: Statevector | None = None) -> tu
     def apply_block(support: list[int], block: list) -> None:
         key = _block_key(support, block)
         if key not in blocks:
-            blocks[key] = _block_matrix(support, block)
+            mat = blocks[key] = _block_matrix(support, block)
+            mat.setflags(write=False)
+            if isinstance(block[0], Opaque) and mat is block[0].matrix:
+                _known_unitary(mat)
         apply(blocks[key], support)
 
     reused = _reused_markers(circuit.gates)
@@ -444,20 +455,15 @@ def post_select(state: Statevector, markers, keep) -> tuple[float, Statevector]:
 def circuit_unitary(circuit: Circuit) -> np.ndarray:
     """Full matrix of a measurement-free circuit (small registers only).
 
-    Applies the gates one by one, unfused.
+    Composes every gate into one matrix on the whole register through
+    `_block_matrix`, the contraction simulate_circuit builds its blocks with.
     """
     n = circuit.n_qubits
     if n > 12:
         raise ValueError("circuit_unitary capped at 12 qubits")
-    dim = 2**n
-    mat = np.eye(dim, dtype=complex)
-    for col in range(dim):
-        vec = np.zeros(dim, dtype=complex)
-        vec[col] = 1.0
-        sv = Statevector(n, vec)
-        for g in circuit.gates:
-            if isinstance(g, Measure):
-                raise ValueError("circuit_unitary does not support measurement markers")
-            sv.apply_unitary(_gate_matrix(g), g.qubits)
-        mat[:, col] = sv.amps
-    return mat
+    if n:
+        _checked_width(n)
+    if any(isinstance(g, Measure) for g in circuit.gates):
+        raise ValueError("circuit_unitary does not support measurement markers")
+    mat = _block_matrix(list(range(n)), circuit.gates)
+    return mat if mat.flags.writeable else mat.copy()  # not a shared gate matrix: the caller's to keep

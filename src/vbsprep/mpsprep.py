@@ -17,6 +17,7 @@ import numpy as np
 
 from .errors import ConfigError, UnsupportedError
 from .ir import Circuit, Measure, Opaque
+from .lattice import BOUNDARY_OPEN, BOUNDARY_RING
 from .schmidt import schmidt_prepare
 from .statesim import Statevector
 
@@ -54,13 +55,13 @@ def _slice_index(spin: str, side: str) -> int:
 
 
 def vbs_mps(n_sites: int, boundary: str, boundary_spins=("up", "up")) -> list[MpsTensor]:
-    """MPS tensors of the spin-1 chain state; open chains come left-canonical."""
+    """MPS tensors of the spin-1 chain state; open chains (BOUNDARY_OPEN) come left-canonical."""
     if n_sites < 2:
         raise ConfigError("need at least 2 sites")
     a = local_vbs_tensor()
-    if boundary == "ring":
+    if boundary == BOUNDARY_RING:
         return [MpsTensor(a, left_canonical=True) for _ in range(n_sites)]
-    if boundary not in ("open", "open_chain"):
+    if boundary != BOUNDARY_OPEN:
         raise ConfigError(f"unknown boundary {boundary!r}")
     xl = _slice_index(boundary_spins[0], "left")
     xr = _slice_index(boundary_spins[1], "right")
@@ -90,8 +91,8 @@ def left_canonicalize(arrays: list[np.ndarray]) -> list[MpsTensor]:
 
 
 def contract_mps(tensors: list[MpsTensor], boundary: str) -> Statevector:
-    """Exact 2N-qubit statevector of the MPS (normalized)."""
-    if boundary not in ("ring", "open", "open_chain"):
+    """Exact 2N-qubit statevector of the MPS (normalized); `boundary` is BOUNDARY_RING or BOUNDARY_OPEN."""
+    if boundary not in (BOUNDARY_RING, BOUNDARY_OPEN):
         raise ConfigError(f"unknown boundary {boundary!r}")
     arrs = [t.array for t in tensors]
     running = arrs[0]
@@ -101,7 +102,7 @@ def contract_mps(tensors: list[MpsTensor], boundary: str) -> Statevector:
         nxt = arr.reshape(arr.shape[0], 4, arr.shape[3])
         running = np.tensordot(running, nxt, axes=(2, 0))
         running = running.reshape(l0, -1, arr.shape[3])
-    if boundary == "ring":
+    if boundary == BOUNDARY_RING:
         amps = np.trace(running, axis1=0, axis2=2)
     else:
         amps = running.reshape(-1)
@@ -211,7 +212,7 @@ def mps_circuit(n_sites: int, boundary: str, boundary_spins=("up", "up")) -> Cir
     """
     if not 2 <= n_sites <= 6:
         raise UnsupportedError("mps_circuit supports 2..6 sites")
-    periodic = boundary == "ring"
+    periodic = boundary == BOUNDARY_RING
     if periodic and n_sites < 3:
         raise UnsupportedError("periodic preparation needs at least 3 sites")
     tensors = vbs_mps(n_sites, boundary, boundary_spins)

@@ -10,6 +10,7 @@ convention.
 """
 from __future__ import annotations
 
+import contextlib
 import itertools
 import math
 import os
@@ -60,8 +61,44 @@ def max_qubits() -> int:
         raise ConfigError(f"VBS_MAX_QUBITS must be an integer, got {raw!r}") from None
 
 
+class _Scope:
+    """What one scoped public call reads or works out once (see `_scoped`).
+
+    `cap` is max_qubits(), read as the scope opens.  `unitary` holds the
+    read-only matrices found unitary and `folds` the operands `_contract_run`
+    built for a read-only matrix in place (keyed by its id, run order and R).
+    Both keep the matrices they name alive, so that an id stays unique in the
+    scope; all of it goes when the scope closes.
+    """
+
+    __slots__ = ("cap", "unitary", "folds")
+
+    def __init__(self):
+        self.cap = max_qubits()
+        self.unitary: dict[int, np.ndarray] = {}
+        self.folds: dict[tuple, tuple] = {}
+
+
+_scope: _Scope | None = None
+
+
+@contextlib.contextmanager
+def _scoped():
+    """Open a `_Scope` for the calls inside, which closes with them; inside another, join that one.
+
+    `ir.simulate_circuit` and `Statevector.product_of_factors` run in one.
+    """
+    global _scope
+    outer = _scope
+    _scope = outer or _Scope()
+    try:
+        yield
+    finally:
+        _scope = outer
+
+
 def _checked_width(n_qubits: int) -> int:
-    cap = max_qubits()
+    cap = max_qubits() if _scope is None else _scope.cap
     if not 1 <= n_qubits <= cap:
         raise CapExceededError(f"n_qubits={n_qubits} outside [1, {cap}]")
     return n_qubits
@@ -154,18 +191,21 @@ def _contract_run(tensor: np.ndarray, mat: np.ndarray, run, lo: int, source: np.
     after the run; neither is moved.  The matrix, permuted into the run's
     order, acts on the middle axis of each (l, cols, r) tile, by batched
     `matmul` when 2^k * R exceeds FOLD_MAX_COLS, else by one gemm against
-    M (x) I_R.
+    M (x) I_R.  In place, a read-only matrix is permuted and folded once per
+    run order and R in an open `_Scope`.
     """
     k = len(run)
-    if run != list(range(k)):
-        order = [run.index(j) for j in range(k)]
-        cols = [source.shape[lo + j] for j in run]  # 1 for a qubit that joins
-        mat = mat.reshape([2] * k + cols).transpose(order + [k + i for i in order]).reshape(2**k, -1)
     left = math.prod(tensor.shape[:lo])
     right = tensor.size // (left * 2**k)
+    cols = [source.shape[lo + j] for j in run]  # 1 for a qubit that joins
+    if _scope is None or source is not tensor or mat.flags.writeable:
+        mat, fold = _run_operands(mat, run, cols, right)
+    else:
+        key = (id(mat), tuple(run), right)
+        if key not in _scope.folds:
+            _scope.folds[key] = (mat, *_run_operands(mat, run, cols, right))
+        _, mat, fold = _scope.folds[key]
     view, src = tensor.reshape(left, 2**k, right), source.reshape(left, -1, right)
-    # the fold needs whole rows in every tile: a tile smaller than a row splits R
-    fold = _fold(mat, right) if 2**k * right <= min(FOLD_MAX_COLS, TILE) else None
     out = None
     for index in _tile_slices(view.shape, (1,)):
         tile, part = view[index], src[index]
@@ -176,6 +216,16 @@ def _contract_run(tensor: np.ndarray, mat: np.ndarray, run, lo: int, source: np.
         else:
             np.matmul(part.reshape(len(part), -1), fold, out=out.reshape(len(tile), -1))
         yield tile, out
+
+
+def _run_operands(mat: np.ndarray, run, cols, right: int) -> tuple[np.ndarray, np.ndarray | None]:
+    """`mat` permuted into the run's order, and its fold when 2^k * R rows fit (else None); see `_contract_run`."""
+    k = len(run)
+    if run != list(range(k)):
+        order = [run.index(j) for j in range(k)]
+        mat = mat.reshape([2] * k + cols).transpose(order + [k + i for i in order]).reshape(2**k, -1)
+    # the fold needs whole rows in every tile: a tile smaller than a row splits R
+    return mat, _fold(mat, right) if 2**k * right <= min(FOLD_MAX_COLS, TILE) else None
 
 
 def _contract_scattered(tensor: np.ndarray, mat: np.ndarray, axes, source: np.ndarray):
@@ -220,6 +270,9 @@ def _contract(tensor: np.ndarray, mat: np.ndarray, axes, source=None) -> np.ndar
     return tensor
 
 
+_NO_AMPLITUDE = np.zeros((), dtype=complex)
+
+
 def _joined(tensor: np.ndarray, mat: np.ndarray, axes, new) -> np.ndarray:
     """`mat` on the listed axes, as the axes in `new` join `tensor` in |0>; a fresh array.
 
@@ -227,11 +280,28 @@ def _joined(tensor: np.ndarray, mat: np.ndarray, axes, new) -> np.ndarray:
     size-1 axis per new qubit, and writes the grown state, tile by tile, into
     an array that is never zeroed: a join holds `tensor`, the grown state and
     one tile's scratch, and multiplies only the columns of `mat` it needs.
+    A grown state of one tile is the kernel's output itself, so no array is
+    allocated for it.
     """
     n, k = tensor.ndim + len(new), len(axes)
     source = tensor.reshape([1 if a in new else 2 for a in range(n)])
     live = mat.reshape([2] * (2 * k))[(slice(None),) * k + tuple(slice(1 if a in new else 2) for a in axes)]
-    return _contract(np.empty((2,) * n, dtype=complex), live.reshape(2**k, -1), axes, source)
+    # of one tile, the array to write into only lends its shape
+    grown = np.empty((2,) * n, dtype=complex) if 2**n > TILE else np.broadcast_to(_NO_AMPLITUDE, (2,) * n)
+    return _contract(grown, live.reshape(2**k, -1), axes, source)
+
+
+def _known_unitary(mat: np.ndarray) -> None:
+    """Record a read-only matrix whose unitarity is already checked (an `ir.Opaque`'s) in the open `_Scope`."""
+    if _scope is not None and not mat.flags.writeable:
+        _scope.unitary[id(mat)] = mat
+
+
+def _check_unitary(mat: np.ndarray) -> None:
+    """Raise NonUnitaryError unless `mat` is unitary; a read-only one passes once per open `_Scope`."""
+    if np.max(np.abs(mat.conj().T @ mat - np.eye(mat.shape[0]))) > UNITARY_TOL:
+        raise NonUnitaryError("operator is not unitary; use apply_nonunitary_sequence for a general operator")
+    _known_unitary(mat)
 
 
 class Statevector:
@@ -275,6 +345,7 @@ class Statevector:
         return cls(n, amps.copy())
 
     @classmethod
+    @_scoped()
     def product_of_factors(cls, n_qubits: int, factors, ops=()) -> "Statevector":
         """Tensor product of local vectors given as (qubit_tuple, vector) pairs, then `ops` on it.
 
@@ -351,8 +422,8 @@ class Statevector:
         state, the grown one and tile-sized scratch (see `_joined`).
         """
         mat = _as_matrix(op)
-        if np.max(np.abs(mat.conj().T @ mat - np.eye(mat.shape[0]))) > UNITARY_TOL:
-            raise NonUnitaryError("operator is not unitary; use apply_nonunitary_sequence for a general operator")
+        if _scope is None or mat.flags.writeable or id(mat) not in _scope.unitary:
+            _check_unitary(mat)
         qubits, new = tuple(qubits), tuple(new_qubits)
         if not new:
             self._apply(mat, qubits)

@@ -6,7 +6,8 @@ tensor products, then the symmetrizer matrix at every site.  `embed` and
 `compress` move a state between the spin basis (one axis of 2S+1 values per
 site) and the qubit basis (a run of 2S qubits per site, in site order).
 `overlap`, `fidelity`, `expectation` and `applied_norm` compare and
-measure qubit-basis states.
+measure qubit-basis states.  `circuit_unitary_by_columns` is the unfused
+reference for `ir.circuit_unitary`.
 """
 from __future__ import annotations
 
@@ -14,6 +15,7 @@ import numpy as np
 
 from vbsprep import statesim
 from vbsprep.builders import spin_ket
+from vbsprep.ir import Circuit, _gate_matrix
 from vbsprep.lattice import SPIN_UP, Lattice, SiteEncoding, assign_qubits
 from vbsprep.schmidt import SINGLET
 from vbsprep.spinops import symmetric_subspace_isometry, symmetrizer
@@ -80,3 +82,15 @@ def applied_norm(state: Statevector, op, qubits) -> float:
     k = len(qubits)
     tensor = state.amps.reshape([2] * state.n_qubits)
     return float(np.linalg.norm(np.tensordot(np.reshape(op, [2] * (2 * k)), tensor, (range(k, 2 * k), qubits))))
+
+
+def circuit_unitary_by_columns(circuit: Circuit) -> np.ndarray:
+    """Full matrix of a measurement-free circuit: every gate applied alone to each basis column in turn."""
+    dim = 2**circuit.n_qubits
+    mat = np.empty((dim, dim), dtype=complex)
+    for col in range(dim):
+        state = Statevector(circuit.n_qubits, np.eye(dim, dtype=complex)[col])
+        for g in circuit.gates:
+            state.apply_unitary(_gate_matrix(g), g.qubits)
+        mat[:, col] = state.amps
+    return mat

@@ -18,22 +18,28 @@ from vbsprep.analysis import (
     vbs_norm,
 )
 from vbsprep.builders import probabilistic_method_circuit
-from vbsprep.errors import UnsupportedError
+from vbsprep.errors import ConfigError, UnsupportedError
 from vbsprep.ir import simulate_circuit
-from vbsprep.lattice import assign_qubits, build_chain, build_three_link_pair
+from vbsprep.lattice import BOUNDARY_OPEN, assign_qubits, build_chain, build_three_link_pair
 from vbsprep.methods import oracle_vbs_state
 from vbsprep.spinops import SpinValue
 
 
 def test_norm_closed_forms():
     assert abs(vbs_norm(2, 3, "ring") - 3.0 / 8.0) < 1e-15
-    assert abs(vbs_norm(2, 2, "open", ("up", "up")) - 0.5) < 1e-15
-    assert abs(vbs_norm(2, 2, "open", ("up", "down")) - 5.0 / 8.0) < 1e-15
+    assert abs(vbs_norm(2, 2, BOUNDARY_OPEN, ("up", "up")) - 0.5) < 1e-15
+    assert abs(vbs_norm(2, 2, BOUNDARY_OPEN, ("up", "down")) - 5.0 / 8.0) < 1e-15
     assert abs(vbs_norm(3, 4, "ring") - 0.5**4) < 1e-15
+    with pytest.raises(ConfigError, match="unknown boundary 'open'"):  # the open chain is BOUNDARY_OPEN only
+        vbs_norm(2, 2, "open")
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
-@pytest.mark.parametrize("boundary,spins", [("ring", None), ("open", ("up", "up")), ("open", ("up", "down"))])
+@pytest.mark.parametrize(
+    "boundary,spins",
+    [("ring", None), (BOUNDARY_OPEN, ("up", "up")), (BOUNDARY_OPEN, ("up", "down"))],
+    ids=["ring-None", "open-spins1", "open-spins2"],
+)
 def test_norms_match_simulation(n, boundary, spins):
     lat = build_chain(n, boundary, spins or ("up", "up"))
     _, norm = oracle_vbs_state(lat, SpinValue(2))

@@ -31,7 +31,7 @@ from vbsprep.lattice import assign_qubits, build_chain, build_three_link_pair
 from vbsprep.spinops import SpinValue
 from vbsprep.statesim import Statevector
 
-from oracle_reference import bond_product, fidelity
+from oracle_reference import bond_product, circuit_unitary_by_columns, fidelity
 
 INV_SQRT2 = 1.0 / np.sqrt(2.0)
 
@@ -179,6 +179,48 @@ def test_fredkin_is_cswap():
     cswap[[5, 6]] = cswap[[6, 5]]
     assert np.max(np.abs(circuit_unitary(circ) - cswap)) < 1e-12
     assert sum(1 for g in circ.gates if isinstance(g, CNot)) == 8
+
+
+def test_circuit_unitary_matches_the_column_by_column_reference(monkeypatch):
+    """One contraction over the whole register gives the unfused per-column product, with no apply_unitary call."""
+    from vbsprep import ir
+
+    rng = np.random.default_rng(41)
+    circuits = []
+    for _ in range(20):
+        n = int(rng.integers(2, 7))
+        gates = [g for g in _random_circuit(rng, n, int(rng.integers(1, 20))).gates if not isinstance(g, Measure)]
+        circuits.append(Circuit(n, gates))
+    opaque = Opaque("random", (3, 1), np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))[0])
+    circuits += [
+        Circuit(4, [opaque]),  # one gate on a strict subset of the register
+        Circuit(3, [CNot(2, 0)]),
+        Circuit(2, [CNot(1, 0)]),  # every qubit, in another order
+        Circuit(2, [CNot(0, 1)]),  # the gate's own matrix
+        Circuit(3),
+        Circuit(0),
+    ]
+    expected = [circuit_unitary_by_columns(circ) for circ in circuits]
+    calls = []
+    apply_unitary = Statevector.apply_unitary
+    monkeypatch.setattr(Statevector, "apply_unitary", lambda *args, **kwargs: calls.append(1) or apply_unitary(*args, **kwargs))
+    for circ, reference in zip(circuits, expected):
+        got = circuit_unitary(circ)
+        assert got.shape == reference.shape and np.max(np.abs(got - reference)) < 1e-12
+        assert got.flags.writeable  # a fresh array, not a gate's shared matrix
+    assert not calls
+    assert not np.shares_memory(circuit_unitary(circuits[-3]), ir._CNOT_MAT)
+    assert np.array_equal(circuit_unitary(Circuit(3)), np.eye(8))
+
+
+def test_circuit_unitary_errors(monkeypatch):
+    with pytest.raises(ValueError, match="capped at 12 qubits"):
+        circuit_unitary(Circuit(13))
+    with pytest.raises(ValueError, match="measurement markers"):
+        circuit_unitary(Circuit(2, [u_h(0), Measure(1, 0)]))
+    monkeypatch.setenv("VBS_MAX_QUBITS", "3")
+    with pytest.raises(CapExceededError):
+        circuit_unitary(Circuit(4, [u_h(0)]))
 
 
 def test_fredkin_fixed_points():
@@ -371,6 +413,60 @@ def test_simulation_composes_each_distinct_block_once(monkeypatch):
     assert np.array_equal(cached.amps, uncached.amps) and markers == circ.measures()
     # signed zeros give different matrices, so they key apart
     assert block_key([0], [U1Q(0.0, 0.0, 0.0, 0)]) != block_key([0], [U1Q(-0.0, 0.0, 0.0, 0)])
+
+
+def test_simulation_checks_and_folds_each_distinct_block_once(monkeypatch):
+    """In one call a block matrix is checked for unitarity once, an Opaque's never, and folded once per run order and R."""
+    from vbsprep import statesim
+
+    lattice = build_chain(4, "open")
+    chain = probabilistic_method_circuit(lattice, assign_qubits(lattice, "hadamard_all"), SpinValue(2))
+    box = Opaque("box", (0, 1, 2, 3), np.linalg.qr(np.arange(256).reshape(16, 16) % 7 + 1j * np.eye(16))[0])
+    alone = Circuit(5, [box, CNot(3, 4), box, CNot(4, 3), box])  # the box is a block of its own, three times
+    for circ in (chain, alone):
+        applied, checked, operands = [], [], []  # they keep every matrix alive, so that ids stay unique
+        apply_unitary, check, run_operands = Statevector.apply_unitary, statesim._check_unitary, statesim._run_operands
+        monkeypatch.setattr(
+            Statevector,
+            "apply_unitary",
+            lambda self, op, qubits, **kw: applied.append(op) or apply_unitary(self, op, qubits, **kw),
+        )
+        monkeypatch.setattr(statesim, "_check_unitary", lambda mat: checked.append(mat) or check(mat))
+        monkeypatch.setattr(
+            statesim,
+            "_run_operands",
+            lambda mat, run, cols, right: operands.append((mat, tuple(run), right)) or run_operands(mat, run, cols, right),
+        )
+        state, _ = simulate_circuit(circ)
+        opaque = {id(g.matrix) for g in circ.gates if isinstance(g, Opaque)}
+        distinct = {id(mat) for mat in applied}
+        assert len(distinct) < len(applied)  # blocks repeat
+        assert sorted(id(mat) for mat in checked) == sorted(distinct - opaque)
+        keys = [(id(mat), run, right) for mat, run, right in operands]
+        assert len(keys) == len(set(keys))
+        assert statesim._scope is None  # the checks and folds went with the call
+        monkeypatch.undo()
+        again, _ = simulate_circuit(circ)
+        assert np.array_equal(state.amps, again.amps)
+    assert id(box.matrix) in distinct
+
+
+def test_the_cap_is_read_once_per_scoped_call(monkeypatch):
+    from vbsprep import statesim
+
+    lattice = build_chain(4, "open")
+    encoding = assign_qubits(lattice, "hadamard_all")
+    circ = probabilistic_method_circuit(lattice, encoding, SpinValue(2))
+    reads = []
+    max_qubits = statesim.max_qubits
+    monkeypatch.setattr(statesim, "max_qubits", lambda: reads.append(1) or max_qubits())
+    simulate_circuit(circ)
+    assert len(reads) == 1
+    bond_product(encoding, circ.n_qubits)  # product_of_factors
+    assert len(reads) == 2
+    monkeypatch.setenv("VBS_MAX_QUBITS", str(circ.n_qubits - 1))  # the next call reads the cap again
+    with pytest.raises(CapExceededError):
+        simulate_circuit(circ)
 
 
 def test_impossible_reused_marker_names_its_circuit_qubit():

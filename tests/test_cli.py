@@ -252,6 +252,26 @@ def test_prepare_heavy_hex_unsupported_lattice():
     assert code == EXIT_UNSUPPORTED
 
 
+def test_main_calls_share_no_values(tmp_path, capsys):
+    """The parser is built once per process; each main call still parses into fresh values."""
+    from vbsprep import cli
+
+    out = tmp_path / "first.qasm"
+    assert main(["emit-qasm", "--lattice", "chain:2:open:aligned", "--out", str(out)]) == EXIT_OK
+    assert capsys.readouterr().out == f"wrote {out}\n"
+    assert main(["emit-qasm", "--lattice", "chain:2:open:aligned"]) == EXIT_OK
+    assert capsys.readouterr().out == out.read_text()  # no --out this time: the program goes to stdout
+    assert cli.build_parser() is cli.build_parser()
+    for argv in (["prepare", "--spin", "two"], ["prepare", "--method", "nope"], []):
+        with pytest.raises(SystemExit) as exc:
+            cli.build_parser.__wrapped__().parse_args(argv)  # a parser built afresh
+        fresh = capsys.readouterr().err
+        with pytest.raises(SystemExit) as cached_exc:
+            main(argv)
+        assert cached_exc.value.code == exc.value.code == EXIT_CONFIG
+        assert capsys.readouterr().err == fresh
+
+
 def test_env_cap_override(tmp_path, monkeypatch):
     monkeypatch.setenv("VBS_MAX_QUBITS", "6")
     # 3-site ring needs 9 qubits with ancillas; the cap makes it fail cleanly

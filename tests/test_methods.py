@@ -244,8 +244,7 @@ def test_spin_basis_oracle_embeds_to_the_direct_symmetrizer_state(lattice):
     assert np.max(np.abs(embed(psi).amps - reference.amps)) < 1e-12
     assert abs(norm - reference_norm) < 1e-12 * reference_norm
     if lattice.boundary in ("open_chain", "ring"):
-        boundary = "ring" if lattice.boundary == "ring" else "open"
-        assert abs(norm - vbs_norm(2, lattice.n_sites, boundary, lattice.boundary_spins or ("up", "up"))) < 1e-12
+        assert abs(norm - vbs_norm(2, lattice.n_sites, lattice.boundary, lattice.boundary_spins or ("up", "up"))) < 1e-12
 
 
 @pytest.mark.parametrize("tile", [1 << 5, 1 << 15])

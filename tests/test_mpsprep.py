@@ -7,7 +7,7 @@ import pytest
 
 from vbsprep.errors import ConfigError, MissingCostError, UnsupportedError
 from vbsprep.ir import Circuit, Opaque, cnot_count, post_select, simulate_circuit
-from vbsprep.lattice import assign_qubits, build_chain
+from vbsprep.lattice import BOUNDARY_OPEN, assign_qubits, build_chain
 from vbsprep.methods import oracle_vbs_state, run_mps
 from vbsprep.mpsprep import (
     ROLE_BULK,
@@ -87,18 +87,18 @@ def test_periodic_contraction_matches_oracle(n):
 @pytest.mark.parametrize("spins", [("up", "up"), ("up", "down"), ("down", "up"), ("down", "down")])
 def test_open_contraction_matches_oracle(spins):
     oracle, _ = oracle_vbs_state(build_chain(4, "open", spins), S1)
-    state = contract_mps(vbs_mps(4, "open", spins), "open")
+    state = contract_mps(vbs_mps(4, BOUNDARY_OPEN, spins), BOUNDARY_OPEN)
     assert abs(state.spin_fidelity(oracle) - 1.0) < 1e-10
 
 
 def test_left_canonicalization_idempotent_and_rank2():
-    tensors = vbs_mps(5, "open", ("up", "up"))
+    tensors = vbs_mps(5, BOUNDARY_OPEN, ("up", "up"))
     for t in tensors:
         assert t.left_normalization_defect() < 1e-12
         assert t.array.shape[3] <= 2
     again = left_canonicalize([t.array for t in tensors])
-    state1 = contract_mps(tensors, "open")
-    state2 = contract_mps(again, "open")
+    state1 = contract_mps(tensors, BOUNDARY_OPEN)
+    state2 = contract_mps(again, BOUNDARY_OPEN)
     assert abs(fidelity(state1, state2) - 1.0) < 1e-12
 
 
@@ -108,7 +108,7 @@ def test_bulk_disentangler_shapes_and_unitarity():
     assert d.shape == (8, 8)
     assert np.max(np.abs(d.conj().T @ d - np.eye(8))) < 1e-12
 
-    open_tensors = vbs_mps(4, "open", ("up", "up"))
+    open_tensors = vbs_mps(4, BOUNDARY_OPEN, ("up", "up"))
     d1 = build_disentangler(open_tensors[0], ROLE_FIRST_OPEN)
     assert d1.shape == (4, 4)
     dn = build_disentangler(open_tensors[-1], ROLE_LAST_OPEN)
@@ -217,10 +217,11 @@ def test_prepare_periodic_scale_independence():
 
 def test_mps_circuit_range_checks():
     with pytest.raises(UnsupportedError):
-        mps_circuit(7, "open")
+        mps_circuit(7, BOUNDARY_OPEN)
     with pytest.raises(UnsupportedError):
         mps_circuit(2, "ring")
-    for boundary in ("rnig", "periodic"):  # no boundary falls back to an open chain
+    # no boundary falls back to an open chain, and the open chain has one name, BOUNDARY_OPEN
+    for boundary in ("rnig", "periodic", "open"):
         with pytest.raises(ConfigError, match=f"unknown boundary '{boundary}'"):
             mps_circuit(4, boundary)
         with pytest.raises(ConfigError, match=f"unknown boundary '{boundary}'"):
@@ -274,8 +275,8 @@ def test_forward_disentangle_returns_to_zero():
     # applying the daggered preparation sequence to the prepared state
     # recovers |0...0>, confirming the retrosynthetic reading
     n = 4
-    tensors = vbs_mps(n, "open", ("up", "up"))
-    state, _ = simulate_circuit(mps_circuit(n, "open", ("up", "up")))
+    tensors = vbs_mps(n, BOUNDARY_OPEN, ("up", "up"))
+    state, _ = simulate_circuit(mps_circuit(n, BOUNDARY_OPEN, ("up", "up")))
     work = state.copy()
     first = build_disentangler(tensors[0], ROLE_FIRST_OPEN)
     work.apply_unitary(first.conj().T, (0, 1))
