@@ -11,6 +11,7 @@ convention.
 from __future__ import annotations
 
 import contextlib
+import functools
 import itertools
 import math
 import os
@@ -270,7 +271,10 @@ def _contract(tensor: np.ndarray, mat: np.ndarray, axes, source=None) -> np.ndar
     return tensor
 
 
-_NO_AMPLITUDE = np.zeros((), dtype=complex)
+@functools.cache
+def _shape_only(n: int) -> np.ndarray:
+    """A read-only (2,) * n array that holds no amplitudes (every stride 0), for its shape."""
+    return np.broadcast_to(np.zeros((), dtype=complex), (2,) * n)
 
 
 def _joined(tensor: np.ndarray, mat: np.ndarray, axes, new) -> np.ndarray:
@@ -287,7 +291,7 @@ def _joined(tensor: np.ndarray, mat: np.ndarray, axes, new) -> np.ndarray:
     source = tensor.reshape([1 if a in new else 2 for a in range(n)])
     live = mat.reshape([2] * (2 * k))[(slice(None),) * k + tuple(slice(1 if a in new else 2) for a in axes)]
     # of one tile, the array to write into only lends its shape
-    grown = np.empty((2,) * n, dtype=complex) if 2**n > TILE else np.broadcast_to(_NO_AMPLITUDE, (2,) * n)
+    grown = np.empty((2,) * n, dtype=complex) if 2**n > TILE else _shape_only(n)
     return _contract(grown, live.reshape(2**k, -1), axes, source)
 
 
