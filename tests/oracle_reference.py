@@ -89,7 +89,9 @@ def circuit_unitary_by_columns(circuit: Circuit) -> np.ndarray:
     dim = 2**circuit.n_qubits
     mat = np.empty((dim, dim), dtype=complex)
     for col in range(dim):
-        state = Statevector(circuit.n_qubits, np.eye(dim, dtype=complex)[col])
+        column = np.zeros(dim, dtype=complex)
+        column[col] = 1.0
+        state = Statevector(circuit.n_qubits, column)
         for g in circuit.gates:
             state.apply_unitary(_gate_matrix(g), g.qubits)
         mat[:, col] = state.amps
