@@ -26,8 +26,10 @@ from .errors import (
     UnsupportedError,
     VbsError,
 )
-from .ir import cnot_depth
+from .ir import cnot_depth, simulate_circuit, simulate_post_selected
 from .lattice import (
+    BOUNDARY_OPEN,
+    BOUNDARY_RING,
     Lattice,
     assign_qubits,
     build_chain,
@@ -110,7 +112,7 @@ def validate_config(lattice: Lattice, twice_s: int, method: str):
             f"lattice {lattice.name!r} encodes 2S={lat_spin} sites but --spin {twice_s} was requested"
         )
     if method == "mps":
-        if twice_s != 2 or lattice.boundary not in ("open_chain", "ring"):
+        if twice_s != 2 or lattice.boundary not in (BOUNDARY_OPEN, BOUNDARY_RING):
             raise ConfigError("the mps method requires a 1D chain with --spin 2")
         _check_site_order(lattice)
     if method in ("mitigated_islands", "mitigated_retry"):
@@ -123,10 +125,10 @@ def _check_site_order(lattice: Lattice):
     """The mps circuit links the sites 0-1-...-N-1 (and N-1 to 0 on a ring): the lattice must too."""
     n = lattice.n_sites
     path = [(i, i + 1) for i in range(n - 1)]
-    if lattice.boundary == "ring":
+    if lattice.boundary == BOUNDARY_RING:
         path.append((0, n - 1))
     if sorted(tuple(sorted(link)) for link in lattice.links) != sorted(path):
-        chain = "-".join(map(str, range(n))) + ("-0" if lattice.boundary == "ring" else "")
+        chain = "-".join(map(str, range(n))) + ("-0" if lattice.boundary == BOUNDARY_RING else "")
         given = ", ".join(f"{a}-{b}" for a, b in lattice.links)
         raise ConfigError(
             f"the mps method links the sites in order {chain}; lattice {lattice.name!r} has the links {given}"
@@ -134,7 +136,7 @@ def _check_site_order(lattice: Lattice):
 
 
 def _analytic_norm(lattice: Lattice, twice_s: int) -> float | None:
-    if twice_s == 2 and lattice.boundary in ("open_chain", "ring"):
+    if twice_s == 2 and lattice.boundary in (BOUNDARY_OPEN, BOUNDARY_RING):
         return analysis.vbs_norm(2, lattice.n_sites, lattice.boundary, lattice.boundary_spins or ("up", "up"))
     return None
 
@@ -163,13 +165,13 @@ def cmd_prepare(args) -> int:
     if args.method == "probabilistic":
         report.add_check("success_prob_equals_norm", oracle_norm, result["success_probability"], 1e-10)
         if args.shots:
-            rate, z = analysis.monte_carlo_success(
-                result["simulated"], result["markers"], oracle_norm, args.shots, args.seed
-            )
+            # the route post-selected as it ran: the draw needs the full register, simulated again
+            simulated = simulate_circuit(result["circuit"])
+            rate, z = analysis.monte_carlo_success(*simulated, oracle_norm, args.shots, args.seed)
             report.simulated["mc_rate"] = rate
             report.simulated["mc_z"] = z
             report.add_check("mc_within_3_sigma", 0.0, z, 3.0)
-    if args.method == "mps" and lattice.boundary == "ring":
+    if args.method == "mps" and lattice.boundary == BOUNDARY_RING:
         report.add_check("mps_ancilla_probability", 0.5, result["success_probability"], 1e-10)
     if args.coupling != "all_to_all":
         _routed_checks(args, lattice, result, oracle, report)
@@ -178,7 +180,6 @@ def cmd_prepare(args) -> int:
 
 def _routed_checks(args, lattice, result, oracle, report):
     """Route the circuit onto the requested coupling and re-verify it."""
-    from .ir import post_select, simulate_circuit
     from .lattice import linear_coupling
     from .routing import heavy_hex_pair_mitigated, heavy_hex_pair_probabilistic, route
 
@@ -196,8 +197,7 @@ def _routed_checks(args, lattice, result, oracle, report):
             routed, _, encoding = heavy_hex_pair_mitigated()
         else:
             raise UnsupportedError("heavy-hex placement covers probabilistic and mitigated_islands")
-    state, markers = simulate_circuit(routed.circuit)
-    _, state = post_select(state, markers, routed.placement[: encoding.n_data_qubits])
+    _, state = simulate_post_selected(routed.circuit, routed.placement[: encoding.n_data_qubits])
     routed_fid = state.spin_fidelity(oracle)
     report.simulated["routed_fidelity_vs_oracle"] = routed_fid
     report.add_check("routed_fidelity_vs_oracle", 1.0, routed_fid, 1e-10)
@@ -229,7 +229,7 @@ def cmd_verify(args) -> int:
     report.add_check("projector_annihilation", 0.0, worst, 1e-10)
     report.notes["projector_annihilation"] = _worst_link(lattice, residuals)
 
-    if s.twice_s == 2 and lattice.boundary == "open_chain":
+    if s.twice_s == 2 and lattice.boundary == BOUNDARY_OPEN:
         energy = sum(energies[frozenset(link)] for link in lattice.links)
         expected = -2.0 * (lattice.n_sites - 1) / 3.0
         report.simulated["aklt_energy"] = energy

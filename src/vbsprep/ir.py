@@ -20,7 +20,16 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ImpossibleOutcomeError, MissingCostError, NonUnitaryError
-from .statesim import PROB_FLOOR, UNITARY_TOL, Statevector, _checked_width, _contract, _known_unitary, _scoped
+from .statesim import (
+    PROB_FLOOR,
+    UNITARY_TOL,
+    Statevector,
+    _checked_width,
+    _contract,
+    _known_unitary,
+    _scope_matrices,
+    _scoped,
+)
 
 OPAQUE_UNITARY_TOL = UNITARY_TOL  # simulate_circuit does not check an Opaque's matrix again
 FUSE_WIDTH = 4  # qubits in the widest block simulate_circuit fuses gates into
@@ -104,9 +113,12 @@ class Opaque:
 class Measure:
     """Measurement marker with an expected post-selection outcome.
 
-    simulate_circuit projects a marker before the first later gate that
-    touches its qubit, so an ancilla can be reused after it is measured; a
-    marker no later gate touches is left to post_select.
+    simulate_circuit and simulate_post_selected project a marker before the
+    first later gate that touches its qubit, so an ancilla can be reused
+    after it is measured.  A marker no later gate touches is a terminal
+    one: simulate_circuit returns it, for post_select, and
+    simulate_post_selected post-selects it at the first block applied
+    after it and drops its qubit from the state.
 
     A non-empty `retry_reset` marks the measure-and-reset protocol: on the
     unwanted outcome the listed qubits are reset, their bonds re-prepared,
@@ -251,11 +263,23 @@ _IDENTITY_1Q.setflags(write=False)
 
 
 def _gate_matrix(g) -> np.ndarray:
-    """Matrix of a unitary gate on g.qubits; qubits[0] is its MSB."""
+    """Matrix of a unitary gate on g.qubits; qubits[0] is its MSB.
+
+    In an open `statesim._Scope` a U1Q's matrix is built once per distinct
+    angles (keyed by their bits, as in `_block_key`) and shared read-only,
+    so that the scope folds it once; outside one it is a fresh array.
+    """
     if isinstance(g, CNot):
         return _CNOT_MAT
     if isinstance(g, U1Q):
-        return g.matrix()
+        memo = _scope_matrices()
+        if memo is None:
+            return g.matrix()
+        key = (U1Q, struct.pack("3d", g.theta, g.phi, g.lam))
+        if key not in memo:
+            memo[key] = g.matrix()
+            memo[key].setflags(write=False)
+        return memo[key]
     if isinstance(g, Opaque):
         return g.matrix
     raise TypeError(f"not a unitary gate: {g!r}")
@@ -306,6 +330,132 @@ def _reused_markers(gates: list) -> set[int]:
     return reused
 
 
+class _Run:
+    """One simulation in progress, shared by simulate_circuit and simulate_post_selected.
+
+    `state` holds an axis per `live` qubit, in qubit order (None until the
+    first block).  `blocks` keeps the block matrices the call composed, by
+    their `_block_key`.
+    """
+
+    def __init__(self, circuit: Circuit, initial: Statevector | None = None):
+        self.n = _checked_width(circuit.n_qubits)
+        if initial is not None and initial.n_qubits != self.n:
+            raise ValueError("initial state size mismatch")
+        self.gates, self.initial = circuit.gates, initial
+        self.reused = _reused_markers(circuit.gates)
+        # The state shares the caller's amplitudes until its first write, which
+        # copies them: blocks and projections work in place.
+        self.state = None if initial is None else Statevector(self.n, initial.amps, initial.tracked_norm_sq)
+        self.live = [] if initial is None else list(range(self.n))
+        self.blocks: dict[tuple, np.ndarray] = {}
+
+    def writable(self) -> Statevector:
+        if self.initial is not None and self.state.amps is self.initial.amps:
+            self.state = self.state.copy()
+        return self.state
+
+    def apply(self, mat: np.ndarray, qubits) -> None:
+        """Apply `mat` on `qubits`; a qubit not yet live joins the state in |0>."""
+        live = self.live
+        new = [q for q in qubits if q not in live]
+        live.extend(new)
+        live.sort()
+        if self.state is None:
+            self.state, new = Statevector.zero(len(live)), []
+        self.writable().apply_unitary(mat, [live.index(q) for q in qubits], new_qubits=[live.index(q) for q in new])
+
+    def make_live(self, qubits) -> None:
+        for q in qubits:
+            if q not in self.live:
+                self.apply(_IDENTITY_1Q, [q])
+
+    def apply_block(self, support: list[int], block: list) -> None:
+        key = _block_key(support, block)
+        if key not in self.blocks:
+            mat = self.blocks[key] = _block_matrix(support, block)
+            mat.setflags(write=False)
+            if isinstance(block[0], Opaque) and mat is block[0].matrix:
+                _known_unitary(mat)
+        self.apply(self.blocks[key], support)
+
+    def project(self, markers: list[Measure]) -> None:
+        """Project reused markers on their expected outcomes, all in one pass."""
+        self.make_live([m.qubit for m in markers])
+        axes = [self.live.index(m.qubit) for m in markers]
+        try:
+            self.writable().project_qubits(axes, [m.expect for m in markers])
+        except ImpossibleOutcomeError as exc:
+            m = markers[exc.index]
+            exc.args = (f"marker on qubit {m.qubit} (state axis {axes[exc.index]}): {exc}",)
+            raise
+
+    def select(self, markers: list[Measure], keep: list[int]) -> tuple[float, Statevector]:
+        """`post_select` on the live axes: `markers` on their outcomes, and the live `keep` qubits kept.
+
+        A marker whose qubit has no axis is skipped: its qubit was dropped on
+        the same outcome, or no gate touches it and it expects 0 (see
+        simulate_post_selected).
+        """
+        live = self.live
+        on_axes = [Measure(live.index(m.qubit), m.expect) for m in markers if m.qubit in live]
+        state = Statevector(0, np.ones(1, dtype=complex)) if self.state is None else self.state  # no gate, none kept
+        try:
+            return post_select(state, on_axes, [live.index(q) for q in keep])
+        except ImpossibleOutcomeError as exc:
+            axes = sorted({m.qubit for m in on_axes})
+            exc.args = (f"markers on qubits {[live[a] for a in axes]} (state axes {axes}): {exc}",)
+            raise
+        except ValueError as exc:  # an unkept qubit in superposition, named by its axis
+            exc.args = (f"qubit {live[exc.axis]} (state axis {exc.axis}): {exc}",)
+            raise
+
+    def run(self, drop: bool) -> list[Measure]:
+        """Apply every gate; return the markers left to post-select, in circuit order.
+
+        Consecutive gates are fused greedily into blocks of at most
+        FUSE_WIDTH qubits, each applied to the state once.  A reused marker
+        is projected before the first later gate on its qubit.  A marker no
+        later gate touches does not end a block; with `drop` it is
+        post-selected when the next block is applied, and its qubit's axis
+        leaves the state.
+        """
+        markers: list[Measure] = []
+        pending: list[Measure] = []
+        support: list[int] = []
+        block: list = []
+
+        def flush() -> None:
+            nonlocal markers
+            self.apply_block(support, block)
+            if drop and any(m.qubit in self.live for m in markers):
+                gone = {m.qubit for m in markers}
+                keep = [q for q in self.live if q not in gone]
+                _, self.state = self.select(markers, keep)
+                self.live = keep
+                markers = []
+
+        for i, g in enumerate(self.gates):
+            if isinstance(g, Measure):
+                (pending if i in self.reused else markers).append(g)
+                continue
+            if any(m.qubit in g.qubits for m in pending):
+                if block:
+                    flush()
+                    support, block = [], []
+                self.project(pending)
+                pending = []
+            grown = support + [q for q in g.qubits if q not in support]
+            if len(grown) > FUSE_WIDTH and block:
+                flush()
+                grown, block = list(g.qubits), []
+            support = grown
+            block.append(g)
+        if block:
+            self.apply_block(support, block)
+        return markers
+
+
 @_scoped()
 def simulate_circuit(circuit: Circuit, initial: Statevector | None = None) -> tuple[Statevector, list[Measure]]:
     """Run the circuit; return the state and the markers left to post-select.
@@ -320,10 +470,11 @@ def simulate_circuit(circuit: Circuit, initial: Statevector | None = None) -> tu
     Consecutive gates are fused greedily into blocks of at most FUSE_WIDTH
     qubits, and each block is applied to the state once.  A block's matrix
     is composed once per call: a later block with the same `_block_key`
-    (the same gates on the same relative qubits) reuses it.  The call runs
-    in one `statesim._Scope`: the size cap is read once, a block matrix is
-    made read-only and checked for unitarity once (an Opaque's, checked when
-    it was made, not again), and folded once per run order and R; all of it
+    (the same gates on the same relative qubits) reuses it, and each
+    distinct U1Q matrix is built once, read-only.  The call runs in one
+    `statesim._Scope`: the size cap is read once, a block matrix is made
+    read-only and checked for unitarity once (an Opaque's, checked when it
+    was made, not again), and folded once per run order and R; all of it
     goes when the call returns.  A marker whose
     qubit a later gate reuses is projected on its expected outcome before
     that gate: the block built so far is applied, then every such pending
@@ -333,80 +484,61 @@ def simulate_circuit(circuit: Circuit, initial: Statevector | None = None) -> tu
     PROB_FLOOR.  A marker that no later gate touches does not end a
     block; it is returned, unprojected, in circuit order.
     """
-    n = _checked_width(circuit.n_qubits)
-    if initial is not None and initial.n_qubits != n:
-        raise ValueError("initial state size mismatch")
-    # The state shares the caller's amplitudes until its first write, which
-    # copies them: blocks and projections work in place.
-    state = None if initial is None else Statevector(n, initial.amps, initial.tracked_norm_sq)
-    live = [] if initial is None else list(range(n))  # the qubits with an axis, in order
+    run = _Run(circuit, initial)
+    markers = run.run(drop=False)
+    if run.state is None:  # no gate at all
+        return Statevector.zero(run.n), markers
+    run.make_live(range(run.n))  # the qubits no gate touched
+    return run.state, markers
 
-    def writable() -> Statevector:
-        nonlocal state
-        if initial is not None and state.amps is initial.amps:
-            state = state.copy()
-        return state
 
-    def apply(mat: np.ndarray, qubits) -> None:
-        """Apply `mat` on `qubits`; a qubit not yet live joins the state in |0>."""
-        nonlocal state
-        new = [q for q in qubits if q not in live]
-        live.extend(new)
-        live.sort()
-        if state is None:
-            state, new = Statevector.zero(len(live)), []
-        writable().apply_unitary(mat, [live.index(q) for q in qubits], new_qubits=[live.index(q) for q in new])
+@_scoped()
+def simulate_post_selected(circuit: Circuit, keep) -> tuple[float, Statevector]:
+    """Run the circuit from the empty register, post-select every marker, keep the `keep` qubits.
 
-    def make_live(qubits) -> None:
-        for q in qubits:
-            if q not in live:
-                apply(_IDENTITY_1Q, [q])
+    Equals `post_select(*simulate_circuit(circuit), keep)` (to rounding),
+    without holding every ancilla to the end.  It runs as simulate_circuit
+    does, with these differences: a marker that no later gate touches is
+    post-selected at the first block applied after it, in one pass over
+    the live axes (`post_select`'s), and its qubit's axis leaves the state;
+    `tracked_norm_sq` carries the product of these conditional
+    probabilities.  The markers still waiting when the circuit ends go to
+    one last `post_select` with `keep`.  Reused markers are projected as
+    simulate_circuit projects them.  A qubit neither kept nor touched by a
+    gate never joins the state.  `keep`, and the outcomes the markers
+    expect, are checked before any block is applied.  Returns the success
+    probability and the renormalized state of the `keep` qubits, in the
+    order given.
+    """
+    run = _Run(circuit)
+    expect = _expectations(g for i, g in enumerate(run.gates) if isinstance(g, Measure) and i not in run.reused)
+    keep = _checked_keep(keep, run.n, expect)
+    touched = {q for g in run.gates if not isinstance(g, Measure) for q in g.qubits}
+    for q, outcome in expect.items():
+        if outcome and q not in touched:
+            raise ImpossibleOutcomeError(f"qubit {q} is post-selected on 1, but no gate touches it")
+    markers = run.run(drop=True)
+    run.make_live(keep)  # a kept qubit no gate touched
+    return run.select(markers, keep)
 
-    blocks: dict[tuple, np.ndarray] = {}  # _block_key -> matrix, for this call only
 
-    def apply_block(support: list[int], block: list) -> None:
-        key = _block_key(support, block)
-        if key not in blocks:
-            mat = blocks[key] = _block_matrix(support, block)
-            mat.setflags(write=False)
-            if isinstance(block[0], Opaque) and mat is block[0].matrix:
-                _known_unitary(mat)
-        apply(blocks[key], support)
+def _expectations(markers) -> dict[int, int]:
+    """Each marker's qubit -> its expected outcome; one qubit expected on both raises ImpossibleOutcomeError."""
+    expect: dict[int, int] = {}
+    for m in markers:
+        if expect.setdefault(m.qubit, m.expect) != m.expect:
+            raise ImpossibleOutcomeError(f"qubit {m.qubit} is post-selected on both outcomes")
+    return expect
 
-    reused = _reused_markers(circuit.gates)
-    markers: list[Measure] = []
-    pending: list[Measure] = []
-    support: list[int] = []
-    block: list = []
-    for i, g in enumerate(circuit.gates):
-        if isinstance(g, Measure):
-            (pending if i in reused else markers).append(g)
-            continue
-        if any(m.qubit in g.qubits for m in pending):
-            if block:
-                apply_block(support, block)
-                support, block = [], []
-            make_live([m.qubit for m in pending])
-            axes = [live.index(m.qubit) for m in pending]
-            try:
-                writable().project_qubits(axes, [m.expect for m in pending])
-            except ImpossibleOutcomeError as exc:
-                m = pending[exc.index]
-                exc.args = (f"marker on qubit {m.qubit} (state axis {axes[exc.index]}): {exc}",)
-                raise
-            pending = []
-        grown = support + [q for q in g.qubits if q not in support]
-        if len(grown) > FUSE_WIDTH and block:
-            apply_block(support, block)
-            grown, block = list(g.qubits), []
-        support = grown
-        block.append(g)
-    if block:
-        apply_block(support, block)
-    if state is None:  # no gate at all
-        return Statevector.zero(n), markers
-    make_live(range(n))  # the qubits no gate touched
-    return state, markers
+
+def _checked_keep(keep, n: int, expect: dict) -> list[int]:
+    keep = list(keep)
+    if len(set(keep)) != len(keep) or not set(keep) <= set(range(n)):
+        raise ValueError(f"keep {keep} must list distinct qubits of the {n}-qubit state")
+    both = sorted(set(keep) & set(expect))
+    if both:
+        raise ValueError(f"qubits {both} are both kept and post-selected")
+    return keep
 
 
 def post_select(state: Statevector, markers, keep) -> tuple[float, Statevector]:
@@ -420,17 +552,9 @@ def post_select(state: Statevector, markers, keep) -> tuple[float, Statevector]:
     one definite value, and is dropped on it.  Returns the renormalized
     state of the `keep` qubits, in the order given; `state` is unchanged.
     """
-    expect: dict[int, int] = {}
-    for m in markers:
-        if expect.setdefault(m.qubit, m.expect) != m.expect:
-            raise ImpossibleOutcomeError(f"qubit {m.qubit} is post-selected on both outcomes")
+    expect = _expectations(markers)
     n = state.n_qubits
-    keep = list(keep)
-    if len(set(keep)) != len(keep) or not set(keep) <= set(range(n)):
-        raise ValueError(f"keep {keep} must list distinct qubits of the {n}-qubit state")
-    both = sorted(set(keep) & set(expect))
-    if both:
-        raise ValueError(f"qubits {both} are both kept and post-selected")
+    keep = _checked_keep(keep, n, expect)
     kept = state.amps.reshape([2] * n)[tuple(expect.get(q, slice(None)) for q in range(n))]
     kept_sq = float(np.vdot(kept, kept).real)
     prob = kept_sq / float(np.vdot(state.amps, state.amps).real)
@@ -444,7 +568,9 @@ def post_select(state: Statevector, markers, keep) -> tuple[float, Statevector]:
             continue
         n0, n1 = (np.linalg.norm(kept[(slice(None),) * axis + (b,)]) for b in (0, 1))
         if min(n0, n1) > 1e-8 * max(n0, n1):
-            raise ValueError(f"qubit {q} is neither kept nor post-selected, and is in superposition")
+            exc = ValueError(f"qubit {q} is neither kept nor post-selected, and is in superposition")
+            exc.axis = q
+            raise exc
         where.append(0 if n0 >= n1 else 1)
     left = [q for q in free if q in keep]  # the axes of `kept` after dropping the others
     amps = np.transpose(kept[tuple(where)], [left.index(q) for q in keep]) / math.sqrt(kept_sq)

@@ -17,7 +17,7 @@ from .builders import (
     spin_ket,
 )
 from .errors import CapExceededError, ConfigError, ImpossibleOutcomeError
-from .ir import Circuit, post_select, simulate_circuit
+from .ir import Circuit, simulate_post_selected
 from .lattice import BOUNDARY_OPEN, BOUNDARY_RING, SPIN_DOWN, Lattice, SiteEncoding, assign_qubits
 from .mpsprep import mps_circuit
 from .schmidt import SINGLET
@@ -71,18 +71,15 @@ def oracle_vbs_state(lattice: Lattice, s: SpinValue) -> tuple[np.ndarray, float]
 # ---------------------------------------------------------------------------
 
 def _post_selected(circ: Circuit, encoding: SiteEncoding) -> dict:
-    """Simulate from the empty register, post-select every marker and keep the data qubits: a route's result."""
-    simulated, markers = simulate_circuit(circ)
-    prob, state = post_select(simulated, markers, range(encoding.n_data_qubits))
-    return {
-        "state": state,
-        "success_probability": prob,
-        "circuit": circ,
-        "encoding": encoding,
-        # the state before post-selection, for Monte-Carlo sampling
-        "simulated": simulated,
-        "markers": markers,
-    }
+    """Simulate from the empty register, post-select every marker and keep the data qubits: a route's result.
+
+    `ir.simulate_post_selected` post-selects each ancilla once no later gate
+    touches it, so the register never holds every ancilla at once; a caller
+    that needs the full register before post-selection (the Monte-Carlo
+    draw) simulates `circuit` again with `ir.simulate_circuit`.
+    """
+    prob, state = simulate_post_selected(circ, range(encoding.n_data_qubits))
+    return {"state": state, "success_probability": prob, "circuit": circ, "encoding": encoding}
 
 
 def run_probabilistic(lattice: Lattice, s: SpinValue) -> dict:

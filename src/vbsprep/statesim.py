@@ -69,15 +69,18 @@ class _Scope:
     read-only matrices found unitary and `folds` the operands `_contract_run`
     built for a read-only matrix in place (keyed by its id, run order and R).
     Both keep the matrices they name alive, so that an id stays unique in the
-    scope; all of it goes when the scope closes.
+    scope.  `matrices` holds the read-only matrices a caller builds once per
+    scope, under the caller's keys (`ir._gate_matrix`'s U1Q matrices).  All
+    of it goes when the scope closes.
     """
 
-    __slots__ = ("cap", "unitary", "folds")
+    __slots__ = ("cap", "unitary", "folds", "matrices")
 
     def __init__(self):
         self.cap = max_qubits()
         self.unitary: dict[int, np.ndarray] = {}
         self.folds: dict[tuple, tuple] = {}
+        self.matrices: dict = {}
 
 
 _scope: _Scope | None = None
@@ -96,6 +99,11 @@ def _scoped():
         yield
     finally:
         _scope = outer
+
+
+def _scope_matrices() -> dict | None:
+    """The open `_Scope`'s `matrices`, or None outside a scope."""
+    return None if _scope is None else _scope.matrices
 
 
 def _checked_width(n_qubits: int) -> int:

@@ -268,14 +268,16 @@ def test_spin_fidelity_counts_weight_outside_the_symmetric_subspace(tile, monkey
 
 
 def test_lcu_builds_its_bond_layer_from_the_empty_register(monkeypatch):
-    """run_lcu prepends the bond layer, and simulate_circuit gets no initial state."""
+    """run_lcu prepends the bond layer, and simulate_post_selected gets no initial state."""
     import vbsprep.methods as methods
     from vbsprep.builders import pre_vbs_circuit
     from vbsprep.lattice import assign_qubits
 
     initials = []
-    simulate = methods.simulate_circuit
-    monkeypatch.setattr(methods, "simulate_circuit", lambda circ, initial=None: initials.append(initial) or simulate(circ, initial))
+    simulate = methods.simulate_post_selected
+    monkeypatch.setattr(
+        methods, "simulate_post_selected", lambda circ, keep, initial=None: initials.append(initial) or simulate(circ, keep)
+    )
     lattice = build_chain(4, "open", ("up", "down"))
     circ = run_lcu(lattice, S1)["circuit"]
     bonds = pre_vbs_circuit(lattice, assign_qubits(lattice, "hadamard_all")).gates
