@@ -131,6 +131,9 @@ def test_untouched_qubits_never_join(monkeypatch):
     assert abs(prob - 0.5) < 1e-12 and np.allclose(state.amps, [2**-0.5, 2**-0.5])
     with pytest.raises(ImpossibleOutcomeError, match="qubit 4 is post-selected on 1, but no gate touches it"):
         simulate_post_selected(Circuit(5, circ.gates[:-1] + [Measure(4, 1)]), [0])
+    # with no gate and nothing kept the result is the one-amplitude state
+    prob, state = simulate_post_selected(Circuit(2, [Measure(1, 0)]), [])
+    assert prob == 1.0 and state.n_qubits == 0 and np.array_equal(state.amps, [1])
     # a kept qubit no gate touches joins in |0>, in the order kept
     prob, state = simulate_post_selected(Circuit(3, [u_x(2)]), [2, 0])
     assert prob == 1.0 and np.allclose(state.amps, [0, 0, 1, 0], atol=1e-15)
