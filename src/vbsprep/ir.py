@@ -113,12 +113,13 @@ class Opaque:
 class Measure:
     """Measurement marker with an expected post-selection outcome.
 
-    simulate_circuit and simulate_post_selected project a marker before the
-    first later gate that touches its qubit, so an ancilla can be reused
-    after it is measured.  A marker no later gate touches is a terminal
-    one: simulate_circuit returns it, for post_select, and
-    simulate_post_selected post-selects it at the first block applied
-    after it and drops its qubit from the state.
+    simulate_circuit projects a marker before the first later gate that
+    touches its qubit, so an ancilla can be reused after it is measured,
+    and returns a marker no later gate touches (a terminal one) for
+    post_select.  simulate_post_selected post-selects every marker when the
+    next block is applied, or before its qubit's next gate, and drops the
+    qubit from the state; a reused qubit joins again at its next gate, in
+    the outcome it was dropped on.
 
     A non-empty `retry_reset` marks the measure-and-reset protocol: on the
     unwanted outcome the listed qubits are reset, their bonds re-prepared,
@@ -333,9 +334,10 @@ def _reused_markers(gates: list) -> set[int]:
 class _Run:
     """One simulation in progress, shared by simulate_circuit and simulate_post_selected.
 
-    `state` holds an axis per `live` qubit, in qubit order (None until the
-    first block).  `blocks` keeps the block matrices the call composed, by
-    their `_block_key`.
+    `state` holds an axis per `live` qubit, in qubit order (none before the
+    first block).  `value` maps a qubit dropped on a marker to the outcome
+    it holds until it joins again.  `blocks` keeps the block matrices the
+    call composed, by their `_block_key` and slice.
     """
 
     def __init__(self, circuit: Circuit, initial: Statevector | None = None):
@@ -346,8 +348,10 @@ class _Run:
         self.reused = _reused_markers(circuit.gates)
         # The state shares the caller's amplitudes until its first write, which
         # copies them: blocks and projections work in place.
-        self.state = None if initial is None else Statevector(self.n, initial.amps, initial.tracked_norm_sq)
-        self.live = [] if initial is None else list(range(self.n))
+        start = initial or Statevector(0, np.ones(1, dtype=complex))  # no qubit until the first block
+        self.state = Statevector(start.n_qubits, start.amps, start.tracked_norm_sq)
+        self.live = list(range(start.n_qubits))
+        self.value: dict[int, int] = {}
         self.blocks: dict[tuple, np.ndarray] = {}
 
     def writable(self) -> Statevector:
@@ -355,29 +359,56 @@ class _Run:
             self.state = self.state.copy()
         return self.state
 
-    def apply(self, mat: np.ndarray, qubits) -> None:
-        """Apply `mat` on `qubits`; a qubit not yet live joins the state in |0>."""
+    def apply(self, mat: np.ndarray, qubits, folded=()) -> None:
+        """Apply `mat` on `qubits`; a qubit not yet live joins the state in |0>.
+
+        With `folded` qubits (see apply_block) `mat` is not unitary: the
+        norm ratio is their markers' joint probability.
+        """
         live = self.live
         new = [q for q in qubits if q not in live]
         live.extend(new)
         live.sort()
-        if self.state is None:
-            self.state, new = Statevector.zero(len(live)), []
-        self.writable().apply_unitary(mat, [live.index(q) for q in qubits], new_qubits=[live.index(q) for q in new])
+        axes, new = [live.index(q) for q in qubits], [live.index(q) for q in new]
+        if not folded:
+            self.writable().apply_unitary(mat, axes, new_qubits=new)
+            return
+        try:
+            self.writable().apply_nonunitary_sequence([(mat, axes, new)])
+        except ImpossibleOutcomeError as exc:
+            exc.args = (f"markers on qubits {sorted(folded)} (folded into a block, no state axis): {exc}",)
+            raise
 
     def make_live(self, qubits) -> None:
         for q in qubits:
             if q not in self.live:
                 self.apply(_IDENTITY_1Q, [q])
 
-    def apply_block(self, support: list[int], block: list) -> None:
-        key = _block_key(support, block)
+    def apply_block(self, support: list[int], block: list, markers=()) -> None:
+        """Apply the block's matrix U, composed once per call under its `_block_key` and slice.
+
+        A qubit that is not live joins in the value it holds: 0, or the
+        outcome it was dropped on (U's columns are flipped there).  A joining
+        qubit whose marker waits in `markers` is folded: the block acts as
+        <expect|U|value> on its other qubits, so it never gets an axis.
+        """
+        joins = [q for q in support if q not in self.live]
+        fold = _expectations(m for m in markers if m.qubit in joins)
+        flips = tuple(i for i, q in enumerate(support) if q in joins and self.value.get(q))
+        rows = tuple(fold.get(q) for q in support)
+        key = (_block_key(support, block), flips, rows)
         if key not in self.blocks:
-            mat = self.blocks[key] = _block_matrix(support, block)
+            mat = _block_matrix(support, block)
+            if flips or fold:
+                k = len(support)
+                t = np.flip(mat.reshape([2] * (2 * k)), [k + i for i in flips])
+                cut = [slice(None) if e is None else e for e in rows] + [slice(None) if e is None else 0 for e in rows]
+                mat = np.ascontiguousarray(t[tuple(cut)]).reshape(2 ** (k - len(fold)), -1)
             mat.setflags(write=False)
             if isinstance(block[0], Opaque) and mat is block[0].matrix:
                 _known_unitary(mat)
-        self.apply(self.blocks[key], support)
+            self.blocks[key] = mat
+        self.apply(self.blocks[key], [q for q in support if q not in fold], fold)
 
     def project(self, markers: list[Measure]) -> None:
         """Project reused markers on their expected outcomes, all in one pass."""
@@ -393,15 +424,13 @@ class _Run:
     def select(self, markers: list[Measure], keep: list[int]) -> tuple[float, Statevector]:
         """`post_select` on the live axes: `markers` on their outcomes, and the live `keep` qubits kept.
 
-        A marker whose qubit has no axis is skipped: its qubit was dropped on
-        the same outcome, or no gate touches it and it expects 0 (see
-        simulate_post_selected).
+        A marker whose qubit has no axis is skipped: it was folded into a
+        block, or checked against the value its qubit holds.
         """
         live = self.live
         on_axes = [Measure(live.index(m.qubit), m.expect) for m in markers if m.qubit in live]
-        state = Statevector(0, np.ones(1, dtype=complex)) if self.state is None else self.state  # no gate, none kept
         try:
-            return post_select(state, on_axes, [live.index(q) for q in keep])
+            return post_select(self.state, on_axes, [live.index(q) for q in keep])
         except ImpossibleOutcomeError as exc:
             axes = sorted({m.qubit for m in on_axes})
             exc.args = (f"markers on qubits {[live[a] for a in axes]} (state axes {axes}): {exc}",)
@@ -414,45 +443,71 @@ class _Run:
         """Apply every gate; return the markers left to post-select, in circuit order.
 
         Consecutive gates are fused greedily into blocks of at most
-        FUSE_WIDTH qubits, each applied to the state once.  A reused marker
-        is projected before the first later gate on its qubit.  A marker no
-        later gate touches does not end a block; with `drop` it is
-        post-selected when the next block is applied, and its qubit's axis
-        leaves the state.
+        FUSE_WIDTH qubits, each applied to the state once.  A one-qubit gate
+        on a qubit neither live nor in the open block waits (gates on other
+        qubits commute with it) and joins the block of its qubit's next
+        multi-qubit gate, its marker or the circuit's end.  A marker no later
+        gate touches does not end a block.  Without `drop` a reused marker is
+        projected before its qubit's next gate.  With `drop` every marker is
+        post-selected when the next block is applied, or before its qubit's
+        next gate (see apply_block and simulate_post_selected); a marker on a
+        qubit with no axis is checked against the value that qubit holds.
         """
         markers: list[Measure] = []
         pending: list[Measure] = []
+        held: dict[int, list] = {}
         support: list[int] = []
         block: list = []
 
         def flush() -> None:
-            nonlocal markers
-            self.apply_block(support, block)
+            nonlocal markers, support, block
+            if block:
+                self.apply_block(support, block, markers if drop else ())
+            support, block = [], []
             if drop and any(m.qubit in self.live for m in markers):
                 gone = {m.qubit for m in markers}
                 keep = [q for q in self.live if q not in gone]
                 _, self.state = self.select(markers, keep)
                 self.live = keep
+            if drop:
+                self.value.update((m.qubit, m.expect) for m in markers)
                 markers = []
+
+        def add(gates: list, qubits) -> None:
+            nonlocal support, block
+            grown = support + [q for q in qubits if q not in support]
+            if len(grown) > FUSE_WIDTH and block:
+                flush()
+                grown = list(qubits)
+            support, block = grown, block + gates
 
         for i, g in enumerate(self.gates):
             if isinstance(g, Measure):
-                (pending if i in self.reused else markers).append(g)
+                q = g.qubit
+                if q in held:
+                    add(held.pop(q), [q])
+                if not drop:
+                    (pending if i in self.reused else markers).append(g)
+                elif q in self.live or q in support:
+                    markers.append(g)
+                elif g.expect != self.value.get(q, 0):
+                    raise ImpossibleOutcomeError(
+                        f"marker on qubit {q} (no state axis): outcome {g.expect} on a qubit that holds {1 - g.expect}")
                 continue
             if any(m.qubit in g.qubits for m in pending):
-                if block:
-                    flush()
-                    support, block = [], []
+                flush()
                 self.project(pending)
                 pending = []
-            grown = support + [q for q in g.qubits if q not in support]
-            if len(grown) > FUSE_WIDTH and block:
+            if drop and any(m.qubit in g.qubits for m in markers):
                 flush()
-                grown, block = list(g.qubits), []
-            support = grown
-            block.append(g)
+            if len(g.qubits) == 1 and g.qubits[0] not in self.live and g.qubits[0] not in support:
+                held.setdefault(g.qubits[0], []).append(g)
+                continue
+            add([h for q in g.qubits for h in held.pop(q, [])] + [g], g.qubits)
+        for q, gates in held.items():
+            add(gates, [q])
         if block:
-            self.apply_block(support, block)
+            self.apply_block(support, block, markers if drop else ())
         return markers
 
 
@@ -461,7 +516,8 @@ def simulate_circuit(circuit: Circuit, initial: Statevector | None = None) -> tu
     """Run the circuit; return the state and the markers left to post-select.
 
     Without `initial` the register starts empty: a qubit gets its |0> axis
-    when the first block that touches it is applied, and the qubits no gate
+    when the first block that touches it is applied (a lone one-qubit gate
+    waits for its qubit's next block, see `_Run.run`), and the qubits no gate
     touches join at the end, so the state returned always holds the whole
     register, in qubit order.  The size cap is checked on the register
     width before anything is allocated.  `initial` is not modified: its
@@ -486,7 +542,7 @@ def simulate_circuit(circuit: Circuit, initial: Statevector | None = None) -> tu
     """
     run = _Run(circuit, initial)
     markers = run.run(drop=False)
-    if run.state is None:  # no gate at all
+    if not run.live:  # no gate at all
         return Statevector.zero(run.n), markers
     run.make_live(range(run.n))  # the qubits no gate touched
     return run.state, markers
@@ -498,17 +554,18 @@ def simulate_post_selected(circuit: Circuit, keep) -> tuple[float, Statevector]:
 
     Equals `post_select(*simulate_circuit(circuit), keep)` (to rounding),
     without holding every ancilla to the end.  It runs as simulate_circuit
-    does, with these differences: a marker that no later gate touches is
-    post-selected at the first block applied after it, in one pass over
-    the live axes (`post_select`'s), and its qubit's axis leaves the state;
-    `tracked_norm_sq` carries the product of these conditional
-    probabilities.  The markers still waiting when the circuit ends go to
-    one last `post_select` with `keep`.  Reused markers are projected as
-    simulate_circuit projects them.  A qubit neither kept nor touched by a
-    gate never joins the state.  `keep`, and the outcomes the markers
-    expect, are checked before any block is applied.  Returns the success
-    probability and the renormalized state of the `keep` qubits, in the
-    order given.
+    does, except that every marker, reused or not, is post-selected when
+    the next block is applied, or before its qubit's next gate, and its
+    qubit leaves the state (`_Run.run`): an ancilla that joins in that
+    block is folded into it and never gets an axis, and a live one is
+    sliced off in one pass (`post_select`'s); a reused qubit joins again in
+    the outcome it was dropped on.  `tracked_norm_sq` carries the product
+    of these conditional probabilities.  The markers still waiting when
+    the circuit ends go to one last `post_select` with `keep`.  A qubit
+    neither kept nor touched by a gate never joins the state.  `keep`, and
+    the outcomes the terminal markers expect, are checked before any block
+    is applied.  Returns the success probability and the renormalized
+    state of the `keep` qubits, in the order given.
     """
     run = _Run(circuit)
     expect = _expectations(g for i, g in enumerate(run.gates) if isinstance(g, Measure) and i not in run.reused)

@@ -73,8 +73,10 @@ def oracle_vbs_state(lattice: Lattice, s: SpinValue) -> tuple[np.ndarray, float]
 def _post_selected(circ: Circuit, encoding: SiteEncoding) -> dict:
     """Simulate from the empty register, post-select every marker and keep the data qubits: a route's result.
 
-    `ir.simulate_post_selected` post-selects each ancilla once no later gate
-    touches it, so the register never holds every ancilla at once; a caller
+    `ir.simulate_post_selected` post-selects each ancilla right after its
+    last gate: an ancilla that joins and is measured in one fused block is
+    folded into it and never becomes a state axis, so a route's register
+    holds its data qubits plus at most the ancillas of one block.  A caller
     that needs the full register before post-selection (the Monte-Carlo
     draw) simulates `circuit` again with `ir.simulate_circuit`.
     """
@@ -135,9 +137,13 @@ def run_mitigated_retry(lattice: Lattice, s: SpinValue, seed: int) -> dict:
 def run_lcu(lattice: Lattice, s: SpinValue, variant: str = "sparse") -> dict:
     """The bond layer, then prepare/select/unprepare symmetrization at every site, post-selected.
 
-    Every site's circuit uses one shared ancilla bank, which
-    simulate_circuit projects before the next site reuses it, so the
-    register holds the data qubits plus one bank.
+    Every site's circuit uses one shared ancilla bank, |0...0> before and
+    after each site, and simulate_post_selected post-selects it after each
+    site, so the register holds the data qubits plus at most one bank.  A
+    spin-1 bank (two ancillas) fits in one block with the site's qubits and
+    is folded into it, so it becomes no state axis (unless a block of the
+    bond layer takes in its first gates); a spin-3/2 bank (six) is wider
+    than a block, joins the state and is sliced off after each site.
     """
     n_anc = math.factorial(s.twice_s) if variant == "sparse" else max(1, (math.factorial(s.twice_s) - 1).bit_length())
     encoding = assign_qubits(lattice, "hadamard_all")

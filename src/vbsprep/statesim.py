@@ -413,8 +413,13 @@ class Statevector:
             raise ValueError(f"bad qubit list {qubits} (new {new}) for {n}-qubit state")
         return self.amps.reshape([2] * self.n_qubits)
 
-    def _apply(self, mat: np.ndarray, qubits) -> None:
-        """`mat` on the listed qubits through `_contract`: in place, or rebound to its one-tile result."""
+    def _apply(self, mat: np.ndarray, qubits, new=()) -> None:
+        """`mat` on the listed qubits through `_contract`, in place or into a new array; `new` ones join in |0>."""
+        if new:
+            n = _checked_width(self.n_qubits + len(new))
+            self.amps = _joined(self._tensor(mat, qubits, new), mat, qubits, new).reshape(-1)
+            self.n_qubits = n
+            return
         tensor = self._tensor(mat, qubits)
         out = _contract(tensor, mat, qubits)
         if out is not tensor:
@@ -436,26 +441,22 @@ class Statevector:
         mat = _as_matrix(op)
         if _scope is None or mat.flags.writeable or id(mat) not in _scope.unitary:
             _check_unitary(mat)
-        qubits, new = tuple(qubits), tuple(new_qubits)
-        if not new:
-            self._apply(mat, qubits)
-            return self
-        n = _checked_width(self.n_qubits + len(new))
-        self.amps = _joined(self._tensor(mat, qubits, new), mat, qubits, new).reshape(-1)
-        self.n_qubits = n
+        self._apply(mat, tuple(qubits), tuple(new_qubits))
         return self
 
     def apply_nonunitary_sequence(self, ops) -> float:
         """Apply general operators in turn (as `apply_unitary` does), renormalize once, return the norm-squared ratio.
 
-        `ops` lists (op, qubits) pairs.  The ratio ||O_m ... O_1 psi||^2 / ||psi||^2
+        `ops` lists (op, qubits) pairs, or (op, qubits, new_qubits) triples
+        whose new qubits join the state in |0> as the op acts, as in
+        apply_unitary.  The ratio ||O_m ... O_1 psi||^2 / ||psi||^2
         is the product of the ratios that renormalizing after every operator
         would give.  Below PROB_FLOOR (a zero state included) it raises
         ImpossibleOutcomeError.
         """
         before = _norm_sq(self.amps)
-        for op, qubits in ops:
-            self._apply(_as_matrix(op), tuple(qubits))
+        for op, qubits, *new in ops:
+            self._apply(_as_matrix(op), tuple(qubits), tuple(new[0]) if new else ())
         after = _norm_sq(self.amps)
         ratio = after / before if before else 0.0
         if ratio < PROB_FLOOR:

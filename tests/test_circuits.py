@@ -470,9 +470,10 @@ def test_the_cap_is_read_once_per_scoped_call(monkeypatch):
 
 
 def test_impossible_reused_marker_names_its_circuit_qubit():
-    # qubits 1 and 2 are not live yet, so qubit 3 sits on axis 1 of the state
+    # qubit 0's lone gate waits for its qubit's next block and qubits 1 and 2 are not live yet,
+    # so qubit 3 sits on axis 0 of the state
     circ = Circuit(4, gates=[U1Q(np.pi, 0.0, np.pi, 0), u_h(3), u_h(3), Measure(3, 1), CNot(3, 2)])
-    with pytest.raises(ImpossibleOutcomeError, match="marker on qubit 3 "):
+    with pytest.raises(ImpossibleOutcomeError, match=r"marker on qubit 3 \(state axis 0\)"):
         simulate_circuit(circ)
 
 

@@ -6,7 +6,7 @@ from vbsprep import ir, methods
 from vbsprep.builders import mitigated_retry_circuit
 from vbsprep.cli import EXIT_CHECK_FAILED, EXIT_CONFIG, main, parse_lattice, validate_config
 from vbsprep.errors import ImpossibleOutcomeError, VbsError
-from vbsprep.ir import Circuit, CNot, Measure, U1Q, post_select, simulate_circuit, simulate_post_selected, u_h, u_x
+from vbsprep.ir import Circuit, CNot, Measure, Opaque, U1Q, post_select, simulate_circuit, simulate_post_selected, u_h, u_x
 from vbsprep.lattice import assign_qubits, linear_coupling
 from vbsprep.methods import ROUTES
 from vbsprep.routing import heavy_hex_pair_mitigated, heavy_hex_pair_probabilistic, route
@@ -66,23 +66,32 @@ def test_heavy_hex_routed_circuits_post_select_as_they_run(pipeline):
 
 
 def _peak_width(monkeypatch) -> list:
+    """Spy on both methods that write a block into the state, unitary or folded; holds the widest register seen."""
     peak = [0]
-    apply_unitary = Statevector.apply_unitary
+    apply_unitary, apply_nonunitary = Statevector.apply_unitary, Statevector.apply_nonunitary_sequence
 
-    def spy(self, op, qubits, *, new_qubits=()):
+    def unitary(self, op, qubits, *, new_qubits=()):
         peak[0] = max(peak[0], self.n_qubits + len(new_qubits))
         return apply_unitary(self, op, qubits, new_qubits=new_qubits)
 
-    monkeypatch.setattr(Statevector, "apply_unitary", spy)
+    def nonunitary(self, ops):
+        ops = list(ops)
+        peak[0] = max(peak[0], self.n_qubits + sum(len(op[2]) for op in ops if len(op) > 2))
+        return apply_nonunitary(self, ops)
+
+    monkeypatch.setattr(Statevector, "apply_unitary", unitary)
+    monkeypatch.setattr(Statevector, "apply_nonunitary_sequence", nonunitary)
     return peak
 
 
 @pytest.mark.parametrize(
     "spec,method,register,bound",
     [
-        ("chain:7:open:aligned", "probabilistic", 21, 16),
-        ("chain:7:ring", "probabilistic", 21, 16),
-        ("chain:8:open:aligned", "mitigated_islands", 20, 17),
+        ("chain:7:open:aligned", "probabilistic", 21, 14),
+        ("chain:7:ring", "probabilistic", 21, 14),
+        ("chain:8:open:aligned", "mitigated_islands", 20, 16),
+        ("chain:8:open:aligned", "probabilistic", 24, 16),
+        ("chain:9:open:aligned", "lcu", 20, 18),
     ],
 )
 def test_the_register_never_holds_every_ancilla(spec, method, register, bound, monkeypatch):
@@ -95,24 +104,45 @@ def test_the_register_never_holds_every_ancilla(spec, method, register, bound, m
 
 
 def _impossible_drop(n_qubits: int) -> Circuit:
-    """Qubit n-1 flipped to 1, then a marker expecting 0, then five gates that end the block holding it."""
+    """Qubit n-1 flipped to 1 in a block applied before its marker, which expects 0; then a block that ends."""
+    last = n_qubits - 1
+    return Circuit(n_qubits, [u_x(last), CNot(last, 0), CNot(1, 2), CNot(0, 3), Measure(last, 0), CNot(1, 2), CNot(2, 4)])
+
+
+def _impossible_fold(n_qubits: int) -> Circuit:
+    """Qubit n-1 flipped to 1, then a marker expecting 0: it joins and is measured in one block."""
     return Circuit(n_qubits, [u_x(n_qubits - 1), Measure(n_qubits - 1, 0)] + [u_h(q) for q in range(5)])
 
 
 def test_a_dropped_impossible_marker_names_its_qubit():
-    # qubits 0-2 and 5 are live when the block ends, so qubit 5 sits on axis 3: dropped mid-circuit
-    with pytest.raises(ImpossibleOutcomeError, match=r"markers on qubits \[5\] \(state axes \[3\]\)"):
+    # qubits 0-3 and 5 are live when the second block ends, so qubit 5 sits on axis 4: dropped mid-circuit
+    with pytest.raises(ImpossibleOutcomeError, match=r"markers on qubits \[5\] \(state axes \[4\]\)"):
         simulate_post_selected(_impossible_drop(6), range(5))
 
 
-def test_a_dropped_impossible_marker_exits_check_failed(monkeypatch, capsys):
+def test_a_folded_impossible_marker_names_its_qubit(monkeypatch):
+    peak = _peak_width(monkeypatch)
+    with pytest.raises(ImpossibleOutcomeError, match=r"markers on qubits \[5\] \(folded into a block, no state axis\)"):
+        simulate_post_selected(_impossible_fold(6), range(5))
+    assert peak[0] == 3  # the block of qubits 5, 0, 1, 2, less qubit 5
+
+
+def _prepare_exits_check_failed(circuit, monkeypatch, capsys) -> None:
     monkeypatch.setattr(
-        methods, "probabilistic_method_circuit", lambda lattice, encoding, s: _impossible_drop(encoding.total_qubits)
+        methods, "probabilistic_method_circuit", lambda lattice, encoding, s: circuit(encoding.total_qubits)
     )
     argv = ["prepare", "--spin", "2", "--lattice", "chain:2:open:aligned", "--method", "probabilistic"]
     assert main(argv) == EXIT_CHECK_FAILED
     err = capsys.readouterr().err
     assert "error: markers on qubits [5]" in err and "Traceback" not in err
+
+
+def test_a_dropped_impossible_marker_exits_check_failed(monkeypatch, capsys):
+    _prepare_exits_check_failed(_impossible_drop, monkeypatch, capsys)
+
+
+def test_a_folded_impossible_marker_exits_check_failed(monkeypatch, capsys):
+    _prepare_exits_check_failed(_impossible_fold, monkeypatch, capsys)
 
 
 def test_a_register_over_the_cap_still_exits_config(monkeypatch, capsys):
@@ -127,7 +157,7 @@ def test_untouched_qubits_never_join(monkeypatch):
     peak = _peak_width(monkeypatch)
     circ = Circuit(5, [u_h(0), CNot(0, 1), u_h(1), Measure(1, 0), Measure(4, 0)])  # 2 and 3 idle, 4 only marked
     prob, state = simulate_post_selected(circ, [0])
-    assert peak[0] == 2
+    assert peak[0] == 1  # qubit 1 joins and is measured in one block: it is folded into it
     assert abs(prob - 0.5) < 1e-12 and np.allclose(state.amps, [2**-0.5, 2**-0.5])
     with pytest.raises(ImpossibleOutcomeError, match="qubit 4 is post-selected on 1, but no gate touches it"):
         simulate_post_selected(Circuit(5, circ.gates[:-1] + [Measure(4, 1)]), [0])
@@ -162,6 +192,75 @@ def test_reused_and_repeated_markers():
     circ = Circuit(4, [u_h(0), CNot(0, 2), u_h(2), Measure(2, 0), u_h(2), CNot(2, 1), Measure(2, 1),
                        u_h(3), CNot(1, 3), u_h(0), u_h(1), u_h(3), Measure(2, 1)])
     _assert_same(circ, [0, 1, 3])
+
+
+def test_a_marker_on_a_qubit_with_no_axis_is_checked_against_the_value_it_holds():
+    # qubit 2 holds |0> (no gate touched it) when its reused marker expects 1
+    circ = Circuit(3, [u_h(0), Measure(2, 1), CNot(0, 2)])
+    with pytest.raises(ImpossibleOutcomeError, match="marker on qubit 2 "):
+        simulate_post_selected(circ, [0, 1])
+    with pytest.raises(ImpossibleOutcomeError, match="marker on qubit 2 "):
+        simulate_circuit(circ)
+    # qubit 1 is folded into the block of qubits 0-3 on outcome 0, then a second marker expects 1
+    circ = Circuit(6, [u_h(0), CNot(0, 1), Measure(1, 0), CNot(2, 3), CNot(4, 5), Measure(1, 1), CNot(1, 0)])
+    with pytest.raises(ImpossibleOutcomeError, match=r"marker on qubit 1 \(no state axis\): outcome 1 on a qubit that holds 0"):
+        simulate_post_selected(circ, [0, 2, 3, 4, 5])
+    with pytest.raises(ImpossibleOutcomeError, match="marker on qubit 1 "):
+        simulate_circuit(circ)
+    # the same marker expecting 0 agrees with the value held, and the qubit rejoins in |0>
+    _assert_same(Circuit(6, circ.gates[:5] + [Measure(1, 0), CNot(1, 0)]), [0, 1, 2, 3, 4, 5])
+
+
+def _random_post_selected_circuit(rng, n: int) -> Circuit:
+    """Lone gates on fresh qubits, ancilla tests, reused markers expecting 0 and 1, and definite outcomes."""
+    def lone(q):
+        return U1Q(*rng.uniform(-np.pi, np.pi, size=3), q)
+
+    gates = []
+    for _ in range(int(rng.integers(2, 9))):
+        a, b = (int(q) for q in rng.permutation(n)[:2])
+        kind = rng.integers(5)
+        if kind == 0:  # a lone gate, held until its qubit's next multi-qubit gate
+            gates += [lone(a), CNot(a, b)]
+        elif kind == 1:  # an ancilla test: its marker follows the only block it joins
+            gates += [u_h(a), CNot(a, b), lone(a), Measure(a, int(rng.integers(2)))]
+        elif kind == 2:  # a marker, reused when a later gate touches its qubit
+            gates += [Measure(a, int(rng.integers(2))), lone(a)]
+        elif kind == 3:  # a definite outcome: impossible when the marker expects 0
+            gates += [u_x(a), CNot(b, a), CNot(b, a), Measure(a, int(rng.integers(2)))]
+        else:
+            m = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+            gates.append(Opaque("random", (a, b), np.linalg.qr(m)[0]))
+    return Circuit(n, gates)
+
+
+def test_random_circuits_post_select_as_they_run(monkeypatch):
+    rng = np.random.default_rng(31)
+    folds = []
+    apply_nonunitary = Statevector.apply_nonunitary_sequence
+    monkeypatch.setattr(Statevector, "apply_nonunitary_sequence", lambda self, ops: folds.append(1) or apply_nonunitary(self, ops))
+    kinds = {"impossible": 0, "reused 0": 0, "reused 1": 0, "folded": 0}
+    for _ in range(120):
+        circ = _random_post_selected_circuit(rng, int(rng.integers(3, 8)))
+        reused = ir._reused_markers(circ.gates)
+        keep = sorted(set(range(circ.n_qubits)) - {g.qubit for i, g in enumerate(circ.gates)
+                                                    if isinstance(g, Measure) and i not in reused})
+        try:
+            ref_prob, ref = post_select(*simulate_circuit(circ), keep)
+        except ImpossibleOutcomeError:
+            kinds["impossible"] += 1
+            with pytest.raises(ImpossibleOutcomeError):
+                simulate_post_selected(circ, keep)
+            continue
+        before = len(folds)
+        prob, state = simulate_post_selected(circ, keep)
+        assert abs(prob - ref_prob) <= 1e-12
+        assert np.max(np.abs(state.amps - ref.amps)) <= 1e-12
+        assert abs(state.tracked_norm_sq - ref.tracked_norm_sq) <= 1e-12
+        kinds["folded"] += len(folds) > before
+        for i in reused:
+            kinds[f"reused {circ.gates[i].expect}"] += 1
+    assert all(kinds.values()), kinds
 
 
 def test_each_distinct_u1q_matrix_is_built_once_per_call(monkeypatch):

@@ -675,6 +675,24 @@ def test_normalize_once_matches_renormalizing_after_every_operator():
     assert np.max(np.abs(st.amps - v)) < 1e-15
 
 
+def test_a_nonunitary_op_may_join_qubits_in_zero():
+    """(op, qubits, new_qubits) equals the op on the state grown by |0> on the new qubits, renormalized."""
+    rng = np.random.default_rng(12)
+    for n, qubits, new in [(3, (1, 2), (2,)), (16, (0, 3, 5), (0, 5)), (16, (9, 10), (10,)), (2, (2, 0, 1), (2,))]:
+        k, grown = len(qubits), n + len(new)
+        op = rng.normal(size=(2**k, 2**k)) + 1j * rng.normal(size=(2**k, 2**k))
+        v = _random_state(n, rng)
+        ref = np.zeros(2**grown, dtype=complex).reshape([2] * grown)
+        ref[tuple(0 if a in new else slice(None) for a in range(grown))] = v.reshape([2] * n)
+        expected = _einsum_apply(ref.reshape(-1), op, qubits, grown)
+        st = Statevector(n, v.copy(), tracked_norm_sq=0.5)
+        ratio = st.apply_nonunitary_sequence([(op, qubits, new)])
+        assert st.n_qubits == grown
+        assert ratio == pytest.approx(np.linalg.norm(expected) ** 2, rel=1e-12)
+        assert st.tracked_norm_sq == pytest.approx(0.5 * ratio, rel=1e-15)
+        assert np.max(np.abs(st.amps - expected / np.linalg.norm(expected))) < 1e-12
+
+
 def test_normalize_once_raises_on_an_annihilating_operator_or_a_zero_state():
     rng = np.random.default_rng(10)
     up, down = np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
