@@ -226,7 +226,7 @@ def _random_post_selected_circuit(rng, n: int) -> Circuit:
             gates += [u_h(a), CNot(a, b), lone(a), Measure(a, int(rng.integers(2)))]
         elif kind == 2:  # a marker, reused when a later gate touches its qubit
             gates += [Measure(a, int(rng.integers(2))), lone(a)]
-        elif kind == 3:  # a definite outcome: impossible when the marker expects 0
+        elif kind == 3:  # a flip and two CNOTs that cancel: on a fresh qubit, a marker expecting 0 is impossible
             gates += [u_x(a), CNot(b, a), CNot(b, a), Measure(a, int(rng.integers(2)))]
         else:
             m = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
