@@ -217,9 +217,11 @@ def repetitions_table(twice_s: int, n_list=TABLE_N_VALUES) -> list[dict]:
 def monte_carlo_success(state: Statevector, markers, expected_p: float, shots: int, seed: int) -> tuple[float, float]:
     """Empirical all-markers-pass rate and its z-score against expected_p.
 
-    Samples `state`, the simulated circuit before post-selection, as
-    `ir.simulate_circuit` returns it with its markers: the whole register,
-    every ancilla included.  A route's result holds only its data qubits
+    Samples `state`, the simulated circuit before its terminal markers are
+    post-selected, as `ir.simulate_circuit` returns it with them: the whole
+    register, every ancilla included (a reused marker was post-selected as
+    the circuit ran, so the rate is conditioned on it).  A route's result
+    holds only its data qubits
     (`ir.simulate_post_selected`), so `prepare --shots` simulates the
     route's circuit again for this draw.
     """

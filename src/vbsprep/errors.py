@@ -14,13 +14,7 @@ class CapExceededError(VbsError):
 
 
 class ImpossibleOutcomeError(VbsError):
-    """Projection onto an outcome of (numerically) zero probability.
-
-    `index` is the place of the failing outcome in the list a joint
-    projection was given, and None for any other projection.
-    """
-
-    index: int | None = None
+    """Projection onto an outcome of (numerically) zero probability."""
 
 
 class NonUnitaryError(VbsError):

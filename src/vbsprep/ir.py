@@ -113,13 +113,12 @@ class Opaque:
 class Measure:
     """Measurement marker with an expected post-selection outcome.
 
-    simulate_circuit projects a marker before the first later gate that
-    touches its qubit, so an ancilla can be reused after it is measured,
-    and returns a marker no later gate touches (a terminal one) for
-    post_select.  simulate_post_selected post-selects every marker when the
-    next block is applied, or before its qubit's next gate, and drops the
-    qubit from the state; a reused qubit joins again at its next gate, in
-    the outcome it was dropped on.
+    A simulation post-selects a marker when the next block is applied, or
+    before the first later gate that touches its qubit, and drops the qubit
+    from the state, so an ancilla can be reused after it is measured: it
+    joins again at its next gate, in the outcome it was dropped on.
+    simulate_circuit leaves out the markers no later gate touches (the
+    terminal ones) and returns them, for post_select.
 
     A non-empty `retry_reset` marks the measure-and-reset protocol: on the
     unwanted outcome the listed qubits are reset, their bonds re-prepared,
@@ -340,24 +339,13 @@ class _Run:
     call composed, by their `_block_key` and slice.
     """
 
-    def __init__(self, circuit: Circuit, initial: Statevector | None = None):
+    def __init__(self, circuit: Circuit):
         self.n = _checked_width(circuit.n_qubits)
-        if initial is not None and initial.n_qubits != self.n:
-            raise ValueError("initial state size mismatch")
-        self.gates, self.initial = circuit.gates, initial
-        self.reused = _reused_markers(circuit.gates)
-        # The state shares the caller's amplitudes until its first write, which
-        # copies them: blocks and projections work in place.
-        start = initial or Statevector(0, np.ones(1, dtype=complex))  # no qubit until the first block
-        self.state = Statevector(start.n_qubits, start.amps, start.tracked_norm_sq)
-        self.live = list(range(start.n_qubits))
+        self.gates = circuit.gates
+        self.state = Statevector(0, np.ones(1, dtype=complex))  # no qubit until the first block
+        self.live: list[int] = []
         self.value: dict[int, int] = {}
         self.blocks: dict[tuple, np.ndarray] = {}
-
-    def writable(self) -> Statevector:
-        if self.initial is not None and self.state.amps is self.initial.amps:
-            self.state = self.state.copy()
-        return self.state
 
     def apply(self, mat: np.ndarray, qubits, folded=()) -> None:
         """Apply `mat` on `qubits`; a qubit not yet live joins the state in |0>.
@@ -371,10 +359,10 @@ class _Run:
         live.sort()
         axes, new = [live.index(q) for q in qubits], [live.index(q) for q in new]
         if not folded:
-            self.writable().apply_unitary(mat, axes, new_qubits=new)
+            self.state.apply_unitary(mat, axes, new_qubits=new)
             return
         try:
-            self.writable().apply_nonunitary_sequence([(mat, axes, new)])
+            self.state.apply_nonunitary_sequence([(mat, axes, new)])
         except ImpossibleOutcomeError as exc:
             exc.args = (f"markers on qubits {sorted(folded)} (folded into a block, no state axis): {exc}",)
             raise
@@ -410,17 +398,6 @@ class _Run:
             self.blocks[key] = mat
         self.apply(self.blocks[key], [q for q in support if q not in fold], fold)
 
-    def project(self, markers: list[Measure]) -> None:
-        """Project reused markers on their expected outcomes, all in one pass."""
-        self.make_live([m.qubit for m in markers])
-        axes = [self.live.index(m.qubit) for m in markers]
-        try:
-            self.writable().project_qubits(axes, [m.expect for m in markers])
-        except ImpossibleOutcomeError as exc:
-            m = markers[exc.index]
-            exc.args = (f"marker on qubit {m.qubit} (state axis {axes[exc.index]}): {exc}",)
-            raise
-
     def select(self, markers: list[Measure], keep: list[int]) -> tuple[float, Statevector]:
         """`post_select` on the live axes: `markers` on their outcomes, and the live `keep` qubits kept.
 
@@ -439,22 +416,20 @@ class _Run:
             exc.args = (f"qubit {live[exc.axis]} (state axis {exc.axis}): {exc}",)
             raise
 
-    def run(self, drop: bool) -> list[Measure]:
+    def run(self) -> list[Measure]:
         """Apply every gate; return the markers left to post-select, in circuit order.
 
         Consecutive gates are fused greedily into blocks of at most
         FUSE_WIDTH qubits, each applied to the state once.  A one-qubit gate
         on a qubit neither live nor in the open block waits (gates on other
         qubits commute with it) and joins the block of its qubit's next
-        multi-qubit gate, its marker or the circuit's end.  A marker no later
-        gate touches does not end a block.  Without `drop` a reused marker is
-        projected before its qubit's next gate.  With `drop` every marker is
-        post-selected when the next block is applied, or before its qubit's
-        next gate (see apply_block and simulate_post_selected); a marker on a
+        multi-qubit gate, its marker or the circuit's end.  Every marker is
+        post-selected, and its qubit leaves the state, when the next block
+        is applied or before its qubit's next gate (see apply_block), so a
+        marker no later gate touches does not end a block.  A marker on a
         qubit with no axis is checked against the value that qubit holds.
         """
         markers: list[Measure] = []
-        pending: list[Measure] = []
         held: dict[int, list] = {}
         support: list[int] = []
         block: list = []
@@ -462,16 +437,15 @@ class _Run:
         def flush() -> None:
             nonlocal markers, support, block
             if block:
-                self.apply_block(support, block, markers if drop else ())
+                self.apply_block(support, block, markers)
             support, block = [], []
-            if drop and any(m.qubit in self.live for m in markers):
+            if any(m.qubit in self.live for m in markers):
                 gone = {m.qubit for m in markers}
                 keep = [q for q in self.live if q not in gone]
                 _, self.state = self.select(markers, keep)
                 self.live = keep
-            if drop:
-                self.value.update((m.qubit, m.expect) for m in markers)
-                markers = []
+            self.value.update((m.qubit, m.expect) for m in markers)
+            markers = []
 
         def add(gates: list, qubits) -> None:
             nonlocal support, block
@@ -481,24 +455,18 @@ class _Run:
                 grown = list(qubits)
             support, block = grown, block + gates
 
-        for i, g in enumerate(self.gates):
+        for g in self.gates:
             if isinstance(g, Measure):
                 q = g.qubit
                 if q in held:
                     add(held.pop(q), [q])
-                if not drop:
-                    (pending if i in self.reused else markers).append(g)
-                elif q in self.live or q in support:
+                if q in self.live or q in support:
                     markers.append(g)
                 elif g.expect != self.value.get(q, 0):
                     raise ImpossibleOutcomeError(
                         f"marker on qubit {q} (no state axis): outcome {g.expect} on a qubit that holds {1 - g.expect}")
                 continue
-            if any(m.qubit in g.qubits for m in pending):
-                flush()
-                self.project(pending)
-                pending = []
-            if drop and any(m.qubit in g.qubits for m in markers):
+            if any(m.qubit in g.qubits for m in markers):
                 flush()
             if len(g.qubits) == 1 and g.qubits[0] not in self.live and g.qubits[0] not in support:
                 held.setdefault(g.qubits[0], []).append(g)
@@ -507,21 +475,24 @@ class _Run:
         for q, gates in held.items():
             add(gates, [q])
         if block:
-            self.apply_block(support, block, markers if drop else ())
+            self.apply_block(support, block, markers)
         return markers
 
 
 @_scoped()
-def simulate_circuit(circuit: Circuit, initial: Statevector | None = None) -> tuple[Statevector, list[Measure]]:
-    """Run the circuit; return the state and the markers left to post-select.
+def simulate_circuit(circuit: Circuit) -> tuple[Statevector, list[Measure]]:
+    """Run the circuit from the empty register; return the whole register's state and its terminal markers.
 
-    Without `initial` the register starts empty: a qubit gets its |0> axis
-    when the first block that touches it is applied (a lone one-qubit gate
-    waits for its qubit's next block, see `_Run.run`), and the qubits no gate
-    touches join at the end, so the state returned always holds the whole
-    register, in qubit order.  The size cap is checked on the register
-    width before anything is allocated.  `initial` is not modified: its
-    amplitudes are copied at the first write.
+    The terminal markers, the ones no later gate touches, are taken out and
+    returned, in circuit order, for `post_select` or the Monte-Carlo draw.
+    The other gates run as in simulate_post_selected (`_Run.run`): a reused
+    marker is post-selected before its qubit's next gate, its qubit leaves
+    the state and joins again in the outcome it was dropped on, and
+    `tracked_norm_sq` carries the product of these probabilities.  A qubit
+    gets its |0> axis when the first block that touches it is applied, and
+    the qubits no gate touches join at the end, so the state returned holds
+    the whole register, in qubit order.  The size cap is checked on the
+    register width before anything is allocated.
 
     Consecutive gates are fused greedily into blocks of at most FUSE_WIDTH
     qubits, and each block is applied to the state once.  A block's matrix
@@ -531,21 +502,14 @@ def simulate_circuit(circuit: Circuit, initial: Statevector | None = None) -> tu
     `statesim._Scope`: the size cap is read once, a block matrix is made
     read-only and checked for unitarity once (an Opaque's, checked when it
     was made, not again), and folded once per run order and R; all of it
-    goes when the call returns.  A marker whose
-    qubit a later gate reuses is projected on its expected outcome before
-    that gate: the block built so far is applied, then every such pending
-    marker is projected, all in one pass, and `tracked_norm_sq` carries
-    their joint probability; an impossible outcome names the first marker,
-    in circuit order, whose probability given the ones before it is below
-    PROB_FLOOR.  A marker that no later gate touches does not end a
-    block; it is returned, unprojected, in circuit order.
+    goes when the call returns.
     """
-    run = _Run(circuit, initial)
-    markers = run.run(drop=False)
-    if not run.live:  # no gate at all
-        return Statevector.zero(run.n), markers
+    reused = _reused_markers(circuit.gates)
+    terminal = {i for i, g in enumerate(circuit.gates) if isinstance(g, Measure)} - reused
+    run = _Run(Circuit(circuit.n_qubits, [g for i, g in enumerate(circuit.gates) if i not in terminal]))
+    run.run()
     run.make_live(range(run.n))  # the qubits no gate touched
-    return run.state, markers
+    return run.state, [circuit.gates[i] for i in sorted(terminal)]
 
 
 @_scoped()
@@ -553,28 +517,28 @@ def simulate_post_selected(circuit: Circuit, keep) -> tuple[float, Statevector]:
     """Run the circuit from the empty register, post-select every marker, keep the `keep` qubits.
 
     Equals `post_select(*simulate_circuit(circuit), keep)` (to rounding),
-    without holding every ancilla to the end.  It runs as simulate_circuit
-    does, except that every marker, reused or not, is post-selected when
-    the next block is applied, or before its qubit's next gate, and its
-    qubit leaves the state (`_Run.run`): an ancilla that joins in that
-    block is folded into it and never gets an axis, and a live one is
-    sliced off in one pass (`post_select`'s); a reused qubit joins again in
-    the outcome it was dropped on.  `tracked_norm_sq` carries the product
-    of these conditional probabilities.  The markers still waiting when
-    the circuit ends go to one last `post_select` with `keep`.  A qubit
-    neither kept nor touched by a gate never joins the state.  `keep`, and
-    the outcomes the terminal markers expect, are checked before any block
-    is applied.  Returns the success probability and the renormalized
-    state of the `keep` qubits, in the order given.
+    without holding every ancilla to the end.  Every marker, reused or not,
+    is post-selected when the next block is applied, or before its qubit's
+    next gate, and its qubit leaves the state (`_Run.run`): an ancilla that
+    joins in that block is folded into it and never gets an axis, and a
+    live one is sliced off in one pass (`post_select`'s); a reused qubit
+    joins again in the outcome it was dropped on.  `tracked_norm_sq`
+    carries the product of these conditional probabilities.  The markers
+    still waiting when the circuit ends go to one last `post_select` with
+    `keep`.  A qubit neither kept nor touched by a gate never joins the
+    state.  `keep`, and the outcomes the terminal markers expect, are
+    checked before any block is applied.  Returns the success probability
+    and the renormalized state of the `keep` qubits, in the order given.
     """
     run = _Run(circuit)
-    expect = _expectations(g for i, g in enumerate(run.gates) if isinstance(g, Measure) and i not in run.reused)
+    reused = _reused_markers(run.gates)
+    expect = _expectations(g for i, g in enumerate(run.gates) if isinstance(g, Measure) and i not in reused)
     keep = _checked_keep(keep, run.n, expect)
     touched = {q for g in run.gates if not isinstance(g, Measure) for q in g.qubits}
     for q, outcome in expect.items():
         if outcome and q not in touched:
             raise ImpossibleOutcomeError(f"qubit {q} is post-selected on 1, but no gate touches it")
-    markers = run.run(drop=True)
+    markers = run.run()
     run.make_live(keep)  # a kept qubit no gate touched
     return run.select(markers, keep)
 
@@ -603,11 +567,12 @@ def post_select(state: Statevector, markers, keep) -> tuple[float, Statevector]:
 
     Takes the slice of `state` where every marker qubit holds its expected
     value, in one pass.  The probability is the slice's share of the norm
-    times the state's `tracked_norm_sq`, so it also covers the markers
-    simulate_circuit projected mid-circuit.  Any other qubit not in `keep`
-    (an ancilla a SWAP moved after its projection, an idle qubit) must hold
-    one definite value, and is dropped on it.  Returns the renormalized
-    state of the `keep` qubits, in the order given; `state` is unchanged.
+    times the state's `tracked_norm_sq`, so it also covers the reused
+    markers simulate_circuit post-selected as it ran.  Any other qubit not
+    in `keep` (an ancilla a SWAP moved after its marker, an idle qubit)
+    must hold one definite value, and is dropped on it.  Returns the
+    renormalized state of the `keep` qubits, in the order given; `state` is
+    unchanged.
     """
     expect = _expectations(markers)
     n = state.n_qubits

@@ -45,8 +45,8 @@ def route(circuit: Circuit, coupling: CouplingMap, initial_placement: list[int] 
     """Rewrite a circuit so all multi-qubit gates respect the coupling map.
 
     A marker keeps its place in the gate list, on the physical qubit its
-    logical qubit holds there; simulate_circuit projects it before any
-    later SWAP moves that qubit.
+    logical qubit holds there; the simulation post-selects it, and drops
+    that qubit, before any later SWAP moves it.
     """
     if circuit.n_qubits > coupling.n_qubits:
         raise ConfigError("circuit does not fit on the coupling map")

@@ -42,13 +42,6 @@ FOLD_MAX_COLS = 64
 # second state-sized array.  A join reads each tile from the old state and
 # writes it into the grown one, so it holds only those two.
 TILE = 1 << 15
-# `_row_weights` keeps the innermost axes of the float view (5 qubits and
-# re/im: 64 floats) in its einsum's output and sums them after, so that the
-# einsum's inner loop never reduces only a few floats.  Reducing every
-# unlisted axis in the einsum took 15 ms for qubit 21 of a 22-qubit state and
-# 128 ms for the qubits (0, 1, 20, 21), against 7-10 ms for leading qubits;
-# with the innermost axes kept, each takes 9-11 ms (2-core VM).
-INNER_AXES = 6
 
 
 def max_qubits() -> int:
@@ -127,20 +120,6 @@ def _scale(amps: np.ndarray, factor: float) -> None:
     """amps *= factor in place, through the float view: half the time of a complex division."""
     floats = amps.view(np.float64)
     floats *= factor
-
-
-def _row_weights(amps: np.ndarray, n: int, qubits) -> np.ndarray:
-    """w[k]: the sum of |amplitude|^2 where the listed qubits read k (qubits[0] its MSB).
-
-    One einsum over the float view of `amps`; no state-sized temporary.
-    """
-    floats = amps.view(np.float64).reshape([2] * (n + 1))  # the last axis: re, im
-    every = list(range(n + 1))
-    out = sorted(set(qubits) | set(every[max(0, n + 1 - INNER_AXES):]))
-    w = np.einsum(floats, every, floats, every, out)
-    w = w.sum(axis=tuple(i for i, a in enumerate(out) if a not in qubits))
-    ascending = sorted(qubits)
-    return w.transpose([ascending.index(q) for q in qubits]).reshape(-1)
 
 
 def _tile_slices(shape, whole):
@@ -320,10 +299,10 @@ class Statevector:
     """Complex amplitude vector with a running retained-branch probability.
 
     `tracked_norm_sq` is the product of the probabilities of every retained
-    projection branch since initialization; it equals 1 until the first
-    projection or non-unitary application.
+    branch since initialization; it equals 1 until the first non-unitary
+    application (or the first `ir.post_select`, which returns a new state).
 
-    A Statevector owns the array it is given: operators, projections and
+    A Statevector owns the array it is given: operators and
     renormalizations write into it in place, and only a qubit joining the
     state (the grown array is written from the old one), or an operator on a
     state of one tile, replaces it.  Pass a copy to keep the original.
@@ -341,12 +320,6 @@ class Statevector:
         self.tracked_norm_sq = tracked_norm_sq
 
     # -- constructors ------------------------------------------------------
-
-    @classmethod
-    def zero(cls, n_qubits: int) -> "Statevector":
-        amps = np.zeros(2 ** _checked_width(n_qubits), dtype=complex)
-        amps[0] = 1.0
-        return cls(n_qubits, amps)
 
     @classmethod
     def from_amplitudes(cls, amps) -> "Statevector":
@@ -464,47 +437,6 @@ class Statevector:
         _scale(self.amps, 1 / math.sqrt(after))
         self.tracked_norm_sq *= ratio
         return ratio
-
-    # -- measurement -------------------------------------------------------
-
-    def project_qubits(self, qubits, outcomes) -> float:
-        """Project the listed qubits onto their outcomes in place, as one; returns the joint probability.
-
-        Equals projecting them one by one in the order listed: the first
-        outcome whose probability, given the ones listed before it, is below
-        PROB_FLOOR raises ImpossibleOutcomeError, with `index` its place in
-        the list.  One read of the weights of every branch, then the other
-        branches are zeroed and the state scaled once.
-        """
-        qubits, outcomes = tuple(qubits), tuple(outcomes)
-        if len(qubits) != len(outcomes):
-            raise ValueError("one outcome per qubit")
-        for qubit, outcome in zip(qubits, outcomes):
-            if outcome not in (0, 1):
-                raise ValueError("outcome must be 0 or 1")
-            if not 0 <= qubit < self.n_qubits:
-                raise ValueError(f"qubit {qubit} is not in the {self.n_qubits}-qubit state")
-        distinct = list(dict.fromkeys(qubits))
-        weights = _row_weights(self.amps, self.n_qubits, distinct).reshape([2] * len(distinct))
-        fixed: dict[int, int] = {}
-        kept = total = float(weights.sum())
-        for index, (qubit, outcome) in enumerate(zip(qubits, outcomes)):
-            given = kept
-            if fixed.setdefault(qubit, outcome) != outcome:
-                kept = 0.0  # the qubit is already fixed on the other outcome
-            else:
-                kept = float(weights[tuple(fixed.get(q, slice(None)) for q in distinct)].sum())
-            prob = kept / given if given else 0.0
-            if prob < PROB_FLOOR:
-                exc = ImpossibleOutcomeError(f"outcome {outcome} on qubit {qubit} has probability {prob:.3e}")
-                exc.index = index
-                raise exc
-        for qubit, outcome in fixed.items():
-            self.amps.reshape(2**qubit, 2, -1)[:, 1 - outcome] = 0.0
-        _scale(self.amps, 1 / math.sqrt(kept))
-        prob = kept / total
-        self.tracked_norm_sq *= prob
-        return prob
 
     # -- scalar queries ------------------------------------------------------
 

@@ -7,7 +7,9 @@ tensor products, then the symmetrizer matrix at every site.  `embed` and
 site) and the qubit basis (a run of 2S qubits per site, in site order).
 `overlap`, `fidelity`, `expectation` and `applied_norm` compare and
 measure qubit-basis states.  `circuit_unitary_by_columns` is the unfused
-reference for `ir.circuit_unitary`.
+reference for `ir.circuit_unitary`, and `gate_by_gate` for `ir.simulate_circuit`:
+every gate alone, each marker projected in place by slicing (`project`).
+`zero_state` and `prepared` give a circuit its starting state.
 """
 from __future__ import annotations
 
@@ -15,7 +17,8 @@ import numpy as np
 
 from vbsprep import statesim
 from vbsprep.builders import spin_ket
-from vbsprep.ir import Circuit, _gate_matrix
+from vbsprep.errors import ImpossibleOutcomeError
+from vbsprep.ir import Circuit, Measure, Opaque, _gate_matrix
 from vbsprep.lattice import SPIN_UP, Lattice, SiteEncoding, assign_qubits
 from vbsprep.schmidt import SINGLET
 from vbsprep.spinops import symmetric_subspace_isometry, symmetrizer
@@ -96,3 +99,66 @@ def circuit_unitary_by_columns(circuit: Circuit) -> np.ndarray:
             state.apply_unitary(_gate_matrix(g), g.qubits)
         mat[:, col] = state.amps
     return mat
+
+
+def zero_state(n_qubits: int) -> Statevector:
+    """|0...0> on n qubits."""
+    amps = np.zeros(2**n_qubits, dtype=complex)
+    amps[0] = 1.0
+    return Statevector(n_qubits, amps)
+
+
+def prepared(v, qubits) -> Opaque:
+    """A block that takes |0...0> on `qubits` to the unit vector along v: a Householder unitary whose first column is v.
+
+    With phase = v[0] / |v[0]|, the reflection I - 2 w w^dagger / (w^dagger w),
+    w = e_0 - v / phase, takes e_0 to v / phase; times phase it takes e_0 to v.
+    v must not lie along e_0 (w would be 0).
+    """
+    v = np.asarray(v, dtype=complex).reshape(-1)
+    v = v / np.linalg.norm(v)
+    phase = v[0] / abs(v[0]) if abs(v[0]) else 1.0
+    w = -v / phase
+    w[0] += 1.0
+    reflection = np.eye(v.size, dtype=complex) - (2 / np.vdot(w, w).real) * np.outer(w, w.conj())
+    return Opaque("prepared", tuple(qubits), phase * reflection)
+
+
+def project(state: Statevector, qubit: int, outcome: int) -> float:
+    """Project one qubit on an outcome in place, by slicing; returns its probability.
+
+    The other branch is zeroed and the state renormalized; `tracked_norm_sq`
+    takes the probability.  Below statesim.PROB_FLOOR it raises
+    ImpossibleOutcomeError.
+    """
+    rows = state.amps.reshape(2**qubit, 2, -1)
+    total = np.vdot(state.amps, state.amps).real
+    kept = np.vdot(rows[:, outcome], rows[:, outcome]).real
+    prob = kept / total if total else 0.0
+    if prob < statesim.PROB_FLOOR:
+        raise ImpossibleOutcomeError(f"outcome {outcome} on qubit {qubit} has probability {prob:.3e}")
+    rows[:, 1 - outcome] = 0.0
+    state.amps /= np.sqrt(kept)
+    state.tracked_norm_sq *= prob
+    return prob
+
+
+def gate_by_gate(circuit: Circuit, v=None) -> tuple[Statevector, list]:
+    """Unfused reference for `ir.simulate_circuit`: the state of the whole register and the terminal markers.
+
+    Starts from the vector v, or from |0...0>.  Every gate is applied alone;
+    each marker is projected (`project`) just before the first later gate on
+    its qubit, and the markers no later gate touches are returned, in
+    circuit order.
+    """
+    state = zero_state(circuit.n_qubits) if v is None else Statevector.from_amplitudes(v)
+    pending = []
+    for g in circuit.gates:
+        if isinstance(g, Measure):
+            pending.append(g)
+            continue
+        for m in [m for m in pending if m.qubit in g.qubits]:
+            project(state, m.qubit, m.expect)
+            pending.remove(m)
+        state.apply_unitary(_gate_matrix(g), g.qubits)
+    return state, pending

@@ -31,7 +31,7 @@ from vbsprep.lattice import assign_qubits, build_chain, build_three_link_pair
 from vbsprep.spinops import SpinValue
 from vbsprep.statesim import Statevector
 
-from oracle_reference import bond_product, circuit_unitary_by_columns, fidelity
+from oracle_reference import bond_product, circuit_unitary_by_columns, fidelity, gate_by_gate, prepared, project
 
 INV_SQRT2 = 1.0 / np.sqrt(2.0)
 
@@ -97,8 +97,8 @@ def test_hadamard_test_postselection_equals_symmetrizer():
     lat = build_chain(2, "open")
     enc = assign_qubits(lat, "hadamard_all")
     base = bond_product(enc, enc.total_qubits)
-    circ = hadamard_test_fragment(0, enc, SpinValue(2))
-    state, markers = simulate_circuit(circ, initial=base)
+    circ = pre_vbs_circuit(lat, enc).extend(hadamard_test_fragment(0, enc, SpinValue(2)).gates)
+    state, markers = simulate_circuit(circ)
     data = range(enc.n_data_qubits)
     prob, state = post_select(state, markers, data)
 
@@ -112,7 +112,6 @@ def test_hadamard_test_postselection_equals_symmetrizer():
 def test_dropped_phase_gate_flips_expected_outcome():
     lat = build_chain(2, "open")
     enc = assign_qubits(lat, "hadamard_all")
-    base = bond_product(enc, enc.total_qubits)
 
     phased = hadamard_test_fragment(0, enc, SpinValue(2))
     plain = hadamard_test_fragment(0, enc, SpinValue(2), drop_phase_gate=True)
@@ -122,7 +121,7 @@ def test_dropped_phase_gate_flips_expected_outcome():
 
     outs = []
     for circ in (phased, plain):
-        state, markers = simulate_circuit(circ, initial=base)
+        state, markers = simulate_circuit(pre_vbs_circuit(lat, enc).extend(circ.gates))
         outs.append(post_select(state, markers, range(enc.n_data_qubits)))
     assert abs(outs[0][0] - outs[1][0]) < 1e-12
     assert abs(fidelity(outs[0][1], outs[1][1]) - 1.0) < 1e-12
@@ -301,22 +300,6 @@ def _random_circuit(rng, n: int, n_gates: int) -> Circuit:
     return circ
 
 
-def _gate_by_gate(circ: Circuit, v: np.ndarray) -> tuple[Statevector, list]:
-    """Unfused reference: every gate applied alone, and each marker projected
-    just before the first later gate on its qubit."""
-    state = Statevector.from_amplitudes(v)
-    pending = []
-    for g in circ.gates:
-        if isinstance(g, Measure):
-            pending.append(g)
-            continue
-        for m in [m for m in pending if m.qubit in g.qubits]:
-            state.project_qubits([m.qubit], [m.expect])
-            pending.remove(m)
-        state.apply_unitary(_gate_matrix(g), g.qubits)
-    return state, pending
-
-
 def test_fused_simulation_matches_gate_by_gate_unitary():
     rng = np.random.default_rng(29)
     kinds = {"reused": 0, "impossible": 0}
@@ -326,18 +309,18 @@ def test_fused_simulation_matches_gate_by_gate_unitary():
         v = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
         v /= np.linalg.norm(v)
         try:
-            expected, left = _gate_by_gate(circ, v)
+            expected, left = gate_by_gate(circ, v)
         except ImpossibleOutcomeError:
             kinds["impossible"] += 1
             with pytest.raises(ImpossibleOutcomeError):
-                simulate_circuit(circ, initial=Statevector.from_amplitudes(v))
+                simulate_circuit(Circuit(n, [prepared(v, range(n))] + circ.gates))
             continue
-        state, markers = simulate_circuit(circ, initial=Statevector.from_amplitudes(v))
+        state, markers = simulate_circuit(Circuit(n, [prepared(v, range(n))] + circ.gates))
         assert np.max(np.abs(state.amps - expected.amps)) < 1e-12
         assert abs(state.tracked_norm_sq - expected.tracked_norm_sq) < 1e-12
         assert markers == left
         kinds["reused"] += len(left) < len(circ.measures())
-    assert kinds["reused"] and kinds["impossible"]  # both marker rules are exercised
+    assert kinds["reused"] and kinds["impossible"]  # reused markers and impossible outcomes both occur
 
 
 def _relabelled(circ: Circuit, label, n: int) -> Circuit:
@@ -378,10 +361,8 @@ def test_simulation_from_empty_register_matches_gate_by_gate():
         touched = _first_touches(circ)
         kinds["idle"] += len(touched) < circ.n_qubits
         kinds["descending"] += len(touched) > 2 and touched == sorted(touched, reverse=True)
-        zero = np.zeros(2**circ.n_qubits, dtype=complex)
-        zero[0] = 1.0
         try:
-            expected, left = _gate_by_gate(circ, zero)
+            expected, left = gate_by_gate(circ)
         except ImpossibleOutcomeError:
             kinds["impossible"] += 1
             with pytest.raises(ImpossibleOutcomeError):
@@ -470,18 +451,17 @@ def test_the_cap_is_read_once_per_scoped_call(monkeypatch):
 
 
 def test_impossible_reused_marker_names_its_circuit_qubit():
-    # qubit 0's lone gate waits for its qubit's next block and qubits 1 and 2 are not live yet,
-    # so qubit 3 sits on axis 0 of the state
+    # qubit 3's lone gates wait for its marker, so it joins in their block and is measured right after it:
+    # the block is folded on its expected outcome, and qubit 3 never gets a state axis
     circ = Circuit(4, gates=[U1Q(np.pi, 0.0, np.pi, 0), u_h(3), u_h(3), Measure(3, 1), CNot(3, 2)])
-    with pytest.raises(ImpossibleOutcomeError, match=r"marker on qubit 3 \(state axis 0\)"):
+    with pytest.raises(ImpossibleOutcomeError, match=r"markers on qubits \[3\] \(folded into a block, no state axis\)"):
         simulate_circuit(circ)
 
 
-
-def test_pending_markers_are_projected_as_one_and_name_the_first_impossible_one():
-    # both markers are pending at CNot(0, 2); qubit 2 joins in |0>, so expecting 1 there is impossible
+def test_reused_markers_drop_their_qubits_and_name_an_impossible_one():
+    # qubit 2 has no axis when its marker comes (no gate touched it yet), so expecting 1 there is impossible
     gates = [u_h(0), CNot(0, 1), Measure(0, 1), Measure(2, 1), CNot(0, 2)]
-    msg = r"^marker on qubit 2 \(state axis 2\): outcome 1 on qubit 2 has probability 0.000e\+00$"
+    msg = r"^marker on qubit 2 \(no state axis\): outcome 1 on a qubit that holds 0$"
     with pytest.raises(ImpossibleOutcomeError, match=msg):
         simulate_circuit(Circuit(3, gates=gates))
     gates[3:] = [Measure(1, 1), CNot(0, 1)]
@@ -496,32 +476,15 @@ def test_register_cap_is_checked_before_any_block(monkeypatch):
 
     monkeypatch.setenv("VBS_MAX_QUBITS", "4")
     monkeypatch.setattr(Statevector, "apply_unitary", no_block)
-    monkeypatch.setattr(Statevector, "zero", no_block)
     circ = Circuit(5, gates=[u_h(0), CNot(0, 1), u_h(3), CNot(3, 4), CNot(1, 2)])
     with pytest.raises(CapExceededError):
         simulate_circuit(circ)
 
 
-def test_simulation_leaves_initial_unchanged():
-    rng = np.random.default_rng(3)
-    v = rng.normal(size=8) + 1j * rng.normal(size=8)
-    for gates in (
-        [u_h(0), CNot(0, 2), Measure(2, 1), CNot(2, 1)],
-        # the first operation projects a reused marker, which works in place
-        [Measure(0, 1), u_h(0), CNot(0, 1)],
-    ):
-        initial = Statevector(3, v / np.linalg.norm(v), tracked_norm_sq=0.25)
-        before = initial.amps.copy()
-        state, _ = simulate_circuit(Circuit(3, gates=gates), initial=initial)
-        assert np.array_equal(initial.amps, before)
-        assert initial.tracked_norm_sq == 0.25
-        assert state.tracked_norm_sq < 0.25  # the reused marker was projected
-
-
 def _project_each(state: Statevector, markers) -> tuple[float, Statevector]:
     out = state.copy()
     for m in markers:
-        out.project_qubits([m.qubit], [m.expect])
+        project(out, m.qubit, m.expect)
     return out.tracked_norm_sq, out
 
 

@@ -152,6 +152,21 @@ def test_prepare_shots_samples_the_simulated_circuit(tmp_path):
     assert doc["simulated"]["mc_z"] == z
 
 
+@pytest.mark.parametrize("seed,code,rate", [(0, EXIT_OK, 0.1335), (2, EXIT_CHECK_FAILED, 0.13001)])
+def test_monte_carlo_draw_on_chain7_is_pinned(seed, code, rate, tmp_path):
+    """10^5 shots on the chain:7 probabilistic circuit; seed 2 lands outside 3 sigma, as about 0.27% of seeds must."""
+    out = tmp_path / "r.json"
+    argv = ["prepare", "--spin", "2", "--lattice", "chain:7:open:aligned", "--method", "probabilistic",
+            "--shots", "100000", "--seed", str(seed), "--out", str(out)]
+    assert main(argv) == code
+    doc = json.loads(out.read_text())
+    assert doc["simulated"]["mc_rate"] == rate
+    failed = [c["name"] for c in doc["checks"] if not c["pass"]]
+    assert failed == ([] if code == EXIT_OK else ["mc_within_3_sigma"])
+    if seed == 2:
+        assert doc["simulated"]["mc_z"] == pytest.approx(-3.286193293965067, abs=1e-12)
+
+
 def test_sampling_a_zero_state_exits_config(monkeypatch, capsys):
     """The draw's ValueError on a zero state reaches the CLI as a config error, exit 2."""
     from vbsprep.statesim import Statevector

@@ -28,7 +28,7 @@ from vbsprep.qasm import emit_qasm, parse_qasm
 from vbsprep.spinops import SpinValue
 from vbsprep.statesim import Statevector
 
-from oracle_reference import expectation, fidelity
+from oracle_reference import expectation, fidelity, project
 
 S1 = SpinValue(2)
 R6 = 1.0 / math.sqrt(6.0)
@@ -136,21 +136,20 @@ def test_completion_choice_independence():
     oracle, _ = oracle_vbs_state(build_chain(4, "ring"), S1)
     ref = _reference_bulk_disentangler()
 
-    state = Statevector.zero(9)
     tensors = vbs_mps(4, "ring")
     vec = tensors[-1].array.reshape(16)
     vec = vec / np.linalg.norm(vec)
     from vbsprep.schmidt import schmidt_prepare
 
     sub = schmidt_prepare(vec, qubits=(5, 6, 7, 1), label="init")
-    state, _ = simulate_circuit(Circuit(9, gates=sub.gates), initial=state)
+    state, _ = simulate_circuit(Circuit(9, gates=sub.gates))
     state.apply_unitary(ref, (3, 4, 5))
     state.apply_unitary(ref, (0, 2, 3))
     a_tilde = fuse_boundary_tensor(tensors[0].array)
     weight = expectation(state, a_tilde.conj().T @ a_tilde, (0, 1))
     gate = embed_nonunitary_periodic(a_tilde, math.sqrt(0.5 / weight))
     state.apply_unitary(gate, (8, 0, 1))
-    prob = state.project_qubits([8], [0])
+    prob = project(state, 8, 0)
     reduced = Statevector.from_amplitudes(state.amps.reshape(256, 2)[:, 0])
     assert abs(prob - 0.5) < 1e-10
     assert abs(reduced.spin_fidelity(oracle) - 1.0) < 1e-10

@@ -25,7 +25,7 @@ from vbsprep.routing import (
 )
 from vbsprep.spinops import SpinValue
 
-from oracle_reference import fidelity
+from oracle_reference import fidelity, prepared
 
 
 def _run_post_selected(circ, keep):
@@ -200,14 +200,14 @@ def test_displacement_basis_expansion_simulates_identically():
     from vbsprep.ir import Circuit
     from vbsprep.qasm import expand_opaque
 
-    direct = Circuit(8, gates=[block])
-    expanded = Circuit(8, gates=expand_opaque(block))
-    assert sum(1 for g in expanded.gates if isinstance(g, CNot)) == 9
     rng = np.random.default_rng(5)
     v = rng.normal(size=256) + 1j * rng.normal(size=256)
     v /= np.linalg.norm(v)
-    from vbsprep.statesim import Statevector
+    start = prepared(v, range(8))
+    direct = Circuit(8, gates=[start, block])
+    expanded = Circuit(8, gates=[start, *expand_opaque(block)])
+    assert sum(1 for g in expanded.gates if isinstance(g, CNot)) == 9
 
-    s0, _ = simulate_circuit(direct, initial=Statevector.from_amplitudes(v.copy()))
-    s1, _ = simulate_circuit(expanded, initial=Statevector.from_amplitudes(v.copy()))
+    s0, _ = simulate_circuit(direct)
+    s1, _ = simulate_circuit(expanded)
     assert np.max(np.abs(s0.amps - s1.amps)) < 1e-12

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from vbsprep.errors import ConfigError, UnsupportedError
-from vbsprep.ir import CNot, cnot_count, cnot_depth, post_select, simulate_circuit
+from vbsprep.ir import Circuit, CNot, cnot_count, cnot_depth, post_select, simulate_circuit
 from vbsprep.schmidt import (
     island_prep_circuit,
     island_state,
@@ -24,7 +24,7 @@ from vbsprep.symmetrize import (
     w_state_vector,
 )
 
-from oracle_reference import fidelity
+from oracle_reference import fidelity, prepared, project
 
 # Printed island amplitudes for the spin-1 case: (1/sqrt(3)) * (0,0,0,1/2,...)
 ISLAND_S1_REF = np.array(
@@ -220,12 +220,8 @@ def _lcu_apply(n_halves: int, variant: str, input_state: Statevector):
     circ = lcu_symmetrization_circuit(
         n_halves, tuple(range(n_halves)), tuple(range(n_halves, total)), variant
     )
-    full = Statevector.product_of_factors(
-        total,
-        [(tuple(range(n_halves)), input_state.amps)]
-        + [((n_halves + i,), np.array([1, 0], dtype=complex)) for i in range(m)],
-    )
-    state, markers = simulate_circuit(circ, initial=full)
+    # the input on the halves; the ancillas start in |0>
+    state, markers = simulate_circuit(Circuit(total, [prepared(input_state.amps, range(n_halves))] + circ.gates))
     return post_select(state, markers, range(n_halves))
 
 
@@ -268,7 +264,7 @@ def test_lcu_dense_equals_local_hadamard_test():
     work.apply_unitary(h, (2,))
     work.apply_unitary(controlled(exp_minus_i_pi_symmetrizer(2).matrix), (2, 0, 1))
     work.apply_unitary(h, (2,))
-    p_had = work.project_qubits([2], [1])
+    p_had = project(work, 2, 1)
     s_had = Statevector.from_amplitudes(work.amps.reshape(4, 2)[:, 1])
     assert abs(p_lcu - p_had) < 1e-12
     assert abs(fidelity(s_lcu, s_had) - 1.0) < 1e-12

@@ -1,4 +1,4 @@
-"""Statevector kernel: embedding, projection, norm bookkeeping, sampling."""
+"""Statevector kernel: embedding, operators, norm bookkeeping, sampling."""
 import contextlib
 
 import numpy as np
@@ -9,29 +9,21 @@ from vbsprep.errors import CapExceededError, ImpossibleOutcomeError, NonUnitaryE
 from vbsprep.spinops import symmetrizer
 from vbsprep.statesim import Statevector
 
-from oracle_reference import expectation, fidelity, overlap
+from oracle_reference import expectation, fidelity, overlap, zero_state
 
 SWAP = np.array([[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex)
 SINGLET = np.array([0, 1, -1, 0], dtype=complex) / np.sqrt(2)
 
 
-def test_zero_state():
-    st = Statevector.zero(2)
-    assert np.allclose(st.amps, [1, 0, 0, 0])
-    assert st.tracked_norm_sq == 1.0
-    st1 = Statevector.zero(1)
-    assert np.allclose(st1.amps, [1, 0])
-
-
 def test_cap():
-    with pytest.raises(CapExceededError):
-        Statevector.zero(27)
+    with pytest.raises(CapExceededError):  # before any amplitude is checked or allocated
+        Statevector(27, np.ones(1, dtype=complex))
 
 
 def test_cap_override(monkeypatch):
     monkeypatch.setenv("VBS_MAX_QUBITS", "4")
     with pytest.raises(CapExceededError):
-        Statevector.zero(5)
+        Statevector(5, np.ones(1, dtype=complex))
     with pytest.raises(CapExceededError):
         Statevector.from_amplitudes(np.ones(32))
 
@@ -65,14 +57,14 @@ def test_identity_leaves_state_bitwise():
 
 
 def test_unitarity_guard():
-    st = Statevector.zero(1)
+    st = zero_state(1)
     with pytest.raises(NonUnitaryError):
         st.apply_unitary(np.array([[1, 0], [0, 0.5]]), (0,))
 
 
 def test_unitarity_guard_checks_every_call_on_a_matrix_that_can_change():
     """A non-unitary matrix raises on every call, in a scope too; only a read-only one found unitary passes unchecked."""
-    state = Statevector.zero(2)
+    state = zero_state(2)
     for scope in (contextlib.nullcontext(), statesim._scoped()):
         with scope:
             bad = np.diag([1.0, 2.0]).astype(complex)
@@ -107,35 +99,6 @@ def test_unitary_preserves_norm():
     assert abs(np.vdot(st.amps, st.amps).real - 1.0) < 1e-12
 
 
-def test_project_plus_state():
-    st = Statevector.from_amplitudes(np.array([1, 1]) / np.sqrt(2))
-    p = st.project_qubits([0], [1])
-    assert abs(p - 0.5) < 1e-12
-    assert abs(st.tracked_norm_sq - 0.5) < 1e-12
-
-
-def test_project_branches_sum_to_one():
-    rng = np.random.default_rng(8)
-    v = rng.normal(size=8) + 1j * rng.normal(size=8)
-    st = Statevector.from_amplitudes(v / np.linalg.norm(v))
-    p0 = st.copy().project_qubits([1], [0])
-    p1 = st.copy().project_qubits([1], [1])
-    assert abs(p0 + p1 - 1.0) < 1e-12
-
-
-def test_project_singlet_partner():
-    st = Statevector.from_amplitudes(SINGLET)
-    p = st.project_qubits([0], [0])
-    assert abs(p - 0.5) < 1e-12
-    assert np.allclose(st.amps, [0, 1, 0, 0])  # partner fixed to |1>
-
-
-def test_impossible_outcome():
-    st = Statevector.zero(2)
-    with pytest.raises(ImpossibleOutcomeError):
-        st.project_qubits([0], [1])
-
-
 def test_apply_nonunitary_symmetrizer_ratio():
     # single bulk site of a bond product: the double-bond ring on two sites
     st = Statevector.product_of_factors(4, [((0, 1), SINGLET), ((2, 3), SINGLET)])
@@ -154,7 +117,7 @@ def test_apply_nonunitary_three_halves_ratio():
 
 
 def test_apply_nonunitary_identity():
-    st = Statevector.zero(3)
+    st = zero_state(3)
     assert abs(st.apply_nonunitary_sequence([(np.eye(2), (1,))]) - 1.0) < 1e-12
 
 
@@ -183,7 +146,7 @@ def test_overlap_of_unnormalized_states_is_the_normalized_overlap():
 
 
 def test_expectation_z_on_zero():
-    st = Statevector.zero(1)
+    st = zero_state(1)
     z = np.diag([1.0, -1.0])
     assert abs(expectation(st, z, (0,)) - 1.0) < 1e-12
     with pytest.raises(ValueError):
@@ -196,7 +159,7 @@ def _counts(st: Statevector, shots: int, seed: int) -> dict[str, int]:
 
 
 def test_sampling_deterministic_and_binomial():
-    st = Statevector.zero(1)
+    st = zero_state(1)
     counts = _counts(st, 100, seed=1)
     assert counts == {"0": 100}
     plus = Statevector.from_amplitudes(np.array([1, 1]) / np.sqrt(2))
@@ -577,13 +540,9 @@ def test_in_place_kernel_matches_einsum_on_every_layout(tile, monkeypatch):
         expected = _einsum_apply(v, mat, qubits, n)
         st = Statevector.from_amplitudes(v)
         assert np.max(np.abs(_applied(st, mat, qubits) - expected)) < 1e-12, qubits
-        rows = np.moveaxis(expected.reshape([2] * n), qubits, range(k)).reshape(2**k, -1)
-        weights = np.sum(np.abs(rows) ** 2, axis=1)
-        applied = _applied(st, mat, qubits)
-        assert np.max(np.abs(statesim._row_weights(applied, n, qubits) - weights)) < 1e-12 * weights.sum(), qubits
         herm = mat + mat.conj().T
         assert abs(expectation(st, herm, qubits) - np.vdot(v, _einsum_apply(v, herm, qubits, n)).real) < 1e-12
-        assert np.array_equal(st.amps, v)  # none of the three writes into the state
+        assert np.array_equal(st.amps, v)  # neither writes into the state
         amps = st.amps
         st.apply_unitary(u, qubits)
         # in place on a state of several tiles; a state of one tile takes the kernel's fresh output
@@ -725,85 +684,6 @@ def test_normalize_once_keeps_at_most_one_extra_state_alive():
     assert peak - start <= 1.25 * st.amps.nbytes  # the output of one operator, with room for small buffers
 
 
-def test_project_qubit_matches_slicing_reference():
-    rng = np.random.default_rng(12)
-    for n in (1, 2, 5, 9):
-        v = _random_state(n, rng) * 1.5  # not normalized
-        for qubit in range(n):
-            for outcome in (0, 1):
-                st = Statevector(n, v.copy(), tracked_norm_sq=0.25)
-                prob = st.project_qubits([qubit], [outcome])
-                t = v.reshape(2**qubit, 2, -1).copy()
-                kept = np.linalg.norm(t[:, outcome]) ** 2
-                t[:, 1 - outcome] = 0.0
-                assert prob == pytest.approx(kept / np.linalg.norm(v) ** 2, rel=1e-15, abs=1e-15)
-                assert np.max(np.abs(st.amps - t.reshape(-1) / np.sqrt(kept))) < 1e-15
-                assert st.tracked_norm_sq == pytest.approx(0.25 * prob, rel=1e-15)
-                assert st.copy().project_qubits([qubit], [outcome]) == pytest.approx(1.0, rel=1e-15)
-    with pytest.raises(ImpossibleOutcomeError):
-        Statevector(2, np.zeros(4, dtype=complex)).project_qubits([1], [0])
-    with pytest.raises(ValueError):
-        Statevector.zero(2).project_qubits([2], [0])
-
-
-@pytest.mark.parametrize("n", [1, 6, 11])
-def test_row_weights_are_the_squared_row_norms(n):
-    """Row k of op|psi> is where the listed qubits read k, in the order listed (`_row_weights`)."""
-    rng = np.random.default_rng(13 + n)
-    v = _random_state(n, rng)
-    st = Statevector.from_amplitudes(v)
-    cases = [(q,) for q in range(n)] + [tuple(range(n)), tuple(range(n))[::-1]]
-    if n > 4:
-        cases += [(0, 1, n - 2, n - 1), (n - 1, n - 2, 0, 1), (n - 4, n - 3, n - 2, n - 1), (2, 0, 4)]
-    for qubits in cases:
-        k = len(qubits)
-        mat = rng.normal(size=(2**k, 2**k)) + 1j * rng.normal(size=(2**k, 2**k))
-        rotated = np.moveaxis(_applied(st, mat, qubits).reshape([2] * n), qubits, range(k))
-        expected = np.sum(np.abs(rotated.reshape(2**k, -1)) ** 2, axis=1)
-        applied = _applied(st, mat, qubits)
-        assert np.max(np.abs(statesim._row_weights(applied, n, qubits) - expected)) < 1e-12 * expected.sum(), qubits
-        assert np.array_equal(st.amps, v)
-
-
-def _project_one_by_one(st: Statevector, qubits, outcomes):
-    """Reference for project_qubits: one qubit at a time, in list order; (index, message) of a failure."""
-    for index, (qubit, outcome) in enumerate(zip(qubits, outcomes)):
-        try:
-            st.project_qubits([qubit], [outcome])
-        except ImpossibleOutcomeError as exc:
-            return index, str(exc)
-    return None
-
-
-def test_joint_projection_matches_projecting_one_by_one():
-    """project_qubits: one read, one scale; the same state, probability and first failing outcome."""
-    rng = np.random.default_rng(14)
-    failures = 0
-    for _ in range(60):
-        n = int(rng.integers(1, 9))
-        v = _random_state(n, rng) * 1.5  # not normalized
-        if rng.random() < 0.4:  # qubit `sure` definitely |0>: expecting 1 there is impossible
-            sure = int(rng.integers(n))
-            v.reshape(2**sure, 2, -1)[:, 1] = 0.0
-        m = int(rng.integers(1, 5))
-        qubits = [int(q) for q in rng.integers(n, size=m)]  # repeats allowed, with either outcome
-        outcomes = [int(o) for o in rng.integers(2, size=m)]
-        step = Statevector(n, v.copy(), tracked_norm_sq=0.5)
-        failed = _project_one_by_one(step, qubits, outcomes)
-        joint = Statevector(n, v.copy(), tracked_norm_sq=0.5)
-        if failed is not None:
-            failures += 1
-            with pytest.raises(ImpossibleOutcomeError) as caught:
-                joint.project_qubits(qubits, outcomes)
-            assert (caught.value.index, str(caught.value)) == failed
-            continue
-        prob = joint.project_qubits(qubits, outcomes)
-        assert prob == pytest.approx(step.tracked_norm_sq / 0.5, rel=1e-12)
-        assert joint.tracked_norm_sq == pytest.approx(step.tracked_norm_sq, rel=1e-12)
-        assert np.max(np.abs(joint.amps - step.amps)) < 1e-12
-    assert 0 < failures < 60
-
-
 @pytest.mark.parametrize("tile", [1 << 5, statesim.TILE])
 def test_spin_fidelity_matches_the_embedded_overlap(tile, monkeypatch):
     """|<V psi|r>|^2 / (||psi||^2 ||r||^2) on mixed site sizes, batches of rows and the fold region."""
@@ -823,4 +703,4 @@ def test_spin_fidelity_matches_the_embedded_overlap(tile, monkeypatch):
         assert abs(st.spin_fidelity(psi) - expected) < 1e-12, shape
         assert np.array_equal(st.amps, r)
     with pytest.raises(ValueError, match="does not fit"):
-        Statevector.zero(4).spin_fidelity(np.ones((3, 3, 3)))
+        zero_state(4).spin_fidelity(np.ones((3, 3, 3)))
