@@ -579,7 +579,8 @@ def post_select(state: Statevector, markers, keep) -> tuple[float, Statevector]:
     keep = _checked_keep(keep, n, expect)
     kept = state.amps.reshape([2] * n)[tuple(expect.get(q, slice(None)) for q in range(n))]
     kept_sq = float(np.vdot(kept, kept).real)
-    prob = kept_sq / float(np.vdot(state.amps, state.amps).real)
+    total = float(np.vdot(state.amps, state.amps).real)
+    prob = kept_sq / total if total else 0.0  # a zero state holds no outcome
     if prob < PROB_FLOOR:
         raise ImpossibleOutcomeError(f"markers on qubits {sorted(expect)} have joint probability {prob:.3e}")
     free = [q for q in range(n) if q not in expect]  # the axes of `kept`

@@ -28,10 +28,19 @@ from vbsprep.ir import (
     u_h,
 )
 from vbsprep.lattice import assign_qubits, build_chain, build_three_link_pair
+from vbsprep.schmidt import SINGLET
 from vbsprep.spinops import SpinValue
 from vbsprep.statesim import Statevector
 
-from oracle_reference import bond_product, circuit_unitary_by_columns, fidelity, gate_by_gate, prepared, project
+from oracle_reference import (
+    bond_product,
+    circuit_unitary_by_columns,
+    fidelity,
+    gate_by_gate,
+    prepared,
+    project,
+    zero_state,
+)
 
 INV_SQRT2 = 1.0 / np.sqrt(2.0)
 
@@ -567,6 +576,95 @@ def test_post_select_leaves_its_input_unchanged():
     post_select(state, markers, range(enc.n_data_qubits))
     assert np.array_equal(state.amps, before)
     assert state.tracked_norm_sq == 1.0
+
+
+def test_post_select_plus_state():
+    prob, out = post_select(Statevector.from_amplitudes(np.array([1, 1]) / np.sqrt(2)), [Measure(0, 1)], [])
+    assert abs(prob - 0.5) < 1e-12
+    assert abs(out.tracked_norm_sq - 0.5) < 1e-12
+    assert out.n_qubits == 0
+
+
+def test_post_select_branches_sum_to_one():
+    rng = np.random.default_rng(8)
+    v = rng.normal(size=8) + 1j * rng.normal(size=8)
+    state = Statevector.from_amplitudes(v / np.linalg.norm(v))
+    p0, _ = post_select(state, [Measure(1, 0)], [0, 2])
+    p1, _ = post_select(state, [Measure(1, 1)], [0, 2])
+    assert abs(p0 + p1 - 1.0) < 1e-12
+
+
+def test_post_select_impossible_outcome():
+    with pytest.raises(ImpossibleOutcomeError, match=r"^markers on qubits \[0\] have joint probability 0.000e\+00$"):
+        post_select(zero_state(2), [Measure(0, 1)], [1])
+
+
+def test_post_select_matches_slicing_reference():
+    """One marker on every qubit and outcome of unnormalized states: probability, kept slice, tracked norm."""
+    rng = np.random.default_rng(12)
+    for n in (1, 2, 5, 9):
+        v = (rng.normal(size=2**n) + 1j * rng.normal(size=2**n)) * 1.5  # not normalized
+        for qubit in range(n):
+            for outcome in (0, 1):
+                state = Statevector(n, v.copy(), tracked_norm_sq=0.25)
+                keep = [q for q in range(n) if q != qubit]
+                prob, out = post_select(state, [Measure(qubit, outcome)], keep)
+                kept = v.reshape(2**qubit, 2, -1)[:, outcome].reshape(-1)
+                share = np.linalg.norm(kept) ** 2 / np.linalg.norm(v) ** 2
+                assert prob == pytest.approx(0.25 * share, rel=1e-15)
+                assert out.tracked_norm_sq == prob
+                assert np.max(np.abs(out.amps - kept / np.linalg.norm(kept))) < 1e-15
+                assert np.array_equal(state.amps, v)
+    with pytest.raises(ImpossibleOutcomeError):
+        post_select(Statevector(2, np.zeros(4, dtype=complex)), [Measure(1, 0)], [0])
+
+
+def _random_unitary(rng, dim: int) -> np.ndarray:
+    q, r = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+@pytest.mark.parametrize("n", [1, 6, 11])
+def test_post_select_probabilities_are_the_squared_row_norms(n):
+    """Markers reading k on the listed qubits, in the order listed, select row k of the state with those axes first."""
+    rng = np.random.default_rng(13 + n)
+    v = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
+    cases = [(q,) for q in range(n)]
+    if n > 4:
+        cases += [(0, 1, n - 2, n - 1), (n - 1, n - 2, 0, 1), (n - 4, n - 3, n - 2, n - 1), (2, 0, 4)]
+    for qubits in cases:
+        k = len(qubits)
+        state = Statevector.from_amplitudes(v / np.linalg.norm(v))
+        state.apply_unitary(_random_unitary(rng, 2**k), qubits)
+        rows = np.moveaxis(state.amps.reshape([2] * n), qubits, range(k)).reshape(2**k, -1)
+        weights = np.sum(np.abs(rows) ** 2, axis=1)
+        keep = [q for q in range(n) if q not in qubits]
+        total = 0.0
+        for row in range(2**k):
+            bits = [(row >> (k - 1 - i)) & 1 for i in range(k)]
+            prob, out = post_select(state, [Measure(q, b) for q, b in zip(qubits, bits)], keep)
+            assert abs(prob - weights[row]) < 1e-12, (qubits, row)
+            assert np.max(np.abs(out.amps - rows[row] / np.sqrt(weights[row]))) < 1e-12, (qubits, row)
+            total += prob
+        assert abs(total - 1.0) < 1e-12, qubits
+
+
+def test_a_reused_marker_on_a_singlet_fixes_its_partner():
+    # qubit 0 is post-selected on 0 before its Hadamard, and rejoins in |0>: the partner is left in |1>
+    circ = Circuit(2, gates=[prepared(SINGLET, (0, 1)), Measure(0, 0), u_h(0)])
+    state, markers = simulate_circuit(circ)
+    assert markers == []
+    assert abs(state.tracked_norm_sq - 0.5) < 1e-12
+    assert np.max(np.abs(state.amps - np.array([0, 1, 0, 1]) * INV_SQRT2)) < 1e-12
+
+
+def test_an_empty_circuit_simulates_to_the_zero_state():
+    for n in (1, 2, 3):
+        state, markers = simulate_circuit(Circuit(n, gates=[]))
+        assert markers == []
+        assert state.n_qubits == n
+        assert np.array_equal(state.amps, zero_state(n).amps)
+        assert state.tracked_norm_sq == 1.0
 
 
 def test_measure_markers_collected_not_applied():
