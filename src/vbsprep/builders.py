@@ -72,7 +72,7 @@ def _test_block(twice_s: int, plain_cswap: bool = False) -> np.ndarray:
     """The site test's controlled exp(-i pi P_sym), or its negation, read-only.
 
     One array serves every site, so `ir.simulate_circuit`, which keys an
-    Opaque by its matrix's identity, composes a repeated test once.
+    Opaque by its matrix's identity, composes a repeated test once per call.
     """
     mat = exp_minus_i_pi_symmetrizer(twice_s).matrix
     block = controlled(-mat if plain_cswap else mat)

@@ -20,18 +20,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ImpossibleOutcomeError, MissingCostError, NonUnitaryError
-from .statesim import (
-    PROB_FLOOR,
-    UNITARY_TOL,
-    Statevector,
-    _checked_width,
-    _contract,
-    _known_unitary,
-    _scope_matrices,
-    _scoped,
-)
+from .statesim import PROB_FLOOR, UNITARY_TOL, Statevector, _checked_width, _contract
 
-OPAQUE_UNITARY_TOL = UNITARY_TOL  # simulate_circuit does not check an Opaque's matrix again
 FUSE_WIDTH = 4  # qubits in the widest block simulate_circuit fuses gates into
 
 
@@ -85,7 +75,7 @@ class Opaque:
         m = np.asarray(self.matrix, dtype=complex)
         if m.shape != (2 ** len(self.qubits),) * 2:
             raise ValueError(f"opaque {self.label}: matrix shape {m.shape} vs {len(self.qubits)} qubits")
-        if np.max(np.abs(m.conj().T @ m - np.eye(m.shape[0]))) > OPAQUE_UNITARY_TOL:
+        if np.max(np.abs(m.conj().T @ m - np.eye(m.shape[0]))) > UNITARY_TOL:
             raise NonUnitaryError(f"opaque {self.label} is not unitary")
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
@@ -257,7 +247,7 @@ _CNOT_MAT = np.array(
     [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex
 )
 _IDENTITY_1Q = np.eye(2, dtype=complex)
-# read-only, so that Statevector.apply_unitary checks them once per simulate_circuit call
+# shared by every simulation: read-only, so that no caller can change them
 _CNOT_MAT.setflags(write=False)
 _IDENTITY_1Q.setflags(write=False)
 
@@ -265,21 +255,13 @@ _IDENTITY_1Q.setflags(write=False)
 def _gate_matrix(g) -> np.ndarray:
     """Matrix of a unitary gate on g.qubits; qubits[0] is its MSB.
 
-    In an open `statesim._Scope` a U1Q's matrix is built once per distinct
-    angles (keyed by their bits, as in `_block_key`) and shared read-only,
-    so that the scope folds it once; outside one it is a fresh array.
+    A CNOT's and an Opaque's matrix are shared and read-only; a U1Q's is a
+    fresh array on every call.
     """
     if isinstance(g, CNot):
         return _CNOT_MAT
     if isinstance(g, U1Q):
-        memo = _scope_matrices()
-        if memo is None:
-            return g.matrix()
-        key = (U1Q, struct.pack("3d", g.theta, g.phi, g.lam))
-        if key not in memo:
-            memo[key] = g.matrix()
-            memo[key].setflags(write=False)
-        return memo[key]
+        return g.matrix()
     if isinstance(g, Opaque):
         return g.matrix
     raise TypeError(f"not a unitary gate: {g!r}")
@@ -393,8 +375,6 @@ class _Run:
                 cut = [slice(None) if e is None else e for e in rows] + [slice(None) if e is None else 0 for e in rows]
                 mat = np.ascontiguousarray(t[tuple(cut)]).reshape(2 ** (k - len(fold)), -1)
             mat.setflags(write=False)
-            if isinstance(block[0], Opaque) and mat is block[0].matrix:
-                _known_unitary(mat)
             self.blocks[key] = mat
         self.apply(self.blocks[key], [q for q in support if q not in fold], fold)
 
@@ -479,7 +459,6 @@ class _Run:
         return markers
 
 
-@_scoped()
 def simulate_circuit(circuit: Circuit) -> tuple[Statevector, list[Measure]]:
     """Run the circuit from the empty register; return the whole register's state and its terminal markers.
 
@@ -497,12 +476,9 @@ def simulate_circuit(circuit: Circuit) -> tuple[Statevector, list[Measure]]:
     Consecutive gates are fused greedily into blocks of at most FUSE_WIDTH
     qubits, and each block is applied to the state once.  A block's matrix
     is composed once per call: a later block with the same `_block_key`
-    (the same gates on the same relative qubits) reuses it, and each
-    distinct U1Q matrix is built once, read-only.  The call runs in one
-    `statesim._Scope`: the size cap is read once, a block matrix is made
-    read-only and checked for unitarity once (an Opaque's, checked when it
-    was made, not again), and folded once per run order and R; all of it
-    goes when the call returns.
+    (the same gates on the same relative qubits) reuses it.  Each
+    application checks the block's matrix for unitarity and works out its
+    kernel operands afresh (see `statesim._contract_run`).
     """
     reused = _reused_markers(circuit.gates)
     terminal = {i for i, g in enumerate(circuit.gates) if isinstance(g, Measure)} - reused
@@ -512,7 +488,6 @@ def simulate_circuit(circuit: Circuit) -> tuple[Statevector, list[Measure]]:
     return run.state, [circuit.gates[i] for i in sorted(terminal)]
 
 
-@_scoped()
 def simulate_post_selected(circuit: Circuit, keep) -> tuple[float, Statevector]:
     """Run the circuit from the empty register, post-select every marker, keep the `keep` qubits.
 

@@ -10,7 +10,6 @@ convention.
 """
 from __future__ import annotations
 
-import contextlib
 import functools
 import itertools
 import math
@@ -50,57 +49,16 @@ def max_qubits() -> int:
     if not raw:
         return DEFAULT_MAX_QUBITS
     try:
-        return int(raw)
+        cap = int(raw)
     except ValueError:
         raise ConfigError(f"VBS_MAX_QUBITS must be an integer, got {raw!r}") from None
-
-
-class _Scope:
-    """What one scoped public call reads or works out once (see `_scoped`).
-
-    `cap` is max_qubits(), read as the scope opens.  `unitary` holds the
-    read-only matrices found unitary and `folds` the operands `_contract_run`
-    built for a read-only matrix in place (keyed by its id, run order and R).
-    Both keep the matrices they name alive, so that an id stays unique in the
-    scope.  `matrices` holds the read-only matrices a caller builds once per
-    scope, under the caller's keys (`ir._gate_matrix`'s U1Q matrices).  All
-    of it goes when the scope closes.
-    """
-
-    __slots__ = ("cap", "unitary", "folds", "matrices")
-
-    def __init__(self):
-        self.cap = max_qubits()
-        self.unitary: dict[int, np.ndarray] = {}
-        self.folds: dict[tuple, tuple] = {}
-        self.matrices: dict = {}
-
-
-_scope: _Scope | None = None
-
-
-@contextlib.contextmanager
-def _scoped():
-    """Open a `_Scope` for the calls inside, which closes with them; inside another, join that one.
-
-    `ir.simulate_circuit` and `Statevector.product_of_factors` run in one.
-    """
-    global _scope
-    outer = _scope
-    _scope = outer or _Scope()
-    try:
-        yield
-    finally:
-        _scope = outer
-
-
-def _scope_matrices() -> dict | None:
-    """The open `_Scope`'s `matrices`, or None outside a scope."""
-    return None if _scope is None else _scope.matrices
+    if cap < 1:
+        raise ConfigError(f"VBS_MAX_QUBITS must be a positive integer, got {raw!r}")
+    return cap
 
 
 def _checked_width(n_qubits: int) -> int:
-    cap = max_qubits() if _scope is None else _scope.cap
+    cap = max_qubits()
     if not 1 <= n_qubits <= cap:
         raise CapExceededError(f"n_qubits={n_qubits} outside [1, {cap}]")
     return n_qubits
@@ -179,20 +137,13 @@ def _contract_run(tensor: np.ndarray, mat: np.ndarray, run, lo: int, source: np.
     after the run; neither is moved.  The matrix, permuted into the run's
     order, acts on the middle axis of each (l, cols, r) tile, by batched
     `matmul` when 2^k * R exceeds FOLD_MAX_COLS, else by one gemm against
-    M (x) I_R.  In place, a read-only matrix is permuted and folded once per
-    run order and R in an open `_Scope`.
+    M (x) I_R, built anew on every call.
     """
     k = len(run)
     left = math.prod(tensor.shape[:lo])
     right = tensor.size // (left * 2**k)
     cols = [source.shape[lo + j] for j in run]  # 1 for a qubit that joins
-    if _scope is None or source is not tensor or mat.flags.writeable:
-        mat, fold = _run_operands(mat, run, cols, right)
-    else:
-        key = (id(mat), tuple(run), right)
-        if key not in _scope.folds:
-            _scope.folds[key] = (mat, *_run_operands(mat, run, cols, right))
-        _, mat, fold = _scope.folds[key]
+    mat, fold = _run_operands(mat, run, cols, right)
     view, src = tensor.reshape(left, 2**k, right), source.reshape(left, -1, right)
     out = None
     for index in _tile_slices(view.shape, (1,)):
@@ -282,17 +233,10 @@ def _joined(tensor: np.ndarray, mat: np.ndarray, axes, new) -> np.ndarray:
     return _contract(grown, live.reshape(2**k, -1), axes, source)
 
 
-def _known_unitary(mat: np.ndarray) -> None:
-    """Record a read-only matrix whose unitarity is already checked (an `ir.Opaque`'s) in the open `_Scope`."""
-    if _scope is not None and not mat.flags.writeable:
-        _scope.unitary[id(mat)] = mat
-
-
 def _check_unitary(mat: np.ndarray) -> None:
-    """Raise NonUnitaryError unless `mat` is unitary; a read-only one passes once per open `_Scope`."""
+    """Raise NonUnitaryError unless `mat` is unitary (to UNITARY_TOL)."""
     if np.max(np.abs(mat.conj().T @ mat - np.eye(mat.shape[0]))) > UNITARY_TOL:
         raise NonUnitaryError("operator is not unitary; use apply_nonunitary_sequence for a general operator")
-    _known_unitary(mat)
 
 
 class Statevector:
@@ -330,7 +274,6 @@ class Statevector:
         return cls(n, amps.copy())
 
     @classmethod
-    @_scoped()
     def product_of_factors(cls, n_qubits: int, factors, ops=()) -> "Statevector":
         """Tensor product of local vectors given as (qubit_tuple, vector) pairs, then `ops` on it.
 
@@ -409,11 +352,11 @@ class Statevector:
         as `op` acts, so the state grows by their count into a fresh array;
         every qubit is numbered in the grown state.  The width is checked
         before the grown array is allocated; a join then holds the old
-        state, the grown one and tile-sized scratch (see `_joined`).
+        state, the grown one and tile-sized scratch (see `_joined`).  Every
+        call checks `op` for unitarity first.
         """
         mat = _as_matrix(op)
-        if _scope is None or mat.flags.writeable or id(mat) not in _scope.unitary:
-            _check_unitary(mat)
+        _check_unitary(mat)
         self._apply(mat, tuple(qubits), tuple(new_qubits))
         return self
 

@@ -10,14 +10,12 @@ from .errors import ConfigError, UnsupportedError
 from .ir import DECLARED_COSTS, Circuit, CNot, Measure, Opaque, u_h, u_ry, u_x
 from .spinops import permutation_operator
 
-_CSWAP = None
+_CSWAP = np.eye(8, dtype=complex)
+_CSWAP[[5, 6]] = _CSWAP[[6, 5]]
+_CSWAP.setflags(write=False)  # shared by every cswap block
 
 
 def _cswap(control: int, a: int, b: int) -> Opaque:
-    global _CSWAP
-    if _CSWAP is None:
-        _CSWAP = np.eye(8, dtype=complex)
-        _CSWAP[[5, 6]] = _CSWAP[[6, 5]]
     return Opaque("cswap", (control, a, b), _CSWAP, **DECLARED_COSTS["cswap"])
 
 

@@ -35,3 +35,13 @@ def test_every_public_name_has_a_caller_in_the_package_or_a_reason():
             elif isinstance(node, ast.alias):
                 used.add(node.name)
     assert defined - used == set(ALLOWED)
+
+
+def test_no_module_state_is_rebound_at_run_time():
+    """No function of vbsprep rebinds a module name: module state is set once, as the module loads."""
+    found = []
+    for path in sorted(pathlib.Path(vbsprep.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Global):
+                found.append(f"{path.name}:{node.lineno} global {', '.join(node.names)}")
+    assert found == []

@@ -405,8 +405,8 @@ def test_simulation_composes_each_distinct_block_once(monkeypatch):
     assert block_key([0], [U1Q(0.0, 0.0, 0.0, 0)]) != block_key([0], [U1Q(-0.0, 0.0, 0.0, 0)])
 
 
-def test_simulation_checks_and_folds_each_distinct_block_once(monkeypatch):
-    """In one call a block matrix is checked for unitarity once, an Opaque's never, and folded once per run order and R."""
+def test_simulation_checks_every_block_it_applies(monkeypatch):
+    """Each application checks its block matrix for unitarity, a repeated one and an Opaque's too."""
     from vbsprep import statesim
 
     lattice = build_chain(4, "open")
@@ -414,47 +414,56 @@ def test_simulation_checks_and_folds_each_distinct_block_once(monkeypatch):
     box = Opaque("box", (0, 1, 2, 3), np.linalg.qr(np.arange(256).reshape(16, 16) % 7 + 1j * np.eye(16))[0])
     alone = Circuit(5, [box, CNot(3, 4), box, CNot(4, 3), box])  # the box is a block of its own, three times
     for circ in (chain, alone):
-        applied, checked, operands = [], [], []  # they keep every matrix alive, so that ids stay unique
-        apply_unitary, check, run_operands = Statevector.apply_unitary, statesim._check_unitary, statesim._run_operands
+        applied, checked = [], []  # they keep every matrix alive, so that ids stay unique
+        apply_unitary, check = Statevector.apply_unitary, statesim._check_unitary
         monkeypatch.setattr(
             Statevector,
             "apply_unitary",
             lambda self, op, qubits, **kw: applied.append(op) or apply_unitary(self, op, qubits, **kw),
         )
         monkeypatch.setattr(statesim, "_check_unitary", lambda mat: checked.append(mat) or check(mat))
-        monkeypatch.setattr(
-            statesim,
-            "_run_operands",
-            lambda mat, run, cols, right: operands.append((mat, tuple(run), right)) or run_operands(mat, run, cols, right),
-        )
         state, _ = simulate_circuit(circ)
-        opaque = {id(g.matrix) for g in circ.gates if isinstance(g, Opaque)}
         distinct = {id(mat) for mat in applied}
         assert len(distinct) < len(applied)  # blocks repeat
-        assert sorted(id(mat) for mat in checked) == sorted(distinct - opaque)
-        keys = [(id(mat), run, right) for mat, run, right in operands]
-        assert len(keys) == len(set(keys))
-        assert statesim._scope is None  # the checks and folds went with the call
+        assert [id(mat) for mat in checked] == [id(mat) for mat in applied]
         monkeypatch.undo()
         again, _ = simulate_circuit(circ)
         assert np.array_equal(state.amps, again.amps)
     assert id(box.matrix) in distinct
 
 
-def test_the_cap_is_read_once_per_scoped_call(monkeypatch):
-    from vbsprep import statesim
-
+def test_the_cap_is_read_on_every_call(monkeypatch):
     lattice = build_chain(4, "open")
     encoding = assign_qubits(lattice, "hadamard_all")
     circ = probabilistic_method_circuit(lattice, encoding, SpinValue(2))
-    reads = []
-    max_qubits = statesim.max_qubits
-    monkeypatch.setattr(statesim, "max_qubits", lambda: reads.append(1) or max_qubits())
     simulate_circuit(circ)
-    assert len(reads) == 1
     bond_product(encoding, circ.n_qubits)  # product_of_factors
-    assert len(reads) == 2
-    monkeypatch.setenv("VBS_MAX_QUBITS", str(circ.n_qubits - 1))  # the next call reads the cap again
+    monkeypatch.setenv("VBS_MAX_QUBITS", str(circ.n_qubits - 1))  # the next calls read the cap again
+    with pytest.raises(CapExceededError):
+        simulate_circuit(circ)
+    with pytest.raises(CapExceededError):
+        bond_product(encoding, circ.n_qubits)
+
+
+def test_concurrent_simulations_are_independent(monkeypatch):
+    """Simulations in several threads give the sequential result bit for bit, and leave the cap to the next call."""
+    import sys
+    from concurrent.futures import ThreadPoolExecutor
+
+    lattice = build_chain(5, "ring")
+    circ = probabilistic_method_circuit(lattice, assign_qubits(lattice, "hadamard_all"), SpinValue(2))
+    expected, markers = simulate_circuit(circ)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # switch threads often, so that the calls interleave
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            results = list(pool.map(lambda _: simulate_circuit(circ), range(4 * 20), timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
+    for state, left in results:
+        assert np.array_equal(state.amps, expected.amps) and left == markers
+        assert state.tracked_norm_sq == expected.tracked_norm_sq
+    monkeypatch.setenv("VBS_MAX_QUBITS", "5")
     with pytest.raises(CapExceededError):
         simulate_circuit(circ)
 

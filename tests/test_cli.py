@@ -294,8 +294,9 @@ def test_env_cap_override(tmp_path, monkeypatch):
     assert code in (EXIT_CONFIG, EXIT_CHECK_FAILED)
 
 
-def test_env_cap_not_an_integer(capsys, monkeypatch):
-    monkeypatch.setenv("VBS_MAX_QUBITS", "abc")
+@pytest.mark.parametrize("raw", ["abc", "0", "-3"])
+def test_env_cap_not_an_integer(capsys, monkeypatch, raw):
+    monkeypatch.setenv("VBS_MAX_QUBITS", raw)
     assert main(["prepare", "--spin", "2", "--lattice", "chain:3:ring"]) == EXIT_CONFIG
     assert "VBS_MAX_QUBITS" in capsys.readouterr().err
 

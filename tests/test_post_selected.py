@@ -263,26 +263,3 @@ def test_random_circuits_post_select_as_they_run(monkeypatch):
         for i in reused:
             kinds[f"reused {circ.gates[i].expect}"] += 1
     assert all(kinds.values()), kinds
-
-
-def test_each_distinct_u1q_matrix_is_built_once_per_call(monkeypatch):
-    from vbsprep import statesim
-    from vbsprep.builders import probabilistic_method_circuit
-
-    lattice = parse_lattice("chain:4:ring")
-    circ = probabilistic_method_circuit(lattice, assign_qubits(lattice, "hadamard_all"), SpinValue(2))
-    built, operands = [], []
-    matrix, run_operands = U1Q.matrix, statesim._run_operands
-    monkeypatch.setattr(U1Q, "matrix", lambda g: built.append((g.theta, g.phi, g.lam)) or matrix(g))
-    monkeypatch.setattr(
-        statesim, "_run_operands", lambda mat, run, cols, right: operands.append(1) or run_operands(mat, run, cols, right)
-    )
-    shared, _ = simulate_circuit(circ)
-    assert len(built) == len(set(built)) > 1
-    folds = len(operands)
-    monkeypatch.setattr(ir, "_scope_matrices", lambda: None)  # a fresh writable matrix per gate
-    fresh, _ = simulate_circuit(circ)
-    assert len(built) > 2 * len(set(built))
-    assert len(operands) - folds > folds  # the memo folds a shared matrix once
-    assert np.array_equal(shared.amps, fresh.amps)
-    assert statesim._scope is None  # the matrices went with the call
