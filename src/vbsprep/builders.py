@@ -184,14 +184,17 @@ def island_local_state(lattice: Lattice, encoding: SiteEncoding, site: int, grou
 
 @functools.cache
 def _island_prep(twice_s: int) -> tuple[np.ndarray, dict]:
-    """Matrix and CNOT costs of island_prep_circuit; routed depths are declared."""
+    """Matrix (read-only: one array serves every island block, as `_test_block`) and CNOT
+    costs of island_prep_circuit; routed depths are declared."""
     prep = island_prep_circuit(SpinValue(twice_s))
     routed = DECLARED_COSTS[f"island_2s{twice_s}"]["cnot_depth"]
     costs = {
         "cnot_cost": {"all_to_all": cnot_count(prep, "all_to_all")},
         "cnot_depth": {"all_to_all": cnot_depth(prep, "all_to_all"), **routed},
     }
-    return circuit_unitary(prep), costs
+    mat = circuit_unitary(prep)
+    mat.setflags(write=False)
+    return mat, costs
 
 
 def island_block(lattice: Lattice, encoding: SiteEncoding, site: int, s: SpinValue) -> Opaque:

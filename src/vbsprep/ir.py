@@ -73,6 +73,8 @@ class Opaque:
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=complex)
+        if m.flags.writeable:  # freeze an own copy, never the caller's array
+            m = m.copy()
         if m.shape != (2 ** len(self.qubits),) * 2:
             raise ValueError(f"opaque {self.label}: matrix shape {m.shape} vs {len(self.qubits)} qubits")
         if np.max(np.abs(m.conj().T @ m - np.eye(m.shape[0]))) > UNITARY_TOL:

@@ -11,7 +11,6 @@ on its last qubit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,15 +23,10 @@ from .statesim import Statevector
 CANONICAL_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class MpsTensor:
-    array: np.ndarray  # (left, 2, 2, right)
-    left_canonical: bool = False
-
-    def left_normalization_defect(self) -> float:
-        a = self.array.reshape(-1, self.array.shape[3])
-        gram = a.conj().T @ a
-        return float(np.max(np.abs(gram - np.eye(self.array.shape[3]))))
+def left_normalization_defect(tensor: np.ndarray) -> float:
+    """max |A^dag A - 1|, A the (left, 2, 2, right) tensor with its right bond as columns."""
+    a = tensor.reshape(-1, tensor.shape[3])
+    return float(np.max(np.abs(a.conj().T @ a - np.eye(tensor.shape[3]))))
 
 
 def local_vbs_tensor() -> np.ndarray:
@@ -54,13 +48,14 @@ def _slice_index(spin: str, side: str) -> int:
     return 1 if spin == "up" else 0
 
 
-def vbs_mps(n_sites: int, boundary: str, boundary_spins=("up", "up")) -> list[MpsTensor]:
-    """MPS tensors of the spin-1 chain state; open chains (BOUNDARY_OPEN) come left-canonical."""
+def vbs_mps(n_sites: int, boundary: str, boundary_spins=("up", "up")) -> list[np.ndarray]:
+    """Left-canonical (left, 2, 2, right) tensors of the spin-1 chain state, site 1 first;
+    a ring (BOUNDARY_RING) repeats local_vbs_tensor, an open chain (BOUNDARY_OPEN) is swept."""
     if n_sites < 2:
         raise ConfigError("need at least 2 sites")
     a = local_vbs_tensor()
     if boundary == BOUNDARY_RING:
-        return [MpsTensor(a, left_canonical=True) for _ in range(n_sites)]
+        return [a] * n_sites
     if boundary != BOUNDARY_OPEN:
         raise ConfigError(f"unknown boundary {boundary!r}")
     xl = _slice_index(boundary_spins[0], "left")
@@ -71,9 +66,9 @@ def vbs_mps(n_sites: int, boundary: str, boundary_spins=("up", "up")) -> list[Mp
     return left_canonicalize(tensors)
 
 
-def left_canonicalize(arrays: list[np.ndarray]) -> list[MpsTensor]:
-    """One left-to-right SVD sweep; drops the final scalar norm."""
-    out: list[MpsTensor] = []
+def left_canonicalize(arrays: list[np.ndarray]) -> list[np.ndarray]:
+    """Left-canonical tensors of the same state by one left-to-right SVD sweep; drops the final scalar norm."""
+    out: list[np.ndarray] = []
     carry = np.eye(arrays[0].shape[0])
     for i, arr in enumerate(arrays):
         t = np.tensordot(carry, arr, axes=(1, 0))
@@ -82,7 +77,7 @@ def left_canonicalize(arrays: list[np.ndarray]) -> list[MpsTensor]:
         u, s, vh = np.linalg.svd(mat, full_matrices=False)
         keep = max(1, int(np.sum(s > CANONICAL_TOL)))
         u, s, vh = u[:, :keep], s[:keep], vh[:keep]
-        out.append(MpsTensor(u.reshape(l, 2, 2, keep), left_canonical=True))
+        out.append(u.reshape(l, 2, 2, keep))
         carry = s[:, None] * vh
     # carry is now 1x1: the overall norm (and sign), dropped to normalize.
     if carry.shape != (1, 1):
@@ -90,15 +85,14 @@ def left_canonicalize(arrays: list[np.ndarray]) -> list[MpsTensor]:
     return out
 
 
-def contract_mps(tensors: list[MpsTensor], boundary: str) -> Statevector:
-    """Exact 2N-qubit statevector of the MPS (normalized); `boundary` is BOUNDARY_RING or BOUNDARY_OPEN."""
+def contract_mps(tensors: list[np.ndarray], boundary: str) -> Statevector:
+    """Exact normalized 2N-qubit statevector of (left, 2, 2, right) tensors (BOUNDARY_RING or BOUNDARY_OPEN)."""
     if boundary not in (BOUNDARY_RING, BOUNDARY_OPEN):
         raise ConfigError(f"unknown boundary {boundary!r}")
-    arrs = [t.array for t in tensors]
-    running = arrs[0]
+    running = tensors[0]
     l0 = running.shape[0]
     running = running.reshape(l0, 4, -1)
-    for arr in arrs[1:]:
+    for arr in tensors[1:]:
         nxt = arr.reshape(arr.shape[0], 4, arr.shape[3])
         running = np.tensordot(running, nxt, axes=(2, 0))
         running = running.reshape(l0, -1, arr.shape[3])
@@ -120,48 +114,32 @@ ROLE_LAST_OPEN = "last_open"
 
 
 def complete_to_unitary(cols: np.ndarray) -> np.ndarray:
-    """Extend orthonormal columns to a full unitary.
+    """Extend d x k orthonormal columns to a d x d unitary whose first k columns are `cols` itself.
 
-    Orthogonalizes the canonical basis vectors against the given columns in
-    index order, keeping those with non-negligible remainder; any valid
-    completion is equivalent for the preparation (dummy inputs select only
-    the given columns).
+    The other d - k are the leading left singular vectors of 1 - cols cols^dag;
+    any completion serves, since dummy inputs select only the given columns.
     """
     d, k = cols.shape
-    basis = [cols[:, i].astype(complex) for i in range(k)]
-    for j in range(d):
-        v = np.zeros(d, dtype=complex)
-        v[j] = 1.0
-        for b in basis:
-            v = v - b * np.vdot(b, v)
-        for b in basis:  # second pass for numerical orthogonality
-            v = v - b * np.vdot(b, v)
-        nrm = np.linalg.norm(v)
-        if nrm > 1e-8:
-            basis.append(v / nrm)
-        if len(basis) == d:
-            break
-    if len(basis) != d:
-        raise RuntimeError("completion failed: rank deficiency in input columns")
-    out = np.column_stack(basis)
+    u, _, _ = np.linalg.svd(np.eye(d) - cols @ cols.conj().T)
+    out = np.hstack([cols, u[:, : d - k]])
     if np.max(np.abs(out.conj().T @ out - np.eye(d))) > CANONICAL_TOL:
         raise RuntimeError("completion is not unitary")
     return out
 
 
-def build_disentangler(tensor: MpsTensor, role: str) -> np.ndarray:
-    """Unitary whose constrained input columns reproduce the enlarged tensor."""
+def build_disentangler(tensor: np.ndarray, role: str) -> np.ndarray:
+    """Unitary whose constrained input columns are the left-canonical (left, 2, 2, right)
+    `tensor` with its right bond as columns (a last open site's one column normalized)."""
     if role not in (ROLE_FIRST_OPEN, ROLE_BULK, ROLE_LAST_OPEN):
         raise ConfigError(f"build_disentangler does not handle role {role!r}")
-    if not tensor.left_canonical or tensor.left_normalization_defect() > 1e-10:
+    if left_normalization_defect(tensor) > 1e-10:
         raise ConfigError("disentangler construction needs a left-canonical tensor")
-    arr = tensor.array
     if role == ROLE_FIRST_OPEN:
-        cols = arr.reshape(4, arr.shape[3])
+        cols = tensor.reshape(4, tensor.shape[3])
     elif role == ROLE_BULK:
-        cols = np.transpose(arr, (0, 1, 2, 3)).reshape(arr.shape[0] * 4, arr.shape[3])
+        cols = tensor.reshape(tensor.shape[0] * 4, tensor.shape[3])
     else:  # last site: single column
-        cols = arr.reshape(arr.shape[0] * 4, 1)
+        cols = tensor.reshape(tensor.shape[0] * 4, 1)
         cols = cols / np.linalg.norm(cols)
     return complete_to_unitary(cols)
 
@@ -225,7 +203,7 @@ def mps_circuit(n_sites: int, boundary: str, boundary_spins=("up", "up")) -> Cir
         circ.add(Opaque(f"mps_site{site}", qubits, build_disentangler(tensors[site - 1], role)))
 
     if periodic:
-        vec = tensors[-1].array.reshape(16)
+        vec = tensors[-1].reshape(16)
         circ.extend(schmidt_prepare(vec, qubits=(*block_qubits(n_sites), 1), label="mps_init").gates)
     else:
         disentangler(n_sites, ROLE_LAST_OPEN, block_qubits(n_sites))
@@ -237,7 +215,7 @@ def mps_circuit(n_sites: int, boundary: str, boundary_spins=("up", "up")) -> Cir
         return circ
     anc = 2 * n_sites
     scale = math.sqrt(0.5 / ring_embedding_weight(n_sites))
-    block = embed_nonunitary_periodic(fuse_boundary_tensor(tensors[0].array), scale)
+    block = embed_nonunitary_periodic(fuse_boundary_tensor(tensors[0]), scale)
     circ.add(Opaque("mps_site1", (anc, 0, 1), block))
     circ.add(Measure(anc, expect=0))
     return circ

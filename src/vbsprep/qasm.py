@@ -11,7 +11,7 @@ import re
 
 import numpy as np
 
-from .builders import fredkin_fragment, toffoli_fragment
+from .builders import fredkin_fragment
 from .errors import ConfigError, UnsupportedError
 from .ir import CNot, Circuit, Measure, Opaque, U1Q, u_z
 
@@ -41,10 +41,6 @@ def expand_opaque(gate: Opaque) -> list:
         for a, b in ((q[0], q[1]), (q[2], q[3]), (q[1], q[2])):
             out.extend([CNot(a, b), CNot(b, a), CNot(a, b)])
         return out
-    if label == "toffoli":
-        sub = Circuit(max(gate.qubits) + 1)
-        toffoli_fragment(*gate.qubits, sub)
-        return sub.gates
     raise UnsupportedError(f"no registered basis expansion for opaque {label!r}")
 
 

@@ -13,7 +13,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -94,11 +94,8 @@ def spin_matrices(s: SpinValue) -> tuple[DenseOperator, DenseOperator, DenseOper
 
 def _embed_single(op: np.ndarray, n: int, pos: int) -> np.ndarray:
     """Embed a 2x2 operator at qubit `pos` of an n-qubit space (pos 0 = MSB)."""
-    out = np.array([[1.0 + 0j]])
-    eye = np.eye(2)
-    for k in range(n):
-        out = np.kron(out, op if k == pos else eye)
-    return out
+    factors = [op if k == pos else np.eye(2) for k in range(n)]
+    return reduce(np.kron, factors, np.ones((1, 1), dtype=complex))
 
 
 @lru_cache(maxsize=None)
@@ -132,16 +129,7 @@ def total_spin_squared(n_halves: int) -> DenseOperator:
 def permutation_operator(perm: tuple[int, ...]) -> np.ndarray:
     """Matrix sending qubit i's state to qubit perm[i], MSB-first indexing."""
     n = len(perm)
-    dim = 2**n
-    mat = np.zeros((dim, dim))
-    for idx in range(dim):
-        bits = [(idx >> (n - 1 - q)) & 1 for q in range(n)]
-        new_bits = [0] * n
-        for i, b in enumerate(bits):
-            new_bits[perm[i]] = b
-        new_idx = sum(b << (n - 1 - q) for q, b in enumerate(new_bits))
-        mat[new_idx, idx] = 1.0
-    return mat
+    return np.moveaxis(np.eye(2**n).reshape((2,) * 2 * n), range(n), perm).reshape(2**n, 2**n)
 
 
 def symmetrizer(n_halves: int) -> DenseOperator:

@@ -7,7 +7,7 @@ import math
 import numpy as np
 
 from .errors import ConfigError, UnsupportedError
-from .ir import DECLARED_COSTS, Circuit, CNot, Measure, Opaque, u_h, u_ry, u_x
+from .ir import DECLARED_COSTS, Circuit, CNot, Measure, Opaque, cnot_count, u_h, u_ry, u_x
 from .spinops import permutation_operator
 
 _CSWAP = np.eye(8, dtype=complex)
@@ -156,14 +156,14 @@ def lcu_symmetrization_circuit(
 
 
 def lcu_spin2_resources() -> dict:
-    """CSWAP and CNOT totals for the 4-qubit symmetrizer via the sparse route."""
-    seqs = permutation_swap_sequences(4)
-    n_cswaps = sum(len(s) for s in seqs)
-    prepare = 2 * (math.factorial(4) - 1)
-    select = n_cswaps * DECLARED_COSTS["cswap"]["cnot_cost"]["all_to_all"]
+    """CSWAP and CNOT totals counted on the sparse 4-qubit symmetrizer circuit; prepare = unprepare."""
+    circ = lcu_symmetrization_circuit(4, (0, 1, 2, 3), tuple(range(4, 28)))
+    cswaps = [g for g in circ.gates if isinstance(g, Opaque)]
+    total = cnot_count(circ, "all_to_all")
+    select = sum(g.declared_count("all_to_all") for g in cswaps)
     return {
-        "cswaps": n_cswaps,
-        "prepare_cnots": prepare,
+        "cswaps": len(cswaps),
+        "prepare_cnots": (total - select) // 2,
         "select_cnots": select,
-        "total_cnots": 2 * prepare + select,
+        "total_cnots": total,
     }

@@ -253,6 +253,25 @@ def test_missing_declared_cost_raises():
         cnot_count(circ, "linear")
 
 
+def test_opaque_never_freezes_its_callers_array():
+    a = np.eye(2, dtype=complex)
+    gate = Opaque("x", (0,), a)
+    assert a.flags.writeable and not gate.matrix.flags.writeable
+    a[0, 0] = 2.0
+    assert gate.matrix[0, 0] == 1.0
+
+
+def test_island_blocks_share_one_matrix():
+    from vbsprep.builders import mitigated_islands_circuit
+
+    lattice = build_chain(8, "open", ("up", "up"))
+    circ = mitigated_islands_circuit(lattice, assign_qubits(lattice, "islands_plus_sublattice"), SpinValue(2))
+    # sites 2, 4 and 6 are full islands; site 0's boundary island is a Schmidt block
+    islands = [g for g in circ.gates if isinstance(g, Opaque) and g.label.removeprefix("island_site").isdigit()]
+    assert [g.label for g in islands] == ["island_site2", "island_site4", "island_site6"]
+    assert all(g.matrix is islands[0].matrix for g in islands)
+
+
 def test_depth_scheduling_is_by_qubit_overlap():
     circ = Circuit(4)
     circ.add(CNot(0, 1))

@@ -19,6 +19,7 @@ from vbsprep.mpsprep import (
     embed_nonunitary_periodic,
     fuse_boundary_tensor,
     left_canonicalize,
+    left_normalization_defect,
     local_vbs_tensor,
     mps_circuit,
     ring_embedding_weight,
@@ -94,9 +95,9 @@ def test_open_contraction_matches_oracle(spins):
 def test_left_canonicalization_idempotent_and_rank2():
     tensors = vbs_mps(5, BOUNDARY_OPEN, ("up", "up"))
     for t in tensors:
-        assert t.left_normalization_defect() < 1e-12
-        assert t.array.shape[3] <= 2
-    again = left_canonicalize([t.array for t in tensors])
+        assert left_normalization_defect(t) < 1e-12
+        assert t.shape[3] <= 2
+    again = left_canonicalize(tensors)
     state1 = contract_mps(tensors, BOUNDARY_OPEN)
     state2 = contract_mps(again, BOUNDARY_OPEN)
     assert abs(fidelity(state1, state2) - 1.0) < 1e-12
@@ -116,11 +117,8 @@ def test_bulk_disentangler_shapes_and_unitarity():
 
 
 def test_disentangler_requires_canonical_tensor():
-    from vbsprep.mpsprep import MpsTensor
-
-    bad = MpsTensor(local_vbs_tensor() * 0.5, left_canonical=True)
     with pytest.raises(ConfigError):
-        build_disentangler(bad, ROLE_BULK)
+        build_disentangler(local_vbs_tensor() * 0.5, ROLE_BULK)
 
 
 def test_reference_disentangler_is_unitary_and_extends_tensor():
@@ -137,7 +135,7 @@ def test_completion_choice_independence():
     ref = _reference_bulk_disentangler()
 
     tensors = vbs_mps(4, "ring")
-    vec = tensors[-1].array.reshape(16)
+    vec = tensors[-1].reshape(16)
     vec = vec / np.linalg.norm(vec)
     from vbsprep.schmidt import schmidt_prepare
 
@@ -145,7 +143,7 @@ def test_completion_choice_independence():
     state, _ = simulate_circuit(Circuit(9, gates=sub.gates))
     state.apply_unitary(ref, (3, 4, 5))
     state.apply_unitary(ref, (0, 2, 3))
-    a_tilde = fuse_boundary_tensor(tensors[0].array)
+    a_tilde = fuse_boundary_tensor(tensors[0])
     weight = expectation(state, a_tilde.conj().T @ a_tilde, (0, 1))
     gate = embed_nonunitary_periodic(a_tilde, math.sqrt(0.5 / weight))
     state.apply_unitary(gate, (8, 0, 1))
@@ -161,6 +159,27 @@ def test_complete_to_unitary_rejects_rank_deficiency():
     cols[:, 1] = [1, 0, 0, 0]
     with pytest.raises(RuntimeError):
         complete_to_unitary(cols)
+
+
+def _completion_inputs():
+    ring = vbs_mps(4, "ring")
+    open_last = vbs_mps(4, BOUNDARY_OPEN, ("up", "up"))[-1].reshape(8, 1)
+    embedding = embed_nonunitary_periodic(fuse_boundary_tensor(ring[0]), math.sqrt(0.5 / ring_embedding_weight(4)))
+    return {
+        "bulk": ring[1].reshape(8, 2),
+        "last_open": open_last / np.linalg.norm(open_last),
+        "ring_embedding": embedding[:, :4].copy(),  # its isometry [n a~; c] on the ancilla's |0> inputs
+    }
+
+
+@pytest.mark.parametrize("shape", ["bulk", "last_open", "ring_embedding"])
+def test_complete_to_unitary_keeps_the_given_columns(shape):
+    cols = _completion_inputs()[shape]
+    out = complete_to_unitary(cols)
+    d, k = cols.shape
+    assert out.shape == (d, d)
+    assert out.dtype == cols.dtype and out[:, :k].tobytes() == cols.tobytes()  # bit for bit
+    assert np.max(np.abs(out.conj().T @ out - np.eye(d))) < 1e-12
 
 
 def test_embedding_structure_and_bounds():

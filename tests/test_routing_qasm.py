@@ -4,7 +4,7 @@ import pytest
 
 from vbsprep.builders import probabilistic_method_circuit
 from vbsprep.errors import ConfigError, UnsupportedError
-from vbsprep.ir import CNot, Opaque, cnot_depth, post_select, simulate_circuit
+from vbsprep.ir import CNot, Circuit, Opaque, cnot_depth, post_select, simulate_circuit
 from vbsprep.lattice import (
     ALL_TO_ALL,
     CouplingMap,
@@ -184,6 +184,15 @@ def test_basis_mode_rejects_unexpandable_opaque():
 
     circ = island_prep_circuit(SpinValue(2))
     with pytest.raises(UnsupportedError):
+        emit_qasm(circ, "basis")
+
+
+def test_basis_mode_has_no_toffoli_expansion():
+    # no builder emits a "toffoli" block, so basis mode registers no expansion for one
+    toffoli = np.eye(8)
+    toffoli[[6, 7]] = toffoli[[7, 6]]
+    circ = Circuit(3, gates=[Opaque("toffoli", (0, 1, 2), toffoli)])
+    with pytest.raises(UnsupportedError, match="toffoli"):
         emit_qasm(circ, "basis")
 
 

@@ -1,4 +1,6 @@
 """Spin matrices, symmetrizers, projectors, and their exact identities."""
+import itertools
+
 import numpy as np
 import pytest
 
@@ -6,10 +8,12 @@ from vbsprep.errors import CapExceededError, UnsupportedError
 from vbsprep.spinops import (
     DenseOperator,
     SpinValue,
+    _embed_single,
     aklt_projector_from_product,
     aklt_two_site_projector,
     blbq_hamiltonian_term,
     exp_minus_i_pi_symmetrizer,
+    permutation_operator,
     spin_matrices,
     symmetric_fraction,
     symmetric_subspace_isometry,
@@ -38,6 +42,28 @@ def test_spin_matrices_algebra(twice_s):
     # Casimir S(S+1)
     casimir = sx.matrix @ sx.matrix + sy.matrix @ sy.matrix + sz.matrix @ sz.matrix
     assert np.max(np.abs(casimir - s * (s + 1) * np.eye(twice_s + 1))) < TOL
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_permutation_and_embedding_match_their_loops(n):
+    """Bit for bit: the loop over basis indices, and the kron loop from a complex 1x1 start."""
+    for perm in itertools.permutations(range(n)):
+        ref = np.zeros((2**n, 2**n))
+        for idx in range(2**n):
+            bits = [(idx >> (n - 1 - q)) & 1 for q in range(n)]
+            new_bits = [0] * n
+            for i, b in enumerate(bits):
+                new_bits[perm[i]] = b
+            ref[sum(b << (n - 1 - q) for q, b in enumerate(new_bits)), idx] = 1.0
+        got = permutation_operator(perm)
+        assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
+    for op in (*(o.matrix for o in spin_matrices(SpinValue(1))), np.array([[0.3, -0.0], [0.0, -2.5]])):
+        for pos in range(n):
+            ref = np.array([[1.0 + 0j]])
+            for k in range(n):
+                ref = np.kron(ref, op if k == pos else np.eye(2))
+            got = _embed_single(op, n, pos)
+            assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
 
 
 def test_spin_half_z():
