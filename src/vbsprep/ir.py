@@ -20,9 +20,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ImpossibleOutcomeError, MissingCostError, NonUnitaryError
-from .statesim import PROB_FLOOR, UNITARY_TOL, Statevector, _checked_width, _contract
+from .statesim import PROB_FLOOR, TILE, UNITARY_TOL, Statevector, _checked_width, _contract
 
-FUSE_WIDTH = 4  # qubits in the widest block simulate_circuit fuses gates into
+FUSE_WIDTH = 4  # qubits in the widest block a simulation fuses gates into, less the qubits a segment folds
 
 
 @dataclass(frozen=True)
@@ -269,17 +269,17 @@ def _gate_matrix(g) -> np.ndarray:
     raise TypeError(f"not a unitary gate: {g!r}")
 
 
-def _block_matrix(support: list[int], gates: list) -> np.ndarray:
-    """Product of consecutive gates as one matrix on `support` (first qubit is the MSB)."""
-    if len(gates) == 1 and list(gates[0].qubits) == list(support):
+def _block_matrix(support: list[int], gates: list, columns=None) -> np.ndarray:
+    """Product of consecutive gates as one matrix on `support` (first qubit is the MSB), times `columns` if given."""
+    if columns is None and len(gates) == 1 and list(gates[0].qubits) == list(support):
         return _gate_matrix(gates[0])
     m = len(support)
     pos = {q: i for i, q in enumerate(support)}
     # rows on the first m axes, columns on the last: gates act on the rows
-    t = np.eye(2**m, dtype=complex).reshape([2] * m + [2**m])
+    t = (np.eye(2**m, dtype=complex) if columns is None else columns).reshape([2] * m + [-1])
     for g in gates:
         t = _contract(t, _gate_matrix(g), [pos[q] for q in g.qubits])
-    return t.reshape(2**m, 2**m)
+    return t.reshape(2**m, -1)
 
 
 def _block_key(support: list[int], gates: list) -> tuple:
@@ -312,6 +312,53 @@ def _reused_markers(gates: list) -> set[int]:
         else:
             touched.update(g.qubits)
     return reused
+
+
+def _segments(gates: list) -> dict[int, tuple[int, list[int]]]:
+    """Start index -> (index of its last marker, its qubits in order of first touch) of each segment.
+
+    A segment runs from the first gate on a set A of qubits untouched since
+    their last markers (so not live, each holding a known value) to the
+    markers that drop all of A.  It touches at most FUSE_WIDTH other qubits
+    D, and 2^(|A| + 2|D|), its columns where A holds its values, fits a TILE.
+    It is given up at any other marker or a gate on A after its marker.
+    """
+    ends: dict[int, list[int]] = {}  # qubit -> the indices of its markers ahead, the next last
+    for i in range(len(gates) - 1, -1, -1):
+        if isinstance(gates[i], Measure):
+            ends.setdefault(gates[i].qubit, []).append(i)
+    touched: set[int] = set()  # qubits a gate touched since their last marker
+    found, seg = {}, None  # seg: the open segment's start, its qubits, and A's qubits -> their markers' indices
+
+    def grow(support, ends_of_a, qubits, i) -> bool:
+        for q in qubits:
+            if q not in support:
+                support.append(q)
+                if q not in touched and ends.get(q):
+                    ends_of_a[q] = ends[q][-1]
+            elif ends_of_a.get(q, i) < i:  # a qubit of A after its marker
+                return False
+        d = len(support) - len(ends_of_a)
+        return d <= FUSE_WIDTH and len(ends_of_a) + 2 * d < TILE.bit_length()
+
+    for i, g in enumerate(gates):
+        if isinstance(g, Measure):
+            ends[g.qubit].pop()
+            touched.discard(g.qubit)
+            if seg is not None and seg[2].get(g.qubit) != i:
+                seg = None
+            elif seg is not None and i == max(seg[2].values()):
+                found[seg[0]] = (i, seg[1])
+                seg = None
+            continue
+        if seg is not None and not grow(seg[1], seg[2], g.qubits, i):
+            seg = None
+        if seg is None and any(q not in touched and ends.get(q) for q in g.qubits):
+            seg = (i, [], {})
+            if not grow(seg[1], seg[2], g.qubits, i):
+                seg = None
+        touched.update(g.qubits)
+    return found
 
 
 class _Run:
@@ -361,7 +408,8 @@ class _Run:
 
         A qubit that is not live joins in the value it holds: 0, or the
         outcome it was dropped on (U's columns are flipped there).  A joining
-        qubit whose marker waits in `markers` is folded: the block acts as
+        qubit whose marker waits in `markers` is folded: only U's columns
+        where it holds its value are composed, and the block acts as
         <expect|U|value> on its other qubits, so it never gets an axis.
         """
         joins = [q for q in support if q not in self.live]
@@ -370,12 +418,14 @@ class _Run:
         rows = tuple(fold.get(q) for q in support)
         key = (_block_key(support, block), flips, rows)
         if key not in self.blocks:
-            mat = _block_matrix(support, block)
-            if flips or fold:
-                k = len(support)
-                t = np.flip(mat.reshape([2] * (2 * k)), [k + i for i in flips])
-                cut = [slice(None) if e is None else e for e in rows] + [slice(None) if e is None else 0 for e in rows]
-                mat = np.ascontiguousarray(t[tuple(cut)]).reshape(2 ** (k - len(fold)), -1)
+            if flips or fold:  # only the identity's columns where folded qubits hold 0, flipped where a qubit holds 1
+                k, kept = len(support), 2 ** (len(support) - len(fold))
+                columns = np.zeros([2] * k + [kept], dtype=complex)
+                columns[tuple(slice(None) if e is None else 0 for e in rows)] = np.eye(kept).reshape([2] * (k - len(fold)) + [kept])
+                mat = _block_matrix(support, block, np.flip(columns, flips)).reshape([2] * k + [kept])
+                mat = np.ascontiguousarray(mat[tuple(slice(None) if e is None else e for e in rows)]).reshape(kept, kept)
+            else:
+                mat = _block_matrix(support, block)
             mat.setflags(write=False)
             self.blocks[key] = mat
         self.apply(self.blocks[key], [q for q in support if q not in fold], fold)
@@ -402,14 +452,18 @@ class _Run:
         """Apply every gate; return the markers left to post-select, in circuit order.
 
         Consecutive gates are fused greedily into blocks of at most
-        FUSE_WIDTH qubits, each applied to the state once.  A one-qubit gate
+        FUSE_WIDTH qubits, each applied to the state once.  A `_segments`
+        run (an ancilla bank from its first gate to its markers) is fused
+        like one gate, so one block folds the bank: a spin-3/2 lcu site and
+        its bank of six become one 8x8 operator.  A one-qubit gate
         on a qubit neither live nor in the open block waits (gates on other
         qubits commute with it) and joins the block of its qubit's next
         multi-qubit gate, its marker or the circuit's end.  Every marker is
         post-selected, and its qubit leaves the state, when the next block
-        is applied or before its qubit's next gate (see apply_block), so a
-        marker no later gate touches does not end a block.  A marker on a
-        qubit with no axis is checked against the value that qubit holds.
+        is applied or before its qubit's next gate, so a marker no later
+        gate touches does not end a block.  A marker on a qubit with no
+        axis is checked against the value that qubit holds.  A block's
+        matrix is composed once per call under its `_block_key`.
         """
         markers: list[Measure] = []
         held: dict[int, list] = {}
@@ -437,7 +491,10 @@ class _Run:
                 grown = list(qubits)
             support, block = grown, block + gates
 
-        for g in self.gates:
+        segments, last = _segments(self.gates), -1  # last: the last gate of the latest segment
+        for i, g in enumerate(self.gates):
+            if i <= last:
+                continue
             if isinstance(g, Measure):
                 q = g.qubit
                 if q in held:
@@ -448,12 +505,15 @@ class _Run:
                     raise ImpossibleOutcomeError(
                         f"marker on qubit {q} (no state axis): outcome {g.expect} on a qubit that holds {1 - g.expect}")
                 continue
-            if any(m.qubit in g.qubits for m in markers):
+            last, qubits = segments.get(i, (i, g.qubits))  # a segment is fused like one gate
+            gates = self.gates[i : last + 1]
+            if any(m.qubit in qubits for m in markers):
                 flush()
-            if len(g.qubits) == 1 and g.qubits[0] not in self.live and g.qubits[0] not in support:
-                held.setdefault(g.qubits[0], []).append(g)
+            if len(gates) == 1 and len(qubits) == 1 and qubits[0] not in self.live and qubits[0] not in support:
+                held.setdefault(qubits[0], []).append(g)
                 continue
-            add([h for q in g.qubits for h in held.pop(q, [])] + [g], g.qubits)
+            add([h for q in qubits for h in held.pop(q, [])] + [h for h in gates if not isinstance(h, Measure)], qubits)
+            markers += [h for h in gates if isinstance(h, Measure)]
         for q, gates in held.items():
             add(gates, [q])
         if block:
@@ -474,13 +534,6 @@ def simulate_circuit(circuit: Circuit) -> tuple[Statevector, list[Measure]]:
     the qubits no gate touches join at the end, so the state returned holds
     the whole register, in qubit order.  The size cap is checked on the
     register width before anything is allocated.
-
-    Consecutive gates are fused greedily into blocks of at most FUSE_WIDTH
-    qubits, and each block is applied to the state once.  A block's matrix
-    is composed once per call: a later block with the same `_block_key`
-    (the same gates on the same relative qubits) reuses it.  Each
-    application checks the block's matrix for unitarity and works out its
-    kernel operands afresh (see `statesim._contract_run`).
     """
     reused = _reused_markers(circuit.gates)
     terminal = {i for i, g in enumerate(circuit.gates) if isinstance(g, Measure)} - reused
@@ -496,12 +549,11 @@ def simulate_post_selected(circuit: Circuit, keep) -> tuple[float, Statevector]:
     Equals `post_select(*simulate_circuit(circuit), keep)` (to rounding),
     without holding every ancilla to the end.  Every marker, reused or not,
     is post-selected when the next block is applied, or before its qubit's
-    next gate, and its qubit leaves the state (`_Run.run`): an ancilla that
-    joins in that block is folded into it and never gets an axis, and a
-    live one is sliced off in one pass (`post_select`'s); a reused qubit
-    joins again in the outcome it was dropped on.  `tracked_norm_sq`
-    carries the product of these conditional probabilities.  The markers
-    still waiting when the circuit ends go to one last `post_select` with
+    next gate, and its qubit leaves the state (`_Run.run`): an ancilla bank
+    that one block holds from its first gate on is folded into it, a live
+    ancilla is sliced off (`post_select`), and a reused qubit joins again in
+    its outcome; `tracked_norm_sq` carries the product of the probabilities.
+    The markers still waiting at the end go to one last `post_select` with
     `keep`.  A qubit neither kept nor touched by a gate never joins the
     state.  `keep`, and the outcomes the terminal markers expect, are
     checked before any block is applied.  Returns the success probability

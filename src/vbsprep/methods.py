@@ -74,11 +74,11 @@ def _post_selected(circ: Circuit, encoding: SiteEncoding) -> dict:
     """Simulate from the empty register, post-select every marker and keep the data qubits: a route's result.
 
     `ir.simulate_post_selected` post-selects each ancilla right after its
-    last gate: an ancilla that joins and is measured in one fused block is
-    folded into it and never becomes a state axis, so a route's register
-    holds its data qubits plus at most the ancillas of one block.  A caller
-    that needs the full register before post-selection (the Monte-Carlo
-    draw) simulates `circuit` again with `ir.simulate_circuit`.
+    last gate: an ancilla bank, from its first gate to its markers, is
+    folded into one block and never becomes a state axis, so the register
+    of every circuit route here holds only its data qubits.  A caller that
+    needs the full register before post-selection (the Monte-Carlo draw)
+    simulates `circuit` again with `ir.simulate_circuit`.
     """
     prob, state = simulate_post_selected(circ, range(encoding.n_data_qubits))
     return {"state": state, "success_probability": prob, "circuit": circ, "encoding": encoding}
@@ -138,12 +138,9 @@ def run_lcu(lattice: Lattice, s: SpinValue, variant: str = "sparse") -> dict:
     """The bond layer, then prepare/select/unprepare symmetrization at every site, post-selected.
 
     Every site's circuit uses one shared ancilla bank, |0...0> before and
-    after each site, and simulate_post_selected post-selects it after each
-    site, so the register holds the data qubits plus at most one bank.  A
-    spin-1 bank (two ancillas) fits in one block with the site's qubits and
-    is folded into it, so it becomes no state axis (unless a block of the
-    bond layer takes in its first gates); a spin-3/2 bank (six) is wider
-    than a block, joins the state and is sliced off after each site.
+    after each site.  simulate_post_selected folds each site's bank into one
+    operator on the site's qubits (8x8 for spin 3/2), so the bank never
+    becomes a state axis and the register holds only the data qubits.
     """
     n_anc = math.factorial(s.twice_s) if variant == "sparse" else max(1, (math.factorial(s.twice_s) - 1).bit_length())
     encoding = assign_qubits(lattice, "hadamard_all")

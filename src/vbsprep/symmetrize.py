@@ -150,8 +150,9 @@ def lcu_symmetrization_circuit(
     else:
         raise ConfigError(f"unknown LCU variant {variant!r}")
 
-    for anc in ancillas:
-        circ.add(Measure(anc, expect=0, creg=circ.next_creg()))
+    first = circ.next_creg()
+    for i, anc in enumerate(ancillas):
+        circ.add(Measure(anc, expect=0, creg=first + i))
     return circ
 
 

@@ -1,4 +1,6 @@
 """simulate_post_selected: each ancilla post-selected after its last gate, against the unfused whole-register reference."""
+import json
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from vbsprep.methods import ROUTES
 from vbsprep.routing import heavy_hex_pair_mitigated, heavy_hex_pair_probabilistic, route
 from vbsprep.spinops import SpinValue
 from vbsprep.statesim import Statevector
+from vbsprep.symmetrize import inverse_gates, w_state_circuit
 
 from oracle_reference import gate_by_gate
 
@@ -87,28 +90,35 @@ def _peak_width(monkeypatch) -> list:
 
 
 @pytest.mark.parametrize(
-    "spec,method,register,bound",
+    "spec,twice_s,method,register,bound",
     [
-        ("chain:7:open:aligned", "probabilistic", 21, 14),
-        ("chain:7:ring", "probabilistic", 21, 14),
-        ("chain:8:open:aligned", "mitigated_islands", 20, 16),
-        ("chain:8:open:aligned", "probabilistic", 24, 16),
-        ("chain:9:open:aligned", "lcu", 20, 18),
+        ("chain:7:open:aligned", 2, "probabilistic", 21, 14),
+        ("chain:7:ring", 2, "probabilistic", 21, 14),
+        ("chain:8:open:aligned", 2, "mitigated_islands", 20, 16),
+        ("chain:8:open:aligned", 2, "probabilistic", 24, 16),
+        ("chain:9:open:aligned", 2, "lcu", 20, 18),
+        ("chain:8:open:aligned", 2, "lcu", 18, 16),
+        ("three-link-pair", 3, "lcu", 12, 6),
+        ("three-link-ring:4", 3, "lcu", 18, 12),
     ],
 )
-def test_the_register_never_holds_every_ancilla(spec, method, register, bound, monkeypatch):
+def test_the_register_never_holds_every_ancilla(spec, twice_s, method, register, bound, monkeypatch):
     lattice = parse_lattice(spec)
-    result = ROUTES[method](lattice, SpinValue(2), 0)
+    result = ROUTES[method](lattice, SpinValue(twice_s), 0)
     assert result["circuit"].n_qubits == register
     peak = _peak_width(monkeypatch)
-    ROUTES[method](lattice, SpinValue(2), 0)
+    ROUTES[method](lattice, SpinValue(twice_s), 0)
     assert peak[0] <= bound
 
 
 def _impossible_drop(n_qubits: int) -> Circuit:
-    """Qubit n-1 flipped to 1 in a block applied before its marker, which expects 0; then a block that ends."""
+    """Qubit n-1 flipped to 1 in a block applied before its marker, which expects 0; then a block that ends.
+
+    Its marker's segment would span five other qubits, more than FUSE_WIDTH, so the qubit joins the state.
+    """
     last = n_qubits - 1
-    return Circuit(n_qubits, [u_x(last), CNot(last, 0), CNot(1, 2), CNot(0, 3), Measure(last, 0), CNot(1, 2), CNot(2, 4)])
+    return Circuit(n_qubits, [u_x(last), CNot(last, 0), CNot(1, 2), CNot(3, 4), Measure(last, 0),
+                              CNot(1, 2), CNot(2, 4), CNot(0, 3)])
 
 
 def _impossible_fold(n_qubits: int) -> Circuit:
@@ -117,8 +127,8 @@ def _impossible_fold(n_qubits: int) -> Circuit:
 
 
 def test_a_dropped_impossible_marker_names_its_qubit():
-    # qubits 0-3 and 5 are live when the second block ends, so qubit 5 sits on axis 4: dropped mid-circuit
-    with pytest.raises(ImpossibleOutcomeError, match=r"markers on qubits \[5\] \(state axes \[4\]\)"):
+    # qubits 0-5 are live when the block of qubits 3, 4, 1, 2 ends, so qubit 5 sits on axis 5: dropped mid-circuit
+    with pytest.raises(ImpossibleOutcomeError, match=r"markers on qubits \[5\] \(state axes \[5\]\)"):
         simulate_post_selected(_impossible_drop(6), range(5))
 
 
@@ -263,3 +273,84 @@ def test_random_circuits_post_select_as_they_run(monkeypatch):
         for i in reused:
             kinds[f"reused {circ.gates[i].expect}"] += 1
     assert all(kinds.values()), kinds
+
+
+def _random_bank_circuit(rng) -> tuple[Circuit, int]:
+    """Sites that swap 2-3 data qubits under a bank of 3-6 ancillas, a bank wider than FUSE_WIDTH; and the data count.
+
+    Each site prepares its bank in the one-hot state, swaps two of its data
+    qubits under each ancilla, unprepares and marks every ancilla, mostly on
+    0 and sometimes on 1.  The two banks are reused from site to site, and
+    a stray CNOT inside a site may widen it past FUSE_WIDTH data qubits.
+    """
+    n_data = int(rng.integers(3, 6))
+    sizes = [int(rng.integers(3, 7)), int(rng.integers(3, 5))]
+    banks = [tuple(range(n_data, n_data + sizes[0])), tuple(range(n_data + sizes[0], n_data + sum(sizes)))]
+    n = n_data + sum(sizes)
+    gates = [U1Q(*rng.uniform(-np.pi, np.pi, size=3), q) for q in range(n_data)] + [CNot(0, 1), CNot(1, 2)]
+    for _ in range(int(rng.integers(1, 4))):
+        bank = banks[int(rng.integers(2))]
+        site = [int(q) for q in rng.permutation(n_data)[: int(rng.integers(2, 4))]]
+        prepare = w_state_circuit(len(bank), bank, Circuit(n)).gates
+        gates += prepare
+        for anc in bank:
+            a, b = (int(q) for q in rng.permutation(site)[:2])
+            gates.append(Opaque("cswap", (anc, a, b), np.eye(8)[[0, 1, 2, 3, 4, 6, 5, 7]]))
+            if rng.random() < 0.1:
+                a, b = (int(q) for q in rng.permutation(n_data)[:2])
+                gates.append(CNot(a, b))
+        gates += inverse_gates(prepare) + [Measure(anc, int(rng.random() < 0.2)) for anc in bank]
+        gates += [U1Q(*rng.uniform(-np.pi, np.pi, size=3), q) for q in site]
+    return Circuit(n, gates), n_data
+
+
+def test_random_ancilla_banks_wider_than_a_block_post_select_as_they_run(monkeypatch):
+    rng = np.random.default_rng(2022)
+    peak = _peak_width(monkeypatch)
+    kinds = {"impossible": 0, "folded": 0, "joined": 0, "reused on 1": 0}
+    for _ in range(40):
+        circ, n_data = _random_bank_circuit(rng)
+        keep = list(range(n_data))
+        try:
+            ref_prob, ref = post_select(*gate_by_gate(circ), keep)
+        except ImpossibleOutcomeError:
+            kinds["impossible"] += 1
+            with pytest.raises(ImpossibleOutcomeError):
+                simulate_post_selected(circ, keep)
+            continue
+        peak[0] = 0
+        prob, state = simulate_post_selected(circ, keep)
+        assert abs(prob - ref_prob) <= 1e-12
+        assert np.max(np.abs(state.amps - ref.amps)) <= 1e-12
+        assert abs(state.tracked_norm_sq - ref.tracked_norm_sq) <= 1e-12
+        kinds["folded" if peak[0] <= n_data else "joined"] += 1
+        kinds["reused on 1"] += any(circ.gates[i].expect for i in ir._reused_markers(circ.gates))
+    assert all(kinds.values()), kinds
+
+
+def test_simulate_circuit_folds_the_reused_spin_3_2_lcu_bank_as_the_reference_projects_it():
+    # simulate_post_selected on this circuit is checked by the three-link-pair row of the lattice test above
+    circ = ROUTES["lcu"](parse_lattice("three-link-pair"), SpinValue(3), 0)["circuit"]
+    state, markers = simulate_circuit(circ)
+    ref, ref_markers = gate_by_gate(circ)
+    assert markers == ref_markers
+    assert np.max(np.abs(state.amps - ref.amps)) <= 1e-12
+    assert abs(state.tracked_norm_sq - ref.tracked_norm_sq) <= 1e-12
+
+
+def test_the_spin_3_2_lcu_route_on_six_sites_holds_only_its_data_qubits(monkeypatch, capsys):
+    peak = _peak_width(monkeypatch)
+    assert main(["prepare", "--spin", "3", "--lattice", "three-link-ring:6", "--method", "lcu"]) == 0
+    [check] = [c for c in json.loads(capsys.readouterr().out)["checks"] if c["name"] == "fidelity_vs_oracle"]
+    assert abs(check["actual"] - 1) <= 1e-12
+    assert peak[0] == 18
+
+
+def test_each_lcu_site_pattern_composes_its_segment_once(monkeypatch):
+    composed = []
+    block_matrix = ir._block_matrix
+    monkeypatch.setattr(ir, "_block_matrix", lambda support, gates, columns=None: composed.append(
+        (len(support), 2 ** len(support) if columns is None else columns.shape[-1])) or block_matrix(support, gates, columns))
+    ROUTES["lcu"](parse_lattice("three-link-ring:4"), SpinValue(3), 0)
+    # four sites, one pattern: the bank of six and the site's three qubits, only the 8 columns where the bank holds 0
+    assert [c for c in composed if c[0] >= 9] == [(9, 8)]
