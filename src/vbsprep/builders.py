@@ -90,6 +90,7 @@ def hadamard_test_fragment(
     drop_phase_gate: bool = False,
     anc: int | None = None,
     retry_reset: tuple[int, ...] = (),
+    creg: int | None = None,
 ) -> Circuit:
     """One-ancilla test whose retained branch symmetrizes the site's qubits.
 
@@ -99,7 +100,8 @@ def hadamard_test_fragment(
     `heavy_hex_box` selects the declared heavy-hex cost variant ("t" or
     "line") for the spin-3/2 block; `site_qubits` and `anc` override the
     encoding's qubits (used after routing displaces qubits); `retry_reset`
-    marks the test for measure-and-reset retries (see ir.Measure).
+    marks the test for measure-and-reset retries (see ir.Measure).  The
+    marker takes `creg`, or else the first free one (a scan of every gate).
     """
     if anc is None:
         anc = encoding.site_ancilla(site)
@@ -124,7 +126,7 @@ def hadamard_test_fragment(
     circ.add(u_h(anc))
     circ.add(Opaque(label, (anc, *qubits), block, **DECLARED_COSTS[cost_key]))
     circ.add(u_h(anc))
-    circ.add(Measure(anc, expect=expect, creg=circ.next_creg(), retry_reset=retry_reset))
+    circ.add(Measure(anc, expect=expect, creg=circ.next_creg() if creg is None else creg, retry_reset=retry_reset))
     return circ
 
 
@@ -135,10 +137,11 @@ def probabilistic_method_circuit(lattice: Lattice, encoding: SiteEncoding, s: Sp
     circ = pre_vbs_circuit(lattice, encoding)
     circ.metadata["builder"] = "probabilistic"
     circ.metadata["expected_outcome"] = 1
+    first = circ.next_creg()
     for site in range(lattice.n_sites):
         if lattice.site_twice_spin(site) != s.twice_s:
             raise ConfigError(f"site {site} carries 2S={lattice.site_twice_spin(site)}, not {s.twice_s}")
-        hadamard_test_fragment(site, encoding, s, circ)
+        hadamard_test_fragment(site, encoding, s, circ, creg=first + site)
     return circ
 
 
@@ -241,9 +244,9 @@ def mitigated_islands_circuit(lattice: Lattice, encoding: SiteEncoding, s: SpinV
     for qubit, spin in encoding.boundary_qubits:
         if qubit not in covered and spin == SPIN_DOWN:
             circ.add(u_x(qubit))
-    for site in range(lattice.n_sites):
-        if colors[site] == "B":
-            hadamard_test_fragment(site, encoding, s, circ)
+    first = circ.next_creg()
+    for i, site in enumerate(site for site in range(lattice.n_sites) if colors[site] == "B"):
+        hadamard_test_fragment(site, encoding, s, circ, creg=first + i)
     return circ
 
 
@@ -262,13 +265,13 @@ def mitigated_retry_circuit(lattice: Lattice, encoding: SiteEncoding, s: SpinVal
     circ.metadata["builder"] = "mitigated_retry"
     groups = island_qubit_groups(lattice, encoding)
     anc_bank = [encoding.ancilla[site] for site in range(lattice.n_sites) if colors[site] == "B"]
+    creg = circ.next_creg()
     for idx, (site, group) in enumerate(sorted(groups.items())):
         anc = anc_bank[idx % len(anc_bank)]
-        hadamard_test_fragment(site, encoding, s, circ, anc=anc, retry_reset=group)
+        hadamard_test_fragment(site, encoding, s, circ, anc=anc, retry_reset=group, creg=creg + idx)
         circ.add(u_x(anc))
-    for site in range(lattice.n_sites):
-        if colors[site] == "B":
-            hadamard_test_fragment(site, encoding, s, circ)
+    for i, site in enumerate(site for site in range(lattice.n_sites) if colors[site] == "B"):
+        hadamard_test_fragment(site, encoding, s, circ, creg=creg + len(groups) + i)
     return circ
 
 

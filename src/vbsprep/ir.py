@@ -20,9 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ImpossibleOutcomeError, MissingCostError, NonUnitaryError
-from .statesim import PROB_FLOOR, TILE, UNITARY_TOL, Statevector, _checked_width, _contract
-
-FUSE_WIDTH = 4  # qubits in the widest block a simulation fuses gates into, less the qubits a segment folds
+from .statesim import FUSE_WIDTH, PROB_FLOOR, TILE, UNITARY_TOL, Statevector, _checked_width, _contract, _norm_sq, _scale
 
 
 @dataclass(frozen=True)
@@ -365,7 +363,8 @@ class _Run:
     """One simulation in progress, shared by simulate_circuit and simulate_post_selected.
 
     `state` holds an axis per `live` qubit, in qubit order (none before the
-    first block).  `value` maps a qubit dropped on a marker to the outcome
+    first block), its squared norm carried in `norm_sq`: no fold scales it,
+    `select` does.  `value` maps a qubit dropped on a marker to the outcome
     it holds until it joins again.  `blocks` keeps the block matrices the
     call composed, by their `_block_key` and slice.
     """
@@ -374,6 +373,7 @@ class _Run:
         self.n = _checked_width(circuit.n_qubits)
         self.gates = circuit.gates
         self.state = Statevector(0, np.ones(1, dtype=complex))  # no qubit until the first block
+        self.norm_sq = 1.0
         self.live: list[int] = []
         self.value: dict[int, int] = {}
         self.blocks: dict[tuple, np.ndarray] = {}
@@ -382,7 +382,8 @@ class _Run:
         """Apply `mat` on `qubits`; a qubit not yet live joins the state in |0>.
 
         With `folded` qubits (see apply_block) `mat` is not unitary: the
-        norm ratio is their markers' joint probability.
+        norm ratio, after (summed over the tiles) over the carried `norm_sq`,
+        is their markers' joint probability; the state is not scaled.
         """
         live = self.live
         new = [q for q in qubits if q not in live]
@@ -393,7 +394,9 @@ class _Run:
             self.state.apply_unitary(mat, axes, new_qubits=new)
             return
         try:
-            self.state.apply_nonunitary_sequence([(mat, axes, new)])
+            norms: list[float] = []
+            self.state._apply(mat, axes, new, norms)
+            self.norm_sq = self.state._retain(self.norm_sq, norms)
         except ImpossibleOutcomeError as exc:
             exc.args = (f"markers on qubits {sorted(folded)} (folded into a block, no state axis): {exc}",)
             raise
@@ -434,10 +437,16 @@ class _Run:
         """`post_select` on the live axes: `markers` on their outcomes, and the live `keep` qubits kept.
 
         A marker whose qubit has no axis is skipped: it was folded into a
-        block, or checked against the value its qubit holds.
+        block, or checked against the value its qubit holds.  With none left
+        and `keep` the live qubits in order, it hands out the state itself.
         """
         live = self.live
         on_axes = [Measure(live.index(m.qubit), m.expect) for m in markers if m.qubit in live]
+        norm_sq, self.norm_sq = self.norm_sq, 1.0  # either way, the state handed out is scaled once
+        if not on_axes and keep == live:
+            if norm_sq != 1.0:
+                _scale(self.state.amps, 1 / math.sqrt(norm_sq))
+            return self.state.tracked_norm_sq, self.state
         try:
             return post_select(self.state, on_axes, [live.index(q) for q in keep])
         except ImpossibleOutcomeError as exc:
@@ -532,15 +541,16 @@ def simulate_circuit(circuit: Circuit) -> tuple[Statevector, list[Measure]]:
     `tracked_norm_sq` carries the product of these probabilities.  A qubit
     gets its |0> axis when the first block that touches it is applied, and
     the qubits no gate touches join at the end, so the state returned holds
-    the whole register, in qubit order.  The size cap is checked on the
-    register width before anything is allocated.
+    the whole register, in qubit order, scaled once after the last fold
+    (`_Run.select`).  The size cap is checked on the register width before
+    anything is allocated.
     """
     reused = _reused_markers(circuit.gates)
     terminal = {i for i, g in enumerate(circuit.gates) if isinstance(g, Measure)} - reused
     run = _Run(Circuit(circuit.n_qubits, [g for i, g in enumerate(circuit.gates) if i not in terminal]))
     run.run()
     run.make_live(range(run.n))  # the qubits no gate touched
-    return run.state, [circuit.gates[i] for i in sorted(terminal)]
+    return run.select([], run.live)[1], [circuit.gates[i] for i in sorted(terminal)]
 
 
 def simulate_post_selected(circuit: Circuit, keep) -> tuple[float, Statevector]:
@@ -553,11 +563,14 @@ def simulate_post_selected(circuit: Circuit, keep) -> tuple[float, Statevector]:
     that one block holds from its first gate on is folded into it, a live
     ancilla is sliced off (`post_select`), and a reused qubit joins again in
     its outcome; `tracked_norm_sq` carries the product of the probabilities.
-    The markers still waiting at the end go to one last `post_select` with
-    `keep`.  A qubit neither kept nor touched by a gate never joins the
-    state.  `keep`, and the outcomes the terminal markers expect, are
-    checked before any block is applied.  Returns the success probability
-    and the renormalized state of the `keep` qubits, in the order given.
+    No fold scales the state (`_Run.apply` sums its norm over the tiles).
+    The markers left at the end go to one last `post_select` with `keep`,
+    which scales once; with none on an axis and `keep` the live qubits in
+    order, the run's own state is scaled instead (`_Run.select`).  A qubit
+    neither kept nor touched by a gate never joins the state.  `keep`, and
+    the outcomes the terminal markers expect, are checked before any block
+    is applied.  Returns the success probability and the normalized state
+    of the `keep` qubits, in the order given.
     """
     run = _Run(circuit)
     reused = _reused_markers(run.gates)
@@ -607,8 +620,7 @@ def post_select(state: Statevector, markers, keep) -> tuple[float, Statevector]:
     n = state.n_qubits
     keep = _checked_keep(keep, n, expect)
     kept = state.amps.reshape([2] * n)[tuple(expect.get(q, slice(None)) for q in range(n))]
-    kept_sq = float(np.vdot(kept, kept).real)
-    total = float(np.vdot(state.amps, state.amps).real)
+    kept_sq, total = _norm_sq(kept), _norm_sq(state.amps)
     prob = kept_sq / total if total else 0.0  # a zero state holds no outcome
     if prob < PROB_FLOOR:
         raise ImpossibleOutcomeError(f"markers on qubits {sorted(expect)} have joint probability {prob:.3e}")

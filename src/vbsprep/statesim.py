@@ -21,6 +21,7 @@ from .errors import CapExceededError, ConfigError, ImpossibleOutcomeError, NonUn
 from .spinops import DenseOperator, symmetric_subspace_isometry
 
 DEFAULT_MAX_QUBITS = 26
+FUSE_WIDTH = 4  # live qubits in the widest block ir._Run fuses or product_of_factors joins, beside new or folded ones
 UNITARY_TOL = 1e-10
 PROB_FLOOR = 1e-14
 # A contiguous target run is applied through an (L, 2^k, R) view of the
@@ -71,7 +72,9 @@ def _as_matrix(op) -> np.ndarray:
 
 
 def _norm_sq(amps: np.ndarray) -> float:
-    return float(np.vdot(amps, amps).real)
+    """Squared norm of a state or a tile, read in memory order (a tile's axes may be permuted); every norm is summed here."""
+    flat = amps.ravel(order="K")
+    return float(np.vdot(flat, flat).real)
 
 
 def _scale(amps: np.ndarray, factor: float) -> None:
@@ -113,7 +116,8 @@ def _tiles(tensor: np.ndarray, mat: np.ndarray, axes, source=None):
     holds a second state-sized array.
 
     A contiguous run of axes (in any order; an empty list is a run) takes
-    `_contract_run`; scattered axes take `_contract_scattered`.
+    `_contract_run`; scattered axes take `_contract_scattered`.  Either
+    joins only new qubits (one column) as np.multiply.outer does, bit for bit.
     """
     source = tensor if source is None else source
     k = len(axes)
@@ -150,7 +154,9 @@ def _contract_run(tensor: np.ndarray, mat: np.ndarray, run, lo: int, source: np.
         tile, part = view[index], src[index]
         if out is None:
             out = np.empty(tile.shape, dtype=complex)
-        if fold is None:
+        if mat.shape[1] == 1:
+            np.multiply(part, mat, out=out)
+        elif fold is None:
             np.matmul(mat, part, out=out)
         else:
             np.matmul(part.reshape(len(part), -1), fold, out=out.reshape(len(tile), -1))
@@ -158,13 +164,13 @@ def _contract_run(tensor: np.ndarray, mat: np.ndarray, run, lo: int, source: np.
 
 
 def _run_operands(mat: np.ndarray, run, cols, right: int) -> tuple[np.ndarray, np.ndarray | None]:
-    """`mat` permuted into the run's order, and its fold when 2^k * R rows fit (else None); see `_contract_run`."""
+    """`mat` permuted into the run's order, and its fold when 2^k * R rows fit and it has two columns or more (else None)."""
     k = len(run)
     if run != list(range(k)):
         order = [run.index(j) for j in range(k)]
         mat = mat.reshape([2] * k + cols).transpose(order + [k + i for i in order]).reshape(2**k, -1)
     # the fold needs whole rows in every tile: a tile smaller than a row splits R
-    return mat, _fold(mat, right) if 2**k * right <= min(FOLD_MAX_COLS, TILE) else None
+    return mat, _fold(mat, right) if 2**k * right <= min(FOLD_MAX_COLS, TILE) and mat.shape[1] > 1 else None
 
 
 def _contract_scattered(tensor: np.ndarray, mat: np.ndarray, axes, source: np.ndarray):
@@ -188,21 +194,29 @@ def _contract_scattered(tensor: np.ndarray, mat: np.ndarray, axes, source: np.nd
     targets = [dims[a] for a in axes]
     src = source.reshape(shape)
     view = tensor.reshape([2 if d in targets else size for d, size in enumerate(shape)])
+    if mat.shape[1] == 1:
+        col = mat.reshape([2] * k).transpose(np.argsort(targets)).reshape([2 if d in targets else 1 for d in range(len(shape))])
+        yield from ((view[index], src[index] * col) for index in _tile_slices(view.shape, targets))
+        return
     mat = mat.reshape([2] * k + [source.shape[a] for a in axes])
     for index in _tile_slices(view.shape, targets):
         out = np.tensordot(mat, src[index], axes=(range(k, 2 * k), targets))
         yield view[index], np.moveaxis(out, range(k), targets)
 
 
-def _contract(tensor: np.ndarray, mat: np.ndarray, axes, source=None) -> np.ndarray:
+def _contract(tensor: np.ndarray, mat: np.ndarray, axes, source=None, norms=None) -> np.ndarray:
     """`mat` applied to the listed axes of `source` (default `tensor`; see `_tiles`); axes[0] is its MSB.
 
     Returns the result in `tensor`'s shape.  A tensor of several tiles is
     written in place, tile by tile: beyond `tensor` this takes one tile's
     scratch.  Of one tile, the kernel's output is already a fresh array: it
     is returned (made contiguous), `tensor` unchanged, with no copy back.
+    Each tile's squared norm goes to the list `norms`, if given, as it is
+    written (`_norm_sq`), so the result's norm takes no pass of its own.
     """
     for tile, out in _tiles(tensor, mat, axes, source):
+        if norms is not None:
+            norms.append(_norm_sq(out))
         if tile.size == tensor.size:
             return np.ascontiguousarray(out).reshape(tensor.shape)
         np.copyto(tile, out)
@@ -215,22 +229,21 @@ def _shape_only(n: int) -> np.ndarray:
     return np.broadcast_to(np.zeros((), dtype=complex), (2,) * n)
 
 
-def _joined(tensor: np.ndarray, mat: np.ndarray, axes, new) -> np.ndarray:
-    """`mat` on the listed axes, as the axes in `new` join `tensor` in |0>; a fresh array.
+def _joined(tensor: np.ndarray, cols: np.ndarray, axes, new, norms=None) -> np.ndarray:
+    """`cols`, 2^k x 2^(k-m), on the listed axes, as the m axes in `new` join `tensor` in |0>; a fresh array.
 
-    Axes are numbered in the result.  `_contract` reads `tensor`, with a
-    size-1 axis per new qubit, and writes the grown state, tile by tile, into
-    an array that is never zeroed: a join holds `tensor`, the grown state and
-    one tile's scratch, and multiplies only the columns of `mat` it needs.
-    A grown state of one tile is the kernel's output itself, so no array is
-    allocated for it.
+    `cols` holds an operator's columns where the new qubits read 0.  Axes
+    are numbered in the result.  `_contract` (`norms` as there) reads
+    `tensor`, with a size-1 axis per new qubit, and writes the grown state,
+    tile by tile, into an array that is never zeroed: a join holds `tensor`,
+    the grown state and one tile's scratch.  A grown state of one tile is
+    the kernel's output itself, so no array is allocated for it.
     """
-    n, k = tensor.ndim + len(new), len(axes)
+    n = tensor.ndim + len(new)
     source = tensor.reshape([1 if a in new else 2 for a in range(n)])
-    live = mat.reshape([2] * (2 * k))[(slice(None),) * k + tuple(slice(1 if a in new else 2) for a in axes)]
     # of one tile, the array to write into only lends its shape
     grown = np.empty((2,) * n, dtype=complex) if 2**n > TILE else _shape_only(n)
-    return _contract(grown, live.reshape(2**k, -1), axes, source)
+    return _contract(grown, cols, axes, source, norms)
 
 
 def _check_unitary(mat: np.ndarray) -> None:
@@ -245,6 +258,9 @@ class Statevector:
     `tracked_norm_sq` is the product of the probabilities of every retained
     branch since initialization; it equals 1 until the first non-unitary
     application (or the first `ir.post_select`, which returns a new state).
+    A non-unitary write sums its squared norm over the tiles it writes; a
+    state is scaled once, where it is handed out normalized (the methods
+    below, `ir.post_select`, and `ir`'s runs after their last fold).
 
     A Statevector owns the array it is given: operators and
     renormalizations write into it in place, and only a qubit joining the
@@ -277,43 +293,48 @@ class Statevector:
     def product_of_factors(cls, n_qubits: int, factors, ops=()) -> "Statevector":
         """Tensor product of local vectors given as (qubit_tuple, vector) pairs, then `ops` on it.
 
-        The qubit tuples must partition range(n_qubits).  The factors are
-        multiplied in the order of their first qubit, so that factors listed
-        out of order cost no state-sized transpose.  `ops` lists (op, qubits)
-        pairs for `apply_nonunitary_sequence`, applied in list order, each as
-        soon as the partial product holds its qubits, since
-        (O (x) I)(psi (x) phi) = (O psi) (x) phi: only the ops that wait for
-        the last factor touch the whole state.  `tracked_norm_sq` is then
-        ||O psi||^2 / ||psi||^2, as the product and one
-        `apply_nonunitary_sequence(ops)` give; the state is normalized when
-        the factors multiplied in after the last op are.
+        The qubit tuples must partition range(n_qubits).  The factors join
+        through `_joined` in the order of their first qubit, axes in qubit
+        order.  `ops` lists (op, qubits) pairs, applied in list order, each
+        once the product holds its qubits: a factor joins as one block with
+        the ops it makes ready (its vector times the identity on their other
+        qubits, the ops composed in), so each step writes the state once.
+        An op that would give a block over FUSE_WIDTH other qubits waits,
+        with those after it, for a later block or the whole product.  With
+        ops the squared norm is summed over the tiles of the last write and
+        the state scaled once; `tracked_norm_sq` is ||O psi||^2 / ||psi||^2,
+        as the product and one `apply_nonunitary_sequence(ops)` give.
         """
         _checked_width(n_qubits)  # before the product is allocated
-        ops = [(op, tuple(qubits)) for op, qubits in ops]
+        factors = sorted(factors, key=lambda f: tuple(f[0]))
+        if sorted(q for qubits, _ in factors for q in qubits) != list(range(n_qubits)):
+            raise ValueError("factors must partition the qubit set")
+        ops = [(_as_matrix(op), tuple(qubits)) for op, qubits in ops]
         if any(not 0 <= q < n_qubits for _, qubits in ops for q in qubits):
             raise ValueError(f"an op names a qubit outside the {n_qubits}-qubit register")
-        axes: list[int] = []
-        full, norm_sq = np.array(1.0 + 0j), 1.0
-        for qubits, vec in sorted(factors, key=lambda f: tuple(f[0])):
-            vec = np.asarray(vec, dtype=complex)
-            k = len(qubits)
-            if vec.size != 2**k:
+        amps, live, before, scaled = np.ones((), dtype=complex), [], 1.0, bool(ops)
+        for qubits, vec in factors:
+            vec, m = np.asarray(vec, dtype=complex), len(qubits)
+            if vec.size != 2**m:
                 raise ValueError("factor dimension mismatch")
-            full = np.multiply.outer(full, vec.reshape([2] * k))
-            axes.extend(qubits)
-            ready = 0
-            while ready < len(ops) and set(ops[ready][1]) <= set(axes):
+            before *= _norm_sq(vec)
+            live, support, ready = sorted(live + list(qubits)), list(qubits), 0
+            while ready < len(ops) and set(ops[ready][1]) <= set(live) and len({*support, *ops[ready][1]}) - m <= FUSE_WIDTH:
+                support += [q for q in ops[ready][1] if q not in support]
                 ready += 1
-            if ready:
-                partial = cls(len(axes), full.reshape(-1), norm_sq)
-                partial.apply_nonunitary_sequence([(op, [axes.index(q) for q in qs]) for op, qs in ops[:ready]])
-                full, norm_sq, ops = partial.amps, partial.tracked_norm_sq, ops[ready:]
-        if sorted(axes) != list(range(n_qubits)):
-            raise ValueError("factors must partition the qubit set")
-        if axes != list(range(n_qubits)):
-            order = [axes.index(q) for q in range(n_qubits)]
-            full = np.ascontiguousarray(np.transpose(full.reshape([2] * n_qubits), order))
-        return cls(n_qubits, full.reshape(-1), norm_sq)
+            k = len(support)
+            block = np.multiply.outer(vec.reshape([2] * m), np.eye(2 ** (k - m)).reshape([2] * (k - m) + [-1]))
+            for op, qs in ops[:ready]:
+                block = _contract(block, op, [support.index(q) for q in qs])
+            norms: list[float] = []
+            amps = _joined(amps, block.reshape(2**k, -1), [live.index(q) for q in support], [live.index(q) for q in qubits], norms)
+            ops = ops[ready:]
+        state = cls(n_qubits, amps.reshape(-1))
+        if scaled:
+            _scale(state.amps, 1 / math.sqrt(state._retain(before, norms)))
+            if ops:  # the ops that fit no block act on the whole product, which they scale again
+                state.apply_nonunitary_sequence(ops)
+        return state
 
     def copy(self) -> "Statevector":
         return Statevector(self.n_qubits, self.amps.copy(), self.tracked_norm_sq)
@@ -329,17 +350,28 @@ class Statevector:
             raise ValueError(f"bad qubit list {qubits} (new {new}) for {n}-qubit state")
         return self.amps.reshape([2] * self.n_qubits)
 
-    def _apply(self, mat: np.ndarray, qubits, new=()) -> None:
-        """`mat` on the listed qubits through `_contract`, in place or into a new array; `new` ones join in |0>."""
+    def _apply(self, mat: np.ndarray, qubits, new=(), norms=None) -> None:
+        """`mat` on the listed qubits through `_contract` (`norms` as there), in place or into a new array; `new` ones join in |0>."""
         if new:
             n = _checked_width(self.n_qubits + len(new))
-            self.amps = _joined(self._tensor(mat, qubits, new), mat, qubits, new).reshape(-1)
+            tensor, k = self._tensor(mat, qubits, new), len(qubits)
+            cols = mat.reshape([2] * (2 * k))[(slice(None),) * k + tuple(slice(1 if a in new else 2) for a in qubits)]
+            self.amps = _joined(tensor, cols.reshape(2**k, -1), qubits, new, norms).reshape(-1)
             self.n_qubits = n
             return
         tensor = self._tensor(mat, qubits)
-        out = _contract(tensor, mat, qubits)
+        out = _contract(tensor, mat, qubits, norms=norms)
         if out is not tensor:
             self.amps = out.reshape(-1)
+
+    def _retain(self, before: float, norms) -> float:
+        """Take after / before into `tracked_norm_sq`, after the sum of `norms`; return after (below PROB_FLOOR: raise)."""
+        after = math.fsum(norms)
+        ratio = after / before if before else 0.0
+        if ratio < PROB_FLOOR:
+            raise ImpossibleOutcomeError("operator annihilated the state")
+        self.tracked_norm_sq *= ratio
+        return after
 
     # The public methods below do not call each other, so that a per-method
     # timer (perfbench/tracer.py) counts the kernel as theirs.
@@ -365,21 +397,21 @@ class Statevector:
 
         `ops` lists (op, qubits) pairs, or (op, qubits, new_qubits) triples
         whose new qubits join the state in |0> as the op acts, as in
-        apply_unitary.  The ratio ||O_m ... O_1 psi||^2 / ||psi||^2
-        is the product of the ratios that renormalizing after every operator
-        would give.  Below PROB_FLOOR (a zero state included) it raises
-        ImpossibleOutcomeError.
+        apply_unitary.  The norm before takes a pass (the input may be
+        unnormalized), the norm after is summed over the tiles of the last
+        operator, and the state is scaled once.  The ratio
+        ||O_m ... O_1 psi||^2 / ||psi||^2 is the product of the ratios that
+        renormalizing after every operator would give.  Below PROB_FLOOR (a
+        zero state included) it raises ImpossibleOutcomeError.
         """
         before = _norm_sq(self.amps)
+        norms = [before]  # of no op: the norm before
         for op, qubits, *new in ops:
-            self._apply(_as_matrix(op), tuple(qubits), tuple(new[0]) if new else ())
-        after = _norm_sq(self.amps)
-        ratio = after / before if before else 0.0
-        if ratio < PROB_FLOOR:
-            raise ImpossibleOutcomeError("operator annihilated the state")
+            norms = []
+            self._apply(_as_matrix(op), tuple(qubits), tuple(new[0]) if new else (), norms)
+        after = self._retain(before, norms)
         _scale(self.amps, 1 / math.sqrt(after))
-        self.tracked_norm_sq *= ratio
-        return ratio
+        return after / before
 
     # -- scalar queries ------------------------------------------------------
 

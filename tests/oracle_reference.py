@@ -2,7 +2,9 @@
 
 `reference_oracle` builds the VBS state the direct way, independent of the
 tensor network in `methods.oracle_vbs_state`: the bond product by explicit
-tensor products, then the symmetrizer matrix at every site.  `embed` and
+tensor products, then the symmetrizer matrix at every site.
+`outer_then_sequence` is the unfused reference for
+`Statevector.product_of_factors`.  `embed` and
 `compress` move a state between the spin basis (one axis of 2S+1 values per
 site) and the qubit basis (a run of 2S qubits per site, in site order).
 `overlap`, `fidelity`, `expectation` and `applied_norm` compare and
@@ -32,6 +34,19 @@ def bond_product(encoding: SiteEncoding, n_qubits: int) -> Statevector:
     covered = {q for qs, _ in factors for q in qs}
     factors += [((q,), spin_ket(SPIN_UP)) for q in range(n_qubits) if q not in covered]
     return Statevector.product_of_factors(n_qubits, factors)
+
+
+def outer_then_sequence(n_qubits: int, factors, ops=()) -> Statevector:
+    """Reference for `Statevector.product_of_factors`: the whole product by np.multiply.outer, then one transpose
+    into qubit order, then every op in one `apply_nonunitary_sequence` on the whole state."""
+    full, axes = np.array(1.0 + 0j), []
+    for qubits, vec in factors:
+        full = np.multiply.outer(full, np.asarray(vec, dtype=complex).reshape([2] * len(qubits)))
+        axes.extend(qubits)
+    state = Statevector.from_amplitudes(np.transpose(full, [axes.index(q) for q in range(n_qubits)]))
+    if ops:
+        state.apply_nonunitary_sequence(ops)
+    return state
 
 
 def reference_oracle(lattice: Lattice) -> tuple[Statevector, float]:

@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from vbsprep import statesim
+from vbsprep import ir, statesim
 from vbsprep.lattice import build_chain, build_honeycomb_patch, build_three_link_pair, build_three_link_ring
 from vbsprep.methods import (
     oracle_vbs_state,
@@ -250,7 +250,7 @@ def test_spin_basis_oracle_embeds_to_the_direct_symmetrizer_state(lattice):
 @pytest.mark.parametrize("tile", [1 << 5, 1 << 15])
 def test_spin_fidelity_counts_weight_outside_the_symmetric_subspace(tile, monkeypatch):
     """A route state with leaked weight: F equals the qubit-basis fidelity against the embedded oracle."""
-    from vbsprep import statesim
+    from vbsprep import ir, statesim
     from vbsprep.lattice import assign_qubits
 
     monkeypatch.setattr(statesim, "TILE", tile)
@@ -301,10 +301,10 @@ CHAIN_11 = build_chain(11, "open", ("up", "up"))  # 22 data qubits, 64 MB
 
 def test_retry_symmetrizes_each_b_site_as_the_island_product_grows(monkeypatch):
     """Only the last B-site symmetrizer of chain:11 acts on the whole register."""
-    widths = []
-    apply = Statevector.apply_nonunitary_sequence
-    monkeypatch.setattr(Statevector, "apply_nonunitary_sequence",
-                        lambda self, ops: widths.append(self.n_qubits) or apply(self, ops))
+    widths = []  # of each join that composes an op: a bare factor joins as one column
+    joined = statesim._joined
+    monkeypatch.setattr(statesim, "_joined", lambda tensor, cols, axes, new, norms=None: widths.extend(
+        [tensor.ndim + len(new)] * (cols.shape[1] > 1)) or joined(tensor, cols, axes, new, norms))
     assert run_mitigated_retry(CHAIN_11, S1, 3)["state"].n_qubits == 22
     assert widths[-1] == 22 and max(widths[:-1]) < 22
 
@@ -332,3 +332,52 @@ def test_retry_product_holds_the_state_and_the_partial_before_it(monkeypatch):
     peak, nbytes = peaks[-1]
     assert nbytes == 16 << 22
     assert peak <= nbytes + nbytes // 8 + 4 * statesim.TILE * 16
+
+
+CHAIN_9, CHAIN_10 = build_chain(9, "open", ("up", "up")), build_chain(10, "open", ("up", "up"))
+
+
+@pytest.mark.parametrize("route", ["lcu", "retry"])
+def test_a_route_makes_one_state_sized_pass_to_scale_its_state(route, monkeypatch):
+    """chain:9 lcu and chain:10 retry: every norm is a tile's, and the only state-sized scale is the result's.
+
+    lcu runs through simulate_post_selected, whose last select slices nothing:
+    it hands out the run's own state, so `post_select` is never called.
+    """
+    norms, scales, selects = [], [], []
+    norm_sq, scale, post_select = statesim._norm_sq, statesim._scale, ir.post_select
+    for module in (statesim, ir):
+        monkeypatch.setattr(module, "_norm_sq", lambda amps: norms.append(amps.size) or norm_sq(amps))
+        monkeypatch.setattr(module, "_scale", lambda amps, factor: scales.append(amps.size) or scale(amps, factor))
+    monkeypatch.setattr(ir, "post_select", lambda *a: selects.append(1) or post_select(*a))
+    state = run_lcu(CHAIN_9, S1)["state"] if route == "lcu" else run_mitigated_retry(CHAIN_10, S1, 3)["state"]
+    assert max(norms) <= statesim.TILE
+    assert [size for size in scales if size > statesim.TILE] == [state.amps.size]
+    assert abs(np.linalg.norm(state.amps) - 1.0) < 1e-12
+    assert not selects
+
+
+def test_retry_product_of_chain10_holds_the_state_the_partial_and_an_eighth(monkeypatch):
+    """chain:10's product allocates its 20 qubits, the partial it grows from and no more than an eighth beside."""
+    import tracemalloc
+
+    peaks, partials = [], []
+    product, joined = Statevector.product_of_factors, statesim._joined
+    monkeypatch.setattr(statesim, "_joined", lambda tensor, *a: partials.append(tensor.nbytes) or joined(tensor, *a))
+
+    def traced(n_qubits, factors, ops=()):
+        start = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        state = product(n_qubits, factors, ops)
+        peaks.append((tracemalloc.get_traced_memory()[1] - start, state.amps.nbytes))
+        return state
+
+    monkeypatch.setattr(Statevector, "product_of_factors", traced)
+    tracemalloc.start()
+    try:
+        run_mitigated_retry(CHAIN_10, S1, 3)
+    finally:
+        tracemalloc.stop()
+    peak, nbytes = peaks[-1]
+    assert nbytes == 16 << 20
+    assert peak <= nbytes + partials[-1] + nbytes // 8

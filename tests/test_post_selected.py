@@ -71,21 +71,15 @@ def test_heavy_hex_routed_circuits_post_select_as_they_run(pipeline):
 
 
 def _peak_width(monkeypatch) -> list:
-    """Spy on both methods that write a block into the state, unitary or folded; holds the widest register seen."""
+    """Spy on `Statevector._apply`, which writes every block into the state, unitary or folded; holds the widest register seen."""
     peak = [0]
-    apply_unitary, apply_nonunitary = Statevector.apply_unitary, Statevector.apply_nonunitary_sequence
+    apply = Statevector._apply
 
-    def unitary(self, op, qubits, *, new_qubits=()):
-        peak[0] = max(peak[0], self.n_qubits + len(new_qubits))
-        return apply_unitary(self, op, qubits, new_qubits=new_qubits)
+    def spy(self, mat, qubits, new=(), norms=None):
+        peak[0] = max(peak[0], self.n_qubits + len(new))
+        return apply(self, mat, qubits, new, norms)
 
-    def nonunitary(self, ops):
-        ops = list(ops)
-        peak[0] = max(peak[0], self.n_qubits + sum(len(op[2]) for op in ops if len(op) > 2))
-        return apply_nonunitary(self, ops)
-
-    monkeypatch.setattr(Statevector, "apply_unitary", unitary)
-    monkeypatch.setattr(Statevector, "apply_nonunitary_sequence", nonunitary)
+    monkeypatch.setattr(Statevector, "_apply", spy)
     return peak
 
 
@@ -249,8 +243,9 @@ def _random_post_selected_circuit(rng, n: int) -> Circuit:
 def test_random_circuits_post_select_as_they_run(monkeypatch):
     rng = np.random.default_rng(31)
     folds = []
-    apply_nonunitary = Statevector.apply_nonunitary_sequence
-    monkeypatch.setattr(Statevector, "apply_nonunitary_sequence", lambda self, ops: folds.append(1) or apply_nonunitary(self, ops))
+    apply = ir._Run.apply
+    monkeypatch.setattr(ir._Run, "apply", lambda self, mat, qubits, folded=(): folds.extend([1] * bool(folded))
+                        or apply(self, mat, qubits, folded))
     kinds = {"impossible": 0, "reused 0": 0, "reused 1": 0, "folded": 0}
     for _ in range(120):
         circ = _random_post_selected_circuit(rng, int(rng.integers(3, 8)))

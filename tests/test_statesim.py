@@ -1,4 +1,6 @@
 """Statevector kernel: embedding, operators, norm bookkeeping, sampling."""
+import math
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,7 @@ from vbsprep.errors import CapExceededError, ImpossibleOutcomeError, NonUnitaryE
 from vbsprep.spinops import symmetrizer
 from vbsprep.statesim import Statevector
 
-from oracle_reference import expectation, fidelity, overlap, zero_state
+from oracle_reference import expectation, fidelity, outer_then_sequence, overlap, zero_state
 
 SWAP = np.array([[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex)
 SINGLET = np.array([0, 1, -1, 0], dtype=complex) / np.sqrt(2)
@@ -337,10 +339,10 @@ def test_product_of_factors_applies_ops_as_the_product_grows(tile, monkeypatch):
     cases = list(_ops_cases(np.random.default_rng(47)))
     references = [Statevector.product_of_factors(n, factors) for n, factors, _ in cases]
     ratios = [ref.apply_nonunitary_sequence(ops) for ref, (_, _, ops) in zip(references, cases)]
-    widths = []
-    apply = Statevector.apply_nonunitary_sequence
-    monkeypatch.setattr(Statevector, "apply_nonunitary_sequence",
-                        lambda self, ops: widths.append(self.n_qubits) or apply(self, ops))
+    widths = []  # of each join that composes an op: a bare factor joins as one column
+    joined = statesim._joined
+    monkeypatch.setattr(statesim, "_joined", lambda tensor, cols, axes, new, norms=None: widths.extend(
+        [tensor.ndim + len(new)] * (cols.shape[1] > 1)) or joined(tensor, cols, axes, new, norms))
     for (n, factors, ops), expected, ratio in zip(cases, references, ratios):
         st = Statevector.product_of_factors(n, factors, ops)
         assert st.n_qubits == n and st.amps.flags.c_contiguous
@@ -362,6 +364,70 @@ def test_product_of_factors_without_ops_is_the_outer_product():
     expected = np.transpose(full, [axes.index(q) for q in range(8)]).reshape(-1)
     for st in (Statevector.product_of_factors(8, factors), Statevector.product_of_factors(8, factors, ())):
         assert np.array_equal(st.amps, expected) and st.tracked_norm_sq == 1.0
+
+
+def _product_cases(rng):
+    """(n, factors, ops) on 17 qubits: unnormalized factors out of order, most landing mid-register.
+
+    The ops span two factors or more; one waits behind an op that needs the
+    last factor, and one is too wide for any block, so it and the op after
+    it act on the whole product.
+    """
+    def op(k):
+        return rng.normal(size=(2**k, 2**k)) + 1j * rng.normal(size=(2**k, 2**k))
+
+    groups = [(9, 2), (0, 14, 5), (16,), (7, 11, 3, 12), (1, 8), (4, 13, 6), (10, 15)]
+    factors = [(qs, _random_state(len(qs), rng) * rng.uniform(0.5, 2.0)) for qs in groups]
+    yield 17, factors, [(op(2), (2, 5)), (op(2), (8, 2)), (op(3), (13, 6, 10)), (op(2), (16, 0))]
+    yield 17, factors, [(op(2), (16, 9)), (symmetrizer(2), (0, 1)), (op(1), (4,))]
+    yield 17, factors, [(op(3), (0, 5, 14)), (op(6), (0, 3, 6, 9, 12, 15)), (op(2), (1, 8))]
+    yield 17, factors, []
+
+
+@pytest.mark.parametrize("tile", [1 << 5, 1 << 9, statesim.TILE])
+def test_product_of_factors_matches_the_outer_product_then_the_sequence(tile, monkeypatch):
+    """Joined through the kernel, scattered joins included: the reference's amplitudes, ratio and norm."""
+    monkeypatch.setattr(statesim, "TILE", tile)
+    scattered, calls = statesim._contract_scattered, []
+    monkeypatch.setattr(statesim, "_contract_scattered", lambda *a: calls.append(1) or scattered(*a))
+    for n, factors, ops in _product_cases(np.random.default_rng(61)):
+        expected = outer_then_sequence(n, factors, ops)
+        st = Statevector.product_of_factors(n, factors, ops)
+        assert st.n_qubits == n and st.amps.flags.c_contiguous
+        assert np.max(np.abs(st.amps - expected.amps)) < 1e-12
+        assert st.tracked_norm_sq == pytest.approx(expected.tracked_norm_sq, rel=1e-12)
+        if ops:
+            assert abs(np.linalg.norm(st.amps) - 1.0) < 1e-12
+    assert calls  # (7, 11, 3, 12) joins between live qubits
+
+
+def test_product_of_factors_raises_on_an_op_that_annihilates_the_product():
+    zero, one = np.array([1, 0], dtype=complex), np.array([0, 1], dtype=complex)
+    onto_11 = np.diag([0, 0, 0, 1]).astype(complex)
+    factors = [((0,), zero), ((1, 2), SINGLET), ((3,), one)]
+    for ops in ([(onto_11, (3, 0))], [(np.eye(2), (2,)), (onto_11, (0, 3))], [(np.eye(64), (0, 1, 2, 3, 4, 5)), (onto_11, (3, 0))]):
+        n = max(q for _, qs in ops for q in qs) + 1
+        with pytest.raises(ImpossibleOutcomeError):
+            Statevector.product_of_factors(n, factors + [((q,), zero) for q in range(4, n)], ops)
+
+
+@pytest.mark.parametrize("tile", [1 << 5, 1 << 9, statesim.TILE])
+def test_tile_norms_sum_to_the_norm_of_the_written_state(tile, monkeypatch):
+    """On runs, scattered targets and joins, the squared norms `_contract` appends sum to the result's."""
+    monkeypatch.setattr(statesim, "TILE", tile)
+    rng = np.random.default_rng(67)
+    n = 13
+    v = _random_state(n, rng)
+    cases = [((3,), ()), ((4, 5), ()), ((7, 6, 8), ()), ((0, 12), ()), ((2, 9, 5), ()), ((12,), ()),
+             ((13,), (13,)), ((3, 4), (4,)), ((0, 13, 6), (0, 13)), ((14, 5, 6), (5, 6))]
+    for qubits, new in cases:
+        k = len(qubits)
+        mat = rng.normal(size=(2**k, 2**k)) + 1j * rng.normal(size=(2**k, 2**k))
+        st, norms = Statevector.from_amplitudes(v), []
+        st._apply(mat, qubits, new, norms)
+        assert st.n_qubits == n + len(new)
+        assert len(norms) == max(1, st.amps.size // tile)
+        assert math.fsum(norms) == pytest.approx(np.vdot(st.amps, st.amps).real, rel=1e-12), qubits
 
 
 def test_product_of_factors_rejects_bad_ops():
