@@ -250,7 +250,7 @@ def test_spin_basis_oracle_embeds_to_the_direct_symmetrizer_state(lattice):
 @pytest.mark.parametrize("tile", [1 << 5, 1 << 15])
 def test_spin_fidelity_counts_weight_outside_the_symmetric_subspace(tile, monkeypatch):
     """A route state with leaked weight: F equals the qubit-basis fidelity against the embedded oracle."""
-    from vbsprep import ir, statesim
+    from vbsprep import statesim
     from vbsprep.lattice import assign_qubits
 
     monkeypatch.setattr(statesim, "TILE", tile)
