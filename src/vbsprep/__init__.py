@@ -9,13 +9,12 @@ from .lattice import (
     build_honeycomb_patch,
     build_three_link_pair,
 )
-from .spinops import DenseOperator, SpinValue, symmetrizer
+from .spinops import SpinValue, symmetrizer
 from .statesim import Statevector
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "DenseOperator",
     "Lattice",
     "SiteEncoding",
     "SpinValue",

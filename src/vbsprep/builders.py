@@ -68,14 +68,13 @@ def spin_ket(spin: str) -> np.ndarray:
 
 
 @functools.cache
-def _test_block(twice_s: int, plain_cswap: bool = False) -> np.ndarray:
-    """The site test's controlled exp(-i pi P_sym), or its negation, read-only.
+def _test_block(twice_s: int) -> np.ndarray:
+    """The site test's controlled exp(-i pi P_sym), read-only.
 
     One array serves every site, so `ir.simulate_circuit`, which keys an
     Opaque by its matrix's identity, composes a repeated test once per call.
     """
-    mat = exp_minus_i_pi_symmetrizer(twice_s).matrix
-    block = controlled(-mat if plain_cswap else mat)
+    block = controlled(exp_minus_i_pi_symmetrizer(twice_s))
     block.setflags(write=False)
     return block
 
@@ -87,7 +86,6 @@ def hadamard_test_fragment(
     circ: Circuit | None = None,
     heavy_hex_box: str | None = None,
     site_qubits: tuple[int, ...] | None = None,
-    drop_phase_gate: bool = False,
     anc: int | None = None,
     retry_reset: tuple[int, ...] = (),
     creg: int | None = None,
@@ -95,8 +93,7 @@ def hadamard_test_fragment(
     """One-ancilla test whose retained branch symmetrizes the site's qubits.
 
     The retained ancilla outcome is |1>.  For 2S=2 the controlled block is a
-    phased controlled-SWAP; `drop_phase_gate` omits the phase, which flips
-    the retained outcome to |0> (flag recorded in the circuit metadata).
+    phased controlled-SWAP.
     `heavy_hex_box` selects the declared heavy-hex cost variant ("t" or
     "line") for the spin-3/2 block; `site_qubits` and `anc` override the
     encoding's qubits (used after routing displaces qubits); `retry_reset`
@@ -108,25 +105,15 @@ def hadamard_test_fragment(
     qubits = site_qubits if site_qubits is not None else encoding.site_qubits[site]
     if len(qubits) != s.twice_s:
         raise ConfigError(f"site {site} has {len(qubits)} qubits, expected {s.twice_s}")
-    if drop_phase_gate and s.twice_s != 2:
-        raise ConfigError("the phase gate can only be dropped for 2S=2")
     if circ is None:
         circ = Circuit(encoding.total_qubits, metadata={"builder": "hadamard_test"})
     cost_key = f"test_2s{s.twice_s}" + (f"_{heavy_hex_box or 'line'}" if s.twice_s == 3 else "")
     if cost_key not in DECLARED_COSTS:
         raise UnsupportedError(f"no declared test costs for 2S={s.twice_s}")
-    block = _test_block(s.twice_s)
-    expect = 1
-    label = f"ctrl_exp_sym_{s.twice_s}"
-    if drop_phase_gate:
-        block = _test_block(2, plain_cswap=True)
-        expect = 0
-        label = "ctrl_swap"
-        circ.metadata["phase_gate_dropped"] = True
     circ.add(u_h(anc))
-    circ.add(Opaque(label, (anc, *qubits), block, **DECLARED_COSTS[cost_key]))
+    circ.add(Opaque(f"ctrl_exp_sym_{s.twice_s}", (anc, *qubits), _test_block(s.twice_s), **DECLARED_COSTS[cost_key]))
     circ.add(u_h(anc))
-    circ.add(Measure(anc, expect=expect, creg=circ.next_creg() if creg is None else creg, retry_reset=retry_reset))
+    circ.add(Measure(anc, expect=1, creg=circ.next_creg() if creg is None else creg, retry_reset=retry_reset))
     return circ
 
 

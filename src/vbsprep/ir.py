@@ -461,7 +461,8 @@ class _Run:
         """Apply every gate; return the markers left to post-select, in circuit order.
 
         Consecutive gates are fused greedily into blocks of at most
-        FUSE_WIDTH qubits, each applied to the state once.  A `_segments`
+        FUSE_WIDTH qubits, new ones included (a lone gate or segment may be
+        wider), each applied to the state once.  A `_segments`
         run (an ancilla bank from its first gate to its markers) is fused
         like one gate, so one block folds the bank: a spin-3/2 lcu site and
         its bank of six become one 8x8 operator.  A one-qubit gate

@@ -178,9 +178,12 @@ def lattice_from_json(text: str) -> Lattice:
     doc = json.loads(text)
     try:
         sites = doc["sites"]
-        links = tuple(tuple(int(v) for v in l) for l in doc["links"])
-    except (KeyError, TypeError, ValueError) as exc:
+        links = tuple(tuple(l) for l in doc["links"])
+    except (KeyError, TypeError) as exc:
         raise ConfigError(f"bad lattice document: {exc}") from exc
+    for k, link in enumerate(links):
+        if any(type(v) is not int for v in link):  # a float, bool or string names no site
+            raise ConfigError(f"lattice link {k} {json.dumps(link)} must hold integer site ids")
     if not isinstance(sites, list):
         raise ConfigError(f"lattice 'sites' must be a list of site ids, got {sites!r}")
     boundary = doc.get("boundary", BOUNDARY_EXPLICIT)

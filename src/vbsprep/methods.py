@@ -96,11 +96,12 @@ def run_mitigated_islands(lattice: Lattice, s: SpinValue) -> dict:
 
 
 def run_mitigated_retry(lattice: Lattice, s: SpinValue, seed: int) -> dict:
-    """Measure-reset-retry on the B sublattice, then tests on the A sublattice.
+    """Measure-reset-retry on the A sublattice's islands, then tests on the B sublattice.
 
-    Realized as branch resampling: each island is retried independently
-    (reset and bond re-preparation on failure), which reproduces the
-    geometric(p) round statistics; the A-sublattice step is post-selected.
+    Realized as branch resampling: each A site's island is retried
+    independently (reset and bond re-preparation on failure), which
+    reproduces the geometric(p) round statistics; the B sites' symmetrizers
+    act on the product of the islands, post-selected.
     """
     rng = np.random.default_rng(seed)
     encoding = assign_qubits(lattice, "islands_plus_sublattice")

@@ -41,7 +41,7 @@ def _swap_cnots(a: int, b: int) -> list[CNot]:
     return [CNot(a, b), CNot(b, a), CNot(a, b)]
 
 
-def route(circuit: Circuit, coupling: CouplingMap, initial_placement: list[int] | None = None) -> RoutedCircuit:
+def route(circuit: Circuit, coupling: CouplingMap) -> RoutedCircuit:
     """Rewrite a circuit so all multi-qubit gates respect the coupling map.
 
     A marker keeps its place in the gate list, on the physical qubit its
@@ -50,15 +50,10 @@ def route(circuit: Circuit, coupling: CouplingMap, initial_placement: list[int] 
     """
     if circuit.n_qubits > coupling.n_qubits:
         raise ConfigError("circuit does not fit on the coupling map")
-    if initial_placement is None:
-        placement = list(range(circuit.n_qubits))
-    else:
-        placement = list(initial_placement)
-    if len(set(placement)) != len(placement):
-        raise ConfigError("initial placement must be injective")
+    placement = list(range(circuit.n_qubits))
 
     out = Circuit(coupling.n_qubits, metadata=dict(circuit.metadata))
-    if coupling.name == "all_to_all" and initial_placement is None:
+    if coupling.name == "all_to_all":
         out.gates = list(circuit.gates)
         out.metadata["routed"] = "all_to_all"
         return RoutedCircuit(out, placement)

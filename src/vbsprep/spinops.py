@@ -1,11 +1,14 @@
 """Dense spin algebra: spin matrices, symmetrizers, projectors, exponentials.
 
-All operators are exact dense complex matrices.  Qubit-embedded operators
-follow the global convention that the first tensor factor is the most
-significant bit of the basis index (see `statesim`).  A site of spin S is
-encoded in 2S qubits; the site spin operators are sums of the constituent
-spin-1/2 operators, whose restriction to the exchange-symmetric subspace
-reproduces the spin-S algebra.
+All operators are exact dense matrices, read-only complex `np.ndarray`s,
+except the real `symmetric_subspace_isometry` and `link_operators` and the
+fresh writable arrays of `permutation_operator` and `two_site_spin_dot`.
+Qubit-embedded operators follow the global convention that the first
+tensor factor is the most significant bit of the basis index (see
+`statesim`).  A site of spin S is encoded in 2S qubits; the site spin
+operators are sums of the constituent spin-1/2 operators, whose
+restriction to the exchange-symmetric subspace reproduces the spin-S
+algebra.
 """
 from __future__ import annotations
 
@@ -23,25 +26,11 @@ MAX_SYMMETRIZER_HALVES = 5
 MAX_TOTAL_SPIN_HALVES = 6
 
 
-@dataclass(frozen=True)
-class DenseOperator:
-    """Exact complex matrix acting on a set of qubits (or a spin-S space)."""
-
-    matrix: np.ndarray
-    label: str = ""
-
-    def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=complex)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError(f"operator matrix must be square, got {m.shape}")
-        if not np.all(np.isfinite(m)):
-            raise ValueError("operator entries must be finite")
-        m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
+def _read_only(matrix) -> np.ndarray:
+    """`matrix` as a complex array that no caller can write into."""
+    m = np.asarray(matrix, dtype=complex)
+    m.setflags(write=False)
+    return m
 
 
 @dataclass(frozen=True)
@@ -72,7 +61,7 @@ class SpinValue:
 # spin matrices
 # ---------------------------------------------------------------------------
 
-def spin_matrices(s: SpinValue) -> tuple[DenseOperator, DenseOperator, DenseOperator]:
+def spin_matrices(s: SpinValue) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(Sx, Sy, Sz) in the basis m = S, S-1, ..., -S via ladder operators."""
     dim = s.multiplicity
     sval = float(s.s)
@@ -85,11 +74,7 @@ def spin_matrices(s: SpinValue) -> tuple[DenseOperator, DenseOperator, DenseOper
     sm = sp.T
     sx = (sp + sm) / 2
     sy = (sp - sm) / (2j)
-    return (
-        DenseOperator(sx, f"Sx(2S={s.twice_s})"),
-        DenseOperator(sy, f"Sy(2S={s.twice_s})"),
-        DenseOperator(sz, f"Sz(2S={s.twice_s})"),
-    )
+    return _read_only(sx), _read_only(sy), _read_only(sz)
 
 
 def _embed_single(op: np.ndarray, n: int, pos: int) -> np.ndarray:
@@ -101,25 +86,21 @@ def _embed_single(op: np.ndarray, n: int, pos: int) -> np.ndarray:
 @lru_cache(maxsize=None)
 def _collective_spin_components(n_halves: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Total-spin components of n spin-1/2s as 2^n-dim matrices."""
-    sx, sy, sz = (o.matrix for o in spin_matrices(SpinValue(1)))
     comps = []
-    for op in (sx, sy, sz):
+    for op in spin_matrices(SpinValue(1)):
         total = np.zeros((2**n_halves, 2**n_halves), dtype=complex)
         for pos in range(n_halves):
             total += _embed_single(op, n_halves, pos)
-        comps.append(total)
-    comps = tuple(c.copy() for c in comps)
-    for c in comps:
-        c.setflags(write=False)
-    return comps
+        comps.append(_read_only(total))
+    return tuple(comps)
 
 
-def total_spin_squared(n_halves: int) -> DenseOperator:
+def total_spin_squared(n_halves: int) -> np.ndarray:
     """(S_total)^2 for n spin-1/2s, embedded in the full 2^n space."""
     if not 1 <= n_halves <= MAX_TOTAL_SPIN_HALVES:
         raise CapExceededError(f"n_halves={n_halves} outside [1, {MAX_TOTAL_SPIN_HALVES}]")
     sx, sy, sz = _collective_spin_components(n_halves)
-    return DenseOperator(sx @ sx + sy @ sy + sz @ sz, f"S_total^2({n_halves})")
+    return _read_only(sx @ sx + sy @ sy + sz @ sz)
 
 
 # ---------------------------------------------------------------------------
@@ -132,7 +113,7 @@ def permutation_operator(perm: tuple[int, ...]) -> np.ndarray:
     return np.moveaxis(np.eye(2**n).reshape((2,) * 2 * n), range(n), perm).reshape(2**n, 2**n)
 
 
-def symmetrizer(n_halves: int) -> DenseOperator:
+def symmetrizer(n_halves: int) -> np.ndarray:
     """Projector onto the exchange-symmetric subspace of n qubits.
 
     Built as the uniform average of all n! qubit permutations.
@@ -145,10 +126,10 @@ def symmetrizer(n_halves: int) -> DenseOperator:
     for perm in itertools.permutations(range(n_halves)):
         acc += permutation_operator(perm)
         count += 1
-    return DenseOperator(acc / count, f"symmetrizer({n_halves})")
+    return _read_only(acc / count)
 
 
-def symmetrizer_from_spin_projector(n_halves: int) -> DenseOperator:
+def symmetrizer_from_spin_projector(n_halves: int) -> np.ndarray:
     """Same projector built from the total-spin polynomial.
 
     Product over all attainable total spins S' < n/2 of
@@ -156,7 +137,7 @@ def symmetrizer_from_spin_projector(n_halves: int) -> DenseOperator:
     """
     if not 1 <= n_halves <= MAX_SYMMETRIZER_HALVES:
         raise CapExceededError(f"n_halves={n_halves} outside [1, {MAX_SYMMETRIZER_HALVES}]")
-    s2 = total_spin_squared(n_halves).matrix
+    s2 = total_spin_squared(n_halves)
     s_max = Fraction(n_halves, 2)
     top = float(s_max * (s_max + 1))
     acc = np.eye(2**n_halves, dtype=complex)
@@ -167,13 +148,13 @@ def symmetrizer_from_spin_projector(n_halves: int) -> DenseOperator:
         acc = acc @ (s2 - val * np.eye(2**n_halves))
         norm *= top - val
         sp -= 1
-    return DenseOperator(acc / norm, f"symmetrizer_proj({n_halves})")
+    return _read_only(acc / norm)
 
 
-def exp_minus_i_pi_symmetrizer(n_halves: int) -> DenseOperator:
+def exp_minus_i_pi_symmetrizer(n_halves: int) -> np.ndarray:
     """exp(-i*pi*S) = 1 - 2*S for an idempotent S; unitary and Hermitian."""
     s = symmetrizer(n_halves)
-    return DenseOperator(np.eye(s.dim) - 2 * s.matrix, f"exp(-i*pi*S({n_halves}))")
+    return _read_only(np.eye(len(s)) - 2 * s)
 
 
 @lru_cache(maxsize=None)
@@ -221,7 +202,7 @@ def two_site_spin_dot(s: SpinValue) -> np.ndarray:
     return out
 
 
-def aklt_two_site_projector(s: SpinValue) -> DenseOperator:
+def aklt_two_site_projector(s: SpinValue) -> np.ndarray:
     """Two-site projector onto the maximal total-spin sector, qubit-embedded.
 
     A projector only after restriction to the symmetric subspace of each
@@ -236,10 +217,10 @@ def aklt_two_site_projector(s: SpinValue) -> DenseOperator:
     for c in coeffs[1:]:
         xk = xk @ x
         acc += float(c) * xk
-    return DenseOperator(acc, f"P_top(2S={s.twice_s})")
+    return _read_only(acc)
 
 
-def aklt_projector_from_product(s: SpinValue) -> DenseOperator:
+def aklt_projector_from_product(s: SpinValue) -> np.ndarray:
     """Same projector from the explicit product over lower total-spin sectors.
 
     Independent of the expanded polynomial coefficients; used as their oracle.
@@ -257,15 +238,15 @@ def aklt_projector_from_product(s: SpinValue) -> DenseOperator:
     for sp in range(s_max):
         acc = acc @ (j2 - sp * (sp + 1) * np.eye(dim * dim))
         norm *= s_max * (s_max + 1) - sp * (sp + 1)
-    return DenseOperator(acc / norm, f"P_top_product(2S={s.twice_s})")
+    return _read_only(acc / norm)
 
 
-def blbq_hamiltonian_term(beta: float) -> DenseOperator:
+def blbq_hamiltonian_term(beta: float) -> np.ndarray:
     """Bilinear-biquadratic two-site term x + beta*x^2 on two spin-1 sites."""
     if not np.isfinite(beta):
         raise ValueError("beta must be finite")
     x = two_site_spin_dot(SpinValue(2))
-    return DenseOperator(x + beta * (x @ x), f"blbq(beta={beta})")
+    return _read_only(x + beta * (x @ x))
 
 
 @lru_cache(maxsize=None)
@@ -276,11 +257,11 @@ def link_operators(twice_s: int) -> tuple[np.ndarray, np.ndarray | None]:
     `blbq_hamiltonian_term(1/3)` (h None unless 2S=2).  Both are real
     polynomials in S_a . S_b, so the arrays are real.
     """
-    projector = aklt_two_site_projector(SpinValue(twice_s)).matrix  # raises UnsupportedError first
+    projector = aklt_two_site_projector(SpinValue(twice_s))  # raises UnsupportedError first
     iso = symmetric_subspace_isometry(twice_s)
     pair = np.kron(iso, iso)
     p = (pair.T @ projector @ pair).real
-    h = (pair.T @ blbq_hamiltonian_term(1.0 / 3.0).matrix @ pair).real if twice_s == 2 else None
+    h = (pair.T @ blbq_hamiltonian_term(1.0 / 3.0) @ pair).real if twice_s == 2 else None
     for arr in (p, h):
         if arr is not None:
             arr.setflags(write=False)

@@ -18,10 +18,15 @@ import os
 import numpy as np
 
 from .errors import CapExceededError, ConfigError, ImpossibleOutcomeError, NonUnitaryError
-from .spinops import DenseOperator, symmetric_subspace_isometry
+from .spinops import symmetric_subspace_isometry
 
 DEFAULT_MAX_QUBITS = 26
-FUSE_WIDTH = 4  # live qubits in the widest block ir._Run fuses or product_of_factors joins, beside new or folded ones
+# The widest fused operator, in qubits.  ir._Run.run fuses gates into blocks
+# of at most FUSE_WIDTH qubits, new ones included; only a lone gate or
+# segment may be wider.  ir._segments counts a segment's qubits beside those
+# its markers fold away, and product_of_factors a join's qubits beside the
+# factor's new ones.
+FUSE_WIDTH = 4
 UNITARY_TOL = 1e-10
 PROB_FLOOR = 1e-14
 # A contiguous target run is applied through an (L, 2^k, R) view of the
@@ -63,12 +68,6 @@ def _checked_width(n_qubits: int) -> int:
     if not 1 <= n_qubits <= cap:
         raise CapExceededError(f"n_qubits={n_qubits} outside [1, {cap}]")
     return n_qubits
-
-
-def _as_matrix(op) -> np.ndarray:
-    if isinstance(op, DenseOperator):
-        return op.matrix
-    return np.asarray(op, dtype=complex)
 
 
 def _norm_sq(amps: np.ndarray) -> float:
@@ -249,7 +248,7 @@ def _joined(tensor: np.ndarray, cols: np.ndarray, axes, new, norms=None) -> np.n
 def _check_unitary(mat: np.ndarray) -> None:
     """Raise NonUnitaryError unless `mat` is unitary (to UNITARY_TOL)."""
     if np.max(np.abs(mat.conj().T @ mat - np.eye(mat.shape[0]))) > UNITARY_TOL:
-        raise NonUnitaryError("operator is not unitary; use apply_nonunitary_sequence for a general operator")
+        raise NonUnitaryError("operator is not unitary")
 
 
 class Statevector:
@@ -259,8 +258,9 @@ class Statevector:
     branch since initialization; it equals 1 until the first non-unitary
     application (or the first `ir.post_select`, which returns a new state).
     A non-unitary write sums its squared norm over the tiles it writes; a
-    state is scaled once, where it is handed out normalized (the methods
-    below, `ir.post_select`, and `ir`'s runs after their last fold).
+    state is scaled once, where it is handed out normalized
+    (`product_of_factors`, `ir.post_select`, and `ir`'s runs after their
+    last fold).
 
     A Statevector owns the array it is given: operators and
     renormalizations write into it in place, and only a qubit joining the
@@ -300,16 +300,19 @@ class Statevector:
         the ops it makes ready (its vector times the identity on their other
         qubits, the ops composed in), so each step writes the state once.
         An op that would give a block over FUSE_WIDTH other qubits waits,
-        with those after it, for a later block or the whole product.  With
-        ops the squared norm is summed over the tiles of the last write and
-        the state scaled once; `tracked_norm_sq` is ||O psi||^2 / ||psi||^2,
-        as the product and one `apply_nonunitary_sequence(ops)` give.
+        with those after it, for a later block; the ops that fit no block act
+        in turn on the whole product, through the same kernel.  With ops the
+        squared norm is summed over the tiles of the last write and the
+        state scaled once; `tracked_norm_sq` is ||O psi||^2 / ||psi||^2, the
+        product of the ratios that renormalizing after every op would give;
+        below PROB_FLOOR (a zero product included) it raises
+        ImpossibleOutcomeError.
         """
         _checked_width(n_qubits)  # before the product is allocated
         factors = sorted(factors, key=lambda f: tuple(f[0]))
         if sorted(q for qubits, _ in factors for q in qubits) != list(range(n_qubits)):
             raise ValueError("factors must partition the qubit set")
-        ops = [(_as_matrix(op), tuple(qubits)) for op, qubits in ops]
+        ops = [(np.asarray(op, dtype=complex), tuple(qubits)) for op, qubits in ops]
         if any(not 0 <= q < n_qubits for _, qubits in ops for q in qubits):
             raise ValueError(f"an op names a qubit outside the {n_qubits}-qubit register")
         amps, live, before, scaled = np.ones((), dtype=complex), [], 1.0, bool(ops)
@@ -330,14 +333,12 @@ class Statevector:
             amps = _joined(amps, block.reshape(2**k, -1), [live.index(q) for q in support], [live.index(q) for q in qubits], norms)
             ops = ops[ready:]
         state = cls(n_qubits, amps.reshape(-1))
+        for op, qubits in ops:
+            norms = []
+            state._apply(op, qubits, (), norms)
         if scaled:
             _scale(state.amps, 1 / math.sqrt(state._retain(before, norms)))
-            if ops:  # the ops that fit no block act on the whole product, which they scale again
-                state.apply_nonunitary_sequence(ops)
         return state
-
-    def copy(self) -> "Statevector":
-        return Statevector(self.n_qubits, self.amps.copy(), self.tracked_norm_sq)
 
     # -- operator application ---------------------------------------------
 
@@ -387,31 +388,10 @@ class Statevector:
         state, the grown one and tile-sized scratch (see `_joined`).  Every
         call checks `op` for unitarity first.
         """
-        mat = _as_matrix(op)
+        mat = np.asarray(op, dtype=complex)
         _check_unitary(mat)
         self._apply(mat, tuple(qubits), tuple(new_qubits))
         return self
-
-    def apply_nonunitary_sequence(self, ops) -> float:
-        """Apply general operators in turn (as `apply_unitary` does), renormalize once, return the norm-squared ratio.
-
-        `ops` lists (op, qubits) pairs, or (op, qubits, new_qubits) triples
-        whose new qubits join the state in |0> as the op acts, as in
-        apply_unitary.  The norm before takes a pass (the input may be
-        unnormalized), the norm after is summed over the tiles of the last
-        operator, and the state is scaled once.  The ratio
-        ||O_m ... O_1 psi||^2 / ||psi||^2 is the product of the ratios that
-        renormalizing after every operator would give.  Below PROB_FLOOR (a
-        zero state included) it raises ImpossibleOutcomeError.
-        """
-        before = _norm_sq(self.amps)
-        norms = [before]  # of no op: the norm before
-        for op, qubits, *new in ops:
-            norms = []
-            self._apply(_as_matrix(op), tuple(qubits), tuple(new[0]) if new else (), norms)
-        after = self._retain(before, norms)
-        _scale(self.amps, 1 / math.sqrt(after))
-        return after / before
 
     # -- scalar queries ------------------------------------------------------
 

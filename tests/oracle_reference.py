@@ -4,7 +4,8 @@
 tensor network in `methods.oracle_vbs_state`: the bond product by explicit
 tensor products, then the symmetrizer matrix at every site.
 `outer_then_sequence` is the unfused reference for
-`Statevector.product_of_factors`.  `embed` and
+`Statevector.product_of_factors`, and `apply_ops` its ops: neither shares
+code with the statesim kernel.  `embed` and
 `compress` move a state between the spin basis (one axis of 2S+1 values per
 site) and the qubit basis (a run of 2S qubits per site, in site order).
 `overlap`, `fidelity`, `expectation` and `applied_norm` compare and
@@ -27,35 +28,56 @@ from vbsprep.spinops import symmetric_subspace_isometry, symmetrizer
 from vbsprep.statesim import Statevector
 
 
-def bond_product(encoding: SiteEncoding, n_qubits: int) -> Statevector:
-    """Link singlets and boundary kets on the first n_qubits qubits; every other qubit is |0>."""
+def bond_factors(encoding: SiteEncoding, n_qubits: int) -> list:
+    """(qubits, vector) pairs: link singlets and boundary kets on the first n_qubits qubits; every other qubit is |0>."""
     factors = [((qa, qb), SINGLET) for qa, qb in encoding.link_qubits]
     factors += [((qubit,), spin_ket(spin)) for qubit, spin in encoding.boundary_qubits]
     covered = {q for qs, _ in factors for q in qs}
-    factors += [((q,), spin_ket(SPIN_UP)) for q in range(n_qubits) if q not in covered]
-    return Statevector.product_of_factors(n_qubits, factors)
+    return factors + [((q,), spin_ket(SPIN_UP)) for q in range(n_qubits) if q not in covered]
+
+
+def bond_product(encoding: SiteEncoding, n_qubits: int) -> Statevector:
+    """The product of `bond_factors`, by `Statevector.product_of_factors`."""
+    return Statevector.product_of_factors(n_qubits, bond_factors(encoding, n_qubits))
+
+
+def apply_ops(state: Statevector, ops) -> float:
+    """Every (op, qubits) pair in turn by one np.tensordot over the whole state, then one renormalization.
+
+    Returns ||O psi||^2 / ||psi||^2, which `tracked_norm_sq` takes too.
+    """
+    tensor = state.amps.reshape([2] * state.n_qubits)
+    before = np.vdot(tensor, tensor).real
+    for op, qubits in ops:
+        k = len(qubits)
+        out = np.tensordot(np.reshape(op, [2] * (2 * k)), tensor, (range(k, 2 * k), qubits))
+        tensor = np.moveaxis(out, range(k), qubits)
+    after = np.vdot(tensor, tensor).real
+    state.amps = np.ascontiguousarray(tensor).reshape(-1) / np.sqrt(after)
+    state.tracked_norm_sq *= after / before
+    return after / before
 
 
 def outer_then_sequence(n_qubits: int, factors, ops=()) -> Statevector:
     """Reference for `Statevector.product_of_factors`: the whole product by np.multiply.outer, then one transpose
-    into qubit order, then every op in one `apply_nonunitary_sequence` on the whole state."""
+    into qubit order, then, given ops, `apply_ops` on the whole state."""
     full, axes = np.array(1.0 + 0j), []
     for qubits, vec in factors:
         full = np.multiply.outer(full, np.asarray(vec, dtype=complex).reshape([2] * len(qubits)))
         axes.extend(qubits)
     state = Statevector.from_amplitudes(np.transpose(full, [axes.index(q) for q in range(n_qubits)]))
     if ops:
-        state.apply_nonunitary_sequence(ops)
+        apply_ops(state, ops)
     return state
 
 
 def reference_oracle(lattice: Lattice) -> tuple[Statevector, float]:
     """The symmetrizer of every site applied to the bond product: (normalized state, squared norm)."""
     encoding = assign_qubits(lattice, "hadamard_all")
-    state = bond_product(encoding, encoding.n_data_qubits)
+    n = encoding.n_data_qubits
     sites = [encoding.site_qubits[site] for site in range(lattice.n_sites)]
-    norm_sq = state.apply_nonunitary_sequence([(symmetrizer(len(qs)), qs) for qs in sites])
-    return state, norm_sq
+    state = outer_then_sequence(n, bond_factors(encoding, n), [(symmetrizer(len(qs)), qs) for qs in sites])
+    return state, state.tracked_norm_sq
 
 
 def embed(psi: np.ndarray) -> Statevector:
@@ -87,7 +109,7 @@ def fidelity(a: Statevector, b: Statevector) -> float:
 
 def expectation(state: Statevector, op, qubits) -> float:
     """<op> on the listed qubits of the renormalized state, summed tile by tile through the kernel."""
-    mat = statesim._as_matrix(op)
+    mat = np.asarray(op, dtype=complex)
     if np.max(np.abs(mat - mat.conj().T)) > statesim.UNITARY_TOL:
         raise ValueError("expectation requires a Hermitian operator")
     qubits = tuple(qubits)

@@ -69,11 +69,11 @@ def test_criterion_01_symmetrizer_algebra():
     start = time.perf_counter()
     for n in (2, 3, 4):
         s = symmetrizer(n)
-        assert np.max(np.abs(s.matrix - s.matrix.conj().T)) <= 1e-12
-        assert np.max(np.abs(s.matrix @ s.matrix - s.matrix)) <= 1e-12
-        assert abs(np.trace(s.matrix).real - (n + 1)) <= 1e-12
+        assert np.max(np.abs(s - s.conj().T)) <= 1e-12
+        assert np.max(np.abs(s @ s - s)) <= 1e-12
+        assert abs(np.trace(s).real - (n + 1)) <= 1e-12
         other = symmetrizer_from_spin_projector(n)
-        assert np.max(np.abs(s.matrix - other.matrix)) <= 1e-12
+        assert np.max(np.abs(s - other)) <= 1e-12
     elapsed = time.perf_counter() - start
     assert elapsed < 1.0
     _report(1, f"({elapsed * 1e3:.0f} ms)")
@@ -81,7 +81,7 @@ def test_criterion_01_symmetrizer_algebra():
 
 def test_criterion_02_exponential_matrices():
     swap = np.array([[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=float)
-    assert np.max(np.abs(exp_minus_i_pi_symmetrizer(2).matrix + swap)) == 0.0
+    assert np.max(np.abs(exp_minus_i_pi_symmetrizer(2) + swap)) == 0.0
 
     t = 1.0 / 3.0
     expected_n3 = np.array(
@@ -96,14 +96,14 @@ def test_criterion_02_exponential_matrices():
             [0, 0, 0, 0, 0, 0, 0, -1],
         ]
     )
-    assert np.max(np.abs(exp_minus_i_pi_symmetrizer(3).matrix - expected_n3)) <= 1e-12
+    assert np.max(np.abs(exp_minus_i_pi_symmetrizer(3) - expected_n3)) <= 1e-12
     _report(2)
 
 
 def _ground_energy_by_exact_diagonalization_n3() -> float:
     # projector-sum Hamiltonian of the 3-site open chain, restricted to the
     # triple-symmetric subspace of the 6-qubit embedding
-    term = 2 * (aklt_two_site_projector(S1).matrix - np.eye(16) / 3.0)
+    term = 2 * (aklt_two_site_projector(S1) - np.eye(16) / 3.0)
     h = np.kron(term, np.eye(4)) + np.kron(np.eye(4), term)
     iso = symmetric_subspace_isometry(2)
     triple = np.kron(np.kron(iso, iso), iso)
@@ -130,10 +130,10 @@ def test_criterion_03_ground_state_verification():
         state = embed(oracle_vbs_state(lattice, s)[0])
         for a, b in set(lattice.links):
             qs = encoding.site_qubits[a] + encoding.site_qubits[b]
-            assert applied_norm(state, proj.matrix, qs) <= 1e-10, (lattice.name, a, b)
+            assert applied_norm(state, proj, qs) <= 1e-10, (lattice.name, a, b)
         if s is S1 and lattice.boundary == "open_chain":
             energy = sum(
-                expectation(state, term.matrix, encoding.site_qubits[a] + encoding.site_qubits[b])
+                expectation(state, term, encoding.site_qubits[a] + encoding.site_qubits[b])
                 for a, b in lattice.links
             )
             assert abs(energy - (-2.0 * (lattice.n_sites - 1) / 3.0)) <= 1e-10

@@ -33,6 +33,7 @@ from vbsprep.spinops import SpinValue
 from vbsprep.statesim import Statevector
 
 from oracle_reference import (
+    apply_ops,
     bond_product,
     circuit_unitary_by_columns,
     fidelity,
@@ -105,35 +106,16 @@ def test_hadamard_test_postselection_equals_symmetrizer():
 
     lat = build_chain(2, "open")
     enc = assign_qubits(lat, "hadamard_all")
-    base = bond_product(enc, enc.total_qubits)
     circ = pre_vbs_circuit(lat, enc).extend(hadamard_test_fragment(0, enc, SpinValue(2)).gates)
     state, markers = simulate_circuit(circ)
     data = range(enc.n_data_qubits)
     prob, state = post_select(state, markers, data)
 
-    oracle = base.copy()
-    ratio = oracle.apply_nonunitary_sequence([(symmetrizer(2), enc.site_qubits[0])])
+    oracle = bond_product(enc, enc.total_qubits)
+    ratio = apply_ops(oracle, [(symmetrizer(2), enc.site_qubits[0])])
     assert abs(prob - ratio) < 1e-12
     _, oracle = post_select(oracle, [], data)  # drops the idle ancilla
     assert abs(fidelity(state, oracle) - 1.0) < 1e-10
-
-
-def test_dropped_phase_gate_flips_expected_outcome():
-    lat = build_chain(2, "open")
-    enc = assign_qubits(lat, "hadamard_all")
-
-    phased = hadamard_test_fragment(0, enc, SpinValue(2))
-    plain = hadamard_test_fragment(0, enc, SpinValue(2), drop_phase_gate=True)
-    assert phased.measures()[0].expect == 1
-    assert plain.measures()[0].expect == 0
-    assert plain.metadata["phase_gate_dropped"]
-
-    outs = []
-    for circ in (phased, plain):
-        state, markers = simulate_circuit(pre_vbs_circuit(lat, enc).extend(circ.gates))
-        outs.append(post_select(state, markers, range(enc.n_data_qubits)))
-    assert abs(outs[0][0] - outs[1][0]) < 1e-12
-    assert abs(fidelity(outs[0][1], outs[1][1]) - 1.0) < 1e-12
 
 
 def test_probabilistic_depths():
@@ -519,7 +501,7 @@ def test_register_cap_is_checked_before_any_block(monkeypatch):
 
 
 def _project_each(state: Statevector, markers) -> tuple[float, Statevector]:
-    out = state.copy()
+    out = Statevector(state.n_qubits, state.amps.copy(), state.tracked_norm_sq)
     for m in markers:
         project(out, m.qubit, m.expect)
     return out.tracked_norm_sq, out

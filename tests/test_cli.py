@@ -7,7 +7,7 @@ import pytest
 from vbsprep.cli import EXIT_CHECK_FAILED, EXIT_CONFIG, EXIT_OK, main, parse_lattice
 from vbsprep.errors import ConfigError
 
-from oracle_reference import applied_norm, bond_product, compress, embed, expectation
+from oracle_reference import applied_norm, apply_ops, bond_product, compress, embed, expectation
 
 
 def test_parse_lattice_mini_language():
@@ -41,8 +41,13 @@ _PAIR = {"sites": [0, 1], "links": [[0, 1]]}
         ({**_PAIR, "boundary": "open_chain", "boundary_spins": ["sideways", "up"]}, "'sideways'"),
         ({**_PAIR, "boundary": "weird"}, "'weird'"),
         ({"sites": [0, 1, 2], "links": [[0, 1, 2]]}, "exactly two sites"),
+        # each was once read as the link [0, 1]
+        ({"sites": [0, 1], "links": [[0, 1.7]]}, "lattice link 0 [0, 1.7] must hold integer site ids"),
+        ({"sites": [0, 1], "links": [[0, 1], [0, True]]}, "lattice link 1 [0, true] must hold integer site ids"),
+        ({"sites": [0, 1], "links": [[0, "1"]]}, 'lattice link 0 [0, "1"] must hold integer site ids'),
     ],
-    ids=["sites-not-a-list", "one-boundary-spin", "unknown-boundary-spin", "unknown-boundary", "three-site-link"],
+    ids=["sites-not-a-list", "one-boundary-spin", "unknown-boundary-spin", "unknown-boundary", "three-site-link",
+         "float-site-id", "bool-site-id", "string-site-id"],
 )
 def test_malformed_lattice_file_exits_config(tmp_path, capsys, doc, cause):
     path = tmp_path / "lat.json"
@@ -334,8 +339,8 @@ def test_link_pass_matches_direct_projector_norm_and_expectation(lattice, twice_
     residuals, energies = _link_values(psi, lattice, s)
     pairs = {frozenset(link) for link in lattice.links}
     assert set(residuals) == pairs
-    proj = aklt_two_site_projector(s).matrix
-    term = blbq_hamiltonian_term(1.0 / 3.0).matrix
+    proj = aklt_two_site_projector(s)
+    term = blbq_hamiltonian_term(1.0 / 3.0)
     for a, b in lattice.links:
         qs = encoding.site_qubits[a] + encoding.site_qubits[b]
         direct = applied_norm(st, proj, qs)
@@ -375,7 +380,7 @@ def _state_with_a_broken_link(lattice, s, link: int):
     state = bond_product(encoding, encoding.n_data_qubits)
     state.apply_unitary(np.array([[0, 1], [1, 0]]), (encoding.link_qubits[link][0],))
     sites = [encoding.site_qubits[site] for site in range(lattice.n_sites)]
-    norm_sq = state.apply_nonunitary_sequence([(symmetrizer(len(qs)), qs) for qs in sites])
+    norm_sq = apply_ops(state, [(symmetrizer(len(qs)), qs) for qs in sites])
     return compress(state, [len(qs) + 1 for qs in sites]), norm_sq
 
 

@@ -1,0 +1,39 @@
+"""tools/job_outputs.py compare: which differences between two job dumps fail it."""
+import importlib.util
+import json
+import pathlib
+
+import pytest
+
+_PATH = pathlib.Path(__file__).resolve().parent.parent / "tools" / "job_outputs.py"
+_spec = importlib.util.spec_from_file_location("job_outputs", _PATH)
+job_outputs = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(job_outputs)
+
+_JOB = {"workload": "w", "argv": ["verify", "--seed", "1"], "rc": 0,
+        "stdout": '{"name": "norm", "pass": true, "actual": 0.328125}\n', "stderr": ""}
+
+
+def _dump(path, records):
+    path.write_text("".join(json.dumps(r) + "\n" for r in records))
+    return path
+
+
+@pytest.mark.parametrize(
+    "change, rc, said",
+    [
+        ({}, 0, "1 of 1 jobs byte-identical"),
+        ({"stdout": _JOB["stdout"].replace("0.328125", "0.32812500000000006")}, 0, "largest relative float difference 1.69e-16"),
+        ({"stdout": _JOB["stdout"].replace("true", "false")}, 1, "stdout text differs"),
+        ({"stdout": _JOB["stdout"].replace("norm", "energy")}, 1, "stdout text differs"),
+        ({"stderr": "warning"}, 1, "stderr text differs"),
+        ({"rc": 3}, 1, "exit code 0 != 3"),
+        ({"argv": ["verify", "--seed", "7"]}, 1, "only in"),
+    ],
+    ids=["same", "float", "pass-flag", "check-name", "stderr", "exit-code", "missing-job"],
+)
+def test_compare_fails_on_anything_but_float_digits(tmp_path, capsys, change, rc, said):
+    a = _dump(tmp_path / "a.jsonl", [_JOB])
+    b = _dump(tmp_path / "b.jsonl", [{**_JOB, **change}])
+    assert job_outputs.compare(a, b) == rc
+    assert said in capsys.readouterr().out

@@ -171,7 +171,7 @@ def test_mixed_spin_patch_interior_link_annihilation():
     assert interior
     for a, b in interior:
         qs = enc.site_qubits[a] + enc.site_qubits[b]
-        assert applied_norm(state, proj.matrix, qs) < 1e-10
+        assert applied_norm(state, proj, qs) < 1e-10
 
 
 def test_retry_circuit_carries_reset_markers():

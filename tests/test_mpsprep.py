@@ -295,7 +295,7 @@ def test_forward_disentangle_returns_to_zero():
     n = 4
     tensors = vbs_mps(n, BOUNDARY_OPEN, ("up", "up"))
     state, _ = simulate_circuit(mps_circuit(n, BOUNDARY_OPEN, ("up", "up")))
-    work = state.copy()
+    work = Statevector(state.n_qubits, state.amps.copy())
     first = build_disentangler(tensors[0], ROLE_FIRST_OPEN)
     work.apply_unitary(first.conj().T, (0, 1))
     for i in range(2, n):

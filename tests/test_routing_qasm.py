@@ -67,20 +67,6 @@ def test_route_linear_preserves_semantics(lattice, twice_s):
             assert coupling.connected_subset(g.qubits)
 
 
-def test_route_with_custom_initial_placement():
-    lat = build_chain(2, "open", ("up", "up"))
-    enc = assign_qubits(lat, "hadamard_all")
-    circ = probabilistic_method_circuit(lat, enc, SpinValue(2))
-    coupling = linear_coupling(enc.total_qubits + 2)
-    placement = [5, 3, 0, 1, 6, 7]  # scatter the logical qubits
-    routed = route(circ, coupling, initial_placement=placement)
-    p0, s0 = _run_post_selected(circ, range(enc.n_data_qubits))
-    # the physical qubits no logical qubit lands on stay |0> and are dropped
-    p1, s1 = _run_post_selected(routed.circuit, routed.placement[: enc.n_data_qubits])
-    assert abs(p0 - p1) < 1e-12
-    assert abs(fidelity(s1, s0) - 1.0) < 1e-12
-
-
 def test_route_does_not_fit():
     lat = build_chain(3, "ring")
     enc = assign_qubits(lat, "hadamard_all")

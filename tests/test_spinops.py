@@ -6,7 +6,6 @@ import pytest
 
 from vbsprep.errors import CapExceededError, UnsupportedError
 from vbsprep.spinops import (
-    DenseOperator,
     SpinValue,
     _embed_single,
     aklt_projector_from_product,
@@ -35,12 +34,12 @@ def test_spin_matrices_algebra(twice_s):
     sx, sy, sz = spin_matrices(SpinValue(twice_s))
     s = twice_s / 2.0
     for op in (sx, sy, sz):
-        assert np.max(np.abs(op.matrix - op.matrix.conj().T)) <= TOL
-        assert op.dim == twice_s + 1
+        assert np.max(np.abs(op - op.conj().T)) <= TOL
+        assert op.shape == (twice_s + 1, twice_s + 1)
     # [Sx, Sy] = i Sz
-    assert np.max(np.abs(commutator(sx.matrix, sy.matrix) - 1j * sz.matrix)) < TOL
+    assert np.max(np.abs(commutator(sx, sy) - 1j * sz)) < TOL
     # Casimir S(S+1)
-    casimir = sx.matrix @ sx.matrix + sy.matrix @ sy.matrix + sz.matrix @ sz.matrix
+    casimir = sx @ sx + sy @ sy + sz @ sz
     assert np.max(np.abs(casimir - s * (s + 1) * np.eye(twice_s + 1))) < TOL
 
 
@@ -57,7 +56,7 @@ def test_permutation_and_embedding_match_their_loops(n):
             ref[sum(b << (n - 1 - q) for q, b in enumerate(new_bits)), idx] = 1.0
         got = permutation_operator(perm)
         assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
-    for op in (*(o.matrix for o in spin_matrices(SpinValue(1))), np.array([[0.3, -0.0], [0.0, -2.5]])):
+    for op in (*(o for o in spin_matrices(SpinValue(1))), np.array([[0.3, -0.0], [0.0, -2.5]])):
         for pos in range(n):
             ref = np.array([[1.0 + 0j]])
             for k in range(n):
@@ -68,34 +67,34 @@ def test_permutation_and_embedding_match_their_loops(n):
 
 def test_spin_half_z():
     _, _, sz = spin_matrices(SpinValue(1))
-    assert np.allclose(sz.matrix, np.diag([0.5, -0.5]), atol=TOL)
+    assert np.allclose(sz, np.diag([0.5, -0.5]), atol=TOL)
 
 
 def test_spin_one_z():
     _, _, sz = spin_matrices(SpinValue(2))
-    assert np.allclose(sz.matrix, np.diag([1.0, 0.0, -1.0]), atol=TOL)
+    assert np.allclose(sz, np.diag([1.0, 0.0, -1.0]), atol=TOL)
 
 
 def test_total_spin_squared_two_halves():
     expected = np.array(
         [[2, 0, 0, 0], [0, 1, 1, 0], [0, 1, 1, 0], [0, 0, 0, 2]], dtype=float
     )
-    assert np.max(np.abs(total_spin_squared(2).matrix - expected)) < TOL
+    assert np.max(np.abs(total_spin_squared(2) - expected)) < TOL
 
 
 def test_total_spin_squared_three_halves_corners():
-    m = total_spin_squared(3).matrix
+    m = total_spin_squared(3)
     assert abs(m[0, 0] - 15 / 4) < TOL and abs(m[7, 7] - 15 / 4) < TOL
 
 
 def test_total_spin_squared_single():
-    m = total_spin_squared(1).matrix
+    m = total_spin_squared(1)
     assert np.max(np.abs(m - 0.75 * np.eye(2))) < TOL
 
 
 def test_total_spin_squared_eigenvalues_are_s_times_s_plus_1():
     for n in (2, 3, 4):
-        vals = np.linalg.eigvalsh(total_spin_squared(n).matrix)
+        vals = np.linalg.eigvalsh(total_spin_squared(n))
         allowed = {s * (s + 1) for s in np.arange(n / 2.0, -0.1, -1.0)}
         for v in vals:
             assert min(abs(v - a) for a in allowed) < 1e-10
@@ -109,15 +108,15 @@ def test_total_spin_cap():
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_symmetrizer_is_projector_with_right_trace(n):
     s = symmetrizer(n)
-    assert np.max(np.abs(s.matrix - s.matrix.conj().T)) <= TOL
-    assert np.max(np.abs(s.matrix @ s.matrix - s.matrix)) <= TOL
-    assert abs(np.trace(s.matrix).real - (n + 1)) < TOL
+    assert np.max(np.abs(s - s.conj().T)) <= TOL
+    assert np.max(np.abs(s @ s - s)) <= TOL
+    assert abs(np.trace(s).real - (n + 1)) < TOL
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_symmetrizer_constructions_agree(n):
-    a = symmetrizer(n).matrix
-    b = symmetrizer_from_spin_projector(n).matrix
+    a = symmetrizer(n)
+    b = symmetrizer_from_spin_projector(n)
     assert np.max(np.abs(a - b)) < TOL
 
 
@@ -125,11 +124,11 @@ def test_symmetrizer_two_halves_matrix():
     expected = np.array(
         [[1, 0, 0, 0], [0, 0.5, 0.5, 0], [0, 0.5, 0.5, 0], [0, 0, 0, 1]], dtype=float
     )
-    assert np.max(np.abs(symmetrizer(2).matrix - expected)) < TOL
+    assert np.max(np.abs(symmetrizer(2) - expected)) < TOL
 
 
 def test_symmetrizer_three_halves_matrix():
-    s = symmetrizer(3).matrix
+    s = symmetrizer(3)
     third = 1.0 / 3.0
     assert abs(s[0, 0] - 1) < TOL and abs(s[7, 7] - 1) < TOL
     for i, j in ((1, 2), (1, 4), (2, 4), (3, 5), (3, 6), (5, 6)):
@@ -138,30 +137,30 @@ def test_symmetrizer_three_halves_matrix():
 
 
 def test_symmetrizer_single_is_identity():
-    assert np.max(np.abs(symmetrizer(1).matrix - np.eye(2))) < TOL
+    assert np.max(np.abs(symmetrizer(1) - np.eye(2))) < TOL
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_exponential_is_one_minus_twice_symmetrizer(n):
     e = exp_minus_i_pi_symmetrizer(n)
     s = symmetrizer(n)
-    assert np.max(np.abs(e.matrix - (np.eye(s.dim) - 2 * s.matrix))) < TOL
-    assert np.max(np.abs(e.matrix.conj().T @ e.matrix - np.eye(e.dim))) <= TOL
-    assert np.max(np.abs(e.matrix - e.matrix.conj().T)) <= TOL
-    assert np.max(np.abs(e.matrix @ e.matrix - np.eye(s.dim))) < TOL
+    assert np.max(np.abs(e - (np.eye(len(s)) - 2 * s))) < TOL
+    assert np.max(np.abs(e.conj().T @ e - np.eye(len(e)))) <= TOL
+    assert np.max(np.abs(e - e.conj().T)) <= TOL
+    assert np.max(np.abs(e @ e - np.eye(len(s)))) < TOL
 
 
 def test_exponential_two_halves_is_minus_swap():
     swap = np.array([[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=float)
-    assert np.max(np.abs(exp_minus_i_pi_symmetrizer(2).matrix + swap)) == 0.0
+    assert np.max(np.abs(exp_minus_i_pi_symmetrizer(2) + swap)) == 0.0
 
 
 def test_exponential_single_is_minus_identity():
-    assert np.max(np.abs(exp_minus_i_pi_symmetrizer(1).matrix + np.eye(2))) < TOL
+    assert np.max(np.abs(exp_minus_i_pi_symmetrizer(1) + np.eye(2))) < TOL
 
 
 def test_projector_fixes_highest_weight_state():
-    p = aklt_two_site_projector(SpinValue(2)).matrix
+    p = aklt_two_site_projector(SpinValue(2))
     v = np.zeros(16)
     v[0] = 1.0  # all four qubits up: the m=2 state of the total-spin-2 sector
     assert np.max(np.abs(p @ v - v)) < TOL
@@ -169,7 +168,7 @@ def test_projector_fixes_highest_weight_state():
 
 @pytest.mark.parametrize("twice_s", [2, 3])
 def test_projector_eigenvalues_on_doubly_symmetric_subspace(twice_s):
-    p = aklt_two_site_projector(SpinValue(twice_s)).matrix
+    p = aklt_two_site_projector(SpinValue(twice_s))
     iso = symmetric_subspace_isometry(twice_s)
     pair = np.kron(iso, iso)
     restricted = pair.conj().T @ p @ pair
@@ -181,8 +180,8 @@ def test_projector_eigenvalues_on_doubly_symmetric_subspace(twice_s):
 def test_projector_coefficients_match_product_form(twice_s):
     # The polynomial assumes each site's Casimir takes its spin-S value, so
     # the two constructions agree on the doubly-symmetric subspace.
-    poly = aklt_two_site_projector(SpinValue(twice_s)).matrix
-    prod = aklt_projector_from_product(SpinValue(twice_s)).matrix
+    poly = aklt_two_site_projector(SpinValue(twice_s))
+    prod = aklt_projector_from_product(SpinValue(twice_s))
     iso = symmetric_subspace_isometry(twice_s)
     pair = np.kron(iso, iso)
     lhs = pair.conj().T @ poly @ pair
@@ -218,7 +217,7 @@ def test_projector_rescaled_to_unit_bilinear_gives_model_coefficients():
 
 def test_symmetrizer_eigenstructure_three_halves():
     # eigenvalue-1 space = the four exchange-symmetric states
-    s = symmetrizer(3).matrix
+    s = symmetrizer(3)
     sym_states = [
         np.array([1, 0, 0, 0, 0, 0, 0, 0], dtype=float),
         np.array([0, 1, 1, 0, 1, 0, 0, 0], dtype=float) / np.sqrt(3),
@@ -232,13 +231,13 @@ def test_symmetrizer_eigenstructure_three_halves():
 
 
 def test_blbq_projector_identity_at_beta_one_third():
-    term = blbq_hamiltonian_term(1.0 / 3.0).matrix
-    p = aklt_two_site_projector(SpinValue(2)).matrix
+    term = blbq_hamiltonian_term(1.0 / 3.0)
+    p = aklt_two_site_projector(SpinValue(2))
     assert np.max(np.abs(term - 2 * (p - np.eye(16) / 3))) < TOL
 
 
 def test_blbq_beta_zero_is_bilinear():
-    assert np.max(np.abs(blbq_hamiltonian_term(0.0).matrix - two_site_spin_dot(SpinValue(2)))) < TOL
+    assert np.max(np.abs(blbq_hamiltonian_term(0.0) - two_site_spin_dot(SpinValue(2)))) < TOL
 
 
 def test_symmetric_fraction_values():
@@ -249,9 +248,28 @@ def test_symmetric_fraction_values():
     assert symmetric_fraction(4) == Fraction(5, 16)
 
 
-def test_dense_operator_rejects_nonfinite():
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: spin_matrices(SpinValue(2))[0],
+        lambda: spin_matrices(SpinValue(3))[1],
+        lambda: total_spin_squared(3),
+        lambda: symmetrizer(3),
+        lambda: symmetrizer_from_spin_projector(3),
+        lambda: exp_minus_i_pi_symmetrizer(2),
+        lambda: aklt_two_site_projector(SpinValue(2)),
+        lambda: aklt_projector_from_product(SpinValue(3)),
+        lambda: blbq_hamiltonian_term(0.5),
+    ],
+    ids=["Sx", "Sy", "S_total^2", "symmetrizer", "symmetrizer_from_spin_projector", "exp_minus_i_pi_symmetrizer",
+         "aklt_two_site_projector", "aklt_projector_from_product", "blbq_hamiltonian_term"],
+)
+def test_every_operator_is_a_read_only_complex_square_array(build):
+    op = build()
+    assert type(op) is np.ndarray and op.dtype == complex
+    assert op.ndim == 2 and op.shape[0] == op.shape[1]
     with pytest.raises(ValueError):
-        DenseOperator(np.array([[np.inf, 0], [0, 1]]))
+        op[0, 0] = 1.0
 
 
 @pytest.mark.parametrize("twice_s", [2, 3])
@@ -270,7 +288,7 @@ def test_spin_basis_link_projector_is_idempotent(twice_s):
     # the top total spin 2S of two spin-S sites has 4S+1 states
     assert round(np.trace(p)) == 2 * twice_s + 1
     pair = np.kron(symmetric_subspace_isometry(twice_s), symmetric_subspace_isometry(twice_s))
-    assert np.max(np.abs(pair @ p @ pair.T - pair @ pair.T @ aklt_two_site_projector(s).matrix @ pair @ pair.T)) < TOL
+    assert np.max(np.abs(pair @ p @ pair.T - pair @ pair.T @ aklt_two_site_projector(s) @ pair @ pair.T)) < TOL
     if twice_s == 2:
         assert np.max(np.abs(h - (2 * p - 2.0 / 3.0 * np.eye(d * d)))) < TOL
     else:
@@ -288,6 +306,6 @@ def test_symmetric_subspace_isometry_is_the_closed_form_dicke_basis(n_halves):
     iso = symmetric_subspace_isometry(n_halves)
     assert iso.shape == (2**n_halves, n_halves + 1)
     assert np.max(np.abs(iso.T @ iso - np.eye(n_halves + 1))) < TOL
-    assert np.max(np.abs(iso @ iso.T - symmetrizer(n_halves).matrix)) < TOL
+    assert np.max(np.abs(iso @ iso.T - symmetrizer(n_halves))) < TOL
     for index, row in enumerate(iso):
         assert np.count_nonzero(row) == 1 and row.argmax() == bin(index).count("1")

@@ -9,7 +9,7 @@ from vbsprep.errors import CapExceededError, ImpossibleOutcomeError, NonUnitaryE
 from vbsprep.spinops import symmetrizer
 from vbsprep.statesim import Statevector
 
-from oracle_reference import expectation, fidelity, outer_then_sequence, overlap, zero_state
+from oracle_reference import apply_ops, expectation, fidelity, outer_then_sequence, overlap, zero_state
 
 SWAP = np.array([[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex)
 SINGLET = np.array([0, 1, -1, 0], dtype=complex) / np.sqrt(2)
@@ -96,32 +96,29 @@ def test_unitary_preserves_norm():
     assert abs(np.vdot(st.amps, st.amps).real - 1.0) < 1e-12
 
 
-def test_apply_nonunitary_symmetrizer_ratio():
+def test_product_symmetrizer_ratio():
     # single bulk site of a bond product: the double-bond ring on two sites
-    st = Statevector.product_of_factors(4, [((0, 1), SINGLET), ((2, 3), SINGLET)])
-    ratio = st.apply_nonunitary_sequence([(symmetrizer(2), (1, 2))])
-    assert abs(ratio - 0.75) < 1e-12
+    st = Statevector.product_of_factors(4, [((0, 1), SINGLET), ((2, 3), SINGLET)], [(symmetrizer(2), (1, 2))])
     assert abs(st.tracked_norm_sq - 0.75) < 1e-12
     assert abs(np.vdot(st.amps, st.amps).real - 1.0) < 1e-12
 
 
-def test_apply_nonunitary_three_halves_ratio():
+def test_product_three_halves_ratio():
     st = Statevector.product_of_factors(
-        6, [((0, 1), SINGLET), ((2, 3), SINGLET), ((4, 5), SINGLET)]
+        6, [((0, 1), SINGLET), ((2, 3), SINGLET), ((4, 5), SINGLET)], [(symmetrizer(3), (1, 3, 5))]
     )
-    ratio = st.apply_nonunitary_sequence([(symmetrizer(3), (1, 3, 5))])
-    assert abs(ratio - 0.5) < 1e-12
+    assert abs(st.tracked_norm_sq - 0.5) < 1e-12
 
 
-def test_apply_nonunitary_identity():
-    st = zero_state(3)
-    assert abs(st.apply_nonunitary_sequence([(np.eye(2), (1,))]) - 1.0) < 1e-12
+def test_product_identity_op():
+    zero = np.array([1, 0], dtype=complex)
+    st = Statevector.product_of_factors(3, [((q,), zero) for q in range(3)], [(np.eye(2), (1,))])
+    assert abs(st.tracked_norm_sq - 1.0) < 1e-12
 
 
-def test_apply_nonunitary_zero_norm_is_impossible_outcome():
-    st = Statevector(1, np.zeros(2, dtype=complex))
+def test_product_zero_norm_is_impossible_outcome():
     with pytest.raises(ImpossibleOutcomeError):
-        st.apply_nonunitary_sequence([(np.eye(2), (0,))])
+        Statevector.product_of_factors(1, [((0,), np.zeros(2, dtype=complex))], [(np.eye(2), (0,))])
 
 
 def test_overlap_and_fidelity():
@@ -334,11 +331,11 @@ def _ops_cases(rng):
 
 @pytest.mark.parametrize("tile", [statesim.TILE, 1 << 5], ids=["one-tile", "multi-tile"])
 def test_product_of_factors_applies_ops_as_the_product_grows(tile, monkeypatch):
-    """Equal to the product then one apply_nonunitary_sequence(ops), in amplitudes and ratio."""
+    """Equal to the outer product then every op by tensordot, in amplitudes and ratio."""
     monkeypatch.setattr(statesim, "TILE", tile)
     cases = list(_ops_cases(np.random.default_rng(47)))
-    references = [Statevector.product_of_factors(n, factors) for n, factors, _ in cases]
-    ratios = [ref.apply_nonunitary_sequence(ops) for ref, (_, _, ops) in zip(references, cases)]
+    references = [outer_then_sequence(n, factors, ops) for n, factors, ops in cases]
+    ratios = [ref.tracked_norm_sq for ref in references]
     widths = []  # of each join that composes an op: a bare factor joins as one column
     joined = statesim._joined
     monkeypatch.setattr(statesim, "_joined", lambda tensor, cols, axes, new, norms=None: widths.extend(
@@ -609,13 +606,12 @@ def test_in_place_kernel_matches_einsum_on_every_layout(tile, monkeypatch):
         # in place on a state of several tiles; a state of one tile takes the kernel's fresh output
         assert (st.amps is amps) == (v.size > tile), qubits
         assert np.max(np.abs(st.amps - _einsum_apply(v, u, qubits, n))) < 1e-12, qubits
-        st = Statevector.from_amplitudes(v)
-        ratio = st.apply_nonunitary_sequence([(mat, qubits)])
-        assert ratio == pytest.approx(np.linalg.norm(expected) ** 2, rel=1e-12)
+        st = Statevector.product_of_factors(n, [(tuple(range(n)), v)], [(mat, qubits)])
+        assert st.tracked_norm_sq == pytest.approx(np.linalg.norm(expected) ** 2, rel=1e-12)
         assert np.max(np.abs(st.amps - expected / np.linalg.norm(expected))) < 1e-12, qubits
 
 
-@pytest.mark.parametrize("method", ["apply_unitary", "apply_nonunitary_sequence", "spin_fidelity", "expectation"])
+@pytest.mark.parametrize("method", ["apply_unitary", "spin_fidelity", "expectation"])
 def test_operators_allocate_less_than_an_eighth_of_the_state(method):
     """On 20 qubits, each operator call takes tile-sized scratch only, whatever the target layout."""
     import tracemalloc
@@ -629,7 +625,6 @@ def test_operators_allocate_less_than_an_eighth_of_the_state(method):
         u, _ = np.linalg.qr(rng.normal(size=(2**k, 2**k)) + 1j * rng.normal(size=(2**k, 2**k)))
         call = {
             "apply_unitary": lambda: st.apply_unitary(u, qubits),
-            "apply_nonunitary_sequence": lambda: st.apply_nonunitary_sequence([(u, qubits), (u, qubits)]),
             "spin_fidelity": lambda: st.spin_fidelity(psi),
             "expectation": lambda: expectation(st, u + u.conj().T, qubits),
         }[method]
@@ -668,81 +663,88 @@ def test_joins_allocate_the_grown_state_and_an_eighth(qubits, new):
     assert peak - start <= st.amps.nbytes * (1 + 1 / 8)
 
 
-def test_normalize_once_matches_renormalizing_after_every_operator():
-    """apply_nonunitary_sequence: one renormalization, the per-operator product of ratios and states."""
+def _random_product(n: int, rng) -> list:
+    """Unnormalized factors of one to three qubits over range(n), listed out of order."""
+    qubits, factors = [int(q) for q in rng.permutation(n)], []
+    while qubits:
+        m = min(len(qubits), int(rng.integers(1, 4)))
+        factors.append((tuple(qubits[:m]), _random_state(m, rng) * rng.uniform(0.5, 2.0)))
+        qubits = qubits[m:]
+    return factors
+
+
+def test_product_ops_normalize_once_to_the_product_of_per_op_ratios(monkeypatch):
+    """Ops that fit a block and ops too wide for one: one renormalization, the product of per-op ratios."""
+    applied = []  # ops that fit no block act on the whole product through _apply
+    apply = Statevector._apply
+    monkeypatch.setattr(Statevector, "_apply", lambda self, *a: applied.append(a[1]) or apply(self, *a))
     rng = np.random.default_rng(9)
-    for _ in range(12):
-        n = int(rng.integers(3, 9))
-        ops = []
-        for _ in range(int(rng.integers(1, 5))):
-            k = int(rng.integers(1, 4))
+    wide = 0
+    for _ in range(16):
+        n = int(rng.integers(6, 11))
+        factors, ops = _random_product(n, rng), []
+        for _ in range(int(rng.integers(1, 6))):
+            k = int(rng.integers(1, 6))
             qubits = tuple(int(q) for q in rng.choice(n, size=k, replace=False))
             ops.append((rng.normal(size=(2**k, 2**k)) + 1j * rng.normal(size=(2**k, 2**k)), qubits))
-        v = _random_state(n, rng) * rng.uniform(0.5, 2.0)  # not normalized: the ratio divides by ||psi||^2
-        step = Statevector(n, v.copy(), tracked_norm_sq=0.5)
-        ratios = [step.apply_nonunitary_sequence([(op, qubits)]) for op, qubits in ops]
-        once = Statevector(n, v.copy(), tracked_norm_sq=0.5)
-        ratio = once.apply_nonunitary_sequence(ops)
-        assert ratio == pytest.approx(np.prod(ratios), rel=1e-12)
-        assert once.tracked_norm_sq == pytest.approx(step.tracked_norm_sq, rel=1e-12)
-        assert np.max(np.abs(once.amps - step.amps)) < 1e-12
-        assert abs(np.linalg.norm(once.amps) - 1.0) < 1e-12
-    v = _random_state(4, rng)
-    st = Statevector.from_amplitudes(v)
-    before = st.amps
-    assert st.apply_nonunitary_sequence([]) == pytest.approx(1.0, rel=1e-15)
-    assert st.amps is before  # renormalized in the state's own array
-    assert np.max(np.abs(st.amps - v)) < 1e-15
+        step = outer_then_sequence(n, factors)
+        ratios = [apply_ops(step, [op]) for op in ops]
+        st = Statevector.product_of_factors(n, factors, ops)
+        assert st.tracked_norm_sq == pytest.approx(np.prod(ratios), rel=1e-12)
+        assert np.max(np.abs(st.amps - step.amps)) < 1e-12
+        assert abs(np.linalg.norm(st.amps) - 1.0) < 1e-12
+        wide += bool(applied)
+        applied.clear()
+    assert 0 < wide < 16  # some products applied an op to the whole product, some composed every op into blocks
 
 
-def test_a_nonunitary_op_may_join_qubits_in_zero():
-    """(op, qubits, new_qubits) equals the op on the state grown by |0> on the new qubits, renormalized."""
-    rng = np.random.default_rng(12)
-    for n, qubits, new in [(3, (1, 2), (2,)), (16, (0, 3, 5), (0, 5)), (16, (9, 10), (10,)), (2, (2, 0, 1), (2,))]:
-        k, grown = len(qubits), n + len(new)
-        op = rng.normal(size=(2**k, 2**k)) + 1j * rng.normal(size=(2**k, 2**k))
-        v = _random_state(n, rng)
-        ref = np.zeros(2**grown, dtype=complex).reshape([2] * grown)
-        ref[tuple(0 if a in new else slice(None) for a in range(grown))] = v.reshape([2] * n)
-        expected = _einsum_apply(ref.reshape(-1), op, qubits, grown)
-        st = Statevector(n, v.copy(), tracked_norm_sq=0.5)
-        ratio = st.apply_nonunitary_sequence([(op, qubits, new)])
-        assert st.n_qubits == grown
-        assert ratio == pytest.approx(np.linalg.norm(expected) ** 2, rel=1e-12)
-        assert st.tracked_norm_sq == pytest.approx(0.5 * ratio, rel=1e-15)
-        assert np.max(np.abs(st.amps - expected / np.linalg.norm(expected))) < 1e-12
-
-
-def test_normalize_once_raises_on_an_annihilating_operator_or_a_zero_state():
+def test_product_ops_raise_on_an_annihilating_op_or_a_zero_product():
     rng = np.random.default_rng(10)
     up, down = np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
     ops = [(symmetrizer(2), (0, 1)), (up, (2,)), (down, (2,)), (symmetrizer(2), (2, 3))]  # annihilates in the middle
-    with pytest.raises(ImpossibleOutcomeError):
-        Statevector.from_amplitudes(_random_state(4, rng)).apply_nonunitary_sequence(ops)
-    for operators in (ops[:1], ops[:2], []):
+    too_wide = [(np.eye(64), (0, 1, 2, 3, 4, 5))]  # fits no block: it and the ops after it act on the whole product
+    factors = [((0, 1), _random_state(2, rng)), ((2, 3), _random_state(2, rng)), ((4, 5), _random_state(2, rng))]
+    zeros = [(qs, np.zeros(4, dtype=complex)) for qs, _ in factors]
+    for head in ([], too_wide):
         with pytest.raises(ImpossibleOutcomeError):
-            Statevector(4, np.zeros(16, dtype=complex)).apply_nonunitary_sequence(operators)
+            Statevector.product_of_factors(6, factors, head + ops)
+        for operators in (ops[:1], ops[:2]):
+            with pytest.raises(ImpossibleOutcomeError):
+                Statevector.product_of_factors(6, zeros, head + operators)
     tiny = np.diag([1.0, 1e-8])  # a ratio of 1e-16 on |1>, below PROB_FLOOR
     with pytest.raises(ImpossibleOutcomeError):
-        Statevector.from_amplitudes([0, 1]).apply_nonunitary_sequence([(tiny, (0,))])
+        Statevector.product_of_factors(1, [((0,), np.array([0, 1]))], [(tiny, (0,))])
 
 
-def test_normalize_once_keeps_at_most_one_extra_state_alive():
-    """Each operator's output replaces its input: the input of the first one is not held."""
+def test_product_ops_too_wide_for_a_block_allocate_less_than_an_eighth_of_the_state(monkeypatch):
+    """On 20 qubits: each op on the whole product takes tile-sized scratch; the call, the product, the state it grew from and an eighth."""
     import tracemalloc
 
-    n = 16
-    v = _random_state(n, np.random.default_rng(11))
-    ops = [(symmetrizer(2), (q, q + 1)) for q in range(0, n, 2)]
+    n = 20
+    extra, peaks = [], []  # beyond the state, during each op on the whole product; the peak before each
+    apply = Statevector._apply
+
+    def traced(self, *args):
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        apply(self, *args)
+        extra.append(tracemalloc.get_traced_memory()[1] - start)
+
+    monkeypatch.setattr(Statevector, "_apply", traced)
+    factors = [((q, q + 1), SINGLET) for q in range(0, n, 2)]
+    ops = [(symmetrizer(2), (q, q + 1)) for q in range(1, n - 1, 2)]
+    ops.insert(0, (np.eye(64), (0, 3, 6, 9, 12, 15)))  # fits no block: every op acts on the whole product
     tracemalloc.start()
     try:
-        st = Statevector.from_amplitudes(v)  # traced, so that freeing it counts
         start = tracemalloc.get_traced_memory()[0]
-        st.apply_nonunitary_sequence(ops)
-        peak = tracemalloc.get_traced_memory()[1]
+        st = Statevector.product_of_factors(n, factors, ops)
+        peak = max(peaks + [tracemalloc.get_traced_memory()[1]])
     finally:
         tracemalloc.stop()
-    assert peak - start <= 1.25 * st.amps.nbytes  # the output of one operator, with room for small buffers
+    assert len(extra) == len(ops)
+    assert max(extra) < st.amps.nbytes / 8
+    assert peak - start <= st.amps.nbytes * (1 + 1 / 4 + 1 / 8)  # the last join holds the 18-qubit state it grew from
 
 
 @pytest.mark.parametrize("tile", [1 << 5, statesim.TILE])

@@ -1,0 +1,125 @@
+"""Every benchmark job's exit code and output, dumped per checkout and compared.
+
+    OPENBLAS_NUM_THREADS=1 python3 tools/job_outputs.py dump OUT.jsonl [--checkout DIR]
+    python3 tools/job_outputs.py compare A.jsonl B.jsonl
+
+`dump` runs every job of every workload in `perfbench/workloads.py`, at
+seeds 1 and 7, through `vbsprep.cli.main(argv)` in this one process, with
+the `src/` and the workload list of the checkout at DIR (by default the one
+this file sits in).  The workload file is only read: no bytecode is written
+beside it.  It writes one JSON line per job: workload, argv, exit code,
+stdout and stderr.  Set OPENBLAS_NUM_THREADS=1: a threaded BLAS may sum in
+another order from run to run, and so move the last digits of a float.
+
+`compare` counts the jobs whose exit code, stdout and stderr are byte for
+byte the same in A and B, and lists every other job with the largest
+relative difference between the floats of its outputs.  It exits 1 if a job
+is missing from either file, or an exit code or any text beside the numbers
+differs (check names and pass flags included), else 0.
+"""
+from __future__ import annotations
+
+import argparse
+import contextlib
+import importlib.util
+import io
+import json
+import re
+import sys
+from pathlib import Path
+
+SEEDS = (1, 7)
+NUMBER = re.compile(r"-?\d+(?:\.\d+)?(?:[eE][-+]?\d+)?")
+STREAMS = ("stdout", "stderr")
+
+
+def _workloads(checkout: Path):
+    """The WORKLOADS table of the checkout's perfbench/workloads.py."""
+    spec = importlib.util.spec_from_file_location("workloads", checkout / "perfbench" / "workloads.py")
+    module = sys.modules["workloads"] = importlib.util.module_from_spec(spec)  # its dataclass looks itself up there
+    spec.loader.exec_module(module)
+    return module.WORKLOADS
+
+
+def dump(path: Path, checkout: Path) -> int:
+    sys.dont_write_bytecode = True
+    sys.path.insert(0, str(checkout / "src"))
+    import vbsprep.cli
+
+    with open(path, "w") as out:
+        for seed in SEEDS:
+            for workload, jobs in _workloads(checkout).items():
+                for job in jobs(seed):
+                    stdout, stderr = io.StringIO(), io.StringIO()
+                    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                        try:
+                            rc = vbsprep.cli.main(list(job.argv))
+                        except SystemExit as exc:  # argparse rejects a command line
+                            rc = exc.code
+                        except Exception as exc:  # a traceback is an outcome to compare too
+                            rc = f"{type(exc).__name__}: {exc}"
+                    record = {"workload": workload, "argv": list(job.argv), "rc": rc,
+                              "stdout": stdout.getvalue(), "stderr": stderr.getvalue()}
+                    out.write(json.dumps(record) + "\n")
+    return 0
+
+
+def _load(path: Path) -> dict:
+    with open(path) as f:
+        records = [json.loads(line) for line in f]
+    return {(r["workload"], tuple(r["argv"])): r for r in records}
+
+
+def _relative_difference(a: str, b: str) -> float:
+    x, y = float(a), float(b)
+    scale = max(abs(x), abs(y))
+    return abs(x - y) / scale if scale else 0.0
+
+
+def compare(path_a: Path, path_b: Path) -> int:
+    a, b = _load(path_a), _load(path_b)
+    failed = False
+    for key in sorted(a.keys() ^ b.keys()):
+        print(f"only in {path_a if key in a else path_b}: {key[0]} {' '.join(key[1])}")
+        failed = True
+    identical = 0
+    for key in sorted(a.keys() & b.keys()):
+        ra, rb = a[key], b[key]
+        if all(ra[f] == rb[f] for f in ("rc", *STREAMS)):
+            identical += 1
+            continue
+        line = f"{key[0]} {' '.join(key[1])}:"
+        if ra["rc"] != rb["rc"]:
+            print(f"{line} exit code {ra['rc']!r} != {rb['rc']!r}")
+            failed = True
+            continue
+        worst = 0.0
+        for stream in STREAMS:
+            if NUMBER.split(ra[stream]) != NUMBER.split(rb[stream]):
+                print(f"{line} {stream} text differs")
+                failed = True
+                break
+            worst = max([worst, *map(_relative_difference, NUMBER.findall(ra[stream]), NUMBER.findall(rb[stream]))])
+        else:
+            print(f"{line} largest relative float difference {worst:.3g}")
+    print(f"{identical} of {len(a.keys() | b.keys())} jobs byte-identical")
+    return 1 if failed else 0
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    commands = parser.add_subparsers(dest="command", required=True)
+    dumper = commands.add_parser("dump", help="run every workload job and write its outputs")
+    dumper.add_argument("path", type=Path)
+    dumper.add_argument("--checkout", type=Path, default=Path(__file__).resolve().parent.parent)
+    comparer = commands.add_parser("compare", help="compare two dumps")
+    comparer.add_argument("a", type=Path)
+    comparer.add_argument("b", type=Path)
+    args = parser.parse_args(argv)
+    if args.command == "dump":
+        return dump(args.path, args.checkout.resolve())
+    return compare(args.a, args.b)
+
+
+if __name__ == "__main__":
+    sys.exit(main())
