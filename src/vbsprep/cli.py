@@ -209,15 +209,17 @@ def cmd_verify(args) -> int:
     validate_config(lattice, args.spin, args.method)
     s = SpinValue(args.spin)
     psi, norm_sq = oracle_vbs_state(lattice, s)
-    # only the route's fidelity is checked, so its states are not kept through the link pass
-    route_fidelity = ROUTES[args.method](lattice, s, args.seed)["state"].spin_fidelity(psi)
+    result = ROUTES[args.method](lattice, s, args.seed)
 
     report = analysis.Report(
         method=args.method,
         lattice=lattice.to_json_dict(),
         config={"spin": args.spin, "seed": args.seed, "shots": args.shots, "coupling": args.coupling},
     )
-    report.add_check("route_fidelity", 1.0, route_fidelity, 1e-10)
+    # only the fidelities are checked, so the route's states are not kept through the link pass
+    report.add_check("route_fidelity", 1.0, result.pop("state").spin_fidelity(psi), 1e-10)
+    if args.coupling != "all_to_all":
+        _routed_checks(args, lattice, result, psi, report)
     closed = _analytic_norm(lattice, args.spin)
     if closed is not None:
         report.analytic["norm_closed_form"] = closed

@@ -13,6 +13,7 @@ deterministic.
 from __future__ import annotations
 
 import cmath
+import copy
 import math
 import struct
 from dataclasses import dataclass, field
@@ -362,16 +363,33 @@ def _segments(gates: list) -> dict[int, tuple[int, list[int]]]:
 class _Run:
     """One simulation in progress, shared by simulate_circuit and simulate_post_selected.
 
-    `state` holds an axis per `live` qubit, in qubit order (none before the
-    first block), its squared norm carried in `norm_sq`: no fold scales it,
-    `select` does.  `value` maps a qubit dropped on a marker to the outcome
-    it holds until it joins again.  `blocks` keeps the block matrices the
-    call composed, by their `_block_key` and slice.
+    `gates` act on wires (`wire` maps a qubit to its wire at the end, and
+    `given` a renamed gate's id to its first qubit as given).  `state` holds
+    an axis per `live` wire, in wire order (none before the first block),
+    its squared norm carried in `norm_sq`: no fold scales it, `select` does.
+    `value` maps a wire dropped on a marker to the outcome it holds until it
+    joins again.  `blocks` keeps the block matrices the call composed, by
+    their `_block_key` and slice.
     """
 
     def __init__(self, circuit: Circuit):
         self.n = _checked_width(circuit.n_qubits)
-        self.gates = circuit.gates
+        self.gates, self.wire, self.given = [], list(range(self.n)), {}  # `run` states the rename rule
+        gates, wire, skip, moved = circuit.gates, self.wire, 0, False
+        for i, g in enumerate(gates):
+            if skip:
+                skip -= 1
+            elif isinstance(g, CNot) and gates[i + 2 : i + 3] == [g] and gates[i + 1] == CNot(g.target, g.control):
+                wire[g.control], wire[g.target] = wire[g.target], wire[g.control]
+                skip, moved = 2, True
+            elif not moved or all(wire[q] == q for q in (*g.qubits, *getattr(g, "retry_reset", ()))):
+                self.gates.append(g)
+            else:  # a copy, with no __post_init__: an Opaque's matrix is neither composed nor checked again
+                self.gates.append(copy.copy(g))
+                for name in g.__dict__.keys() & {"control", "target", "qubit", "qubits", "retry_reset"}:
+                    q = getattr(g, name)
+                    object.__setattr__(self.gates[-1], name, wire[q] if isinstance(q, int) else tuple(wire[p] for p in q))
+                self.given[id(self.gates[-1])] = g.qubits[0]
         self.state = Statevector(0, np.ones(1, dtype=complex))  # no qubit until the first block
         self.norm_sq = 1.0
         self.live: list[int] = []
@@ -402,9 +420,19 @@ class _Run:
             raise
 
     def make_live(self, qubits) -> None:
+        """Join each qubit that is not live, in the value it holds: the identity's columns flipped where it holds 1."""
         for q in qubits:
             if q not in self.live:
-                self.apply(_IDENTITY_1Q, [q])
+                self.apply(_IDENTITY_1Q[::-1] if self.value.get(q) else _IDENTITY_1Q, [q])
+
+    def drop(self, markers: list[Measure]) -> None:
+        """Post-select the markers on live qubits and take those qubits out; each marker's qubit holds its outcome."""
+        if any(m.qubit in self.live for m in markers):
+            gone = {m.qubit for m in markers}
+            keep = [q for q in self.live if q not in gone]
+            _, self.state = self.select(markers, keep)
+            self.live = keep
+        self.value.update((m.qubit, m.expect) for m in markers)
 
     def apply_block(self, support: list[int], block: list, markers=()) -> None:
         """Apply the block's matrix U, composed once per call under its `_block_key` and slice.
@@ -431,7 +459,7 @@ class _Run:
                 mat = _block_matrix(support, block)
             mat.setflags(write=False)
             self.blocks[key] = mat
-        self.apply(self.blocks[key], [q for q in support if q not in fold], fold)
+        self.apply(self.blocks[key], [q for q in support if q not in fold], {self.given.get(id(m), m.qubit) for m in markers if m.qubit in fold})
 
     def select(self, markers: list[Measure], keep: list[int]) -> tuple[float, Statevector]:
         """`post_select` on the live axes: `markers` on their outcomes, and the live `keep` qubits kept.
@@ -441,39 +469,43 @@ class _Run:
         and `keep` the live qubits in order, it hands out the state itself.
         """
         live = self.live
-        on_axes = [Measure(live.index(m.qubit), m.expect) for m in markers if m.qubit in live]
+        on_axes = [m for m in markers if m.qubit in live]
         norm_sq, self.norm_sq = self.norm_sq, 1.0  # either way, the state handed out is scaled once
         if not on_axes and keep == live:
             if norm_sq != 1.0:
                 _scale(self.state.amps, 1 / math.sqrt(norm_sq))
             return self.state.tracked_norm_sq, self.state
         try:
-            return post_select(self.state, on_axes, [live.index(q) for q in keep])
+            return post_select(self.state, [Measure(live.index(m.qubit), m.expect) for m in on_axes], [live.index(q) for q in keep])
         except ImpossibleOutcomeError as exc:
-            axes = sorted({m.qubit for m in on_axes})
-            exc.args = (f"markers on qubits {[live[a] for a in axes]} (state axes {axes}): {exc}",)
+            named = {live.index(m.qubit): self.given.get(id(m), m.qubit) for m in on_axes}
+            exc.args = (f"markers on qubits {[named[a] for a in sorted(named)]} (state axes {sorted(named)}): {exc}",)
             raise
-        except ValueError as exc:  # an unkept qubit in superposition, named by its axis
-            exc.args = (f"qubit {live[exc.axis]} (state axis {exc.axis}): {exc}",)
+        except ValueError as exc:  # an unkept wire in superposition, named by the qubit it holds at the end
+            exc.args = (f"qubit {self.wire.index(live[exc.axis])} (state axis {exc.axis}): {exc}",)
             raise
 
     def run(self) -> list[Measure]:
         """Apply every gate; return the markers left to post-select, in circuit order.
 
-        Consecutive gates are fused greedily into blocks of at most
-        FUSE_WIDTH qubits, new ones included (a lone gate or segment may be
-        wider), each applied to the state once.  A `_segments`
-        run (an ancilla bank from its first gate to its markers) is fused
-        like one gate, so one block folds the bank: a spin-3/2 lcu site and
-        its bank of six become one 8x8 operator.  A one-qubit gate
-        on a qubit neither live nor in the open block waits (gates on other
-        qubits commute with it) and joins the block of its qubit's next
-        multi-qubit gate, its marker or the circuit's end.  Every marker is
-        post-selected, and its qubit leaves the state, when the next block
-        is applied or before its qubit's next gate, so a marker no later
-        gate touches does not end a block.  A marker on a qubit with no
-        axis is checked against the value that qubit holds.  A block's
-        matrix is composed once per call under its `_block_key`.
+        Gates act on wires (`__init__`): three consecutive gates CNot(a, b),
+        CNot(b, a), CNot(a, b) are exactly SWAP(a, b), so they are taken out
+        and wire[a], wire[b] trade places; every later gate, a marker's
+        `retry_reset` too, is renamed through `wire`, its matrix kept, and an
+        error names a marker's qubit as the given circuit does.  Consecutive
+        gates are fused greedily into blocks of at most FUSE_WIDTH qubits,
+        new ones included (a lone gate or segment may be wider), each applied
+        to the state once.  A `_segments` run (an ancilla bank from its first
+        gate to its markers) is fused like one gate, so one block folds the
+        bank: a spin-3/2 lcu site and its bank of six become one 8x8
+        operator.  A one-qubit gate on a qubit neither live nor in the open
+        block waits (gates on other qubits commute with it) and joins the
+        block of its qubit's next multi-qubit gate, its marker or the
+        circuit's end.  Every marker is post-selected, and its qubit leaves
+        the state, when the next block is applied or before its qubit's next
+        gate, so a marker no later gate touches does not end a block.  A
+        marker on a qubit with no axis is checked against the value it holds.
+        A block's matrix is composed once per call under its `_block_key`.
         """
         markers: list[Measure] = []
         held: dict[int, list] = {}
@@ -485,12 +517,7 @@ class _Run:
             if block:
                 self.apply_block(support, block, markers)
             support, block = [], []
-            if any(m.qubit in self.live for m in markers):
-                gone = {m.qubit for m in markers}
-                keep = [q for q in self.live if q not in gone]
-                _, self.state = self.select(markers, keep)
-                self.live = keep
-            self.value.update((m.qubit, m.expect) for m in markers)
+            self.drop(markers)
             markers = []
 
         def add(gates: list, qubits) -> None:
@@ -512,8 +539,8 @@ class _Run:
                 if q in self.live or q in support:
                     markers.append(g)
                 elif g.expect != self.value.get(q, 0):
-                    raise ImpossibleOutcomeError(
-                        f"marker on qubit {q} (no state axis): outcome {g.expect} on a qubit that holds {1 - g.expect}")
+                    raise ImpossibleOutcomeError(f"marker on qubit {self.given.get(id(g), g.qubit)} (no state axis): "
+                                                 f"outcome {g.expect} on a qubit that holds {1 - g.expect}")
                 continue
             last, qubits = segments.get(i, (i, g.qubits))  # a segment is fused like one gate
             gates = self.gates[i : last + 1]
@@ -542,16 +569,16 @@ def simulate_circuit(circuit: Circuit) -> tuple[Statevector, list[Measure]]:
     `tracked_norm_sq` carries the product of these probabilities.  A qubit
     gets its |0> axis when the first block that touches it is applied, and
     the qubits no gate touches join at the end, so the state returned holds
-    the whole register, in qubit order, scaled once after the last fold
-    (`_Run.select`).  The size cap is checked on the register width before
-    anything is allocated.
+    the whole register, in the circuit's qubit order (permuted from wire
+    order only if a SWAP was taken out), scaled once after the last fold
+    (`_Run.select`).  The size cap is checked before anything is allocated.
     """
     reused = _reused_markers(circuit.gates)
     terminal = {i for i, g in enumerate(circuit.gates) if isinstance(g, Measure)} - reused
     run = _Run(Circuit(circuit.n_qubits, [g for i, g in enumerate(circuit.gates) if i not in terminal]))
-    run.run()
+    run.drop(run.run())  # markers whose later gates were all SWAPs taken out
     run.make_live(range(run.n))  # the qubits no gate touched
-    return run.select([], run.live)[1], [circuit.gates[i] for i in sorted(terminal)]
+    return run.select([], run.wire)[1], [circuit.gates[i] for i in sorted(terminal)]
 
 
 def simulate_post_selected(circuit: Circuit, keep) -> tuple[float, Statevector]:
@@ -564,26 +591,24 @@ def simulate_post_selected(circuit: Circuit, keep) -> tuple[float, Statevector]:
     that one block holds from its first gate on is folded into it, a live
     ancilla is sliced off (`post_select`), and a reused qubit joins again in
     its outcome; `tracked_norm_sq` carries the product of the probabilities.
-    No fold scales the state (`_Run.apply` sums its norm over the tiles).
-    The markers left at the end go to one last `post_select` with `keep`,
-    which scales once; with none on an axis and `keep` the live qubits in
-    order, the run's own state is scaled instead (`_Run.select`).  A qubit
-    neither kept nor touched by a gate never joins the state.  `keep`, and
-    the outcomes the terminal markers expect, are checked before any block
-    is applied.  Returns the success probability and the normalized state
-    of the `keep` qubits, in the order given.
+    No fold scales the state: the last `_Run.select`, with `keep`, does.  A
+    qubit neither kept nor touched by a gate never joins the state.  `keep`
+    and the terminal markers' outcomes are checked before any block is
+    applied; `keep` is then mapped to wires.  Returns the success
+    probability and the normalized `keep` qubits' state, in the order given.
     """
     run = _Run(circuit)
-    reused = _reused_markers(run.gates)
-    expect = _expectations(g for i, g in enumerate(run.gates) if isinstance(g, Measure) and i not in reused)
-    keep = _checked_keep(keep, run.n, expect)
-    touched = {q for g in run.gates if not isinstance(g, Measure) for q in g.qubits}
+    reused = _reused_markers(circuit.gates)
+    expect = _expectations(g for i, g in enumerate(circuit.gates) if isinstance(g, Measure) and i not in reused)
+    keep = [run.wire[q] for q in _checked_keep(keep, run.n, expect)]
+    touched = {q for g in circuit.gates if not isinstance(g, Measure) for q in g.qubits}
     for q, outcome in expect.items():
         if outcome and q not in touched:
             raise ImpossibleOutcomeError(f"qubit {q} is post-selected on 1, but no gate touches it")
     markers = run.run()
+    run.drop([m for m in markers if m.qubit in keep])  # a marker a SWAP taken out moved onto a kept qubit
     run.make_live(keep)  # a kept qubit no gate touched
-    return run.select(markers, keep)
+    return run.select([m for m in markers if m.qubit not in keep], keep)
 
 
 def _expectations(markers) -> dict[int, int]:
@@ -612,7 +637,7 @@ def post_select(state: Statevector, markers, keep) -> tuple[float, Statevector]:
     value, in one pass.  The probability is the slice's share of the norm
     times the state's `tracked_norm_sq`, so it also covers the reused
     markers simulate_circuit post-selected as it ran.  Any other qubit not
-    in `keep` (an ancilla a SWAP moved after its marker, an idle qubit)
+    in `keep` (an ancilla that a SWAP moved after its reused marker, an idle qubit)
     must hold one definite value, and is dropped on it.  Returns the
     renormalized state of the `keep` qubits, in the order given; `state` is
     unchanged.

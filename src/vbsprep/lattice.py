@@ -350,19 +350,23 @@ class CouplingMap:
             return tuple(p for p in range(self.n_qubits) if p != q)
         return self._adjacency.get(q, ())
 
+    @cached_property
+    def _trees(self) -> dict[int, dict[int, int | None]]:
+        """Each source's BFS tree (qubit -> its parent), built whole once: a BFS stopped at b records the same parents."""
+        return {}
+
     def shortest_path(self, a: int, b: int) -> list[int]:
         if self.name == ALL_TO_ALL:
             return [a, b]
-        prev = {a: None}
-        queue = deque([a])
+        prev = self._trees.get(a, {a: None})
+        queue = deque([a] if len(prev) == 1 else ())
         while queue:
             u = queue.popleft()
-            if u == b:
-                break
             for v in self.neighbors(u):
                 if v not in prev:
                     prev[v] = u
                     queue.append(v)
+        self._trees[a] = prev  # only once whole: another thread never reads a tree in the making
         if b not in prev:
             raise ConfigError(f"no path between qubits {a} and {b}")
         path = [b]

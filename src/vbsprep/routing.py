@@ -41,12 +41,21 @@ def _swap_cnots(a: int, b: int) -> list[CNot]:
     return [CNot(a, b), CNot(b, a), CNot(a, b)]
 
 
+def _move(placement: list[int], occupied: dict, pa: int, pb: int) -> None:
+    """Trade the logical qubits on physical pa and pb, in `placement` and its inverse `occupied`."""
+    occupied[pa], occupied[pb] = occupied.get(pb), occupied.get(pa)
+    for p in (pa, pb):
+        if occupied[p] is not None:
+            placement[occupied[p]] = p
+
+
 def route(circuit: Circuit, coupling: CouplingMap) -> RoutedCircuit:
     """Rewrite a circuit so all multi-qubit gates respect the coupling map.
 
     A marker keeps its place in the gate list, on the physical qubit its
-    logical qubit holds there; the simulation post-selects it, and drops
-    that qubit, before any later SWAP moves it.
+    logical qubit holds there.  The simulation takes each SWAP out and
+    renames the later gates (`ir._Run.run`), so a SWAP that moves a dropped
+    qubit brings it back into no state.
     """
     if circuit.n_qubits > coupling.n_qubits:
         raise ConfigError("circuit does not fit on the coupling map")
@@ -62,12 +71,7 @@ def route(circuit: Circuit, coupling: CouplingMap) -> RoutedCircuit:
 
     def do_swap(pa: int, pb: int):
         out.extend(_swap_cnots(pa, pb))
-        la, lb = occupied.get(pa), occupied.get(pb)
-        if la is not None:
-            placement[la] = pb
-        if lb is not None:
-            placement[lb] = pa
-        occupied[pa], occupied[pb] = lb, la
+        _move(placement, occupied, pa, pb)
 
     def bring_adjacent(la: int, lb: int):
         while not coupling.are_coupled(placement[la], placement[lb]):

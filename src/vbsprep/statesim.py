@@ -245,6 +245,15 @@ def _joined(tensor: np.ndarray, cols: np.ndarray, axes, new, norms=None) -> np.n
     return _contract(grown, cols, axes, source, norms)
 
 
+def _check_op(mat: np.ndarray, qubits, n: int, new=()) -> None:
+    """Raise ValueError unless `mat` is 2^k x 2^k on k distinct qubits of an n-qubit state, `new` among them."""
+    k = len(qubits)
+    if mat.shape != (2**k, 2**k):
+        raise ValueError(f"operator dim {mat.shape} does not match {k} qubits")
+    if len(set(qubits)) != k or any(not 0 <= q < n for q in qubits) or not set(new) <= set(qubits):
+        raise ValueError(f"bad qubit list {qubits} (new {new}) for {n}-qubit state")
+
+
 def _check_unitary(mat: np.ndarray) -> None:
     """Raise NonUnitaryError unless `mat` is unitary (to UNITARY_TOL)."""
     if np.max(np.abs(mat.conj().T @ mat - np.eye(mat.shape[0]))) > UNITARY_TOL:
@@ -313,8 +322,8 @@ class Statevector:
         if sorted(q for qubits, _ in factors for q in qubits) != list(range(n_qubits)):
             raise ValueError("factors must partition the qubit set")
         ops = [(np.asarray(op, dtype=complex), tuple(qubits)) for op, qubits in ops]
-        if any(not 0 <= q < n_qubits for _, qubits in ops for q in qubits):
-            raise ValueError(f"an op names a qubit outside the {n_qubits}-qubit register")
+        for op, qubits in ops:
+            _check_op(op, qubits, n_qubits)
         amps, live, before, scaled = np.ones((), dtype=complex), [], 1.0, bool(ops)
         for qubits, vec in factors:
             vec, m = np.asarray(vec, dtype=complex), len(qubits)
@@ -343,12 +352,8 @@ class Statevector:
     # -- operator application ---------------------------------------------
 
     def _tensor(self, mat: np.ndarray, qubits, new=()) -> np.ndarray:
-        """The amplitudes as a [2, 2, ...] tensor, once `mat` and `qubits` are checked."""
-        n, k = self.n_qubits + len(new), len(qubits)
-        if mat.shape != (2**k, 2**k):
-            raise ValueError(f"operator dim {mat.shape} does not match {k} qubits")
-        if len(set(qubits)) != k or any(not 0 <= q < n for q in qubits) or not set(new) <= set(qubits):
-            raise ValueError(f"bad qubit list {qubits} (new {new}) for {n}-qubit state")
+        """The amplitudes as a [2, 2, ...] tensor, once `mat` and `qubits` are checked (`_check_op`)."""
+        _check_op(mat, qubits, self.n_qubits + len(new), new)
         return self.amps.reshape([2] * self.n_qubits)
 
     def _apply(self, mat: np.ndarray, qubits, new=(), norms=None) -> None:

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from vbsprep.cli import EXIT_CHECK_FAILED, EXIT_CONFIG, EXIT_OK, main, parse_lattice
+from vbsprep.cli import EXIT_CHECK_FAILED, EXIT_CONFIG, EXIT_OK, EXIT_UNSUPPORTED, main, parse_lattice
 from vbsprep.errors import ConfigError
 
 from oracle_reference import applied_norm, apply_ops, bond_product, compress, embed, expectation
@@ -263,6 +263,28 @@ def test_prepare_linear_coupling(tmp_path):
     assert code == EXIT_OK
     doc = json.loads(out.read_text())
     assert any(c["name"] == "routed_fidelity_vs_oracle" and c["pass"] for c in doc["checks"])
+
+
+@pytest.mark.parametrize("spec,method,coupling,code", [
+    ("chain:3:open:anti", "probabilistic", "linear", EXIT_OK),
+    ("chain:3:open:aligned", "lcu", "linear", EXIT_UNSUPPORTED),
+    ("three-link-pair", "mitigated_islands", "heavy_hex", EXIT_OK),
+    ("chain:3:ring", "probabilistic", "heavy_hex", EXIT_UNSUPPORTED),
+])
+def test_verify_runs_the_routed_checks_of_prepare(spec, method, coupling, code, tmp_path):
+    docs = {}
+    for command in ("prepare", "verify"):
+        out = tmp_path / f"{command}.json"
+        spin = "3" if spec == "three-link-pair" else "2"
+        argv = [command, "--spin", spin, "--lattice", spec, "--method", method, "--coupling", coupling, "--out", str(out)]
+        assert main(argv) == code
+        docs[command] = json.loads(out.read_text()) if code == EXIT_OK else None
+    if code == EXIT_OK:
+        prepare, verify = docs["prepare"], docs["verify"]
+        assert verify["resources"]["routed_cnot_depth"] == prepare["resources"]["routed_cnot_depth"]
+        assert verify["simulated"]["routed_fidelity_vs_oracle"] == prepare["simulated"]["routed_fidelity_vs_oracle"]
+        assert [c for c in verify["checks"] if c["name"].startswith("routed_")] == \
+            [c for c in prepare["checks"] if c["name"].startswith("routed_")]
 
 
 def test_prepare_heavy_hex_unsupported_lattice():

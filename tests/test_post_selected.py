@@ -349,3 +349,138 @@ def test_each_lcu_site_pattern_composes_its_segment_once(monkeypatch):
     ROUTES["lcu"](parse_lattice("three-link-ring:4"), SpinValue(3), 0)
     # four sites, one pattern: the bank of six and the site's three qubits, only the 8 columns where the bank holds 0
     assert [c for c in composed if c[0] >= 9] == [(9, 8)]
+
+
+def _swap(a: int, b: int) -> list:
+    return [CNot(a, b), CNot(b, a), CNot(a, b)]
+
+
+def _with_swaps(rng, circ: Circuit) -> tuple[Circuit, list[int]]:
+    """`circ` routed by hand: SWAP triples put in at random places, most of them right after a marker (a SWAP of
+    a dropped qubit), every later gate renamed to follow; and where each of its qubits ends."""
+    n = circ.n_qubits
+    at, on = list(range(n)), list(range(n))  # qubit -> the qubit of the new circuit holding it, and back
+    gates = []
+    for g in circ.gates:
+        if isinstance(g, CNot):
+            gates.append(CNot(at[g.control], at[g.target]))
+        elif isinstance(g, U1Q):
+            gates.append(U1Q(g.theta, g.phi, g.lam, at[g.qubit], g.label))
+        elif isinstance(g, Opaque):
+            gates.append(Opaque(g.label, tuple(at[q] for q in g.qubits), g.matrix))
+        else:
+            gates.append(Measure(at[g.qubit], g.expect))
+        if rng.random() < (0.6 if isinstance(g, Measure) else 0.2):
+            a = gates[-1].qubits[0] if isinstance(g, Measure) else int(rng.integers(n))
+            b = int(rng.choice([q for q in range(n) if q != a]))
+            gates += _swap(a, b)
+            on[a], on[b] = on[b], on[a]
+            at[on[a]], at[on[b]] = a, b
+    return Circuit(n, gates), at
+
+
+def test_random_circuits_with_swaps_match_the_reference(monkeypatch):
+    rng = np.random.default_rng(25)
+    joined = []
+    make_live = ir._Run.make_live
+    monkeypatch.setattr(ir._Run, "make_live", lambda self, qubits: joined.extend(
+        self.value.get(q, 0) for q in qubits if q not in self.live) or make_live(self, qubits))
+    kinds = {"impossible": 0, "bank": 0, "renamed marker": 0, "kept on 1 after its SWAP": 0}
+    for trial in range(160):
+        if trial % 4:
+            circ, at = _with_swaps(rng, _random_post_selected_circuit(rng, int(rng.integers(3, 8))))
+            reused = ir._reused_markers(circ.gates)
+            keep = sorted(set(range(circ.n_qubits)) - {g.qubit for i, g in enumerate(circ.gates)
+                                                        if isinstance(g, Measure) and i not in reused})
+        else:
+            bank, n_data = _random_bank_circuit(rng)
+            circ, at = _with_swaps(rng, bank)
+            keep = at[:n_data]
+        try:
+            ref_prob, ref = post_select(*gate_by_gate(circ), keep)
+        except ImpossibleOutcomeError:
+            kinds["impossible"] += 1
+            with pytest.raises(ImpossibleOutcomeError):
+                simulate_post_selected(circ, keep)
+            continue
+        del joined[:]
+        prob, state = simulate_post_selected(circ, keep)
+        assert abs(prob - ref_prob) <= 1e-12
+        assert np.max(np.abs(state.amps - ref.amps)) <= 1e-12
+        assert abs(state.tracked_norm_sq - ref.tracked_norm_sq) <= 1e-12
+        whole, markers = simulate_circuit(circ)
+        ref_whole, ref_markers = gate_by_gate(circ)
+        assert markers == ref_markers
+        assert np.max(np.abs(whole.amps - ref_whole.amps)) <= 1e-12
+        kinds["bank"] += trial % 4 == 0
+        run = ir._Run(circ)
+        kinds["renamed marker"] += any(isinstance(g, Measure) and id(g) in run.given for g in run.gates)
+        kinds["kept on 1 after its SWAP"] += 1 in joined
+    assert all(kinds.values()), kinds
+
+
+@pytest.mark.parametrize("gates", [
+    [CNot(0, 1)] * 3,  # CNot(a, b) three times
+    [CNot(0, 1), CNot(1, 0), Measure(2, 0), CNot(0, 1)],  # a triple broken by a marker
+    [CNot(0, 1), CNot(1, 0), CNot(1, 0)],
+    [CNot(0, 1), CNot(1, 2), CNot(0, 1)],
+])
+def test_triples_that_are_not_a_swap_are_simulated_as_gates(gates):
+    circ = Circuit(3, [u_h(0), U1Q(0.3, 0.2, 0.1, 1)] + gates + [CNot(2, 0)])
+    run = ir._Run(circ)
+    assert (run.gates, run.wire, run.given) == (circ.gates, [0, 1, 2], {})
+    _assert_same(circ, [0, 1] if any(isinstance(g, Measure) for g in gates) else [0, 1, 2])
+
+
+def test_a_swap_renames_every_later_gate_and_keeps_each_opaque_matrix():
+    block = Opaque("random", (1, 2), np.linalg.qr(np.arange(16).reshape(4, 4) + 1j * np.eye(4))[0])
+    first, last = u_h(0), u_x(1)
+    run = ir._Run(Circuit(3, [first] + _swap(0, 2) + [CNot(2, 1), block, Measure(0, 1, 3, (2,)), last]))
+    gates, wire, given = run.gates, run.wire, run.given
+    assert wire == [2, 1, 0]
+    assert gates[0] is first and gates[4] is last  # a gate on no moved qubit is kept as it is
+    assert gates[1] == CNot(0, 1)
+    assert gates[2].qubits == (1, 0) and gates[2].matrix is block.matrix
+    assert gates[3] == Measure(2, 1, 3, (0,)) and given[id(gates[3])] == 0
+
+
+@pytest.mark.parametrize("spec", [f"chain:{n}:open:{flavor}" for n in range(3, 8) for flavor in ("aligned", "anti")]
+                         + ["chain:4:ring"])
+def test_a_routed_circuit_peaks_at_the_unrouted_width(spec, monkeypatch):
+    peak = _peak_width(monkeypatch)
+    result = ROUTES["probabilistic"](parse_lattice(spec), SpinValue(2), 0)
+    unrouted, peak[0] = peak[0], 0
+    encoding = result["encoding"]
+    routed = route(result["circuit"], linear_coupling(encoding.total_qubits))
+    simulate_post_selected(routed.circuit, routed.placement[: encoding.n_data_qubits])
+    assert peak[0] == unrouted
+
+
+def _routed_chain4():
+    result = ROUTES["probabilistic"](parse_lattice("chain:4:open:anti"), SpinValue(2), 0)
+    encoding = result["encoding"]
+    routed = route(result["circuit"], linear_coupling(encoding.total_qubits))
+    return result["circuit"], routed, routed.placement[: encoding.n_data_qubits]
+
+
+def test_errors_on_a_routed_circuit_name_the_qubits_it_gives():
+    circ, routed, keep = _routed_chain4()
+    # the third site's ancilla, marked on qubit 10, ends on qubit 8 (SWAPs moved it): marked there again, flipped
+    logical = [g for g in circ.gates if isinstance(g, Measure)][2]
+    marker = [g for g in routed.circuit.gates if isinstance(g, Measure)][2]
+    final = routed.placement[logical.qubit]
+    assert (marker.qubit, final) == (10, 8)
+    flipped = Circuit(routed.circuit.n_qubits, routed.circuit.gates + [Measure(final, 1 - marker.expect)])
+    with pytest.raises(ImpossibleOutcomeError, match=r"^marker on qubit 8 \(no state axis\): outcome 0 on a qubit that holds 1"):
+        simulate_post_selected(flipped, keep)
+    # a data qubit left out of keep is named by the qubit that holds it at the end
+    with pytest.raises(ValueError, match=rf"^qubit {keep[-1]} \(state axis 7\): qubit 7 is neither kept"):
+        simulate_post_selected(routed.circuit, keep[:-1])
+
+
+def test_a_marker_a_swap_moved_onto_a_state_axis_is_named_as_given():
+    # qubit 5 flipped to 1 and swapped onto qubit 6, whose marker expects 0: dropped from its axis mid-circuit
+    circ = Circuit(7, [u_x(5), CNot(5, 0), CNot(1, 2), CNot(3, 4)] + _swap(5, 6) + [Measure(6, 0),
+                   CNot(1, 2), CNot(2, 4), CNot(0, 3)])
+    with pytest.raises(ImpossibleOutcomeError, match=r"^markers on qubits \[6\] \(state axes \[5\]\)"):
+        simulate_post_selected(circ, range(6))

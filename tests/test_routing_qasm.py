@@ -206,3 +206,46 @@ def test_displacement_basis_expansion_simulates_identically():
     s0, _ = simulate_circuit(direct)
     s1, _ = simulate_circuit(expanded)
     assert np.max(np.abs(s0.amps - s1.amps)) < 1e-12
+
+
+def _early_stopping_path(coupling: CouplingMap, a: int, b: int) -> list[int]:
+    """A BFS from a, neighbours in ascending order, stopped when it dequeues b."""
+    prev, queue = {a: None}, [a]
+    while queue:
+        u = queue.pop(0)
+        if u == b:
+            break
+        for v in sorted(coupling.neighbors(u)):
+            if v not in prev:
+                prev[v] = u
+                queue.append(v)
+    path = [b]
+    while path[-1] != a:
+        path.append(prev[path[-1]])
+    return path[::-1]
+
+
+@pytest.mark.parametrize("coupling", [linear_coupling(12), heavy_hex_patch(2)], ids=["linear12", "heavy_hex2"])
+def test_shortest_path_keeps_one_tree_per_source_and_the_early_stopping_paths(coupling):
+    pairs = [(a, b) for a in range(coupling.n_qubits) for b in range(coupling.n_qubits)]
+    assert [coupling.shortest_path(a, b) for a, b in pairs] == [_early_stopping_path(coupling, a, b) for a, b in pairs]
+    assert sorted(coupling._trees) == list(range(coupling.n_qubits))
+
+
+@pytest.mark.parametrize("skipped,cause", [(1, "error: markers on qubits [7] (folded into a block"),
+                                           (3, "[FAIL] routed_fidelity_vs_oracle: expected=1 actual=0.4285")])
+def test_a_router_fault_fails_the_routed_check(skipped, cause, monkeypatch, capsys):
+    from vbsprep import routing
+    from vbsprep.cli import EXIT_CHECK_FAILED, main
+
+    calls, move = [], routing._move
+
+    def faulty(placement, occupied, pa, pb):
+        calls.append((pa, pb))
+        if len(calls) != skipped + 1:  # one SWAP's CNOTs are written, and its placement update is skipped
+            move(placement, occupied, pa, pb)
+
+    monkeypatch.setattr(routing, "_move", faulty)
+    assert main(["prepare", "--spin", "2", "--lattice", "chain:3:open:aligned", "--coupling", "linear"]) == EXIT_CHECK_FAILED
+    assert len(calls) > skipped
+    assert cause in capsys.readouterr().err

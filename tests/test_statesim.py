@@ -1,5 +1,6 @@
 """Statevector kernel: embedding, operators, norm bookkeeping, sampling."""
 import math
+import re
 
 import numpy as np
 import pytest
@@ -433,8 +434,17 @@ def test_product_of_factors_rejects_bad_ops():
     with pytest.raises(ImpossibleOutcomeError):
         Statevector.product_of_factors(3, [((0, 1), SINGLET), ((2,), zero)], [(onto_one, (2,))])
     for qubits in [(3,), (-1,), (0, 5)]:
-        with pytest.raises(ValueError, match="outside the 3-qubit register"):
+        with pytest.raises(ValueError, match="bad qubit list " + re.escape(str(qubits))):
             Statevector.product_of_factors(3, [((0, 1), SINGLET), ((2,), zero)], [(np.eye(2 ** len(qubits)), qubits)])
+
+
+def test_product_of_factors_checks_each_op_before_anything_is_allocated(monkeypatch):
+    monkeypatch.setattr(statesim, "_joined", lambda *args: pytest.fail("a factor joined before the ops were checked"))
+    factors = [((0, 1), SINGLET), ((2,), np.array([1, 0], dtype=complex))]
+    with pytest.raises(ValueError, match=r"^operator dim \(2, 2\) does not match 2 qubits$"):
+        Statevector.product_of_factors(3, factors, [(np.eye(4), (1, 2)), (np.eye(2), (0, 1))])
+    with pytest.raises(ValueError, match=r"^bad qubit list \(0, 0\) \(new \(\)\) for 3-qubit state$"):
+        Statevector.product_of_factors(3, factors, [(np.eye(4), (0, 0))])
 
 
 def _einsum_apply(v: np.ndarray, mat: np.ndarray, qubits, n: int) -> np.ndarray:
