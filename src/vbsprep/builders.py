@@ -41,7 +41,7 @@ def valence_bond_subcircuit(q_top: int, q_bottom: int, circ: Circuit | None = No
     if q_top == q_bottom:
         raise ValueError("valence bond needs two distinct qubits")
     if circ is None:
-        circ = Circuit(max(q_top, q_bottom) + 1, metadata={"builder": "valence_bond"})
+        circ = Circuit(max(q_top, q_bottom) + 1)
     circ.add(u_h(q_top))
     circ.add(u_x(q_bottom))
     circ.add(CNot(q_top, q_bottom))
@@ -53,7 +53,7 @@ def pre_vbs_circuit(lattice: Lattice, encoding: SiteEncoding) -> Circuit:
     """One valence-bond fragment per link plus boundary-spin initialization."""
     if encoding.lattice != lattice:
         raise ConfigError("encoding was built for a different lattice")
-    circ = Circuit(encoding.total_qubits, metadata={"builder": "pre_vbs", "lattice": lattice.name})
+    circ = Circuit(encoding.total_qubits)
     for qubit, spin in encoding.boundary_qubits:
         if spin == SPIN_DOWN:
             circ.add(u_x(qubit))
@@ -87,7 +87,6 @@ def hadamard_test_fragment(
     heavy_hex_box: str | None = None,
     site_qubits: tuple[int, ...] | None = None,
     anc: int | None = None,
-    retry_reset: tuple[int, ...] = (),
     creg: int | None = None,
 ) -> Circuit:
     """One-ancilla test whose retained branch symmetrizes the site's qubits.
@@ -96,9 +95,8 @@ def hadamard_test_fragment(
     phased controlled-SWAP.
     `heavy_hex_box` selects the declared heavy-hex cost variant ("t" or
     "line") for the spin-3/2 block; `site_qubits` and `anc` override the
-    encoding's qubits (used after routing displaces qubits); `retry_reset`
-    marks the test for measure-and-reset retries (see ir.Measure).  The
-    marker takes `creg`, or else the first free one (a scan of every gate).
+    encoding's qubits (used after routing displaces qubits).  The marker
+    takes `creg`, or else the first free one (a scan of every gate).
     """
     if anc is None:
         anc = encoding.site_ancilla(site)
@@ -106,14 +104,14 @@ def hadamard_test_fragment(
     if len(qubits) != s.twice_s:
         raise ConfigError(f"site {site} has {len(qubits)} qubits, expected {s.twice_s}")
     if circ is None:
-        circ = Circuit(encoding.total_qubits, metadata={"builder": "hadamard_test"})
+        circ = Circuit(encoding.total_qubits)
     cost_key = f"test_2s{s.twice_s}" + (f"_{heavy_hex_box or 'line'}" if s.twice_s == 3 else "")
     if cost_key not in DECLARED_COSTS:
         raise UnsupportedError(f"no declared test costs for 2S={s.twice_s}")
     circ.add(u_h(anc))
     circ.add(Opaque(f"ctrl_exp_sym_{s.twice_s}", (anc, *qubits), _test_block(s.twice_s), **DECLARED_COSTS[cost_key]))
     circ.add(u_h(anc))
-    circ.add(Measure(anc, expect=1, creg=circ.next_creg() if creg is None else creg, retry_reset=retry_reset))
+    circ.add(Measure(anc, expect=1, creg=circ.next_creg() if creg is None else creg))
     return circ
 
 
@@ -122,8 +120,6 @@ def probabilistic_method_circuit(lattice: Lattice, encoding: SiteEncoding, s: Sp
     if encoding.method != "hadamard_all":
         raise ConfigError("probabilistic method needs the hadamard_all encoding")
     circ = pre_vbs_circuit(lattice, encoding)
-    circ.metadata["builder"] = "probabilistic"
-    circ.metadata["expected_outcome"] = 1
     first = circ.next_creg()
     for site in range(lattice.n_sites):
         if lattice.site_twice_spin(site) != s.twice_s:
@@ -218,7 +214,7 @@ def mitigated_islands_circuit(lattice: Lattice, encoding: SiteEncoding, s: SpinV
     if encoding.method != "islands_plus_sublattice":
         raise ConfigError("islands method needs the islands_plus_sublattice encoding")
     colors = lattice.sublattice()
-    circ = Circuit(encoding.total_qubits, metadata={"builder": "mitigated_islands", "lattice": lattice.name})
+    circ = Circuit(encoding.total_qubits)
     groups = island_qubit_groups(lattice, encoding)
     covered: set[int] = set()
     for site, group in sorted(groups.items()):
@@ -238,27 +234,26 @@ def mitigated_islands_circuit(lattice: Lattice, encoding: SiteEncoding, s: SpinV
 
 
 def mitigated_retry_circuit(lattice: Lattice, encoding: SiteEncoding, s: SpinValue) -> Circuit:
-    """Bond layer plus retry-marked tests on sublattice A, plain tests on B.
+    """Bond layer plus one retried test per A-sublattice site, then plain tests on B.
 
-    The retry markers carry the island qubits to reset between rounds; the
-    simulator realizes the protocol by branch resampling.  Each retry-marked
-    test returns its ancilla from the retained |1> to |0>, so the next test
-    on that ancilla starts clean.
+    A retry resets the site's island (its `island_qubit_groups` entry) and
+    repeats the test; the simulator realizes it by branch resampling
+    (methods.run_mitigated_retry).  Each retried test borrows a B ancilla and
+    returns it from the retained |1> to |0> for the next test.
     """
     if encoding.method != "islands_plus_sublattice":
         raise ConfigError("retry method needs the islands_plus_sublattice encoding")
     colors = lattice.sublattice()
     circ = pre_vbs_circuit(lattice, encoding)
-    circ.metadata["builder"] = "mitigated_retry"
-    groups = island_qubit_groups(lattice, encoding)
-    anc_bank = [encoding.ancilla[site] for site in range(lattice.n_sites) if colors[site] == "B"]
+    a_sites = [site for site in range(lattice.n_sites) if colors[site] == "A"]
+    b_sites = [site for site in range(lattice.n_sites) if colors[site] == "B"]
     creg = circ.next_creg()
-    for idx, (site, group) in enumerate(sorted(groups.items())):
-        anc = anc_bank[idx % len(anc_bank)]
-        hadamard_test_fragment(site, encoding, s, circ, anc=anc, retry_reset=group, creg=creg + idx)
+    for idx, site in enumerate(a_sites):
+        anc = encoding.ancilla[b_sites[idx % len(b_sites)]]
+        hadamard_test_fragment(site, encoding, s, circ, anc=anc, creg=creg + idx)
         circ.add(u_x(anc))
-    for i, site in enumerate(site for site in range(lattice.n_sites) if colors[site] == "B"):
-        hadamard_test_fragment(site, encoding, s, circ, creg=creg + len(groups) + i)
+    for i, site in enumerate(b_sites):
+        hadamard_test_fragment(site, encoding, s, circ, creg=creg + len(a_sites) + i)
     return circ
 
 
@@ -291,7 +286,7 @@ def fredkin_fragment(control: int, a: int, b: int, circ: Circuit | None = None) 
     if len({control, a, b}) != 3:
         raise ValueError("fredkin needs three distinct qubits")
     if circ is None:
-        circ = Circuit(max(control, a, b) + 1, metadata={"builder": "fredkin"})
+        circ = Circuit(max(control, a, b) + 1)
     circ.add(CNot(b, a))
     toffoli_fragment(control, a, b, circ)
     circ.add(CNot(b, a))

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ImpossibleOutcomeError, MissingCostError, NonUnitaryError
+from .errors import ImpossibleOutcomeError, MissingCostError, NonUnitaryError, VbsError
 from .statesim import FUSE_WIDTH, PROB_FLOOR, TILE, UNITARY_TOL, Statevector, _checked_width, _contract, _norm_sq, _scale
 
 
@@ -40,7 +40,6 @@ class U1Q:
     phi: float
     lam: float
     qubit: int
-    label: str = ""
 
     @property
     def qubits(self) -> tuple[int, ...]:
@@ -110,18 +109,11 @@ class Measure:
     joins again at its next gate, in the outcome it was dropped on.
     simulate_circuit leaves out the markers no later gate touches (the
     terminal ones) and returns them, for post_select.
-
-    A non-empty `retry_reset` marks the measure-and-reset protocol: on the
-    unwanted outcome the listed qubits are reset, their bonds re-prepared,
-    and the test repeated.  The simulator realizes this as branch
-    resampling (see methods.run_mitigated_retry) rather than real-time
-    feedback.
     """
 
     qubit: int
     expect: int
     creg: int = 0
-    retry_reset: tuple[int, ...] = ()
 
     @property
     def qubits(self) -> tuple[int, ...]:
@@ -131,35 +123,45 @@ class Measure:
 Gate = CNot | U1Q | Opaque | Measure
 
 
+def _renamed(gate: Gate, mapping) -> Gate:
+    """A copy of `gate` on `mapping[q]` for each of its qubits q: the one way a built gate changes qubits.
+
+    No __post_init__ runs: an Opaque keeps its matrix object and is not checked again."""
+    out = copy.copy(gate)
+    for name in gate.__dict__.keys() & {"control", "target", "qubit", "qubits"}:
+        q = getattr(gate, name)
+        object.__setattr__(out, name, mapping[q] if isinstance(q, int) else tuple(mapping[p] for p in q))
+    return out
+
+
 def u_h(q: int) -> U1Q:
-    return U1Q(math.pi / 2, 0.0, math.pi, q, "h")
+    return U1Q(math.pi / 2, 0.0, math.pi, q)
 
 
 def u_x(q: int) -> U1Q:
-    return U1Q(math.pi, 0.0, math.pi, q, "x")
+    return U1Q(math.pi, 0.0, math.pi, q)
 
 
 def u_z(q: int) -> U1Q:
-    return U1Q(0.0, 0.0, math.pi, q, "z")
+    return U1Q(0.0, 0.0, math.pi, q)
 
 
 def u_t(q: int) -> U1Q:
-    return U1Q(0.0, 0.0, math.pi / 4, q, "t")
+    return U1Q(0.0, 0.0, math.pi / 4, q)
 
 
 def u_tdg(q: int) -> U1Q:
-    return U1Q(0.0, 0.0, -math.pi / 4, q, "tdg")
+    return U1Q(0.0, 0.0, -math.pi / 4, q)
 
 
 def u_ry(theta: float, q: int) -> U1Q:
-    return U1Q(theta, 0.0, 0.0, q, "ry")
+    return U1Q(theta, 0.0, 0.0, q)
 
 
 @dataclass
 class Circuit:
     n_qubits: int
     gates: list = field(default_factory=list)
-    metadata: dict = field(default_factory=dict)
 
     def add(self, gate: Gate) -> "Circuit":
         qs = gate.qubits
@@ -361,7 +363,7 @@ def _segments(gates: list) -> dict[int, tuple[int, list[int]]]:
 
 
 class _Run:
-    """One simulation in progress, shared by simulate_circuit and simulate_post_selected.
+    """One simulate_post_selected call in progress (simulate_circuit runs through it too).
 
     `gates` act on wires (`wire` maps a qubit to its wire at the end, and
     `given` a renamed gate's id to its first qubit as given).  `state` holds
@@ -382,13 +384,10 @@ class _Run:
             elif isinstance(g, CNot) and gates[i + 2 : i + 3] == [g] and gates[i + 1] == CNot(g.target, g.control):
                 wire[g.control], wire[g.target] = wire[g.target], wire[g.control]
                 skip, moved = 2, True
-            elif not moved or all(wire[q] == q for q in (*g.qubits, *getattr(g, "retry_reset", ()))):
+            elif not moved or all(wire[q] == q for q in g.qubits):
                 self.gates.append(g)
-            else:  # a copy, with no __post_init__: an Opaque's matrix is neither composed nor checked again
-                self.gates.append(copy.copy(g))
-                for name in g.__dict__.keys() & {"control", "target", "qubit", "qubits", "retry_reset"}:
-                    q = getattr(g, name)
-                    object.__setattr__(self.gates[-1], name, wire[q] if isinstance(q, int) else tuple(wire[p] for p in q))
+            else:
+                self.gates.append(_renamed(g, wire))
                 self.given[id(self.gates[-1])] = g.qubits[0]
         self.state = Statevector(0, np.ones(1, dtype=complex))  # no qubit until the first block
         self.norm_sq = 1.0
@@ -481,17 +480,17 @@ class _Run:
             named = {live.index(m.qubit): self.given.get(id(m), m.qubit) for m in on_axes}
             exc.args = (f"markers on qubits {[named[a] for a in sorted(named)]} (state axes {sorted(named)}): {exc}",)
             raise
-        except ValueError as exc:  # an unkept wire in superposition, named by the qubit it holds at the end
-            exc.args = (f"qubit {self.wire.index(live[exc.axis])} (state axis {exc.axis}): {exc}",)
-            raise
+        except ValueError as exc:  # an unkept wire in superposition: the circuit's fault, not `keep`'s, named by the qubit it holds at the end
+            raise VbsError(f"qubit {self.wire.index(live[exc.axis])} (state axis {exc.axis}) is neither kept nor "
+                           "post-selected, and is in superposition") from exc
 
     def run(self) -> list[Measure]:
         """Apply every gate; return the markers left to post-select, in circuit order.
 
         Gates act on wires (`__init__`): three consecutive gates CNot(a, b),
         CNot(b, a), CNot(a, b) are exactly SWAP(a, b), so they are taken out
-        and wire[a], wire[b] trade places; every later gate, a marker's
-        `retry_reset` too, is renamed through `wire`, its matrix kept, and an
+        and wire[a], wire[b] trade places; every later gate is renamed
+        through `wire` (`_renamed`, so an Opaque keeps its matrix), and an
         error names a marker's qubit as the given circuit does.  Consecutive
         gates are fused greedily into blocks of at most FUSE_WIDTH qubits,
         new ones included (a lone gate or segment may be wider), each applied
@@ -563,22 +562,14 @@ def simulate_circuit(circuit: Circuit) -> tuple[Statevector, list[Measure]]:
 
     The terminal markers, the ones no later gate touches, are taken out and
     returned, in circuit order, for `post_select` or the Monte-Carlo draw.
-    The other gates run as in simulate_post_selected (`_Run.run`): a reused
-    marker is post-selected before its qubit's next gate, its qubit leaves
-    the state and joins again in the outcome it was dropped on, and
-    `tracked_norm_sq` carries the product of these probabilities.  A qubit
-    gets its |0> axis when the first block that touches it is applied, and
-    the qubits no gate touches join at the end, so the state returned holds
-    the whole register, in the circuit's qubit order (permuted from wire
-    order only if a SWAP was taken out), scaled once after the last fold
-    (`_Run.select`).  The size cap is checked before anything is allocated.
+    The other gates run through simulate_post_selected, which keeps every
+    qubit, in the circuit's order: each reused marker is post-selected
+    there, and `tracked_norm_sq` carries the product of their probabilities.
     """
     reused = _reused_markers(circuit.gates)
     terminal = {i for i, g in enumerate(circuit.gates) if isinstance(g, Measure)} - reused
-    run = _Run(Circuit(circuit.n_qubits, [g for i, g in enumerate(circuit.gates) if i not in terminal]))
-    run.drop(run.run())  # markers whose later gates were all SWAPs taken out
-    run.make_live(range(run.n))  # the qubits no gate touched
-    return run.select([], run.wire)[1], [circuit.gates[i] for i in sorted(terminal)]
+    rest = Circuit(circuit.n_qubits, [g for i, g in enumerate(circuit.gates) if i not in terminal])
+    return simulate_post_selected(rest, range(circuit.n_qubits))[1], [circuit.gates[i] for i in sorted(terminal)]
 
 
 def simulate_post_selected(circuit: Circuit, keep) -> tuple[float, Statevector]:

@@ -318,18 +318,17 @@ class CouplingMap:
 
     def connected_subset(self, qubits) -> bool:
         qs = set(qubits)
-        if self.name == ALL_TO_ALL:
-            return True
-        if len(qs) <= 1:
-            return True
-        start, adj = next(iter(qs)), self._adjacency
-        seen, stack = {start}, [start]
+        return self.name == ALL_TO_ALL or len(qs) <= 1 or len(self.component(min(qs), qs)) == len(qs)
+
+    def component(self, start: int, qubits) -> set[int]:
+        """The qubits of `qubits` that `start` reaches through coupled qubits of `qubits`, `start` included."""
+        qs, seen, stack = set(qubits), {start}, [start]
         while stack:
-            for v in adj.get(stack.pop(), ()):
+            for v in self.neighbors(stack.pop()):
                 if v in qs and v not in seen:
                     seen.add(v)
                     stack.append(v)
-        return len(seen) == len(qs)
+        return seen
 
     def are_coupled(self, a: int, b: int) -> bool:
         if self.name == ALL_TO_ALL:
@@ -351,27 +350,36 @@ class CouplingMap:
         return self._adjacency.get(q, ())
 
     @cached_property
-    def _trees(self) -> dict[int, dict[int, int | None]]:
-        """Each source's BFS tree (qubit -> its parent), built whole once: a BFS stopped at b records the same parents."""
+    def _trees(self) -> dict[int, dict[int, tuple[int | None, int]]]:
+        """Each source's BFS tree (qubit -> its parent and its distance), built whole once: a BFS stopped at b records the same parents."""
         return {}
+
+    def _tree(self, a: int) -> dict[int, tuple[int | None, int]]:
+        tree = self._trees.get(a)
+        if tree is None:
+            tree, queue = {a: (None, 0)}, deque([a])
+            while queue:
+                u = queue.popleft()
+                for v in self.neighbors(u):
+                    if v not in tree:
+                        tree[v] = (u, tree[u][1] + 1)
+                        queue.append(v)
+            self._trees[a] = tree  # only once whole: another thread never reads a tree in the making
+        return tree
+
+    def _distance(self, a: int, b: int) -> int:
+        """The number of couplings on a shortest path from a to b, read from a's tree."""
+        return self._tree(a)[b][1]
 
     def shortest_path(self, a: int, b: int) -> list[int]:
         if self.name == ALL_TO_ALL:
             return [a, b]
-        prev = self._trees.get(a, {a: None})
-        queue = deque([a] if len(prev) == 1 else ())
-        while queue:
-            u = queue.popleft()
-            for v in self.neighbors(u):
-                if v not in prev:
-                    prev[v] = u
-                    queue.append(v)
-        self._trees[a] = prev  # only once whole: another thread never reads a tree in the making
-        if b not in prev:
+        tree = self._tree(a)
+        if b not in tree:
             raise ConfigError(f"no path between qubits {a} and {b}")
         path = [b]
         while path[-1] != a:
-            path.append(prev[path[-1]])
+            path.append(tree[path[-1]][0])
         return path[::-1]
 
 

@@ -147,7 +147,7 @@ def run_lcu(lattice: Lattice, s: SpinValue, variant: str = "sparse") -> dict:
     encoding = assign_qubits(lattice, "hadamard_all")
     n_data = encoding.n_data_qubits
     ancillas = tuple(range(n_data, n_data + n_anc))
-    circ = Circuit(n_data + n_anc, metadata={"builder": f"lcu_{variant}"})
+    circ = Circuit(n_data + n_anc)
     circ.extend(pre_vbs_circuit(lattice, encoding).gates)
     for site in range(lattice.n_sites):
         qs = encoding.site_qubits[site]

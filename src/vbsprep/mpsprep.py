@@ -194,7 +194,7 @@ def mps_circuit(n_sites: int, boundary: str, boundary_spins=("up", "up")) -> Cir
     if periodic and n_sites < 3:
         raise UnsupportedError("periodic preparation needs at least 3 sites")
     tensors = vbs_mps(n_sites, boundary, boundary_spins)
-    circ = Circuit(2 * n_sites + periodic, metadata={"builder": "mps"})
+    circ = Circuit(2 * n_sites + periodic)
 
     def block_qubits(site: int) -> tuple[int, ...]:  # (R_{i-1}, L_i, R_i)
         return (2 * site - 3, 2 * site - 2, 2 * site - 1)

@@ -156,7 +156,7 @@ def parse_qasm(text: str, opaque_matrices: dict[str, np.ndarray] | None = None) 
 
     if n_qubits is None:
         raise ConfigError("missing qreg declaration")
-    circ = Circuit(n_qubits, metadata={"builder": "parsed_qasm"})
+    circ = Circuit(n_qubits)
     for g in gates:
         if isinstance(g, tuple) and g[0] == "measure":
             _, q, creg = g

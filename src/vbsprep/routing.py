@@ -14,11 +14,11 @@ in-line four-qubit box and the other on a T-shaped box.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .builders import hadamard_test_fragment, island_block, island_qubit_groups, valence_bond_subcircuit
 from .errors import ConfigError
-from .ir import DECLARED_COSTS, CNot, Circuit, Measure, Opaque, U1Q
+from .ir import DECLARED_COSTS, CNot, Circuit, Opaque, _renamed
 from .lattice import (
     CouplingMap,
     Lattice,
@@ -52,22 +52,16 @@ def _move(placement: list[int], occupied: dict, pa: int, pb: int) -> None:
 def route(circuit: Circuit, coupling: CouplingMap) -> RoutedCircuit:
     """Rewrite a circuit so all multi-qubit gates respect the coupling map.
 
-    A marker keeps its place in the gate list, on the physical qubit its
-    logical qubit holds there.  The simulation takes each SWAP out and
-    renames the later gates (`ir._Run.run`), so a SWAP that moves a dropped
-    qubit brings it back into no state.
+    SWAPs bring a CNOT's qubits onto a coupled pair and a block's onto a
+    connected set; then the gate is renamed (`ir._renamed`) onto the
+    physical qubits its logical qubits hold.  The simulation takes each SWAP
+    out and renames the later gates back (`ir._Run.run`).
     """
     if circuit.n_qubits > coupling.n_qubits:
         raise ConfigError("circuit does not fit on the coupling map")
     placement = list(range(circuit.n_qubits))
-
-    out = Circuit(coupling.n_qubits, metadata=dict(circuit.metadata))
-    if coupling.name == "all_to_all":
-        out.gates = list(circuit.gates)
-        out.metadata["routed"] = "all_to_all"
-        return RoutedCircuit(out, placement)
-
     occupied = {p: l for l, p in enumerate(placement)}
+    out = Circuit(coupling.n_qubits)
 
     def do_swap(pa: int, pb: int):
         out.extend(_swap_cnots(pa, pb))
@@ -79,40 +73,21 @@ def route(circuit: Circuit, coupling: CouplingMap) -> RoutedCircuit:
             do_swap(path[0], path[1])
 
     def gather(logicals: tuple[int, ...]):
-        while not coupling.connected_subset([placement[l] for l in logicals]):
+        while True:  # swap the nearest outside qubit toward the first one's component
             phys = [placement[l] for l in logicals]
-            # component containing the first qubit
-            comp = {phys[0]}
-            grown = True
-            while grown:
-                grown = False
-                for p in phys:
-                    if p not in comp and any(coupling.are_coupled(p, c) for c in comp):
-                        comp.add(p)
-                        grown = True
-            outside = [p for p in phys if p not in comp]
-            best = min(
-                ((p, c) for p in outside for c in comp),
-                key=lambda pc: (len(coupling.shortest_path(pc[0], pc[1])), pc),
-            )
-            path = coupling.shortest_path(best[0], best[1])
-            do_swap(path[0], path[1])
+            comp = coupling.component(phys[0], phys)
+            if len(comp) == len(phys):
+                return
+            p, c = min(((p, c) for p in phys if p not in comp for c in comp),
+                       key=lambda pc: (coupling._distance(*pc), pc))
+            do_swap(*coupling.shortest_path(p, c)[:2])
 
     for g in circuit.gates:
-        if isinstance(g, U1Q):
-            out.add(U1Q(g.theta, g.phi, g.lam, placement[g.qubit], g.label))
-        elif isinstance(g, Measure):
-            out.add(Measure(placement[g.qubit], g.expect, g.creg,
-                            tuple(placement[q] for q in g.retry_reset)))
-        elif isinstance(g, CNot):
+        if isinstance(g, CNot):
             bring_adjacent(g.control, g.target)
-            out.add(CNot(placement[g.control], placement[g.target]))
         elif isinstance(g, Opaque):
             gather(g.qubits)
-            out.add(Opaque(g.label, tuple(placement[q] for q in g.qubits), g.matrix, g.cnot_cost, g.cnot_depth))
-        else:
-            raise TypeError(f"unknown gate {g!r}")
-    out.metadata["routed"] = coupling.name
+        out.add(_renamed(g, placement))
     return RoutedCircuit(out, placement)
 
 
@@ -177,7 +152,7 @@ def _pair_on_layout(method: str) -> tuple[Lattice, SiteEncoding, HeavyHexPairLay
 def heavy_hex_pair_probabilistic() -> tuple[RoutedCircuit, Lattice, SiteEncoding]:
     """Bare probabilistic preparation of the pair, placed on the heavy-hex set."""
     lattice, encoding, layout, initial, final = _pair_on_layout("hadamard_all")
-    circ = Circuit(layout.coupling.n_qubits, metadata={"builder": "probabilistic_heavy_hex"})
+    circ = Circuit(layout.coupling.n_qubits)
     for qa, qb in encoding.link_qubits:
         valence_bond_subcircuit(initial[qa], initial[qb], circ)
     circ.add(displacement_block(layout.displacement))
@@ -193,10 +168,10 @@ def heavy_hex_pair_mitigated() -> tuple[RoutedCircuit, Lattice, SiteEncoding]:
     bonds start on.
     """
     lattice, encoding, layout, initial, final = _pair_on_layout("islands_plus_sublattice")
-    circ = Circuit(layout.coupling.n_qubits, metadata={"builder": "mitigated_heavy_hex"})
+    circ = Circuit(layout.coupling.n_qubits)
     (site_a,) = island_qubit_groups(lattice, encoding)
     block = island_block(lattice, encoding, site_a, SpinValue(3))
-    circ.add(replace(block, qubits=tuple(initial[q] for q in block.qubits)))
+    circ.add(_renamed(block, initial))
     circ.add(displacement_block(layout.displacement))
     _add_physical_test(circ, encoding, final, 1, "t")
     return RoutedCircuit(circ, final), lattice, encoding

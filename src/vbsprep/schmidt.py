@@ -38,9 +38,9 @@ def u1q_params(mat: np.ndarray) -> tuple[float, float, float, complex]:
     return theta, phi, lam, np.exp(1j * alpha)
 
 
-def u1q_gate(mat: np.ndarray, qubit: int, label: str = "") -> U1Q:
+def u1q_gate(mat: np.ndarray, qubit: int) -> U1Q:
     theta, phi, lam, _ = u1q_params(np.asarray(mat, dtype=complex))
-    return U1Q(theta, phi, lam, qubit, label)
+    return U1Q(theta, phi, lam, qubit)
 
 
 def prepare_single_qubit(target: np.ndarray, qubit: int) -> U1Q:
@@ -50,7 +50,7 @@ def prepare_single_qubit(target: np.ndarray, qubit: int) -> U1Q:
     phi = float(np.angle(t1) - np.angle(t0)) if abs(t1) > 1e-12 and abs(t0) > 1e-12 else (
         float(np.angle(t1)) if abs(t0) <= 1e-12 else 0.0
     )
-    return U1Q(theta, phi, 0.0, qubit, "prep")
+    return U1Q(theta, phi, 0.0, qubit)
 
 
 def _block(label: str, qubits: tuple[int, ...], mat: np.ndarray, costs: dict | None) -> Opaque:
@@ -87,7 +87,7 @@ def schmidt_prepare(
     target = target / norm
     if qubits is None:
         qubits = tuple(range(nq))
-    circ = Circuit(max(qubits) + 1, metadata={"builder": label, "n_qubits_prepared": nq})
+    circ = Circuit(max(qubits) + 1)
     _schmidt_into(circ, target, qubits, u_cost, v_cost, b_inner_cost, label)
     return circ
 
@@ -120,7 +120,7 @@ def _schmidt_into(circ, target, qubits, u_cost, v_cost, b_inner_cost, label):
     # Left singular vectors.
     if left == 1:
         if rank > 1:
-            circ.add(u1q_gate(u, lq[0], label + "_u"))
+            circ.add(u1q_gate(u, lq[0]))
         else:
             circ.add(prepare_single_qubit(u[:, 0], lq[0]))
     else:
@@ -140,7 +140,7 @@ def _schmidt_into(circ, target, qubits, u_cost, v_cost, b_inner_cost, label):
         v_gate = v_full[:, perm]
     if right == 1:
         if rank > 1:
-            circ.add(u1q_gate(v_gate, rq[0], label + "_v"))
+            circ.add(u1q_gate(v_gate, rq[0]))
         else:
             circ.add(prepare_single_qubit(v_full[:, 0], rq[0]))
     else:
@@ -175,12 +175,10 @@ def island_prep_circuit(s: SpinValue) -> Circuit:
     """Deterministic island initialization via the Schmidt split down the middle."""
     target = island_state(s)
     block = f"island_2s{s.twice_s}"
-    circ = schmidt_prepare(
+    return schmidt_prepare(
         target.amps,
         u_cost=DECLARED_COSTS[block + "_u"],
         v_cost=DECLARED_COSTS[block + "_v"],
         b_inner_cost=DECLARED_COSTS.get(block + "_b"),
         label=block,
     )
-    circ.metadata["island_twice_s"] = s.twice_s
-    return circ

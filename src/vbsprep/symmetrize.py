@@ -45,7 +45,7 @@ def w_state_circuit(m: int, qubits: tuple[int, ...] | None = None, circ: Circuit
     if len(qubits) != m:
         raise ValueError("qubit list length must equal m")
     if circ is None:
-        circ = Circuit(max(qubits) + 1, metadata={"builder": "w_state", "m": m})
+        circ = Circuit(max(qubits) + 1)
     circ.add(u_x(qubits[0]))
     for i in range(m - 1):
         w_block(1.0 / (m - i), qubits[i], qubits[i + 1], circ)
@@ -66,8 +66,7 @@ def inverse_gates(gates) -> list:
         if isinstance(g, CNot):
             out.append(g)
         else:
-            theta, phi, lam = -g.theta, -g.lam, -g.phi
-            out.append(type(g)(theta, phi, lam, g.qubit, g.label + "_inv"))
+            out.append(type(g)(-g.theta, -g.lam, -g.phi, g.qubit))
     return out
 
 
@@ -126,7 +125,7 @@ def lcu_symmetrization_circuit(
     seqs = permutation_swap_sequences(n_halves)
     m = len(seqs)
     n_total = max((*site_qubits, *ancillas)) + 1
-    circ = Circuit(n_total, metadata={"builder": f"lcu_{variant}", "n_halves": n_halves})
+    circ = Circuit(n_total)
 
     if variant == "sparse":
         if len(ancillas) != m:

@@ -174,18 +174,24 @@ def test_mixed_spin_patch_interior_link_annihilation():
         assert applied_norm(state, proj, qs) < 1e-10
 
 
-def test_retry_circuit_carries_reset_markers():
-    from vbsprep.builders import mitigated_retry_circuit
-    from vbsprep.ir import Measure
+def test_retry_circuit_tests_each_island_once_and_returns_its_ancilla():
+    from vbsprep.builders import island_qubit_groups, mitigated_retry_circuit
+    from vbsprep.ir import Measure, Opaque, u_x
     from vbsprep.lattice import assign_qubits
 
     lat = build_chain(4, "ring")
     enc = assign_qubits(lat, "islands_plus_sublattice")
     circ = mitigated_retry_circuit(lat, enc, S1)
-    retry_markers = [g for g in circ.gates if isinstance(g, Measure) and g.retry_reset]
-    assert len(retry_markers) == 2  # one per retried island
-    for m in retry_markers:
-        assert len(m.retry_reset) == 4  # the 4S-qubit island
+    groups = island_qubit_groups(lat, enc)
+    assert len(groups) == 2  # the two A sites' islands
+    tests = [g for g in circ.gates if isinstance(g, Opaque)][: len(groups)]
+    # one A-island test per island, on its site's qubits, which the island holds
+    assert [g.qubits[1:] for g in tests] == [enc.site_qubits[site] for site in sorted(groups)]
+    assert all(set(g.qubits[1:]) <= set(groups[site]) for g, site in zip(tests, sorted(groups)))
+    markers = [i for i, g in enumerate(circ.gates) if isinstance(g, Measure)][: len(groups)]
+    for test, i in zip(tests, markers):
+        assert circ.gates[i].qubit == test.qubits[0]
+        assert circ.gates[i + 1] == u_x(test.qubits[0])  # the ancilla returns to |0> for the next test
 
 
 @pytest.mark.parametrize(

@@ -189,7 +189,7 @@ def test_keep_and_marker_outcomes_are_checked_before_any_block(monkeypatch):
 
 def test_an_unkept_qubit_in_superposition_is_named_by_its_circuit_qubit():
     # qubit 1 never joins, so qubit 2 sits on axis 1
-    with pytest.raises(ValueError, match=r"qubit 2 \(state axis 1\): qubit 1 is neither kept nor post-selected"):
+    with pytest.raises(VbsError, match=r"^qubit 2 \(state axis 1\) is neither kept nor post-selected"):
         simulate_post_selected(Circuit(3, [u_h(2)]), [0])
 
 
@@ -365,7 +365,7 @@ def _with_swaps(rng, circ: Circuit) -> tuple[Circuit, list[int]]:
         if isinstance(g, CNot):
             gates.append(CNot(at[g.control], at[g.target]))
         elif isinstance(g, U1Q):
-            gates.append(U1Q(g.theta, g.phi, g.lam, at[g.qubit], g.label))
+            gates.append(U1Q(g.theta, g.phi, g.lam, at[g.qubit]))
         elif isinstance(g, Opaque):
             gates.append(Opaque(g.label, tuple(at[q] for q in g.qubits), g.matrix))
         else:
@@ -435,13 +435,13 @@ def test_triples_that_are_not_a_swap_are_simulated_as_gates(gates):
 def test_a_swap_renames_every_later_gate_and_keeps_each_opaque_matrix():
     block = Opaque("random", (1, 2), np.linalg.qr(np.arange(16).reshape(4, 4) + 1j * np.eye(4))[0])
     first, last = u_h(0), u_x(1)
-    run = ir._Run(Circuit(3, [first] + _swap(0, 2) + [CNot(2, 1), block, Measure(0, 1, 3, (2,)), last]))
+    run = ir._Run(Circuit(3, [first] + _swap(0, 2) + [CNot(2, 1), block, Measure(0, 1, 3), last]))
     gates, wire, given = run.gates, run.wire, run.given
     assert wire == [2, 1, 0]
     assert gates[0] is first and gates[4] is last  # a gate on no moved qubit is kept as it is
     assert gates[1] == CNot(0, 1)
     assert gates[2].qubits == (1, 0) and gates[2].matrix is block.matrix
-    assert gates[3] == Measure(2, 1, 3, (0,)) and given[id(gates[3])] == 0
+    assert gates[3] == Measure(2, 1, 3) and given[id(gates[3])] == 0
 
 
 @pytest.mark.parametrize("spec", [f"chain:{n}:open:{flavor}" for n in range(3, 8) for flavor in ("aligned", "anti")]
@@ -474,7 +474,7 @@ def test_errors_on_a_routed_circuit_name_the_qubits_it_gives():
     with pytest.raises(ImpossibleOutcomeError, match=r"^marker on qubit 8 \(no state axis\): outcome 0 on a qubit that holds 1"):
         simulate_post_selected(flipped, keep)
     # a data qubit left out of keep is named by the qubit that holds it at the end
-    with pytest.raises(ValueError, match=rf"^qubit {keep[-1]} \(state axis 7\): qubit 7 is neither kept"):
+    with pytest.raises(VbsError, match=rf"^qubit {keep[-1]} \(state axis 7\) is neither kept"):
         simulate_post_selected(routed.circuit, keep[:-1])
 
 

@@ -4,7 +4,7 @@ import pytest
 
 from vbsprep.builders import probabilistic_method_circuit
 from vbsprep.errors import ConfigError, UnsupportedError
-from vbsprep.ir import CNot, Circuit, Opaque, cnot_depth, post_select, simulate_circuit
+from vbsprep.ir import CNot, Circuit, Measure, Opaque, U1Q, cnot_depth, post_select, simulate_circuit
 from vbsprep.lattice import (
     ALL_TO_ALL,
     CouplingMap,
@@ -232,11 +232,128 @@ def test_shortest_path_keeps_one_tree_per_source_and_the_early_stopping_paths(co
     assert sorted(coupling._trees) == list(range(coupling.n_qubits))
 
 
-@pytest.mark.parametrize("skipped,cause", [(1, "error: markers on qubits [7] (folded into a block"),
-                                           (3, "[FAIL] routed_fidelity_vs_oracle: expected=1 actual=0.4285")])
-def test_a_router_fault_fails_the_routed_check(skipped, cause, monkeypatch, capsys):
+@pytest.mark.parametrize("coupling", [linear_coupling(12), heavy_hex_patch(2)], ids=["linear12", "heavy_hex2"])
+def test_distance_is_the_shortest_paths_length_less_one(coupling):
+    pairs = [(a, b) for a in range(coupling.n_qubits) for b in range(coupling.n_qubits)]
+    assert [coupling._distance(a, b) for a, b in pairs] == [len(coupling.shortest_path(a, b)) - 1 for a, b in pairs]
+
+
+def test_component_holds_what_start_reaches_inside_the_subset():
+    line, hex1 = linear_coupling(6), heavy_hex_patch(1)  # heavy_hex_patch(1): line 0..6, bridge 7 off 5
+    assert line.component(0, [0, 1, 3, 4]) == {0, 1}
+    assert line.component(4, [0, 1, 3, 4]) == {3, 4}
+    assert line.component(2, []) == {2}
+    assert hex1.component(7, [4, 5, 6, 7]) == {4, 5, 6, 7}
+    assert hex1.component(7, [4, 6, 7]) == {7}
+
+
+def _reference_route(circuit: Circuit, coupling: CouplingMap) -> tuple[list, list[int]]:
+    """Route gate by gate, rebuilding each gate by its type; a block gathers by SWAPs toward the pair
+    (outside qubit, first qubit's component) with the shortest path, ties to the smallest pair."""
+    placement = list(range(circuit.n_qubits))
+    occupied = {p: l for l, p in enumerate(placement)}
+    gates = []
+
+    def swap(pa, pb):
+        gates.extend([CNot(pa, pb), CNot(pb, pa), CNot(pa, pb)])
+        occupied[pa], occupied[pb] = occupied.get(pb), occupied.get(pa)
+        for p in (pa, pb):
+            if occupied[p] is not None:
+                placement[occupied[p]] = p
+
+    for g in circuit.gates:
+        if isinstance(g, CNot):
+            while not coupling.are_coupled(placement[g.control], placement[g.target]):
+                swap(*_early_stopping_path(coupling, placement[g.control], placement[g.target])[:2])
+            gates.append(CNot(placement[g.control], placement[g.target]))
+        elif isinstance(g, Opaque):
+            while True:
+                phys = [placement[q] for q in g.qubits]
+                comp = {phys[0]}
+                while grown := [p for p in phys if p not in comp and any(coupling.are_coupled(p, c) for c in comp)]:
+                    comp.update(grown)
+                if len(comp) == len(phys):
+                    break
+                p, c = min(((p, c) for p in phys if p not in comp for c in comp),
+                           key=lambda pc: (len(_early_stopping_path(coupling, *pc)), pc))
+                swap(*_early_stopping_path(coupling, p, c)[:2])
+            gates.append(Opaque(g.label, tuple(placement[q] for q in g.qubits), g.matrix, g.cnot_cost, g.cnot_depth))
+        elif isinstance(g, U1Q):
+            gates.append(U1Q(g.theta, g.phi, g.lam, placement[g.qubit]))
+        else:
+            gates.append(Measure(placement[g.qubit], g.expect, g.creg))
+    return gates, placement
+
+
+def _random_blocks_circuit(rng, n: int) -> Circuit:
+    """CNOTs, one-qubit gates, markers and 3-qubit blocks on random qubits."""
+    circ = Circuit(n)
+    for _ in range(24):
+        kind = rng.integers(4)
+        if kind == 0:
+            circ.add(CNot(*(int(q) for q in rng.choice(n, 2, replace=False))))
+        elif kind == 1:
+            circ.add(U1Q(*rng.uniform(-np.pi, np.pi, size=3), int(rng.integers(n))))
+        elif kind == 2:
+            circ.add(Measure(int(rng.integers(n)), int(rng.integers(2)), int(rng.integers(4))))
+        else:
+            circ.add(Opaque("perm", tuple(int(q) for q in rng.choice(n, 3, replace=False)), np.eye(8)[rng.permutation(8)]))
+    return circ
+
+
+def _routing_cases():
+    """(circuit, coupling): every route-sweep lattice onto linear (chain:4:ring last), both heavy-hex pipelines,
+    a block whose two outside qubits tie, and random blocks."""
+    from vbsprep.cli import parse_lattice
+
+    cases = []
+    for spec in [f"chain:{n}:open:{flavor}" for n in range(2, 6) for flavor in ("aligned", "anti")] + ["chain:4:ring"]:
+        lattice = parse_lattice(spec)
+        enc = assign_qubits(lattice, "hadamard_all")
+        cases.append((probabilistic_method_circuit(lattice, enc, SpinValue(2)), linear_coupling(enc.total_qubits)))
+    for pipeline in (heavy_hex_pair_probabilistic, heavy_hex_pair_mitigated):
+        cases.append((pipeline()[0].circuit, heavy_hex_pair_layout().coupling))
+    cases.append((Circuit(5, [Opaque("tie", (2, 0, 4), np.eye(8))]), linear_coupling(5)))  # 0 and 4 both 2 away
+    rng = np.random.default_rng(26)
+    cases += [(_random_blocks_circuit(rng, 12), coupling) for coupling in (linear_coupling(12), heavy_hex_patch(2))]
+    return cases
+
+
+def test_route_gives_the_reference_rebuilds_gates_and_placement():
+    for circ, coupling in _routing_cases():
+        routed = route(circ, coupling)
+        assert (routed.circuit.gates, routed.placement) == _reference_route(circ, coupling)
+
+
+def test_routing_runs_no_opaque_check_and_each_block_keeps_its_matrix(monkeypatch):
+    from vbsprep.ir import simulate_post_selected
+
+    cases = _routing_cases()[8:]  # from chain:4:ring on
+    ring_prob = simulate_post_selected(cases[0][0], range(8))[0]  # its 8 data qubits
+
+    def refuse(self):
+        raise AssertionError(f"Opaque.__post_init__ ran on {self.label}")
+
+    monkeypatch.setattr(Opaque, "__post_init__", refuse)
+    for circ, coupling in cases:
+        routed = route(circ, coupling)
+        given = [g for g in circ.gates if isinstance(g, Opaque)]
+        blocks = [g for g in routed.circuit.gates if isinstance(g, Opaque)]
+        assert given and len(blocks) == len(given)
+        assert all(b.matrix is g.matrix for b, g in zip(blocks, given))
+    routed = route(*cases[0])  # the routed simulation renames each gate after a SWAP, with no check either
+    assert abs(simulate_post_selected(routed.circuit, routed.placement[:8])[0] - ring_prob) < 1e-12
+
+
+# chain:3:open:aligned routed onto linear makes 30 SWAPs; with the placement update of one of these skipped,
+# the routed state is still the oracle's, to rounding
+_HARMLESS_SKIPS = (0, 2, 7, 8)
+
+
+@pytest.mark.parametrize("skipped", range(30))
+def test_a_router_fault_fails_the_routed_check(skipped, monkeypatch, capsys):
     from vbsprep import routing
-    from vbsprep.cli import EXIT_CHECK_FAILED, main
+    from vbsprep.cli import EXIT_CHECK_FAILED, EXIT_OK, main
 
     calls, move = [], routing._move
 
@@ -246,6 +363,11 @@ def test_a_router_fault_fails_the_routed_check(skipped, cause, monkeypatch, caps
             move(placement, occupied, pa, pb)
 
     monkeypatch.setattr(routing, "_move", faulty)
-    assert main(["prepare", "--spin", "2", "--lattice", "chain:3:open:aligned", "--coupling", "linear"]) == EXIT_CHECK_FAILED
+    code = main(["prepare", "--spin", "2", "--lattice", "chain:3:open:aligned", "--coupling", "linear"])
+    err = capsys.readouterr().err
     assert len(calls) > skipped
-    assert cause in capsys.readouterr().err
+    assert code == (EXIT_OK if skipped in _HARMLESS_SKIPS else EXIT_CHECK_FAILED), err  # never exit 2, a config error
+    cause = {1: "error: markers on qubits [7] (folded into a block",
+             3: "[FAIL] routed_fidelity_vs_oracle: expected=1 actual=0.4285",
+             12: "error: qubit 2 (state axis 3) is neither kept nor post-selected, and is in superposition"}.get(skipped, "")
+    assert cause in err
