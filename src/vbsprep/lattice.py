@@ -310,9 +310,9 @@ class CouplingMap:
     edges: frozenset[tuple[int, int]] = field(default_factory=frozenset)
 
     def __post_init__(self):
-        for a, b in self.edges:
-            if not (0 <= a < self.n_qubits and 0 <= b < self.n_qubits):
-                raise ConfigError("coupling edge references a missing qubit")
+        for a, b in self.edges:  # each edge joins two qubits of the map: a SWAP along it needs no further check
+            if not (0 <= a < self.n_qubits and 0 <= b < self.n_qubits) or a == b:
+                raise ConfigError(f"coupling edge ({a}, {b}) must join two distinct qubits of the map")
         if not self.connected_subset(range(self.n_qubits)):
             raise ConfigError("coupling map must be connected")
 

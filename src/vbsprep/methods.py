@@ -1,6 +1,6 @@
-"""End-to-end preparation runners for every route, plus the spin-basis
-oracle they are all checked against: every circuit route must reproduce its
-output state up to global phase (`statesim.Statevector.spin_fidelity`).
+"""End-to-end runners for every route, and the spin-basis oracle that each
+route's state must reproduce up to global phase (`Statevector.spin_fidelity`).
+The retry route's product folds each finished site into one spin axis.
 """
 from __future__ import annotations
 
@@ -101,7 +101,7 @@ def run_mitigated_retry(lattice: Lattice, s: SpinValue, seed: int) -> dict:
     Realized as branch resampling: each A site's island is retried
     independently (reset and bond re-preparation on failure), which
     reproduces the geometric(p) round statistics; the B sites' symmetrizers
-    act on the product of the islands, post-selected.
+    act on the islands' product, post-selected, as it folds each finished site.
     """
     rng = np.random.default_rng(seed)
     encoding = assign_qubits(lattice, "islands_plus_sublattice")
@@ -126,7 +126,7 @@ def run_mitigated_retry(lattice: Lattice, s: SpinValue, seed: int) -> dict:
             covered.add(qubit)
     b_sites = [encoding.site_qubits[site] for site in range(lattice.n_sites) if colors[site] == "B"]
     full = Statevector.product_of_factors(encoding.n_data_qubits, factors,
-                                          [(symmetrizer(len(qs)), qs) for qs in b_sites])
+                                          [(symmetrizer(len(qs)), qs) for qs in b_sites], encoding.site_qubits)
     return {
         "state": full,
         "success_probability": full.tracked_norm_sq,

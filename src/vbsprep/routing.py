@@ -63,8 +63,8 @@ def route(circuit: Circuit, coupling: CouplingMap) -> RoutedCircuit:
     occupied = {p: l for l, p in enumerate(placement)}
     out = Circuit(coupling.n_qubits)
 
-    def do_swap(pa: int, pb: int):
-        out.extend(_swap_cnots(pa, pb))
+    def do_swap(pa: int, pb: int):  # an edge of the map (see CouplingMap), so Circuit.add's check is skipped
+        out.gates.extend(_swap_cnots(pa, pb))
         _move(placement, occupied, pa, pb)
 
     def bring_adjacent(la: int, lb: int):

@@ -113,8 +113,9 @@ def permutation_operator(perm: tuple[int, ...]) -> np.ndarray:
     return np.moveaxis(np.eye(2**n).reshape((2,) * 2 * n), range(n), perm).reshape(2**n, 2**n)
 
 
+@lru_cache(maxsize=None)
 def symmetrizer(n_halves: int) -> np.ndarray:
-    """Projector onto the exchange-symmetric subspace of n qubits.
+    """Projector onto the exchange-symmetric subspace of n qubits; read-only, built once per n.
 
     Built as the uniform average of all n! qubit permutations.
     """

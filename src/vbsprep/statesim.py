@@ -87,7 +87,7 @@ def _tile_slices(shape, whole):
 
     The dims in `whole` are never split.  The others are split from the
     outermost in: an inner dim is split only when it alone overflows a tile.
-    Every size is a power of two, so every tile has the same shape.
+    A folded site's 2S+1 values may leave the last tile of a dim shorter.
     """
     if math.prod(shape) <= TILE:
         return [()]  # one tile: the whole array
@@ -104,7 +104,7 @@ def _tile_slices(shape, whole):
 def _tiles(tensor: np.ndarray, mat: np.ndarray, axes, source=None):
     """`mat` on the listed axes of `source` (axes[0] its MSB), one tile at a time, in `tensor`'s layout.
 
-    The listed axes have size 2 in `tensor`, the others any power of two.
+    The listed axes have size 2 in `tensor`, the others 2 or 2S+1 (folded).
     `source` is `tensor` for an operator in place; a join (`_joined`) passes
     the old state, with a size-1 axis per new qubit, the grown one as
     `tensor`, and `mat` cut to its 2^(k-m) columns where the new qubits read 0.
@@ -127,9 +127,9 @@ def _tiles(tensor: np.ndarray, mat: np.ndarray, axes, source=None):
 
 
 def _fold(mat: np.ndarray, right: int) -> np.ndarray:
-    """(M (x) I_R)^T by broadcasting (np.kron costs about 30 us a call): M on the middle axis of (L, cols, R)."""
+    """(M (x) I_R)^T by broadcasting (np.kron: 30 us a call), C-ordered for thin real gemms: M on the middle axis of (L, cols, R)."""
     rows, cols = mat.shape
-    return (mat[:, None, :, None] * np.eye(right)[None, :, None, :]).reshape(rows * right, cols * right).T
+    return (mat.T[:, None, :, None] * np.eye(right)[None, :, None, :]).reshape(cols * right, rows * right)
 
 
 def _contract_run(tensor: np.ndarray, mat: np.ndarray, run, lo: int, source: np.ndarray):
@@ -151,7 +151,7 @@ def _contract_run(tensor: np.ndarray, mat: np.ndarray, run, lo: int, source: np.
     out = None
     for index in _tile_slices(view.shape, (1,)):
         tile, part = view[index], src[index]
-        if out is None:
+        if out is None or out.shape != tile.shape:  # a shorter last tile takes its own scratch
             out = np.empty(tile.shape, dtype=complex)
         if mat.shape[1] == 1:
             np.multiply(part, mat, out=out)
@@ -223,9 +223,9 @@ def _contract(tensor: np.ndarray, mat: np.ndarray, axes, source=None, norms=None
 
 
 @functools.cache
-def _shape_only(n: int) -> np.ndarray:
-    """A read-only (2,) * n array that holds no amplitudes (every stride 0), for its shape."""
-    return np.broadcast_to(np.zeros((), dtype=complex), (2,) * n)
+def _shape_only(shape: tuple) -> np.ndarray:
+    """A read-only array of `shape` that holds no amplitudes (every stride 0), for its shape."""
+    return np.broadcast_to(np.zeros((), dtype=complex), shape)
 
 
 def _joined(tensor: np.ndarray, cols: np.ndarray, axes, new, norms=None) -> np.ndarray:
@@ -238,11 +238,41 @@ def _joined(tensor: np.ndarray, cols: np.ndarray, axes, new, norms=None) -> np.n
     the grown state and one tile's scratch.  A grown state of one tile is
     the kernel's output itself, so no array is allocated for it.
     """
-    n = tensor.ndim + len(new)
-    source = tensor.reshape([1 if a in new else 2 for a in range(n)])
+    sizes = iter(tensor.shape)
+    source = tensor.reshape([1 if a in new else next(sizes) for a in range(tensor.ndim + len(new))])
+    shape = tuple(2 if a in new else size for a, size in enumerate(source.shape))
     # of one tile, the array to write into only lends its shape
-    grown = np.empty((2,) * n, dtype=complex) if 2**n > TILE else _shape_only(n)
+    grown = np.empty(shape, dtype=complex) if math.prod(shape) > TILE else _shape_only(shape)
     return _contract(grown, cols, axes, source, norms)
+
+
+def _fold_tiles(tensor: np.ndarray, lo: int, sites):
+    """The sites from axis `lo`, as (2S, still in qubits) pairs, folded by V^dagger (V `spinops.symmetric_subspace_isometry`).
+
+    `tensor` is viewed as rows (L, rest), L the axes before `lo`.  Yields (rows, out) per batch of the rows that fit a
+    tile (or one): a slice of rows, and their folded values in scratch the next batch reuses (float views: V is real).
+    """
+    rows = tensor.reshape(math.prod(tensor.shape[:lo]), -1)
+    batch = min(len(rows), max(1, TILE // rows.shape[1]))
+    right, size, shapes = 2 * rows.shape[1], 2 * batch * rows.shape[1], []  # floats after each site, and in a batch
+    for w, qubits in sites:
+        right //= 2**w if qubits else w + 1
+        if qubits:
+            size = size // 2**w * (w + 1)
+            shapes.append((w, right, size, symmetric_subspace_isometry(w).T))
+    buffer = np.empty(sum(size for _, _, size, _ in shapes[:2]))  # the sites write to its two parts in turn
+    steps = [(shrink, _fold(shrink, right) if 2**w * right <= FOLD_MAX_COLS else None,
+              buffer[i % 2 * shapes[0][2] :][:size].reshape(-1, w + 1, right)) for i, (w, right, size, shrink) in enumerate(shapes)]
+    for start in range(0, len(rows), batch):
+        x = rows[start : start + batch].view(np.float64)
+        n = len(x)  # a shorter last batch takes a prefix of each scratch
+        for shrink, fold, scratch in steps:
+            out = scratch[: len(scratch) // batch * n]
+            if fold is None:
+                x = np.matmul(shrink, x.reshape(len(out), -1, out.shape[2]), out=out)
+            else:
+                x = np.matmul(x.reshape(len(out), -1), fold, out=out.reshape(len(out), -1))
+        yield slice(start, start + n), x.reshape(n, -1).view(complex)
 
 
 def _check_op(mat: np.ndarray, qubits, n: int, new=()) -> None:
@@ -261,7 +291,10 @@ def _check_unitary(mat: np.ndarray) -> None:
 
 
 class Statevector:
-    """Complex amplitude vector with a running retained-branch probability.
+    """Complex amplitudes on axes of 2 or 2S+1 values, with a running retained-branch probability.
+
+    A site folded by `product_of_factors` has one axis at its first qubit; each fold multiplies
+    the kept fraction `_kept` by ||V^dagger r||^2 / ||r||^2 (`spin_fidelity` reads it).
 
     `tracked_norm_sq` is the product of the probabilities of every retained
     branch since initialization; it equals 1 until the first non-unitary
@@ -277,16 +310,17 @@ class Statevector:
     state of one tile, replaces it.  Pass a copy to keep the original.
     """
 
-    __slots__ = ("n_qubits", "amps", "tracked_norm_sq")
+    __slots__ = ("n_qubits", "amps", "tracked_norm_sq", "_dims", "_kept")
 
-    def __init__(self, n_qubits: int, amps: np.ndarray, tracked_norm_sq: float = 1.0):
+    def __init__(self, n_qubits: int, amps: np.ndarray, tracked_norm_sq: float = 1.0, dims=None):
         # a state of no qubit is one amplitude: what post_select returns when it keeps none
         self.n_qubits = _checked_width(n_qubits) if n_qubits else 0
-        if amps.size != 2**n_qubits:
-            raise ValueError(f"{amps.size} amplitudes do not make a {n_qubits}-qubit state of {2**n_qubits}")
+        self._dims = (2,) * n_qubits if dims is None else tuple(dims)
+        if amps.size != math.prod(self._dims):
+            raise ValueError(f"{amps.size} amplitudes do not make a {n_qubits}-qubit state of {math.prod(self._dims)}")
         # the float views and in-place kernels need contiguous complex amplitudes; these are not copied
         self.amps = np.ascontiguousarray(amps, dtype=complex)
-        self.tracked_norm_sq = tracked_norm_sq
+        self.tracked_norm_sq, self._kept = tracked_norm_sq, 1.0
 
     # -- constructors ------------------------------------------------------
 
@@ -299,23 +333,29 @@ class Statevector:
         return cls(n, amps.copy())
 
     @classmethod
-    def product_of_factors(cls, n_qubits: int, factors, ops=()) -> "Statevector":
+    def product_of_factors(cls, n_qubits: int, factors, ops=(), sites=()) -> "Statevector":
         """Tensor product of local vectors given as (qubit_tuple, vector) pairs, then `ops` on it.
 
         The qubit tuples must partition range(n_qubits).  The factors join
-        through `_joined` in the order of their first qubit, axes in qubit
-        order.  `ops` lists (op, qubits) pairs, applied in list order, each
-        once the product holds its qubits: a factor joins as one block with
-        the ops it makes ready (its vector times the identity on their other
-        qubits, the ops composed in), so each step writes the state once.
+        in the order of their first qubit, axes in qubit order.  `ops` lists
+        (op, qubits) pairs, applied in list order, each once the product
+        holds its qubits: a factor joins (`_joined`) as one block with the
+        ops it makes ready (its vector times the identity on their other
+        qubits, the ops composed in), so each step writes the state once; a
+        product of one tile joins by an outer product and then applies them.
         An op that would give a block over FUSE_WIDTH other qubits waits,
         with those after it, for a later block; the ops that fit no block act
-        in turn on the whole product, through the same kernel.  With ops the
-        squared norm is summed over the tiles of the last write and the
-        state scaled once; `tracked_norm_sq` is ||O psi||^2 / ||psi||^2, the
-        product of the ratios that renormalizing after every op would give;
-        below PROB_FLOOR (a zero product included) it raises
-        ImpossibleOutcomeError.
+        in turn on the whole product, through the same kernel.
+
+        `sites` lists runs of consecutive qubits, each a site's 2S: a site
+        folds (`_fold_tiles`) after the join that leaves its qubits joined
+        and no op on them waiting; an op left past the last join keeps its
+        sites in qubits.
+        With ops or sites the squared norm is summed over the tiles of the
+        last write and the state scaled once; `tracked_norm_sq` is ||O psi||^2
+        / ||psi||^2, the product of the ratios that renormalizing after every
+        op would give (a fold's ratio goes to the kept fraction); below
+        PROB_FLOOR (a zero product included) it raises ImpossibleOutcomeError.
         """
         _checked_width(n_qubits)  # before the product is allocated
         factors = sorted(factors, key=lambda f: tuple(f[0]))
@@ -324,7 +364,8 @@ class Statevector:
         ops = [(np.asarray(op, dtype=complex), tuple(qubits)) for op, qubits in ops]
         for op, qubits in ops:
             _check_op(op, qubits, n_qubits)
-        amps, live, before, scaled = np.ones((), dtype=complex), [], 1.0, bool(ops)
+        waits = {tuple(s): 1 + max((i for i, (_, qs) in enumerate(ops) if set(qs) & set(s)), default=-1) for s in sites}
+        amps, live, before, kept, done, scaled = np.ones((), dtype=complex), [], 1.0, 1.0, 0, bool(ops or sites)
         for qubits, vec in factors:
             vec, m = np.asarray(vec, dtype=complex), len(qubits)
             if vec.size != 2**m:
@@ -334,17 +375,34 @@ class Statevector:
             while ready < len(ops) and set(ops[ready][1]) <= set(live) and len({*support, *ops[ready][1]}) - m <= FUSE_WIDTH:
                 support += [q for q in ops[ready][1] if q not in support]
                 ready += 1
-            k = len(support)
-            block = np.multiply.outer(vec.reshape([2] * m), np.eye(2 ** (k - m)).reshape([2] * (k - m) + [-1]))
-            for op, qs in ops[:ready]:
-                block = _contract(block, op, [support.index(q) for q in qs])
-            norms: list[float] = []
-            amps = _joined(amps, block.reshape(2**k, -1), [live.index(q) for q in support], [live.index(q) for q in qubits], norms)
-            ops = ops[ready:]
-        state = cls(n_qubits, amps.reshape(-1))
+            if amps.size << m <= TILE:  # one tile: the factor joins by an outer product, and its ready ops act in turn
+                amps = np.moveaxis(np.multiply.outer(amps, vec.reshape([2] * m)), range(-m, 0), [live.index(q) for q in qubits])
+                for op, qs in ops[:ready]:
+                    amps = _contract(amps, op, [live.index(q) for q in qs])
+                norms = [_norm_sq(amps)]
+            else:
+                k = len(support)
+                block = np.multiply.outer(vec.reshape([2] * m), np.eye(2 ** (k - m)).reshape([2] * (k - m) + [-1]))
+                for op, qs in ops[:ready]:
+                    block = _contract(block, op, [support.index(q) for q in qs])
+                norms: list[float] = []
+                amps = _joined(amps, block.reshape(2**k, -1), [live.index(q) for q in support], [live.index(q) for q in qubits], norms)
+            ops, done = ops[ready:], done + ready
+            for site in [site for site, wait in waits.items() if wait <= done and set(site) <= set(live)]:
+                del waits[site]
+                lo, w, folded = live.index(site[0]), len(site), []
+                out = np.empty(amps.shape[:lo] + (w + 1,) + amps.shape[lo + w :], dtype=complex)
+                for index, part in _fold_tiles(amps, lo, [(w, True)]):
+                    out.reshape(-1, part.shape[1])[index] = part
+                    folded.append(_norm_sq(part))
+                ratio = math.fsum(folded) / (math.fsum(norms) or 1.0)
+                amps, kept, before, norms = out, kept * ratio, before * ratio, folded
+                live = [q for q in live if q not in site[1:]]  # the spin axis keeps the site's first qubit
+        state = cls(n_qubits, amps.reshape(-1), dims=amps.shape)
+        state._kept = kept
         for op, qubits in ops:
             norms = []
-            state._apply(op, qubits, (), norms)
+            state._apply(op, [live.index(q) for q in qubits], (), norms)
         if scaled:
             _scale(state.amps, 1 / math.sqrt(state._retain(before, norms)))
         return state
@@ -352,9 +410,9 @@ class Statevector:
     # -- operator application ---------------------------------------------
 
     def _tensor(self, mat: np.ndarray, qubits, new=()) -> np.ndarray:
-        """The amplitudes as a [2, 2, ...] tensor, once `mat` and `qubits` are checked (`_check_op`)."""
-        _check_op(mat, qubits, self.n_qubits + len(new), new)
-        return self.amps.reshape([2] * self.n_qubits)
+        """The amplitudes on their axes, once `mat` and `qubits` (axes) are checked (`_check_op`)."""
+        _check_op(mat, qubits, len(self._dims) + len(new), new)
+        return self.amps.reshape(self._dims)
 
     def _apply(self, mat: np.ndarray, qubits, new=(), norms=None) -> None:
         """`mat` on the listed qubits through `_contract` (`norms` as there), in place or into a new array; `new` ones join in |0>."""
@@ -362,8 +420,8 @@ class Statevector:
             n = _checked_width(self.n_qubits + len(new))
             tensor, k = self._tensor(mat, qubits, new), len(qubits)
             cols = mat.reshape([2] * (2 * k))[(slice(None),) * k + tuple(slice(1 if a in new else 2) for a in qubits)]
-            self.amps = _joined(tensor, cols.reshape(2**k, -1), qubits, new, norms).reshape(-1)
-            self.n_qubits = n
+            grown = _joined(tensor, cols.reshape(2**k, -1), qubits, new, norms)
+            self.amps, self._dims, self.n_qubits = grown.reshape(-1), grown.shape, n
             return
         tensor = self._tensor(mat, qubits)
         out = _contract(tensor, mat, qubits, norms=norms)
@@ -401,55 +459,35 @@ class Statevector:
     # -- scalar queries ------------------------------------------------------
 
     def spin_fidelity(self, psi: np.ndarray) -> float:
-        """|<psi|V^dagger r>|^2 / (||psi||^2 ||r||^2) of this state r against a spin-basis state psi.
+        """|<psi|phi>|^2 / (||psi||^2 ||phi||^2) times the kept fraction, phi this state r with every site folded.
 
         psi has an axis of 2S+1 values per site, whose 2S qubits run in r in
-        site order; V is `spinops.symmetric_subspace_isometry` per site, and
-        ||r||^2 spans the register, so weight outside V's range lowers F.
-        r is cut into rows of the trailing sites that fit a tile.  V^dagger has
-        one nonzero per qubit index, so a row's index picks one row of psi and
-        one Dicke coefficient; only the trailing sites are compressed, a batch
-        of rows at a time, in tile-sized scratch.  Batch sums use math.fsum.
+        site order, as qubits or folded.  Folding here multiplies the kept
+        fraction by ||phi||^2 / ||r||^2, so on qubits F = |<psi|V^dagger r>|^2
+        / (||psi||^2 ||r||^2).  `_fold_tiles` folds the trailing sites that
+        fit a tile; V^dagger of a leading site has one nonzero per qubit
+        index, so a row's index picks one row of psi and one coefficient.
         """
-        widths = [d - 1 for d in psi.shape]
-        if sum(widths) != self.n_qubits:
-            raise ValueError(f"spin-basis state of shape {psi.shape} does not fit a {self.n_qubits}-qubit state")
-        lead, tail = len(widths), 0  # the trailing sites start at `lead` and hold `tail` qubits
-        while lead and tail + widths[lead - 1] <= TILE.bit_length() - 1:
-            lead -= 1
-            tail += widths[lead]
+        sites, at = [], 0  # per site: its first axis, 2S, and whether it is still in qubits
+        for w in (d - 1 for d in psi.shape):
+            sites.append((at, w, self._dims[at : at + 1] != (w + 1,)))
+            at += w if sites[-1][2] else 1
+        if at != len(self._dims) or any(qubits and self._dims[a : a + w] != (2,) * w for a, w, qubits in sites):
+            raise ValueError(f"spin-basis state of shape {psi.shape} does not fit a state on axes {self._dims}")
+        first = next((a for a, _, _ in sites if math.prod(self._dims[a:]) <= TILE), len(self._dims))  # the rows' first axis
+        lead = sum(a < first for a, _, _ in sites)
         index, coef = np.zeros(1, dtype=np.intp), np.ones(1)  # psi's row and coefficient of each leading index
-        for w in widths[:lead]:
-            iso = symmetric_subspace_isometry(w)
+        for _, w, qubits in sites[:lead]:
+            iso = symmetric_subspace_isometry(w) if qubits else np.eye(w + 1)
             index = (index[:, None] * (w + 1) + iso.argmax(axis=1)).reshape(-1)
             coef = (coef[:, None] * iso.max(axis=1)).reshape(-1)
-        rows = self.amps.reshape(len(index), -1)
-        psi_rows = psi.reshape(math.prod(psi.shape[:lead]), -1)
-        batch = min(len(rows), max(1, TILE >> tail))
-        # V^dagger is real, so it acts on the float view (re and im alike), one gemm per trailing site
-        # into alternate halves of one buffer: per site, V^dagger, its fold or None, its output (rows, 2S+1, floats after)
-        steps, size, right = [], batch * 2 ** (tail + 1), 2 ** (tail + 1)
-        buffer = np.empty(2 * size)
-        for i, w in enumerate(widths[lead:]):
-            right >>= w
-            size = size // 2**w * (w + 1)
-            shrink = symmetric_subspace_isometry(w).T
-            out = buffer[i % 2 * len(buffer) // 2 :][:size].reshape(-1, w + 1, right)
-            steps.append((shrink, _fold(shrink, right) if 2**w * right <= FOLD_MAX_COLS else None, out))
+        rows, psi_rows = self.amps.reshape(len(index), -1), psi.reshape(math.prod(psi.shape[:lead]), -1)
         parts, norms = [], []
-        for start in range(0, len(rows), batch):
-            tile = rows[start : start + batch]
-            norms.append(_norm_sq(tile))
-            out = tile.view(np.float64)
-            for shrink, fold, scratch in steps:
-                if fold is None:
-                    out = np.matmul(shrink, out.reshape(len(scratch), -1, scratch.shape[2]), out=scratch)
-                else:
-                    out = np.matmul(out.reshape(len(scratch), -1), fold, out=scratch.reshape(len(scratch), -1))
-            picked = slice(start, start + batch)
-            parts.append(complex(np.vdot(psi_rows[index[picked]] * coef[picked, None], out.reshape(-1).view(complex))))
+        for picked, phi in _fold_tiles(self.amps.reshape(self._dims), first, [(w, qubits) for _, w, qubits in sites[lead:]]):
+            norms.append(_norm_sq(rows[picked]))
+            parts.append(complex(np.vdot(psi_rows[index[picked]] * coef[picked, None], phi)))
         overlap = complex(math.fsum(p.real for p in parts), math.fsum(p.imag for p in parts))
-        return abs(overlap) ** 2 / (_norm_sq(psi) * math.fsum(norms))
+        return abs(overlap) ** 2 / (math.fsum(map(_norm_sq, psi_rows)) * math.fsum(norms)) * self._kept
 
     def sample_indices(self, shots: int, seed: int) -> np.ndarray:
         """Basis indices of `shots` Born-rule draws: `default_rng(seed).choice(2**n, shots, p=|a|^2/sum)`, bit for bit.

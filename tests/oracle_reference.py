@@ -7,7 +7,8 @@ tensor products, then the symmetrizer matrix at every site.
 `Statevector.product_of_factors`, and `apply_ops` its ops: neither shares
 code with the statesim kernel.  `embed` and
 `compress` move a state between the spin basis (one axis of 2S+1 values per
-site) and the qubit basis (a run of 2S qubits per site, in site order).
+site) and the qubit basis (a run of 2S qubits per site, in site order), and
+`qubit_amps` embeds a state's folded sites back.
 `overlap`, `fidelity`, `expectation` and `applied_norm` compare and
 measure qubit-basis states.  `circuit_unitary_by_columns` is the unfused
 reference for `ir.circuit_unitary`, and `gate_by_gate` for `ir.simulate_circuit`:
@@ -96,11 +97,17 @@ def compress(state: Statevector, shape) -> np.ndarray:
     return full.reshape(shape)
 
 
+def qubit_amps(state: Statevector) -> np.ndarray:
+    """The amplitudes in the qubit basis: a state with folded sites is embedded back, V on each folded axis (`embed`)."""
+    return state.amps if state._dims == (2,) * state.n_qubits else embed(state.amps.reshape(state._dims)).amps
+
+
 def overlap(a: Statevector, b: Statevector) -> complex:
-    """<a|b> on the renormalized states."""
+    """<a|b> on the renormalized states, in the qubit basis (`qubit_amps`)."""
     if a.n_qubits != b.n_qubits:
         raise ValueError("qubit count mismatch")
-    return complex(np.vdot(a.amps, b.amps) / (np.linalg.norm(a.amps) * np.linalg.norm(b.amps)))
+    a, b = qubit_amps(a), qubit_amps(b)
+    return complex(np.vdot(a, b) / (np.linalg.norm(a) * np.linalg.norm(b)))
 
 
 def fidelity(a: Statevector, b: Statevector) -> float:

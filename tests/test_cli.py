@@ -421,6 +421,31 @@ def test_failed_link_checks_name_the_worst_link(link, monkeypatch, capsys, tmp_p
     assert "worst link" not in out.read_text()
 
 
+def test_a_b_site_op_off_the_symmetric_subspace_fails_the_route_check(monkeypatch, capsys, tmp_path):
+    """chain:5's first B-site symmetrizer swapped for the projector onto |01>: that site's fold keeps half its weight."""
+    import numpy as np
+
+    import vbsprep.methods as methods
+    from vbsprep.statesim import Statevector
+
+    symmetrizer, calls, kept = methods.symmetrizer, [], []
+
+    def first_off(n):
+        calls.append(n)
+        return np.diag([0.0, 1, 0, 0]) if len(calls) == 1 else symmetrizer(n)  # |01><01| on the first B site
+
+    monkeypatch.setattr(methods, "symmetrizer", first_off)
+    product = Statevector.product_of_factors
+    monkeypatch.setattr(Statevector, "product_of_factors", lambda *a: (lambda st: kept.append(st._kept) or st)(product(*a)))
+    argv = ["verify", "--spin", "2", "--lattice", "chain:5:open:aligned", "--method", "mitigated_retry",
+            "--out", str(tmp_path / "v.json")]
+    assert main(argv) == EXIT_CHECK_FAILED
+    assert "[FAIL] route_fidelity" in capsys.readouterr().err
+    checks = {c["name"]: c["pass"] for c in json.loads((tmp_path / "v.json").read_text())["checks"]}
+    assert checks["route_fidelity"] is False and checks["projector_annihilation"] is True
+    assert calls == [2, 2] and abs(kept[-1] - 0.5) < 1e-12
+
+
 def test_passing_link_checks_print_no_link(capsys):
     assert main(["verify", "--spin", "2", "--lattice", "chain:4:open:aligned"]) == EXIT_OK
     assert "worst link" not in capsys.readouterr().err

@@ -37,3 +37,14 @@ def test_compare_fails_on_anything_but_float_digits(tmp_path, capsys, change, rc
     b = _dump(tmp_path / "b.jsonl", [{**_JOB, **change}])
     assert job_outputs.compare(a, b) == rc
     assert said in capsys.readouterr().out
+
+
+def test_compare_ends_with_the_largest_float_difference_and_its_job(tmp_path, capsys):
+    """The last line names the largest relative float difference over all jobs, and the job it came from."""
+    jobs = [{**_JOB, "argv": ["verify", "--seed", str(seed)]} for seed in (1, 7, 9)]
+    moved = [dict(jobs[0]), {**jobs[1], "stdout": _JOB["stdout"].replace("0.328125", "0.3281250000001")},
+             {**jobs[2], "stdout": _JOB["stdout"].replace("0.328125", "0.32812500000000006")}]
+    assert job_outputs.compare(_dump(tmp_path / "a.jsonl", jobs), _dump(tmp_path / "b.jsonl", moved)) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "largest relative float difference over all jobs: 3.05e-13 (w verify --seed 7)"
+    assert job_outputs.compare(_dump(tmp_path / "c.jsonl", jobs), _dump(tmp_path / "d.jsonl", jobs)) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "largest relative float difference over all jobs: 0"

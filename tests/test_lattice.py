@@ -156,6 +156,20 @@ def test_coupling_map_must_be_connected():
         CouplingMap(LINEAR, 3, frozenset({(0, 1)}))
 
 
+def test_coupling_map_rejects_a_self_loop(monkeypatch, capsys, tmp_path):
+    """A self-loop would let the router emit a SWAP of a qubit with itself, which it appends unchecked: exit 2 instead."""
+    import vbsprep.lattice as lattice
+    from vbsprep.cli import EXIT_CONFIG, main
+
+    with pytest.raises(ConfigError, match=r"coupling edge \(1, 1\) must join two distinct qubits"):
+        CouplingMap(LINEAR, 3, frozenset({(0, 1), (1, 1), (1, 2)}))
+    line = lattice.linear_coupling
+    monkeypatch.setattr(lattice, "linear_coupling", lambda n: CouplingMap(LINEAR, n, line(n).edges | {(0, 0)}))
+    argv = ["prepare", "--spin", "2", "--lattice", "chain:3:open:aligned", "--coupling", "linear", "--out", str(tmp_path / "r.json")]
+    assert main(argv) == EXIT_CONFIG
+    assert "coupling edge (0, 0) must join two distinct qubits" in capsys.readouterr().err
+
+
 def test_heavy_hex_multi_set():
     hh = heavy_hex_patch(2)
     assert hh.n_qubits == 16 + 2

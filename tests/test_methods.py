@@ -302,42 +302,53 @@ def test_oracle_contraction_stops_at_the_cap(monkeypatch):
         oracle_vbs_state(lattice, S32)
 
 
-CHAIN_11 = build_chain(11, "open", ("up", "up"))  # 22 data qubits, 64 MB
+CHAIN_11 = build_chain(11, "open", ("up", "up"))  # 22 data qubits: 64 MB in qubits, 2.8 MB folded
 
 
 def test_retry_symmetrizes_each_b_site_as_the_island_product_grows(monkeypatch):
-    """Only the last B-site symmetrizer of chain:11 acts on the whole register."""
-    widths = []  # of each join that composes an op: a bare factor joins as one column
+    """No B-site symmetrizer of chain:11 acts on the whole register: each finished site folds into a spin axis.
+
+    The widest join composes the last symmetrizer, on 9 folded sites and 4 qubits: 3^9 * 2^4 < 2^19 amplitudes.
+    """
+    sizes = []  # amplitudes of each join that composes an op: a bare factor joins as one column
     joined = statesim._joined
-    monkeypatch.setattr(statesim, "_joined", lambda tensor, cols, axes, new, norms=None: widths.extend(
-        [tensor.ndim + len(new)] * (cols.shape[1] > 1)) or joined(tensor, cols, axes, new, norms))
-    assert run_mitigated_retry(CHAIN_11, S1, 3)["state"].n_qubits == 22
-    assert widths[-1] == 22 and max(widths[:-1]) < 22
+    monkeypatch.setattr(statesim, "_joined", lambda tensor, cols, axes, new, norms=None: sizes.extend(
+        [tensor.size * 2 ** len(new)] * (cols.shape[1] > 1)) or joined(tensor, cols, axes, new, norms))
+    state = run_mitigated_retry(CHAIN_11, S1, 3)["state"]
+    assert state.n_qubits == 22 and state._dims == (3,) * 11 and state.amps.size == 3**11
+    assert sizes[-1] == max(sizes) == 3**9 * 2**4 < 2**19
 
 
 def test_retry_product_holds_the_state_and_the_partial_before_it(monkeypatch):
-    """chain:11's product allocates its 22 qubits, the 19-qubit partial before them and tile scratch."""
+    """chain:11's product allocates its last join, the fold written from it and tile scratch: under 12 MB, not 64.
+
+    The route as a whole peaks under 12 MB too.
+    """
     import tracemalloc
 
-    peaks = []
-    product = Statevector.product_of_factors
+    peaks, grown = [], []
+    product, joined = Statevector.product_of_factors, statesim._joined
+    monkeypatch.setattr(statesim, "_joined", lambda *a: (lambda out: grown.append(out.nbytes) or out)(joined(*a)))
 
-    def traced(n_qubits, factors, ops=()):
+    def traced(n_qubits, factors, ops=(), sites=()):
         start = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
-        state = product(n_qubits, factors, ops)
+        state = product(n_qubits, factors, ops, sites)
         peaks.append((tracemalloc.get_traced_memory()[1] - start, state.amps.nbytes))
         return state
 
     monkeypatch.setattr(Statevector, "product_of_factors", traced)
     tracemalloc.start()
     try:
+        start = tracemalloc.get_traced_memory()[0]
         run_mitigated_retry(CHAIN_11, S1, 3)
+        route_peak = tracemalloc.get_traced_memory()[1] - start
     finally:
         tracemalloc.stop()
     peak, nbytes = peaks[-1]
-    assert nbytes == 16 << 22
-    assert peak <= nbytes + nbytes // 8 + 4 * statesim.TILE * 16
+    assert nbytes == 16 * 3**11
+    assert peak <= grown[-1] + grown[-1] * 3 // 4 + 4 * statesim.TILE * 16
+    assert max(peak, route_peak) <= 12_000_000
 
 
 CHAIN_9, CHAIN_10 = build_chain(9, "open", ("up", "up")), build_chain(10, "open", ("up", "up"))
@@ -357,6 +368,7 @@ def test_a_route_makes_one_state_sized_pass_to_scale_its_state(route, monkeypatc
         monkeypatch.setattr(module, "_scale", lambda amps, factor: scales.append(amps.size) or scale(amps, factor))
     monkeypatch.setattr(ir, "post_select", lambda *a: selects.append(1) or post_select(*a))
     state = run_lcu(CHAIN_9, S1)["state"] if route == "lcu" else run_mitigated_retry(CHAIN_10, S1, 3)["state"]
+    assert state.amps.size == (2**18 if route == "lcu" else 3**10)  # the retry state is folded
     assert max(norms) <= statesim.TILE
     assert [size for size in scales if size > statesim.TILE] == [state.amps.size]
     assert abs(np.linalg.norm(state.amps) - 1.0) < 1e-12
@@ -364,17 +376,17 @@ def test_a_route_makes_one_state_sized_pass_to_scale_its_state(route, monkeypatc
 
 
 def test_retry_product_of_chain10_holds_the_state_the_partial_and_an_eighth(monkeypatch):
-    """chain:10's product allocates its 20 qubits, the partial it grows from and no more than an eighth beside."""
+    """chain:10's product allocates its folded state, the last join it is folded from and tile scratch: 4.3 MB, not 22."""
     import tracemalloc
 
     peaks, partials = [], []
     product, joined = Statevector.product_of_factors, statesim._joined
-    monkeypatch.setattr(statesim, "_joined", lambda tensor, *a: partials.append(tensor.nbytes) or joined(tensor, *a))
+    monkeypatch.setattr(statesim, "_joined", lambda *a: (lambda out: partials.append(out.nbytes) or out)(joined(*a)))
 
-    def traced(n_qubits, factors, ops=()):
+    def traced(n_qubits, factors, ops=(), sites=()):
         start = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
-        state = product(n_qubits, factors, ops)
+        state = product(n_qubits, factors, ops, sites)
         peaks.append((tracemalloc.get_traced_memory()[1] - start, state.amps.nbytes))
         return state
 
@@ -385,5 +397,5 @@ def test_retry_product_of_chain10_holds_the_state_the_partial_and_an_eighth(monk
     finally:
         tracemalloc.stop()
     peak, nbytes = peaks[-1]
-    assert nbytes == 16 << 20
-    assert peak <= nbytes + partials[-1] + nbytes // 8
+    assert nbytes == 16 * 3**10
+    assert peak <= nbytes + partials[-1] + 4 * statesim.TILE * 16

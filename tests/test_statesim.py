@@ -330,16 +330,24 @@ def _ops_cases(rng):
     yield 10, pairs[::-1], [(symmetrizer(2), (2 * i + 1, 2 * i + 2)) for i in range(4)]
 
 
-@pytest.mark.parametrize("tile", [statesim.TILE, 1 << 5], ids=["one-tile", "multi-tile"])
-def test_product_of_factors_applies_ops_as_the_product_grows(tile, monkeypatch):
-    """Equal to the outer product then every op by tensordot, in amplitudes and ratio."""
+@pytest.mark.parametrize(
+    "tile, widths",
+    [(statesim.TILE, []), (1 << 5, [8, 8, 6, 8, 10]), (1, [5, 8, 5, 8, 4, 6, 8, 10])],
+    ids=["one-tile", "multi-tile", "every-join-a-block"],
+)
+def test_product_of_factors_applies_ops_as_the_product_grows(tile, widths, monkeypatch):
+    """Equal to the outer product then every op by tensordot, in amplitudes and ratio.
+
+    A join whose product fits a tile is an outer product with its ops applied after; a larger one composes them
+    into its block (`_joined`), whose widths are pinned.
+    """
     monkeypatch.setattr(statesim, "TILE", tile)
     cases = list(_ops_cases(np.random.default_rng(47)))
     references = [outer_then_sequence(n, factors, ops) for n, factors, ops in cases]
     ratios = [ref.tracked_norm_sq for ref in references]
-    widths = []  # of each join that composes an op: a bare factor joins as one column
+    seen = []  # widths of each join that composes an op: a bare factor joins as one column
     joined = statesim._joined
-    monkeypatch.setattr(statesim, "_joined", lambda tensor, cols, axes, new, norms=None: widths.extend(
+    monkeypatch.setattr(statesim, "_joined", lambda tensor, cols, axes, new, norms=None: seen.extend(
         [tensor.ndim + len(new)] * (cols.shape[1] > 1)) or joined(tensor, cols, axes, new, norms))
     for (n, factors, ops), expected, ratio in zip(cases, references, ratios):
         st = Statevector.product_of_factors(n, factors, ops)
@@ -347,7 +355,7 @@ def test_product_of_factors_applies_ops_as_the_product_grows(tile, monkeypatch):
         assert np.max(np.abs(st.amps - expected.amps)) < 1e-12
         assert st.tracked_norm_sq == pytest.approx(ratio, rel=1e-12)
     # the product grows by (0, 5), (2,), (3, 1), (7, 4, 6) and by the pairs in turn
-    assert widths == [5, 8, 5, 8, 4, 6, 8, 10]
+    assert seen == widths
 
 
 def test_product_of_factors_without_ops_is_the_outer_product():
@@ -777,3 +785,77 @@ def test_spin_fidelity_matches_the_embedded_overlap(tile, monkeypatch):
         assert np.array_equal(st.amps, r)
     with pytest.raises(ValueError, match="does not fit"):
         zero_state(4).spin_fidelity(np.ones((3, 3, 3)))
+
+
+# a state larger than a tile whose folded sites (3 and 4 values) sit between its qubit axes: 55296 amplitudes
+_MIXED = (3, 2, 2, 4, 2, 2, 2, 3, 2, 2, 2, 2, 3)
+
+
+@pytest.mark.parametrize("tile", [1 << 5, 1 << 15])
+def test_folds_and_joins_on_mixed_axes_match_einsum(tile, monkeypatch):
+    """Folds (`_fold_tiles`) and joins (run, scattered, all new) on `_MIXED`, tiles ragged, against np.einsum."""
+    from vbsprep.spinops import symmetric_subspace_isometry
+
+    monkeypatch.setattr(statesim, "TILE", tile)
+    rng = np.random.default_rng(tile)
+    tensor = rng.normal(size=_MIXED) + 1j * rng.normal(size=_MIXED)
+    # (2S, still in qubits) from axis lo: one site, or several with folded ones passed through
+    spans = [(1, [(2, True)]), (4, [(3, True)]), (8, [(2, True)]), (10, [(2, True)]),
+             (4, [(3, True), (2, False), (2, True), (2, True), (2, False)]),
+             (0, [(2, False), (2, True), (3, False), (3, True), (2, False), (2, True), (2, True), (2, False)])]
+    for lo, sites in spans:
+        ref, axis = tensor, lo  # V^dagger on each site in qubits, by np.einsum
+        for w, qubits in sites:
+            if qubits:
+                merged = ref.reshape(ref.shape[:axis] + (2**w,) + ref.shape[axis + w :])
+                m = merged.ndim
+                ref = np.einsum(merged, list(range(m)), symmetric_subspace_isometry(w), [axis, m], [*range(axis), m, *range(axis + 1, m)])
+            axis += 1
+        batches = [(index, out.copy()) for index, out in statesim._fold_tiles(tensor, lo, sites)]
+        assert [index.start for index, _ in batches] == sorted({index.start for index, _ in batches})
+        out = np.concatenate([out for _, out in batches]).reshape(ref.shape)
+        assert np.max(np.abs(out - ref)) < 1e-12, (lo, sites)
+        assert len(batches) > 1 or lo == 0
+    for axes, new in [((2, 3), (3,)), ((6, 2, 9), (9,)), ((5, 6), (5, 6))]:
+        k, n = len(axes), len(_MIXED) + len(new)
+        u, _ = np.linalg.qr(rng.normal(size=(2**k, 2**k)) + 1j * rng.normal(size=(2**k, 2**k)))
+        cols = u.reshape([2] * 2 * k)[(slice(None),) * k + tuple(slice(1 if a in new else 2) for a in axes)]
+        norms = []
+        out = statesim._joined(tensor, cols.reshape(2**k, -1), list(axes), list(new), norms)
+        grown = tensor
+        for a in new:  # each new qubit in |0>
+            grown = np.stack([grown, np.zeros_like(grown)], axis=a)
+        ref = np.einsum(u.reshape([2] * 2 * k), [n + i for i in range(k)] + list(axes), grown, list(range(n)),
+                        [n + axes.index(a) if a in axes else a for a in range(n)])
+        assert out.shape == ref.shape and np.max(np.abs(out - ref)) < 1e-12, axes
+        assert len(norms) > 1 and math.fsum(norms) == pytest.approx(np.vdot(ref, ref).real, rel=1e-12)
+
+
+@pytest.mark.parametrize("tile", [1 << 5, 1 << 15])
+def test_product_folds_each_finished_site_to_the_compressed_reference(tile, monkeypatch):
+    """Symmetrized sites fold as they finish: the folded product is V^dagger of the reference product, its kept fraction 1."""
+    from oracle_reference import compress, qubit_amps
+
+    monkeypatch.setattr(statesim, "TILE", tile)
+    rng = np.random.default_rng(7)
+    sites = [(0, 1), (2, 3, 4), (5, 6), (7, 8, 9), (10, 11)]
+    factors = [((0, 2), _random_state(2, rng)), ((1, 5, 7), _random_state(3, rng)), ((3, 4, 6), _random_state(3, rng)),
+               ((8, 10), _random_state(2, rng)), ((9, 11), _random_state(2, rng))]
+    ops = [(symmetrizer(len(site)), site) for site in sites]
+    st = Statevector.product_of_factors(12, factors, ops, sites)
+    ref = outer_then_sequence(12, factors, ops)
+    assert st.n_qubits == 12 and st._dims == (3, 4, 3, 4, 3) and st._kept == pytest.approx(1.0, abs=1e-12)
+    assert st.tracked_norm_sq == pytest.approx(ref.tracked_norm_sq, rel=1e-12)
+    assert np.max(np.abs(st.amps - compress(ref, st._dims).reshape(-1))) < 1e-12
+    assert abs(st.spin_fidelity(compress(ref, st._dims)) - 1) < 1e-12
+    # an op too wide for any block acts after the last join, so the sites it touches stay qubits: spin_fidelity folds them
+    sites = [(0, 1), (2, 3), (4, 5), (6, 7)]
+    factors = [((q,), _random_state(1, rng)) for q in range(8)]
+    wide = np.kron(np.kron(symmetrizer(2), symmetrizer(2)), symmetrizer(2))
+    ops = [(symmetrizer(2), site) for site in sites] + [(wide, tuple(range(6)))]
+    st = Statevector.product_of_factors(8, factors, ops, sites)
+    ref = outer_then_sequence(8, factors, ops)
+    assert st._dims == (2,) * 6 + (3,) and st._kept == pytest.approx(1.0, abs=1e-12)
+    assert st.tracked_norm_sq == pytest.approx(ref.tracked_norm_sq, rel=1e-12)
+    assert np.max(np.abs(qubit_amps(st) - ref.amps)) < 1e-12
+    assert abs(st.spin_fidelity(compress(ref, (3,) * 4)) - 1) < 1e-12

@@ -13,7 +13,8 @@ another order from run to run, and so move the last digits of a float.
 
 `compare` counts the jobs whose exit code, stdout and stderr are byte for
 byte the same in A and B, and lists every other job with the largest
-relative difference between the floats of its outputs.  It exits 1 if a job
+relative difference between the floats of its outputs.  Its last line gives
+the largest of these over all jobs, and the job it came from.  It exits 1 if a job
 is missing from either file, or an exit code or any text beside the numbers
 differs (check names and pass flags included), else 0.
 """
@@ -82,7 +83,7 @@ def compare(path_a: Path, path_b: Path) -> int:
     for key in sorted(a.keys() ^ b.keys()):
         print(f"only in {path_a if key in a else path_b}: {key[0]} {' '.join(key[1])}")
         failed = True
-    identical = 0
+    identical, largest = 0, (0.0, None)
     for key in sorted(a.keys() & b.keys()):
         ra, rb = a[key], b[key]
         if all(ra[f] == rb[f] for f in ("rc", *STREAMS)):
@@ -102,7 +103,9 @@ def compare(path_a: Path, path_b: Path) -> int:
             worst = max([worst, *map(_relative_difference, NUMBER.findall(ra[stream]), NUMBER.findall(rb[stream]))])
         else:
             print(f"{line} largest relative float difference {worst:.3g}")
+            largest = max(largest, (worst, line[:-1]), key=lambda pair: pair[0])
     print(f"{identical} of {len(a.keys() | b.keys())} jobs byte-identical")
+    print(f"largest relative float difference over all jobs: {largest[0]:.3g}" + (f" ({largest[1]})" if largest[1] else ""))
     return 1 if failed else 0
 
 
