@@ -1,5 +1,5 @@
-"""Closed-form norms and probabilities, repetition statistics, Monte-Carlo
-estimators, table reproduction, and the JSON report structure."""
+"""Closed-form norms, Monte-Carlo estimators, table reproduction, and the
+JSON report structure."""
 from __future__ import annotations
 
 import json
@@ -16,125 +16,25 @@ from .routing import heavy_hex_pair_mitigated, heavy_hex_pair_probabilistic
 from .spinops import SpinValue, symmetric_fraction
 from .statesim import Statevector
 
-TAIL_EPS = 1e-12
-
 
 # ---------------------------------------------------------------------------
 # norms
 # ---------------------------------------------------------------------------
 
-def vbs_norm(twice_s: int, n_sites: int, boundary: str, boundary_spins=("up", "up")) -> float:
-    """Squared norm of the symmetrized bond-product state.
+def vbs_norm(n_sites: int, boundary: str, boundary_spins=("up", "up")) -> float:
+    """Squared norm of the symmetrized bond-product state of a spin-1 chain.
 
-    Spin-1 chains have exact closed forms for rings and for open chains with
-    aligned or anti-aligned end spins; other spins use the asymptotic p^N.
-    `boundary` is a lattice boundary name: BOUNDARY_RING or BOUNDARY_OPEN.
+    Exact closed forms for rings and for open chains with aligned or
+    anti-aligned end spins.  `boundary` is a lattice boundary name:
+    BOUNDARY_RING or BOUNDARY_OPEN.
     """
-    if twice_s == 2:
-        p, q = 0.75, -0.25
-        if boundary == BOUNDARY_RING:
-            return p**n_sites + 3 * q**n_sites
-        if boundary == BOUNDARY_OPEN:
-            aligned = boundary_spins[0] == boundary_spins[1]
-            return p**n_sites - q**n_sites if aligned else p**n_sites + q**n_sites
-        raise ConfigError(f"unknown boundary {boundary!r}")
-    if twice_s == 3:
-        return 0.5**n_sites
-    return asymptotic_norm(twice_s, n_sites)
-
-
-def asymptotic_norm(twice_s: int, n_sites: int) -> float:
-    p = float(symmetric_fraction(twice_s))
-    return p**n_sites
-
-
-# ---------------------------------------------------------------------------
-# repetition model
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class RepetitionModel:
-    p: float
-    n_sites: int
-    n_islands: int
-    r_values: tuple[float, ...]            # R_1 .. R_max
-    cumulative: tuple[float, ...]          # P_1 .. P_max
-    expected_rounds: float
-    expected_repetitions_unmitigated: float
-    expected_repetitions_mitigated: float
-
-
-def repetition_recursion(p: float, n_sites: int, max_rounds: int = 200) -> RepetitionModel:
-    """R_n = 1 + (1-p) R_{n-1} with R_1 = 1, and P_n = (p R_n)^(islands).
-
-    Odd site counts put ceil(N/2) sites on the retried sublattice.  The
-    expected number of rounds is the exact mean of the max of that many
-    independent geometric(p) draws, truncated at a 1e-12 tail.
-    """
-    if not 0 < p < 1:
-        raise ConfigError("p must be in (0, 1)")
-    islands = (n_sites + 1) // 2
-    r_vals, cum = [], []
-    r = 1.0
-    for n in range(1, max_rounds + 1):
-        if n > 1:
-            r = 1.0 + (1.0 - p) * r
-        r_vals.append(r)
-        cum.append((p * r) ** islands)
-        if 1.0 - cum[-1] < TAIL_EPS:
-            break
-    expected = 0.0
-    prev = 0.0
-    for n, c in enumerate(cum, start=1):
-        expected += n * (c - prev)
-        prev = c
-    expected += (1.0 - prev) * (len(cum) + 1)  # negligible truncated tail
-
-    def _power(exponent: float) -> float:
-        try:
-            return (1.0 / p) ** exponent
-        except OverflowError:
-            return math.inf
-
-    return RepetitionModel(
-        p=p,
-        n_sites=n_sites,
-        n_islands=islands,
-        r_values=tuple(r_vals),
-        cumulative=tuple(cum),
-        expected_rounds=expected,
-        expected_repetitions_unmitigated=_power(n_sites),
-        expected_repetitions_mitigated=_power(n_sites / 2.0),
-    )
-
-
-def geometric_max_cdf(p: float, n_rounds: int, n_islands: int) -> float:
-    """Closed form (1 - (1-p)^n)^islands; must match (p R_n)^islands."""
-    return (1.0 - (1.0 - p) ** n_rounds) ** n_islands
-
-
-def expected_rounds_exact(p: float, n_sites: int) -> float:
-    return repetition_recursion(p, n_sites, max_rounds=4000).expected_rounds
-
-
-def fit_mean_rounds(p: float, n_lo: int = 10, n_hi: int = 10_000, points: int = 25) -> dict:
-    """Least-squares fit of <rounds> against log N over even N in [n_lo, n_hi].
-
-    Returns slope/intercept for both the natural-log and log10 abscissa (the
-    intercept is base-independent; only the slope rescales).
-    """
-    ns = sorted({int(2 * round(x / 2)) for x in np.geomspace(n_lo, n_hi, points)})
-    ns = [n for n in ns if n_lo <= n <= n_hi and n >= 2]
-    ys = np.array([expected_rounds_exact(p, n) for n in ns])
-    ln = np.log(ns)
-    slope_e, icept = np.polyfit(ln, ys, 1)
-    slope_10 = slope_e * math.log(10.0)
-    return {
-        "n_values": ns,
-        "slope_ln": float(slope_e),
-        "slope_log10": float(slope_10),
-        "intercept": float(icept),
-    }
+    p, q = 0.75, -0.25
+    if boundary == BOUNDARY_RING:
+        return p**n_sites + 3 * q**n_sites
+    if boundary == BOUNDARY_OPEN:
+        aligned = boundary_spins[0] == boundary_spins[1]
+        return p**n_sites - q**n_sites if aligned else p**n_sites + q**n_sites
+    raise ConfigError(f"unknown boundary {boundary!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -243,31 +143,6 @@ def monte_carlo_success(state: Statevector, markers, expected_p: float, shots: i
     rate = hits / shots
     sigma = math.sqrt(expected_p * (1 - expected_p) / shots)
     return rate, (rate - expected_p) / sigma
-
-
-def sublattice_retry_simulation(n_islands: int, p: float, trials: int, seed: int) -> dict[int, int]:
-    """Histogram of max-over-islands geometric(p) round counts."""
-    rng = np.random.default_rng(seed)
-    draws = rng.geometric(p, size=(trials, n_islands))
-    rounds = draws.max(axis=1)
-    values, counts = np.unique(rounds, return_counts=True)
-    return {int(v): int(c) for v, c in zip(values, counts)}
-
-
-def retry_histogram_zscores(hist: dict[int, int], p: float, n_islands: int) -> dict[int, float]:
-    """Per-round z-scores of the empirical CDF against (p R_n)^islands."""
-    trials = sum(hist.values())
-    out = {}
-    max_round = max(hist)
-    cum = 0
-    for n in range(1, max_round + 1):
-        cum += hist.get(n, 0)
-        cdf = geometric_max_cdf(p, n, n_islands)
-        var = cdf * (1 - cdf) * trials
-        if var < 1e-12:
-            continue
-        out[n] = (cum - trials * cdf) / math.sqrt(var)
-    return out
 
 
 # ---------------------------------------------------------------------------

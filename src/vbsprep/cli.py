@@ -137,7 +137,7 @@ def _check_site_order(lattice: Lattice):
 
 def _analytic_norm(lattice: Lattice, twice_s: int) -> float | None:
     if twice_s == 2 and lattice.boundary in (BOUNDARY_OPEN, BOUNDARY_RING):
-        return analysis.vbs_norm(2, lattice.n_sites, lattice.boundary, lattice.boundary_spins or ("up", "up"))
+        return analysis.vbs_norm(lattice.n_sites, lattice.boundary, lattice.boundary_spins or ("up", "up"))
     return None
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import ConfigError, NotBipartiteError
@@ -36,6 +36,8 @@ class Lattice:
     def __post_init__(self):
         if self.boundary not in BOUNDARIES:
             raise ConfigError(f"unknown lattice boundary {self.boundary!r}; expected one of {BOUNDARIES}")
+        if self.n_sites < 1:
+            raise ConfigError("a lattice needs at least one site")
         for link in self.links:
             if len(link) != 2:
                 raise ConfigError(f"link {list(link)} must join exactly two sites")
@@ -45,11 +47,30 @@ class Lattice:
             if a == b:
                 raise ConfigError("self-loops are not allowed")
         if self.boundary == BOUNDARY_OPEN:
+            if self.n_sites < 2:
+                raise ConfigError(f"an open chain needs at least 2 sites, got {self.n_sites}")
             if self.boundary_spins is None or len(self.boundary_spins) != 2:
                 raise ConfigError(f"open chains need two boundary_spins, got {self.boundary_spins!r}")
             for spin in self.boundary_spins:
                 if spin not in (SPIN_UP, SPIN_DOWN):
                     raise ConfigError(f"boundary spin must be up/down, got {spin!r}")
+        if self.boundary != BOUNDARY_EXPLICIT:
+            self._check_chain()
+
+    def _check_chain(self):
+        """A ring's links must make one cycle through every site, an open chain's one path from site 0 to site n-1.
+
+        The closed-form norms, `boundary_slots` and the mps route all read the label as one chain.
+        """
+        n = self.n_sites
+        ends = (0, n - 1) if self.boundary == BOUNDARY_OPEN else ()
+        reached = {0}
+        for _ in range(n):  # each pass reaches the sites one link further from site 0
+            reached |= {s for link in self.links if reached.intersection(link) for s in link}
+        if len(reached) < n or any(self.coordination(s) != (1 if s in ends else 2) for s in range(n)):
+            shape = f"one path from site 0 to site {n - 1}" if ends else "one cycle through every site"
+            given = ", ".join(f"{a}-{b}" for a, b in self.links) or "none"
+            raise ConfigError(f"boundary {self.boundary!r} needs links that make {shape}; lattice {self.name!r} has the links {given}")
 
     def coordination(self, site: int) -> int:
         return sum(1 for a, b in self.links if site in (a, b))
@@ -188,6 +209,8 @@ def lattice_from_json(text: str) -> Lattice:
         raise ConfigError(f"lattice 'sites' must be a list of site ids, got {sites!r}")
     boundary = doc.get("boundary", BOUNDARY_EXPLICIT)
     spins = doc.get("boundary_spins")
+    if spins is not None and not isinstance(spins, list):
+        raise ConfigError(f"lattice 'boundary_spins' must be a list of two spins, up or down; got {json.dumps(spins)}")
     return Lattice(
         len(sites),
         links,
@@ -298,16 +321,12 @@ def assign_qubits(lattice: Lattice, method: str = METHOD_HADAMARD_ALL) -> SiteEn
 # coupling maps
 # ---------------------------------------------------------------------------
 
-ALL_TO_ALL = "all_to_all"
-LINEAR = "linear"
-HEAVY_HEX = "heavy_hex"
-
-
 @dataclass(frozen=True)
 class CouplingMap:
-    name: str
+    """Qubits 0..n_qubits-1 and the pairs (a, b), a < b, that a CNOT may join; all-to-all devices need no map."""
+
     n_qubits: int
-    edges: frozenset[tuple[int, int]] = field(default_factory=frozenset)
+    edges: frozenset[tuple[int, int]]
 
     def __post_init__(self):
         for a, b in self.edges:  # each edge joins two qubits of the map: a SWAP along it needs no further check
@@ -318,7 +337,7 @@ class CouplingMap:
 
     def connected_subset(self, qubits) -> bool:
         qs = set(qubits)
-        return self.name == ALL_TO_ALL or len(qs) <= 1 or len(self.component(min(qs), qs)) == len(qs)
+        return len(qs) <= 1 or len(self.component(min(qs), qs)) == len(qs)
 
     def component(self, start: int, qubits) -> set[int]:
         """The qubits of `qubits` that `start` reaches through coupled qubits of `qubits`, `start` included."""
@@ -331,8 +350,6 @@ class CouplingMap:
         return seen
 
     def are_coupled(self, a: int, b: int) -> bool:
-        if self.name == ALL_TO_ALL:
-            return a != b
         return (min(a, b), max(a, b)) in self.edges
 
     @cached_property
@@ -345,8 +362,6 @@ class CouplingMap:
         return {q: tuple(sorted(vs)) for q, vs in adj.items()}
 
     def neighbors(self, q: int) -> tuple[int, ...]:
-        if self.name == ALL_TO_ALL:
-            return tuple(p for p in range(self.n_qubits) if p != q)
         return self._adjacency.get(q, ())
 
     @cached_property
@@ -372,8 +387,6 @@ class CouplingMap:
         return self._tree(a)[b][1]
 
     def shortest_path(self, a: int, b: int) -> list[int]:
-        if self.name == ALL_TO_ALL:
-            return [a, b]
         tree = self._tree(a)
         if b not in tree:
             raise ConfigError(f"no path between qubits {a} and {b}")
@@ -385,7 +398,7 @@ class CouplingMap:
 
 def linear_coupling(n_qubits: int) -> CouplingMap:
     edges = frozenset((i, i + 1) for i in range(n_qubits - 1))
-    return CouplingMap(LINEAR, n_qubits, edges)
+    return CouplingMap(n_qubits, edges)
 
 
 def heavy_hex_patch(n_sets: int = 1) -> CouplingMap:
@@ -404,4 +417,4 @@ def heavy_hex_patch(n_sets: int = 1) -> CouplingMap:
         anchor = 9 * k + 5
         edges.add((anchor, n))
         n += 1
-    return CouplingMap(HEAVY_HEX, n, frozenset(tuple(sorted(e)) for e in edges))
+    return CouplingMap(n, frozenset(tuple(sorted(e)) for e in edges))

@@ -101,7 +101,7 @@ def contract_mps(tensors: list[np.ndarray], boundary: str) -> Statevector:
     else:
         amps = running.reshape(-1)
     amps = amps / np.linalg.norm(amps)
-    return Statevector.from_amplitudes(amps)
+    return Statevector(2 * len(tensors), amps)
 
 
 # ---------------------------------------------------------------------------

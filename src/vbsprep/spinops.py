@@ -23,7 +23,6 @@ import numpy as np
 from .errors import CapExceededError, UnsupportedError
 
 MAX_SYMMETRIZER_HALVES = 5
-MAX_TOTAL_SPIN_HALVES = 6
 
 
 def _read_only(matrix) -> np.ndarray:
@@ -95,14 +94,6 @@ def _collective_spin_components(n_halves: int) -> tuple[np.ndarray, np.ndarray, 
     return tuple(comps)
 
 
-def total_spin_squared(n_halves: int) -> np.ndarray:
-    """(S_total)^2 for n spin-1/2s, embedded in the full 2^n space."""
-    if not 1 <= n_halves <= MAX_TOTAL_SPIN_HALVES:
-        raise CapExceededError(f"n_halves={n_halves} outside [1, {MAX_TOTAL_SPIN_HALVES}]")
-    sx, sy, sz = _collective_spin_components(n_halves)
-    return _read_only(sx @ sx + sy @ sy + sz @ sz)
-
-
 # ---------------------------------------------------------------------------
 # symmetrizers
 # ---------------------------------------------------------------------------
@@ -128,28 +119,6 @@ def symmetrizer(n_halves: int) -> np.ndarray:
         acc += permutation_operator(perm)
         count += 1
     return _read_only(acc / count)
-
-
-def symmetrizer_from_spin_projector(n_halves: int) -> np.ndarray:
-    """Same projector built from the total-spin polynomial.
-
-    Product over all attainable total spins S' < n/2 of
-    ((S_total)^2 - S'(S'+1)), normalized so the top-spin sector is fixed.
-    """
-    if not 1 <= n_halves <= MAX_SYMMETRIZER_HALVES:
-        raise CapExceededError(f"n_halves={n_halves} outside [1, {MAX_SYMMETRIZER_HALVES}]")
-    s2 = total_spin_squared(n_halves)
-    s_max = Fraction(n_halves, 2)
-    top = float(s_max * (s_max + 1))
-    acc = np.eye(2**n_halves, dtype=complex)
-    norm = 1.0
-    sp = s_max - 1
-    while sp >= 0:
-        val = float(sp * (sp + 1))
-        acc = acc @ (s2 - val * np.eye(2**n_halves))
-        norm *= top - val
-        sp -= 1
-    return _read_only(acc / norm)
 
 
 def exp_minus_i_pi_symmetrizer(n_halves: int) -> np.ndarray:
@@ -219,27 +188,6 @@ def aklt_two_site_projector(s: SpinValue) -> np.ndarray:
         xk = xk @ x
         acc += float(c) * xk
     return _read_only(acc)
-
-
-def aklt_projector_from_product(s: SpinValue) -> np.ndarray:
-    """Same projector from the explicit product over lower total-spin sectors.
-
-    Independent of the expanded polynomial coefficients; used as their oracle.
-    """
-    comps = site_spin_operators(s)
-    dim = 2**s.n_qubits
-    eye = np.eye(dim)
-    j2 = np.zeros((dim * dim, dim * dim), dtype=complex)
-    for c in comps:
-        t = np.kron(c, eye) + np.kron(eye, c)
-        j2 += t @ t
-    s_max = s.twice_s  # two sites of spin S add up to at most 2S
-    acc = np.eye(dim * dim, dtype=complex)
-    norm = 1.0
-    for sp in range(s_max):
-        acc = acc @ (j2 - sp * (sp + 1) * np.eye(dim * dim))
-        norm *= s_max * (s_max + 1) - sp * (sp + 1)
-    return _read_only(acc / norm)
 
 
 def blbq_hamiltonian_term(beta: float) -> np.ndarray:

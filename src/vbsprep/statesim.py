@@ -304,6 +304,8 @@ class Statevector:
     (`product_of_factors`, `ir.post_select`, and `ir`'s runs after their
     last fold).
 
+    A state is built from its amplitudes, `Statevector(n_qubits, amps)`
+    (`dims` for folded sites), or by `product_of_factors`.
     A Statevector owns the array it is given: operators and
     renormalizations write into it in place, and only a qubit joining the
     state (the grown array is written from the old one), or an operator on a
@@ -323,14 +325,6 @@ class Statevector:
         self.tracked_norm_sq, self._kept = tracked_norm_sq, 1.0
 
     # -- constructors ------------------------------------------------------
-
-    @classmethod
-    def from_amplitudes(cls, amps) -> "Statevector":
-        amps = np.asarray(amps, dtype=complex).reshape(-1)
-        n = amps.size.bit_length() - 1
-        if 2**n != amps.size:
-            raise ValueError("amplitude count must be a power of 2")
-        return cls(n, amps.copy())
 
     @classmethod
     def product_of_factors(cls, n_qubits: int, factors, ops=(), sites=()) -> "Statevector":

@@ -52,13 +52,6 @@ def w_state_circuit(m: int, qubits: tuple[int, ...] | None = None, circ: Circuit
     return circ
 
 
-def w_state_vector(m: int) -> np.ndarray:
-    vec = np.zeros(2**m, dtype=complex)
-    for i in range(m):
-        vec[2**i] = 1 / math.sqrt(m)
-    return vec
-
-
 def inverse_gates(gates) -> list:
     """Inverse of a CNOT/U1Q gate list (sufficient for the prepare oracles)."""
     out = []

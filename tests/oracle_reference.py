@@ -13,19 +13,37 @@ site) and the qubit basis (a run of 2S qubits per site, in site order), and
 measure qubit-basis states.  `circuit_unitary_by_columns` is the unfused
 reference for `ir.circuit_unitary`, and `gate_by_gate` for `ir.simulate_circuit`:
 every gate alone, each marker projected in place by slicing (`project`).
-`zero_state` and `prepared` give a circuit its starting state.
+`zero_state`, `from_amplitudes` and `prepared` give a circuit its starting state.
+
+The spin-algebra references are built another way than the package's
+operators: `symmetrizer_from_spin_projector` builds `spinops.symmetrizer`
+from the total-spin polynomial in `total_spin_squared`, and
+`aklt_projector_from_product` builds `spinops.aklt_two_site_projector` from
+the product over the lower total-spin sectors.  `w_state_vector` is the
+uniform one-hot state that `symmetrize.w_state_circuit` prepares.
 """
 from __future__ import annotations
+
+import math
+from fractions import Fraction
 
 import numpy as np
 
 from vbsprep import statesim
 from vbsprep.builders import spin_ket
-from vbsprep.errors import ImpossibleOutcomeError
+from vbsprep.errors import CapExceededError, ImpossibleOutcomeError
 from vbsprep.ir import Circuit, Measure, Opaque, _gate_matrix
 from vbsprep.lattice import SPIN_UP, Lattice, SiteEncoding, assign_qubits
 from vbsprep.schmidt import SINGLET
-from vbsprep.spinops import symmetric_subspace_isometry, symmetrizer
+from vbsprep.spinops import (
+    MAX_SYMMETRIZER_HALVES,
+    SpinValue,
+    _collective_spin_components,
+    _read_only,
+    site_spin_operators,
+    symmetric_subspace_isometry,
+    symmetrizer,
+)
 from vbsprep.statesim import Statevector
 
 
@@ -66,7 +84,7 @@ def outer_then_sequence(n_qubits: int, factors, ops=()) -> Statevector:
     for qubits, vec in factors:
         full = np.multiply.outer(full, np.asarray(vec, dtype=complex).reshape([2] * len(qubits)))
         axes.extend(qubits)
-    state = Statevector.from_amplitudes(np.transpose(full, [axes.index(q) for q in range(n_qubits)]))
+    state = from_amplitudes(np.transpose(full, [axes.index(q) for q in range(n_qubits)]))
     if ops:
         apply_ops(state, ops)
     return state
@@ -86,7 +104,7 @@ def embed(psi: np.ndarray) -> Statevector:
     full = psi
     for d in psi.shape:  # each step takes the leading site axis and appends that site's qubits
         full = np.tensordot(full, symmetric_subspace_isometry(d - 1), axes=([0], [1]))
-    return Statevector.from_amplitudes(full.reshape(-1))
+    return from_amplitudes(full.reshape(-1))
 
 
 def compress(state: Statevector, shape) -> np.ndarray:
@@ -152,6 +170,15 @@ def zero_state(n_qubits: int) -> Statevector:
     return Statevector(n_qubits, amps)
 
 
+def from_amplitudes(amps) -> Statevector:
+    """A qubit state holding a copy of `amps`, whose count must be a power of 2."""
+    amps = np.asarray(amps, dtype=complex).reshape(-1)
+    n = amps.size.bit_length() - 1
+    if 2**n != amps.size:
+        raise ValueError("amplitude count must be a power of 2")
+    return Statevector(n, amps.copy())
+
+
 def prepared(v, qubits) -> Opaque:
     """A block that takes |0...0> on `qubits` to the unit vector along v: a Householder unitary whose first column is v.
 
@@ -195,7 +222,7 @@ def gate_by_gate(circuit: Circuit, v=None) -> tuple[Statevector, list]:
     its qubit, and the markers no later gate touches are returned, in
     circuit order.
     """
-    state = zero_state(circuit.n_qubits) if v is None else Statevector.from_amplitudes(v)
+    state = zero_state(circuit.n_qubits) if v is None else from_amplitudes(v)
     pending = []
     for g in circuit.gates:
         if isinstance(g, Measure):
@@ -206,3 +233,64 @@ def gate_by_gate(circuit: Circuit, v=None) -> tuple[Statevector, list]:
             pending.remove(m)
         state.apply_unitary(_gate_matrix(g), g.qubits)
     return state, pending
+
+
+MAX_TOTAL_SPIN_HALVES = 6
+
+
+def total_spin_squared(n_halves: int) -> np.ndarray:
+    """(S_total)^2 for n spin-1/2s, embedded in the full 2^n space."""
+    if not 1 <= n_halves <= MAX_TOTAL_SPIN_HALVES:
+        raise CapExceededError(f"n_halves={n_halves} outside [1, {MAX_TOTAL_SPIN_HALVES}]")
+    sx, sy, sz = _collective_spin_components(n_halves)
+    return _read_only(sx @ sx + sy @ sy + sz @ sz)
+
+
+def symmetrizer_from_spin_projector(n_halves: int) -> np.ndarray:
+    """Same projector built from the total-spin polynomial.
+
+    Product over all attainable total spins S' < n/2 of
+    ((S_total)^2 - S'(S'+1)), normalized so the top-spin sector is fixed.
+    """
+    if not 1 <= n_halves <= MAX_SYMMETRIZER_HALVES:
+        raise CapExceededError(f"n_halves={n_halves} outside [1, {MAX_SYMMETRIZER_HALVES}]")
+    s2 = total_spin_squared(n_halves)
+    s_max = Fraction(n_halves, 2)
+    top = float(s_max * (s_max + 1))
+    acc = np.eye(2**n_halves, dtype=complex)
+    norm = 1.0
+    sp = s_max - 1
+    while sp >= 0:
+        val = float(sp * (sp + 1))
+        acc = acc @ (s2 - val * np.eye(2**n_halves))
+        norm *= top - val
+        sp -= 1
+    return _read_only(acc / norm)
+
+
+def aklt_projector_from_product(s: SpinValue) -> np.ndarray:
+    """Same projector from the explicit product over lower total-spin sectors.
+
+    Independent of the expanded polynomial coefficients; used as their oracle.
+    """
+    comps = site_spin_operators(s)
+    dim = 2**s.n_qubits
+    eye = np.eye(dim)
+    j2 = np.zeros((dim * dim, dim * dim), dtype=complex)
+    for c in comps:
+        t = np.kron(c, eye) + np.kron(eye, c)
+        j2 += t @ t
+    s_max = s.twice_s  # two sites of spin S add up to at most 2S
+    acc = np.eye(dim * dim, dtype=complex)
+    norm = 1.0
+    for sp in range(s_max):
+        acc = acc @ (j2 - sp * (sp + 1) * np.eye(dim * dim))
+        norm *= s_max * (s_max + 1) - sp * (sp + 1)
+    return _read_only(acc / norm)
+
+
+def w_state_vector(m: int) -> np.ndarray:
+    vec = np.zeros(2**m, dtype=complex)
+    for i in range(m):
+        vec[2**i] = 1 / math.sqrt(m)
+    return vec

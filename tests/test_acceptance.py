@@ -9,16 +9,11 @@ import time
 
 import numpy as np
 from vbsprep.analysis import (
-    fit_mean_rounds,
-    geometric_max_cdf,
     matches_printed,
     monte_carlo_success,
     repetitions_table,
     resource_summary,
-    retry_histogram_zscores,
-    sublattice_retry_simulation,
     table_i_grid,
-    vbs_norm,
 )
 from vbsprep.builders import probabilistic_method_circuit
 from vbsprep.ir import Opaque, cnot_count, cnot_depth, post_select, simulate_circuit
@@ -47,16 +42,15 @@ from vbsprep.spinops import (
     exp_minus_i_pi_symmetrizer,
     symmetric_subspace_isometry,
     symmetrizer,
-    symmetrizer_from_spin_projector,
 )
 from vbsprep.symmetrize import (
     lcu_spin2_resources,
     permutation_swap_sequences,
     w_state_circuit,
-    w_state_vector,
 )
 
-from oracle_reference import applied_norm, embed, expectation, fidelity
+from oracle_reference import applied_norm, embed, expectation, fidelity, symmetrizer_from_spin_projector, w_state_vector
+from retry_model import fit_mean_rounds, retry_histogram_zscores, sublattice_retry_simulation
 
 S1, S32 = SpinValue(2), SpinValue(3)
 

@@ -5,15 +5,10 @@ import pytest
 
 from vbsprep.analysis import (
     Report,
-    fit_mean_rounds,
-    geometric_max_cdf,
     matches_printed,
     monte_carlo_success,
-    repetition_recursion,
     repetitions_table,
     resource_summary,
-    retry_histogram_zscores,
-    sublattice_retry_simulation,
     table_i_grid,
     vbs_norm,
 )
@@ -24,14 +19,21 @@ from vbsprep.lattice import BOUNDARY_OPEN, assign_qubits, build_chain, build_thr
 from vbsprep.methods import oracle_vbs_state
 from vbsprep.spinops import SpinValue
 
+from retry_model import (
+    fit_mean_rounds,
+    geometric_max_cdf,
+    repetition_recursion,
+    retry_histogram_zscores,
+    sublattice_retry_simulation,
+)
+
 
 def test_norm_closed_forms():
-    assert abs(vbs_norm(2, 3, "ring") - 3.0 / 8.0) < 1e-15
-    assert abs(vbs_norm(2, 2, BOUNDARY_OPEN, ("up", "up")) - 0.5) < 1e-15
-    assert abs(vbs_norm(2, 2, BOUNDARY_OPEN, ("up", "down")) - 5.0 / 8.0) < 1e-15
-    assert abs(vbs_norm(3, 4, "ring") - 0.5**4) < 1e-15
+    assert abs(vbs_norm(3, "ring") - 3.0 / 8.0) < 1e-15
+    assert abs(vbs_norm(2, BOUNDARY_OPEN, ("up", "up")) - 0.5) < 1e-15
+    assert abs(vbs_norm(2, BOUNDARY_OPEN, ("up", "down")) - 5.0 / 8.0) < 1e-15
     with pytest.raises(ConfigError, match="unknown boundary 'open'"):  # the open chain is BOUNDARY_OPEN only
-        vbs_norm(2, 2, "open")
+        vbs_norm(2, "open")
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
@@ -43,12 +45,12 @@ def test_norm_closed_forms():
 def test_norms_match_simulation(n, boundary, spins):
     lat = build_chain(n, boundary, spins or ("up", "up"))
     _, norm = oracle_vbs_state(lat, SpinValue(2))
-    assert abs(norm - vbs_norm(2, n, boundary, spins or ("up", "up"))) < 1e-12
+    assert abs(norm - vbs_norm(n, boundary, spins or ("up", "up"))) < 1e-12
 
 
 def test_asymptotic_norm_converges():
     # relative finite-size term decays as (1/3)^N for the ring
-    exact = vbs_norm(2, 40, "ring")
+    exact = vbs_norm(40, "ring")
     asym = 0.75**40
     assert abs(exact - asym) / asym < 1e-4
 

@@ -37,6 +37,7 @@ from oracle_reference import (
     bond_product,
     circuit_unitary_by_columns,
     fidelity,
+    from_amplitudes,
     gate_by_gate,
     prepared,
     project,
@@ -538,7 +539,7 @@ def test_one_pass_post_select_matches_marker_by_marker_projection():
     assert all(kinds.values()), kinds
     # one qubit post-selected on both outcomes
     with pytest.raises(ImpossibleOutcomeError):
-        post_select(Statevector.from_amplitudes([INV_SQRT2, INV_SQRT2]), [Measure(0, 0), Measure(0, 1)], [])
+        post_select(from_amplitudes([INV_SQRT2, INV_SQRT2]), [Measure(0, 0), Measure(0, 1)], [])
 
 
 def test_post_select_keeps_qubits_in_the_order_given():
@@ -589,7 +590,7 @@ def test_post_select_leaves_its_input_unchanged():
 
 
 def test_post_select_plus_state():
-    prob, out = post_select(Statevector.from_amplitudes(np.array([1, 1]) / np.sqrt(2)), [Measure(0, 1)], [])
+    prob, out = post_select(from_amplitudes(np.array([1, 1]) / np.sqrt(2)), [Measure(0, 1)], [])
     assert abs(prob - 0.5) < 1e-12
     assert abs(out.tracked_norm_sq - 0.5) < 1e-12
     assert out.n_qubits == 0
@@ -598,7 +599,7 @@ def test_post_select_plus_state():
 def test_post_select_branches_sum_to_one():
     rng = np.random.default_rng(8)
     v = rng.normal(size=8) + 1j * rng.normal(size=8)
-    state = Statevector.from_amplitudes(v / np.linalg.norm(v))
+    state = from_amplitudes(v / np.linalg.norm(v))
     p0, _ = post_select(state, [Measure(1, 0)], [0, 2])
     p1, _ = post_select(state, [Measure(1, 1)], [0, 2])
     assert abs(p0 + p1 - 1.0) < 1e-12
@@ -644,7 +645,7 @@ def test_post_select_probabilities_are_the_squared_row_norms(n):
         cases += [(0, 1, n - 2, n - 1), (n - 1, n - 2, 0, 1), (n - 4, n - 3, n - 2, n - 1), (2, 0, 4)]
     for qubits in cases:
         k = len(qubits)
-        state = Statevector.from_amplitudes(v / np.linalg.norm(v))
+        state = from_amplitudes(v / np.linalg.norm(v))
         state.apply_unitary(_random_unitary(rng, 2**k), qubits)
         rows = np.moveaxis(state.amps.reshape([2] * n), qubits, range(k)).reshape(2**k, -1)
         weights = np.sum(np.abs(rows) ** 2, axis=1)

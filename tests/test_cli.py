@@ -1,10 +1,14 @@
 """Command-line interface: configs, exit codes, report files."""
+import contextlib
+import io
 import json
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from vbsprep.cli import EXIT_CHECK_FAILED, EXIT_CONFIG, EXIT_OK, EXIT_UNSUPPORTED, main, parse_lattice
+from vbsprep.cli import EXIT_CHECK_FAILED, EXIT_CONFIG, EXIT_OK, EXIT_UNSUPPORTED, METHODS, main, parse_lattice
 from vbsprep.errors import ConfigError
 
 from oracle_reference import applied_norm, apply_ops, bond_product, compress, embed, expectation
@@ -31,6 +35,21 @@ def test_lattice_file_loading(tmp_path):
 
 
 _PAIR = {"sites": [0, 1], "links": [[0, 1]]}
+# Each once crashed verify, or failed it on routes that are right (exit 3), or exited 2 naming no cause.
+_ONCE_MISHANDLED = {
+    "boundary-spins-an-int": ({**_PAIR, "boundary_spins": 5}, "'boundary_spins' must be a list"),
+    "boundary-spins-a-bool": ({**_PAIR, "boundary_spins": True}, "'boundary_spins' must be a list"),
+    "one-site-open-chain": ({"sites": [0], "links": [], "boundary": "open_chain", "boundary_spins": ["up", "up"]},
+                            "an open chain needs at least 2 sites, got 1"),
+    "no-site": ({"sites": [], "links": []}, "a lattice needs at least one site"),
+    "ring-of-two-rings": ({"sites": [0, 1, 2, 3], "links": [[0, 1], [1, 0], [2, 3], [3, 2]], "boundary": "ring"},
+                          "boundary 'ring' needs links that make one cycle through every site; "
+                          "lattice 'file-lattice' has the links 0-1, 1-0, 2-3, 3-2"),
+    "open-chain-and-a-cycle": ({"sites": list(range(6)), "links": [[0, 5], [1, 2], [2, 3], [3, 4], [4, 1]],
+                                "boundary": "open_chain", "boundary_spins": ["up", "up"]},
+                               "boundary 'open_chain' needs links that make one path from site 0 to site 5; "
+                               "lattice 'file-lattice' has the links 0-5, 1-2, 2-3, 3-4, 4-1"),
+}
 
 
 @pytest.mark.parametrize(
@@ -45,9 +64,10 @@ _PAIR = {"sites": [0, 1], "links": [[0, 1]]}
         ({"sites": [0, 1], "links": [[0, 1.7]]}, "lattice link 0 [0, 1.7] must hold integer site ids"),
         ({"sites": [0, 1], "links": [[0, 1], [0, True]]}, "lattice link 1 [0, true] must hold integer site ids"),
         ({"sites": [0, 1], "links": [[0, "1"]]}, 'lattice link 0 [0, "1"] must hold integer site ids'),
+        *_ONCE_MISHANDLED.values(),
     ],
     ids=["sites-not-a-list", "one-boundary-spin", "unknown-boundary-spin", "unknown-boundary", "three-site-link",
-         "float-site-id", "bool-site-id", "string-site-id"],
+         "float-site-id", "bool-site-id", "string-site-id", *_ONCE_MISHANDLED],
 )
 def test_malformed_lattice_file_exits_config(tmp_path, capsys, doc, cause):
     path = tmp_path / "lat.json"
@@ -73,6 +93,69 @@ def test_mps_rejects_links_out_of_site_order(tmp_path, capsys, links, boundary, 
     ordered = [[i, i + 1] for i in range(3)] + ([[3, 0]] if boundary == "ring" else [])
     path.write_text(json.dumps({"sites": [0, 1, 2, 3], "links": ordered, "boundary": boundary, "boundary_spins": spins}))
     assert main(["prepare", "--spin", "2", "--lattice", f"file:{path}", "--method", "mps"]) == EXIT_OK
+
+
+# A link that names no two sites: a triple, or a float, a bool or a string for a site id.
+_ODD_LINK = st.one_of(st.lists(st.integers(-1, 4), min_size=3, max_size=3),
+                      st.tuples(st.integers(0, 3), st.sampled_from([1.5, True, "1"])).map(list))
+# Each puts every one of 4 sites on one link: a union of k of them gives every site 2S = k.
+_MATCHINGS = ([[0, 1], [2, 3]], [[0, 2], [1, 3]], [[0, 3], [1, 2]])
+
+
+@st.composite
+def _lattice_cases(draw) -> tuple[dict, int]:
+    """A lattice document of 0 to 4 sites and a --spin of 1 to 3.
+
+    Half the time the document is labelled as its links are drawn (a path
+    or a cycle through the sites, or a graph where every site has k links),
+    with the spin of its sites; else its label, its boundary spins and the
+    spin are drawn apart, wrong types among them, so that many documents
+    are mislabelled or malformed.
+    """
+    kind = draw(st.sampled_from(["walk", "regular", "random"]))
+    if kind == "walk":  # through site 0 first and site n-1 last
+        n = draw(st.integers(0, 4))
+        order = [0, *draw(st.permutations(range(1, n - 1))), n - 1][:n]
+        closed = n > 1 and draw(st.booleans())
+        links = [[a, b] for a, b in zip(order, order[1:])] + ([[order[-1], order[0]]] if closed else [])
+        spins = draw(st.sampled_from([["up", "up"], ["up", "down"], ["down", "up"]]))
+        fit, twice_s = ({"boundary": "ring"} if closed else {"boundary": "open_chain", "boundary_spins": spins}), 2
+    elif kind == "regular":
+        n, matchings = draw(st.sampled_from([(2, [[[0, 1]]]), (4, _MATCHINGS)]))
+        chosen = draw(st.lists(st.sampled_from(matchings), min_size=1, max_size=3))
+        links = [link for matching in chosen for link in matching]
+        fit, twice_s = {}, len(chosen)
+    else:  # self-loops and missing sites among them
+        n = draw(st.integers(0, 4))
+        links = draw(st.lists(st.tuples(st.integers(-1, 4), st.integers(-1, 4)).map(list), max_size=5))
+        links += draw(st.lists(_ODD_LINK, max_size=1))
+        fit, twice_s = {}, draw(st.integers(1, 3))
+    doc = {"sites": list(range(n)), "links": [link[::-1] if draw(st.booleans()) else link for link in links]}
+    if draw(st.booleans()):
+        return {**doc, **fit}, twice_s
+    if draw(st.booleans()):
+        doc["boundary"] = draw(st.sampled_from(["open_chain", "ring", "explicit_graph", "chain", 5, None]))
+    if draw(st.booleans()):
+        doc["boundary_spins"] = draw(st.sampled_from([None, ["up", "up"], ["up", "down"], ["up"], 5, True, "ud"]))
+    return doc, draw(st.integers(1, 3))
+
+
+@settings(derandomize=True, max_examples=60, deadline=None, database=None)
+@given(case=_lattice_cases())
+@example(case=(_ONCE_MISHANDLED["boundary-spins-an-int"][0], 2))
+@example(case=(_ONCE_MISHANDLED["one-site-open-chain"][0], 1))
+@example(case=(_ONCE_MISHANDLED["no-site"][0], 2))
+@example(case=(_ONCE_MISHANDLED["ring-of-two-rings"][0], 2))
+@example(case=(_ONCE_MISHANDLED["open-chain-and-a-cycle"][0], 2))
+def test_every_lattice_file_verifies_or_exits_config_or_unsupported(tmp_path_factory, case):
+    """Every route is right, so no lattice document fails a check (exit 3), and none ends in a traceback."""
+    doc, spin = case
+    path = tmp_path_factory.getbasetemp() / "drawn-lattice.json"
+    path.write_text(json.dumps(doc))
+    for method in METHODS:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()) as err:
+            code = main(["verify", "--spin", str(spin), "--lattice", f"file:{path}", "--method", method])
+        assert code in (EXIT_OK, EXIT_CONFIG, EXIT_UNSUPPORTED), (method, err.getvalue())
 
 
 def test_prepare_writes_passing_report(tmp_path):

@@ -1,11 +1,16 @@
-"""tools/job_outputs.py compare: which differences between two job dumps fail it."""
+"""tools/job_outputs.py compare: which differences between two job dumps fail it, and every job against its golden output."""
 import importlib.util
 import json
 import pathlib
+import sys
 
 import pytest
 
-_PATH = pathlib.Path(__file__).resolve().parent.parent / "tools" / "job_outputs.py"
+_CHECKOUT = pathlib.Path(__file__).resolve().parent.parent
+_GOLDEN = _CHECKOUT / "tests" / "data" / "job_outputs.jsonl.gz"
+# Floats may move this much, relative: a threaded BLAS sums some dot products in another order.
+_REL_TOL = 1e-12
+_PATH = _CHECKOUT / "tools" / "job_outputs.py"
 _spec = importlib.util.spec_from_file_location("job_outputs", _PATH)
 job_outputs = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(job_outputs)
@@ -48,3 +53,30 @@ def test_compare_ends_with_the_largest_float_difference_and_its_job(tmp_path, ca
     assert capsys.readouterr().out.splitlines()[-1] == "largest relative float difference over all jobs: 3.05e-13 (w verify --seed 7)"
     assert job_outputs.compare(_dump(tmp_path / "c.jsonl", jobs), _dump(tmp_path / "d.jsonl", jobs)) == 0
     assert capsys.readouterr().out.splitlines()[-1] == "largest relative float difference over all jobs: 0"
+
+
+@pytest.mark.parametrize(
+    "change",
+    [{"stdout": _JOB["stdout"].replace("norm", "morm")}, {"stdout": _JOB["stdout"].replace("0.328125", "0.32812500000328125")}],
+    ids=["one-character", "float-moved-1e-11"],
+)
+def test_the_golden_rule_fails_on_one_character_or_a_float_moved_by_1e_11(tmp_path, change):
+    a = _dump(tmp_path / "a.jsonl", [_JOB])
+    assert job_outputs.compare(a, _dump(tmp_path / "b.jsonl", [{**_JOB, **change}]), _REL_TOL) == 1
+    moved = _JOB["stdout"].replace("0.328125", "0.3281250000000033")  # 1e-14: within the bound
+    assert job_outputs.compare(a, _dump(tmp_path / "c.jsonl", [{**_JOB, "stdout": moved}]), _REL_TOL) == 0
+
+
+def test_every_workload_job_gives_its_golden_output(tmp_path, capsys, monkeypatch):
+    """All jobs of every workload at seeds 1 and 7, run again in this process: exit codes and text as in the golden dump.
+
+    A change that moves an output regenerates the golden by the command in
+    tools/job_outputs.py's docstring.
+    """
+    monkeypatch.setattr(sys, "dont_write_bytecode", sys.dont_write_bytecode)  # dump sets these three
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    monkeypatch.setitem(sys.modules, "workloads", None)
+    fresh = tmp_path / "fresh.jsonl"
+    job_outputs.dump(fresh, _CHECKOUT)
+    result = job_outputs.compare(_GOLDEN, fresh, _REL_TOL)
+    assert result == 0, capsys.readouterr().out

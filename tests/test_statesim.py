@@ -10,7 +10,7 @@ from vbsprep.errors import CapExceededError, ImpossibleOutcomeError, NonUnitaryE
 from vbsprep.spinops import symmetrizer
 from vbsprep.statesim import Statevector
 
-from oracle_reference import apply_ops, expectation, fidelity, outer_then_sequence, overlap, zero_state
+from oracle_reference import apply_ops, expectation, fidelity, from_amplitudes, outer_then_sequence, overlap, zero_state
 
 SWAP = np.array([[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex)
 SINGLET = np.array([0, 1, -1, 0], dtype=complex) / np.sqrt(2)
@@ -26,7 +26,7 @@ def test_cap_override(monkeypatch):
     with pytest.raises(CapExceededError):
         Statevector(5, np.ones(1, dtype=complex))
     with pytest.raises(CapExceededError):
-        Statevector.from_amplitudes(np.ones(32))
+        from_amplitudes(np.ones(32))
 
 
 def test_amplitude_count_must_match_width():
@@ -35,7 +35,7 @@ def test_amplitude_count_must_match_width():
 
 
 def test_swap_action_msb_convention():
-    st = Statevector.from_amplitudes([0, 1, 0, 0])  # |01>
+    st = from_amplitudes([0, 1, 0, 0])  # |01>
     st.apply_unitary(SWAP, (0, 1))
     assert np.allclose(st.amps, [0, 0, 1, 0])  # |10>
 
@@ -43,7 +43,7 @@ def test_swap_action_msb_convention():
 def test_minus_swap_from_symmetrizer_exponential():
     from vbsprep.spinops import exp_minus_i_pi_symmetrizer
 
-    st = Statevector.from_amplitudes([0, 1, 0, 0])
+    st = from_amplitudes([0, 1, 0, 0])
     st.apply_unitary(exp_minus_i_pi_symmetrizer(2), (0, 1))
     assert np.allclose(st.amps, [0, 0, -1, 0])
 
@@ -52,7 +52,7 @@ def test_identity_leaves_state_bitwise():
     rng = np.random.default_rng(3)
     v = rng.normal(size=8) + 1j * rng.normal(size=8)
     v /= np.linalg.norm(v)
-    st = Statevector.from_amplitudes(v)
+    st = from_amplitudes(v)
     st.apply_unitary(np.eye(2), (1,))
     assert np.array_equal(st.amps, v)
 
@@ -89,7 +89,7 @@ def test_unitarity_guard_checks_every_call_on_a_matrix_that_can_change():
 
 def test_unitary_preserves_norm():
     rng = np.random.default_rng(5)
-    st = Statevector.from_amplitudes(rng.normal(size=16) + 1j * rng.normal(size=16))
+    st = from_amplitudes(rng.normal(size=16) + 1j * rng.normal(size=16))
     st.amps /= np.linalg.norm(st.amps)
     m = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
     q, _ = np.linalg.qr(m)
@@ -123,11 +123,11 @@ def test_product_zero_norm_is_impossible_outcome():
 
 
 def test_overlap_and_fidelity():
-    a = Statevector.from_amplitudes([1, 0])
-    b = Statevector.from_amplitudes([0, 1])
+    a = from_amplitudes([1, 0])
+    b = from_amplitudes([0, 1])
     assert abs(overlap(a, a) - 1.0) < 1e-12
     assert abs(overlap(a, b)) < 1e-12
-    c = Statevector.from_amplitudes(np.array([1, 1j]) / np.sqrt(2))
+    c = from_amplitudes(np.array([1, 1j]) / np.sqrt(2))
     assert abs(fidelity(c, c) - 1.0) < 1e-12
 
 
@@ -135,7 +135,7 @@ def test_overlap_of_unnormalized_states_is_the_normalized_overlap():
     rng = np.random.default_rng(41)
     v, w = (rng.normal(size=64) + 1j * rng.normal(size=64) for _ in range(2))
     expected = np.vdot(v / np.linalg.norm(v), w / np.linalg.norm(w))
-    a, b = Statevector.from_amplitudes(3.7 * v), Statevector.from_amplitudes(0.02 * w)
+    a, b = from_amplitudes(3.7 * v), from_amplitudes(0.02 * w)
     assert abs(overlap(a, b) - expected) < 1e-15
     assert np.array_equal(a.amps, 3.7 * v)  # the states are left as they were
 
@@ -157,7 +157,7 @@ def test_sampling_deterministic_and_binomial():
     st = zero_state(1)
     counts = _counts(st, 100, seed=1)
     assert counts == {"0": 100}
-    plus = Statevector.from_amplitudes(np.array([1, 1]) / np.sqrt(2))
+    plus = from_amplitudes(np.array([1, 1]) / np.sqrt(2))
     counts = _counts(plus, 100_000, seed=2)
     ones = counts.get("1", 0) / 100_000
     assert abs(ones - 0.5) < 3 * np.sqrt(0.25 / 100_000)
@@ -172,7 +172,7 @@ def test_sample_indices_are_choice_bit_for_bit(n):
         v = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
         if zeros:
             v[rng.permutation(2**n)[: 2**n // 2]] = 0  # half the amplitudes, and one of two at n = 1
-        st = Statevector.from_amplitudes(v)
+        st = from_amplitudes(v)
         p = np.abs(v) ** 2
         for seed in (0, 1, 5):
             for shots in (1, 100_000):
@@ -185,7 +185,7 @@ def test_sample_indices_are_choice_bit_for_bit(n):
 def test_sampling_a_zero_or_non_finite_state_raises():
     for amps in (np.zeros(8), np.array([1, np.nan, 0, 0]), np.array([np.inf, 0])):
         with pytest.raises(ValueError):
-            Statevector.from_amplitudes(amps).sample_indices(10, seed=1)
+            from_amplitudes(amps).sample_indices(10, seed=1)
 
 
 def _applied(st: Statevector, mat, qubits) -> np.ndarray:
@@ -221,7 +221,7 @@ def test_apply_unitary_matches_explicit_kron_embedding():
         q, _ = np.linalg.qr(m)
         v = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
         v /= np.linalg.norm(v)
-        st = Statevector.from_amplitudes(v)
+        st = from_amplitudes(v)
         st.apply_unitary(q, qubits)
         expected = _embed_by_kron(q, qubits, n) @ v
         assert np.max(np.abs(st.amps - expected)) < 1e-12
@@ -239,7 +239,7 @@ def test_apply_unitary_kernel_random_widths():
         v = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
         v /= np.linalg.norm(v)
         expected = _embed_by_kron(u, qubits, n) @ v
-        st = Statevector.from_amplitudes(v)
+        st = from_amplitudes(v)
         assert np.max(np.abs(_applied(st, u, qubits) - expected)) < 1e-12
         assert np.array_equal(st.amps, v)  # _applied leaves the state alone
         st.apply_unitary(u, qubits)
@@ -266,7 +266,7 @@ def _check_joins_equal_padding(rng):
         v = rng.normal(size=2 ** (n - len(new))) + 1j * rng.normal(size=2 ** (n - len(new)))
         padded = np.zeros([2] * n, dtype=complex)
         padded[tuple(0 if q in new else slice(None) for q in range(n))] = v.reshape([2] * (n - len(new)))
-        st = Statevector.from_amplitudes(v).apply_unitary(u, qubits, new_qubits=new)
+        st = from_amplitudes(v).apply_unitary(u, qubits, new_qubits=new)
         assert st.n_qubits == n
         assert np.max(np.abs(st.amps - _embed_by_kron(u, qubits, n) @ padded.reshape(-1))) < 1e-12, (qubits, new)
 
@@ -429,7 +429,7 @@ def test_tile_norms_sum_to_the_norm_of_the_written_state(tile, monkeypatch):
     for qubits, new in cases:
         k = len(qubits)
         mat = rng.normal(size=(2**k, 2**k)) + 1j * rng.normal(size=(2**k, 2**k))
-        st, norms = Statevector.from_amplitudes(v), []
+        st, norms = from_amplitudes(v), []
         st._apply(mat, qubits, new, norms)
         assert st.n_qubits == n + len(new)
         assert len(norms) == max(1, st.amps.size // tile)
@@ -491,7 +491,7 @@ def test_kernel_matches_einsum_on_runs_and_scattered_targets(n, k, monkeypatch):
     monkeypatch.setattr(statesim, "_contract_run", lambda *a: views.append(a[2]) or contract_run(*a))
     v = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
     v /= np.linalg.norm(v)
-    st = Statevector.from_amplitudes(v)
+    st = from_amplitudes(v)
     for qubits in _kernel_cases(n, k, rng):
         mat = rng.normal(size=(2**k, 2**k)) + 1j * rng.normal(size=(2**k, 2**k))
         out = _applied(st, mat, qubits)
@@ -502,14 +502,14 @@ def test_kernel_matches_einsum_on_runs_and_scattered_targets(n, k, monkeypatch):
         assert (views == [[q - min(qubits) for q in qubits]]) == viewed, qubits
         views.clear()
     u, _ = np.linalg.qr(rng.normal(size=(2**k, 2**k)) + 1j * rng.normal(size=(2**k, 2**k)))
-    grown = Statevector.from_amplitudes(v).apply_unitary(u, tuple(range(n + 1 - k, n + 1)), new_qubits=(n,))
+    grown = from_amplitudes(v).apply_unitary(u, tuple(range(n + 1 - k, n + 1)), new_qubits=(n,))
     padded = np.stack([v, np.zeros_like(v)], axis=1).reshape(-1)  # qubit n joins in |0>
     assert np.max(np.abs(grown.amps - _einsum_apply(padded, u, tuple(range(n + 1 - k, n + 1)), n + 1))) < 1e-12
     assert views == [list(range(k))]  # a join on a contiguous run takes the view too
     views.clear()
     if k > 1:
         scattered = (n,) + tuple(range(k - 1))  # the joining qubit far from the others
-        grown = Statevector.from_amplitudes(v).apply_unitary(u, scattered, new_qubits=(n,))
+        grown = from_amplitudes(v).apply_unitary(u, scattered, new_qubits=(n,))
         assert np.max(np.abs(grown.amps - _einsum_apply(padded, u, scattered, n + 1))) < 1e-12
         assert views == []  # a scattered join does not
     before = st.amps
@@ -547,7 +547,7 @@ def test_joins_match_einsum_on_the_zero_padded_state(tile, monkeypatch):
         v = _random_state(n - len(new), rng)
         padded = np.zeros([2] * n, dtype=complex)
         padded[tuple(0 if q in new else slice(None) for q in range(n))] = v.reshape([2] * (n - len(new)))
-        grown = Statevector.from_amplitudes(v).apply_unitary(u, qubits, new_qubits=new)
+        grown = from_amplitudes(v).apply_unitary(u, qubits, new_qubits=new)
         assert np.max(np.abs(grown.amps - _einsum_apply(padded.reshape(-1), u, qubits, n))) < 1e-12, (qubits, new)
         run = max(qubits) - min(qubits) == k - 1
         assert views == ([[q - min(qubits) for q in qubits]] if run else []), (qubits, new)
@@ -562,7 +562,7 @@ def test_join_into_21_qubits_allocates_the_grown_state_and_a_few_tiles(monkeypat
     zeros = np.zeros
     monkeypatch.setattr(np, "zeros", lambda shape, *a, **kw: zeroed.append(np.prod(shape)) or zeros(shape, *a, **kw))
     rng = np.random.default_rng(22)
-    st = Statevector.from_amplitudes(_random_state(20, rng))
+    st = from_amplitudes(_random_state(20, rng))
     u, _ = np.linalg.qr(rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16)))
     tracemalloc.start()
     try:
@@ -578,7 +578,7 @@ def test_join_into_21_qubits_allocates_the_grown_state_and_a_few_tiles(monkeypat
 
 def test_operator_on_no_qubit_scales_the_state():
     v = np.arange(8) + 1j
-    st = Statevector.from_amplitudes(v / np.linalg.norm(v))
+    st = from_amplitudes(v / np.linalg.norm(v))
     assert np.array_equal(_applied(st, np.array([[2.0]]), []), 2 * st.amps)
     assert expectation(st, np.eye(1), []) == pytest.approx(1.0)
 
@@ -614,7 +614,7 @@ def test_in_place_kernel_matches_einsum_on_every_layout(tile, monkeypatch):
         mat = rng.normal(size=(2**k, 2**k)) + 1j * rng.normal(size=(2**k, 2**k))
         u, _ = np.linalg.qr(mat)
         expected = _einsum_apply(v, mat, qubits, n)
-        st = Statevector.from_amplitudes(v)
+        st = from_amplitudes(v)
         assert np.max(np.abs(_applied(st, mat, qubits) - expected)) < 1e-12, qubits
         herm = mat + mat.conj().T
         assert abs(expectation(st, herm, qubits) - np.vdot(v, _einsum_apply(v, herm, qubits, n)).real) < 1e-12
@@ -636,7 +636,7 @@ def test_operators_allocate_less_than_an_eighth_of_the_state(method):
 
     n = 20
     rng = np.random.default_rng(20)
-    st = Statevector.from_amplitudes(_random_state(n, rng))
+    st = from_amplitudes(_random_state(n, rng))
     psi = rng.normal(size=(3,) * (n // 2))  # ten spin-1 sites
     for qubits in [(0, 1), (9, 10), (n - 3, n - 2), (n - 1,), (n - 2, n - 1, n - 6, n - 5), (0, n - 1)]:
         k = len(qubits)
@@ -667,7 +667,7 @@ def test_joins_allocate_the_grown_state_and_an_eighth(qubits, new):
 
     n = 20
     rng = np.random.default_rng(21)
-    st = Statevector.from_amplitudes(_random_state(n - len(new), rng))
+    st = from_amplitudes(_random_state(n - len(new), rng))
     k = len(qubits)
     u, _ = np.linalg.qr(rng.normal(size=(2**k, 2**k)) + 1j * rng.normal(size=(2**k, 2**k)))
     tracemalloc.start()
@@ -780,7 +780,7 @@ def test_spin_fidelity_matches_the_embedded_overlap(tile, monkeypatch):
         embedded = embedded.reshape(-1)
         r = (0.3 - 1.1j) * embedded + 0.2 * _random_state(embedded.size.bit_length() - 1, rng)
         expected = abs(np.vdot(embedded, r)) ** 2 / (np.vdot(psi, psi).real * np.vdot(r, r).real)
-        st = Statevector.from_amplitudes(r)
+        st = from_amplitudes(r)
         assert abs(st.spin_fidelity(psi) - expected) < 1e-12, shape
         assert np.array_equal(st.amps, r)
     with pytest.raises(ValueError, match="does not fit"):

@@ -3,6 +3,11 @@
     OPENBLAS_NUM_THREADS=1 python3 tools/job_outputs.py dump OUT.jsonl [--checkout DIR]
     python3 tools/job_outputs.py compare A.jsonl B.jsonl
 
+A path that ends in .gz is read and written gzip-compressed.  The golden
+dump that `tests/test_job_outputs.py` checks every job against is made by
+
+    OPENBLAS_NUM_THREADS=1 python3 tools/job_outputs.py dump tests/data/job_outputs.jsonl.gz
+
 `dump` runs every job of every workload in `perfbench/workloads.py`, at
 seeds 1 and 7, through `vbsprep.cli.main(argv)` in this one process, with
 the `src/` and the workload list of the checkout at DIR (by default the one
@@ -16,15 +21,18 @@ byte the same in A and B, and lists every other job with the largest
 relative difference between the floats of its outputs.  Its last line gives
 the largest of these over all jobs, and the job it came from.  It exits 1 if a job
 is missing from either file, or an exit code or any text beside the numbers
-differs (check names and pass flags included), else 0.
+differs (check names and pass flags included), else 0.  `compare(a, b,
+rel_tol)` also fails on a float that moved by more than rel_tol, relative.
 """
 from __future__ import annotations
 
 import argparse
 import contextlib
+import gzip
 import importlib.util
 import io
 import json
+import math
 import re
 import sys
 from pathlib import Path
@@ -42,12 +50,19 @@ def _workloads(checkout: Path):
     return module.WORKLOADS
 
 
+def _open(path: Path, mode: str):
+    """The text file at path; gzip-compressed if its name ends in .gz, with no time stamp, so one dump makes one file."""
+    if path.suffix == ".gz":
+        return io.TextIOWrapper(gzip.GzipFile(path, mode + "b", mtime=0), encoding="utf-8")
+    return open(path, mode, encoding="utf-8")
+
+
 def dump(path: Path, checkout: Path) -> int:
     sys.dont_write_bytecode = True
     sys.path.insert(0, str(checkout / "src"))
     import vbsprep.cli
 
-    with open(path, "w") as out:
+    with _open(path, "w") as out:
         for seed in SEEDS:
             for workload, jobs in _workloads(checkout).items():
                 for job in jobs(seed):
@@ -66,7 +81,7 @@ def dump(path: Path, checkout: Path) -> int:
 
 
 def _load(path: Path) -> dict:
-    with open(path) as f:
+    with _open(path, "r") as f:
         records = [json.loads(line) for line in f]
     return {(r["workload"], tuple(r["argv"])): r for r in records}
 
@@ -77,7 +92,7 @@ def _relative_difference(a: str, b: str) -> float:
     return abs(x - y) / scale if scale else 0.0
 
 
-def compare(path_a: Path, path_b: Path) -> int:
+def compare(path_a: Path, path_b: Path, rel_tol: float = math.inf) -> int:
     a, b = _load(path_a), _load(path_b)
     failed = False
     for key in sorted(a.keys() ^ b.keys()):
@@ -103,6 +118,7 @@ def compare(path_a: Path, path_b: Path) -> int:
             worst = max([worst, *map(_relative_difference, NUMBER.findall(ra[stream]), NUMBER.findall(rb[stream]))])
         else:
             print(f"{line} largest relative float difference {worst:.3g}")
+            failed |= worst > rel_tol
             largest = max(largest, (worst, line[:-1]), key=lambda pair: pair[0])
     print(f"{identical} of {len(a.keys() | b.keys())} jobs byte-identical")
     print(f"largest relative float difference over all jobs: {largest[0]:.3g}" + (f" ({largest[1]})" if largest[1] else ""))
