@@ -55,22 +55,33 @@ class Lattice:
                 if spin not in (SPIN_UP, SPIN_DOWN):
                     raise ConfigError(f"boundary spin must be up/down, got {spin!r}")
         if self.boundary != BOUNDARY_EXPLICIT:
-            self._check_chain()
+            self._check_connected()
 
-    def _check_chain(self):
-        """A ring's links must make one cycle through every site, an open chain's one path from site 0 to site n-1.
+    def _check_connected(self):
+        """A ring's or an open chain's links must connect every site.
 
-        The closed-form norms, `boundary_slots` and the mps route all read the label as one chain.
+        The closed-form norms, `boundary_slots` and the mps route all read the
+        label as one chain.  At 2S=2 `uniform_twice_spin` fixes each site's link
+        count, so connected links are then one cycle or one path from site 0 to
+        site n-1; other spins read the label only for the open chain's end slots.
         """
-        n = self.n_sites
-        ends = (0, n - 1) if self.boundary == BOUNDARY_OPEN else ()
-        reached = {0}
-        for _ in range(n):  # each pass reaches the sites one link further from site 0
-            reached |= {s for link in self.links if reached.intersection(link) for s in link}
-        if len(reached) < n or any(self.coordination(s) != (1 if s in ends else 2) for s in range(n)):
-            shape = f"one path from site 0 to site {n - 1}" if ends else "one cycle through every site"
+        adj = self._adjacency()
+        reached, stack = {0}, [0]
+        while stack:
+            for v in adj[stack.pop()] - reached:
+                reached.add(v)
+                stack.append(v)
+        if len(reached) < self.n_sites:
             given = ", ".join(f"{a}-{b}" for a, b in self.links) or "none"
-            raise ConfigError(f"boundary {self.boundary!r} needs links that make {shape}; lattice {self.name!r} has the links {given}")
+            raise ConfigError(f"boundary {self.boundary!r} needs links that connect every site; "
+                              f"lattice {self.name!r} has the links {given}")
+
+    def _adjacency(self) -> dict[int, set[int]]:
+        adj: dict[int, set[int]] = {s: set() for s in range(self.n_sites)}
+        for a, b in self.links:
+            adj[a].add(b)
+            adj[b].add(a)
+        return adj
 
     def coordination(self, site: int) -> int:
         return sum(1 for a, b in self.links if site in (a, b))
@@ -94,10 +105,7 @@ class Lattice:
     def sublattice(self) -> tuple[str, ...]:
         """2-coloring of the sites; raises NotBipartiteError on an odd cycle."""
         color: dict[int, str] = {}
-        adj: dict[int, set[int]] = {s: set() for s in range(self.n_sites)}
-        for a, b in self.links:
-            adj[a].add(b)
-            adj[b].add(a)
+        adj = self._adjacency()
         for start in range(self.n_sites):
             if start in color:
                 continue

@@ -32,6 +32,9 @@ def test_lattice_file_loading(tmp_path):
     path.write_text(json.dumps(doc))
     lat = parse_lattice(f"file:{path}")
     assert lat.coordination(0) == 3
+    # a ring needs only links that connect every site: doubled links make a spin-2 ring
+    path.write_text(json.dumps({"sites": [0, 1, 2, 3], "links": [[i, (i + 1) % 4] for i in range(4)] * 2, "boundary": "ring"}))
+    assert parse_lattice(f"file:{path}").uniform_twice_spin() == 4
 
 
 _PAIR = {"sites": [0, 1], "links": [[0, 1]]}
@@ -43,11 +46,11 @@ _ONCE_MISHANDLED = {
                             "an open chain needs at least 2 sites, got 1"),
     "no-site": ({"sites": [], "links": []}, "a lattice needs at least one site"),
     "ring-of-two-rings": ({"sites": [0, 1, 2, 3], "links": [[0, 1], [1, 0], [2, 3], [3, 2]], "boundary": "ring"},
-                          "boundary 'ring' needs links that make one cycle through every site; "
+                          "boundary 'ring' needs links that connect every site; "
                           "lattice 'file-lattice' has the links 0-1, 1-0, 2-3, 3-2"),
     "open-chain-and-a-cycle": ({"sites": list(range(6)), "links": [[0, 5], [1, 2], [2, 3], [3, 4], [4, 1]],
                                 "boundary": "open_chain", "boundary_spins": ["up", "up"]},
-                               "boundary 'open_chain' needs links that make one path from site 0 to site 5; "
+                               "boundary 'open_chain' needs links that connect every site; "
                                "lattice 'file-lattice' has the links 0-5, 1-2, 2-3, 3-4, 4-1"),
 }
 

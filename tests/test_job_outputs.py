@@ -8,8 +8,6 @@ import pytest
 
 _CHECKOUT = pathlib.Path(__file__).resolve().parent.parent
 _GOLDEN = _CHECKOUT / "tests" / "data" / "job_outputs.jsonl.gz"
-# Floats may move this much, relative: a threaded BLAS sums some dot products in another order.
-_REL_TOL = 1e-12
 _PATH = _CHECKOUT / "tools" / "job_outputs.py"
 _spec = importlib.util.spec_from_file_location("job_outputs", _PATH)
 job_outputs = importlib.util.module_from_spec(_spec)
@@ -29,13 +27,14 @@ def _dump(path, records):
     [
         ({}, 0, "1 of 1 jobs byte-identical"),
         ({"stdout": _JOB["stdout"].replace("0.328125", "0.32812500000000006")}, 0, "largest relative float difference 1.69e-16"),
+        ({"stdout": _JOB["stdout"].replace("0.328125", "0.32812500000328125")}, 1, "largest relative float difference 1e-11"),
         ({"stdout": _JOB["stdout"].replace("true", "false")}, 1, "stdout text differs"),
         ({"stdout": _JOB["stdout"].replace("norm", "energy")}, 1, "stdout text differs"),
         ({"stderr": "warning"}, 1, "stderr text differs"),
         ({"rc": 3}, 1, "exit code 0 != 3"),
         ({"argv": ["verify", "--seed", "7"]}, 1, "only in"),
     ],
-    ids=["same", "float", "pass-flag", "check-name", "stderr", "exit-code", "missing-job"],
+    ids=["same", "float", "float-moved-1e-11", "pass-flag", "check-name", "stderr", "exit-code", "missing-job"],
 )
 def test_compare_fails_on_anything_but_float_digits(tmp_path, capsys, change, rc, said):
     a = _dump(tmp_path / "a.jsonl", [_JOB])
@@ -55,18 +54,6 @@ def test_compare_ends_with_the_largest_float_difference_and_its_job(tmp_path, ca
     assert capsys.readouterr().out.splitlines()[-1] == "largest relative float difference over all jobs: 0"
 
 
-@pytest.mark.parametrize(
-    "change",
-    [{"stdout": _JOB["stdout"].replace("norm", "morm")}, {"stdout": _JOB["stdout"].replace("0.328125", "0.32812500000328125")}],
-    ids=["one-character", "float-moved-1e-11"],
-)
-def test_the_golden_rule_fails_on_one_character_or_a_float_moved_by_1e_11(tmp_path, change):
-    a = _dump(tmp_path / "a.jsonl", [_JOB])
-    assert job_outputs.compare(a, _dump(tmp_path / "b.jsonl", [{**_JOB, **change}]), _REL_TOL) == 1
-    moved = _JOB["stdout"].replace("0.328125", "0.3281250000000033")  # 1e-14: within the bound
-    assert job_outputs.compare(a, _dump(tmp_path / "c.jsonl", [{**_JOB, "stdout": moved}]), _REL_TOL) == 0
-
-
 def test_every_workload_job_gives_its_golden_output(tmp_path, capsys, monkeypatch):
     """All jobs of every workload at seeds 1 and 7, run again in this process: exit codes and text as in the golden dump.
 
@@ -78,5 +65,5 @@ def test_every_workload_job_gives_its_golden_output(tmp_path, capsys, monkeypatc
     monkeypatch.setitem(sys.modules, "workloads", None)
     fresh = tmp_path / "fresh.jsonl"
     job_outputs.dump(fresh, _CHECKOUT)
-    result = job_outputs.compare(_GOLDEN, fresh, _REL_TOL)
+    result = job_outputs.compare(_GOLDEN, fresh)
     assert result == 0, capsys.readouterr().out

@@ -20,9 +20,9 @@ another order from run to run, and so move the last digits of a float.
 byte the same in A and B, and lists every other job with the largest
 relative difference between the floats of its outputs.  Its last line gives
 the largest of these over all jobs, and the job it came from.  It exits 1 if a job
-is missing from either file, or an exit code or any text beside the numbers
-differs (check names and pass flags included), else 0.  `compare(a, b,
-rel_tol)` also fails on a float that moved by more than rel_tol, relative.
+is missing from either file, an exit code or any text beside the numbers
+differs (check names and pass flags included), or a float moved by more than
+REL_TOL relative, else 0.
 """
 from __future__ import annotations
 
@@ -32,7 +32,6 @@ import gzip
 import importlib.util
 import io
 import json
-import math
 import re
 import sys
 from pathlib import Path
@@ -40,6 +39,8 @@ from pathlib import Path
 SEEDS = (1, 7)
 NUMBER = re.compile(r"-?\d+(?:\.\d+)?(?:[eE][-+]?\d+)?")
 STREAMS = ("stdout", "stderr")
+# Floats may move this much, relative: a threaded BLAS sums some dot products in another order.
+REL_TOL = 1e-12
 
 
 def _workloads(checkout: Path):
@@ -92,7 +93,7 @@ def _relative_difference(a: str, b: str) -> float:
     return abs(x - y) / scale if scale else 0.0
 
 
-def compare(path_a: Path, path_b: Path, rel_tol: float = math.inf) -> int:
+def compare(path_a: Path, path_b: Path) -> int:
     a, b = _load(path_a), _load(path_b)
     failed = False
     for key in sorted(a.keys() ^ b.keys()):
@@ -118,7 +119,7 @@ def compare(path_a: Path, path_b: Path, rel_tol: float = math.inf) -> int:
             worst = max([worst, *map(_relative_difference, NUMBER.findall(ra[stream]), NUMBER.findall(rb[stream]))])
         else:
             print(f"{line} largest relative float difference {worst:.3g}")
-            failed |= worst > rel_tol
+            failed |= worst > REL_TOL
             largest = max(largest, (worst, line[:-1]), key=lambda pair: pair[0])
     print(f"{identical} of {len(a.keys() | b.keys())} jobs byte-identical")
     print(f"largest relative float difference over all jobs: {largest[0]:.3g}" + (f" ({largest[1]})" if largest[1] else ""))
