@@ -12,7 +12,7 @@ from .builders import mitigated_islands_circuit, probabilistic_method_circuit
 from .errors import ConfigError, UnsupportedError
 from .ir import Circuit, cnot_depth
 from .lattice import BOUNDARY_OPEN, BOUNDARY_RING, assign_qubits, build_chain, build_three_link_pair
-from .routing import heavy_hex_pair_mitigated, heavy_hex_pair_probabilistic
+from .routing import heavy_hex_pair
 from .spinops import SpinValue, symmetric_fraction
 from .statesim import Statevector
 
@@ -173,8 +173,7 @@ def _grid_circuit(twice_s: int, method: str, coupling: str) -> Circuit:
     """The circuit a depth-grid cell measures: the route's own builder on a
     ring of four spin-1 sites or on the spin-3/2 pair (placed on heavy-hex)."""
     if coupling == "heavy_hex":
-        pipeline = heavy_hex_pair_probabilistic if method == "probabilistic" else heavy_hex_pair_mitigated
-        return pipeline()[0].circuit
+        return heavy_hex_pair(method)[0].circuit
     lattice = build_chain(4, "ring") if twice_s == 2 else build_three_link_pair()
     if method == "probabilistic":
         return probabilistic_method_circuit(lattice, assign_qubits(lattice, "hadamard_all"), SpinValue(twice_s))

@@ -85,7 +85,6 @@ def hadamard_test_fragment(
     s: SpinValue,
     circ: Circuit | None = None,
     heavy_hex_box: str | None = None,
-    site_qubits: tuple[int, ...] | None = None,
     anc: int | None = None,
     creg: int | None = None,
 ) -> Circuit:
@@ -94,13 +93,13 @@ def hadamard_test_fragment(
     The retained ancilla outcome is |1>.  For 2S=2 the controlled block is a
     phased controlled-SWAP.
     `heavy_hex_box` selects the declared heavy-hex cost variant ("t" or
-    "line") for the spin-3/2 block; `site_qubits` and `anc` override the
-    encoding's qubits (used after routing displaces qubits).  The marker
-    takes `creg`, or else the first free one (a scan of every gate).
+    "line") for the spin-3/2 block; `anc` overrides the site's own ancilla
+    (the retry circuit borrows one).  The marker takes `creg`, or else the
+    first free one (a scan of every gate).
     """
     if anc is None:
         anc = encoding.site_ancilla(site)
-    qubits = site_qubits if site_qubits is not None else encoding.site_qubits[site]
+    qubits = encoding.site_qubits[site]
     if len(qubits) != s.twice_s:
         raise ConfigError(f"site {site} has {len(qubits)} qubits, expected {s.twice_s}")
     if circ is None:

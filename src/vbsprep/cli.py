@@ -37,9 +37,11 @@ from .lattice import (
     build_three_link_pair,
     build_three_link_ring,
     lattice_from_json,
+    linear_coupling,
 )
 from .methods import ROUTES, oracle_vbs_state
 from .qasm import emit_qasm
+from .routing import heavy_hex_pair, route
 from .spinops import SpinValue, link_operators
 
 EXIT_OK = 0
@@ -144,6 +146,8 @@ def _analytic_norm(lattice: Lattice, twice_s: int) -> float | None:
 def cmd_prepare(args) -> int:
     lattice = parse_lattice(args.lattice)
     validate_config(lattice, args.spin, args.method)
+    if args.shots and args.method != "probabilistic":
+        raise UnsupportedError(f"--shots is read only by the probabilistic method, not by {args.method}")
     s = SpinValue(args.spin)
     result = ROUTES[args.method](lattice, s, args.seed)
     oracle, oracle_norm = oracle_vbs_state(lattice, s)
@@ -180,23 +184,16 @@ def cmd_prepare(args) -> int:
 
 def _routed_checks(args, lattice, result, oracle, report):
     """Route the circuit onto the requested coupling and re-verify it."""
-    from .lattice import linear_coupling
-    from .routing import heavy_hex_pair_mitigated, heavy_hex_pair_probabilistic, route
-
     if args.coupling == "linear":
         if args.method != "probabilistic":
             raise UnsupportedError("linear routing is wired up for the probabilistic method")
         encoding = result["encoding"]
         routed = route(result["circuit"], linear_coupling(encoding.total_qubits))
-    else:  # heavy_hex
-        if lattice.name != "three-link-pair":
+    else:  # heavy_hex: the pair is known by its sites, links and boundary, whatever a file names it
+        pair = build_three_link_pair()
+        if (lattice.n_sites, lattice.links, lattice.boundary) != (pair.n_sites, pair.links, pair.boundary):
             raise UnsupportedError("heavy-hex placement is declared for the three-link pair")
-        if args.method == "probabilistic":
-            routed, _, encoding = heavy_hex_pair_probabilistic()
-        elif args.method == "mitigated_islands":
-            routed, _, encoding = heavy_hex_pair_mitigated()
-        else:
-            raise UnsupportedError("heavy-hex placement covers probabilistic and mitigated_islands")
+        routed, encoding = heavy_hex_pair(args.method)
     _, state = simulate_post_selected(routed.circuit, routed.placement[: encoding.n_data_qubits])
     routed_fid = state.spin_fidelity(oracle)
     report.simulated["routed_fidelity_vs_oracle"] = routed_fid
@@ -207,6 +204,8 @@ def _routed_checks(args, lattice, result, oracle, report):
 def cmd_verify(args) -> int:
     lattice = parse_lattice(args.lattice)
     validate_config(lattice, args.spin, args.method)
+    if args.shots:
+        raise UnsupportedError("verify draws no shots: --shots is read only by prepare")
     s = SpinValue(args.spin)
     psi, norm_sq = oracle_vbs_state(lattice, s)
     result = ROUTES[args.method](lattice, s, args.seed)
@@ -303,6 +302,10 @@ def cmd_resources(args) -> int:
 
 
 def cmd_emit_qasm(args) -> int:
+    if args.method != "probabilistic":
+        raise UnsupportedError(f"emit-qasm writes the probabilistic circuit: --method {args.method} is not read")
+    if args.coupling != "all_to_all":
+        raise UnsupportedError(f"emit-qasm writes the unrouted circuit: --coupling {args.coupling} is not read")
     lattice = parse_lattice(args.lattice)
     validate_config(lattice, args.spin, "probabilistic")
     s = SpinValue(args.spin)

@@ -46,6 +46,9 @@ class Lattice:
                 raise ConfigError(f"link ({a},{b}) references a missing site")
             if a == b:
                 raise ConfigError("self-loops are not allowed")
+        if self.boundary_spins is not None and self.boundary != BOUNDARY_OPEN:
+            raise ConfigError(f"boundary_spins are read only on an open chain; lattice {self.name!r} has "
+                              f"boundary {self.boundary!r} and boundary_spins {list(self.boundary_spins)}")
         if self.boundary == BOUNDARY_OPEN:
             if self.n_sites < 2:
                 raise ConfigError(f"an open chain needs at least 2 sites, got {self.n_sites}")

@@ -1,5 +1,5 @@
-"""Coupling-map routing: generic SWAP insertion plus the fixed heavy-hex
-layout and displacement stage used by the coordination-3 preparation.
+"""Coupling-map routing: generic SWAP insertion, and the placement of the
+three-link pair on one heavy-hex set.
 
 The generic router walks the gate list, moving logical qubits along
 shortest paths (each inserted SWAP is expanded to 3 CNOTs) until every
@@ -7,26 +7,22 @@ CNOT acts on a coupled pair and every opaque block sits on a connected
 subgraph.  It returns the final logical-to-physical placement, so callers
 can post-select straight to the physical qubits that hold the data.
 
-The heavy-hex pipeline is a declared layout: per six-qubit set the three
-valence bonds start on coupled pairs, and a fixed displacement of three
-SWAPs (one declared block) regroups the qubits so one site lands on an
-in-line four-qubit box and the other on a T-shaped box.
+The heavy-hex placement is data: the role held at each position of the
+set before the displacement (`PAIR_ROLES`, where the three valence bonds
+start on coupled pairs) and the displacement's three SWAPs
+(`PAIR_DISPLACEMENT`, one declared block).  The positions after it come
+from applying those SWAPs with the router's own placement update
+(`_move`): one site lands on an in-line four-qubit box and the other on a
+T-shaped box.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .builders import hadamard_test_fragment, island_block, island_qubit_groups, valence_bond_subcircuit
-from .errors import ConfigError
+from .builders import hadamard_test_fragment, island_block, valence_bond_subcircuit
+from .errors import ConfigError, UnsupportedError
 from .ir import DECLARED_COSTS, CNot, Circuit, Opaque, _renamed
-from .lattice import (
-    CouplingMap,
-    Lattice,
-    SiteEncoding,
-    assign_qubits,
-    build_three_link_pair,
-    heavy_hex_patch,
-)
+from .lattice import CouplingMap, SiteEncoding, assign_qubits, build_three_link_pair, heavy_hex_patch
 from .spinops import SpinValue
 from .symmetrize import swap_sequence_matrix
 
@@ -92,99 +88,57 @@ def route(circuit: Circuit, coupling: CouplingMap) -> RoutedCircuit:
 
 
 # ---------------------------------------------------------------------------
-# heavy-hex layout for the coordination-3 pair
+# heavy-hex placement of the coordination-3 pair
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class HeavyHexPairLayout:
-    """Declared placement of the three-link pair on one heavy-hex set.
-
-    Line positions 0..6 with a bridge qubit 7 hanging off position 5.
-    Initially the bonds sit on coupled pairs (1,2), (3,4), (5,6); after the
-    three-swap displacement site A occupies the in-line box (1,2,3) with its
-    ancilla at 0, and site B the T-shaped box (4,5,6) with its ancilla on
-    the bridge.
-    """
-
-    coupling: CouplingMap
-    initial: dict[str, int]
-    displacement: tuple[tuple[int, int], ...]
-    final: dict[str, int]
+# The role held at each position of heavy_hex_patch(1) (line 0..6, bridge 7 off
+# position 5) before the displacement: site A's and B's ancillas, and the ends Ak
+# and Bk of bond k = 1, 2, 3, which start on the coupled pair (2k - 1, 2k).
+PAIR_ROLES = ("anc_A", "A1", "B1", "A2", "B2", "A3", "B3", "anc_B")
+# After these SWAPs site A holds the in-line box (1, 2, 3) with its ancilla at 0,
+# and site B the T-shaped box (4, 5, 6) with its ancilla on the bridge.
+PAIR_DISPLACEMENT = ((2, 3), (4, 5), (3, 4))
 
 
-def heavy_hex_pair_layout() -> HeavyHexPairLayout:
-    coupling = heavy_hex_patch(1)  # line 0..6 plus bridge qubit 7 at position 5
-    initial = {
-        "anc_A": 0, "A1": 1, "B1": 2, "A2": 3, "B2": 4, "A3": 5, "B3": 6, "anc_B": 7,
-    }
-    displacement = ((2, 3), (4, 5), (3, 4))
-    final = {
-        "anc_A": 0, "A1": 1, "A2": 2, "A3": 3, "B1": 4, "B2": 5, "B3": 6, "anc_B": 7,
-    }
-    return HeavyHexPairLayout(coupling, initial, displacement, final)
-
-
-def displacement_block(swaps: tuple[tuple[int, int], ...], label: str = "bond_displacement") -> Opaque:
+def displacement_block(swaps: tuple[tuple[int, int], ...]) -> Opaque:
     """The per-set displacement as one opaque block with its declared cost."""
     qubits = tuple(sorted({q for pair in swaps for q in pair}))
     local = {q: i for i, q in enumerate(qubits)}
     mat = swap_sequence_matrix([(local[a], local[b]) for a, b in swaps], len(qubits))
-    return Opaque(label, qubits, mat, **DECLARED_COSTS["displacement"])
+    return Opaque("bond_displacement", qubits, mat, **DECLARED_COSTS["displacement"])
 
 
-def _pair_on_layout(method: str) -> tuple[Lattice, SiteEncoding, HeavyHexPairLayout, list[int], list[int]]:
-    """The pair under `method`'s encoding, with each logical qubit's position
-    on the heavy-hex set before and after the displacement."""
-    lattice = build_three_link_pair()
-    encoding = assign_qubits(lattice, method)
-    layout = heavy_hex_pair_layout()
-    roles = {"anc_B": encoding.site_ancilla(1)}
-    if encoding.ancilla[0] is not None:
-        roles["anc_A"] = encoding.ancilla[0]
-    for k, (qa, qb) in enumerate(encoding.link_qubits):
-        roles[f"A{k + 1}"], roles[f"B{k + 1}"] = qa, qb
-    initial, final = [0] * encoding.total_qubits, [0] * encoding.total_qubits
-    for role, logical in roles.items():
-        initial[logical], final[logical] = layout.initial[role], layout.final[role]
-    return lattice, encoding, layout, initial, final
+def heavy_hex_pair(method: str) -> tuple[RoutedCircuit, SiteEncoding]:
+    """The three-link pair under route `method`, placed on one heavy-hex set.
 
-
-def heavy_hex_pair_probabilistic() -> tuple[RoutedCircuit, Lattice, SiteEncoding]:
-    """Bare probabilistic preparation of the pair, placed on the heavy-hex set."""
-    lattice, encoding, layout, initial, final = _pair_on_layout("hadamard_all")
-    circ = Circuit(layout.coupling.n_qubits)
-    for qa, qb in encoding.link_qubits:
-        valence_bond_subcircuit(initial[qa], initial[qb], circ)
-    circ.add(displacement_block(layout.displacement))
-    for site, box in ((0, "line"), (1, "t")):
-        _add_physical_test(circ, encoding, final, site, box)
-    return RoutedCircuit(circ, final), lattice, encoding
-
-
-def heavy_hex_pair_mitigated() -> tuple[RoutedCircuit, Lattice, SiteEncoding]:
-    """Island initialization of site A plus a T-box test on site B, heavy-hex.
-
-    Site A's island enters as one builders.island_block on the qubits its
-    bonds start on.
+    The first stage (the bonds, or site A's island block under
+    mitigated_islands) acts on the PAIR_ROLES positions, then the
+    displacement block, then the test of each site that has an ancilla,
+    on its box.  Each gate is built on logical qubits and renamed
+    (`ir._renamed`) onto the positions they hold.
     """
-    lattice, encoding, layout, initial, final = _pair_on_layout("islands_plus_sublattice")
-    circ = Circuit(layout.coupling.n_qubits)
-    (site_a,) = island_qubit_groups(lattice, encoding)
-    block = island_block(lattice, encoding, site_a, SpinValue(3))
-    circ.add(_renamed(block, initial))
-    circ.add(displacement_block(layout.displacement))
-    _add_physical_test(circ, encoding, final, 1, "t")
-    return RoutedCircuit(circ, final), lattice, encoding
-
-
-def _add_physical_test(circ: Circuit, encoding: SiteEncoding, placement: list[int], site: int, box: str):
-    """Spin-3/2 test of `site` on its displaced physical qubits and heavy-hex box."""
-    hadamard_test_fragment(
-        site,
-        encoding,
-        SpinValue(3),
-        circ,
-        heavy_hex_box=box,
-        site_qubits=tuple(placement[q] for q in encoding.site_qubits[site]),
-        anc=placement[encoding.site_ancilla(site)],
-    )
+    if method not in ("probabilistic", "mitigated_islands"):
+        raise UnsupportedError("heavy-hex placement covers probabilistic and mitigated_islands")
+    lattice, s = build_three_link_pair(), SpinValue(3)
+    encoding = assign_qubits(lattice, "hadamard_all" if method == "probabilistic" else "islands_plus_sublattice")
+    logical = {"anc_A": encoding.ancilla[0], "anc_B": encoding.ancilla[1]}
+    for k, (qa, qb) in enumerate(encoding.link_qubits):
+        logical[f"A{k + 1}"], logical[f"B{k + 1}"] = qa, qb
+    occupied = {p: logical[role] for p, role in enumerate(PAIR_ROLES) if logical[role] is not None}
+    placement = sorted(occupied, key=occupied.get)  # logical qubit -> position, as `route` keeps it
+    first = Circuit(encoding.total_qubits)
+    if method == "probabilistic":
+        for qa, qb in encoding.link_qubits:
+            valence_bond_subcircuit(qa, qb, first)
+    else:
+        first.add(island_block(lattice, encoding, 0, s))
+    circ = Circuit(heavy_hex_patch(1).n_qubits, [_renamed(g, placement) for g in first.gates])
+    circ.add(displacement_block(PAIR_DISPLACEMENT))
+    for pa, pb in PAIR_DISPLACEMENT:
+        _move(placement, occupied, pa, pb)
+    tests = Circuit(encoding.total_qubits)
+    for site, box in ((0, "line"), (1, "t")):
+        if encoding.ancilla[site] is not None:
+            hadamard_test_fragment(site, encoding, s, tests, heavy_hex_box=box)
+    circ.gates.extend(_renamed(g, placement) for g in tests.gates)
+    return RoutedCircuit(circ, placement), encoding

@@ -33,7 +33,7 @@ from vbsprep.methods import (
     run_mps,
     run_probabilistic,
 )
-from vbsprep.routing import heavy_hex_pair_mitigated, heavy_hex_pair_probabilistic, route
+from vbsprep.routing import heavy_hex_pair, route
 from vbsprep.schmidt import island_prep_circuit, island_state
 from vbsprep.spinops import (
     SpinValue,
@@ -291,9 +291,9 @@ def test_criterion_10_routing_soundness():
     assert fidelity(s1, s0) >= 1 - 1e-12
     assert abs(p0 - p1) <= 1e-12
 
-    # heavy-hex pipelines: displacement overhead and composite totals
-    bare, lattice, encoding = heavy_hex_pair_probabilistic()
-    oracle, norm = oracle_vbs_state(lattice, S32)
+    # the heavy-hex pair: displacement overhead and composite totals
+    bare, encoding = heavy_hex_pair("probabilistic")
+    oracle, norm = oracle_vbs_state(encoding.lattice, S32)
     sb, mb = simulate_circuit(bare.circuit)
     pb, sb = post_select(sb, mb, bare.placement[: encoding.n_data_qubits])
     assert sb.spin_fidelity(oracle) >= 1 - 1e-12
@@ -302,7 +302,7 @@ def test_criterion_10_routing_soundness():
     assert all(b.declared_count("heavy_hex") == 9 for b in blocks)
     assert cnot_depth(bare.circuit, "heavy_hex") == 1 + 9 + 41 == 51
 
-    mit, lattice2, encoding2 = heavy_hex_pair_mitigated()
+    mit, encoding2 = heavy_hex_pair("mitigated_islands")
     sm, mm = simulate_circuit(mit.circuit)
     pm, sm = post_select(sm, mm, mit.placement[: encoding2.n_data_qubits])
     assert sm.spin_fidelity(oracle) >= 1 - 1e-12

@@ -52,6 +52,9 @@ _ONCE_MISHANDLED = {
                                 "boundary": "open_chain", "boundary_spins": ["up", "up"]},
                                "boundary 'open_chain' needs links that connect every site; "
                                "lattice 'file-lattice' has the links 0-5, 1-2, 2-3, 3-4, 4-1"),
+    "boundary-spins-on-a-ring": ({"sites": [0, 1, 2, 3], "links": [[0, 1], [1, 2], [2, 3], [3, 0]], "boundary": "ring",
+                                  "boundary_spins": ["x", "y"]},
+                                 "boundary_spins are read only on an open chain; lattice 'file-lattice' has boundary 'ring'"),
 }
 
 
@@ -150,6 +153,7 @@ def _lattice_cases(draw) -> tuple[dict, int]:
 @example(case=(_ONCE_MISHANDLED["no-site"][0], 2))
 @example(case=(_ONCE_MISHANDLED["ring-of-two-rings"][0], 2))
 @example(case=(_ONCE_MISHANDLED["open-chain-and-a-cycle"][0], 2))
+@example(case=(_ONCE_MISHANDLED["boundary-spins-on-a-ring"][0], 2))
 def test_every_lattice_file_verifies_or_exits_config_or_unsupported(tmp_path_factory, case):
     """Every route is right, so no lattice document fails a check (exit 3), and none ends in a traceback."""
     doc, spin = case
@@ -378,6 +382,39 @@ def test_prepare_heavy_hex_unsupported_lattice():
 
     code = main(["prepare", "--spin", "2", "--lattice", "chain:3:ring", "--coupling", "heavy_hex"])
     assert code == EXIT_UNSUPPORTED
+
+
+def test_heavy_hex_placement_knows_the_pair_by_its_links_not_its_name(tmp_path, capsys):
+    """A 4-site spin-3/2 document named three-link-pair is not the pair: the placement is refused, exit 4."""
+    path = tmp_path / "lat.json"
+    path.write_text(json.dumps({"sites": [0, 1, 2, 3], "links": [[0, 1], [0, 1], [1, 2], [2, 3], [2, 3], [3, 0]],
+                                "name": "three-link-pair"}))
+    assert main(["prepare", "--spin", "3", "--lattice", f"file:{path}", "--coupling", "heavy_hex"]) == EXIT_UNSUPPORTED
+    assert "heavy-hex placement is declared for the three-link pair" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("method", ["probabilistic", "mitigated_islands"])
+def test_the_pair_from_a_file_routes_on_heavy_hex_under_any_name(method, tmp_path):
+    path, out = tmp_path / "lat.json", tmp_path / "r.json"
+    path.write_text(json.dumps({"sites": [0, 1], "links": [[0, 1], [0, 1], [0, 1]], "name": "my-pair"}))
+    argv = ["prepare", "--spin", "3", "--lattice", f"file:{path}", "--method", method, "--coupling", "heavy_hex"]
+    assert main([*argv, "--out", str(out)]) == EXIT_OK
+    assert next(c for c in json.loads(out.read_text())["checks"] if c["name"] == "routed_fidelity_vs_oracle")["pass"]
+
+
+@pytest.mark.parametrize("argv,named", [
+    (["emit-qasm", "--method", "mps"], "--method mps is not read"),
+    (["emit-qasm", "--method", "lcu"], "--method lcu is not read"),
+    (["emit-qasm", "--coupling", "linear"], "--coupling linear is not read"),
+    (["prepare", "--method", "lcu", "--shots", "1000"], "--shots is read only by the probabilistic method"),
+    (["verify", "--shots", "1000"], "--shots is read only by prepare"),
+], ids=["emit-qasm-method-mps", "emit-qasm-method-lcu", "emit-qasm-coupling", "prepare-lcu-shots", "verify-shots"])
+def test_an_option_the_command_does_not_read_exits_unsupported(argv, named, tmp_path, capsys):
+    """Each once ran as if the option were not given, and the report's config echoed it."""
+    out = tmp_path / "out"
+    assert main([*argv, "--spin", "2", "--lattice", "chain:3:open:aligned", "--out", str(out)]) == EXIT_UNSUPPORTED
+    assert named in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_main_calls_share_no_values(tmp_path, capsys):

@@ -154,13 +154,13 @@ def test_coupling_map_must_be_connected():
 
 def test_coupling_map_rejects_a_self_loop(monkeypatch, capsys, tmp_path):
     """A self-loop would let the router emit a SWAP of a qubit with itself, which it appends unchecked: exit 2 instead."""
-    import vbsprep.lattice as lattice
+    import vbsprep.cli as cli
     from vbsprep.cli import EXIT_CONFIG, main
 
     with pytest.raises(ConfigError, match=r"coupling edge \(1, 1\) must join two distinct qubits"):
         CouplingMap(3, frozenset({(0, 1), (1, 1), (1, 2)}))
-    line = lattice.linear_coupling
-    monkeypatch.setattr(lattice, "linear_coupling", lambda n: CouplingMap(n, line(n).edges | {(0, 0)}))
+    line = cli.linear_coupling
+    monkeypatch.setattr(cli, "linear_coupling", lambda n: CouplingMap(n, line(n).edges | {(0, 0)}))
     argv = ["prepare", "--spin", "2", "--lattice", "chain:3:open:aligned", "--coupling", "linear", "--out", str(tmp_path / "r.json")]
     assert main(argv) == EXIT_CONFIG
     assert "coupling edge (0, 0) must join two distinct qubits" in capsys.readouterr().err

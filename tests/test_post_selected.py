@@ -11,7 +11,7 @@ from vbsprep.errors import ImpossibleOutcomeError, VbsError
 from vbsprep.ir import Circuit, CNot, Measure, Opaque, U1Q, post_select, simulate_circuit, simulate_post_selected, u_h, u_x
 from vbsprep.lattice import assign_qubits, linear_coupling
 from vbsprep.methods import ROUTES
-from vbsprep.routing import heavy_hex_pair_mitigated, heavy_hex_pair_probabilistic, route
+from vbsprep.routing import heavy_hex_pair, route
 from vbsprep.spinops import SpinValue
 from vbsprep.statesim import Statevector
 from vbsprep.symmetrize import inverse_gates, w_state_circuit
@@ -64,9 +64,9 @@ def test_post_selected_as_it_runs_equals_post_selecting_the_whole_register(spec,
     assert {"probabilistic", "mitigated_islands", "retry_circuit"} <= set(names)
 
 
-@pytest.mark.parametrize("pipeline", [heavy_hex_pair_probabilistic, heavy_hex_pair_mitigated])
-def test_heavy_hex_routed_circuits_post_select_as_they_run(pipeline):
-    routed, _, encoding = pipeline()
+@pytest.mark.parametrize("method", ["probabilistic", "mitigated_islands"])
+def test_heavy_hex_routed_circuits_post_select_as_they_run(method):
+    routed, encoding = heavy_hex_pair(method)
     _assert_same(routed.circuit, routed.placement[: encoding.n_data_qubits])
 
 

@@ -15,13 +15,7 @@ from vbsprep.lattice import (
 )
 from vbsprep.methods import oracle_vbs_state
 from vbsprep.qasm import emit_qasm
-from vbsprep.routing import (
-    displacement_block,
-    heavy_hex_pair_layout,
-    heavy_hex_pair_mitigated,
-    heavy_hex_pair_probabilistic,
-    route,
-)
+from vbsprep.routing import PAIR_DISPLACEMENT, PAIR_ROLES, displacement_block, heavy_hex_pair, route
 from vbsprep.spinops import SpinValue
 
 from oracle_reference import fidelity, prepared
@@ -67,8 +61,7 @@ def test_route_does_not_fit():
 
 
 def test_displacement_block_counts():
-    layout = heavy_hex_pair_layout()
-    block = displacement_block(layout.displacement)
+    block = displacement_block(PAIR_DISPLACEMENT)
     assert block.declared_count("heavy_hex") == 9
     assert block.declared_depth("heavy_hex") == 9
     # permutation matrix: one 1 per column
@@ -76,8 +69,8 @@ def test_displacement_block_counts():
 
 
 def test_heavy_hex_bare_pipeline():
-    routed, lattice, encoding = heavy_hex_pair_probabilistic()
-    oracle, norm = oracle_vbs_state(lattice, SpinValue(3))
+    routed, encoding = heavy_hex_pair("probabilistic")
+    oracle, norm = oracle_vbs_state(encoding.lattice, SpinValue(3))
     prob, state = _run_post_selected(routed.circuit, routed.placement[: encoding.n_data_qubits])
     assert abs(state.spin_fidelity(oracle) - 1.0) < 1e-12
     assert abs(prob - norm) < 1e-12
@@ -88,18 +81,26 @@ def test_heavy_hex_bare_pipeline():
 
 
 def test_heavy_hex_mitigated_pipeline():
-    routed, lattice, encoding = heavy_hex_pair_mitigated()
-    oracle, _ = oracle_vbs_state(lattice, SpinValue(3))
+    routed, encoding = heavy_hex_pair("mitigated_islands")
+    oracle, _ = oracle_vbs_state(encoding.lattice, SpinValue(3))
     prob, state = _run_post_selected(routed.circuit, routed.placement[: encoding.n_data_qubits])
     assert abs(state.spin_fidelity(oracle) - 1.0) < 1e-12
     assert cnot_depth(routed.circuit, "heavy_hex") == 105  # 57 + 9 + 39
 
 
+def _positions(swaps=()) -> dict[str, int]:
+    """Each role's position on heavy_hex_patch(1) after `swaps`, from PAIR_ROLES."""
+    roles = list(PAIR_ROLES)
+    for a, b in swaps:
+        roles[a], roles[b] = roles[b], roles[a]
+    return {role: p for p, role in enumerate(roles)}
+
+
 def test_heavy_hex_boxes_are_connected_shapes():
-    layout = heavy_hex_pair_layout()
-    cm = layout.coupling
-    line_box = [layout.final[r] for r in ("anc_A", "A1", "A2", "A3")]
-    t_box = [layout.final[r] for r in ("B1", "B2", "B3", "anc_B")]
+    final = _positions(PAIR_DISPLACEMENT)
+    cm = heavy_hex_patch(1)
+    line_box = [final[r] for r in ("anc_A", "A1", "A2", "A3")]
+    t_box = [final[r] for r in ("B1", "B2", "B3", "anc_B")]
     assert cm.connected_subset(line_box)
     assert cm.connected_subset(t_box)
     # T shape: one qubit of degree 3 inside the box
@@ -110,9 +111,62 @@ def test_heavy_hex_boxes_are_connected_shapes():
 
 
 def test_heavy_hex_bonds_start_coupled():
-    layout = heavy_hex_pair_layout()
+    initial = _positions()
     for a, b in (("A1", "B1"), ("A2", "B2"), ("A3", "B3")):
-        assert layout.coupling.are_coupled(layout.initial[a], layout.initial[b])
+        assert heavy_hex_patch(1).are_coupled(initial[a], initial[b])
+
+
+_U1Q_NAMES = {(0.5, 0.0, 1.0): "h", (1.0, 0.0, 1.0): "x", (0.0, 0.0, 1.0): "z"}  # (theta, phi, lam) / pi
+
+
+def _gate_row(g) -> tuple:
+    """A gate's kind and qubits, with an opaque block's label or a marker's outcome and creg."""
+    if isinstance(g, CNot):
+        return ("cx", (g.control, g.target))
+    if isinstance(g, U1Q):
+        return (_U1Q_NAMES[(g.theta / np.pi, g.phi / np.pi, g.lam / np.pi)], (g.qubit,))
+    if isinstance(g, Measure):
+        return ("measure", (g.qubit,), g.expect, g.creg)
+    return ("opaque", g.qubits, g.label)
+
+
+# Each pair circuit and its final placement, pinned gate for gate.
+_PAIR_CIRCUITS = {
+    "probabilistic": (
+        [("h", (1,)), ("x", (2,)), ("cx", (1, 2)), ("z", (1,)),
+         ("h", (3,)), ("x", (4,)), ("cx", (3, 4)), ("z", (3,)),
+         ("h", (5,)), ("x", (6,)), ("cx", (5, 6)), ("z", (5,)),
+         ("opaque", (2, 3, 4, 5), "bond_displacement"),
+         ("h", (0,)), ("opaque", (0, 1, 2, 3), "ctrl_exp_sym_3"), ("h", (0,)), ("measure", (0,), 1, 0),
+         ("h", (7,)), ("opaque", (7, 4, 5, 6), "ctrl_exp_sym_3"), ("h", (7,)), ("measure", (7,), 1, 1)],
+        [1, 2, 3, 4, 5, 6, 0, 7],
+    ),
+    "mitigated_islands": (
+        [("opaque", (2, 1, 4, 3, 6, 5), "island_site0"), ("opaque", (2, 3, 4, 5), "bond_displacement"),
+         ("h", (7,)), ("opaque", (7, 4, 5, 6), "ctrl_exp_sym_3"), ("h", (7,)), ("measure", (7,), 1, 0)],
+        [1, 2, 3, 4, 5, 6, 7],
+    ),
+}
+
+
+@pytest.mark.parametrize("method", _PAIR_CIRCUITS)
+def test_the_pair_circuits_and_placements_are_pinned(method):
+    routed, _ = heavy_hex_pair(method)
+    gates, placement = _PAIR_CIRCUITS[method]
+    assert [_gate_row(g) for g in routed.circuit.gates] == gates
+    assert routed.placement == placement
+    assert routed.circuit.n_qubits == heavy_hex_patch(1).n_qubits
+    box_costs = [g.declared_count("heavy_hex") for g in routed.circuit.gates if getattr(g, "label", "") == "ctrl_exp_sym_3"]
+    assert box_costs == ([41, 39] if method == "probabilistic" else [39])  # the in-line box, then the T-shaped one
+
+
+@pytest.mark.parametrize("method", _PAIR_CIRCUITS)
+def test_the_router_runs_the_pair_circuits_on_heavy_hex_as_they_are(method):
+    """Every CNOT already joins a coupled pair and every block a connected set: no SWAP, nothing moves."""
+    routed, _ = heavy_hex_pair(method)
+    again = route(routed.circuit, heavy_hex_patch(1))
+    assert again.circuit.gates == routed.circuit.gates and len(again.circuit.gates) == len(_PAIR_CIRCUITS[method][0])
+    assert again.placement == list(range(heavy_hex_patch(1).n_qubits))
 
 
 # ---------------------------------------------------------------------------
@@ -181,8 +235,7 @@ def test_parse_rejects_garbage():
 
 
 def test_displacement_basis_expansion_simulates_identically():
-    layout = heavy_hex_pair_layout()
-    block = displacement_block(layout.displacement)
+    block = displacement_block(PAIR_DISPLACEMENT)
     from vbsprep.ir import Circuit
     from vbsprep.qasm import expand_opaque
 
@@ -293,7 +346,7 @@ def _random_blocks_circuit(rng, n: int) -> Circuit:
 
 
 def _routing_cases():
-    """(circuit, coupling): every route-sweep lattice onto linear (chain:4:ring last), both heavy-hex pipelines,
+    """(circuit, coupling): every route-sweep lattice onto linear (chain:4:ring last), both heavy-hex pair circuits,
     a block whose two outside qubits tie, and random blocks."""
     from vbsprep.cli import parse_lattice
 
@@ -302,8 +355,8 @@ def _routing_cases():
         lattice = parse_lattice(spec)
         enc = assign_qubits(lattice, "hadamard_all")
         cases.append((probabilistic_method_circuit(lattice, enc, SpinValue(2)), linear_coupling(enc.total_qubits)))
-    for pipeline in (heavy_hex_pair_probabilistic, heavy_hex_pair_mitigated):
-        cases.append((pipeline()[0].circuit, heavy_hex_pair_layout().coupling))
+    for method in ("probabilistic", "mitigated_islands"):
+        cases.append((heavy_hex_pair(method)[0].circuit, heavy_hex_patch(1)))
     cases.append((Circuit(5, [Opaque("tie", (2, 0, 4), np.eye(8))]), linear_coupling(5)))  # 0 and 4 both 2 away
     rng = np.random.default_rng(26)
     cases += [(_random_blocks_circuit(rng, 12), coupling) for coupling in (linear_coupling(12), heavy_hex_patch(2))]
