@@ -13,7 +13,7 @@ from .errors import ConfigError, UnsupportedError
 from .ir import Circuit, cnot_depth
 from .lattice import BOUNDARY_OPEN, BOUNDARY_RING, assign_qubits, build_chain, build_three_link_pair
 from .routing import heavy_hex_pair
-from .spinops import SpinValue, symmetric_fraction
+from .spinops import symmetric_fraction
 from .statesim import Statevector
 
 
@@ -86,7 +86,7 @@ def matches_printed(exact: float, printed: str) -> bool:
     )
 
 
-def repetitions_table(twice_s: int, n_list=TABLE_N_VALUES) -> list[dict]:
+def repetitions_table(twice_s: int) -> list[dict]:
     """Exact and printed-format repetition counts, mitigated and not."""
     if twice_s not in (2, 3):
         raise UnsupportedError("repetition table covers 2S in {2, 3}")
@@ -95,7 +95,7 @@ def repetitions_table(twice_s: int, n_list=TABLE_N_VALUES) -> list[dict]:
     rows = []
     for mitigated in (False, True):
         label = "mitigated" if mitigated else "unmitigated"
-        for n, printed in zip(n_list, PRINTED_REPETITIONS[(key, label)]):
+        for n, printed in zip(TABLE_N_VALUES, PRINTED_REPETITIONS[(key, label)]):
             exact = (1.0 / p) ** (n / 2.0 if mitigated else n)
             rows.append(
                 {
@@ -176,9 +176,8 @@ def _grid_circuit(twice_s: int, method: str, coupling: str) -> Circuit:
         return heavy_hex_pair(method)[0].circuit
     lattice = build_chain(4, "ring") if twice_s == 2 else build_three_link_pair()
     if method == "probabilistic":
-        return probabilistic_method_circuit(lattice, assign_qubits(lattice, "hadamard_all"), SpinValue(twice_s))
-    encoding = assign_qubits(lattice, "islands_plus_sublattice")
-    return mitigated_islands_circuit(lattice, encoding, SpinValue(twice_s))
+        return probabilistic_method_circuit(lattice, assign_qubits(lattice, "hadamard_all"))
+    return mitigated_islands_circuit(lattice, assign_qubits(lattice, "islands_plus_sublattice"))
 
 
 def resource_summary(twice_s: int, method: str, coupling: str) -> dict:

@@ -24,7 +24,7 @@ from .ir import (
 )
 from .lattice import SPIN_DOWN, Lattice, SiteEncoding
 from .schmidt import ISLAND_SITE_SLOTS, SINGLET, island_prep_circuit, schmidt_prepare
-from .spinops import SpinValue, exp_minus_i_pi_symmetrizer, symmetrizer
+from .spinops import exp_minus_i_pi_symmetrizer, symmetrizer
 from .statesim import Statevector
 
 
@@ -82,13 +82,12 @@ def _test_block(twice_s: int) -> np.ndarray:
 def hadamard_test_fragment(
     site: int,
     encoding: SiteEncoding,
-    s: SpinValue,
     circ: Circuit | None = None,
     heavy_hex_box: str | None = None,
     anc: int | None = None,
     creg: int | None = None,
 ) -> Circuit:
-    """One-ancilla test whose retained branch symmetrizes the site's qubits.
+    """One-ancilla test whose retained branch symmetrizes the site's 2S qubits.
 
     The retained ancilla outcome is |1>.  For 2S=2 the controlled block is a
     phased controlled-SWAP.
@@ -100,30 +99,27 @@ def hadamard_test_fragment(
     if anc is None:
         anc = encoding.site_ancilla(site)
     qubits = encoding.site_qubits[site]
-    if len(qubits) != s.twice_s:
-        raise ConfigError(f"site {site} has {len(qubits)} qubits, expected {s.twice_s}")
+    twice_s = len(qubits)
     if circ is None:
         circ = Circuit(encoding.total_qubits)
-    cost_key = f"test_2s{s.twice_s}" + (f"_{heavy_hex_box or 'line'}" if s.twice_s == 3 else "")
+    cost_key = f"test_2s{twice_s}" + (f"_{heavy_hex_box or 'line'}" if twice_s == 3 else "")
     if cost_key not in DECLARED_COSTS:
-        raise UnsupportedError(f"no declared test costs for 2S={s.twice_s}")
+        raise UnsupportedError(f"no declared test costs for 2S={twice_s}")
     circ.add(u_h(anc))
-    circ.add(Opaque(f"ctrl_exp_sym_{s.twice_s}", (anc, *qubits), _test_block(s.twice_s), **DECLARED_COSTS[cost_key]))
+    circ.add(Opaque(f"ctrl_exp_sym_{twice_s}", (anc, *qubits), _test_block(twice_s), **DECLARED_COSTS[cost_key]))
     circ.add(u_h(anc))
     circ.add(Measure(anc, expect=1, creg=circ.next_creg() if creg is None else creg))
     return circ
 
 
-def probabilistic_method_circuit(lattice: Lattice, encoding: SiteEncoding, s: SpinValue) -> Circuit:
+def probabilistic_method_circuit(lattice: Lattice, encoding: SiteEncoding) -> Circuit:
     """Valence-bond layer followed by one parallel local test per site."""
     if encoding.method != "hadamard_all":
         raise ConfigError("probabilistic method needs the hadamard_all encoding")
     circ = pre_vbs_circuit(lattice, encoding)
     first = circ.next_creg()
     for site in range(lattice.n_sites):
-        if lattice.site_twice_spin(site) != s.twice_s:
-            raise ConfigError(f"site {site} carries 2S={lattice.site_twice_spin(site)}, not {s.twice_s}")
-        hadamard_test_fragment(site, encoding, s, circ, creg=first + site)
+        hadamard_test_fragment(site, encoding, circ, creg=first + site)
     return circ
 
 
@@ -171,7 +167,7 @@ def island_local_state(lattice: Lattice, encoding: SiteEncoding, site: int, grou
 def _island_prep(twice_s: int) -> tuple[np.ndarray, dict]:
     """Matrix (read-only: one array serves every island block, as `_test_block`) and CNOT
     costs of island_prep_circuit; routed depths are declared."""
-    prep = island_prep_circuit(SpinValue(twice_s))
+    prep = island_prep_circuit(twice_s)
     routed = DECLARED_COSTS[f"island_2s{twice_s}"]["cnot_depth"]
     costs = {
         "cnot_cost": {"all_to_all": cnot_count(prep, "all_to_all")},
@@ -182,7 +178,7 @@ def _island_prep(twice_s: int) -> tuple[np.ndarray, dict]:
     return mat, costs
 
 
-def island_block(lattice: Lattice, encoding: SiteEncoding, site: int, s: SpinValue) -> Opaque:
+def island_block(lattice: Lattice, encoding: SiteEncoding, site: int) -> Opaque:
     """A full island (site plus its 2S bond partners) as one opaque block.
 
     The qubits are listed in island_state's order: each site qubit at its
@@ -197,14 +193,15 @@ def island_block(lattice: Lattice, encoding: SiteEncoding, site: int, s: SpinVal
             partner[qa] = qb
         elif site == b:
             partner[qb] = qa
-    order = [0] * (2 * s.twice_s)
-    for q, slot in zip(encoding.site_qubits[site], ISLAND_SITE_SLOTS[s.twice_s]):
+    twice_s = len(encoding.site_qubits[site])
+    order = [0] * (2 * twice_s)
+    for q, slot in zip(encoding.site_qubits[site], ISLAND_SITE_SLOTS[twice_s]):
         order[slot], order[slot ^ 1] = q, partner[q]
-    mat, costs = _island_prep(s.twice_s)
+    mat, costs = _island_prep(twice_s)
     return Opaque(f"island_site{site}", tuple(order), mat, **costs)
 
 
-def mitigated_islands_circuit(lattice: Lattice, encoding: SiteEncoding, s: SpinValue) -> Circuit:
+def mitigated_islands_circuit(lattice: Lattice, encoding: SiteEncoding) -> Circuit:
     """Deterministic island initialization on sublattice A, tests on sublattice B.
 
     Full islands enter as one island_block each; boundary islands, which
@@ -217,8 +214,9 @@ def mitigated_islands_circuit(lattice: Lattice, encoding: SiteEncoding, s: SpinV
     groups = island_qubit_groups(lattice, encoding)
     covered: set[int] = set()
     for site, group in sorted(groups.items()):
-        if len(group) == 2 * s.twice_s and s.twice_s in ISLAND_SITE_SLOTS:
-            circ.add(island_block(lattice, encoding, site, s))
+        twice_s = len(encoding.site_qubits[site])
+        if len(group) == 2 * twice_s and twice_s in ISLAND_SITE_SLOTS:
+            circ.add(island_block(lattice, encoding, site))
         else:
             target = island_local_state(lattice, encoding, site, group)
             circ.extend(schmidt_prepare(target.amps, qubits=group, label=f"island_site{site}").gates)
@@ -228,11 +226,11 @@ def mitigated_islands_circuit(lattice: Lattice, encoding: SiteEncoding, s: SpinV
             circ.add(u_x(qubit))
     first = circ.next_creg()
     for i, site in enumerate(site for site in range(lattice.n_sites) if colors[site] == "B"):
-        hadamard_test_fragment(site, encoding, s, circ, creg=first + i)
+        hadamard_test_fragment(site, encoding, circ, creg=first + i)
     return circ
 
 
-def mitigated_retry_circuit(lattice: Lattice, encoding: SiteEncoding, s: SpinValue) -> Circuit:
+def mitigated_retry_circuit(lattice: Lattice, encoding: SiteEncoding) -> Circuit:
     """Bond layer plus one retried test per A-sublattice site, then plain tests on B.
 
     A retry resets the site's island (its `island_qubit_groups` entry) and
@@ -249,10 +247,10 @@ def mitigated_retry_circuit(lattice: Lattice, encoding: SiteEncoding, s: SpinVal
     creg = circ.next_creg()
     for idx, site in enumerate(a_sites):
         anc = encoding.ancilla[b_sites[idx % len(b_sites)]]
-        hadamard_test_fragment(site, encoding, s, circ, anc=anc, creg=creg + idx)
+        hadamard_test_fragment(site, encoding, circ, anc=anc, creg=creg + idx)
         circ.add(u_x(anc))
     for i, site in enumerate(b_sites):
-        hadamard_test_fragment(site, encoding, s, circ, creg=creg + len(a_sites) + i)
+        hadamard_test_fragment(site, encoding, circ, creg=creg + len(a_sites) + i)
     return circ
 
 

@@ -43,6 +43,7 @@ from .methods import ROUTES, oracle_vbs_state
 from .qasm import emit_qasm
 from .routing import heavy_hex_pair, route
 from .spinops import SpinValue, link_operators
+from .statesim import max_qubits
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -52,6 +53,15 @@ EXIT_IO = 5
 
 METHODS = tuple(ROUTES)
 COUPLINGS = ("all_to_all", "linear", "heavy_hex")
+
+# The options each command reads; any other set away from its default exits 4.
+# Every command takes --seed and --out, so one job line runs under any command.
+OPTIONS_READ = {
+    "prepare": ("spin", "lattice", "method", "coupling", "shots", "seed", "out"),
+    "verify": ("spin", "lattice", "method", "coupling", "seed", "out"),
+    "resources": ("seed", "out"),
+    "emit-qasm": ("spin", "lattice", "qasm_mode", "seed", "out"),
+}
 
 
 # Accepted forms and field counts (after the kind) of each lattice spec kind.
@@ -105,7 +115,8 @@ def parse_lattice(spec: str) -> Lattice:
     return build_honeycomb_patch(number(parts[1]), number(parts[2]))
 
 
-def validate_config(lattice: Lattice, twice_s: int, method: str):
+def validate_config(lattice: Lattice, twice_s: int, method: str) -> SpinValue:
+    """The spin of every site of `lattice`, which must be `twice_s`; raises on a method the lattice cannot run."""
     if method not in METHODS:
         raise ConfigError(f"unknown method {method!r}; pick one of {METHODS}")
     lat_spin = lattice.uniform_twice_spin()
@@ -121,6 +132,14 @@ def validate_config(lattice: Lattice, twice_s: int, method: str):
         lattice.sublattice()  # raises NotBipartiteError on odd cycles
     if method == "lcu" and twice_s not in (2, 3):
         raise UnsupportedError("lcu simulation supports 2S in {2, 3}")
+    return SpinValue(twice_s)
+
+
+def _check_register(lattice: Lattice):
+    """Every route's state holds the data qubits, one per site qubit: over the cap, no route could run."""
+    n_data, cap = sum(map(lattice.site_twice_spin, range(lattice.n_sites))), max_qubits()
+    if n_data > cap:
+        raise CapExceededError(f"lattice {lattice.name!r} has {n_data} data qubits, over the cap of {cap} qubits")
 
 
 def _check_site_order(lattice: Lattice):
@@ -148,9 +167,9 @@ def cmd_prepare(args) -> int:
     validate_config(lattice, args.spin, args.method)
     if args.shots and args.method != "probabilistic":
         raise UnsupportedError(f"--shots is read only by the probabilistic method, not by {args.method}")
-    s = SpinValue(args.spin)
-    result = ROUTES[args.method](lattice, s, args.seed)
-    oracle, oracle_norm = oracle_vbs_state(lattice, s)
+    _check_register(lattice)
+    result = ROUTES[args.method](lattice, args.seed)
+    oracle, oracle_norm = oracle_vbs_state(lattice)
 
     report = analysis.Report(
         method=args.method,
@@ -203,12 +222,10 @@ def _routed_checks(args, lattice, result, oracle, report):
 
 def cmd_verify(args) -> int:
     lattice = parse_lattice(args.lattice)
-    validate_config(lattice, args.spin, args.method)
-    if args.shots:
-        raise UnsupportedError("verify draws no shots: --shots is read only by prepare")
-    s = SpinValue(args.spin)
-    psi, norm_sq = oracle_vbs_state(lattice, s)
-    result = ROUTES[args.method](lattice, s, args.seed)
+    s = validate_config(lattice, args.spin, args.method)
+    _check_register(lattice)
+    psi, norm_sq = oracle_vbs_state(lattice)
+    result = ROUTES[args.method](lattice, args.seed)
 
     report = analysis.Report(
         method=args.method,
@@ -302,15 +319,9 @@ def cmd_resources(args) -> int:
 
 
 def cmd_emit_qasm(args) -> int:
-    if args.method != "probabilistic":
-        raise UnsupportedError(f"emit-qasm writes the probabilistic circuit: --method {args.method} is not read")
-    if args.coupling != "all_to_all":
-        raise UnsupportedError(f"emit-qasm writes the unrouted circuit: --coupling {args.coupling} is not read")
     lattice = parse_lattice(args.lattice)
     validate_config(lattice, args.spin, "probabilistic")
-    s = SpinValue(args.spin)
-    encoding = assign_qubits(lattice, "hadamard_all")
-    circ = probabilistic_method_circuit(lattice, encoding, s)
+    circ = probabilistic_method_circuit(lattice, assign_qubits(lattice, "hadamard_all"))
     text = emit_qasm(circ, args.qasm_mode)
     if args.out:
         try:
@@ -361,9 +372,17 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _check_options_read(args):
+    defaults = vars(build_parser().parse_args([args.command]))
+    for name, value in vars(args).items():
+        if name not in OPTIONS_READ[args.command] and value != defaults[name]:
+            raise UnsupportedError(f"--{name.replace('_', '-')} {value} is not read by {args.command}")
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        _check_options_read(args)
         return args.func(args)
     except (MissingCostError, UnsupportedError) as exc:
         print(f"unsupported: {exc}", file=sys.stderr)

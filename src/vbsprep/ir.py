@@ -197,7 +197,8 @@ _TEST_2S3 = {"all_to_all": 26, "linear": 39}
 # depends on the four-qubit box it lands on: a T-shaped box is cheaper than
 # an in-line box.  A full island declares only its routed depths; its
 # all-to-all numbers are counted on schmidt.island_prep_circuit, whose
-# optimized singular-vector blocks are the island_2s*_{u,v,b} entries.
+# optimized blocks find their costs here by label (island_2s2_u/_v,
+# island_2s3_b_v/_u/_v); any other Schmidt block takes schmidt_{n}q.
 DECLARED_COSTS = {
     "test_2s2": {"cnot_cost": {"all_to_all": 7, "linear": 9, "heavy_hex": 9}},
     "test_2s3_line": {"cnot_cost": {**_TEST_2S3, "heavy_hex": 41}},
@@ -210,7 +211,7 @@ DECLARED_COSTS = {
     "island_2s2_v": {"cnot_cost": {"all_to_all": 2}},
     "island_2s3_u": {"cnot_cost": {"all_to_all": 14}},
     "island_2s3_v": {"cnot_cost": {"all_to_all": 15}},
-    "island_2s3_b": {"cnot_cost": {"all_to_all": 2}},
+    "island_2s3_b_v": {"cnot_cost": {"all_to_all": 2}},
     # worst case for an arbitrary Schmidt singular-vector block, by qubit count
     "schmidt_2q": {"cnot_cost": {"all_to_all": 3}},
     "schmidt_3q": {"cnot_cost": {"all_to_all": 20}},

@@ -9,7 +9,7 @@ equal to half their coordination number.
 from __future__ import annotations
 
 import json
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -86,8 +86,13 @@ class Lattice:
             adj[b].add(a)
         return adj
 
+    @cached_property
+    def _coordinations(self) -> Counter:
+        """Each site's link count, from one pass over the links."""
+        return Counter(site for link in self.links for site in link)
+
     def coordination(self, site: int) -> int:
-        return sum(1 for a, b in self.links if site in (a, b))
+        return self._coordinations[site]
 
     def boundary_slots(self, site: int) -> int:
         """Dangling fixed spin-1/2 slots (open-chain ends only)."""

@@ -21,11 +21,11 @@ from .ir import Circuit, simulate_post_selected
 from .lattice import BOUNDARY_OPEN, BOUNDARY_RING, SPIN_DOWN, Lattice, SiteEncoding, assign_qubits
 from .mpsprep import mps_circuit
 from .schmidt import SINGLET
-from .spinops import SpinValue, symmetric_subspace_isometry, symmetrizer
+from .spinops import symmetric_subspace_isometry, symmetrizer
 from .statesim import PROB_FLOOR, Statevector, max_qubits
 from .symmetrize import lcu_symmetrization_circuit
 
-def oracle_vbs_state(lattice: Lattice, s: SpinValue) -> tuple[np.ndarray, float]:
+def oracle_vbs_state(lattice: Lattice) -> tuple[np.ndarray, float]:
     """The VBS state in the spin basis; returns (psi, squared norm), psi normalized.
 
     psi has one axis of 2S+1 values k = S - m per site (2S its own qubit
@@ -84,18 +84,18 @@ def _post_selected(circ: Circuit, encoding: SiteEncoding) -> dict:
     return {"state": state, "success_probability": prob, "circuit": circ, "encoding": encoding}
 
 
-def run_probabilistic(lattice: Lattice, s: SpinValue) -> dict:
+def run_probabilistic(lattice: Lattice) -> dict:
     """Full-ancilla circuit, post-selected on every marker."""
     encoding = assign_qubits(lattice, "hadamard_all")
-    return _post_selected(probabilistic_method_circuit(lattice, encoding, s), encoding)
+    return _post_selected(probabilistic_method_circuit(lattice, encoding), encoding)
 
 
-def run_mitigated_islands(lattice: Lattice, s: SpinValue) -> dict:
+def run_mitigated_islands(lattice: Lattice) -> dict:
     encoding = assign_qubits(lattice, "islands_plus_sublattice")
-    return _post_selected(mitigated_islands_circuit(lattice, encoding, s), encoding)
+    return _post_selected(mitigated_islands_circuit(lattice, encoding), encoding)
 
 
-def run_mitigated_retry(lattice: Lattice, s: SpinValue, seed: int) -> dict:
+def run_mitigated_retry(lattice: Lattice, seed: int) -> dict:
     """Measure-reset-retry on the A sublattice's islands, then tests on the B sublattice.
 
     Realized as branch resampling: each A site's island is retried
@@ -135,42 +135,39 @@ def run_mitigated_retry(lattice: Lattice, s: SpinValue, seed: int) -> dict:
     }
 
 
-def run_lcu(lattice: Lattice, s: SpinValue, variant: str = "sparse") -> dict:
+def run_lcu(lattice: Lattice) -> dict:
     """The bond layer, then prepare/select/unprepare symmetrization at every site, post-selected.
 
-    Every site's circuit uses one shared ancilla bank, |0...0> before and
-    after each site.  simulate_post_selected folds each site's bank into one
-    operator on the site's qubits (8x8 for spin 3/2), so the bank never
-    becomes a state axis and the register holds only the data qubits.
+    Every site's circuit uses one shared ancilla bank of (largest 2S)!
+    ancillas, |0...0> before and after each site; a site of 2S qubits uses
+    the first (2S)! of them.  simulate_post_selected folds each site's bank
+    into one operator on the site's qubits (8x8 for spin 3/2), so the bank
+    never becomes a state axis and the register holds only the data qubits.
     """
-    n_anc = math.factorial(s.twice_s) if variant == "sparse" else max(1, (math.factorial(s.twice_s) - 1).bit_length())
     encoding = assign_qubits(lattice, "hadamard_all")
     n_data = encoding.n_data_qubits
-    ancillas = tuple(range(n_data, n_data + n_anc))
-    circ = Circuit(n_data + n_anc)
+    ancillas = tuple(range(n_data, n_data + math.factorial(max(map(len, encoding.site_qubits)))))
+    circ = Circuit(n_data + len(ancillas))
     circ.extend(pre_vbs_circuit(lattice, encoding).gates)
-    for site in range(lattice.n_sites):
-        qs = encoding.site_qubits[site]
-        circ.extend(lcu_symmetrization_circuit(len(qs), qs, ancillas, variant).gates)
+    for qs in encoding.site_qubits:
+        circ.extend(lcu_symmetrization_circuit(len(qs), qs, ancillas[: math.factorial(len(qs))]).gates)
     return _post_selected(circ, encoding)
 
 
-def run_mps(lattice: Lattice, s: SpinValue) -> dict:
-    if s.twice_s != 2:
-        raise ConfigError("the MPS route requires spin 2S=2")
-    if lattice.boundary not in (BOUNDARY_OPEN, BOUNDARY_RING):
-        raise ConfigError("the MPS route requires a 1D chain")
+def run_mps(lattice: Lattice) -> dict:
+    if lattice.boundary not in (BOUNDARY_OPEN, BOUNDARY_RING) or lattice.uniform_twice_spin() != 2:
+        raise ConfigError("the MPS route requires a 1D chain of spin 2S=2")
     circ = mps_circuit(lattice.n_sites, lattice.boundary, lattice.boundary_spins)
     return _post_selected(circ, assign_qubits(lattice, "mps"))
 
 
-# Every route under one call shape, route(lattice, s, seed).  Each entry looks
+# Every route under one call shape, route(lattice, seed).  Each entry looks
 # its runner up in this module when called, so a runner rebound here (for
 # example by a tracer) is the one that runs.
 ROUTES = {
-    "probabilistic": lambda lattice, s, seed: run_probabilistic(lattice, s),
-    "mitigated_islands": lambda lattice, s, seed: run_mitigated_islands(lattice, s),
-    "mitigated_retry": lambda lattice, s, seed: run_mitigated_retry(lattice, s, seed),
-    "lcu": lambda lattice, s, seed: run_lcu(lattice, s, "sparse"),
-    "mps": lambda lattice, s, seed: run_mps(lattice, s),
+    "probabilistic": lambda lattice, seed: run_probabilistic(lattice),
+    "mitigated_islands": lambda lattice, seed: run_mitigated_islands(lattice),
+    "mitigated_retry": lambda lattice, seed: run_mitigated_retry(lattice, seed),
+    "lcu": lambda lattice, seed: run_lcu(lattice),
+    "mps": lambda lattice, seed: run_mps(lattice),
 }

@@ -6,7 +6,8 @@ Sites are numbered 1..N with qubits (L_i, R_i) = (2i-2, 2i-1).  A tensor is
 stored with axes (left_bond, sigma_L, sigma_R, right_bond).  In the
 preparation direction, the gate built from site i's enlarged tensor emits
 the bond toward site i-1 on its first qubit and consumes the incoming bond
-on its last qubit.
+on its last qubit.  A site's disentangler follows from its tensor alone:
+the first, bulk and last sites of a chain differ only in their bond sizes.
 """
 from __future__ import annotations
 
@@ -108,11 +109,6 @@ def contract_mps(tensors: list[np.ndarray], boundary: str) -> Statevector:
 # disentanglers
 # ---------------------------------------------------------------------------
 
-ROLE_FIRST_OPEN = "first_open"
-ROLE_BULK = "bulk"
-ROLE_LAST_OPEN = "last_open"
-
-
 def complete_to_unitary(cols: np.ndarray) -> np.ndarray:
     """Extend d x k orthonormal columns to a d x d unitary whose first k columns are `cols` itself.
 
@@ -127,21 +123,13 @@ def complete_to_unitary(cols: np.ndarray) -> np.ndarray:
     return out
 
 
-def build_disentangler(tensor: np.ndarray, role: str) -> np.ndarray:
+def build_disentangler(tensor: np.ndarray) -> np.ndarray:
     """Unitary whose constrained input columns are the left-canonical (left, 2, 2, right)
-    `tensor` with its right bond as columns (a last open site's one column normalized)."""
-    if role not in (ROLE_FIRST_OPEN, ROLE_BULK, ROLE_LAST_OPEN):
-        raise ConfigError(f"build_disentangler does not handle role {role!r}")
+    `tensor` with its right bond as columns (one column, an open chain's last site, normalized)."""
     if left_normalization_defect(tensor) > 1e-10:
         raise ConfigError("disentangler construction needs a left-canonical tensor")
-    if role == ROLE_FIRST_OPEN:
-        cols = tensor.reshape(4, tensor.shape[3])
-    elif role == ROLE_BULK:
-        cols = tensor.reshape(tensor.shape[0] * 4, tensor.shape[3])
-    else:  # last site: single column
-        cols = tensor.reshape(tensor.shape[0] * 4, 1)
-        cols = cols / np.linalg.norm(cols)
-    return complete_to_unitary(cols)
+    cols = tensor.reshape(-1, tensor.shape[3])
+    return complete_to_unitary(cols / np.linalg.norm(cols) if cols.shape[1] == 1 else cols)
 
 
 def fuse_boundary_tensor(arr: np.ndarray) -> np.ndarray:
@@ -199,19 +187,19 @@ def mps_circuit(n_sites: int, boundary: str, boundary_spins=("up", "up")) -> Cir
     def block_qubits(site: int) -> tuple[int, ...]:  # (R_{i-1}, L_i, R_i)
         return (2 * site - 3, 2 * site - 2, 2 * site - 1)
 
-    def disentangler(site: int, role: str, qubits: tuple[int, ...]):
-        circ.add(Opaque(f"mps_site{site}", qubits, build_disentangler(tensors[site - 1], role)))
+    def disentangler(site: int, qubits: tuple[int, ...]):
+        circ.add(Opaque(f"mps_site{site}", qubits, build_disentangler(tensors[site - 1])))
 
     if periodic:
         vec = tensors[-1].reshape(16)
         circ.extend(schmidt_prepare(vec, qubits=(*block_qubits(n_sites), 1), label="mps_init").gates)
     else:
-        disentangler(n_sites, ROLE_LAST_OPEN, block_qubits(n_sites))
+        disentangler(n_sites, block_qubits(n_sites))
     for i in range(n_sites - 1, 1, -1):
         # on a ring R_1 already holds the closing bond, so site 2 emits on L_1
-        disentangler(i, ROLE_BULK, (0, 2, 3) if periodic and i == 2 else block_qubits(i))
+        disentangler(i, (0, 2, 3) if periodic and i == 2 else block_qubits(i))
     if not periodic:
-        disentangler(1, ROLE_FIRST_OPEN, (0, 1))
+        disentangler(1, (0, 1))
         return circ
     anc = 2 * n_sites
     scale = math.sqrt(0.5 / ring_embedding_weight(n_sites))

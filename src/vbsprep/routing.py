@@ -23,7 +23,6 @@ from .builders import hadamard_test_fragment, island_block, valence_bond_subcirc
 from .errors import ConfigError, UnsupportedError
 from .ir import DECLARED_COSTS, CNot, Circuit, Opaque, _renamed
 from .lattice import CouplingMap, SiteEncoding, assign_qubits, build_three_link_pair, heavy_hex_patch
-from .spinops import SpinValue
 from .symmetrize import swap_sequence_matrix
 
 
@@ -119,7 +118,7 @@ def heavy_hex_pair(method: str) -> tuple[RoutedCircuit, SiteEncoding]:
     """
     if method not in ("probabilistic", "mitigated_islands"):
         raise UnsupportedError("heavy-hex placement covers probabilistic and mitigated_islands")
-    lattice, s = build_three_link_pair(), SpinValue(3)
+    lattice = build_three_link_pair()
     encoding = assign_qubits(lattice, "hadamard_all" if method == "probabilistic" else "islands_plus_sublattice")
     logical = {"anc_A": encoding.ancilla[0], "anc_B": encoding.ancilla[1]}
     for k, (qa, qb) in enumerate(encoding.link_qubits):
@@ -131,7 +130,7 @@ def heavy_hex_pair(method: str) -> tuple[RoutedCircuit, SiteEncoding]:
         for qa, qb in encoding.link_qubits:
             valence_bond_subcircuit(qa, qb, first)
     else:
-        first.add(island_block(lattice, encoding, 0, s))
+        first.add(island_block(lattice, encoding, 0))
     circ = Circuit(heavy_hex_patch(1).n_qubits, [_renamed(g, placement) for g in first.gates])
     circ.add(displacement_block(PAIR_DISPLACEMENT))
     for pa, pb in PAIR_DISPLACEMENT:
@@ -139,6 +138,6 @@ def heavy_hex_pair(method: str) -> tuple[RoutedCircuit, SiteEncoding]:
     tests = Circuit(encoding.total_qubits)
     for site, box in ((0, "line"), (1, "t")):
         if encoding.ancilla[site] is not None:
-            hadamard_test_fragment(site, encoding, s, tests, heavy_hex_box=box)
+            hadamard_test_fragment(site, encoding, tests, heavy_hex_box=box)
     circ.gates.extend(_renamed(g, placement) for g in tests.gates)
     return RoutedCircuit(circ, placement), encoding

@@ -5,7 +5,8 @@ prepared on one subregister (recursively), copied across with a CNOT
 ladder, and the two singular-vector unitaries are applied in parallel as
 opaque blocks.  Odd registers use an asymmetric split with the single
 (or smaller) subregister first.  Circuits prepare the target up to global
-phase.
+phase.  A block carries the CNOT costs `ir.DECLARED_COSTS` lists under its
+label (the island blocks), or else the generic worst case for its size.
 """
 from __future__ import annotations
 
@@ -15,7 +16,7 @@ import numpy as np
 
 from .errors import UnsupportedError
 from .ir import DECLARED_COSTS, Circuit, CNot, Opaque, U1Q, u_ry
-from .spinops import SpinValue, symmetrizer
+from .spinops import symmetrizer
 from .statesim import Statevector
 
 DEGENERATE_TOL = 1e-12
@@ -43,37 +44,16 @@ def u1q_gate(mat: np.ndarray, qubit: int) -> U1Q:
     return U1Q(theta, phi, lam, qubit)
 
 
-def prepare_single_qubit(target: np.ndarray, qubit: int) -> U1Q:
-    """Gate taking |0> to `target` up to global phase."""
-    t0, t1 = target
-    theta = 2 * math.atan2(abs(t1), abs(t0))
-    phi = float(np.angle(t1) - np.angle(t0)) if abs(t1) > 1e-12 and abs(t0) > 1e-12 else (
-        float(np.angle(t1)) if abs(t0) <= 1e-12 else 0.0
-    )
-    return U1Q(theta, phi, 0.0, qubit)
-
-
-def _block(label: str, qubits: tuple[int, ...], mat: np.ndarray, costs: dict | None) -> Opaque:
-    if costs is None:
-        costs = DECLARED_COSTS.get(f"schmidt_{len(qubits)}q", {})
+def _block(label: str, qubits: tuple[int, ...], mat: np.ndarray) -> Opaque:
+    costs = DECLARED_COSTS.get(label, DECLARED_COSTS.get(f"schmidt_{len(qubits)}q", {}))
     return Opaque(label, qubits, mat, **costs)
 
 
-def schmidt_prepare(
-    target,
-    *,
-    qubits: tuple[int, ...] | None = None,
-    u_cost: dict | None = None,
-    v_cost: dict | None = None,
-    b_inner_cost: dict | None = None,
-    label: str = "schmidt",
-) -> Circuit:
+def schmidt_prepare(target, *, qubits: tuple[int, ...] | None = None, label: str = "schmidt") -> Circuit:
     """Circuit preparing `target` from |0...0> via its Schmidt decomposition.
 
-    u_cost / v_cost / b_inner_cost override the declared CNOT costs (Opaque
-    cost keyword arguments) of the singular-vector blocks; b_inner_cost
-    applies to the blocks of the coefficient preparation.  Blocks without
-    an override carry the generic worst-case cost.
+    The singular-vector blocks are labelled `label` + "_u" / "_v", and those
+    of the coefficient preparation `label` + "_b_u" / "_b_v".
     """
     target = np.asarray(target, dtype=complex).reshape(-1)
     nq = target.size.bit_length() - 1
@@ -85,14 +65,13 @@ def schmidt_prepare(
     if norm < DEGENERATE_TOL:
         raise ValueError("degenerate target (norm 0)")
     target = target / norm
-    if qubits is None:
-        qubits = tuple(range(nq))
+    qubits = tuple(range(nq)) if qubits is None else qubits
     circ = Circuit(max(qubits) + 1)
-    _schmidt_into(circ, target, qubits, u_cost, v_cost, b_inner_cost, label)
+    _schmidt_into(circ, target, qubits, label)
     return circ
 
 
-def _schmidt_into(circ, target, qubits, u_cost, v_cost, b_inner_cost, label):
+def _schmidt_into(circ, target, qubits, label):
     nq = len(qubits)
     left = nq // 2
     right = nq - left
@@ -109,7 +88,7 @@ def _schmidt_into(circ, target, qubits, u_cost, v_cost, b_inner_cost, label):
     else:
         coeffs = np.zeros(2**left)
         coeffs[: len(s)] = s
-        _schmidt_into(circ, coeffs.astype(complex), lq, b_inner_cost, b_inner_cost, None, label + "_b")
+        _schmidt_into(circ, coeffs.astype(complex), lq, label + "_b")
 
     # Copy the Schmidt index across; skip for rank-1 (pure product) targets.
     rank = int(np.sum(s > DEGENERATE_TOL))
@@ -117,14 +96,11 @@ def _schmidt_into(circ, target, qubits, u_cost, v_cost, b_inner_cost, label):
         for i in range(left):
             circ.add(CNot(lq[i], rq[i]))
 
-    # Left singular vectors.
+    # Left singular vectors; u1q_gate(u) takes |0> to u[:, 0] at any rank.
     if left == 1:
-        if rank > 1:
-            circ.add(u1q_gate(u, lq[0]))
-        else:
-            circ.add(prepare_single_qubit(u[:, 0], lq[0]))
+        circ.add(u1q_gate(u, lq[0]))
     else:
-        circ.add(_block(label + "_u", lq, u, u_cost))
+        circ.add(_block(label + "_u", lq, u))
 
     # Right singular vectors; pad the Schmidt index into the larger register.
     if right == left:
@@ -139,12 +115,9 @@ def _schmidt_into(circ, target, qubits, u_cost, v_cost, b_inner_cost, label):
         perm = [p if p >= 0 else next(spare) for p in perm]
         v_gate = v_full[:, perm]
     if right == 1:
-        if rank > 1:
-            circ.add(u1q_gate(v_gate, rq[0]))
-        else:
-            circ.add(prepare_single_qubit(v_full[:, 0], rq[0]))
+        circ.add(u1q_gate(v_gate, rq[0]))
     else:
-        circ.add(_block(label + "_v", rq, v_gate, v_cost))
+        circ.add(_block(label + "_v", rq, v_gate))
 
 
 # ---------------------------------------------------------------------------
@@ -158,27 +131,19 @@ SINGLET = np.array([0, 1, -1, 0], dtype=complex) / math.sqrt(2)
 ISLAND_SITE_SLOTS = {2: (1, 2), 3: (1, 3, 5)}
 
 
-def island_state(s: SpinValue) -> Statevector:
-    """Normalized 4S-qubit island: 2S valence bonds, symmetrized center site.
+def island_state(twice_s: int) -> Statevector:
+    """Normalized 2*twice_s-qubit island: 2S valence bonds, symmetrized center site.
 
     Bonds sit on qubit pairs (0,1), (2,3), ...; the symmetrized site holds
     one qubit of each bond, at ISLAND_SITE_SLOTS.
     """
-    if s.twice_s not in ISLAND_SITE_SLOTS:
+    if twice_s not in ISLAND_SITE_SLOTS:
         raise UnsupportedError("island states implemented for 2S in {2, 3}")
-    n = 2 * s.twice_s
-    factors = [((2 * k, 2 * k + 1), SINGLET) for k in range(s.twice_s)]
-    return Statevector.product_of_factors(n, factors, [(symmetrizer(s.twice_s), ISLAND_SITE_SLOTS[s.twice_s])])
+    factors = [((2 * k, 2 * k + 1), SINGLET) for k in range(twice_s)]
+    return Statevector.product_of_factors(2 * twice_s, factors, [(symmetrizer(twice_s), ISLAND_SITE_SLOTS[twice_s])])
 
 
-def island_prep_circuit(s: SpinValue) -> Circuit:
-    """Deterministic island initialization via the Schmidt split down the middle."""
-    target = island_state(s)
-    block = f"island_2s{s.twice_s}"
-    return schmidt_prepare(
-        target.amps,
-        u_cost=DECLARED_COSTS[block + "_u"],
-        v_cost=DECLARED_COSTS[block + "_v"],
-        b_inner_cost=DECLARED_COSTS.get(block + "_b"),
-        label=block,
-    )
+def island_prep_circuit(twice_s: int) -> Circuit:
+    """Deterministic island initialization via the Schmidt split down the middle; its blocks
+    (island_2s2_u/_v, island_2s3_b_v/_u/_v) carry their declared costs."""
+    return schmidt_prepare(island_state(twice_s).amps, label=f"island_2s{twice_s}")

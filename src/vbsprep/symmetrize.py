@@ -1,13 +1,14 @@
 """Uniform one-hot (W) state preparation, qubit-permutation circuits, and the
-linear-combination-of-unitaries route to local symmetrization."""
+linear-combination-of-unitaries route to local symmetrization: n! ancillas in
+a one-hot prepare oracle, one per qubit permutation of the site."""
 from __future__ import annotations
 
 import math
 
 import numpy as np
 
-from .errors import ConfigError, UnsupportedError
-from .ir import DECLARED_COSTS, Circuit, CNot, Measure, Opaque, cnot_count, u_h, u_ry, u_x
+from .errors import ConfigError
+from .ir import DECLARED_COSTS, Circuit, CNot, Measure, Opaque, cnot_count, u_ry, u_x
 from .spinops import permutation_operator
 
 _CSWAP = np.eye(8, dtype=complex)
@@ -100,48 +101,24 @@ def swap_sequence_matrix(seq, n_halves: int) -> np.ndarray:
 # LCU symmetrization
 # ---------------------------------------------------------------------------
 
-def lcu_symmetrization_circuit(
-    n_halves: int,
-    site_qubits: tuple[int, ...],
-    ancillas: tuple[int, ...],
-    variant: str = "sparse",
-) -> Circuit:
+def lcu_symmetrization_circuit(n_halves: int, site_qubits: tuple[int, ...], ancillas: tuple[int, ...]) -> Circuit:
     """Prepare / select / unprepare circuit applying the symmetrizer on
     post-selection of every ancilla in |0>.
 
-    sparse: n! ancillas, uniform one-hot prepare oracle, each permutation's
-    SWAPs controlled by its own ancilla.  dense: ceil(log2 n!) ancillas;
-    implemented for n=2 where the prepare oracle is a single Hadamard.
+    n! ancillas, uniform one-hot prepare oracle, each permutation's SWAPs
+    controlled by its own ancilla.
     """
     if len(site_qubits) != n_halves:
         raise ConfigError("site qubit count must equal n_halves")
     seqs = permutation_swap_sequences(n_halves)
-    m = len(seqs)
-    n_total = max((*site_qubits, *ancillas)) + 1
-    circ = Circuit(n_total)
-
-    if variant == "sparse":
-        if len(ancillas) != m:
-            raise ConfigError(f"sparse variant needs {m} ancillas, got {len(ancillas)}")
-        prep_start = len(circ.gates)
-        w_state_circuit(m, ancillas, circ)
-        prep_gates = list(circ.gates[prep_start:])
-        for anc, seq in zip(ancillas, seqs):
-            for i, j in seq:
-                circ.add(_cswap(anc, site_qubits[i], site_qubits[j]))
-        circ.extend(inverse_gates(prep_gates))
-    elif variant == "dense":
-        if n_halves != 2:
-            raise UnsupportedError("dense prepare oracle implemented for n_halves=2 only")
-        if len(ancillas) != 1:
-            raise ConfigError("dense variant for n=2 needs exactly 1 ancilla")
-        anc = ancillas[0]
-        circ.add(u_h(anc))
-        circ.add(_cswap(anc, site_qubits[0], site_qubits[1]))
-        circ.add(u_h(anc))
-    else:
-        raise ConfigError(f"unknown LCU variant {variant!r}")
-
+    if len(ancillas) != len(seqs):
+        raise ConfigError(f"{n_halves} site qubits need {len(seqs)} ancillas, got {len(ancillas)}")
+    circ = Circuit(max((*site_qubits, *ancillas)) + 1)
+    prep_gates = list(w_state_circuit(len(seqs), ancillas, circ).gates)
+    for anc, seq in zip(ancillas, seqs):
+        for i, j in seq:
+            circ.add(_cswap(anc, site_qubits[i], site_qubits[j]))
+    circ.extend(inverse_gates(prep_gates))
     first = circ.next_creg()
     for i, anc in enumerate(ancillas):
         circ.add(Measure(anc, expect=0, creg=first + i))

@@ -121,7 +121,7 @@ def test_criterion_03_ground_state_verification():
 
     for lattice, s, proj in cases:
         encoding = assign_qubits(lattice, "hadamard_all")
-        state = embed(oracle_vbs_state(lattice, s)[0])
+        state = embed(oracle_vbs_state(lattice)[0])
         for a, b in set(lattice.links):
             qs = encoding.site_qubits[a] + encoding.site_qubits[b]
             assert applied_norm(state, proj, qs) <= 1e-10, (lattice.name, a, b)
@@ -143,16 +143,16 @@ def test_criterion_04_success_probabilities():
         (build_chain(2, "open", ("up", "down")), 5.0 / 8.0, 13),
     ]
     for lattice, expected, seed in cases:
-        result = run_probabilistic(lattice, S1)
+        result = run_probabilistic(lattice)
         assert abs(result["success_probability"] - expected) <= 1e-10
         # the measured probability equals the squared norm itself
-        _, norm = oracle_vbs_state(lattice, S1)
+        _, norm = oracle_vbs_state(lattice)
         assert abs(result["success_probability"] - norm) <= 1e-10
         rate, z = monte_carlo_success(*simulate_circuit(result["circuit"]), expected, 100_000, seed)
         assert abs(z) < 3.0, (lattice.name, rate, z)
     # seed sweep: at most one 3-sigma outlier in 20 seeds
     lat = build_chain(2, "open", ("up", "up"))
-    circ = run_probabilistic(lat, S1)["circuit"]
+    circ = run_probabilistic(lat)["circuit"]
     outliers = sum(
         1 for seed in range(20) if abs(monte_carlo_success(*simulate_circuit(circ), 0.5, 10_000, seed)[1]) >= 3.0
     )
@@ -167,21 +167,20 @@ def test_criterion_05_route_equivalence():
         matrix.append(build_chain(n, "open", ("up", "down")))
         matrix.append(build_chain(n, "ring"))
     for lattice in matrix:
-        oracle, _ = oracle_vbs_state(lattice, S1)
+        oracle, _ = oracle_vbs_state(lattice)
         states = {
-            "probabilistic": run_probabilistic(lattice, S1)["state"],
-            "lcu_sparse": run_lcu(lattice, S1, "sparse")["state"],
-            "lcu_dense": run_lcu(lattice, S1, "dense")["state"],
+            "probabilistic": run_probabilistic(lattice)["state"],
+            "lcu_sparse": run_lcu(lattice)["state"],
         }
         try:
             lattice.sublattice()
         except Exception:
             pass  # odd rings admit no sublattice mitigation
         else:
-            states["islands"] = run_mitigated_islands(lattice, S1)["state"]
-            states["retry"] = run_mitigated_retry(lattice, S1, 17)["state"]
+            states["islands"] = run_mitigated_islands(lattice)["state"]
+            states["retry"] = run_mitigated_retry(lattice, 17)["state"]
         if lattice.boundary == "open_chain" or (lattice.boundary == "ring" and lattice.n_sites >= 3):
-            states["mps"] = run_mps(lattice, S1)["state"]
+            states["mps"] = run_mps(lattice)["state"]
         names = sorted(states)
         for i, a in enumerate(names):
             assert states[a].spin_fidelity(oracle) >= 1 - 1e-10, (lattice.name, a)
@@ -189,12 +188,12 @@ def test_criterion_05_route_equivalence():
                 assert fidelity(states[a], states[b]) >= 1 - 1e-10, (lattice.name, a, b)
 
     pair = build_three_link_pair()
-    oracle_p, _ = oracle_vbs_state(pair, S32)
+    oracle_p, _ = oracle_vbs_state(pair)
     pair_states = {
-        "probabilistic": run_probabilistic(pair, S32)["state"],
-        "lcu_sparse": run_lcu(pair, S32, "sparse")["state"],
-        "islands": run_mitigated_islands(pair, S32)["state"],
-        "retry": run_mitigated_retry(pair, S32, 23)["state"],
+        "probabilistic": run_probabilistic(pair)["state"],
+        "lcu_sparse": run_lcu(pair)["state"],
+        "islands": run_mitigated_islands(pair)["state"],
+        "retry": run_mitigated_retry(pair, 23)["state"],
     }
     names = sorted(pair_states)
     for i, a in enumerate(names):
@@ -203,16 +202,16 @@ def test_criterion_05_route_equivalence():
             assert fidelity(pair_states[a], pair_states[b]) >= 1 - 1e-10, (a, b)
 
     for n in (3, 4, 5):
-        prob = run_mps(build_chain(n, "ring"), S1)["success_probability"]
+        prob = run_mps(build_chain(n, "ring"))["success_probability"]
         assert abs(prob - 0.5) <= 1e-10
     _report(5)
 
 
 def test_criterion_06_island_states():
     ref = np.array([0, 0, 0, 0.5, 0, 0.5, -1, 0, 0, -1, 0.5, 0, 0.5, 0, 0, 0]) / math.sqrt(3)
-    assert np.max(np.abs(island_state(S1).amps - ref)) <= 1e-12
+    assert np.max(np.abs(island_state(2).amps - ref)) <= 1e-12
 
-    for s, count, depth in ((S1, 7, 4), (S32, 35, 19)):
+    for s, count, depth in ((2, 7, 4), (3, 35, 19)):
         circ = island_prep_circuit(s)
         sim, _ = simulate_circuit(circ)
         assert fidelity(sim, island_state(s)) >= 1 - 1e-10
@@ -271,7 +270,7 @@ def test_criterion_09_retry_statistics():
     # the state-level retry realization follows the same geometric law
     rounds = []
     for seed in range(40):
-        rounds.extend(run_mitigated_retry(build_chain(4, "ring"), S1, seed)["rounds_used"].values())
+        rounds.extend(run_mitigated_retry(build_chain(4, "ring"), seed)["rounds_used"].values())
     mean = float(np.mean(rounds))
     sigma = math.sqrt((1 - 0.75) / 0.75**2 / len(rounds))
     assert abs(mean - 4.0 / 3.0) < 4 * sigma + 0.05
@@ -282,7 +281,7 @@ def test_criterion_10_routing_soundness():
     # generic routing on a linear coupling
     lat = build_chain(3, "open", ("up", "up"))
     enc = assign_qubits(lat, "hadamard_all")
-    circ = probabilistic_method_circuit(lat, enc, S1)
+    circ = probabilistic_method_circuit(lat, enc)
     routed = route(circ, linear_coupling(enc.total_qubits))
     s0, m0 = simulate_circuit(circ)
     p0, s0 = post_select(s0, m0, range(enc.n_data_qubits))
@@ -293,7 +292,7 @@ def test_criterion_10_routing_soundness():
 
     # the heavy-hex pair: displacement overhead and composite totals
     bare, encoding = heavy_hex_pair("probabilistic")
-    oracle, norm = oracle_vbs_state(encoding.lattice, S32)
+    oracle, norm = oracle_vbs_state(encoding.lattice)
     sb, mb = simulate_circuit(bare.circuit)
     pb, sb = post_select(sb, mb, bare.placement[: encoding.n_data_qubits])
     assert sb.spin_fidelity(oracle) >= 1 - 1e-12

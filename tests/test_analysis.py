@@ -17,7 +17,6 @@ from vbsprep.errors import ConfigError, UnsupportedError
 from vbsprep.ir import simulate_circuit
 from vbsprep.lattice import BOUNDARY_OPEN, assign_qubits, build_chain, build_three_link_pair
 from vbsprep.methods import oracle_vbs_state
-from vbsprep.spinops import SpinValue
 
 from retry_model import (
     fit_mean_rounds,
@@ -44,7 +43,7 @@ def test_norm_closed_forms():
 )
 def test_norms_match_simulation(n, boundary, spins):
     lat = build_chain(n, boundary, spins or ("up", "up"))
-    _, norm = oracle_vbs_state(lat, SpinValue(2))
+    _, norm = oracle_vbs_state(lat)
     assert abs(norm - vbs_norm(n, boundary, spins or ("up", "up"))) < 1e-12
 
 
@@ -138,7 +137,7 @@ def test_resource_summary_lcu():
 def test_monte_carlo_deterministic_and_calibrated():
     lat = build_chain(2, "open", ("up", "up"))
     enc = assign_qubits(lat, "hadamard_all")
-    circ = probabilistic_method_circuit(lat, enc, SpinValue(2))
+    circ = probabilistic_method_circuit(lat, enc)
     rate1, z1 = monte_carlo_success(*simulate_circuit(circ), 0.5, 100_000, seed=3)
     rate2, _ = monte_carlo_success(*simulate_circuit(circ), 0.5, 100_000, seed=3)
     assert rate1 == rate2
@@ -159,7 +158,7 @@ def test_monte_carlo_three_link_single_site():
     lat = build_three_link_pair()
     enc = assign_qubits(lat, "hadamard_all")
     circ = pre_vbs_circuit(lat, enc)
-    hadamard_test_fragment(0, enc, SpinValue(3), circ)
+    hadamard_test_fragment(0, enc, circ)
     rate, z = monte_carlo_success(*simulate_circuit(circ), 0.5, 100_000, seed=5)
     assert abs(z) < 3.0
 
@@ -168,7 +167,7 @@ def test_monte_carlo_bit_masks_count_like_bitstrings():
     from vbsprep.ir import Measure
 
     lat = build_chain(3, "ring")
-    simulated, markers = simulate_circuit(probabilistic_method_circuit(lat, assign_qubits(lat, "hadamard_all"), SpinValue(2)))
+    simulated, markers = simulate_circuit(probabilistic_method_circuit(lat, assign_qubits(lat, "hadamard_all")))
     n = simulated.n_qubits
     for marks in (markers, markers + markers[:1], markers + [Measure(markers[0].qubit, 1 - markers[0].expect)],
                   [Measure(0, 1), Measure(n - 1, 0)]):

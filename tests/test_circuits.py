@@ -29,7 +29,6 @@ from vbsprep.ir import (
 )
 from vbsprep.lattice import assign_qubits, build_chain, build_three_link_pair
 from vbsprep.schmidt import SINGLET
-from vbsprep.spinops import SpinValue
 from vbsprep.statesim import Statevector
 
 from oracle_reference import (
@@ -98,7 +97,7 @@ def test_pre_vbs_matches_tensor_product_construction():
 def test_hadamard_test_declared_costs(twice_s, coupling, count):
     lat = build_chain(2, "open") if twice_s == 2 else build_three_link_pair()
     enc = assign_qubits(lat, "hadamard_all")
-    frag = hadamard_test_fragment(0, enc, SpinValue(twice_s))
+    frag = hadamard_test_fragment(0, enc)
     assert cnot_count(frag, coupling) == count
 
 
@@ -107,7 +106,7 @@ def test_hadamard_test_postselection_equals_symmetrizer():
 
     lat = build_chain(2, "open")
     enc = assign_qubits(lat, "hadamard_all")
-    circ = pre_vbs_circuit(lat, enc).extend(hadamard_test_fragment(0, enc, SpinValue(2)).gates)
+    circ = pre_vbs_circuit(lat, enc).extend(hadamard_test_fragment(0, enc).gates)
     state, markers = simulate_circuit(circ)
     data = range(enc.n_data_qubits)
     prob, state = post_select(state, markers, data)
@@ -122,22 +121,22 @@ def test_hadamard_test_postselection_equals_symmetrizer():
 def test_probabilistic_depths():
     lat = build_chain(3, "open")
     enc = assign_qubits(lat, "hadamard_all")
-    circ = probabilistic_method_circuit(lat, enc, SpinValue(2))
+    circ = probabilistic_method_circuit(lat, enc)
     assert cnot_depth(circ, "all_to_all") == 8  # 1 + 7
     assert cnot_depth(circ, "linear") == 10  # 1 + 9
 
     pair = build_three_link_pair()
     enc_p = assign_qubits(pair, "hadamard_all")
-    circ_p = probabilistic_method_circuit(pair, enc_p, SpinValue(3))
+    circ_p = probabilistic_method_circuit(pair, enc_p)
     assert cnot_depth(circ_p, "all_to_all") == 27  # 1 + 26
 
     # the simulated island circuits carry the printed depths: every full
     # island is one block counted on island_prep_circuit
     from vbsprep.methods import run_mitigated_islands
 
-    islands_p = run_mitigated_islands(pair, SpinValue(3))["circuit"]
+    islands_p = run_mitigated_islands(pair)["circuit"]
     assert cnot_depth(islands_p, "all_to_all") == 45  # 19 + 26
-    islands_ring = run_mitigated_islands(build_chain(4, "ring"), SpinValue(2))["circuit"]
+    islands_ring = run_mitigated_islands(build_chain(4, "ring"))["circuit"]
     assert cnot_depth(islands_ring, "linear") == 17  # 8 + 9
 
 
@@ -150,7 +149,7 @@ def test_probabilistic_matches_closed_form_probability():
     ]
     for lat, expected in cases:
         enc = assign_qubits(lat, "hadamard_all")
-        circ = probabilistic_method_circuit(lat, enc, SpinValue(2))
+        circ = probabilistic_method_circuit(lat, enc)
         state, markers = simulate_circuit(circ)
         prob, _ = post_select(state, markers, range(enc.n_data_qubits))
         assert abs(prob - expected) < 1e-10
@@ -248,7 +247,7 @@ def test_island_blocks_share_one_matrix():
     from vbsprep.builders import mitigated_islands_circuit
 
     lattice = build_chain(8, "open", ("up", "up"))
-    circ = mitigated_islands_circuit(lattice, assign_qubits(lattice, "islands_plus_sublattice"), SpinValue(2))
+    circ = mitigated_islands_circuit(lattice, assign_qubits(lattice, "islands_plus_sublattice"))
     # sites 2, 4 and 6 are full islands; site 0's boundary island is a Schmidt block
     islands = [g for g in circ.gates if isinstance(g, Opaque) and g.label.removeprefix("island_site").isdigit()]
     assert [g.label for g in islands] == ["island_site2", "island_site4", "island_site6"]
@@ -278,12 +277,12 @@ def test_builders_preserve_total_probability_before_projection():
 
     circuits = []
     lat = build_chain(3, "ring")
-    circuits.append(probabilistic_method_circuit(lat, assign_qubits(lat, "hadamard_all"), SpinValue(2)))
+    circuits.append(probabilistic_method_circuit(lat, assign_qubits(lat, "hadamard_all")))
     lat4 = build_chain(4, "open", ("up", "down"))
     enc4 = assign_qubits(lat4, "islands_plus_sublattice")
-    circuits.append(mitigated_islands_circuit(lat4, enc4, SpinValue(2)))
-    circuits.append(mitigated_retry_circuit(lat4, enc4, SpinValue(2)))
-    circuits.append(island_prep_circuit(SpinValue(3)))
+    circuits.append(mitigated_islands_circuit(lat4, enc4))
+    circuits.append(mitigated_retry_circuit(lat4, enc4))
+    circuits.append(island_prep_circuit(3))
     circuits.append(w_state_circuit(6))
     for circ in circuits:
         state, _ = simulate_circuit(circ)
@@ -392,7 +391,7 @@ def test_simulation_composes_each_distinct_block_once(monkeypatch):
     from vbsprep import ir
 
     lattice = build_chain(4, "ring")
-    circ = probabilistic_method_circuit(lattice, assign_qubits(lattice, "hadamard_all"), SpinValue(2))
+    circ = probabilistic_method_circuit(lattice, assign_qubits(lattice, "hadamard_all"))
     keys, composed = [], []
     block_key, block_matrix = ir._block_key, ir._block_matrix
     monkeypatch.setattr(ir, "_block_key", lambda support, gates: keys.append(block_key(support, gates)) or keys[-1])
@@ -412,7 +411,7 @@ def test_simulation_checks_every_block_it_applies(monkeypatch):
     from vbsprep import statesim
 
     lattice = build_chain(4, "open")
-    chain = probabilistic_method_circuit(lattice, assign_qubits(lattice, "hadamard_all"), SpinValue(2))
+    chain = probabilistic_method_circuit(lattice, assign_qubits(lattice, "hadamard_all"))
     box = Opaque("box", (0, 1, 2, 3), np.linalg.qr(np.arange(256).reshape(16, 16) % 7 + 1j * np.eye(16))[0])
     alone = Circuit(5, [box, CNot(3, 4), box, CNot(4, 3), box])  # the box is a block of its own, three times
     for circ in (chain, alone):
@@ -437,7 +436,7 @@ def test_simulation_checks_every_block_it_applies(monkeypatch):
 def test_the_cap_is_read_on_every_call(monkeypatch):
     lattice = build_chain(4, "open")
     encoding = assign_qubits(lattice, "hadamard_all")
-    circ = probabilistic_method_circuit(lattice, encoding, SpinValue(2))
+    circ = probabilistic_method_circuit(lattice, encoding)
     simulate_circuit(circ)
     bond_product(encoding, circ.n_qubits)  # product_of_factors
     monkeypatch.setenv("VBS_MAX_QUBITS", str(circ.n_qubits - 1))  # the next calls read the cap again
@@ -453,7 +452,7 @@ def test_concurrent_simulations_are_independent(monkeypatch):
     from concurrent.futures import ThreadPoolExecutor
 
     lattice = build_chain(5, "ring")
-    circ = probabilistic_method_circuit(lattice, assign_qubits(lattice, "hadamard_all"), SpinValue(2))
+    circ = probabilistic_method_circuit(lattice, assign_qubits(lattice, "hadamard_all"))
     expected, markers = simulate_circuit(circ)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)  # switch threads often, so that the calls interleave
@@ -582,7 +581,7 @@ def test_post_select_rejects_a_bad_keep():
 def test_post_select_leaves_its_input_unchanged():
     lat = build_chain(3, "ring")
     enc = assign_qubits(lat, "hadamard_all")
-    state, markers = simulate_circuit(probabilistic_method_circuit(lat, enc, SpinValue(2)))
+    state, markers = simulate_circuit(probabilistic_method_circuit(lat, enc))
     before = state.amps.copy()
     post_select(state, markers, range(enc.n_data_qubits))
     assert np.array_equal(state.amps, before)

@@ -232,7 +232,6 @@ def test_prepare_shots_samples_the_simulated_circuit(tmp_path):
     from vbsprep.ir import simulate_circuit
     from vbsprep.lattice import assign_qubits
     from vbsprep.methods import oracle_vbs_state
-    from vbsprep.spinops import SpinValue
 
     out = tmp_path / "r.json"
     argv = ["prepare", "--spin", "2", "--lattice", "chain:3:ring", "--method", "probabilistic",
@@ -240,8 +239,8 @@ def test_prepare_shots_samples_the_simulated_circuit(tmp_path):
     assert main(argv) == EXIT_OK
     doc = json.loads(out.read_text())
     lat = parse_lattice("chain:3:ring")
-    circ = probabilistic_method_circuit(lat, assign_qubits(lat, "hadamard_all"), SpinValue(2))
-    _, norm_sq = oracle_vbs_state(lat, SpinValue(2))
+    circ = probabilistic_method_circuit(lat, assign_qubits(lat, "hadamard_all"))
+    _, norm_sq = oracle_vbs_state(lat)
     rate, z = monte_carlo_success(*simulate_circuit(circ), norm_sq, 2000, 5)
     assert doc["simulated"]["mc_rate"] == rate
     assert doc["simulated"]["mc_z"] == z
@@ -407,12 +406,20 @@ def test_the_pair_from_a_file_routes_on_heavy_hex_under_any_name(method, tmp_pat
     (["emit-qasm", "--method", "lcu"], "--method lcu is not read"),
     (["emit-qasm", "--coupling", "linear"], "--coupling linear is not read"),
     (["prepare", "--method", "lcu", "--shots", "1000"], "--shots is read only by the probabilistic method"),
-    (["verify", "--shots", "1000"], "--shots is read only by prepare"),
-], ids=["emit-qasm-method-mps", "emit-qasm-method-lcu", "emit-qasm-coupling", "prepare-lcu-shots", "verify-shots"])
+    (["verify", "--shots", "1000"], "--shots 1000 is not read by verify"),
+    (["resources", "--spin", "3", "--coupling", "linear"], "--spin 3 is not read by resources"),
+    (["resources", "--lattice", "chain:5:ring", "--method", "lcu", "--shots", "5", "--qasm-mode", "basis"],
+     "--lattice chain:5:ring is not read by resources"),
+    (["emit-qasm", "--shots", "100"], "--shots 100 is not read by emit-qasm"),
+    (["prepare", "--qasm-mode", "basis"], "--qasm-mode basis is not read by prepare"),
+    (["verify", "--qasm-mode", "basis"], "--qasm-mode basis is not read by verify"),
+], ids=["emit-qasm-method-mps", "emit-qasm-method-lcu", "emit-qasm-coupling", "prepare-lcu-shots", "verify-shots",
+        "resources-spin", "resources-lattice", "emit-qasm-shots", "prepare-qasm-mode", "verify-qasm-mode"])
 def test_an_option_the_command_does_not_read_exits_unsupported(argv, named, tmp_path, capsys):
     """Each once ran as if the option were not given, and the report's config echoed it."""
     out = tmp_path / "out"
-    assert main([*argv, "--spin", "2", "--lattice", "chain:3:open:aligned", "--out", str(out)]) == EXIT_UNSUPPORTED
+    command, *options = argv
+    assert main([command, "--spin", "2", "--lattice", "chain:3:open:aligned", "--out", str(out), *options]) == EXIT_UNSUPPORTED
     assert named in capsys.readouterr().err
     assert not out.exists()
 
@@ -514,7 +521,7 @@ def test_verify_reads_each_site_pair_once(spec, spin, passes, monkeypatch, tmp_p
     assert len({(id(op), frozenset((a, b))) for op, a, b in calls}) == len(calls)
 
 
-def _state_with_a_broken_link(lattice, s, link: int):
+def _state_with_a_broken_link(lattice, link: int):
     """The VBS state with one bond a triplet, in the spin basis: only that link's sites can reach spin 2S."""
     import numpy as np
 
@@ -533,7 +540,7 @@ def _state_with_a_broken_link(lattice, s, link: int):
 def test_failed_link_checks_name_the_worst_link(link, monkeypatch, capsys, tmp_path):
     import vbsprep.cli as cli
 
-    monkeypatch.setattr(cli, "oracle_vbs_state", lambda lattice, s: _state_with_a_broken_link(lattice, s, link))
+    monkeypatch.setattr(cli, "oracle_vbs_state", lambda lattice: _state_with_a_broken_link(lattice, link))
     out = tmp_path / "v.json"
     argv = ["verify", "--spin", "2", "--lattice", "chain:5:open:aligned", "--method", "lcu", "--out", str(out)]
     assert main(argv) == EXIT_CHECK_FAILED
@@ -613,13 +620,28 @@ def _cube_graph(tmp_path) -> str:
 
 @pytest.mark.parametrize("lattice,spin,cap", [("honeycomb:1:1", 2, 9), ("cube", 3, 15)])
 def test_oracle_over_the_cap_exits_config_naming_its_size(lattice, spin, cap, monkeypatch, capsys, tmp_path):
-    """3^6 and 4^8 amplitudes against caps of 2^9 and 2^15: exit 2 before the network is built."""
+    """12 and 24 data qubits against caps of 9 and 15: exit 2 before the oracle or the route is built."""
+    name, n_data = lattice, {"honeycomb:1:1": 12, "cube": 24}[lattice]
     if lattice == "cube":
         lattice = _cube_graph(tmp_path)
     monkeypatch.setenv("VBS_MAX_QUBITS", str(cap))
     argv = ["verify", "--spin", str(spin), "--lattice", lattice, "--method", "mitigated_retry"]
     assert main(argv) == EXIT_CONFIG
     err = capsys.readouterr().err
-    assert "config error: the spin-basis oracle of" in err
-    assert "amplitudes at site" in err and f"over the cap of 2^{cap}" in err
+    assert f"config error: lattice {name!r} has {n_data} data qubits, over the cap of {cap} qubits" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["prepare", "verify"])
+def test_a_register_over_the_cap_exits_before_anything_is_built(command, capsys):
+    """chain:20:ring holds 40 data qubits: no route could run it, so nothing grows toward the cap first."""
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        assert main([command, "--lattice", "chain:20:ring"]) == EXIT_CONFIG
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 << 20
+    assert "lattice 'chain:20:ring' has 40 data qubits, over the cap of 26 qubits" in capsys.readouterr().err

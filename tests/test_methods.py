@@ -3,8 +3,9 @@ import numpy as np
 import pytest
 
 from vbsprep import ir, statesim
-from vbsprep.lattice import build_chain, build_honeycomb_patch, build_three_link_pair, build_three_link_ring
+from vbsprep.lattice import Lattice, build_chain, build_honeycomb_patch, build_three_link_pair, build_three_link_ring
 from vbsprep.methods import (
+    ROUTES,
     oracle_vbs_state,
     run_lcu,
     run_mitigated_islands,
@@ -22,20 +23,19 @@ S1, S32 = SpinValue(2), SpinValue(3)
 
 def spin1_routes(lattice, seed=13):
     routes = {
-        "probabilistic": run_probabilistic(lattice, S1),
-        "lcu_sparse": run_lcu(lattice, S1, "sparse"),
-        "lcu_dense": run_lcu(lattice, S1, "dense"),
+        "probabilistic": run_probabilistic(lattice),
+        "lcu_sparse": run_lcu(lattice),
     }
     try:
         lattice.sublattice()
-        routes["islands"] = run_mitigated_islands(lattice, S1)
-        routes["retry"] = run_mitigated_retry(lattice, S1, seed)
+        routes["islands"] = run_mitigated_islands(lattice)
+        routes["retry"] = run_mitigated_retry(lattice, seed)
     except Exception:
         pass
     if lattice.boundary in ("open_chain", "ring") and (
         lattice.boundary == "open_chain" or lattice.n_sites >= 3
     ):
-        routes["mps"] = run_mps(lattice, S1)
+        routes["mps"] = run_mps(lattice)
     return routes
 
 
@@ -51,7 +51,7 @@ def spin1_routes(lattice, seed=13):
     ids=["open2", "open3anti", "open4", "ring3", "ring4"],
 )
 def test_spin1_routes_pairwise_equivalent(lattice):
-    oracle, _ = oracle_vbs_state(lattice, S1)
+    oracle, _ = oracle_vbs_state(lattice)
     routes = spin1_routes(lattice)
     states = {name: r["state"] for name, r in routes.items()}
     for name, st in states.items():
@@ -66,20 +66,20 @@ def test_spin32_multigraph_ring_retry_route():
     from vbsprep.lattice import build_three_link_ring
 
     lat = build_three_link_ring(4)
-    oracle, _ = oracle_vbs_state(lat, S32)
-    r = run_mitigated_retry(lat, S32, seed=29)
+    oracle, _ = oracle_vbs_state(lat)
+    r = run_mitigated_retry(lat, seed=29)
     assert abs(r["state"].spin_fidelity(oracle) - 1.0) < 1e-10
     assert set(r["rounds_used"]) == {0, 2}  # one retried island per A site
 
 
 def test_spin32_pair_routes():
     pair = build_three_link_pair()
-    oracle, _ = oracle_vbs_state(pair, S32)
+    oracle, _ = oracle_vbs_state(pair)
     results = {
-        "probabilistic": run_probabilistic(pair, S32),
-        "lcu_sparse": run_lcu(pair, S32, "sparse"),
-        "islands": run_mitigated_islands(pair, S32),
-        "retry": run_mitigated_retry(pair, S32, 21),
+        "probabilistic": run_probabilistic(pair),
+        "lcu_sparse": run_lcu(pair),
+        "islands": run_mitigated_islands(pair),
+        "retry": run_mitigated_retry(pair, 21),
     }
     for name, r in results.items():
         assert abs(r["state"].spin_fidelity(oracle) - 1.0) < 1e-10, name
@@ -87,8 +87,8 @@ def test_spin32_pair_routes():
 
 def test_hexagon_ring_probabilistic():
     hexagon = build_honeycomb_patch(1, 1)
-    oracle, norm = oracle_vbs_state(hexagon, S1)
-    r = run_probabilistic(hexagon, S1)
+    oracle, norm = oracle_vbs_state(hexagon)
+    r = run_probabilistic(hexagon)
     assert abs(r["state"].spin_fidelity(oracle) - 1.0) < 1e-10
     assert abs(r["success_probability"] - norm) < 1e-12
     # six-site ring: same closed form as the chain ring
@@ -97,8 +97,8 @@ def test_hexagon_ring_probabilistic():
 
 def test_probability_equals_squared_norm_not_its_square():
     lat = build_chain(3, "ring")
-    _, norm = oracle_vbs_state(lat, S1)
-    r = run_probabilistic(lat, S1)
+    _, norm = oracle_vbs_state(lat)
+    r = run_probabilistic(lat)
     assert abs(r["success_probability"] - norm) < 1e-12
     assert abs(r["success_probability"] - norm**2) > 0.1
 
@@ -107,7 +107,7 @@ def test_retry_round_counts_follow_geometric_law():
     lat = build_chain(4, "ring")
     rounds = []
     for seed in range(60):
-        r = run_mitigated_retry(lat, S1, seed)
+        r = run_mitigated_retry(lat, seed)
         rounds.extend(r["rounds_used"].values())
     mean = np.mean(rounds)
     # island success probability is p = 3/4, so rounds are geometric(3/4)
@@ -118,21 +118,21 @@ def test_retry_round_counts_follow_geometric_law():
 def test_mitigated_probability_is_square_root_scale():
     # post-selection is only over half the sites
     lat = build_chain(4, "ring")
-    full = run_probabilistic(lat, S1)["success_probability"]
-    half = run_mitigated_islands(lat, S1)["success_probability"]
+    full = run_probabilistic(lat)["success_probability"]
+    half = run_mitigated_islands(lat)["success_probability"]
     assert half > full
     assert abs(half * (9.0 / 16.0) - full) < 1e-10  # A-sites cost (3/4)^2
 
 
 def test_lcu_returns_data_qubits_only():
     lat = build_chain(5, "ring")
-    r = run_lcu(lat, S1)
+    r = run_lcu(lat)
     assert r["state"].n_qubits == 10  # data only; peak was 12
 
 
 def test_lcu_scales_to_eight_sites():
     lat = build_chain(8, "ring")
-    r = run_lcu(lat, S1)
+    r = run_lcu(lat)
     from vbsprep.analysis import vbs_norm
 
     assert abs(r["success_probability"] - vbs_norm(8, "ring")) < 1e-10
@@ -145,7 +145,7 @@ def test_overlap_of_normalized_state_with_bond_product():
     lat = build_chain(3, "ring")
     enc = assign_qubits(lat, "hadamard_all")
     pre = bond_product(enc, enc.n_data_qubits)
-    psi, norm = oracle_vbs_state(lat, S1)
+    psi, norm = oracle_vbs_state(lat)
     amplitude = overlap(embed(psi), pre)
     assert abs(abs(amplitude) - np.sqrt(3.0 / 8.0)) < 1e-12
     assert abs(norm - 3.0 / 8.0) < 1e-12
@@ -161,7 +161,7 @@ def test_mixed_spin_patch_interior_link_annihilation():
     spins = {lat.site_twice_spin(s) for s in range(lat.n_sites)}
     assert spins == {2, 3}
     enc = assign_qubits(lat, "hadamard_all")
-    psi, norm = oracle_vbs_state(lat, S32)
+    psi, norm = oracle_vbs_state(lat)
     state = embed(psi)
     assert 0 < norm < 1
     proj = aklt_two_site_projector(S32)
@@ -181,7 +181,7 @@ def test_retry_circuit_tests_each_island_once_and_returns_its_ancilla():
 
     lat = build_chain(4, "ring")
     enc = assign_qubits(lat, "islands_plus_sublattice")
-    circ = mitigated_retry_circuit(lat, enc, S1)
+    circ = mitigated_retry_circuit(lat, enc)
     groups = island_qubit_groups(lat, enc)
     assert len(groups) == 2  # the two A sites' islands
     tests = [g for g in circ.gates if isinstance(g, Opaque)][: len(groups)]
@@ -195,25 +195,20 @@ def test_retry_circuit_tests_each_island_once_and_returns_its_ancilla():
 
 
 @pytest.mark.parametrize(
-    "lattice,s",
-    [
-        (build_chain(4, "ring"), S1),
-        (build_chain(4, "open", ("up", "down")), S1),
-        (build_three_link_pair(), S32),
-        (build_three_link_ring(4), S32),
-    ],
+    "lattice",
+    [build_chain(4, "ring"), build_chain(4, "open", ("up", "down")), build_three_link_pair(), build_three_link_ring(4)],
     ids=["ring4", "open4anti", "pair", "ring4_s32"],
 )
-def test_retry_circuit_post_selected_matches_oracle(lattice, s):
+def test_retry_circuit_post_selected_matches_oracle(lattice):
     # the retry markers reuse their ancilla, so they are projected mid-circuit
     from vbsprep.builders import mitigated_retry_circuit
     from vbsprep.ir import post_select, simulate_circuit
     from vbsprep.lattice import assign_qubits
 
     enc = assign_qubits(lattice, "islands_plus_sublattice")
-    circ = mitigated_retry_circuit(lattice, enc, s)
+    circ = mitigated_retry_circuit(lattice, enc)
     prob, state = post_select(*simulate_circuit(circ), range(enc.n_data_qubits))
-    oracle, norm = oracle_vbs_state(lattice, s)
+    oracle, norm = oracle_vbs_state(lattice)
     assert abs(state.spin_fidelity(oracle) - 1.0) < 1e-10
     assert abs(prob - norm) < 1e-12
 
@@ -244,7 +239,7 @@ def test_spin_basis_oracle_embeds_to_the_direct_symmetrizer_state(lattice):
     """V psi equals the symmetrized bond product, amplitude by amplitude, and the norms agree."""
     from vbsprep.analysis import vbs_norm
 
-    psi, norm = oracle_vbs_state(lattice, S1)
+    psi, norm = oracle_vbs_state(lattice)
     assert psi.shape == tuple(lattice.site_twice_spin(site) + 1 for site in range(lattice.n_sites))
     reference, reference_norm = reference_oracle(lattice)
     assert np.max(np.abs(embed(psi).amps - reference.amps)) < 1e-12
@@ -261,9 +256,9 @@ def test_spin_fidelity_counts_weight_outside_the_symmetric_subspace(tile, monkey
 
     monkeypatch.setattr(statesim, "TILE", tile)
     rng = np.random.default_rng(tile)
-    for lattice, s in [(build_chain(5, "open", ("up", "down")), S1), (build_three_link_ring(4), S32)]:
-        psi, _ = oracle_vbs_state(lattice, s)
-        state = run_probabilistic(lattice, s)["state"]
+    for lattice in [build_chain(5, "open", ("up", "down")), build_three_link_ring(4)]:
+        psi, _ = oracle_vbs_state(lattice)
+        state = run_probabilistic(lattice)["state"]
         n = assign_qubits(lattice).n_data_qubits
         # singlet-like leak on the first site's qubits: antisymmetric, outside its symmetric subspace
         leak = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
@@ -285,7 +280,7 @@ def test_lcu_builds_its_bond_layer_from_the_empty_register(monkeypatch):
         methods, "simulate_post_selected", lambda circ, keep, initial=None: initials.append(initial) or simulate(circ, keep)
     )
     lattice = build_chain(4, "open", ("up", "down"))
-    circ = run_lcu(lattice, S1)["circuit"]
+    circ = run_lcu(lattice)["circuit"]
     bonds = pre_vbs_circuit(lattice, assign_qubits(lattice, "hadamard_all")).gates
     assert circ.gates[: len(bonds)] == bonds
     assert initials == [None]
@@ -296,10 +291,57 @@ def test_oracle_contraction_stops_at_the_cap(monkeypatch):
     from vbsprep.errors import CapExceededError
 
     lattice = build_honeycomb_patch(1, 2)  # mixed spins: 104,976 amplitudes
-    psi, _ = oracle_vbs_state(lattice, S32)
+    psi, _ = oracle_vbs_state(lattice)
     monkeypatch.setenv("VBS_MAX_QUBITS", str(psi.size.bit_length() - 1))
     with pytest.raises(CapExceededError, match=r"spin-basis oracle of 'honeycomb:1:2' needs \d+ amplitudes"):
-        oracle_vbs_state(lattice, S32)
+        oracle_vbs_state(lattice)
+
+
+# Mixed-spin lattices: each builder reads a site's 2S from its qubits.
+DIAMOND = Lattice(4, ((0, 1), (1, 2), (2, 3), (3, 0), (0, 2)), name="diamond")  # 2S = 3, 2, 3, 2
+DOUBLED_SQUARE = Lattice(4, ((0, 1), (0, 1), (1, 2), (2, 3), (3, 0)), name="doubled-square")  # 3, 3, 2, 2; bipartite
+
+
+@pytest.mark.parametrize("route,n_qubits", [("probabilistic", 14), ("lcu", 16)])
+def test_a_mixed_spin_lattice_runs_through_the_circuit_routes(route, n_qubits):
+    """lcu: one bank of 3! ancillas (10..15); a spin-1 site post-selects only the first 2! of them."""
+    assert [DIAMOND.site_twice_spin(site) for site in range(4)] == [3, 2, 3, 2]
+    psi, norm = oracle_vbs_state(DIAMOND)
+    result = ROUTES[route](DIAMOND, 5)
+    assert result["circuit"].n_qubits == n_qubits
+    if route == "lcu":
+        assert sorted(m.qubit for m in result["circuit"].measures()) == sorted([*range(10, 16)] * 2 + [10, 11] * 2)
+    assert abs(result["state"].spin_fidelity(psi) - 1.0) <= 1e-10
+    assert abs(result["success_probability"] - norm) <= 1e-12
+
+
+@pytest.mark.parametrize("route", ["mitigated_islands", "mitigated_retry"])
+def test_a_mixed_spin_lattice_runs_through_the_island_routes(route):
+    assert [DOUBLED_SQUARE.site_twice_spin(site) for site in range(4)] == [3, 3, 2, 2]
+    psi, _ = oracle_vbs_state(DOUBLED_SQUARE)
+    assert abs(ROUTES[route](DOUBLED_SQUARE, 5)["state"].spin_fidelity(psi) - 1.0) <= 1e-10
+
+
+def test_a_honeycomb_patch_tests_each_site_at_its_own_spin(capsys):
+    """honeycomb:1:2 mixes spin-1 edge sites and spin-3/2 bulk sites; its 32-qubit circuit is built, not simulated.
+
+    The command line still takes one --spin for every site, so there the patch exits 2.
+    """
+    from vbsprep.builders import probabilistic_method_circuit
+    from vbsprep.cli import EXIT_CONFIG, main
+    from vbsprep.ir import Opaque
+    from vbsprep.lattice import assign_qubits
+
+    lattice = build_honeycomb_patch(1, 2)
+    encoding = assign_qubits(lattice, "hadamard_all")
+    circ = probabilistic_method_circuit(lattice, encoding)
+    assert circ.n_qubits == 32
+    tests = {g.qubits[1:]: g.label for g in circ.gates if isinstance(g, Opaque)}
+    assert {lattice.coordination(site) for site in range(lattice.n_sites)} == {2, 3}
+    assert tests == {encoding.site_qubits[site]: f"ctrl_exp_sym_{lattice.coordination(site)}"
+                     for site in range(lattice.n_sites)}
+    assert main(["verify", "--spin", "3", "--lattice", "honeycomb:1:2"]) == EXIT_CONFIG
+    assert "lattice has mixed local spins 2S in [2, 3]" in capsys.readouterr().err
 
 
 CHAIN_11 = build_chain(11, "open", ("up", "up"))  # 22 data qubits: 64 MB in qubits, 2.8 MB folded
@@ -314,7 +356,7 @@ def test_retry_symmetrizes_each_b_site_as_the_island_product_grows(monkeypatch):
     joined = statesim._joined
     monkeypatch.setattr(statesim, "_joined", lambda tensor, cols, axes, new, norms=None: sizes.extend(
         [tensor.size * 2 ** len(new)] * (cols.shape[1] > 1)) or joined(tensor, cols, axes, new, norms))
-    state = run_mitigated_retry(CHAIN_11, S1, 3)["state"]
+    state = run_mitigated_retry(CHAIN_11, 3)["state"]
     assert state.n_qubits == 22 and state._dims == (3,) * 11 and state.amps.size == 3**11
     assert sizes[-1] == max(sizes) == 3**9 * 2**4 < 2**19
 
@@ -341,7 +383,7 @@ def test_retry_product_holds_the_state_and_the_partial_before_it(monkeypatch):
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
-        run_mitigated_retry(CHAIN_11, S1, 3)
+        run_mitigated_retry(CHAIN_11, 3)
         route_peak = tracemalloc.get_traced_memory()[1] - start
     finally:
         tracemalloc.stop()
@@ -367,7 +409,7 @@ def test_a_route_makes_one_state_sized_pass_to_scale_its_state(route, monkeypatc
         monkeypatch.setattr(module, "_norm_sq", lambda amps: norms.append(amps.size) or norm_sq(amps))
         monkeypatch.setattr(module, "_scale", lambda amps, factor: scales.append(amps.size) or scale(amps, factor))
     monkeypatch.setattr(ir, "post_select", lambda *a: selects.append(1) or post_select(*a))
-    state = run_lcu(CHAIN_9, S1)["state"] if route == "lcu" else run_mitigated_retry(CHAIN_10, S1, 3)["state"]
+    state = run_lcu(CHAIN_9)["state"] if route == "lcu" else run_mitigated_retry(CHAIN_10, 3)["state"]
     assert state.amps.size == (2**18 if route == "lcu" else 3**10)  # the retry state is folded
     assert max(norms) <= statesim.TILE
     assert [size for size in scales if size > statesim.TILE] == [state.amps.size]
@@ -393,7 +435,7 @@ def test_retry_product_of_chain10_holds_the_state_the_partial_and_an_eighth(monk
     monkeypatch.setattr(Statevector, "product_of_factors", traced)
     tracemalloc.start()
     try:
-        run_mitigated_retry(CHAIN_10, S1, 3)
+        run_mitigated_retry(CHAIN_10, 3)
     finally:
         tracemalloc.stop()
     peak, nbytes = peaks[-1]

@@ -10,9 +10,6 @@ from vbsprep.ir import Circuit, Opaque, cnot_count, post_select, simulate_circui
 from vbsprep.lattice import BOUNDARY_OPEN, assign_qubits, build_chain
 from vbsprep.methods import oracle_vbs_state, run_mps
 from vbsprep.mpsprep import (
-    ROLE_BULK,
-    ROLE_FIRST_OPEN,
-    ROLE_LAST_OPEN,
     build_disentangler,
     complete_to_unitary,
     contract_mps,
@@ -26,13 +23,11 @@ from vbsprep.mpsprep import (
     vbs_mps,
 )
 from vbsprep.qasm import emit_qasm
-from vbsprep.spinops import SpinValue
 from vbsprep.statesim import Statevector
 
 from oracle_reference import expectation, fidelity, from_amplitudes, project
 from qasm_reader import parse_qasm
 
-S1 = SpinValue(2)
 R6 = 1.0 / math.sqrt(6.0)
 
 
@@ -81,14 +76,14 @@ def test_local_tensor_left_and_right_normalized():
 
 @pytest.mark.parametrize("n", [3, 4, 5])
 def test_periodic_contraction_matches_oracle(n):
-    oracle, _ = oracle_vbs_state(build_chain(n, "ring"), S1)
+    oracle, _ = oracle_vbs_state(build_chain(n, "ring"))
     state = contract_mps(vbs_mps(n, "ring"), "ring")
     assert abs(state.spin_fidelity(oracle) - 1.0) < 1e-10
 
 
 @pytest.mark.parametrize("spins", [("up", "up"), ("up", "down"), ("down", "up"), ("down", "down")])
 def test_open_contraction_matches_oracle(spins):
-    oracle, _ = oracle_vbs_state(build_chain(4, "open", spins), S1)
+    oracle, _ = oracle_vbs_state(build_chain(4, "open", spins))
     state = contract_mps(vbs_mps(4, BOUNDARY_OPEN, spins), BOUNDARY_OPEN)
     assert abs(state.spin_fidelity(oracle) - 1.0) < 1e-10
 
@@ -106,33 +101,33 @@ def test_left_canonicalization_idempotent_and_rank2():
 
 def test_bulk_disentangler_shapes_and_unitarity():
     tensors = vbs_mps(4, "ring")
-    d = build_disentangler(tensors[1], ROLE_BULK)
+    d = build_disentangler(tensors[1])
     assert d.shape == (8, 8)
     assert np.max(np.abs(d.conj().T @ d - np.eye(8))) < 1e-12
 
     open_tensors = vbs_mps(4, BOUNDARY_OPEN, ("up", "up"))
-    d1 = build_disentangler(open_tensors[0], ROLE_FIRST_OPEN)
+    d1 = build_disentangler(open_tensors[0])
     assert d1.shape == (4, 4)
-    dn = build_disentangler(open_tensors[-1], ROLE_LAST_OPEN)
+    dn = build_disentangler(open_tensors[-1])
     assert dn.shape == (8, 8)
 
 
 def test_disentangler_requires_canonical_tensor():
     with pytest.raises(ConfigError):
-        build_disentangler(local_vbs_tensor() * 0.5, ROLE_BULK)
+        build_disentangler(local_vbs_tensor() * 0.5)
 
 
 def test_reference_disentangler_is_unitary_and_extends_tensor():
     ref = _reference_bulk_disentangler()
     assert np.max(np.abs(ref.conj().T @ ref - np.eye(8))) < 1e-10
-    mine = build_disentangler(vbs_mps(4, "ring")[0], ROLE_BULK)
+    mine = build_disentangler(vbs_mps(4, "ring")[0])
     # constrained columns (dummy inputs |00>) agree exactly
     assert np.max(np.abs(ref[:, :2] - mine[:, :2])) < 1e-12
 
 
 def test_completion_choice_independence():
     # preparing through the reference completion gives the same state
-    oracle, _ = oracle_vbs_state(build_chain(4, "ring"), S1)
+    oracle, _ = oracle_vbs_state(build_chain(4, "ring"))
     ref = _reference_bulk_disentangler()
 
     tensors = vbs_mps(4, "ring")
@@ -205,16 +200,16 @@ def _prepared(circ: Circuit, lattice) -> tuple:
     [(2, ("up", "up")), (3, ("up", "up")), (4, ("up", "down")), (5, ("down", "down")), (6, ("up", "up"))],
 )
 def test_prepare_open_matches_oracle(n, spins):
-    oracle, _ = oracle_vbs_state(build_chain(n, "open", spins), S1)
-    result = run_mps(build_chain(n, "open", spins), S1)
+    oracle, _ = oracle_vbs_state(build_chain(n, "open", spins))
+    result = run_mps(build_chain(n, "open", spins))
     assert result["success_probability"] == 1.0
     assert abs(result["state"].spin_fidelity(oracle) - 1.0) < 1e-10
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])
 def test_prepare_periodic_matches_oracle_with_half_probability(n):
-    oracle, _ = oracle_vbs_state(build_chain(n, "ring"), S1)
-    result = run_mps(build_chain(n, "ring"), S1)
+    oracle, _ = oracle_vbs_state(build_chain(n, "ring"))
+    result = run_mps(build_chain(n, "ring"))
     assert abs(result["success_probability"] - 0.5) < 1e-10
     assert abs(result["state"].spin_fidelity(oracle) - 1.0) < 1e-10
 
@@ -257,7 +252,7 @@ def test_ring_embedding_weight_is_simulated_weight(n):
     simulated = expectation(before, a_tilde.conj().T @ a_tilde, (0, 1))
     assert abs(ring_embedding_weight(n) - simulated) < 1e-12
     assert abs(ring_embedding_weight(n) - (1 + 3 * (-1 / 3) ** n) / 2) < 1e-12
-    assert abs(run_mps(build_chain(n, "ring"), S1)["success_probability"] - 0.5) < 1e-12
+    assert abs(run_mps(build_chain(n, "ring"))["success_probability"] - 0.5) < 1e-12
 
 
 @pytest.mark.parametrize(
@@ -265,7 +260,7 @@ def test_ring_embedding_weight_is_simulated_weight(n):
 )
 def test_run_mps_returns_its_circuit(lattice, sites):
     # a ring prepares its last site by a Schmidt split, not a disentangler
-    result = run_mps(lattice, S1)
+    result = run_mps(lattice)
     circ = result["circuit"]
     assert circ.n_qubits == result["encoding"].total_qubits
     labels = [g.label for g in circ.gates if isinstance(g, Opaque) and g.label.startswith("mps_site")]
@@ -277,7 +272,7 @@ def test_run_mps_returns_its_circuit(lattice, sites):
 
 @pytest.mark.parametrize("lattice", [build_chain(3, "open", ("up", "up")), build_chain(3, "ring")], ids=["open", "ring"])
 def test_mps_structural_qasm_round_trips(lattice):
-    circ = run_mps(lattice, S1)["circuit"]
+    circ = run_mps(lattice)["circuit"]
     matrices = {g.label: g.matrix for g in circ.gates if isinstance(g, Opaque)}
     parsed = parse_qasm(emit_qasm(circ, "structural"), matrices)
     assert parsed.n_qubits == circ.n_qubits
@@ -297,11 +292,11 @@ def test_forward_disentangle_returns_to_zero():
     tensors = vbs_mps(n, BOUNDARY_OPEN, ("up", "up"))
     state, _ = simulate_circuit(mps_circuit(n, BOUNDARY_OPEN, ("up", "up")))
     work = Statevector(state.n_qubits, state.amps.copy())
-    first = build_disentangler(tensors[0], ROLE_FIRST_OPEN)
+    first = build_disentangler(tensors[0])
     work.apply_unitary(first.conj().T, (0, 1))
     for i in range(2, n):
-        gate = build_disentangler(tensors[i - 1], ROLE_BULK)
+        gate = build_disentangler(tensors[i - 1])
         work.apply_unitary(gate.conj().T, (2 * i - 3, 2 * i - 2, 2 * i - 1))
-    last = build_disentangler(tensors[-1], ROLE_LAST_OPEN)
+    last = build_disentangler(tensors[-1])
     work.apply_unitary(last.conj().T, (2 * n - 3, 2 * n - 2, 2 * n - 1))
     assert abs(abs(work.amps[0]) - 1.0) < 1e-10

@@ -12,7 +12,6 @@ from vbsprep.ir import Circuit, CNot, Measure, Opaque, U1Q, post_select, simulat
 from vbsprep.lattice import assign_qubits, linear_coupling
 from vbsprep.methods import ROUTES
 from vbsprep.routing import heavy_hex_pair, route
-from vbsprep.spinops import SpinValue
 from vbsprep.statesim import Statevector
 from vbsprep.symmetrize import inverse_gates, w_state_circuit
 
@@ -27,18 +26,18 @@ CIRCUIT_ROUTES = ("probabilistic", "mitigated_islands", "lcu", "mps")
 
 def _route_circuits(spec, twice_s):
     """(name, circuit, keep) of every route circuit valid on the lattice, the retry circuit included."""
-    lattice, s = parse_lattice(spec), SpinValue(twice_s)
+    lattice = parse_lattice(spec)
     out = []
     for name in CIRCUIT_ROUTES:
         try:
             validate_config(lattice, twice_s, name)
-            result = ROUTES[name](lattice, s, 0)
+            result = ROUTES[name](lattice, 0)
         except VbsError:
             continue
         out.append((name, result["circuit"], range(result["encoding"].n_data_qubits)))
     if "mitigated_islands" in [name for name, _, _ in out]:
         enc = assign_qubits(lattice, "islands_plus_sublattice")
-        out.append(("retry_circuit", mitigated_retry_circuit(lattice, enc, s), range(enc.n_data_qubits)))
+        out.append(("retry_circuit", mitigated_retry_circuit(lattice, enc), range(enc.n_data_qubits)))
     if twice_s == 2:
         enc = assign_qubits(lattice, "hadamard_all")
         routed = route(out[0][1], linear_coupling(enc.total_qubits))
@@ -98,10 +97,10 @@ def _peak_width(monkeypatch) -> list:
 )
 def test_the_register_never_holds_every_ancilla(spec, twice_s, method, register, bound, monkeypatch):
     lattice = parse_lattice(spec)
-    result = ROUTES[method](lattice, SpinValue(twice_s), 0)
+    result = ROUTES[method](lattice, 0)
     assert result["circuit"].n_qubits == register
     peak = _peak_width(monkeypatch)
-    ROUTES[method](lattice, SpinValue(twice_s), 0)
+    ROUTES[method](lattice, 0)
     assert peak[0] <= bound
 
 
@@ -135,7 +134,7 @@ def test_a_folded_impossible_marker_names_its_qubit(monkeypatch):
 
 def _prepare_exits_check_failed(circuit, monkeypatch, capsys) -> None:
     monkeypatch.setattr(
-        methods, "probabilistic_method_circuit", lambda lattice, encoding, s: circuit(encoding.total_qubits)
+        methods, "probabilistic_method_circuit", lambda lattice, encoding: circuit(encoding.total_qubits)
     )
     argv = ["prepare", "--spin", "2", "--lattice", "chain:2:open:aligned", "--method", "probabilistic"]
     assert main(argv) == EXIT_CHECK_FAILED
@@ -325,7 +324,7 @@ def test_random_ancilla_banks_wider_than_a_block_post_select_as_they_run(monkeyp
 
 def test_simulate_circuit_folds_the_reused_spin_3_2_lcu_bank_as_the_reference_projects_it():
     # simulate_post_selected on this circuit is checked by the three-link-pair row of the lattice test above
-    circ = ROUTES["lcu"](parse_lattice("three-link-pair"), SpinValue(3), 0)["circuit"]
+    circ = ROUTES["lcu"](parse_lattice("three-link-pair"), 0)["circuit"]
     state, markers = simulate_circuit(circ)
     ref, ref_markers = gate_by_gate(circ)
     assert markers == ref_markers
@@ -346,7 +345,7 @@ def test_each_lcu_site_pattern_composes_its_segment_once(monkeypatch):
     block_matrix = ir._block_matrix
     monkeypatch.setattr(ir, "_block_matrix", lambda support, gates, columns=None: composed.append(
         (len(support), 2 ** len(support) if columns is None else columns.shape[-1])) or block_matrix(support, gates, columns))
-    ROUTES["lcu"](parse_lattice("three-link-ring:4"), SpinValue(3), 0)
+    ROUTES["lcu"](parse_lattice("three-link-ring:4"), 0)
     # four sites, one pattern: the bank of six and the site's three qubits, only the 8 columns where the bank holds 0
     assert [c for c in composed if c[0] >= 9] == [(9, 8)]
 
@@ -448,7 +447,7 @@ def test_a_swap_renames_every_later_gate_and_keeps_each_opaque_matrix():
                          + ["chain:4:ring"])
 def test_a_routed_circuit_peaks_at_the_unrouted_width(spec, monkeypatch):
     peak = _peak_width(monkeypatch)
-    result = ROUTES["probabilistic"](parse_lattice(spec), SpinValue(2), 0)
+    result = ROUTES["probabilistic"](parse_lattice(spec), 0)
     unrouted, peak[0] = peak[0], 0
     encoding = result["encoding"]
     routed = route(result["circuit"], linear_coupling(encoding.total_qubits))
@@ -457,7 +456,7 @@ def test_a_routed_circuit_peaks_at_the_unrouted_width(spec, monkeypatch):
 
 
 def _routed_chain4():
-    result = ROUTES["probabilistic"](parse_lattice("chain:4:open:anti"), SpinValue(2), 0)
+    result = ROUTES["probabilistic"](parse_lattice("chain:4:open:anti"), 0)
     encoding = result["encoding"]
     routed = route(result["circuit"], linear_coupling(encoding.total_qubits))
     return result["circuit"], routed, routed.placement[: encoding.n_data_qubits]

@@ -16,7 +16,6 @@ from vbsprep.lattice import (
 from vbsprep.methods import oracle_vbs_state
 from vbsprep.qasm import emit_qasm
 from vbsprep.routing import PAIR_DISPLACEMENT, PAIR_ROLES, displacement_block, heavy_hex_pair, route
-from vbsprep.spinops import SpinValue
 
 from oracle_reference import fidelity, prepared
 from qasm_reader import parse_qasm
@@ -37,7 +36,7 @@ def _run_post_selected(circ, keep):
 )
 def test_route_linear_preserves_semantics(lattice, twice_s):
     enc = assign_qubits(lattice, "hadamard_all")
-    circ = probabilistic_method_circuit(lattice, enc, SpinValue(twice_s))
+    circ = probabilistic_method_circuit(lattice, enc)
     routed = route(circ, linear_coupling(enc.total_qubits))
     p0, s0 = _run_post_selected(circ, range(enc.n_data_qubits))
     p1, s1 = _run_post_selected(routed.circuit, routed.placement[: enc.n_data_qubits])
@@ -55,7 +54,7 @@ def test_route_linear_preserves_semantics(lattice, twice_s):
 def test_route_does_not_fit():
     lat = build_chain(3, "ring")
     enc = assign_qubits(lat, "hadamard_all")
-    circ = probabilistic_method_circuit(lat, enc, SpinValue(2))
+    circ = probabilistic_method_circuit(lat, enc)
     with pytest.raises(ConfigError):
         route(circ, linear_coupling(4))
 
@@ -70,7 +69,7 @@ def test_displacement_block_counts():
 
 def test_heavy_hex_bare_pipeline():
     routed, encoding = heavy_hex_pair("probabilistic")
-    oracle, norm = oracle_vbs_state(encoding.lattice, SpinValue(3))
+    oracle, norm = oracle_vbs_state(encoding.lattice)
     prob, state = _run_post_selected(routed.circuit, routed.placement[: encoding.n_data_qubits])
     assert abs(state.spin_fidelity(oracle) - 1.0) < 1e-12
     assert abs(prob - norm) < 1e-12
@@ -82,7 +81,7 @@ def test_heavy_hex_bare_pipeline():
 
 def test_heavy_hex_mitigated_pipeline():
     routed, encoding = heavy_hex_pair("mitigated_islands")
-    oracle, _ = oracle_vbs_state(encoding.lattice, SpinValue(3))
+    oracle, _ = oracle_vbs_state(encoding.lattice)
     prob, state = _run_post_selected(routed.circuit, routed.placement[: encoding.n_data_qubits])
     assert abs(state.spin_fidelity(oracle) - 1.0) < 1e-12
     assert cnot_depth(routed.circuit, "heavy_hex") == 105  # 57 + 9 + 39
@@ -185,7 +184,7 @@ def test_valence_bond_qasm_body():
 def test_basis_mode_round_trip_spin1():
     lat = build_chain(2, "open", ("up", "up"))
     enc = assign_qubits(lat, "hadamard_all")
-    circ = probabilistic_method_circuit(lat, enc, SpinValue(2))
+    circ = probabilistic_method_circuit(lat, enc)
     text = emit_qasm(circ, "basis")
     assert "opaque" not in text
     parsed = parse_qasm(text)
@@ -198,7 +197,7 @@ def test_basis_mode_round_trip_spin1():
 def test_structural_mode_spin32_has_4_qubit_opaque():
     lat = build_three_link_pair()
     enc = assign_qubits(lat, "hadamard_all")
-    circ = probabilistic_method_circuit(lat, enc, SpinValue(3))
+    circ = probabilistic_method_circuit(lat, enc)
     text = emit_qasm(circ, "structural")
     assert "opaque ctrl_exp_sym_3 a0, a1, a2, a3;" in text
     parsed = parse_qasm(text, opaque_matrices={
@@ -213,7 +212,7 @@ def test_structural_mode_spin32_has_4_qubit_opaque():
 def test_basis_mode_rejects_unexpandable_opaque():
     from vbsprep.schmidt import island_prep_circuit
 
-    circ = island_prep_circuit(SpinValue(2))
+    circ = island_prep_circuit(2)
     with pytest.raises(UnsupportedError):
         emit_qasm(circ, "basis")
 
@@ -354,7 +353,7 @@ def _routing_cases():
     for spec in [f"chain:{n}:open:{flavor}" for n in range(2, 6) for flavor in ("aligned", "anti")] + ["chain:4:ring"]:
         lattice = parse_lattice(spec)
         enc = assign_qubits(lattice, "hadamard_all")
-        cases.append((probabilistic_method_circuit(lattice, enc, SpinValue(2)), linear_coupling(enc.total_qubits)))
+        cases.append((probabilistic_method_circuit(lattice, enc), linear_coupling(enc.total_qubits)))
     for method in ("probabilistic", "mitigated_islands"):
         cases.append((heavy_hex_pair(method)[0].circuit, heavy_hex_patch(1)))
     cases.append((Circuit(5, [Opaque("tie", (2, 0, 4), np.eye(8))]), linear_coupling(5)))  # 0 and 4 both 2 away

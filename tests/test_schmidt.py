@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from vbsprep.errors import ConfigError, UnsupportedError
+from vbsprep.errors import ConfigError
 from vbsprep.ir import Circuit, CNot, cnot_count, cnot_depth, post_select, simulate_circuit
 from vbsprep.schmidt import (
     island_prep_circuit,
@@ -12,7 +12,7 @@ from vbsprep.schmidt import (
     schmidt_prepare,
     u1q_gate,
 )
-from vbsprep.spinops import SpinValue, symmetrizer
+from vbsprep.spinops import symmetrizer
 from vbsprep.statesim import Statevector
 from vbsprep.symmetrize import (
     block_angle,
@@ -23,7 +23,7 @@ from vbsprep.symmetrize import (
     w_state_circuit,
 )
 
-from oracle_reference import apply_ops, fidelity, from_amplitudes, prepared, project, w_state_vector
+from oracle_reference import apply_ops, fidelity, from_amplitudes, prepared, w_state_vector
 
 # Printed island amplitudes for the spin-1 case: (1/sqrt(3)) * (0,0,0,1/2,...)
 ISLAND_S1_REF = np.array(
@@ -32,22 +32,22 @@ ISLAND_S1_REF = np.array(
 
 
 def test_island_state_spin1_vector():
-    st = island_state(SpinValue(2))
+    st = island_state(2)
     assert np.max(np.abs(st.amps - ISLAND_S1_REF)) < 1e-12
 
 
 def test_island_state_norm_ratios():
-    assert abs(island_state(SpinValue(2)).tracked_norm_sq - 0.75) < 1e-12
-    assert abs(island_state(SpinValue(3)).tracked_norm_sq - 0.5) < 1e-12
+    assert abs(island_state(2).tracked_norm_sq - 0.75) < 1e-12
+    assert abs(island_state(3).tracked_norm_sq - 0.5) < 1e-12
 
 
 @pytest.mark.parametrize("twice_s,count,depth", [(2, 7, 4), (3, 35, 19)])
 def test_island_circuit_counts_and_state(twice_s, count, depth):
-    circ = island_prep_circuit(SpinValue(twice_s))
+    circ = island_prep_circuit(twice_s)
     assert cnot_count(circ, "all_to_all") == count
     assert cnot_depth(circ, "all_to_all") == depth
     sim, _ = simulate_circuit(circ)
-    assert abs(fidelity(sim, island_state(SpinValue(twice_s))) - 1.0) < 1e-10
+    assert abs(fidelity(sim, island_state(twice_s)) - 1.0) < 1e-10
 
 
 @pytest.mark.parametrize("nq", [2, 3, 4, 5, 6])
@@ -213,19 +213,16 @@ def test_permutation_matrices_are_distinct_permutations():
 # LCU
 # ---------------------------------------------------------------------------
 
-def _lcu_apply(n_halves: int, variant: str, input_state: Statevector):
-    m = math.factorial(n_halves) if variant == "sparse" else 1
-    total = n_halves + m
-    circ = lcu_symmetrization_circuit(
-        n_halves, tuple(range(n_halves)), tuple(range(n_halves, total)), variant
-    )
+def _lcu_apply(n_halves: int, input_state: Statevector):
+    total = n_halves + math.factorial(n_halves)
+    circ = lcu_symmetrization_circuit(n_halves, tuple(range(n_halves)), tuple(range(n_halves, total)))
     # the input on the halves; the ancillas start in |0>
     state, markers = simulate_circuit(Circuit(total, [prepared(input_state.amps, range(n_halves))] + circ.gates))
     return post_select(state, markers, range(n_halves))
 
 
-@pytest.mark.parametrize("n_halves,variant", [(2, "sparse"), (2, "dense"), (3, "sparse")])
-def test_lcu_applies_symmetrizer(n_halves, variant):
+@pytest.mark.parametrize("n_halves", [2, 3], ids=["2-sparse", "3-sparse"])
+def test_lcu_applies_symmetrizer(n_halves):
     rng = np.random.default_rng(n_halves)
     v = rng.normal(size=2**n_halves) + 1j * rng.normal(size=2**n_halves)
     v /= np.linalg.norm(v)
@@ -233,50 +230,14 @@ def test_lcu_applies_symmetrizer(n_halves, variant):
 
     oracle = from_amplitudes(v)
     ratio = apply_ops(oracle, [(symmetrizer(n_halves), tuple(range(n_halves)))])
-    prob, out = _lcu_apply(n_halves, variant, inp)
+    prob, out = _lcu_apply(n_halves, inp)
     assert abs(prob - ratio) < 1e-10
     assert abs(fidelity(out, oracle) - 1.0) < 1e-10
 
 
-def test_lcu_dense_equals_sparse_state(seed=4):
-    rng = np.random.default_rng(seed)
-    v = rng.normal(size=4) + 1j * rng.normal(size=4)
-    v /= np.linalg.norm(v)
-    p1, s1 = _lcu_apply(2, "sparse", from_amplitudes(v))
-    p2, s2 = _lcu_apply(2, "dense", from_amplitudes(v))
-    assert abs(p1 - p2) < 1e-10
-    assert abs(fidelity(s1, s2) - 1.0) < 1e-10
-
-
-def test_lcu_dense_equals_local_hadamard_test():
-    # state-level equality of the two-ancillaless routes on the same input
-    from vbsprep.builders import controlled
-    from vbsprep.spinops import exp_minus_i_pi_symmetrizer
-
-    rng = np.random.default_rng(6)
-    v = rng.normal(size=4) + 1j * rng.normal(size=4)
-    v /= np.linalg.norm(v)
-    p_lcu, s_lcu = _lcu_apply(2, "dense", from_amplitudes(v))
-
-    h = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
-    work = Statevector.product_of_factors(3, [((0, 1), v), ((2,), np.array([1, 0], dtype=complex))])
-    work.apply_unitary(h, (2,))
-    work.apply_unitary(controlled(exp_minus_i_pi_symmetrizer(2)), (2, 0, 1))
-    work.apply_unitary(h, (2,))
-    p_had = project(work, 2, 1)
-    s_had = from_amplitudes(work.amps.reshape(4, 2)[:, 1])
-    assert abs(p_lcu - p_had) < 1e-12
-    assert abs(fidelity(s_lcu, s_had) - 1.0) < 1e-12
-
-
-def test_lcu_dense_needs_two_halves():
-    with pytest.raises(UnsupportedError):
-        lcu_symmetrization_circuit(3, (0, 1, 2), (3, 4, 5), "dense")
-
-
 def test_lcu_wrong_ancilla_count():
     with pytest.raises(ConfigError):
-        lcu_symmetrization_circuit(2, (0, 1), (2,), "sparse")
+        lcu_symmetrization_circuit(2, (0, 1), (2,))
 
 
 def test_lcu_spin2_totals():
