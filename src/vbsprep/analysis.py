@@ -14,7 +14,7 @@ from .ir import Circuit, cnot_depth
 from .lattice import BOUNDARY_OPEN, BOUNDARY_RING, assign_qubits, build_chain, build_three_link_pair
 from .routing import heavy_hex_pair
 from .spinops import symmetric_fraction
-from .statesim import Statevector
+from .statesim import sample_indices
 
 
 # ---------------------------------------------------------------------------
@@ -114,31 +114,30 @@ def repetitions_table(twice_s: int) -> list[dict]:
 # Monte Carlo
 # ---------------------------------------------------------------------------
 
-def monte_carlo_success(state: Statevector, markers, expected_p: float, shots: int, seed: int) -> tuple[float, float]:
+def monte_carlo_success(probs: np.ndarray, markers, expected_p: float, shots: int, seed: int) -> tuple[float, float]:
     """Empirical all-markers-pass rate and its z-score against expected_p.
 
-    Samples `state`, the simulated circuit before its terminal markers are
-    post-selected, as `ir.simulate_circuit` returns it with them: the whole
-    register, every ancilla included (a reused marker was post-selected as
-    the circuit ran, so the rate is conditioned on it).  A route's result
-    holds only its data qubits
-    (`ir.simulate_post_selected`), so `prepare --shots` simulates the
-    route's circuit again for this draw.
+    Samples and consumes `probs`, the whole register's Born probabilities
+    before the terminal markers are post-selected, as `ir.born_probabilities`
+    returns them with those markers, every ancilla included (a reused
+    marker was post-selected as the circuit ran, so the rate is conditioned
+    on it).  A route's result holds only its data qubits, so `prepare
+    --shots` runs the route's circuit again for these probabilities.
     """
     if not 0 < expected_p < 1:
         raise ConfigError("expected_p must be inside (0, 1)")
     if not markers:
         raise ConfigError("circuit has no measurement markers")
     # A shot passes when its basis index has every marker's bit at the
-    # expected value; qubit q is bit n-1-q (qubit 0 is the MSB).
+    # expected value; of 2^n entries, qubit q is bit n-1-q (qubit 0 is the MSB).
     mask = want = 0
     clash = False  # a qubit post-selected on both outcomes: no shot passes
     for m in markers:
-        bit = 1 << (state.n_qubits - 1 - m.qubit)
+        bit = probs.size >> (m.qubit + 1)
         clash |= bool(mask & bit) and bool(want & bit) != bool(m.expect)
         mask |= bit
         want |= bit * m.expect
-    outcomes = state.sample_indices(shots, seed)
+    outcomes = sample_indices(probs, shots, seed)
     hits = 0 if clash else int(np.count_nonzero((outcomes & mask) == want))
     rate = hits / shots
     sigma = math.sqrt(expected_p * (1 - expected_p) / shots)

@@ -36,12 +36,10 @@ def controlled(mat: np.ndarray) -> np.ndarray:
     return out
 
 
-def valence_bond_subcircuit(q_top: int, q_bottom: int, circ: Circuit | None = None) -> Circuit:
-    """H, X, CNOT, Z sequence preparing (|01> - |10>)/sqrt(2) on (q_top, q_bottom)."""
+def valence_bond_subcircuit(q_top: int, q_bottom: int, circ: Circuit) -> Circuit:
+    """H, X, CNOT, Z sequence preparing (|01> - |10>)/sqrt(2) on (q_top, q_bottom), added to `circ`."""
     if q_top == q_bottom:
         raise ValueError("valence bond needs two distinct qubits")
-    if circ is None:
-        circ = Circuit(max(q_top, q_bottom) + 1)
     circ.add(u_h(q_top))
     circ.add(u_x(q_bottom))
     circ.add(CNot(q_top, q_bottom))
@@ -71,7 +69,7 @@ def spin_ket(spin: str) -> np.ndarray:
 def _test_block(twice_s: int) -> np.ndarray:
     """The site test's controlled exp(-i pi P_sym), read-only.
 
-    One array serves every site, so `ir.simulate_circuit`, which keys an
+    One array serves every site, so a simulation (`ir._Run`), which keys an
     Opaque by its matrix's identity, composes a repeated test once per call.
     """
     block = controlled(exp_minus_i_pi_symmetrizer(twice_s))
@@ -82,7 +80,7 @@ def _test_block(twice_s: int) -> np.ndarray:
 def hadamard_test_fragment(
     site: int,
     encoding: SiteEncoding,
-    circ: Circuit | None = None,
+    circ: Circuit,
     heavy_hex_box: str | None = None,
     anc: int | None = None,
     creg: int | None = None,
@@ -100,8 +98,6 @@ def hadamard_test_fragment(
         anc = encoding.site_ancilla(site)
     qubits = encoding.site_qubits[site]
     twice_s = len(qubits)
-    if circ is None:
-        circ = Circuit(encoding.total_qubits)
     cost_key = f"test_2s{twice_s}" + (f"_{heavy_hex_box or 'line'}" if twice_s == 3 else "")
     if cost_key not in DECLARED_COSTS:
         raise UnsupportedError(f"no declared test costs for 2S={twice_s}")

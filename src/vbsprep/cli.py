@@ -26,7 +26,7 @@ from .errors import (
     UnsupportedError,
     VbsError,
 )
-from .ir import cnot_depth, simulate_circuit, simulate_post_selected
+from .ir import born_probabilities, cnot_depth, simulate_post_selected
 from .lattice import (
     BOUNDARY_OPEN,
     BOUNDARY_RING,
@@ -188,9 +188,9 @@ def cmd_prepare(args) -> int:
     if args.method == "probabilistic":
         report.add_check("success_prob_equals_norm", oracle_norm, result["success_probability"], 1e-10)
         if args.shots:
-            # the route post-selected as it ran: the draw needs the full register, simulated again
-            simulated = simulate_circuit(result["circuit"])
-            rate, z = analysis.monte_carlo_success(*simulated, oracle_norm, args.shots, args.seed)
+            # the route post-selected as it ran: the draw needs the full register's probabilities, simulated again
+            probs, markers = born_probabilities(result["circuit"])
+            rate, z = analysis.monte_carlo_success(probs, markers, oracle_norm, args.shots, args.seed)
             report.simulated["mc_rate"] = rate
             report.simulated["mc_z"] = z
             report.add_check("mc_within_3_sigma", 0.0, z, 3.0)

@@ -13,7 +13,6 @@ deterministic.
 from __future__ import annotations
 
 import cmath
-import copy
 import math
 import struct
 from dataclasses import dataclass, field
@@ -21,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ImpossibleOutcomeError, MissingCostError, NonUnitaryError, VbsError
-from .statesim import FUSE_WIDTH, PROB_FLOOR, TILE, UNITARY_TOL, Statevector, _checked_width, _contract, _norm_sq, _scale
+from .statesim import FUSE_WIDTH, PROB_FLOOR, TILE, UNITARY_TOL, Statevector, _check_unitary, _checked_width, _contract, _norm_sq, _scale
 
 
 @dataclass(frozen=True)
@@ -107,8 +106,8 @@ class Measure:
     before the first later gate that touches its qubit, and drops the qubit
     from the state, so an ancilla can be reused after it is measured: it
     joins again at its next gate, in the outcome it was dropped on.
-    simulate_circuit leaves out the markers no later gate touches (the
-    terminal ones) and returns them, for post_select.
+    born_probabilities leaves out the markers no later gate touches (the
+    terminal ones) and returns them, for the Monte-Carlo draw.
     """
 
     qubit: int
@@ -126,11 +125,13 @@ Gate = CNot | U1Q | Opaque | Measure
 def _renamed(gate: Gate, mapping) -> Gate:
     """A copy of `gate` on `mapping[q]` for each of its qubits q: the one way a built gate changes qubits.
 
-    No __post_init__ runs: an Opaque keeps its matrix object and is not checked again."""
-    out = copy.copy(gate)
-    for name in gate.__dict__.keys() & {"control", "target", "qubit", "qubits"}:
-        q = getattr(gate, name)
-        object.__setattr__(out, name, mapping[q] if isinstance(q, int) else tuple(mapping[p] for p in q))
+    No __post_init__ runs (the fields go through the instance dict): an Opaque keeps its matrix object unchecked."""
+    fields = dict(gate.__dict__)
+    for name in fields.keys() & {"control", "target", "qubit", "qubits"}:
+        q = fields[name]
+        fields[name] = mapping[q] if isinstance(q, int) else tuple(mapping[p] for p in q)
+    out = object.__new__(type(gate))
+    out.__dict__.update(fields)
     return out
 
 
@@ -364,12 +365,14 @@ def _segments(gates: list) -> dict[int, tuple[int, list[int]]]:
 
 
 class _Run:
-    """One simulate_post_selected call in progress (simulate_circuit runs through it too).
+    """One simulate_post_selected or born_probabilities call in progress.
 
     `gates` act on wires (`wire` maps a qubit to its wire at the end, and
     `given` a renamed gate's id to its first qubit as given).  `state` holds
     an axis per `live` wire, in wire order (none before the first block),
     its squared norm carried in `norm_sq`: no fold scales it, `select` does.
+    The latest block waits in `held` until the next block or a read of the
+    state (`write`), so the last can go straight to Born probabilities (`born`).
     `value` maps a wire dropped on a marker to the outcome it holds until it
     joins again.  `blocks` keeps the block matrices the call composed, by
     their `_block_key` and slice.
@@ -392,29 +395,47 @@ class _Run:
                 self.given[id(self.gates[-1])] = g.qubits[0]
         self.state = Statevector(0, np.ones(1, dtype=complex))  # no qubit until the first block
         self.norm_sq = 1.0
+        self.held: tuple | None = None  # (mat, axes, new axes, folded qubits) of the write that waits
         self.live: list[int] = []
         self.value: dict[int, int] = {}
         self.blocks: dict[tuple, np.ndarray] = {}
 
     def apply(self, mat: np.ndarray, qubits, folded=()) -> None:
-        """Apply `mat` on `qubits`; a qubit not yet live joins the state in |0>.
+        """Apply `mat` on `qubits` (held, once the block held before is written); a qubit not yet live joins in |0>.
 
         With `folded` qubits (see apply_block) `mat` is not unitary: the
         norm ratio, after (summed over the tiles) over the carried `norm_sq`,
         is their markers' joint probability; the state is not scaled.
         """
+        self.write()
         live = self.live
         new = [q for q in qubits if q not in live]
         live.extend(new)
         live.sort()
-        axes, new = [live.index(q) for q in qubits], [live.index(q) for q in new]
-        if not folded:
+        self.held = (mat, [live.index(q) for q in qubits], [live.index(q) for q in new], folded)
+
+    def write(self) -> None:
+        """Write the held block, if any, into the state."""
+        if self.held is not None and not self.held[3]:
+            (mat, axes, new, _), self.held = self.held, None
             self.state.apply_unitary(mat, axes, new_qubits=new)
-            return
+        elif self.held is not None:
+            self.written(self.state._apply)
+
+    def written(self, kernel):
+        """`kernel(mat, axes, new, norms)` on the held block, let go: `Statevector._apply`, or `_born` for probabilities only.
+
+        An unfolded block is checked unitary; a folding one's norm ratio goes to `norm_sq` (see `apply`).
+        """
+        (mat, axes, new, folded), self.held = self.held, None
+        if not folded:
+            _check_unitary(mat)
+            return kernel(mat, axes, new, None)
         try:
             norms: list[float] = []
-            self.state._apply(mat, axes, new, norms)
+            out = kernel(mat, axes, new, norms)
             self.norm_sq = self.state._retain(self.norm_sq, norms)
+            return out
         except ImpossibleOutcomeError as exc:
             exc.args = (f"markers on qubits {sorted(folded)} (folded into a block, no state axis): {exc}",)
             raise
@@ -468,6 +489,7 @@ class _Run:
         block, or checked against the value its qubit holds.  With none left
         and `keep` the live qubits in order, it hands out the state itself.
         """
+        self.write()
         live = self.live
         on_axes = [m for m in markers if m.qubit in live]
         norm_sq, self.norm_sq = self.norm_sq, 1.0  # either way, the state handed out is scaled once
@@ -558,26 +580,37 @@ class _Run:
         return markers
 
 
-def simulate_circuit(circuit: Circuit) -> tuple[Statevector, list[Measure]]:
-    """Run the circuit from the empty register; return the whole register's state and its terminal markers.
+def born_probabilities(circuit: Circuit) -> tuple[np.ndarray, list[Measure]]:
+    """Run the circuit from the empty register; return the whole register's Born probabilities and its terminal markers.
 
-    The terminal markers, the ones no later gate touches, are taken out and
-    returned, in circuit order, for `post_select` or the Monte-Carlo draw.
-    The other gates run through simulate_post_selected, which keeps every
-    qubit, in the circuit's order: each reused marker is post-selected
-    there, and `tracked_norm_sq` carries the product of their probabilities.
+    The terminal markers, the ones no later gate touches, are taken out for
+    the Monte-Carlo draw (`statesim.sample_indices`).  The rest runs as
+    simulate_post_selected keeping every qubit, in order; its last write goes
+    to |a|^2 in index order (`Statevector._born`), so no complex register is
+    held, unless a SWAP taken out leaves the wires in another order
+    (`_Run.select` reorders them).  Where a block folded markers, the carried
+    norm is not 1: |a|^2 takes `select`'s factor once per factor of a, equal
+    to |a|^2 of the state `select` would scale to rounding.
     """
-    reused = _reused_markers(circuit.gates)
-    terminal = {i for i, g in enumerate(circuit.gates) if isinstance(g, Measure)} - reused
-    rest = Circuit(circuit.n_qubits, [g for i, g in enumerate(circuit.gates) if i not in terminal])
-    return simulate_post_selected(rest, range(circuit.n_qubits))[1], [circuit.gates[i] for i in sorted(terminal)]
+    terminal = {i for i, g in enumerate(circuit.gates) if isinstance(g, Measure)} - _reused_markers(circuit.gates)
+    run = _Run(Circuit(circuit.n_qubits, [g for i, g in enumerate(circuit.gates) if i not in terminal]))
+    run.drop(run.run())
+    run.make_live(run.wire)
+    markers = [circuit.gates[i] for i in sorted(terminal)]
+    if run.wire != run.live:
+        return np.square(np.abs(run.select([], run.wire)[1].amps)), markers
+    probs, factor = run.written(run.state._born), 1 / math.sqrt(run.norm_sq)
+    if factor != 1.0:
+        probs *= factor
+        probs *= factor
+    return probs, markers
 
 
 def simulate_post_selected(circuit: Circuit, keep) -> tuple[float, Statevector]:
     """Run the circuit from the empty register, post-select every marker, keep the `keep` qubits.
 
-    Equals `post_select(*simulate_circuit(circuit), keep)` (to rounding),
-    without holding every ancilla to the end.  Every marker, reused or not,
+    Equals post-selecting the whole register, every ancilla held to the
+    end (to rounding), without holding them.  Every marker, reused or not,
     is post-selected when the next block is applied, or before its qubit's
     next gate, and its qubit leaves the state (`_Run.run`): an ancilla bank
     that one block holds from its first gate on is folded into it, a live
@@ -628,7 +661,7 @@ def post_select(state: Statevector, markers, keep) -> tuple[float, Statevector]:
     Takes the slice of `state` where every marker qubit holds its expected
     value, in one pass.  The probability is the slice's share of the norm
     times the state's `tracked_norm_sq`, so it also covers the reused
-    markers simulate_circuit post-selected as it ran.  Any other qubit not
+    markers a run post-selected as it went (`_Run`).  Any other qubit not
     in `keep` (an ancilla that a SWAP moved after its reused marker, an idle qubit)
     must hold one definite value, and is dropped on it.  Returns the
     renormalized state of the `keep` qubits, in the order given; `state` is
@@ -664,7 +697,7 @@ def circuit_unitary(circuit: Circuit) -> np.ndarray:
     """Full matrix of a measurement-free circuit (small registers only).
 
     Composes every gate into one matrix on the whole register through
-    `_block_matrix`, the contraction simulate_circuit builds its blocks with.
+    `_block_matrix`, the contraction `_Run` builds its blocks with.
     """
     n = circuit.n_qubits
     if n > 12:

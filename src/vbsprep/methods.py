@@ -76,9 +76,9 @@ def _post_selected(circ: Circuit, encoding: SiteEncoding) -> dict:
     `ir.simulate_post_selected` post-selects each ancilla right after its
     last gate: an ancilla bank, from its first gate to its markers, is
     folded into one block and never becomes a state axis, so the register
-    of every circuit route here holds only its data qubits.  A caller that
-    needs the full register before post-selection (the Monte-Carlo draw)
-    simulates `circuit` again with `ir.simulate_circuit`.
+    of every circuit route here holds only its data qubits.  The
+    Monte-Carlo draw, which needs the full register before post-selection,
+    runs `circuit` again for its Born probabilities (`ir.born_probabilities`).
     """
     prob, state = simulate_post_selected(circ, range(encoding.n_data_qubits))
     return {"state": state, "success_probability": prob, "circuit": circ, "encoding": encoding}

@@ -210,15 +210,20 @@ def _contract(tensor: np.ndarray, mat: np.ndarray, axes, source=None, norms=None
     written in place, tile by tile: beyond `tensor` this takes one tile's
     scratch.  Of one tile, the kernel's output is already a fresh array: it
     is returned (made contiguous), `tensor` unchanged, with no copy back.
+    A float `tensor` takes each tile's Born probabilities instead, as
+    np.abs(out) ** 2 gives them, so a last write holds no complex result.
     Each tile's squared norm goes to the list `norms`, if given, as it is
     written (`_norm_sq`), so the result's norm takes no pass of its own.
     """
     for tile, out in _tiles(tensor, mat, axes, source):
         if norms is not None:
             norms.append(_norm_sq(out))
-        if tile.size == tensor.size:
+        if tile.dtype != out.dtype:
+            np.square(np.abs(out, out=tile), out=tile)
+        elif tile.size == tensor.size:
             return np.ascontiguousarray(out).reshape(tensor.shape)
-        np.copyto(tile, out)
+        else:
+            np.copyto(tile, out)
     return tensor
 
 
@@ -228,22 +233,30 @@ def _shape_only(shape: tuple) -> np.ndarray:
     return np.broadcast_to(np.zeros((), dtype=complex), shape)
 
 
-def _joined(tensor: np.ndarray, cols: np.ndarray, axes, new, norms=None) -> np.ndarray:
-    """`cols`, 2^k x 2^(k-m), on the listed axes, as the m axes in `new` join `tensor` in |0>; a fresh array.
+def _joined(tensor: np.ndarray, cols: np.ndarray, axes, new, norms, dtype) -> np.ndarray:
+    """`cols`, 2^k x 2^(k-m), on the listed axes, as the m axes in `new` join `tensor` in |0>; a fresh array of `dtype`.
 
     `cols` holds an operator's columns where the new qubits read 0.  Axes
     are numbered in the result.  `_contract` (`norms` as there) reads
     `tensor`, with a size-1 axis per new qubit, and writes the grown state,
     tile by tile, into an array that is never zeroed: a join holds `tensor`,
-    the grown state and one tile's scratch.  A grown state of one tile is
-    the kernel's output itself, so no array is allocated for it.
+    the grown state and one tile's scratch.  A complex grown state of one
+    tile is the kernel's output itself, so no array is allocated for it; a
+    float one takes the Born probabilities, `new` empty or not.
     """
     sizes = iter(tensor.shape)
     source = tensor.reshape([1 if a in new else next(sizes) for a in range(tensor.ndim + len(new))])
     shape = tuple(2 if a in new else size for a, size in enumerate(source.shape))
-    # of one tile, the array to write into only lends its shape
-    grown = np.empty(shape, dtype=complex) if math.prod(shape) > TILE else _shape_only(shape)
+    # of one tile, a complex array to write into only lends its shape
+    grown = _shape_only(shape) if dtype is complex and math.prod(shape) <= TILE else np.empty(shape, dtype)
     return _contract(grown, cols, axes, source, norms)
+
+
+def _columns(mat: np.ndarray, axes, new) -> np.ndarray:
+    """`mat`'s columns where the `new` axes among `axes` read 0: 2^k x 2^(k-m)."""
+    k = len(axes)
+    cols = mat.reshape([2] * (2 * k))[(slice(None),) * k + tuple(slice(1 if a in new else 2) for a in axes)]
+    return cols.reshape(2**k, -1)
 
 
 def _fold_tiles(tensor: np.ndarray, lo: int, sites):
@@ -380,7 +393,7 @@ class Statevector:
                 for op, qs in ops[:ready]:
                     block = _contract(block, op, [support.index(q) for q in qs])
                 norms: list[float] = []
-                amps = _joined(amps, block.reshape(2**k, -1), [live.index(q) for q in support], [live.index(q) for q in qubits], norms)
+                amps = _joined(amps, block.reshape(2**k, -1), [live.index(q) for q in support], [live.index(q) for q in qubits], norms, complex)
             ops, done = ops[ready:], done + ready
             for site in [site for site, wait in waits.items() if wait <= done and set(site) <= set(live)]:
                 del waits[site]
@@ -412,15 +425,18 @@ class Statevector:
         """`mat` on the listed qubits through `_contract` (`norms` as there), in place or into a new array; `new` ones join in |0>."""
         if new:
             n = _checked_width(self.n_qubits + len(new))
-            tensor, k = self._tensor(mat, qubits, new), len(qubits)
-            cols = mat.reshape([2] * (2 * k))[(slice(None),) * k + tuple(slice(1 if a in new else 2) for a in qubits)]
-            grown = _joined(tensor, cols.reshape(2**k, -1), qubits, new, norms)
+            grown = _joined(self._tensor(mat, qubits, new), _columns(mat, qubits, new), qubits, new, norms, complex)
             self.amps, self._dims, self.n_qubits = grown.reshape(-1), grown.shape, n
             return
         tensor = self._tensor(mat, qubits)
         out = _contract(tensor, mat, qubits, norms=norms)
         if out is not tensor:
             self.amps = out.reshape(-1)
+
+    def _born(self, mat: np.ndarray, qubits, new, norms) -> np.ndarray:
+        """|a|^2 in index order of the state `_apply` would write, in one float array written tile by tile; the state is unchanged."""
+        _checked_width(self.n_qubits + len(new))
+        return _joined(self._tensor(mat, qubits, new), _columns(mat, qubits, new), qubits, new, norms, float).reshape(-1)
 
     def _retain(self, before: float, norms) -> float:
         """Take after / before into `tracked_norm_sq`, after the sum of `norms`; return after (below PROB_FLOOR: raise)."""
@@ -483,29 +499,28 @@ class Statevector:
         overlap = complex(math.fsum(p.real for p in parts), math.fsum(p.imag for p in parts))
         return abs(overlap) ** 2 / (math.fsum(map(_norm_sq, psi_rows)) * math.fsum(norms)) * self._kept
 
-    def sample_indices(self, shots: int, seed: int) -> np.ndarray:
-        """Basis indices of `shots` Born-rule draws: `default_rng(seed).choice(2**n, shots, p=|a|^2/sum)`, bit for bit.
 
-        `choice` searches the cdf of p for each of `shots` uniforms u in draw
-        order.  The same operations build the cdf here, in place in one float
-        array, and the same u are searched in ascending order, so that each
-        search starts where the last ended and the cdf is read front to back;
-        a search's result does not depend on the other keys, so put back in
-        shot order they are `choice`'s.  A zero or non-finite state raises
-        ValueError.
-        """
-        if shots < 1:
-            raise ValueError("shots must be >= 1")
-        cdf = np.abs(self.amps)
-        np.square(cdf, out=cdf)
-        total = cdf.sum()
-        if not 0 < total < math.inf:
-            raise ValueError(f"cannot sample a state of squared norm {total}")
-        cdf /= total
-        np.cumsum(cdf, out=cdf)
-        cdf /= cdf[-1]
-        keys = np.random.default_rng(seed).random(shots)
-        order = keys.argsort()
-        indices = np.empty(shots, dtype=np.intp)
-        indices[order] = cdf.searchsorted(keys[order], side="right")
-        return indices
+def sample_indices(probs: np.ndarray, shots: int, seed: int) -> np.ndarray:
+    """Basis indices of `shots` Born-rule draws from `probs` (|a|^2 in index order): `default_rng(seed).choice(len(probs), shots, p=probs/sum)`, bit for bit.
+
+    `choice` searches the cdf of p for each of `shots` uniforms u in draw
+    order.  The same operations build the cdf here, in place in `probs`,
+    which the draw consumes, and the same u are searched in ascending order,
+    so that each search starts where the last ended and the cdf is read
+    front to back; a search's result does not depend on the other keys, so
+    put back in shot order they are `choice`'s.  A zero or non-finite sum
+    raises ValueError.
+    """
+    if shots < 1:
+        raise ValueError("shots must be >= 1")
+    total = probs.sum()
+    if not 0 < total < math.inf:
+        raise ValueError(f"cannot sample a state of squared norm {total}")
+    probs /= total
+    np.cumsum(probs, out=probs)
+    probs /= probs[-1]
+    keys = np.random.default_rng(seed).random(shots)
+    order = keys.argsort()
+    indices = np.empty(shots, dtype=np.intp)
+    indices[order] = probs.searchsorted(keys[order], side="right")
+    return indices

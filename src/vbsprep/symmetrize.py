@@ -37,16 +37,12 @@ def w_block(p: float, control: int, target: int, circ: Circuit) -> Circuit:
     return circ
 
 
-def w_state_circuit(m: int, qubits: tuple[int, ...] | None = None, circ: Circuit | None = None) -> Circuit:
-    """Staircase of blocks B(1/m)...B(1/2) preparing the uniform one-hot state."""
+def w_state_circuit(m: int, qubits: tuple[int, ...], circ: Circuit) -> Circuit:
+    """Staircase of blocks B(1/m)...B(1/2) preparing the uniform one-hot state on `qubits`, added to `circ`."""
     if m < 2:
         raise ValueError("need at least 2 qubits")
-    if qubits is None:
-        qubits = tuple(range(m))
     if len(qubits) != m:
         raise ValueError("qubit list length must equal m")
-    if circ is None:
-        circ = Circuit(max(qubits) + 1)
     circ.add(u_x(qubits[0]))
     for i in range(m - 1):
         w_block(1.0 / (m - i), qubits[i], qubits[i + 1], circ)

@@ -11,8 +11,10 @@ site) and the qubit basis (a run of 2S qubits per site, in site order), and
 `qubit_amps` embeds a state's folded sites back.
 `overlap`, `fidelity`, `expectation` and `applied_norm` compare and
 measure qubit-basis states.  `circuit_unitary_by_columns` is the unfused
-reference for `ir.circuit_unitary`, and `gate_by_gate` for `ir.simulate_circuit`:
-every gate alone, each marker projected in place by slicing (`project`).
+reference for `ir.circuit_unitary`.  `simulate_circuit` returns the whole
+register's state, whose Born probabilities `ir.born_probabilities` writes,
+and `gate_by_gate` is its unfused reference: every gate alone, each marker
+projected in place by slicing (`project`).
 `zero_state`, `from_amplitudes` and `prepared` give a circuit its starting state.
 
 The spin-algebra references are built another way than the package's
@@ -32,7 +34,7 @@ import numpy as np
 from vbsprep import statesim
 from vbsprep.builders import spin_ket
 from vbsprep.errors import CapExceededError, ImpossibleOutcomeError
-from vbsprep.ir import Circuit, Measure, Opaque, _gate_matrix
+from vbsprep.ir import Circuit, Measure, Opaque, _gate_matrix, _reused_markers, simulate_post_selected
 from vbsprep.lattice import SPIN_UP, Lattice, SiteEncoding, assign_qubits
 from vbsprep.schmidt import SINGLET
 from vbsprep.spinops import (
@@ -214,8 +216,22 @@ def project(state: Statevector, qubit: int, outcome: int) -> float:
     return prob
 
 
+def simulate_circuit(circuit: Circuit) -> tuple[Statevector, list[Measure]]:
+    """Run the circuit from the empty register; return the whole register's state and its terminal markers.
+
+    The terminal markers, the ones no later gate touches, are taken out and
+    returned, in circuit order, for `post_select` or the Monte-Carlo draw.
+    The other gates run through `ir.simulate_post_selected`, which keeps
+    every qubit, in the circuit's order: each reused marker is post-selected
+    there, and `tracked_norm_sq` carries the product of their probabilities.
+    """
+    terminal = {i for i, g in enumerate(circuit.gates) if isinstance(g, Measure)} - _reused_markers(circuit.gates)
+    rest = Circuit(circuit.n_qubits, [g for i, g in enumerate(circuit.gates) if i not in terminal])
+    return simulate_post_selected(rest, range(circuit.n_qubits))[1], [circuit.gates[i] for i in sorted(terminal)]
+
+
 def gate_by_gate(circuit: Circuit, v=None) -> tuple[Statevector, list]:
-    """Unfused reference for `ir.simulate_circuit`: the state of the whole register and the terminal markers.
+    """Unfused reference for `simulate_circuit`: the state of the whole register and the terminal markers.
 
     Starts from the vector v, or from |0...0>.  Every gate is applied alone;
     each marker is projected (`project`) just before the first later gate on

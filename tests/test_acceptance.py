@@ -16,7 +16,7 @@ from vbsprep.analysis import (
     table_i_grid,
 )
 from vbsprep.builders import probabilistic_method_circuit
-from vbsprep.ir import Opaque, cnot_count, cnot_depth, post_select, simulate_circuit
+from vbsprep.ir import Circuit, Opaque, born_probabilities, cnot_count, cnot_depth, post_select
 from vbsprep.lattice import (
     assign_qubits,
     build_chain,
@@ -49,7 +49,7 @@ from vbsprep.symmetrize import (
     w_state_circuit,
 )
 
-from oracle_reference import applied_norm, embed, expectation, fidelity, symmetrizer_from_spin_projector, w_state_vector
+from oracle_reference import applied_norm, embed, expectation, fidelity, simulate_circuit, symmetrizer_from_spin_projector, w_state_vector
 from retry_model import fit_mean_rounds, retry_histogram_zscores, sublattice_retry_simulation
 
 S1, S32 = SpinValue(2), SpinValue(3)
@@ -148,13 +148,13 @@ def test_criterion_04_success_probabilities():
         # the measured probability equals the squared norm itself
         _, norm = oracle_vbs_state(lattice)
         assert abs(result["success_probability"] - norm) <= 1e-10
-        rate, z = monte_carlo_success(*simulate_circuit(result["circuit"]), expected, 100_000, seed)
+        rate, z = monte_carlo_success(*born_probabilities(result["circuit"]), expected, 100_000, seed)
         assert abs(z) < 3.0, (lattice.name, rate, z)
     # seed sweep: at most one 3-sigma outlier in 20 seeds
     lat = build_chain(2, "open", ("up", "up"))
     circ = run_probabilistic(lat)["circuit"]
     outliers = sum(
-        1 for seed in range(20) if abs(monte_carlo_success(*simulate_circuit(circ), 0.5, 10_000, seed)[1]) >= 3.0
+        1 for seed in range(20) if abs(monte_carlo_success(*born_probabilities(circ), 0.5, 10_000, seed)[1]) >= 3.0
     )
     assert outliers < 2
     _report(4)
@@ -231,11 +231,11 @@ def test_criterion_07_permutation_and_lcu_resources():
     assert res["select_cnots"] == 322
     assert res["total_cnots"] == 2 * 46 + 322 == 414
 
-    w24 = w_state_circuit(24)
+    w24 = w_state_circuit(24, tuple(range(24)), Circuit(24))
     assert cnot_count(w24, "all_to_all") == 46
 
     for m in range(2, 17):
-        sim, _ = simulate_circuit(w_state_circuit(m))
+        sim, _ = simulate_circuit(w_state_circuit(m, tuple(range(m)), Circuit(m)))
         assert np.max(np.abs(sim.amps - w_state_vector(m))) <= 1e-12
     _report(7)
 

@@ -14,9 +14,10 @@ from vbsprep.analysis import (
 )
 from vbsprep.builders import probabilistic_method_circuit
 from vbsprep.errors import ConfigError, UnsupportedError
-from vbsprep.ir import simulate_circuit
+from vbsprep.ir import born_probabilities
 from vbsprep.lattice import BOUNDARY_OPEN, assign_qubits, build_chain, build_three_link_pair
 from vbsprep.methods import oracle_vbs_state
+from vbsprep.statesim import sample_indices
 
 from retry_model import (
     fit_mean_rounds,
@@ -138,8 +139,8 @@ def test_monte_carlo_deterministic_and_calibrated():
     lat = build_chain(2, "open", ("up", "up"))
     enc = assign_qubits(lat, "hadamard_all")
     circ = probabilistic_method_circuit(lat, enc)
-    rate1, z1 = monte_carlo_success(*simulate_circuit(circ), 0.5, 100_000, seed=3)
-    rate2, _ = monte_carlo_success(*simulate_circuit(circ), 0.5, 100_000, seed=3)
+    rate1, z1 = monte_carlo_success(*born_probabilities(circ), 0.5, 100_000, seed=3)
+    rate2, _ = monte_carlo_success(*born_probabilities(circ), 0.5, 100_000, seed=3)
     assert rate1 == rate2
     assert abs(z1) < 3.0
 
@@ -148,7 +149,7 @@ def test_monte_carlo_deterministic_circuit_rate_is_one():
     from vbsprep.ir import Circuit, Measure, u_x
 
     circ = Circuit(1, gates=[u_x(0), Measure(0, expect=1)])
-    rate, _ = monte_carlo_success(*simulate_circuit(circ), 0.5, 1000, seed=1)
+    rate, _ = monte_carlo_success(*born_probabilities(circ), 0.5, 1000, seed=1)
     assert rate == 1.0
 
 
@@ -159,7 +160,7 @@ def test_monte_carlo_three_link_single_site():
     enc = assign_qubits(lat, "hadamard_all")
     circ = pre_vbs_circuit(lat, enc)
     hadamard_test_fragment(0, enc, circ)
-    rate, z = monte_carlo_success(*simulate_circuit(circ), 0.5, 100_000, seed=5)
+    rate, z = monte_carlo_success(*born_probabilities(circ), 0.5, 100_000, seed=5)
     assert abs(z) < 3.0
 
 
@@ -167,14 +168,14 @@ def test_monte_carlo_bit_masks_count_like_bitstrings():
     from vbsprep.ir import Measure
 
     lat = build_chain(3, "ring")
-    simulated, markers = simulate_circuit(probabilistic_method_circuit(lat, assign_qubits(lat, "hadamard_all")))
-    n = simulated.n_qubits
+    probs, markers = born_probabilities(probabilistic_method_circuit(lat, assign_qubits(lat, "hadamard_all")))
+    n = probs.size.bit_length() - 1
     for marks in (markers, markers + markers[:1], markers + [Measure(markers[0].qubit, 1 - markers[0].expect)],
                   [Measure(0, 1), Measure(n - 1, 0)]):
         for seed in (0, 1, 7, 12345):
-            draws = [format(i, f"0{n}b") for i in simulated.sample_indices(5000, seed)]
+            draws = [format(i, f"0{n}b") for i in sample_indices(probs.copy(), 5000, seed)]
             hits = sum(all(int(bits[m.qubit]) == m.expect for m in marks) for bits in draws)
-            rate, _ = monte_carlo_success(simulated, marks, 0.5, 5000, seed)
+            rate, _ = monte_carlo_success(probs.copy(), marks, 0.5, 5000, seed)
             assert rate == hits / 5000, (marks, seed)
 
 

@@ -24,7 +24,6 @@ from vbsprep.ir import (
     cnot_count,
     cnot_depth,
     post_select,
-    simulate_circuit,
     u_h,
 )
 from vbsprep.lattice import assign_qubits, build_chain, build_three_link_pair
@@ -40,6 +39,7 @@ from oracle_reference import (
     gate_by_gate,
     prepared,
     project,
+    simulate_circuit,
     zero_state,
 )
 
@@ -48,19 +48,19 @@ INV_SQRT2 = 1.0 / np.sqrt(2.0)
 
 def test_valence_bond_amplitudes():
     # frozen from the 4x4 product of the four gates
-    circ = valence_bond_subcircuit(0, 1)
+    circ = valence_bond_subcircuit(0, 1, Circuit(2))
     state, _ = simulate_circuit(circ)
     assert np.allclose(state.amps, [0, INV_SQRT2, -INV_SQRT2, 0], atol=1e-12)
 
 
 def test_valence_bond_counts():
-    circ = valence_bond_subcircuit(0, 1)
+    circ = valence_bond_subcircuit(0, 1, Circuit(2))
     assert cnot_count(circ, "all_to_all") == 1
     assert cnot_depth(circ, "all_to_all") == 1
 
 
 def test_valence_bond_not_involution():
-    circ = valence_bond_subcircuit(0, 1)
+    circ = valence_bond_subcircuit(0, 1, Circuit(2))
     u = circuit_unitary(circ)
     assert np.max(np.abs(u @ u - np.eye(4))) > 0.1
 
@@ -97,7 +97,7 @@ def test_pre_vbs_matches_tensor_product_construction():
 def test_hadamard_test_declared_costs(twice_s, coupling, count):
     lat = build_chain(2, "open") if twice_s == 2 else build_three_link_pair()
     enc = assign_qubits(lat, "hadamard_all")
-    frag = hadamard_test_fragment(0, enc)
+    frag = hadamard_test_fragment(0, enc, Circuit(enc.total_qubits))
     assert cnot_count(frag, coupling) == count
 
 
@@ -106,7 +106,7 @@ def test_hadamard_test_postselection_equals_symmetrizer():
 
     lat = build_chain(2, "open")
     enc = assign_qubits(lat, "hadamard_all")
-    circ = pre_vbs_circuit(lat, enc).extend(hadamard_test_fragment(0, enc).gates)
+    circ = pre_vbs_circuit(lat, enc).extend(hadamard_test_fragment(0, enc, Circuit(enc.total_qubits)).gates)
     state, markers = simulate_circuit(circ)
     data = range(enc.n_data_qubits)
     prob, state = post_select(state, markers, data)
@@ -283,7 +283,7 @@ def test_builders_preserve_total_probability_before_projection():
     circuits.append(mitigated_islands_circuit(lat4, enc4))
     circuits.append(mitigated_retry_circuit(lat4, enc4))
     circuits.append(island_prep_circuit(3))
-    circuits.append(w_state_circuit(6))
+    circuits.append(w_state_circuit(6, tuple(range(6)), Circuit(6)))
     for circ in circuits:
         state, _ = simulate_circuit(circ)
         total = float(np.vdot(state.amps, state.amps).real)

@@ -4,6 +4,7 @@ import io
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 from vbsprep.cli import EXIT_CHECK_FAILED, EXIT_CONFIG, EXIT_OK, EXIT_UNSUPPORTED, METHODS, main, parse_lattice
 from vbsprep.errors import ConfigError
 
-from oracle_reference import applied_norm, apply_ops, bond_product, compress, embed, expectation
+from oracle_reference import applied_norm, apply_ops, bond_product, compress, embed, expectation, simulate_circuit
 
 
 def test_parse_lattice_mini_language():
@@ -227,9 +228,9 @@ def test_reports_are_byte_identical(tmp_path):
 
 
 def test_prepare_shots_samples_the_simulated_circuit(tmp_path):
+    """The draw equals one from the whole register's state, |a|^2 of the tests' `simulate_circuit`."""
     from vbsprep.analysis import monte_carlo_success
     from vbsprep.builders import probabilistic_method_circuit
-    from vbsprep.ir import simulate_circuit
     from vbsprep.lattice import assign_qubits
     from vbsprep.methods import oracle_vbs_state
 
@@ -241,7 +242,8 @@ def test_prepare_shots_samples_the_simulated_circuit(tmp_path):
     lat = parse_lattice("chain:3:ring")
     circ = probabilistic_method_circuit(lat, assign_qubits(lat, "hadamard_all"))
     _, norm_sq = oracle_vbs_state(lat)
-    rate, z = monte_carlo_success(*simulate_circuit(circ), norm_sq, 2000, 5)
+    state, markers = simulate_circuit(circ)
+    rate, z = monte_carlo_success(np.abs(state.amps) ** 2, markers, norm_sq, 2000, 5)
     assert doc["simulated"]["mc_rate"] == rate
     assert doc["simulated"]["mc_z"] == z
 
@@ -263,18 +265,32 @@ def test_monte_carlo_draw_on_chain7_is_pinned(seed, code, rate, tmp_path):
 
 def test_sampling_a_zero_state_exits_config(monkeypatch, capsys):
     """The draw's ValueError on a zero state reaches the CLI as a config error, exit 2."""
-    from vbsprep.statesim import Statevector
+    from vbsprep import analysis
 
-    draw = Statevector.sample_indices
+    draw = analysis.sample_indices
 
-    def on_a_zero_state(self, shots, seed):
-        self.amps[:] = 0
-        return draw(self, shots, seed)
+    def on_a_zero_state(probs, shots, seed):
+        probs[:] = 0
+        return draw(probs, shots, seed)
 
-    monkeypatch.setattr(Statevector, "sample_indices", on_a_zero_state)
+    monkeypatch.setattr(analysis, "sample_indices", on_a_zero_state)
     argv = ["prepare", "--spin", "2", "--lattice", "chain:2:open:aligned", "--method", "probabilistic", "--shots", "10"]
     assert main(argv) == EXIT_CONFIG
     assert "cannot sample a state of squared norm 0" in capsys.readouterr().err
+
+
+def test_prepare_shots_on_21_qubits_never_holds_the_register(capsys):
+    """chain:7's draw reads Born probabilities that the run's last write makes, so no 32 MB 2^21 complex register is held."""
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        argv = ["prepare", "--spin", "2", "--lattice", "chain:7:open:aligned", "--method", "probabilistic", "--shots", "100000"]
+        assert main(argv) == EXIT_OK
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 << 20  # the 8 MB 2^19 state and the 16 MB probabilities it grows into, then the draw in place
 
 
 def test_verify_open_chain(tmp_path):

@@ -202,8 +202,10 @@ def test_retry_circuit_tests_each_island_once_and_returns_its_ancilla():
 def test_retry_circuit_post_selected_matches_oracle(lattice):
     # the retry markers reuse their ancilla, so they are projected mid-circuit
     from vbsprep.builders import mitigated_retry_circuit
-    from vbsprep.ir import post_select, simulate_circuit
+    from vbsprep.ir import post_select
     from vbsprep.lattice import assign_qubits
+
+    from oracle_reference import simulate_circuit
 
     enc = assign_qubits(lattice, "islands_plus_sublattice")
     circ = mitigated_retry_circuit(lattice, enc)
@@ -354,8 +356,8 @@ def test_retry_symmetrizes_each_b_site_as_the_island_product_grows(monkeypatch):
     """
     sizes = []  # amplitudes of each join that composes an op: a bare factor joins as one column
     joined = statesim._joined
-    monkeypatch.setattr(statesim, "_joined", lambda tensor, cols, axes, new, norms=None: sizes.extend(
-        [tensor.size * 2 ** len(new)] * (cols.shape[1] > 1)) or joined(tensor, cols, axes, new, norms))
+    monkeypatch.setattr(statesim, "_joined", lambda tensor, cols, axes, new, norms, dtype: sizes.extend(
+        [tensor.size * 2 ** len(new)] * (cols.shape[1] > 1)) or joined(tensor, cols, axes, new, norms, dtype))
     state = run_mitigated_retry(CHAIN_11, 3)["state"]
     assert state.n_qubits == 22 and state._dims == (3,) * 11 and state.amps.size == 3**11
     assert sizes[-1] == max(sizes) == 3**9 * 2**4 < 2**19

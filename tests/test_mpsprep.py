@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from vbsprep.errors import ConfigError, MissingCostError, UnsupportedError
-from vbsprep.ir import Circuit, Opaque, cnot_count, post_select, simulate_circuit
+from vbsprep.ir import Circuit, Opaque, cnot_count, post_select
 from vbsprep.lattice import BOUNDARY_OPEN, assign_qubits, build_chain
 from vbsprep.methods import oracle_vbs_state, run_mps
 from vbsprep.mpsprep import (
@@ -25,7 +25,7 @@ from vbsprep.mpsprep import (
 from vbsprep.qasm import emit_qasm
 from vbsprep.statesim import Statevector
 
-from oracle_reference import expectation, fidelity, from_amplitudes, project
+from oracle_reference import expectation, fidelity, from_amplitudes, project, simulate_circuit
 from qasm_reader import parse_qasm
 
 R6 = 1.0 / math.sqrt(6.0)

@@ -5,17 +5,17 @@ import numpy as np
 import pytest
 
 from vbsprep import ir, methods
-from vbsprep.builders import mitigated_retry_circuit
+from vbsprep.builders import mitigated_retry_circuit, probabilistic_method_circuit
 from vbsprep.cli import EXIT_CHECK_FAILED, EXIT_CONFIG, main, parse_lattice, validate_config
 from vbsprep.errors import ImpossibleOutcomeError, VbsError
-from vbsprep.ir import Circuit, CNot, Measure, Opaque, U1Q, post_select, simulate_circuit, simulate_post_selected, u_h, u_x
+from vbsprep.ir import Circuit, CNot, Measure, Opaque, U1Q, post_select, simulate_post_selected, u_h, u_x
 from vbsprep.lattice import assign_qubits, linear_coupling
 from vbsprep.methods import ROUTES
 from vbsprep.routing import heavy_hex_pair, route
 from vbsprep.statesim import Statevector
 from vbsprep.symmetrize import inverse_gates, w_state_circuit
 
-from oracle_reference import gate_by_gate
+from oracle_reference import gate_by_gate, simulate_circuit
 
 LATTICES = (
     [(f"chain:{n}:open:{flavor}", 2) for n in range(2, 6) for flavor in ("aligned", "anti")]
@@ -61,6 +61,32 @@ def test_post_selected_as_it_runs_equals_post_selecting_the_whole_register(spec,
         _assert_same(circ, list(keep))
         names.append(name)
     assert {"probabilistic", "mitigated_islands", "retry_circuit"} <= set(names)
+
+
+@pytest.mark.parametrize("spec,twice_s", LATTICES + [("chain:7:open:aligned", 2)],
+                         ids=[spec for spec, _ in LATTICES] + ["chain:7:open:aligned"])
+def test_born_probabilities_are_those_of_the_whole_register(spec, twice_s):
+    """|a|^2 of the tests' `simulate_circuit`, bit for bit, where the run's carried norm is 1 at its last write.
+
+    The lcu and retry circuits fold markers, so that norm is not 1 there:
+    they agree to 1e-15 relative.  chain:7 (21 qubits) is the register
+    `prepare --shots` draws from in the benchmark; a linear-routed circuit
+    keeps its register in another wire order, which is reordered as a state.
+    """
+    if spec.startswith("chain:7"):
+        lattice = parse_lattice(spec)
+        circuits = [("probabilistic", probabilistic_method_circuit(lattice, assign_qubits(lattice, "hadamard_all")), None)]
+    else:
+        circuits = _route_circuits(spec, twice_s)
+    for name, circ, _ in circuits:
+        probs, markers = ir.born_probabilities(circ)
+        state, expected_markers = simulate_circuit(circ)
+        expected = np.abs(state.amps) ** 2
+        assert markers == expected_markers
+        if name in ("lcu", "retry_circuit"):
+            np.testing.assert_allclose(probs, expected, rtol=1e-15, atol=0)
+        else:
+            assert probs.dtype == expected.dtype and np.array_equal(probs, expected), name
 
 
 @pytest.mark.parametrize("method", ["probabilistic", "mitigated_islands"])

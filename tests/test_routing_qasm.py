@@ -4,7 +4,7 @@ import pytest
 
 from vbsprep.builders import probabilistic_method_circuit
 from vbsprep.errors import ConfigError, UnsupportedError
-from vbsprep.ir import CNot, Circuit, Measure, Opaque, U1Q, cnot_depth, post_select, simulate_circuit
+from vbsprep.ir import CNot, Circuit, Measure, Opaque, U1Q, cnot_depth, post_select
 from vbsprep.lattice import (
     CouplingMap,
     assign_qubits,
@@ -17,7 +17,7 @@ from vbsprep.methods import oracle_vbs_state
 from vbsprep.qasm import emit_qasm
 from vbsprep.routing import PAIR_DISPLACEMENT, PAIR_ROLES, displacement_block, heavy_hex_pair, route
 
-from oracle_reference import fidelity, prepared
+from oracle_reference import fidelity, prepared, simulate_circuit
 from qasm_reader import parse_qasm
 
 
@@ -175,7 +175,7 @@ def test_the_router_runs_the_pair_circuits_on_heavy_hex_as_they_are(method):
 def test_valence_bond_qasm_body():
     from vbsprep.builders import valence_bond_subcircuit
 
-    text = emit_qasm(valence_bond_subcircuit(0, 1), "structural")
+    text = emit_qasm(valence_bond_subcircuit(0, 1, Circuit(2)), "structural")
     lines = [l for l in text.splitlines() if l and not l.startswith(("OPENQASM", "include", "qreg", "creg"))]
     assert len(lines) == 4  # H, X, CNOT, Z
     assert lines[2] == "cx q[0],q[1];"

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from vbsprep.errors import ConfigError
-from vbsprep.ir import Circuit, CNot, cnot_count, cnot_depth, post_select, simulate_circuit
+from vbsprep.ir import Circuit, CNot, cnot_count, cnot_depth, post_select
 from vbsprep.schmidt import (
     island_prep_circuit,
     island_state,
@@ -23,7 +23,7 @@ from vbsprep.symmetrize import (
     w_state_circuit,
 )
 
-from oracle_reference import apply_ops, fidelity, from_amplitudes, prepared, w_state_vector
+from oracle_reference import apply_ops, fidelity, from_amplitudes, prepared, simulate_circuit, w_state_vector
 
 # Printed island amplitudes for the spin-1 case: (1/sqrt(3)) * (0,0,0,1/2,...)
 ISLAND_S1_REF = np.array(
@@ -148,19 +148,19 @@ def test_block_angle_half_is_pi_over_four():
 
 @pytest.mark.parametrize("m", list(range(2, 17)))
 def test_w_state_exact(m):
-    circ = w_state_circuit(m)
+    circ = w_state_circuit(m, tuple(range(m)), Circuit(m))
     sim, _ = simulate_circuit(circ)
     assert np.max(np.abs(sim.amps - w_state_vector(m))) < 1e-12
 
 
 def test_w4_amplitudes_one_half():
-    sim, _ = simulate_circuit(w_state_circuit(4))
+    sim, _ = simulate_circuit(w_state_circuit(4, tuple(range(4)), Circuit(4)))
     hot = [sim.amps[1 << i] for i in range(4)]
     assert np.allclose(hot, [0.5] * 4, atol=1e-12)
 
 
 def test_w24_counts():
-    circ = w_state_circuit(24)
+    circ = w_state_circuit(24, tuple(range(24)), Circuit(24))
     assert cnot_count(circ, "all_to_all") == 46
     assert sum(1 for g in circ.gates if isinstance(g, CNot)) == 46
 
