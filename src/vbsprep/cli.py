@@ -262,26 +262,29 @@ def cmd_verify(args) -> int:
 def _link_values(psi: np.ndarray, lattice: Lattice, s: SpinValue) -> tuple[dict, dict]:
     """||P psi|| and (spin 1 only) <H> of each site pair of a spin-basis state, keyed by frozenset({a, b}).
 
-    P and H are the AKLT projector and term on two spin sites
-    (`spinops.link_operators`), applied once per distinct pair.  ||P psi||
-    stays a sum of squares, so round-off stays near 1e-16 (sqrt(<P>) ~3e-9).
+    ||P psi|| is ||R psi||, R the AKLT projector's rows on two spin sites (`spinops.link_operators`), applied
+    once per distinct pair: a sum of squares, so round-off stays near 1e-16 (sqrt(<P>) ~3e-9).  On spin 1
+    the AKLT term is H = 2P - 2/3, so <H> = 2 ||R psi||^2 / ||psi||^2 - 2/3.
     """
-    proj, term = link_operators(s.twice_s)
+    rows = link_operators(s.twice_s)
     norm_sq = float(np.vdot(psi, psi).real)
-    residuals: dict = {}
-    energies: dict = {}
-    for pair, (a, b) in {frozenset(link): link for link in lattice.links}.items():  # (0, 1) and (1, 0): one pair
-        applied = _on_pair(psi, proj, a, b)
-        residuals[pair] = math.sqrt(float(np.vdot(applied, applied).real))
-        if term is not None:
-            energies[pair] = float(np.vdot(np.moveaxis(psi, (a, b), (0, 1)), _on_pair(psi, term, a, b)).real) / norm_sq
+    residuals, energies = {}, {}
+    for pair in dict.fromkeys(frozenset(link) for link in lattice.links):  # (0, 1) and (1, 0): one pair
+        applied = _rows_on_pair(psi, rows, *sorted(pair))
+        weight = float(np.vdot(applied, applied).real)
+        residuals[pair] = math.sqrt(weight)
+        if s.twice_s == 2:
+            energies[pair] = 2.0 * weight / norm_sq - 2.0 / 3.0
     return residuals, energies
 
 
-def _on_pair(psi: np.ndarray, op: np.ndarray, a: int, b: int) -> np.ndarray:
-    """`op` on axes a and b of psi (a the more significant), those axes moved to the front."""
+def _rows_on_pair(psi: np.ndarray, rows: np.ndarray, a: int, b: int) -> np.ndarray:
+    """`rows` on axes a < b of psi: one gemm per left index of psi's view (left, d*d, right) if they neighbour."""
     d = psi.shape[a]
-    return np.tensordot(op.reshape(d, d, d, d), psi, axes=([2, 3], [a, b]))
+    if b != a + 1:  # a ring closure, or a link between distant sites
+        return np.tensordot(rows.reshape(-1, d, d), psi, axes=([1, 2], [a, b]))
+    view = psi.reshape(math.prod(psi.shape[:a]), d * d, -1)  # a reshape, not a copy
+    return view[..., 0] @ rows.T if b == psi.ndim - 1 else rows @ view  # the last pair: one gemm in all
 
 
 def _worst_link(lattice: Lattice, deviation: dict) -> str:

@@ -5,6 +5,7 @@ The retry route's product folds each finished site into one spin axis.
 from __future__ import annotations
 
 import math
+import random
 
 import numpy as np
 
@@ -102,8 +103,9 @@ def run_mitigated_retry(lattice: Lattice, seed: int) -> dict:
     independently (reset and bond re-preparation on failure), which
     reproduces the geometric(p) round statistics; the B sites' symmetrizers
     act on the islands' product, post-selected, as it folds each finished site.
+    The rounds come from `random.Random(seed)`; no report prints them.
     """
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)
     encoding = assign_qubits(lattice, "islands_plus_sublattice")
     colors = lattice.sublattice()
     groups = island_qubit_groups(lattice, encoding)

@@ -190,31 +190,23 @@ def aklt_two_site_projector(s: SpinValue) -> np.ndarray:
     return _read_only(acc)
 
 
-def blbq_hamiltonian_term(beta: float) -> np.ndarray:
-    """Bilinear-biquadratic two-site term x + beta*x^2 on two spin-1 sites."""
-    if not np.isfinite(beta):
-        raise ValueError("beta must be finite")
-    x = two_site_spin_dot(SpinValue(2))
-    return _read_only(x + beta * (x @ x))
-
-
 @lru_cache(maxsize=None)
-def link_operators(twice_s: int) -> tuple[np.ndarray, np.ndarray | None]:
-    """(V (x) V)^dagger O (V (x) V) on two spin-S sites, V = `symmetric_subspace_isometry(2S)`; read-only.
+def link_operators(twice_s: int) -> np.ndarray:
+    """R, the 4S+1 orthonormal rows with R^T R = (V (x) V)^dagger P (V (x) V) on two spin-S sites; read-only.
 
-    Returns (p, h): O = `aklt_two_site_projector` and the AKLT term
-    `blbq_hamiltonian_term(1/3)` (h None unless 2S=2).  Both are real
-    polynomials in S_a . S_b, so the arrays are real.
+    P is `aklt_two_site_projector` and V `symmetric_subspace_isometry(2S)`;
+    the rows span P's eigenvalue-1 space, the top total spin 2S of the
+    pair, so ||R psi||^2 = <psi|P|psi>.  That space is symmetric under
+    exchange of the two sites, so R reads a pair in either order.  P is a
+    real polynomial in S_a . S_b, so R is real.
     """
     projector = aklt_two_site_projector(SpinValue(twice_s))  # raises UnsupportedError first
     iso = symmetric_subspace_isometry(twice_s)
     pair = np.kron(iso, iso)
-    p = (pair.T @ projector @ pair).real
-    h = (pair.T @ blbq_hamiltonian_term(1.0 / 3.0) @ pair).real if twice_s == 2 else None
-    for arr in (p, h):
-        if arr is not None:
-            arr.setflags(write=False)
-    return p, h
+    values, vectors = np.linalg.eigh((pair.T @ projector @ pair).real)
+    rows = np.ascontiguousarray(vectors[:, values > 0.5].T)
+    rows.setflags(write=False)
+    return rows
 
 
 def symmetric_fraction(coordination: int) -> Fraction:

@@ -21,7 +21,9 @@ The spin-algebra references are built another way than the package's
 operators: `symmetrizer_from_spin_projector` builds `spinops.symmetrizer`
 from the total-spin polynomial in `total_spin_squared`, and
 `aklt_projector_from_product` builds `spinops.aklt_two_site_projector` from
-the product over the lower total-spin sectors.  `w_state_vector` is the
+the product over the lower total-spin sectors.  `blbq_hamiltonian_term` is
+the spin-1 bilinear-biquadratic term, the AKLT term at beta = 1/3, against
+which the `verify` energies are checked.  `w_state_vector` is the
 uniform one-hot state that `symmetrize.w_state_circuit` prepares.
 """
 from __future__ import annotations
@@ -45,6 +47,7 @@ from vbsprep.spinops import (
     site_spin_operators,
     symmetric_subspace_isometry,
     symmetrizer,
+    two_site_spin_dot,
 )
 from vbsprep.statesim import Statevector
 
@@ -303,6 +306,14 @@ def aklt_projector_from_product(s: SpinValue) -> np.ndarray:
         acc = acc @ (j2 - sp * (sp + 1) * np.eye(dim * dim))
         norm *= s_max * (s_max + 1) - sp * (sp + 1)
     return _read_only(acc / norm)
+
+
+def blbq_hamiltonian_term(beta: float) -> np.ndarray:
+    """Bilinear-biquadratic two-site term x + beta*x^2 on two spin-1 sites."""
+    if not np.isfinite(beta):
+        raise ValueError("beta must be finite")
+    x = two_site_spin_dot(SpinValue(2))
+    return _read_only(x + beta * (x @ x))
 
 
 def w_state_vector(m: int) -> np.ndarray:

@@ -38,7 +38,6 @@ from vbsprep.schmidt import island_prep_circuit, island_state
 from vbsprep.spinops import (
     SpinValue,
     aklt_two_site_projector,
-    blbq_hamiltonian_term,
     exp_minus_i_pi_symmetrizer,
     symmetric_subspace_isometry,
     symmetrizer,
@@ -49,7 +48,7 @@ from vbsprep.symmetrize import (
     w_state_circuit,
 )
 
-from oracle_reference import applied_norm, embed, expectation, fidelity, simulate_circuit, symmetrizer_from_spin_projector, w_state_vector
+from oracle_reference import applied_norm, blbq_hamiltonian_term, embed, expectation, fidelity, simulate_circuit, symmetrizer_from_spin_projector, w_state_vector
 from retry_model import fit_mean_rounds, retry_histogram_zscores, sublattice_retry_simulation
 
 S1, S32 = SpinValue(2), SpinValue(3)

@@ -2,6 +2,9 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -9,6 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import vbsprep
 from vbsprep.cli import EXIT_CHECK_FAILED, EXIT_CONFIG, EXIT_OK, EXIT_UNSUPPORTED, METHODS, main, parse_lattice
 from vbsprep.errors import ConfigError
 
@@ -482,10 +486,12 @@ def _link_lattices():
         (Lattice(4, ((1, 0), (2, 1), (3, 2), (0, 3)), BOUNDARY_EXPLICIT, name="reversed"), 2),  # reversed runs
         (build_chain(5, "ring"), 2),  # the ring closure (4, 0): qubits (8, 9, 0, 1)
         (parse_lattice("three-link-ring:4"), 3),  # 6-qubit spin-3/2 links, double links, closure (3, 0)
+        # the 4-cycle 0-2-1-3-0: (1, 3) and (0, 2) join axes that are neither neighbours nor the ends
+        (Lattice(4, ((0, 2), (2, 1), (1, 3), (3, 0)), BOUNDARY_EXPLICIT, name="cycle"), 2),
     ]
 
 
-@pytest.mark.parametrize("lattice,twice_s", _link_lattices(), ids=["open", "reversed", "ring", "spin32"])
+@pytest.mark.parametrize("lattice,twice_s", _link_lattices(), ids=["open", "reversed", "ring", "spin32", "cycle"])
 def test_link_pass_matches_direct_projector_norm_and_expectation(lattice, twice_s):
     """One application per pair gives ||P psi|| and <H> of a random, non-VBS spin-basis state.
 
@@ -496,7 +502,9 @@ def test_link_pass_matches_direct_projector_norm_and_expectation(lattice, twice_
 
     from vbsprep.cli import _link_values
     from vbsprep.lattice import assign_qubits
-    from vbsprep.spinops import SpinValue, aklt_two_site_projector, blbq_hamiltonian_term
+    from vbsprep.spinops import SpinValue, aklt_two_site_projector
+
+    from oracle_reference import blbq_hamiltonian_term
 
     s = SpinValue(twice_s)
     encoding = assign_qubits(lattice, "hadamard_all")
@@ -527,14 +535,33 @@ def test_verify_reads_each_site_pair_once(spec, spin, passes, monkeypatch, tmp_p
     import vbsprep.cli as cli
 
     calls = []
-    on_pair = cli._on_pair
-    monkeypatch.setattr(cli, "_on_pair", lambda psi, op, a, b: calls.append((op, a, b)) or on_pair(psi, op, a, b))
+    on_pair = cli._rows_on_pair
+    monkeypatch.setattr(cli, "_rows_on_pair", lambda psi, rows, a, b: calls.append((a, b)) or on_pair(psi, rows, a, b))
     argv = ["verify", "--spin", str(spin), "--lattice", spec, "--method", "lcu", "--out", str(tmp_path / "v.json")]
     assert main(argv) == EXIT_OK
-    # P on every pair, and H too on spin 1
-    assert len(calls) == passes * (2 if spin == 2 else 1)
-    assert len({frozenset((a, b)) for _, a, b in calls}) == passes
-    assert len({(id(op), frozenset((a, b))) for op, a, b in calls}) == len(calls)
+    # one application per pair gives both the residual and, on spin 1, the energy
+    assert len(calls) == passes
+    assert len({frozenset(pair) for pair in calls}) == passes
+
+
+@pytest.mark.parametrize(
+    "argv,loaded",
+    [("verify --lattice chain:4:open:aligned --method mitigated_retry", False),
+     ("prepare --lattice chain:4:open:aligned --method probabilistic", False),
+     ("prepare --lattice chain:4:open:aligned --method probabilistic --shots 10", True)],
+    ids=["retry", "prepare", "shots"],
+)
+def test_only_the_shots_draw_imports_numpy_random(argv, loaded, tmp_path):
+    """numpy imports numpy.random on first use, and only the Monte-Carlo draw uses it: a fresh interpreter tells."""
+    code = (f"import sys\nimport numpy\nprint('numpy.random' in sys.modules)\nfrom vbsprep.cli import main\n"
+            f"print(main({argv.split() + ['--out', str(tmp_path / 'r.json')]!r}), 'numpy.random' in sys.modules)")
+    path = os.pathsep.join(filter(None, [str(Path(vbsprep.__file__).parents[1]), os.environ.get("PYTHONPATH")]))
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": path}, check=True)
+    eager, *out = run.stdout.split()
+    if eager == "True":
+        pytest.skip("this numpy imports numpy.random as it loads")
+    assert out == [str(EXIT_OK), str(loaded)]
 
 
 def _state_with_a_broken_link(lattice, link: int):

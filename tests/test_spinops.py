@@ -9,7 +9,6 @@ from vbsprep.spinops import (
     SpinValue,
     _embed_single,
     aklt_two_site_projector,
-    blbq_hamiltonian_term,
     exp_minus_i_pi_symmetrizer,
     permutation_operator,
     spin_matrices,
@@ -19,7 +18,12 @@ from vbsprep.spinops import (
     two_site_spin_dot,
 )
 
-from oracle_reference import aklt_projector_from_product, symmetrizer_from_spin_projector, total_spin_squared
+from oracle_reference import (
+    aklt_projector_from_product,
+    blbq_hamiltonian_term,
+    symmetrizer_from_spin_projector,
+    total_spin_squared,
+)
 
 TOL = 1e-12
 
@@ -273,28 +277,26 @@ def test_every_operator_is_a_read_only_complex_square_array(build):
 
 @pytest.mark.parametrize("twice_s", [2, 3])
 def test_spin_basis_link_projector_is_idempotent(twice_s):
-    """P and H restricted to two spin sites: P is a projector with eigenvalues 0 and 1, H = 2P - 2/3."""
+    """R, the rows of P restricted to two spin sites: R R^T = 1, R^T R = P, and on spin 1 H = 2 R^T R - 2/3."""
     from vbsprep.spinops import link_operators
 
     s = SpinValue(twice_s)
-    p, h = link_operators(twice_s)
+    rows = link_operators(twice_s)
     d = twice_s + 1
-    assert p.shape == (d * d, d * d)
-    assert np.max(np.abs(p @ p - p)) < TOL
-    assert np.max(np.abs(p - p.T)) < TOL
-    vals = np.linalg.eigvalsh(p)
-    assert all(min(abs(v), abs(v - 1)) < TOL for v in vals)
     # the top total spin 2S of two spin-S sites has 4S+1 states
-    assert round(np.trace(p)) == 2 * twice_s + 1
+    assert rows.shape == (2 * twice_s + 1, d * d)
+    assert np.max(np.abs(rows @ rows.T - np.eye(2 * twice_s + 1))) < TOL
     pair = np.kron(symmetric_subspace_isometry(twice_s), symmetric_subspace_isometry(twice_s))
-    assert np.max(np.abs(pair @ p @ pair.T - pair @ pair.T @ aklt_two_site_projector(s) @ pair @ pair.T)) < TOL
+    assert np.max(np.abs(rows.T @ rows - pair.T @ aklt_two_site_projector(s) @ pair)) < TOL
     if twice_s == 2:
-        assert np.max(np.abs(h - (2 * p - 2.0 / 3.0 * np.eye(d * d)))) < TOL
-    else:
-        assert h is None
+        term = pair.T @ blbq_hamiltonian_term(1.0 / 3.0) @ pair
+        assert np.max(np.abs(2 * rows.T @ rows - 2.0 / 3.0 * np.eye(d * d) - term)) < TOL
+    # the rows span a space symmetric under exchange of the two sites, so they read a pair in either order
+    swapped = rows.reshape(-1, d, d).transpose(0, 2, 1).reshape(-1, d * d)
+    assert np.max(np.abs(swapped.T @ swapped - rows.T @ rows)) < TOL
     assert link_operators(twice_s) is link_operators(twice_s)  # built once per 2S
     with pytest.raises(ValueError):
-        p[0, 0] = 1.0  # the cached arrays are read-only
+        rows[0, 0] = 1.0  # the cached array is read-only
     with pytest.raises(UnsupportedError):
         link_operators(4)
 
