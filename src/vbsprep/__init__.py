@@ -9,7 +9,7 @@ from .lattice import (
     build_honeycomb_patch,
     build_three_link_pair,
 )
-from .spinops import SpinValue, symmetrizer
+from .spinops import symmetrizer
 from .statesim import Statevector
 
 __version__ = "0.1.0"
@@ -17,7 +17,6 @@ __version__ = "0.1.0"
 __all__ = [
     "Lattice",
     "SiteEncoding",
-    "SpinValue",
     "Statevector",
     "assign_qubits",
     "build_chain",

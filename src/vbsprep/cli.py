@@ -42,7 +42,7 @@ from .lattice import (
 from .methods import ROUTES, oracle_vbs_state
 from .qasm import emit_qasm
 from .routing import heavy_hex_pair, route
-from .spinops import SpinValue, link_operators
+from .spinops import link_operators
 from .statesim import max_qubits
 
 EXIT_OK = 0
@@ -115,8 +115,8 @@ def parse_lattice(spec: str) -> Lattice:
     return build_honeycomb_patch(number(parts[1]), number(parts[2]))
 
 
-def validate_config(lattice: Lattice, twice_s: int, method: str) -> SpinValue:
-    """The spin of every site of `lattice`, which must be `twice_s`; raises on a method the lattice cannot run."""
+def validate_config(lattice: Lattice, twice_s: int, method: str):
+    """Raises unless every site of `lattice` has spin `twice_s` and the lattice can run `method`."""
     if method not in METHODS:
         raise ConfigError(f"unknown method {method!r}; pick one of {METHODS}")
     lat_spin = lattice.uniform_twice_spin()
@@ -132,7 +132,6 @@ def validate_config(lattice: Lattice, twice_s: int, method: str) -> SpinValue:
         lattice.sublattice()  # raises NotBipartiteError on odd cycles
     if method == "lcu" and twice_s not in (2, 3):
         raise UnsupportedError("lcu simulation supports 2S in {2, 3}")
-    return SpinValue(twice_s)
 
 
 def _check_register(lattice: Lattice):
@@ -222,7 +221,7 @@ def _routed_checks(args, lattice, result, oracle, report):
 
 def cmd_verify(args) -> int:
     lattice = parse_lattice(args.lattice)
-    s = validate_config(lattice, args.spin, args.method)
+    validate_config(lattice, args.spin, args.method)
     _check_register(lattice)
     psi, norm_sq = oracle_vbs_state(lattice)
     result = ROUTES[args.method](lattice, args.seed)
@@ -241,13 +240,13 @@ def cmd_verify(args) -> int:
         report.analytic["norm_closed_form"] = closed
         report.add_check("norm_vs_closed_form", closed, norm_sq, 1e-12)
 
-    residuals, energies = _link_values(psi, lattice, s)
+    residuals, energies = _link_values(psi, lattice)
     worst = max(residuals.values(), default=0.0)
     report.simulated["max_projector_residual"] = worst
     report.add_check("projector_annihilation", 0.0, worst, 1e-10)
     report.notes["projector_annihilation"] = _worst_link(lattice, residuals)
 
-    if s.twice_s == 2 and lattice.boundary == BOUNDARY_OPEN:
+    if args.spin == 2 and lattice.boundary == BOUNDARY_OPEN:
         energy = sum(energies[frozenset(link)] for link in lattice.links)
         expected = -2.0 * (lattice.n_sites - 1) / 3.0
         report.simulated["aklt_energy"] = energy
@@ -259,21 +258,22 @@ def cmd_verify(args) -> int:
     return _finish(report, args)
 
 
-def _link_values(psi: np.ndarray, lattice: Lattice, s: SpinValue) -> tuple[dict, dict]:
-    """||P psi|| and (spin 1 only) <H> of each site pair of a spin-basis state, keyed by frozenset({a, b}).
+def _link_values(psi: np.ndarray, lattice: Lattice) -> tuple[dict, dict]:
+    """||P psi|| and (spin-1 pairs only) <H> of each site pair of a spin-basis state, keyed by frozenset({a, b}).
 
-    ||P psi|| is ||R psi||, R the AKLT projector's rows on two spin sites (`spinops.link_operators`), applied
-    once per distinct pair: a sum of squares, so round-off stays near 1e-16 (sqrt(<P>) ~3e-9).  On spin 1
-    the AKLT term is H = 2P - 2/3, so <H> = 2 ||R psi||^2 / ||psi||^2 - 2/3.
+    ||P psi|| is ||R psi||, R the AKLT projector's rows on two spin sites (`spinops.link_operators`, 2S read
+    from the pair's axis size), applied once per distinct pair: a sum of squares, so round-off stays near
+    1e-16 (sqrt(<P>) ~3e-9).  On spin 1 the AKLT term is H = 2P - 2/3, so <H> = 2 ||R psi||^2 / ||psi||^2 - 2/3.
     """
-    rows = link_operators(s.twice_s)
     norm_sq = float(np.vdot(psi, psi).real)
     residuals, energies = {}, {}
     for pair in dict.fromkeys(frozenset(link) for link in lattice.links):  # (0, 1) and (1, 0): one pair
-        applied = _rows_on_pair(psi, rows, *sorted(pair))
+        a, b = sorted(pair)
+        twice_s = psi.shape[a] - 1
+        applied = _rows_on_pair(psi, link_operators(twice_s), a, b)
         weight = float(np.vdot(applied, applied).real)
         residuals[pair] = math.sqrt(weight)
-        if s.twice_s == 2:
+        if twice_s == 2:
             energies[pair] = 2.0 * weight / norm_sq - 2.0 / 3.0
     return residuals, energies
 
@@ -386,6 +386,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         _check_options_read(args)
+        if args.seed < 0:  # numpy's generators reject it, and random.Random(-n) draws the rounds of seed n
+            raise ConfigError(f"--seed must be a non-negative integer, got {args.seed}")
         return args.func(args)
     except (MissingCostError, UnsupportedError) as exc:
         print(f"unsupported: {exc}", file=sys.stderr)

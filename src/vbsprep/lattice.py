@@ -9,6 +9,7 @@ equal to half their coordination number.
 from __future__ import annotations
 
 import json
+import math
 from collections import Counter, deque
 from dataclasses import dataclass
 from functools import cached_property
@@ -243,6 +244,7 @@ def lattice_from_json(text: str) -> Lattice:
 METHOD_HADAMARD_ALL = "hadamard_all"
 METHOD_ISLANDS = "islands_plus_sublattice"
 METHOD_MPS = "mps"
+METHOD_LCU = "lcu"
 
 
 @dataclass(frozen=True)
@@ -318,6 +320,8 @@ def assign_qubits(lattice: Lattice, method: str = METHOD_HADAMARD_ALL) -> SiteEn
     elif method == METHOD_MPS:
         if lattice.boundary == BOUNDARY_RING:
             counter += 1  # single post-selected ancilla, index n_data
+    elif method == METHOD_LCU:  # one bank of (largest 2S)! ancillas, shared by every site: no site has its own
+        counter += math.factorial(max(map(len, site_lists)))
     else:
         raise ConfigError(f"unknown assignment method {method!r}")
 

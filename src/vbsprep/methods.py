@@ -140,17 +140,16 @@ def run_mitigated_retry(lattice: Lattice, seed: int) -> dict:
 def run_lcu(lattice: Lattice) -> dict:
     """The bond layer, then prepare/select/unprepare symmetrization at every site, post-selected.
 
-    Every site's circuit uses one shared ancilla bank of (largest 2S)!
-    ancillas, |0...0> before and after each site; a site of 2S qubits uses
-    the first (2S)! of them.  simulate_post_selected folds each site's bank
-    into one operator on the site's qubits (8x8 for spin 3/2), so the bank
-    never becomes a state axis and the register holds only the data qubits.
+    Every site's circuit uses the "lcu" encoding's one shared ancilla bank
+    of (largest 2S)! ancillas after the data qubits, |0...0> before and
+    after each site; a site of 2S qubits uses the first (2S)! of them.
+    simulate_post_selected folds each site's bank into one operator on the
+    site's qubits (8x8 for spin 3/2), so the bank never becomes a state
+    axis and the register holds only the data qubits.
     """
-    encoding = assign_qubits(lattice, "hadamard_all")
-    n_data = encoding.n_data_qubits
-    ancillas = tuple(range(n_data, n_data + math.factorial(max(map(len, encoding.site_qubits)))))
-    circ = Circuit(n_data + len(ancillas))
-    circ.extend(pre_vbs_circuit(lattice, encoding).gates)
+    encoding = assign_qubits(lattice, "lcu")
+    ancillas = tuple(range(encoding.n_data_qubits, encoding.total_qubits))
+    circ = pre_vbs_circuit(lattice, encoding)
     for qs in encoding.site_qubits:
         circ.extend(lcu_symmetrization_circuit(len(qs), qs, ancillas[: math.factorial(len(qs))]).gates)
     return _post_selected(circ, encoding)

@@ -9,7 +9,6 @@ import numpy as np
 
 from .errors import ConfigError
 from .ir import DECLARED_COSTS, Circuit, CNot, Measure, Opaque, cnot_count, u_ry, u_x
-from .spinops import permutation_operator
 
 _CSWAP = np.eye(8, dtype=complex)
 _CSWAP[[5, 6]] = _CSWAP[[6, 5]]
@@ -82,6 +81,12 @@ def permutation_swap_sequences(n_halves: int) -> list[list[tuple[int, int]]]:
                 new.append(list(base) + [(j, k - 1)])
         seqs = new
     return seqs
+
+
+def permutation_operator(perm: tuple[int, ...]) -> np.ndarray:
+    """Matrix sending qubit i's state to qubit perm[i], MSB-first indexing."""
+    n = len(perm)
+    return np.moveaxis(np.eye(2**n).reshape((2,) * 2 * n), range(n), perm).reshape(2**n, 2**n)
 
 
 def swap_sequence_matrix(seq, n_halves: int) -> np.ndarray:

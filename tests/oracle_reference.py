@@ -18,16 +18,26 @@ projected in place by slicing (`project`).
 `zero_state`, `from_amplitudes` and `prepared` give a circuit its starting state.
 
 The spin-algebra references are built another way than the package's
-operators: `symmetrizer_from_spin_projector` builds `spinops.symmetrizer`
-from the total-spin polynomial in `total_spin_squared`, and
-`aklt_projector_from_product` builds `spinops.aklt_two_site_projector` from
-the product over the lower total-spin sectors.  `blbq_hamiltonian_term` is
+operators, which `spinops` reads off Hamming weights: from spin matrices.
+`spin_matrices` builds them from ladder operators, and
+`collective_spin_components` sums one per qubit into a site's spin
+(`embed_single`).  `symmetrizer_from_spin_projector` builds
+`spinops.symmetrizer` from the total-spin polynomial in
+`total_spin_squared`, and `symmetrizer_from_permutations` as the average
+of the n! qubit permutations, each built index by index
+(`permutation_by_indices`, the reference for
+`symmetrize.permutation_operator`).  `aklt_projector_from_product` builds the
+two-site AKLT projector, whose rows are `spinops.link_operators`, from
+the product over the lower total-spin sectors, and `two_site_spin_dot`
+gives S_a . S_b.  `blbq_hamiltonian_term` is
 the spin-1 bilinear-biquadratic term, the AKLT term at beta = 1/3, against
 which the `verify` energies are checked.  `w_state_vector` is the
 uniform one-hot state that `symmetrize.w_state_circuit` prepares.
 """
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from fractions import Fraction
 
@@ -39,16 +49,7 @@ from vbsprep.errors import CapExceededError, ImpossibleOutcomeError
 from vbsprep.ir import Circuit, Measure, Opaque, _gate_matrix, _reused_markers, simulate_post_selected
 from vbsprep.lattice import SPIN_UP, Lattice, SiteEncoding, assign_qubits
 from vbsprep.schmidt import SINGLET
-from vbsprep.spinops import (
-    MAX_SYMMETRIZER_HALVES,
-    SpinValue,
-    _collective_spin_components,
-    _read_only,
-    site_spin_operators,
-    symmetric_subspace_isometry,
-    symmetrizer,
-    two_site_spin_dot,
-)
+from vbsprep.spinops import MAX_SYMMETRIZER_HALVES, _read_only, symmetric_subspace_isometry, symmetrizer
 from vbsprep.statesim import Statevector
 
 
@@ -254,6 +255,36 @@ def gate_by_gate(circuit: Circuit, v=None) -> tuple[Statevector, list]:
     return state, pending
 
 
+def spin_matrices(twice_s: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(Sx, Sy, Sz) of spin S in the basis m = S, S-1, ..., -S via ladder operators."""
+    dim = twice_s + 1
+    sval = twice_s / 2
+    m = sval - np.arange(dim)
+    # <m+1| S+ |m> = sqrt(S(S+1) - m(m+1)); row i-1 (m+1), column i (m)
+    sp = np.zeros((dim, dim))
+    for i in range(1, dim):
+        sp[i - 1, i] = np.sqrt(sval * (sval + 1) - m[i] * (m[i] + 1))
+    sm = sp.T
+    return _read_only((sp + sm) / 2), _read_only((sp - sm) / (2j)), _read_only(np.diag(m))
+
+
+def embed_single(op: np.ndarray, n: int, pos: int) -> np.ndarray:
+    """A 2x2 operator at qubit `pos` of an n-qubit space (pos 0 = MSB)."""
+    return functools.reduce(np.kron, [op if k == pos else np.eye(2) for k in range(n)], np.ones((1, 1), dtype=complex))
+
+
+@functools.cache
+def collective_spin_components(n_halves: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Total-spin components of n spin-1/2s as 2^n-dim matrices: a site's spin on its qubits."""
+    return tuple(_read_only(sum(embed_single(op, n_halves, pos) for pos in range(n_halves))) for op in spin_matrices(1))
+
+
+def two_site_spin_dot(twice_s: int) -> np.ndarray:
+    """S_a . S_b on two adjacent qubit-encoded sites of spin S (4S qubits)."""
+    eye = np.eye(2**twice_s)
+    return _read_only(sum(np.kron(c, eye) @ np.kron(eye, c) for c in collective_spin_components(twice_s)))
+
+
 MAX_TOTAL_SPIN_HALVES = 6
 
 
@@ -261,7 +292,7 @@ def total_spin_squared(n_halves: int) -> np.ndarray:
     """(S_total)^2 for n spin-1/2s, embedded in the full 2^n space."""
     if not 1 <= n_halves <= MAX_TOTAL_SPIN_HALVES:
         raise CapExceededError(f"n_halves={n_halves} outside [1, {MAX_TOTAL_SPIN_HALVES}]")
-    sx, sy, sz = _collective_spin_components(n_halves)
+    sx, sy, sz = collective_spin_components(n_halves)
     return _read_only(sx @ sx + sy @ sy + sz @ sz)
 
 
@@ -287,19 +318,39 @@ def symmetrizer_from_spin_projector(n_halves: int) -> np.ndarray:
     return _read_only(acc / norm)
 
 
-def aklt_projector_from_product(s: SpinValue) -> np.ndarray:
-    """Same projector from the explicit product over lower total-spin sectors.
+def permutation_by_indices(perm: tuple[int, ...]) -> np.ndarray:
+    """Reference for `symmetrize.permutation_operator`: qubit i's bit of each basis index moved to qubit perm[i]."""
+    n = len(perm)
+    mat = np.zeros((2**n, 2**n))
+    for index in range(2**n):
+        moved = [0] * n
+        for q in range(n):
+            moved[perm[q]] = (index >> (n - 1 - q)) & 1
+        mat[sum(bit << (n - 1 - q) for q, bit in enumerate(moved)), index] = 1.0
+    return mat
 
-    Independent of the expanded polynomial coefficients; used as their oracle.
+
+def symmetrizer_from_permutations(n_halves: int) -> np.ndarray:
+    """Same projector as the uniform average of the n! qubit permutation matrices (`permutation_by_indices`)."""
+    perms = itertools.permutations(range(n_halves))
+    return _read_only(sum(map(permutation_by_indices, perms)) / math.factorial(n_halves))
+
+
+def aklt_projector_from_product(twice_s: int) -> np.ndarray:
+    """The two-site AKLT projector of spin S onto total spin 2S, qubit-embedded (4S qubits).
+
+    The explicit product over the lower total-spin sectors J of
+    (J_total^2 - J(J+1)), normalized so the top sector is fixed.  A
+    projector only after restriction to the symmetric subspace of each site.
     """
-    comps = site_spin_operators(s)
-    dim = 2**s.n_qubits
+    comps = collective_spin_components(twice_s)
+    dim = 2**twice_s
     eye = np.eye(dim)
     j2 = np.zeros((dim * dim, dim * dim), dtype=complex)
     for c in comps:
         t = np.kron(c, eye) + np.kron(eye, c)
         j2 += t @ t
-    s_max = s.twice_s  # two sites of spin S add up to at most 2S
+    s_max = twice_s  # two sites of spin S add up to at most 2S
     acc = np.eye(dim * dim, dtype=complex)
     norm = 1.0
     for sp in range(s_max):
@@ -312,7 +363,7 @@ def blbq_hamiltonian_term(beta: float) -> np.ndarray:
     """Bilinear-biquadratic two-site term x + beta*x^2 on two spin-1 sites."""
     if not np.isfinite(beta):
         raise ValueError("beta must be finite")
-    x = two_site_spin_dot(SpinValue(2))
+    x = two_site_spin_dot(2)
     return _read_only(x + beta * (x @ x))
 
 

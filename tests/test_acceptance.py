@@ -36,8 +36,6 @@ from vbsprep.methods import (
 from vbsprep.routing import heavy_hex_pair, route
 from vbsprep.schmidt import island_prep_circuit, island_state
 from vbsprep.spinops import (
-    SpinValue,
-    aklt_two_site_projector,
     exp_minus_i_pi_symmetrizer,
     symmetric_subspace_isometry,
     symmetrizer,
@@ -48,10 +46,8 @@ from vbsprep.symmetrize import (
     w_state_circuit,
 )
 
-from oracle_reference import applied_norm, blbq_hamiltonian_term, embed, expectation, fidelity, simulate_circuit, symmetrizer_from_spin_projector, w_state_vector
+from oracle_reference import aklt_projector_from_product, applied_norm, blbq_hamiltonian_term, embed, expectation, fidelity, simulate_circuit, symmetrizer_from_spin_projector, w_state_vector
 from retry_model import fit_mean_rounds, retry_histogram_zscores, sublattice_retry_simulation
-
-S1, S32 = SpinValue(2), SpinValue(3)
 
 
 def _report(k, detail=""):
@@ -96,7 +92,7 @@ def test_criterion_02_exponential_matrices():
 def _ground_energy_by_exact_diagonalization_n3() -> float:
     # projector-sum Hamiltonian of the 3-site open chain, restricted to the
     # triple-symmetric subspace of the 6-qubit embedding
-    term = 2 * (aklt_two_site_projector(S1) - np.eye(16) / 3.0)
+    term = 2 * (aklt_projector_from_product(2) - np.eye(16) / 3.0)
     h = np.kron(term, np.eye(4)) + np.kron(np.eye(4), term)
     iso = symmetric_subspace_isometry(2)
     triple = np.kron(np.kron(iso, iso), iso)
@@ -109,22 +105,22 @@ def test_criterion_03_ground_state_verification():
     ed_energy = _ground_energy_by_exact_diagonalization_n3()
     assert abs(ed_energy - (-4.0 / 3.0)) <= 1e-10
 
-    proj1 = aklt_two_site_projector(S1)
+    proj1 = aklt_projector_from_product(2)
     term = blbq_hamiltonian_term(1.0 / 3.0)
     cases = []
     for n in range(2, 7):
-        cases.append((build_chain(n, "open", ("up", "up")), S1, proj1))
-        cases.append((build_chain(n, "open", ("up", "down")), S1, proj1))
-        cases.append((build_chain(n, "ring"), S1, proj1))
-    cases.append((build_three_link_pair(), S32, aklt_two_site_projector(S32)))
+        cases.append((build_chain(n, "open", ("up", "up")), 2, proj1))
+        cases.append((build_chain(n, "open", ("up", "down")), 2, proj1))
+        cases.append((build_chain(n, "ring"), 2, proj1))
+    cases.append((build_three_link_pair(), 3, aklt_projector_from_product(3)))
 
-    for lattice, s, proj in cases:
+    for lattice, twice_s, proj in cases:
         encoding = assign_qubits(lattice, "hadamard_all")
         state = embed(oracle_vbs_state(lattice)[0])
         for a, b in set(lattice.links):
             qs = encoding.site_qubits[a] + encoding.site_qubits[b]
             assert applied_norm(state, proj, qs) <= 1e-10, (lattice.name, a, b)
-        if s is S1 and lattice.boundary == "open_chain":
+        if twice_s == 2 and lattice.boundary == "open_chain":
             energy = sum(
                 expectation(state, term, encoding.site_qubits[a] + encoding.site_qubits[b])
                 for a, b in lattice.links

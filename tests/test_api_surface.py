@@ -1,4 +1,4 @@
-"""The public names of vbsprep that nothing in the package uses are exactly the pinned ones."""
+"""The names of vbsprep that nothing in the package uses are exactly the pinned ones."""
 import ast
 import pathlib
 
@@ -17,17 +17,25 @@ def _assigned(node) -> list[str]:
     return [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
 
 
+def _guarded(name: str, module_level: bool) -> bool:
+    """Every public name, and every private one (a leading `_`, not a dunder) at module level."""
+    return not name.startswith("_") or module_level and not name.startswith("__")
+
+
 def test_every_public_name_has_a_caller_in_the_package_or_a_reason():
-    """Functions, classes, methods and module-level constants alike: a name a move leaves behind fails here."""
+    """Functions, classes, methods and module-level constants alike: a name a move leaves behind fails here.
+
+    A module-level private name counts too, so a helper that only tests call fails as a public one does.
+    """
     defined, used = set(), set()
     for path in pathlib.Path(vbsprep.__file__).parent.glob("*.py"):
         tree = ast.parse(path.read_text())
         for node in tree.body:
             members = node.body if isinstance(node, ast.ClassDef) else []
             for item in [node, *members]:
-                if isinstance(item, (ast.FunctionDef, ast.ClassDef)) and not item.name.startswith("_"):
+                if isinstance(item, (ast.FunctionDef, ast.ClassDef)) and _guarded(item.name, item is node):
                     defined.add(item.name)
-            defined.update(name for name in _assigned(node) if not name.startswith("_"))
+            defined.update(name for name in _assigned(node) if _guarded(name, True))
         for node in ast.walk(tree):  # a name is used where code reads it: strings, comments and assignments do not count
             if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
                 used.add(node.id)

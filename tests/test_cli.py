@@ -444,6 +444,31 @@ def test_an_option_the_command_does_not_read_exits_unsupported(argv, named, tmp_
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    "prepare --lattice chain:4:open:aligned --shots 10 --seed -1",
+    "verify --lattice chain:4:open:aligned --method mitigated_retry --seed -1",
+], ids=["prepare-shots", "verify-retry"])
+def test_a_negative_seed_exits_config_naming_seed(argv, tmp_path, capsys):
+    """The first exited 2 with numpy's "expected non-negative integer"; the second ran the rounds of --seed 1."""
+    out = tmp_path / "out"
+    assert main([*argv.split(), "--out", str(out)]) == EXIT_CONFIG
+    assert "--seed must be a non-negative integer, got -1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_verify_runs_the_link_pass_on_spin_2_sites(tmp_path):
+    """A 4-site ring with every link doubled has 2S = 4 sites: the link rows hold for any 2S, not only 2 and 3."""
+    lattice = tmp_path / "ring.json"
+    lattice.write_text(json.dumps({"sites": [0, 1, 2, 3], "links": [[i, (i + 1) % 4] for i in range(4)] * 2,
+                                   "boundary": "ring"}))
+    out = tmp_path / "v.json"
+    argv = ["verify", "--spin", "4", "--lattice", f"file:{lattice}", "--method", "mitigated_retry", "--out", str(out)]
+    assert main(argv) == EXIT_OK
+    report = json.loads(out.read_text())
+    check = next(c for c in report["checks"] if c["name"] == "projector_annihilation")
+    assert check["pass"] and report["simulated"]["max_projector_residual"] < 1e-10
+
+
 def test_main_calls_share_no_values(tmp_path, capsys):
     """The parser is built once per process; each main call still parses into fresh values."""
     from vbsprep import cli
@@ -502,20 +527,18 @@ def test_link_pass_matches_direct_projector_norm_and_expectation(lattice, twice_
 
     from vbsprep.cli import _link_values
     from vbsprep.lattice import assign_qubits
-    from vbsprep.spinops import SpinValue, aklt_two_site_projector
 
-    from oracle_reference import blbq_hamiltonian_term
+    from oracle_reference import aklt_projector_from_product, blbq_hamiltonian_term
 
-    s = SpinValue(twice_s)
     encoding = assign_qubits(lattice, "hadamard_all")
     shape = (twice_s + 1,) * lattice.n_sites
     rng = np.random.default_rng(encoding.n_data_qubits)
     psi = rng.normal(size=shape) + 1j * rng.normal(size=shape)
     st = embed(psi)
-    residuals, energies = _link_values(psi, lattice, s)
+    residuals, energies = _link_values(psi, lattice)
     pairs = {frozenset(link) for link in lattice.links}
     assert set(residuals) == pairs
-    proj = aklt_two_site_projector(s)
+    proj = aklt_projector_from_product(twice_s)
     term = blbq_hamiltonian_term(1.0 / 3.0)
     for a, b in lattice.links:
         qs = encoding.site_qubits[a] + encoding.site_qubits[b]

@@ -13,12 +13,9 @@ from vbsprep.methods import (
     run_mps,
     run_probabilistic,
 )
-from vbsprep.spinops import SpinValue
 from vbsprep.statesim import Statevector
 
-from oracle_reference import applied_norm, bond_product, embed, fidelity, overlap, reference_oracle
-
-S1, S32 = SpinValue(2), SpinValue(3)
+from oracle_reference import aklt_projector_from_product, applied_norm, bond_product, embed, fidelity, overlap, reference_oracle
 
 
 def spin1_routes(lattice, seed=13):
@@ -155,7 +152,6 @@ def test_mixed_spin_patch_interior_link_annihilation():
     # boundary sites of an open patch carry the smaller spin set by their
     # coordination; the interior spin-3/2 link is still annihilated
     from vbsprep.lattice import assign_qubits
-    from vbsprep.spinops import aklt_two_site_projector
 
     lat = build_honeycomb_patch(1, 2)
     spins = {lat.site_twice_spin(s) for s in range(lat.n_sites)}
@@ -164,7 +160,7 @@ def test_mixed_spin_patch_interior_link_annihilation():
     psi, norm = oracle_vbs_state(lat)
     state = embed(psi)
     assert 0 < norm < 1
-    proj = aklt_two_site_projector(S32)
+    proj = aklt_projector_from_product(3)
     interior = [
         (a, b) for a, b in lat.links if lat.coordination(a) == 3 and lat.coordination(b) == 3
     ]
@@ -315,6 +311,37 @@ def test_a_mixed_spin_lattice_runs_through_the_circuit_routes(route, n_qubits):
         assert sorted(m.qubit for m in result["circuit"].measures()) == sorted([*range(10, 16)] * 2 + [10, 11] * 2)
     assert abs(result["state"].spin_fidelity(psi) - 1.0) <= 1e-10
     assert abs(result["success_probability"] - norm) <= 1e-12
+
+
+SWEEP_LATTICES = [f"chain:{n}:open:{flavor}" for n in range(2, 6) for flavor in ("aligned", "anti")]
+SWEEP_LATTICES += ["chain:4:ring", "three-link-pair", "three-link-ring:4"]
+
+
+def _circuit_route_cases():
+    """(name, lattice, route) for every circuit route each lattice runs: mps on spin-1 chains, no island route on the diamond."""
+    from vbsprep.cli import parse_lattice
+
+    for spec in SWEEP_LATTICES:
+        lattice = parse_lattice(spec)
+        for route in ("probabilistic", "mitigated_islands", "lcu", "mps"):
+            if route != "mps" or lattice.uniform_twice_spin() == 2:
+                yield pytest.param(lattice, route, id=f"{spec}-{route}")
+    yield from (pytest.param(DIAMOND, route, id=f"diamond-{route}") for route in ("probabilistic", "lcu"))
+
+
+@pytest.mark.parametrize("lattice,route", _circuit_route_cases())
+def test_every_circuit_route_returns_the_encoding_of_its_circuit(lattice, route):
+    """total_qubits is the circuit's width; lcu's encoding reserves its one bank, and no test ancilla per site.
+
+    lcu's encoding once was hadamard_all's: 8 qubits against a 12-qubit circuit on three-link-pair, 14 against 16
+    on the diamond.
+    """
+    result = ROUTES[route](lattice, 3)
+    encoding, circuit = result["encoding"], result["circuit"]
+    assert encoding.total_qubits == circuit.n_qubits
+    if route == "lcu":
+        assert encoding.ancilla == (None,) * lattice.n_sites
+        assert {m.qubit for m in circuit.measures()} == set(range(encoding.n_data_qubits, encoding.total_qubits))
 
 
 @pytest.mark.parametrize("route", ["mitigated_islands", "mitigated_retry"])

@@ -1,28 +1,29 @@
-"""Spin matrices, symmetrizers, projectors, and their exact identities."""
+"""Symmetrizers, the Dicke isometry and the link rows, each against a reference built from spin matrices or permutations."""
 import itertools
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from vbsprep.errors import CapExceededError, UnsupportedError
+from vbsprep.errors import CapExceededError
 from vbsprep.spinops import (
-    SpinValue,
-    _embed_single,
-    aklt_two_site_projector,
     exp_minus_i_pi_symmetrizer,
-    permutation_operator,
-    spin_matrices,
+    link_operators,
     symmetric_fraction,
     symmetric_subspace_isometry,
     symmetrizer,
-    two_site_spin_dot,
 )
+from vbsprep.symmetrize import permutation_operator
 
 from oracle_reference import (
     aklt_projector_from_product,
     blbq_hamiltonian_term,
+    permutation_by_indices,
+    spin_matrices,
+    symmetrizer_from_permutations,
     symmetrizer_from_spin_projector,
     total_spin_squared,
+    two_site_spin_dot,
 )
 
 TOL = 1e-12
@@ -34,7 +35,7 @@ def commutator(a, b):
 
 @pytest.mark.parametrize("twice_s", [1, 2, 3, 4, 5])
 def test_spin_matrices_algebra(twice_s):
-    sx, sy, sz = spin_matrices(SpinValue(twice_s))
+    sx, sy, sz = spin_matrices(twice_s)
     s = twice_s / 2.0
     for op in (sx, sy, sz):
         assert np.max(np.abs(op - op.conj().T)) <= TOL
@@ -47,34 +48,20 @@ def test_spin_matrices_algebra(twice_s):
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
-def test_permutation_and_embedding_match_their_loops(n):
-    """Bit for bit: the loop over basis indices, and the kron loop from a complex 1x1 start."""
+def test_permutation_operator_matches_its_loop(n):
+    """Bit for bit: the loop over basis indices."""
     for perm in itertools.permutations(range(n)):
-        ref = np.zeros((2**n, 2**n))
-        for idx in range(2**n):
-            bits = [(idx >> (n - 1 - q)) & 1 for q in range(n)]
-            new_bits = [0] * n
-            for i, b in enumerate(bits):
-                new_bits[perm[i]] = b
-            ref[sum(b << (n - 1 - q) for q, b in enumerate(new_bits)), idx] = 1.0
-        got = permutation_operator(perm)
+        ref, got = permutation_by_indices(perm), permutation_operator(perm)
         assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
-    for op in (*(o for o in spin_matrices(SpinValue(1))), np.array([[0.3, -0.0], [0.0, -2.5]])):
-        for pos in range(n):
-            ref = np.array([[1.0 + 0j]])
-            for k in range(n):
-                ref = np.kron(ref, op if k == pos else np.eye(2))
-            got = _embed_single(op, n, pos)
-            assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
 
 
 def test_spin_half_z():
-    _, _, sz = spin_matrices(SpinValue(1))
+    _, _, sz = spin_matrices(1)
     assert np.allclose(sz, np.diag([0.5, -0.5]), atol=TOL)
 
 
 def test_spin_one_z():
-    _, _, sz = spin_matrices(SpinValue(2))
+    _, _, sz = spin_matrices(2)
     assert np.allclose(sz, np.diag([1.0, 0.0, -1.0]), atol=TOL)
 
 
@@ -123,6 +110,13 @@ def test_symmetrizer_constructions_agree(n):
     assert np.max(np.abs(a - b)) < TOL
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_symmetrizer_is_the_permutation_average_bit_for_bit(n):
+    """[w(i) = w(j)] / C(n, w(i)) is the n!-permutation average: w! (n - w)! / n! rounds as 1 / C(n, w)."""
+    a, b = symmetrizer(n), symmetrizer_from_permutations(n)
+    assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
 def test_symmetrizer_two_halves_matrix():
     expected = np.array(
         [[1, 0, 0, 0], [0, 0.5, 0.5, 0], [0, 0.5, 0.5, 0], [0, 0, 0, 1]], dtype=float
@@ -163,7 +157,7 @@ def test_exponential_single_is_minus_identity():
 
 
 def test_projector_fixes_highest_weight_state():
-    p = aklt_two_site_projector(SpinValue(2))
+    p = aklt_projector_from_product(2)
     v = np.zeros(16)
     v[0] = 1.0  # all four qubits up: the m=2 state of the total-spin-2 sector
     assert np.max(np.abs(p @ v - v)) < TOL
@@ -171,7 +165,7 @@ def test_projector_fixes_highest_weight_state():
 
 @pytest.mark.parametrize("twice_s", [2, 3])
 def test_projector_eigenvalues_on_doubly_symmetric_subspace(twice_s):
-    p = aklt_two_site_projector(SpinValue(twice_s))
+    p = aklt_projector_from_product(twice_s)
     iso = symmetric_subspace_isometry(twice_s)
     pair = np.kron(iso, iso)
     restricted = pair.conj().T @ p @ pair
@@ -179,43 +173,45 @@ def test_projector_eigenvalues_on_doubly_symmetric_subspace(twice_s):
     assert all(min(abs(v), abs(v - 1)) < 1e-10 for v in vals)
 
 
-@pytest.mark.parametrize("twice_s", [2, 3])
-def test_projector_coefficients_match_product_form(twice_s):
-    # The polynomial assumes each site's Casimir takes its spin-S value, so
-    # the two constructions agree on the doubly-symmetric subspace.
-    poly = aklt_two_site_projector(SpinValue(twice_s))
-    prod = aklt_projector_from_product(SpinValue(twice_s))
-    iso = symmetric_subspace_isometry(twice_s)
-    pair = np.kron(iso, iso)
-    lhs = pair.conj().T @ poly @ pair
-    rhs = pair.conj().T @ prod @ pair
-    assert np.max(np.abs(lhs - rhs)) < 1e-11
+def _projector_polynomial(twice_s: int) -> list[Fraction]:
+    """c_0..c_2S with P = sum_k c_k (S_a . S_b)^k: the Lagrange polynomial through 1 on J = 2S and 0 on J < 2S.
+
+    On the sector of total spin J, S_a . S_b = (J(J+1) - 2 S(S+1)) / 2.
+    """
+    s = Fraction(twice_s, 2)
+    nodes = [(j * (j + 1) - 2 * s * (s + 1)) / 2 for j in range(twice_s + 1)]
+    coeffs = [Fraction(1)]
+    for node in nodes[:-1]:  # times (x - node) / (top - node)
+        shifted = [Fraction(0)] + coeffs  # x * coeffs
+        coeffs = [(high - node * low) / (nodes[-1] - node) for high, low in zip(shifted, coeffs + [Fraction(0)])]
+    return coeffs
 
 
-def test_projector_unsupported_spin():
-    with pytest.raises(UnsupportedError):
-        aklt_two_site_projector(SpinValue(4))
+def test_spin_three_halves_projector_gives_the_model_couplings():
+    """Dropping the constant and normalizing the bilinear term gives the spin-3/2 model's 116/243 and 16/243."""
+    assert _projector_polynomial(2) == [Fraction(1, 3), Fraction(1, 2), Fraction(1, 6)]
+    c0, c1, c2, c3 = _projector_polynomial(3)
+    assert c2 / c1 == Fraction(116, 243)
+    assert c3 / c1 == Fraction(16, 243)
+
+
+@pytest.mark.parametrize("twice_s", [2, 3, 4])
+def test_projector_polynomial_in_spin_dot_is_the_link_rows(twice_s):
+    """The Lagrange polynomial in S_a . S_b, restricted to two spin sites, equals R^T R."""
+    pair = np.kron(symmetric_subspace_isometry(twice_s), symmetric_subspace_isometry(twice_s))
+    x = pair.T @ two_site_spin_dot(twice_s).real @ pair
+    poly = sum(float(c) * np.linalg.matrix_power(x, k) for k, c in enumerate(_projector_polynomial(twice_s)))
+    rows = link_operators(twice_s)
+    assert np.max(np.abs(poly - rows.T @ rows)) < TOL
 
 
 def test_spin_dot_eigenvalues_on_two_spin_ones():
     # brute-force eigendecomposition restricted to the spin-1 x spin-1 sector
-    x = two_site_spin_dot(SpinValue(2))
+    x = two_site_spin_dot(2)
     iso = symmetric_subspace_isometry(2)
     pair = np.kron(iso, iso)
     vals = np.linalg.eigvalsh(pair.conj().T @ x @ pair)
     assert all(min(abs(v + 2), abs(v + 1), abs(v - 1)) < 1e-10 for v in vals)
-
-
-def test_projector_rescaled_to_unit_bilinear_gives_model_coefficients():
-    # dropping the constant and normalizing the bilinear term must produce
-    # the quadratic/cubic couplings 116/243 and 16/243 of the spin-3/2 model
-    from fractions import Fraction
-
-    from vbsprep.spinops import _PROJECTOR_COEFFS
-
-    c0, c1, c2, c3 = _PROJECTOR_COEFFS[3]
-    assert c2 / c1 == Fraction(116, 243)
-    assert c3 / c1 == Fraction(16, 243)
 
 
 def test_symmetrizer_eigenstructure_three_halves():
@@ -234,18 +230,18 @@ def test_symmetrizer_eigenstructure_three_halves():
 
 
 def test_blbq_projector_identity_at_beta_one_third():
+    """On two spin-1 sites (the product form is the projector only there)."""
+    pair = np.kron(symmetric_subspace_isometry(2), symmetric_subspace_isometry(2))
     term = blbq_hamiltonian_term(1.0 / 3.0)
-    p = aklt_two_site_projector(SpinValue(2))
-    assert np.max(np.abs(term - 2 * (p - np.eye(16) / 3))) < TOL
+    p = aklt_projector_from_product(2)
+    assert np.max(np.abs(pair.T @ (term - 2 * (p - np.eye(16) / 3)) @ pair)) < TOL
 
 
 def test_blbq_beta_zero_is_bilinear():
-    assert np.max(np.abs(blbq_hamiltonian_term(0.0) - two_site_spin_dot(SpinValue(2)))) < TOL
+    assert np.max(np.abs(blbq_hamiltonian_term(0.0) - two_site_spin_dot(2))) < TOL
 
 
 def test_symmetric_fraction_values():
-    from fractions import Fraction
-
     assert symmetric_fraction(2) == Fraction(3, 4)
     assert symmetric_fraction(3) == Fraction(1, 2)
     assert symmetric_fraction(4) == Fraction(5, 16)
@@ -254,18 +250,18 @@ def test_symmetric_fraction_values():
 @pytest.mark.parametrize(
     "build",
     [
-        lambda: spin_matrices(SpinValue(2))[0],
-        lambda: spin_matrices(SpinValue(3))[1],
+        lambda: spin_matrices(2)[0],
+        lambda: spin_matrices(3)[1],
         lambda: total_spin_squared(3),
         lambda: symmetrizer(3),
         lambda: symmetrizer_from_spin_projector(3),
         lambda: exp_minus_i_pi_symmetrizer(2),
-        lambda: aklt_two_site_projector(SpinValue(2)),
-        lambda: aklt_projector_from_product(SpinValue(3)),
+        lambda: two_site_spin_dot(2),
+        lambda: aklt_projector_from_product(3),
         lambda: blbq_hamiltonian_term(0.5),
     ],
     ids=["Sx", "Sy", "S_total^2", "symmetrizer", "symmetrizer_from_spin_projector", "exp_minus_i_pi_symmetrizer",
-         "aklt_two_site_projector", "aklt_projector_from_product", "blbq_hamiltonian_term"],
+         "two_site_spin_dot", "aklt_projector_from_product", "blbq_hamiltonian_term"],
 )
 def test_every_operator_is_a_read_only_complex_square_array(build):
     op = build()
@@ -275,19 +271,16 @@ def test_every_operator_is_a_read_only_complex_square_array(build):
         op[0, 0] = 1.0
 
 
-@pytest.mark.parametrize("twice_s", [2, 3])
+@pytest.mark.parametrize("twice_s", [2, 3, 4])
 def test_spin_basis_link_projector_is_idempotent(twice_s):
     """R, the rows of P restricted to two spin sites: R R^T = 1, R^T R = P, and on spin 1 H = 2 R^T R - 2/3."""
-    from vbsprep.spinops import link_operators
-
-    s = SpinValue(twice_s)
     rows = link_operators(twice_s)
     d = twice_s + 1
     # the top total spin 2S of two spin-S sites has 4S+1 states
     assert rows.shape == (2 * twice_s + 1, d * d)
     assert np.max(np.abs(rows @ rows.T - np.eye(2 * twice_s + 1))) < TOL
     pair = np.kron(symmetric_subspace_isometry(twice_s), symmetric_subspace_isometry(twice_s))
-    assert np.max(np.abs(rows.T @ rows - pair.T @ aklt_two_site_projector(s) @ pair)) < TOL
+    assert np.max(np.abs(rows.T @ rows - pair.T @ aklt_projector_from_product(twice_s).real @ pair)) < TOL
     if twice_s == 2:
         term = pair.T @ blbq_hamiltonian_term(1.0 / 3.0) @ pair
         assert np.max(np.abs(2 * rows.T @ rows - 2.0 / 3.0 * np.eye(d * d) - term)) < TOL
@@ -297,8 +290,6 @@ def test_spin_basis_link_projector_is_idempotent(twice_s):
     assert link_operators(twice_s) is link_operators(twice_s)  # built once per 2S
     with pytest.raises(ValueError):
         rows[0, 0] = 1.0  # the cached array is read-only
-    with pytest.raises(UnsupportedError):
-        link_operators(4)
 
 
 @pytest.mark.parametrize("n_halves", [1, 2, 3, 4, 5])
