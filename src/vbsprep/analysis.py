@@ -174,22 +174,13 @@ def _grid_circuit(twice_s: int, method: str, coupling: str) -> Circuit:
     if coupling == "heavy_hex":
         return heavy_hex_pair(method)[0].circuit
     lattice = build_chain(4, "ring") if twice_s == 2 else build_three_link_pair()
-    if method == "probabilistic":
-        return probabilistic_method_circuit(lattice, assign_qubits(lattice, "hadamard_all"))
-    return mitigated_islands_circuit(lattice, assign_qubits(lattice, "islands_plus_sublattice"))
+    builder = probabilistic_method_circuit if method == "probabilistic" else mitigated_islands_circuit
+    return builder(assign_qubits(lattice))
 
 
 def resource_summary(twice_s: int, method: str, coupling: str) -> dict:
     """CNOT depth of a preparation method's circuit on a coupling family,
     overall and per stage."""
-    if method == "lcu":
-        from .symmetrize import lcu_spin2_resources
-
-        if twice_s != 4:
-            raise UnsupportedError("LCU resource summary implemented for 2S=4")
-        res = lcu_spin2_resources()
-        res["twice_s"] = twice_s
-        return res
     key = (twice_s, method, coupling)
     if key not in TABLE_I:
         raise UnsupportedError(f"no declared composition for {key}")

@@ -6,7 +6,7 @@ import functools
 
 import numpy as np
 
-from .errors import ConfigError, UnsupportedError
+from .errors import UnsupportedError
 from .ir import (
     DECLARED_COSTS,
     Circuit,
@@ -22,7 +22,7 @@ from .ir import (
     u_x,
     u_z,
 )
-from .lattice import SPIN_DOWN, Lattice, SiteEncoding
+from .lattice import SPIN_DOWN, SiteEncoding
 from .schmidt import ISLAND_SITE_SLOTS, SINGLET, island_prep_circuit, schmidt_prepare
 from .spinops import exp_minus_i_pi_symmetrizer, symmetrizer
 from .statesim import Statevector
@@ -47,11 +47,10 @@ def valence_bond_subcircuit(q_top: int, q_bottom: int, circ: Circuit) -> Circuit
     return circ
 
 
-def pre_vbs_circuit(lattice: Lattice, encoding: SiteEncoding) -> Circuit:
-    """One valence-bond fragment per link plus boundary-spin initialization."""
-    if encoding.lattice != lattice:
-        raise ConfigError("encoding was built for a different lattice")
-    circ = Circuit(encoding.total_qubits)
+def pre_vbs_circuit(encoding: SiteEncoding, n_ancillas: int) -> Circuit:
+    """One valence-bond fragment per link plus boundary-spin initialization,
+    on a register of the data qubits and `n_ancillas` ancillas after them."""
+    circ = Circuit(encoding.n_data_qubits + n_ancillas)
     for qubit, spin in encoding.boundary_qubits:
         if spin == SPIN_DOWN:
             circ.add(u_x(qubit))
@@ -81,21 +80,18 @@ def hadamard_test_fragment(
     site: int,
     encoding: SiteEncoding,
     circ: Circuit,
+    anc: int,
     heavy_hex_box: str | None = None,
-    anc: int | None = None,
     creg: int | None = None,
 ) -> Circuit:
-    """One-ancilla test whose retained branch symmetrizes the site's 2S qubits.
+    """Test on ancilla `anc` whose retained branch symmetrizes the site's 2S qubits.
 
     The retained ancilla outcome is |1>.  For 2S=2 the controlled block is a
     phased controlled-SWAP.
     `heavy_hex_box` selects the declared heavy-hex cost variant ("t" or
-    "line") for the spin-3/2 block; `anc` overrides the site's own ancilla
-    (the retry circuit borrows one).  The marker takes `creg`, or else the
+    "line") for the spin-3/2 block.  The marker takes `creg`, or else the
     first free one (a scan of every gate).
     """
-    if anc is None:
-        anc = encoding.site_ancilla(site)
     qubits = encoding.site_qubits[site]
     twice_s = len(qubits)
     cost_key = f"test_2s{twice_s}" + (f"_{heavy_hex_box or 'line'}" if twice_s == 3 else "")
@@ -108,14 +104,13 @@ def hadamard_test_fragment(
     return circ
 
 
-def probabilistic_method_circuit(lattice: Lattice, encoding: SiteEncoding) -> Circuit:
-    """Valence-bond layer followed by one parallel local test per site."""
-    if encoding.method != "hadamard_all":
-        raise ConfigError("probabilistic method needs the hadamard_all encoding")
-    circ = pre_vbs_circuit(lattice, encoding)
+def probabilistic_method_circuit(encoding: SiteEncoding) -> Circuit:
+    """Valence-bond layer followed by one parallel local test per site; site s tests on ancilla n_data_qubits + s."""
+    n_sites = encoding.lattice.n_sites
+    circ = pre_vbs_circuit(encoding, n_sites)
     first = circ.next_creg()
-    for site in range(lattice.n_sites):
-        hadamard_test_fragment(site, encoding, circ, creg=first + site)
+    for site in range(n_sites):
+        hadamard_test_fragment(site, encoding, circ, encoding.n_data_qubits + site, creg=first + site)
     return circ
 
 
@@ -123,8 +118,9 @@ def probabilistic_method_circuit(lattice: Lattice, encoding: SiteEncoding) -> Ci
 # islands variant
 # ---------------------------------------------------------------------------
 
-def island_qubit_groups(lattice: Lattice, encoding: SiteEncoding) -> dict[int, tuple[int, ...]]:
+def island_qubit_groups(encoding: SiteEncoding) -> dict[int, tuple[int, ...]]:
     """For each A-sublattice site, the qubits of its island (site + bond partners)."""
+    lattice = encoding.lattice
     colors = lattice.sublattice()
     groups: dict[int, tuple[int, ...]] = {}
     for site in range(lattice.n_sites):
@@ -140,7 +136,7 @@ def island_qubit_groups(lattice: Lattice, encoding: SiteEncoding) -> dict[int, t
     return groups
 
 
-def island_local_state(lattice: Lattice, encoding: SiteEncoding, site: int, group: tuple[int, ...]) -> Statevector:
+def island_local_state(encoding: SiteEncoding, site: int, group: tuple[int, ...]) -> Statevector:
     """Island state in the group's local qubit order (bonds + symmetrized site).
 
     Its `tracked_norm_sq` is the symmetrizer's success probability on the
@@ -148,7 +144,7 @@ def island_local_state(lattice: Lattice, encoding: SiteEncoding, site: int, grou
     """
     local = {q: i for i, q in enumerate(group)}
     factors = []
-    for k, (a, b) in enumerate(lattice.links):
+    for k, (a, b) in enumerate(encoding.lattice.links):
         if site in (a, b):
             qa, qb = encoding.link_qubits[k]
             factors.append(((local[qa], local[qb]), SINGLET))
@@ -174,7 +170,7 @@ def _island_prep(twice_s: int) -> tuple[np.ndarray, dict]:
     return mat, costs
 
 
-def island_block(lattice: Lattice, encoding: SiteEncoding, site: int) -> Opaque:
+def island_block(encoding: SiteEncoding, site: int) -> Opaque:
     """A full island (site plus its 2S bond partners) as one opaque block.
 
     The qubits are listed in island_state's order: each site qubit at its
@@ -183,7 +179,7 @@ def island_block(lattice: Lattice, encoding: SiteEncoding, site: int) -> Opaque:
     global sign.
     """
     partner = {}
-    for k, (a, b) in enumerate(lattice.links):
+    for k, (a, b) in enumerate(encoding.lattice.links):
         qa, qb = encoding.link_qubits[k]
         if site == a:
             partner[qa] = qb
@@ -197,56 +193,55 @@ def island_block(lattice: Lattice, encoding: SiteEncoding, site: int) -> Opaque:
     return Opaque(f"island_site{site}", tuple(order), mat, **costs)
 
 
-def mitigated_islands_circuit(lattice: Lattice, encoding: SiteEncoding) -> Circuit:
+def mitigated_islands_circuit(encoding: SiteEncoding) -> Circuit:
     """Deterministic island initialization on sublattice A, tests on sublattice B.
 
     Full islands enter as one island_block each; boundary islands, which
-    miss a bond, are prepared by a generic Schmidt split.
+    miss a bond, are prepared by a generic Schmidt split.  The i-th B site
+    tests on ancilla n_data_qubits + i.
     """
-    if encoding.method != "islands_plus_sublattice":
-        raise ConfigError("islands method needs the islands_plus_sublattice encoding")
-    colors = lattice.sublattice()
-    circ = Circuit(encoding.total_qubits)
-    groups = island_qubit_groups(lattice, encoding)
+    b_sites = [site for site, color in enumerate(encoding.lattice.sublattice()) if color == "B"]
+    circ = Circuit(encoding.n_data_qubits + len(b_sites))
+    groups = island_qubit_groups(encoding)
     covered: set[int] = set()
     for site, group in sorted(groups.items()):
         twice_s = len(encoding.site_qubits[site])
         if len(group) == 2 * twice_s and twice_s in ISLAND_SITE_SLOTS:
-            circ.add(island_block(lattice, encoding, site))
+            circ.add(island_block(encoding, site))
         else:
-            target = island_local_state(lattice, encoding, site, group)
+            target = island_local_state(encoding, site, group)
             circ.extend(schmidt_prepare(target.amps, qubits=group, label=f"island_site{site}").gates)
         covered |= set(group)
     for qubit, spin in encoding.boundary_qubits:
         if qubit not in covered and spin == SPIN_DOWN:
             circ.add(u_x(qubit))
     first = circ.next_creg()
-    for i, site in enumerate(site for site in range(lattice.n_sites) if colors[site] == "B"):
-        hadamard_test_fragment(site, encoding, circ, creg=first + i)
+    for i, site in enumerate(b_sites):
+        hadamard_test_fragment(site, encoding, circ, encoding.n_data_qubits + i, creg=first + i)
     return circ
 
 
-def mitigated_retry_circuit(lattice: Lattice, encoding: SiteEncoding) -> Circuit:
+def mitigated_retry_circuit(encoding: SiteEncoding) -> Circuit:
     """Bond layer plus one retried test per A-sublattice site, then plain tests on B.
 
     A retry resets the site's island (its `island_qubit_groups` entry) and
     repeats the test; the simulator realizes it by branch resampling
-    (methods.run_mitigated_retry).  Each retried test borrows a B ancilla and
-    returns it from the retained |1> to |0> for the next test.
+    (methods.run_mitigated_retry).  The i-th B site tests on ancilla
+    n_data_qubits + i; the k-th retried test borrows ancilla
+    n_data_qubits + k mod (number of B sites) and returns it from the
+    retained |1> to |0> for the next test.
     """
-    if encoding.method != "islands_plus_sublattice":
-        raise ConfigError("retry method needs the islands_plus_sublattice encoding")
-    colors = lattice.sublattice()
-    circ = pre_vbs_circuit(lattice, encoding)
-    a_sites = [site for site in range(lattice.n_sites) if colors[site] == "A"]
-    b_sites = [site for site in range(lattice.n_sites) if colors[site] == "B"]
+    n_data, colors = encoding.n_data_qubits, encoding.lattice.sublattice()
+    a_sites = [site for site, color in enumerate(colors) if color == "A"]
+    b_sites = [site for site, color in enumerate(colors) if color == "B"]
+    circ = pre_vbs_circuit(encoding, len(b_sites))
     creg = circ.next_creg()
     for idx, site in enumerate(a_sites):
-        anc = encoding.ancilla[b_sites[idx % len(b_sites)]]
-        hadamard_test_fragment(site, encoding, circ, anc=anc, creg=creg + idx)
+        anc = n_data + idx % len(b_sites)
+        hadamard_test_fragment(site, encoding, circ, anc, creg=creg + idx)
         circ.add(u_x(anc))
     for i, site in enumerate(b_sites):
-        hadamard_test_fragment(site, encoding, circ, creg=creg + len(a_sites) + i)
+        hadamard_test_fragment(site, encoding, circ, n_data + i, creg=creg + len(a_sites) + i)
     return circ
 
 

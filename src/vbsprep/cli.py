@@ -44,6 +44,7 @@ from .qasm import emit_qasm
 from .routing import heavy_hex_pair, route
 from .spinops import link_operators
 from .statesim import max_qubits
+from .symmetrize import lcu_spin2_resources
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -167,6 +168,7 @@ def cmd_prepare(args) -> int:
     if args.shots and args.method != "probabilistic":
         raise UnsupportedError(f"--shots is read only by the probabilistic method, not by {args.method}")
     _check_register(lattice)
+    _check_coupling(args, lattice)
     result = ROUTES[args.method](lattice, args.seed)
     oracle, oracle_norm = oracle_vbs_state(lattice)
 
@@ -196,21 +198,26 @@ def cmd_prepare(args) -> int:
     if args.method == "mps" and lattice.boundary == BOUNDARY_RING:
         report.add_check("mps_ancilla_probability", 0.5, result["success_probability"], 1e-10)
     if args.coupling != "all_to_all":
-        _routed_checks(args, lattice, result, oracle, report)
+        _routed_checks(args, result, oracle, report)
     return _finish(report, args)
 
 
-def _routed_checks(args, lattice, result, oracle, report):
-    """Route the circuit onto the requested coupling and re-verify it."""
-    if args.coupling == "linear":
-        if args.method != "probabilistic":
-            raise UnsupportedError("linear routing is wired up for the probabilistic method")
-        encoding = result["encoding"]
-        routed = route(result["circuit"], linear_coupling(encoding.total_qubits))
-    else:  # heavy_hex: the pair is known by its sites, links and boundary, whatever a file names it
+def _check_coupling(args, lattice: Lattice):
+    """Raises unless --coupling can place this method's circuit: checked before any state is built."""
+    if args.coupling == "linear" and args.method != "probabilistic":
+        raise UnsupportedError("linear routing is wired up for the probabilistic method")
+    if args.coupling == "heavy_hex":  # the pair is known by its sites, links and boundary, whatever a file names it
         pair = build_three_link_pair()
         if (lattice.n_sites, lattice.links, lattice.boundary) != (pair.n_sites, pair.links, pair.boundary):
             raise UnsupportedError("heavy-hex placement is declared for the three-link pair")
+
+
+def _routed_checks(args, result, oracle, report):
+    """Route the circuit onto the requested coupling (`_check_coupling` passed it) and re-verify it."""
+    if args.coupling == "linear":
+        circuit, encoding = result["circuit"], result["encoding"]
+        routed = route(circuit, linear_coupling(circuit.n_qubits))
+    else:
         routed, encoding = heavy_hex_pair(args.method)
     _, state = simulate_post_selected(routed.circuit, routed.placement[: encoding.n_data_qubits])
     routed_fid = state.spin_fidelity(oracle)
@@ -223,6 +230,7 @@ def cmd_verify(args) -> int:
     lattice = parse_lattice(args.lattice)
     validate_config(lattice, args.spin, args.method)
     _check_register(lattice)
+    _check_coupling(args, lattice)
     psi, norm_sq = oracle_vbs_state(lattice)
     result = ROUTES[args.method](lattice, args.seed)
 
@@ -234,7 +242,7 @@ def cmd_verify(args) -> int:
     # only the fidelities are checked, so the route's states are not kept through the link pass
     report.add_check("route_fidelity", 1.0, result.pop("state").spin_fidelity(psi), 1e-10)
     if args.coupling != "all_to_all":
-        _routed_checks(args, lattice, result, psi, report)
+        _routed_checks(args, result, psi, report)
     closed = _analytic_norm(lattice, args.spin)
     if closed is not None:
         report.analytic["norm_closed_form"] = closed
@@ -308,7 +316,7 @@ def cmd_resources(args) -> int:
             row["cnot_depth"],
             0.0,
         )
-    report.resources["lcu_spin2"] = analysis.resource_summary(4, "lcu", "all_to_all")
+    report.resources["lcu_spin2"] = {**lcu_spin2_resources(), "twice_s": 4}
     reps = analysis.repetitions_table(2) + analysis.repetitions_table(3)
     report.resources["repetitions"] = reps
     for row in reps:
@@ -324,7 +332,7 @@ def cmd_resources(args) -> int:
 def cmd_emit_qasm(args) -> int:
     lattice = parse_lattice(args.lattice)
     validate_config(lattice, args.spin, "probabilistic")
-    circ = probabilistic_method_circuit(lattice, assign_qubits(lattice, "hadamard_all"))
+    circ = probabilistic_method_circuit(assign_qubits(lattice))
     text = emit_qasm(circ, args.qasm_mode)
     if args.out:
         try:
@@ -388,6 +396,8 @@ def main(argv=None) -> int:
         _check_options_read(args)
         if args.seed < 0:  # numpy's generators reject it, and random.Random(-n) draws the rounds of seed n
             raise ConfigError(f"--seed must be a non-negative integer, got {args.seed}")
+        if args.shots < 0:  # else the route runs before the draw rejects it
+            raise ConfigError(f"--shots must be a non-negative integer, got {args.shots}")
         return args.func(args)
     except (MissingCostError, UnsupportedError) as exc:
         print(f"unsupported: {exc}", file=sys.stderr)

@@ -1,15 +1,16 @@
-"""Lattice graphs, sublattice coloring, and the site -> qubit assignment.
+"""Lattice graphs, sublattice coloring, and the site -> data qubit assignment.
 
 A lattice is a multigraph of sites and links.  Every link carries one
 valence bond, realized on one qubit at each endpoint.  Open chains keep a
 fixed-spin dangling qubit at each end so that every site encodes the same
 local spin; all other lattices give boundary sites a smaller local spin
-equal to half their coordination number.
+equal to half their coordination number.  The assignment is the same for
+every route: it lays out the data qubits only, and each route's circuit
+builder places its own ancillas after them.
 """
 from __future__ import annotations
 
 import json
-import math
 from collections import Counter, deque
 from dataclasses import dataclass
 from functools import cached_property
@@ -241,39 +242,26 @@ def lattice_from_json(text: str) -> Lattice:
 # qubit assignment
 # ---------------------------------------------------------------------------
 
-METHOD_HADAMARD_ALL = "hadamard_all"
-METHOD_ISLANDS = "islands_plus_sublattice"
-METHOD_MPS = "mps"
-METHOD_LCU = "lcu"
-
-
 @dataclass(frozen=True)
 class SiteEncoding:
-    """Map from lattice structure to simulator qubit indices.
+    """Map from lattice structure to the data qubits 0..n_data_qubits-1.
 
     site_qubits[s] lists site s's data qubits ordered by incident link;
     link_qubits[k] gives (qubit at link[k][0], qubit at link[k][1]);
     boundary_qubits lists (qubit, "up"/"down") for fixed dangling spins.
+    A route's ancillas are its circuit's alone: each builder places them
+    from n_data_qubits up, and the circuit's width counts them.
     """
 
     lattice: Lattice
     site_qubits: tuple[tuple[int, ...], ...]
     link_qubits: tuple[tuple[int, int], ...]
     boundary_qubits: tuple[tuple[int, str], ...]
-    ancilla: tuple[int | None, ...]
     n_data_qubits: int
-    total_qubits: int
-    method: str
-
-    def site_ancilla(self, site: int) -> int:
-        a = self.ancilla[site]
-        if a is None:
-            raise ConfigError(f"site {site} has no ancilla under method {self.method!r}")
-        return a
 
 
-def assign_qubits(lattice: Lattice, method: str = METHOD_HADAMARD_ALL) -> SiteEncoding:
-    """Allocate data qubits per (site, link) incidence plus method ancillas."""
+def assign_qubits(lattice: Lattice) -> SiteEncoding:
+    """Allocate one data qubit per (site, link) incidence and per dangling spin, site by site."""
     site_lists: list[list[int]] = [[] for _ in range(lattice.n_sites)]
     link_pairs: list[tuple[int, int]] = []
     boundary: list[tuple[int, str]] = []
@@ -304,36 +292,12 @@ def assign_qubits(lattice: Lattice, method: str = METHOD_HADAMARD_ALL) -> SiteEn
     link_pairs = [
         (link_slots[(a, k)], link_slots[(b, k)]) for k, (a, b) in enumerate(lattice.links)
     ]
-    n_data = counter
-
-    anc: list[int | None] = [None] * lattice.n_sites
-    if method == METHOD_HADAMARD_ALL:
-        for s in range(lattice.n_sites):
-            anc[s] = counter
-            counter += 1
-    elif method == METHOD_ISLANDS:
-        colors = lattice.sublattice()
-        for s in range(lattice.n_sites):
-            if colors[s] == "B":
-                anc[s] = counter
-                counter += 1
-    elif method == METHOD_MPS:
-        if lattice.boundary == BOUNDARY_RING:
-            counter += 1  # single post-selected ancilla, index n_data
-    elif method == METHOD_LCU:  # one bank of (largest 2S)! ancillas, shared by every site: no site has its own
-        counter += math.factorial(max(map(len, site_lists)))
-    else:
-        raise ConfigError(f"unknown assignment method {method!r}")
-
     return SiteEncoding(
         lattice=lattice,
         site_qubits=tuple(tuple(v) for v in site_lists),
         link_qubits=tuple(link_pairs),
         boundary_qubits=tuple(boundary),
-        ancilla=tuple(anc),
-        n_data_qubits=n_data,
-        total_qubits=counter,
-        method=method,
+        n_data_qubits=counter,
     )
 
 

@@ -87,13 +87,13 @@ def _post_selected(circ: Circuit, encoding: SiteEncoding) -> dict:
 
 def run_probabilistic(lattice: Lattice) -> dict:
     """Full-ancilla circuit, post-selected on every marker."""
-    encoding = assign_qubits(lattice, "hadamard_all")
-    return _post_selected(probabilistic_method_circuit(lattice, encoding), encoding)
+    encoding = assign_qubits(lattice)
+    return _post_selected(probabilistic_method_circuit(encoding), encoding)
 
 
 def run_mitigated_islands(lattice: Lattice) -> dict:
-    encoding = assign_qubits(lattice, "islands_plus_sublattice")
-    return _post_selected(mitigated_islands_circuit(lattice, encoding), encoding)
+    encoding = assign_qubits(lattice)
+    return _post_selected(mitigated_islands_circuit(encoding), encoding)
 
 
 def run_mitigated_retry(lattice: Lattice, seed: int) -> dict:
@@ -106,14 +106,14 @@ def run_mitigated_retry(lattice: Lattice, seed: int) -> dict:
     The rounds come from `random.Random(seed)`; no report prints them.
     """
     rng = random.Random(seed)
-    encoding = assign_qubits(lattice, "islands_plus_sublattice")
+    encoding = assign_qubits(lattice)
     colors = lattice.sublattice()
-    groups = island_qubit_groups(lattice, encoding)
+    groups = island_qubit_groups(encoding)
     rounds_used: dict[int, int] = {}
     factors = []
     covered: set[int] = set()
     for site, group in sorted(groups.items()):
-        state = island_local_state(lattice, encoding, site, group)
+        state = island_local_state(encoding, site, group)
         p_succ = state.tracked_norm_sq
         n_rounds = 1
         while rng.random() >= p_succ:
@@ -140,18 +140,19 @@ def run_mitigated_retry(lattice: Lattice, seed: int) -> dict:
 def run_lcu(lattice: Lattice) -> dict:
     """The bond layer, then prepare/select/unprepare symmetrization at every site, post-selected.
 
-    Every site's circuit uses the "lcu" encoding's one shared ancilla bank
-    of (largest 2S)! ancillas after the data qubits, |0...0> before and
-    after each site; a site of 2S qubits uses the first (2S)! of them.
-    simulate_post_selected folds each site's bank into one operator on the
-    site's qubits (8x8 for spin 3/2), so the bank never becomes a state
-    axis and the register holds only the data qubits.
+    Every site's circuit uses one shared bank of (largest 2S)! ancillas,
+    n_data_qubits and up, |0...0> before and after each site; a site of 2S
+    qubits uses the first (2S)! of them.  simulate_post_selected folds each
+    site's bank into one operator on the site's qubits (8x8 for spin 3/2),
+    so the bank never becomes a state axis and the register holds only the
+    data qubits.
     """
-    encoding = assign_qubits(lattice, "lcu")
-    ancillas = tuple(range(encoding.n_data_qubits, encoding.total_qubits))
-    circ = pre_vbs_circuit(lattice, encoding)
+    encoding = assign_qubits(lattice)
+    n_data = encoding.n_data_qubits
+    bank = tuple(range(n_data, n_data + math.factorial(max(map(len, encoding.site_qubits)))))
+    circ = pre_vbs_circuit(encoding, len(bank))
     for qs in encoding.site_qubits:
-        circ.extend(lcu_symmetrization_circuit(len(qs), qs, ancillas[: math.factorial(len(qs))]).gates)
+        circ.extend(lcu_symmetrization_circuit(len(qs), qs, bank[: math.factorial(len(qs))]).gates)
     return _post_selected(circ, encoding)
 
 
@@ -159,7 +160,7 @@ def run_mps(lattice: Lattice) -> dict:
     if lattice.boundary not in (BOUNDARY_OPEN, BOUNDARY_RING) or lattice.uniform_twice_spin() != 2:
         raise ConfigError("the MPS route requires a 1D chain of spin 2S=2")
     circ = mps_circuit(lattice.n_sites, lattice.boundary, lattice.boundary_spins)
-    return _post_selected(circ, assign_qubits(lattice, "mps"))
+    return _post_selected(circ, assign_qubits(lattice))
 
 
 # Every route under one call shape, route(lattice, seed).  Each entry looks

@@ -113,31 +113,34 @@ def heavy_hex_pair(method: str) -> tuple[RoutedCircuit, SiteEncoding]:
     The first stage (the bonds, or site A's island block under
     mitigated_islands) acts on the PAIR_ROLES positions, then the
     displacement block, then the test of each site that has an ancilla,
-    on its box.  Each gate is built on logical qubits and renamed
+    on its box.  The ancillas follow the 6 data qubits as the route's own
+    builder numbers them: probabilistic tests site s on ancilla 6 + s, and
+    mitigated_islands tests its one B site, site 1, on ancilla 6.  Each gate is built on logical qubits and renamed
     (`ir._renamed`) onto the positions they hold.
     """
     if method not in ("probabilistic", "mitigated_islands"):
         raise UnsupportedError("heavy-hex placement covers probabilistic and mitigated_islands")
-    lattice = build_three_link_pair()
-    encoding = assign_qubits(lattice, "hadamard_all" if method == "probabilistic" else "islands_plus_sublattice")
-    logical = {"anc_A": encoding.ancilla[0], "anc_B": encoding.ancilla[1]}
+    encoding = assign_qubits(build_three_link_pair())
+    n_data = encoding.n_data_qubits
+    ancillas = {0: n_data, 1: n_data + 1} if method == "probabilistic" else {1: n_data}  # site -> its test's ancilla
+    logical = {"anc_A": ancillas.get(0), "anc_B": ancillas.get(1)}
     for k, (qa, qb) in enumerate(encoding.link_qubits):
         logical[f"A{k + 1}"], logical[f"B{k + 1}"] = qa, qb
     occupied = {p: logical[role] for p, role in enumerate(PAIR_ROLES) if logical[role] is not None}
     placement = sorted(occupied, key=occupied.get)  # logical qubit -> position, as `route` keeps it
-    first = Circuit(encoding.total_qubits)
+    first = Circuit(n_data + len(ancillas))
     if method == "probabilistic":
         for qa, qb in encoding.link_qubits:
             valence_bond_subcircuit(qa, qb, first)
     else:
-        first.add(island_block(lattice, encoding, 0))
+        first.add(island_block(encoding, 0))
     circ = Circuit(heavy_hex_patch(1).n_qubits, [_renamed(g, placement) for g in first.gates])
     circ.add(displacement_block(PAIR_DISPLACEMENT))
     for pa, pb in PAIR_DISPLACEMENT:
         _move(placement, occupied, pa, pb)
-    tests = Circuit(encoding.total_qubits)
+    tests = Circuit(n_data + len(ancillas))
     for site, box in ((0, "line"), (1, "t")):
-        if encoding.ancilla[site] is not None:
-            hadamard_test_fragment(site, encoding, tests, heavy_hex_box=box)
+        if site in ancillas:
+            hadamard_test_fragment(site, encoding, tests, ancillas[site], heavy_hex_box=box)
     circ.gates.extend(_renamed(g, placement) for g in tests.gates)
     return RoutedCircuit(circ, placement), encoding

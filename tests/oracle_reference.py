@@ -98,7 +98,7 @@ def outer_then_sequence(n_qubits: int, factors, ops=()) -> Statevector:
 
 def reference_oracle(lattice: Lattice) -> tuple[Statevector, float]:
     """The symmetrizer of every site applied to the bond product: (normalized state, squared norm)."""
-    encoding = assign_qubits(lattice, "hadamard_all")
+    encoding = assign_qubits(lattice)
     n = encoding.n_data_qubits
     sites = [encoding.site_qubits[site] for site in range(lattice.n_sites)]
     state = outer_then_sequence(n, bond_factors(encoding, n), [(symmetrizer(len(qs)), qs) for qs in sites])

@@ -115,7 +115,7 @@ def test_criterion_03_ground_state_verification():
     cases.append((build_three_link_pair(), 3, aklt_projector_from_product(3)))
 
     for lattice, twice_s, proj in cases:
-        encoding = assign_qubits(lattice, "hadamard_all")
+        encoding = assign_qubits(lattice)
         state = embed(oracle_vbs_state(lattice)[0])
         for a, b in set(lattice.links):
             qs = encoding.site_qubits[a] + encoding.site_qubits[b]
@@ -275,9 +275,9 @@ def test_criterion_09_retry_statistics():
 def test_criterion_10_routing_soundness():
     # generic routing on a linear coupling
     lat = build_chain(3, "open", ("up", "up"))
-    enc = assign_qubits(lat, "hadamard_all")
-    circ = probabilistic_method_circuit(lat, enc)
-    routed = route(circ, linear_coupling(enc.total_qubits))
+    enc = assign_qubits(lat)
+    circ = probabilistic_method_circuit(enc)
+    routed = route(circ, linear_coupling(circ.n_qubits))
     s0, m0 = simulate_circuit(circ)
     p0, s0 = post_select(s0, m0, range(enc.n_data_qubits))
     s1, m1 = simulate_circuit(routed.circuit)

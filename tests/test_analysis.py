@@ -18,6 +18,7 @@ from vbsprep.ir import born_probabilities
 from vbsprep.lattice import BOUNDARY_OPEN, assign_qubits, build_chain, build_three_link_pair
 from vbsprep.methods import oracle_vbs_state
 from vbsprep.statesim import sample_indices
+from vbsprep.symmetrize import lcu_spin2_resources
 
 from retry_model import (
     fit_mean_rounds,
@@ -127,18 +128,19 @@ def test_table_i_grid():
 
 
 def test_resource_summary_lcu():
-    res = resource_summary(4, "lcu", "all_to_all")
-    assert res["total_cnots"] == 414
-    with pytest.raises(UnsupportedError):
-        resource_summary(2, "lcu", "all_to_all")
+    """`resources` reports lcu_spin2_resources itself: resource_summary covers the TABLE_I cells alone."""
+    assert lcu_spin2_resources()["total_cnots"] == 414
+    for twice_s in (2, 4):
+        with pytest.raises(UnsupportedError):
+            resource_summary(twice_s, "lcu", "all_to_all")
     with pytest.raises(UnsupportedError):
         resource_summary(2, "probabilistic", "heavy_hex")
 
 
 def test_monte_carlo_deterministic_and_calibrated():
     lat = build_chain(2, "open", ("up", "up"))
-    enc = assign_qubits(lat, "hadamard_all")
-    circ = probabilistic_method_circuit(lat, enc)
+    enc = assign_qubits(lat)
+    circ = probabilistic_method_circuit(enc)
     rate1, z1 = monte_carlo_success(*born_probabilities(circ), 0.5, 100_000, seed=3)
     rate2, _ = monte_carlo_success(*born_probabilities(circ), 0.5, 100_000, seed=3)
     assert rate1 == rate2
@@ -157,9 +159,9 @@ def test_monte_carlo_three_link_single_site():
     from vbsprep.builders import hadamard_test_fragment, pre_vbs_circuit
 
     lat = build_three_link_pair()
-    enc = assign_qubits(lat, "hadamard_all")
-    circ = pre_vbs_circuit(lat, enc)
-    hadamard_test_fragment(0, enc, circ)
+    enc = assign_qubits(lat)
+    circ = pre_vbs_circuit(enc, lat.n_sites)
+    hadamard_test_fragment(0, enc, circ, enc.n_data_qubits)
     rate, z = monte_carlo_success(*born_probabilities(circ), 0.5, 100_000, seed=5)
     assert abs(z) < 3.0
 
@@ -168,7 +170,7 @@ def test_monte_carlo_bit_masks_count_like_bitstrings():
     from vbsprep.ir import Measure
 
     lat = build_chain(3, "ring")
-    probs, markers = born_probabilities(probabilistic_method_circuit(lat, assign_qubits(lat, "hadamard_all")))
+    probs, markers = born_probabilities(probabilistic_method_circuit(assign_qubits(lat)))
     n = probs.size.bit_length() - 1
     for marks in (markers, markers + markers[:1], markers + [Measure(markers[0].qubit, 1 - markers[0].expect)],
                   [Measure(0, 1), Measure(n - 1, 0)]):

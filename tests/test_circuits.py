@@ -67,16 +67,16 @@ def test_valence_bond_not_involution():
 
 def test_pre_vbs_chain_counts():
     lat = build_chain(3, "open")
-    enc = assign_qubits(lat, "hadamard_all")
-    circ = pre_vbs_circuit(lat, enc)
+    enc = assign_qubits(lat)
+    circ = pre_vbs_circuit(enc, lat.n_sites)
     assert cnot_count(circ, "all_to_all") == 2
     assert cnot_depth(circ, "all_to_all") == 1
 
 
 def test_pre_vbs_three_link_pair():
     lat = build_three_link_pair()
-    enc = assign_qubits(lat, "hadamard_all")
-    circ = pre_vbs_circuit(lat, enc)
+    enc = assign_qubits(lat)
+    circ = pre_vbs_circuit(enc, lat.n_sites)
     assert cnot_count(circ, "all_to_all") == 3
     assert cnot_depth(circ, "all_to_all") == 1
     assert circ.n_qubits == 8
@@ -84,9 +84,10 @@ def test_pre_vbs_three_link_pair():
 
 def test_pre_vbs_matches_tensor_product_construction():
     for lat in (build_chain(3, "open", ("up", "down")), build_three_link_pair()):
-        enc = assign_qubits(lat, "hadamard_all")
-        state, _ = simulate_circuit(pre_vbs_circuit(lat, enc))
-        oracle = bond_product(enc, enc.total_qubits)
+        enc = assign_qubits(lat)
+        circ = pre_vbs_circuit(enc, lat.n_sites)
+        state, _ = simulate_circuit(circ)
+        oracle = bond_product(enc, circ.n_qubits)
         assert abs(fidelity(state, oracle) - 1.0) < 1e-12
 
 
@@ -96,8 +97,8 @@ def test_pre_vbs_matches_tensor_product_construction():
 )
 def test_hadamard_test_declared_costs(twice_s, coupling, count):
     lat = build_chain(2, "open") if twice_s == 2 else build_three_link_pair()
-    enc = assign_qubits(lat, "hadamard_all")
-    frag = hadamard_test_fragment(0, enc, Circuit(enc.total_qubits))
+    enc = assign_qubits(lat)
+    frag = hadamard_test_fragment(0, enc, Circuit(enc.n_data_qubits + lat.n_sites), enc.n_data_qubits)
     assert cnot_count(frag, coupling) == count
 
 
@@ -105,13 +106,14 @@ def test_hadamard_test_postselection_equals_symmetrizer():
     from vbsprep.spinops import symmetrizer
 
     lat = build_chain(2, "open")
-    enc = assign_qubits(lat, "hadamard_all")
-    circ = pre_vbs_circuit(lat, enc).extend(hadamard_test_fragment(0, enc, Circuit(enc.total_qubits)).gates)
+    enc = assign_qubits(lat)
+    test = hadamard_test_fragment(0, enc, Circuit(enc.n_data_qubits + lat.n_sites), enc.n_data_qubits)
+    circ = pre_vbs_circuit(enc, lat.n_sites).extend(test.gates)
     state, markers = simulate_circuit(circ)
     data = range(enc.n_data_qubits)
     prob, state = post_select(state, markers, data)
 
-    oracle = bond_product(enc, enc.total_qubits)
+    oracle = bond_product(enc, circ.n_qubits)
     ratio = apply_ops(oracle, [(symmetrizer(2), enc.site_qubits[0])])
     assert abs(prob - ratio) < 1e-12
     _, oracle = post_select(oracle, [], data)  # drops the idle ancilla
@@ -120,14 +122,14 @@ def test_hadamard_test_postselection_equals_symmetrizer():
 
 def test_probabilistic_depths():
     lat = build_chain(3, "open")
-    enc = assign_qubits(lat, "hadamard_all")
-    circ = probabilistic_method_circuit(lat, enc)
+    enc = assign_qubits(lat)
+    circ = probabilistic_method_circuit(enc)
     assert cnot_depth(circ, "all_to_all") == 8  # 1 + 7
     assert cnot_depth(circ, "linear") == 10  # 1 + 9
 
     pair = build_three_link_pair()
-    enc_p = assign_qubits(pair, "hadamard_all")
-    circ_p = probabilistic_method_circuit(pair, enc_p)
+    enc_p = assign_qubits(pair)
+    circ_p = probabilistic_method_circuit(enc_p)
     assert cnot_depth(circ_p, "all_to_all") == 27  # 1 + 26
 
     # the simulated island circuits carry the printed depths: every full
@@ -148,8 +150,8 @@ def test_probabilistic_matches_closed_form_probability():
         (build_chain(2, "open", ("up", "down")), 5.0 / 8.0),
     ]
     for lat, expected in cases:
-        enc = assign_qubits(lat, "hadamard_all")
-        circ = probabilistic_method_circuit(lat, enc)
+        enc = assign_qubits(lat)
+        circ = probabilistic_method_circuit(enc)
         state, markers = simulate_circuit(circ)
         prob, _ = post_select(state, markers, range(enc.n_data_qubits))
         assert abs(prob - expected) < 1e-10
@@ -247,7 +249,7 @@ def test_island_blocks_share_one_matrix():
     from vbsprep.builders import mitigated_islands_circuit
 
     lattice = build_chain(8, "open", ("up", "up"))
-    circ = mitigated_islands_circuit(lattice, assign_qubits(lattice, "islands_plus_sublattice"))
+    circ = mitigated_islands_circuit(assign_qubits(lattice))
     # sites 2, 4 and 6 are full islands; site 0's boundary island is a Schmidt block
     islands = [g for g in circ.gates if isinstance(g, Opaque) and g.label.removeprefix("island_site").isdigit()]
     assert [g.label for g in islands] == ["island_site2", "island_site4", "island_site6"]
@@ -277,11 +279,11 @@ def test_builders_preserve_total_probability_before_projection():
 
     circuits = []
     lat = build_chain(3, "ring")
-    circuits.append(probabilistic_method_circuit(lat, assign_qubits(lat, "hadamard_all")))
+    circuits.append(probabilistic_method_circuit(assign_qubits(lat)))
     lat4 = build_chain(4, "open", ("up", "down"))
-    enc4 = assign_qubits(lat4, "islands_plus_sublattice")
-    circuits.append(mitigated_islands_circuit(lat4, enc4))
-    circuits.append(mitigated_retry_circuit(lat4, enc4))
+    enc4 = assign_qubits(lat4)
+    circuits.append(mitigated_islands_circuit(enc4))
+    circuits.append(mitigated_retry_circuit(enc4))
     circuits.append(island_prep_circuit(3))
     circuits.append(w_state_circuit(6, tuple(range(6)), Circuit(6)))
     for circ in circuits:
@@ -391,7 +393,7 @@ def test_simulation_composes_each_distinct_block_once(monkeypatch):
     from vbsprep import ir
 
     lattice = build_chain(4, "ring")
-    circ = probabilistic_method_circuit(lattice, assign_qubits(lattice, "hadamard_all"))
+    circ = probabilistic_method_circuit(assign_qubits(lattice))
     keys, composed = [], []
     block_key, block_matrix = ir._block_key, ir._block_matrix
     monkeypatch.setattr(ir, "_block_key", lambda support, gates: keys.append(block_key(support, gates)) or keys[-1])
@@ -411,7 +413,7 @@ def test_simulation_checks_every_block_it_applies(monkeypatch):
     from vbsprep import statesim
 
     lattice = build_chain(4, "open")
-    chain = probabilistic_method_circuit(lattice, assign_qubits(lattice, "hadamard_all"))
+    chain = probabilistic_method_circuit(assign_qubits(lattice))
     box = Opaque("box", (0, 1, 2, 3), np.linalg.qr(np.arange(256).reshape(16, 16) % 7 + 1j * np.eye(16))[0])
     alone = Circuit(5, [box, CNot(3, 4), box, CNot(4, 3), box])  # the box is a block of its own, three times
     for circ in (chain, alone):
@@ -435,8 +437,8 @@ def test_simulation_checks_every_block_it_applies(monkeypatch):
 
 def test_the_cap_is_read_on_every_call(monkeypatch):
     lattice = build_chain(4, "open")
-    encoding = assign_qubits(lattice, "hadamard_all")
-    circ = probabilistic_method_circuit(lattice, encoding)
+    encoding = assign_qubits(lattice)
+    circ = probabilistic_method_circuit(encoding)
     simulate_circuit(circ)
     bond_product(encoding, circ.n_qubits)  # product_of_factors
     monkeypatch.setenv("VBS_MAX_QUBITS", str(circ.n_qubits - 1))  # the next calls read the cap again
@@ -452,7 +454,7 @@ def test_concurrent_simulations_are_independent(monkeypatch):
     from concurrent.futures import ThreadPoolExecutor
 
     lattice = build_chain(5, "ring")
-    circ = probabilistic_method_circuit(lattice, assign_qubits(lattice, "hadamard_all"))
+    circ = probabilistic_method_circuit(assign_qubits(lattice))
     expected, markers = simulate_circuit(circ)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)  # switch threads often, so that the calls interleave
@@ -580,8 +582,8 @@ def test_post_select_rejects_a_bad_keep():
 
 def test_post_select_leaves_its_input_unchanged():
     lat = build_chain(3, "ring")
-    enc = assign_qubits(lat, "hadamard_all")
-    state, markers = simulate_circuit(probabilistic_method_circuit(lat, enc))
+    enc = assign_qubits(lat)
+    state, markers = simulate_circuit(probabilistic_method_circuit(enc))
     before = state.amps.copy()
     post_select(state, markers, range(enc.n_data_qubits))
     assert np.array_equal(state.amps, before)

@@ -244,7 +244,7 @@ def test_prepare_shots_samples_the_simulated_circuit(tmp_path):
     assert main(argv) == EXIT_OK
     doc = json.loads(out.read_text())
     lat = parse_lattice("chain:3:ring")
-    circ = probabilistic_method_circuit(lat, assign_qubits(lat, "hadamard_all"))
+    circ = probabilistic_method_circuit(assign_qubits(lat))
     _, norm_sq = oracle_vbs_state(lat)
     state, markers = simulate_circuit(circ)
     rate, z = monte_carlo_success(np.abs(state.amps) ** 2, markers, norm_sq, 2000, 5)
@@ -456,6 +456,46 @@ def test_a_negative_seed_exits_config_naming_seed(argv, tmp_path, capsys):
     assert not out.exists()
 
 
+def _spy_on_the_oracle_and_the_routes(monkeypatch) -> list:
+    """Every call of the oracle or of a route, by name: each returns nothing, so a run past them fails."""
+    from vbsprep import cli
+
+    ran = []
+    monkeypatch.setattr(cli, "oracle_vbs_state", lambda lattice: ran.append("oracle"))
+    monkeypatch.setattr(cli, "ROUTES", {name: lambda lattice, seed, name=name: ran.append(name) for name in METHODS})
+    return ran
+
+
+@pytest.mark.parametrize("argv,named", [
+    ("verify --lattice chain:12:open:aligned --method lcu --coupling linear",
+     "linear routing is wired up for the probabilistic method"),
+    ("verify --lattice chain:13:open:aligned --method mitigated_retry --coupling heavy_hex",
+     "heavy-hex placement is declared for the three-link pair"),
+    ("prepare --lattice chain:4:ring --method mitigated_islands --coupling linear",
+     "linear routing is wired up for the probabilistic method"),
+    ("prepare --spin 3 --lattice three-link-ring:4 --coupling heavy_hex",
+     "heavy-hex placement is declared for the three-link pair"),
+], ids=["verify-lcu-linear", "verify-chain-heavy-hex", "prepare-islands-linear", "prepare-ring-heavy-hex"])
+def test_an_unsupported_coupling_exits_before_the_oracle_or_the_route_runs(argv, named, monkeypatch, tmp_path, capsys):
+    """Each once ran the oracle and the whole route first: the lcu one took 1.06 s and 421 MB, then exited 4."""
+    ran = _spy_on_the_oracle_and_the_routes(monkeypatch)
+    out = tmp_path / "out"
+    assert main([*argv.split(), "--out", str(out)]) == EXIT_UNSUPPORTED
+    assert named in capsys.readouterr().err
+    assert ran == []
+    assert not out.exists()
+
+
+def test_a_negative_shots_exits_config_naming_shots(monkeypatch, tmp_path, capsys):
+    """It once ran the route, then exited 2 with the sampler's "shots must be >= 1", which names no option."""
+    ran = _spy_on_the_oracle_and_the_routes(monkeypatch)
+    out = tmp_path / "out"
+    assert main(["prepare", "--lattice", "chain:7:open:aligned", "--shots", "-3", "--out", str(out)]) == EXIT_CONFIG
+    assert "config error: --shots must be a non-negative integer, got -3" in capsys.readouterr().err
+    assert ran == []
+    assert not out.exists()
+
+
 def test_verify_runs_the_link_pass_on_spin_2_sites(tmp_path):
     """A 4-site ring with every link doubled has 2S = 4 sites: the link rows hold for any 2S, not only 2 and 3."""
     lattice = tmp_path / "ring.json"
@@ -530,7 +570,7 @@ def test_link_pass_matches_direct_projector_norm_and_expectation(lattice, twice_
 
     from oracle_reference import aklt_projector_from_product, blbq_hamiltonian_term
 
-    encoding = assign_qubits(lattice, "hadamard_all")
+    encoding = assign_qubits(lattice)
     shape = (twice_s + 1,) * lattice.n_sites
     rng = np.random.default_rng(encoding.n_data_qubits)
     psi = rng.normal(size=shape) + 1j * rng.normal(size=shape)
@@ -594,7 +634,7 @@ def _state_with_a_broken_link(lattice, link: int):
     from vbsprep.lattice import assign_qubits
     from vbsprep.spinops import symmetrizer
 
-    encoding = assign_qubits(lattice, "hadamard_all")
+    encoding = assign_qubits(lattice)
     state = bond_product(encoding, encoding.n_data_qubits)
     state.apply_unitary(np.array([[0, 1], [1, 0]]), (encoding.link_qubits[link][0],))
     sites = [encoding.site_qubits[site] for site in range(lattice.n_sites)]

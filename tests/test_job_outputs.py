@@ -1,8 +1,10 @@
-"""tools/job_outputs.py compare: which differences between two job dumps fail it, and every job against its golden output."""
+"""tools/job_outputs.py: which differences between two job dumps fail compare, every job against its golden output, and unrun."""
 import importlib.util
 import json
 import pathlib
+import re
 import sys
+import types
 
 import pytest
 
@@ -67,3 +69,18 @@ def test_every_workload_job_gives_its_golden_output(tmp_path, capsys, monkeypatc
     job_outputs.dump(fresh, _CHECKOUT)
     result = job_outputs.compare(_GOLDEN, fresh)
     assert result == 0, capsys.readouterr().out
+
+
+def test_unrun_lists_the_statements_a_one_job_list_never_runs(capsys, monkeypatch):
+    """One probabilistic verify at seeds 1 and 7: the lcu route is listed, the probabilistic route is not."""
+    monkeypatch.setattr(sys, "dont_write_bytecode", sys.dont_write_bytecode)  # unrun sets these two
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    job = types.SimpleNamespace(argv=("verify", "--lattice", "chain:3:open:aligned", "--method", "probabilistic"))
+    assert job_outputs.unrun(_CHECKOUT, {"one": lambda seed: [job]}) == 0
+    *listed, last = capsys.readouterr().out.splitlines()
+    missed, total = map(int, re.fullmatch(r"(\d+) of (\d+) statements inside functions ran on no job", last).groups())
+    assert missed == len(listed) and 0 < missed < total
+    functions = {line.split(" ")[1].rstrip(":") for line in listed}
+    assert {"run_lcu", "run_mps", "post_select"} <= functions
+    assert not {"run_probabilistic", "probabilistic_method_circuit"} & functions
+    assert all(line.startswith("src/vbsprep/") for line in listed)

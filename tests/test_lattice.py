@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from vbsprep.builders import mitigated_islands_circuit, probabilistic_method_circuit
 from vbsprep.errors import ConfigError, NotBipartiteError
 from vbsprep.lattice import (
     CouplingMap,
@@ -15,6 +16,7 @@ from vbsprep.lattice import (
     lattice_from_json,
     linear_coupling,
 )
+from vbsprep.methods import run_mps
 
 
 def test_ring_chain_structure():
@@ -41,9 +43,9 @@ def test_three_link_pair():
     assert lat.n_sites == 2 and len(lat.links) == 3
     assert lat.coordination(0) == lat.coordination(1) == 3
     assert lat.sublattice() == ("A", "B")
-    enc = assign_qubits(lat, "hadamard_all")
+    enc = assign_qubits(lat)
     assert enc.n_data_qubits == 6
-    assert enc.total_qubits == 8
+    assert probabilistic_method_circuit(enc).n_qubits == 8
 
 
 def test_three_link_ring_coordination():
@@ -82,28 +84,28 @@ def test_odd_cycle_rejected():
 
 def test_assign_hadamard_all_counts():
     lat = build_chain(4, "open")
-    enc = assign_qubits(lat, "hadamard_all")
+    enc = assign_qubits(lat)
     assert enc.n_data_qubits == 8  # 2NS with the two dangling end spins
-    assert enc.total_qubits == 12  # plus one ancilla per site
+    assert probabilistic_method_circuit(enc).n_qubits == 12  # plus one ancilla per site
     assert len(enc.boundary_qubits) == 2
 
 
 def test_assign_islands_halves_ancillas():
     lat = build_chain(4, "open")
-    enc = assign_qubits(lat, "islands_plus_sublattice")
-    assert enc.total_qubits == 10  # 8 data + 2 ancillas on sublattice B
-    assert sum(1 for a in enc.ancilla if a is not None) == 2
+    circ = mitigated_islands_circuit(assign_qubits(lat))
+    assert circ.n_qubits == 10  # 8 data + 2 ancillas on sublattice B
+    assert {m.qubit for m in circ.measures()} == {8, 9}
 
 
 def test_assign_islands_needs_bipartite():
     lat = build_chain(3, "ring")
     with pytest.raises(NotBipartiteError):
-        assign_qubits(lat, "islands_plus_sublattice")
+        mitigated_islands_circuit(assign_qubits(lat))
 
 
 def test_assignment_covers_each_incidence_once():
     lat = build_honeycomb_patch(1, 2)
-    enc = assign_qubits(lat, "hadamard_all")
+    enc = assign_qubits(lat)
     seen = set()
     for qa, qb in enc.link_qubits:
         assert qa not in seen and qb not in seen
@@ -114,8 +116,8 @@ def test_assignment_covers_each_incidence_once():
 
 
 def test_mps_assignment_ancilla_count():
-    assert assign_qubits(build_chain(4, "open"), "mps").total_qubits == 8
-    assert assign_qubits(build_chain(4, "ring"), "mps").total_qubits == 9
+    assert run_mps(build_chain(4, "open"))["circuit"].n_qubits == 8
+    assert run_mps(build_chain(4, "ring"))["circuit"].n_qubits == 9
 
 
 def test_lattice_json_round_trip():

@@ -140,7 +140,7 @@ def test_overlap_of_normalized_state_with_bond_product():
     from vbsprep.lattice import assign_qubits
 
     lat = build_chain(3, "ring")
-    enc = assign_qubits(lat, "hadamard_all")
+    enc = assign_qubits(lat)
     pre = bond_product(enc, enc.n_data_qubits)
     psi, norm = oracle_vbs_state(lat)
     amplitude = overlap(embed(psi), pre)
@@ -156,7 +156,7 @@ def test_mixed_spin_patch_interior_link_annihilation():
     lat = build_honeycomb_patch(1, 2)
     spins = {lat.site_twice_spin(s) for s in range(lat.n_sites)}
     assert spins == {2, 3}
-    enc = assign_qubits(lat, "hadamard_all")
+    enc = assign_qubits(lat)
     psi, norm = oracle_vbs_state(lat)
     state = embed(psi)
     assert 0 < norm < 1
@@ -176,9 +176,9 @@ def test_retry_circuit_tests_each_island_once_and_returns_its_ancilla():
     from vbsprep.lattice import assign_qubits
 
     lat = build_chain(4, "ring")
-    enc = assign_qubits(lat, "islands_plus_sublattice")
-    circ = mitigated_retry_circuit(lat, enc)
-    groups = island_qubit_groups(lat, enc)
+    enc = assign_qubits(lat)
+    circ = mitigated_retry_circuit(enc)
+    groups = island_qubit_groups(enc)
     assert len(groups) == 2  # the two A sites' islands
     tests = [g for g in circ.gates if isinstance(g, Opaque)][: len(groups)]
     # one A-island test per island, on its site's qubits, which the island holds
@@ -203,8 +203,8 @@ def test_retry_circuit_post_selected_matches_oracle(lattice):
 
     from oracle_reference import simulate_circuit
 
-    enc = assign_qubits(lattice, "islands_plus_sublattice")
-    circ = mitigated_retry_circuit(lattice, enc)
+    enc = assign_qubits(lattice)
+    circ = mitigated_retry_circuit(enc)
     prob, state = post_select(*simulate_circuit(circ), range(enc.n_data_qubits))
     oracle, norm = oracle_vbs_state(lattice)
     assert abs(state.spin_fidelity(oracle) - 1.0) < 1e-10
@@ -279,7 +279,7 @@ def test_lcu_builds_its_bond_layer_from_the_empty_register(monkeypatch):
     )
     lattice = build_chain(4, "open", ("up", "down"))
     circ = run_lcu(lattice)["circuit"]
-    bonds = pre_vbs_circuit(lattice, assign_qubits(lattice, "hadamard_all")).gates
+    bonds = pre_vbs_circuit(assign_qubits(lattice), 0).gates
     assert circ.gates[: len(bonds)] == bonds
     assert initials == [None]
 
@@ -318,30 +318,57 @@ SWEEP_LATTICES += ["chain:4:ring", "three-link-pair", "three-link-ring:4"]
 
 
 def _circuit_route_cases():
-    """(name, lattice, route) for every circuit route each lattice runs: mps on spin-1 chains, no island route on the diamond."""
+    """(lattice, route) for every circuit route each lattice runs: mps on spin-1 chains, no island route on the diamond."""
     from vbsprep.cli import parse_lattice
 
     for spec in SWEEP_LATTICES:
         lattice = parse_lattice(spec)
-        for route in ("probabilistic", "mitigated_islands", "lcu", "mps"):
+        for route in ("probabilistic", "mitigated_islands", "mitigated_retry", "lcu", "mps"):
             if route != "mps" or lattice.uniform_twice_spin() == 2:
                 yield pytest.param(lattice, route, id=f"{spec}-{route}")
     yield from (pytest.param(DIAMOND, route, id=f"diamond-{route}") for route in ("probabilistic", "lcu"))
 
 
+def _pinned_markers(lattice, route, n_data):
+    """The qubit of each marker, in circuit order (lcu: sorted), as each builder places its ancillas after the data."""
+    import math
+
+    if route == "probabilistic":  # site s tests on n_data + s
+        return [n_data + site for site in range(lattice.n_sites)]
+    if route.startswith("mitigated"):  # the i-th B site tests on n_data + i; retry's k-th A site first borrows n_data + k mod |B|
+        n_b = lattice.sublattice().count("B")
+        borrowed = [n_data + k % n_b for k in range(lattice.n_sites - n_b)] if route == "mitigated_retry" else []
+        return borrowed + [n_data + i for i in range(n_b)]
+    if route == "lcu":  # a site of 2S qubits post-selects the first (2S)! of one shared bank
+        return sorted(n_data + i for site in range(lattice.n_sites) for i in range(math.factorial(lattice.site_twice_spin(site))))
+    return [n_data] if lattice.boundary == "ring" else []  # mps: the ring's one ancilla
+
+
 @pytest.mark.parametrize("lattice,route", _circuit_route_cases())
 def test_every_circuit_route_returns_the_encoding_of_its_circuit(lattice, route):
-    """total_qubits is the circuit's width; lcu's encoding reserves its one bank, and no test ancilla per site.
+    """The circuit is the one record of its qubits: each ancilla follows the data, is used, and sits where it always has.
 
-    lcu's encoding once was hadamard_all's: 8 qubits against a 12-qubit circuit on three-link-pair, 14 against 16
-    on the diamond.
+    The retry route resamples its rounds and builds no circuit: its case checks `mitigated_retry_circuit`.
     """
-    result = ROUTES[route](lattice, 3)
-    encoding, circuit = result["encoding"], result["circuit"]
-    assert encoding.total_qubits == circuit.n_qubits
-    if route == "lcu":
-        assert encoding.ancilla == (None,) * lattice.n_sites
-        assert {m.qubit for m in circuit.measures()} == set(range(encoding.n_data_qubits, encoding.total_qubits))
+    from vbsprep.builders import mitigated_retry_circuit
+    from vbsprep.ir import Measure
+    from vbsprep.lattice import assign_qubits
+
+    if route == "mitigated_retry":
+        encoding = assign_qubits(lattice)
+        circuit = mitigated_retry_circuit(encoding)
+    else:
+        result = ROUTES[route](lattice, 3)
+        encoding, circuit = result["encoding"], result["circuit"]
+    n_data = encoding.n_data_qubits
+    assert n_data == sum(map(lattice.site_twice_spin, range(lattice.n_sites)))
+    markers = [m.qubit for m in circuit.measures()]
+    assert all(q >= n_data for q in markers)
+    acted_on = {q for g in circuit.gates if not isinstance(g, Measure) for q in g.qubits}  # a marker alone uses no qubit
+    assert set(range(n_data, circuit.n_qubits)) <= acted_on
+    pinned = _pinned_markers(lattice, route, n_data)
+    assert (sorted(markers) if route == "lcu" else markers) == pinned
+    assert circuit.n_qubits == max(pinned, default=n_data - 1) + 1
 
 
 @pytest.mark.parametrize("route", ["mitigated_islands", "mitigated_retry"])
@@ -362,8 +389,8 @@ def test_a_honeycomb_patch_tests_each_site_at_its_own_spin(capsys):
     from vbsprep.lattice import assign_qubits
 
     lattice = build_honeycomb_patch(1, 2)
-    encoding = assign_qubits(lattice, "hadamard_all")
-    circ = probabilistic_method_circuit(lattice, encoding)
+    encoding = assign_qubits(lattice)
+    circ = probabilistic_method_circuit(encoding)
     assert circ.n_qubits == 32
     tests = {g.qubits[1:]: g.label for g in circ.gates if isinstance(g, Opaque)}
     assert {lattice.coordination(site) for site in range(lattice.n_sites)} == {2, 3}

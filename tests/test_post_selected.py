@@ -36,11 +36,11 @@ def _route_circuits(spec, twice_s):
             continue
         out.append((name, result["circuit"], range(result["encoding"].n_data_qubits)))
     if "mitigated_islands" in [name for name, _, _ in out]:
-        enc = assign_qubits(lattice, "islands_plus_sublattice")
-        out.append(("retry_circuit", mitigated_retry_circuit(lattice, enc), range(enc.n_data_qubits)))
+        enc = assign_qubits(lattice)
+        out.append(("retry_circuit", mitigated_retry_circuit(enc), range(enc.n_data_qubits)))
     if twice_s == 2:
-        enc = assign_qubits(lattice, "hadamard_all")
-        routed = route(out[0][1], linear_coupling(enc.total_qubits))
+        enc = assign_qubits(lattice)
+        routed = route(out[0][1], linear_coupling(out[0][1].n_qubits))
         out.append(("linear", routed.circuit, routed.placement[: enc.n_data_qubits]))
     return out
 
@@ -75,7 +75,7 @@ def test_born_probabilities_are_those_of_the_whole_register(spec, twice_s):
     """
     if spec.startswith("chain:7"):
         lattice = parse_lattice(spec)
-        circuits = [("probabilistic", probabilistic_method_circuit(lattice, assign_qubits(lattice, "hadamard_all")), None)]
+        circuits = [("probabilistic", probabilistic_method_circuit(assign_qubits(lattice)), None)]
     else:
         circuits = _route_circuits(spec, twice_s)
     for name, circ, _ in circuits:
@@ -160,7 +160,7 @@ def test_a_folded_impossible_marker_names_its_qubit(monkeypatch):
 
 def _prepare_exits_check_failed(circuit, monkeypatch, capsys) -> None:
     monkeypatch.setattr(
-        methods, "probabilistic_method_circuit", lambda lattice, encoding: circuit(encoding.total_qubits)
+        methods, "probabilistic_method_circuit", lambda encoding: circuit(encoding.n_data_qubits + encoding.lattice.n_sites)
     )
     argv = ["prepare", "--spin", "2", "--lattice", "chain:2:open:aligned", "--method", "probabilistic"]
     assert main(argv) == EXIT_CHECK_FAILED
@@ -476,7 +476,7 @@ def test_a_routed_circuit_peaks_at_the_unrouted_width(spec, monkeypatch):
     result = ROUTES["probabilistic"](parse_lattice(spec), 0)
     unrouted, peak[0] = peak[0], 0
     encoding = result["encoding"]
-    routed = route(result["circuit"], linear_coupling(encoding.total_qubits))
+    routed = route(result["circuit"], linear_coupling(result["circuit"].n_qubits))
     simulate_post_selected(routed.circuit, routed.placement[: encoding.n_data_qubits])
     assert peak[0] == unrouted
 
@@ -484,7 +484,7 @@ def test_a_routed_circuit_peaks_at_the_unrouted_width(spec, monkeypatch):
 def _routed_chain4():
     result = ROUTES["probabilistic"](parse_lattice("chain:4:open:anti"), 0)
     encoding = result["encoding"]
-    routed = route(result["circuit"], linear_coupling(encoding.total_qubits))
+    routed = route(result["circuit"], linear_coupling(result["circuit"].n_qubits))
     return result["circuit"], routed, routed.placement[: encoding.n_data_qubits]
 
 

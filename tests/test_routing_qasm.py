@@ -35,15 +35,15 @@ def _run_post_selected(circ, keep):
     ],
 )
 def test_route_linear_preserves_semantics(lattice, twice_s):
-    enc = assign_qubits(lattice, "hadamard_all")
-    circ = probabilistic_method_circuit(lattice, enc)
-    routed = route(circ, linear_coupling(enc.total_qubits))
+    enc = assign_qubits(lattice)
+    circ = probabilistic_method_circuit(enc)
+    routed = route(circ, linear_coupling(circ.n_qubits))
     p0, s0 = _run_post_selected(circ, range(enc.n_data_qubits))
     p1, s1 = _run_post_selected(routed.circuit, routed.placement[: enc.n_data_qubits])
     assert abs(p0 - p1) < 1e-12
     assert abs(fidelity(s1, s0) - 1.0) < 1e-12
     # every CNOT acts on a coupled pair
-    coupling = linear_coupling(enc.total_qubits)
+    coupling = linear_coupling(circ.n_qubits)
     for g in routed.circuit.gates:
         if isinstance(g, CNot):
             assert coupling.are_coupled(g.control, g.target)
@@ -53,8 +53,8 @@ def test_route_linear_preserves_semantics(lattice, twice_s):
 
 def test_route_does_not_fit():
     lat = build_chain(3, "ring")
-    enc = assign_qubits(lat, "hadamard_all")
-    circ = probabilistic_method_circuit(lat, enc)
+    enc = assign_qubits(lat)
+    circ = probabilistic_method_circuit(enc)
     with pytest.raises(ConfigError):
         route(circ, linear_coupling(4))
 
@@ -183,8 +183,8 @@ def test_valence_bond_qasm_body():
 
 def test_basis_mode_round_trip_spin1():
     lat = build_chain(2, "open", ("up", "up"))
-    enc = assign_qubits(lat, "hadamard_all")
-    circ = probabilistic_method_circuit(lat, enc)
+    enc = assign_qubits(lat)
+    circ = probabilistic_method_circuit(enc)
     text = emit_qasm(circ, "basis")
     assert "opaque" not in text
     parsed = parse_qasm(text)
@@ -196,8 +196,8 @@ def test_basis_mode_round_trip_spin1():
 
 def test_structural_mode_spin32_has_4_qubit_opaque():
     lat = build_three_link_pair()
-    enc = assign_qubits(lat, "hadamard_all")
-    circ = probabilistic_method_circuit(lat, enc)
+    enc = assign_qubits(lat)
+    circ = probabilistic_method_circuit(enc)
     text = emit_qasm(circ, "structural")
     assert "opaque ctrl_exp_sym_3 a0, a1, a2, a3;" in text
     parsed = parse_qasm(text, opaque_matrices={
@@ -352,8 +352,8 @@ def _routing_cases():
     cases = []
     for spec in [f"chain:{n}:open:{flavor}" for n in range(2, 6) for flavor in ("aligned", "anti")] + ["chain:4:ring"]:
         lattice = parse_lattice(spec)
-        enc = assign_qubits(lattice, "hadamard_all")
-        cases.append((probabilistic_method_circuit(lattice, enc), linear_coupling(enc.total_qubits)))
+        circ = probabilistic_method_circuit(assign_qubits(lattice))
+        cases.append((circ, linear_coupling(circ.n_qubits)))
     for method in ("probabilistic", "mitigated_islands"):
         cases.append((heavy_hex_pair(method)[0].circuit, heavy_hex_patch(1)))
     cases.append((Circuit(5, [Opaque("tie", (2, 0, 4), np.eye(8))]), linear_coupling(5)))  # 0 and 4 both 2 away

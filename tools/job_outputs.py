@@ -2,6 +2,7 @@
 
     OPENBLAS_NUM_THREADS=1 python3 tools/job_outputs.py dump OUT.jsonl [--checkout DIR]
     python3 tools/job_outputs.py compare A.jsonl B.jsonl
+    python3 tools/job_outputs.py unrun [--checkout DIR]
 
 A path that ends in .gz is read and written gzip-compressed.  The golden
 dump that `tests/test_job_outputs.py` checks every job against is made by
@@ -23,15 +24,24 @@ the largest of these over all jobs, and the job it came from.  It exits 1 if a j
 is missing from either file, an exit code or any text beside the numbers
 differs (check names and pass flags included), or a float moved by more than
 REL_TOL relative, else 0.
+
+`unrun` runs the same jobs under `sys.settrace` and lists every statement
+inside a function of the checkout's src/vbsprep that no job executes, one
+per line as PATH:LINE FUNCTION: SOURCE, then how many of how many
+statements that is.  Module-level statements, which run as the package is
+imported, are not counted; nor are docstrings and `global` declarations,
+which run no code.
 """
 from __future__ import annotations
 
 import argparse
+import ast
 import contextlib
 import gzip
 import importlib.util
 import io
 import json
+import os
 import re
 import sys
 from pathlib import Path
@@ -58,26 +68,103 @@ def _open(path: Path, mode: str):
     return open(path, mode, encoding="utf-8")
 
 
-def dump(path: Path, checkout: Path) -> int:
+def _cli(checkout: Path):
+    """The checkout's vbsprep.cli, imported from its src/ with no bytecode written."""
     sys.dont_write_bytecode = True
     sys.path.insert(0, str(checkout / "src"))
     import vbsprep.cli
 
+    return vbsprep.cli
+
+
+def _run_jobs(cli, workloads: dict):
+    """Run every job of `workloads` at each of SEEDS through cli.main, yielding one record per job."""
+    for seed in SEEDS:
+        for workload, jobs in workloads.items():
+            for job in jobs(seed):
+                stdout, stderr = io.StringIO(), io.StringIO()
+                with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                    try:
+                        rc = cli.main(list(job.argv))
+                    except SystemExit as exc:  # argparse rejects a command line
+                        rc = exc.code
+                    except Exception as exc:  # a traceback is an outcome to compare too
+                        rc = f"{type(exc).__name__}: {exc}"
+                yield {"workload": workload, "argv": list(job.argv), "rc": rc,
+                       "stdout": stdout.getvalue(), "stderr": stderr.getvalue()}
+
+
+def dump(path: Path, checkout: Path) -> int:
+    cli = _cli(checkout)
     with _open(path, "w") as out:
-        for seed in SEEDS:
-            for workload, jobs in _workloads(checkout).items():
-                for job in jobs(seed):
-                    stdout, stderr = io.StringIO(), io.StringIO()
-                    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-                        try:
-                            rc = vbsprep.cli.main(list(job.argv))
-                        except SystemExit as exc:  # argparse rejects a command line
-                            rc = exc.code
-                        except Exception as exc:  # a traceback is an outcome to compare too
-                            rc = f"{type(exc).__name__}: {exc}"
-                    record = {"workload": workload, "argv": list(job.argv), "rc": rc,
-                              "stdout": stdout.getvalue(), "stderr": stderr.getvalue()}
-                    out.write(json.dumps(record) + "\n")
+        for record in _run_jobs(cli, _workloads(checkout)):
+            out.write(json.dumps(record) + "\n")
+    return 0
+
+
+def _statements(source: str) -> dict[tuple[int, int], str]:
+    """The own lines (first, last) of each statement inside a function of `source`, mapped to the function's name.
+
+    A compound statement's own lines are its header, up to its first body
+    statement; a simple statement's are all its lines.  A statement ran if
+    `sys.settrace` reported any of its own lines.
+    """
+    found: dict[tuple[int, int], str] = {}
+
+    def visit(stmts, name: str | None, scope: str):  # name: the function they run in, None as the module loads
+        for stmt in stmts:
+            if name is not None and not isinstance(stmt, (ast.Global, ast.Nonlocal)):
+                first = min([stmt.lineno, *(d.lineno for d in getattr(stmt, "decorator_list", ()))])
+                body = getattr(stmt, "body", None)
+                found[first, max(first, body[0].lineno - 1) if body else stmt.end_lineno] = name
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                qualname = scope + stmt.name
+                body = stmt.body[1:] if ast.get_docstring(stmt) is not None else stmt.body
+                visit(body, name if isinstance(stmt, ast.ClassDef) else qualname, qualname + ".")
+            else:
+                for block in ("body", "orelse", "finalbody", "handlers"):
+                    visit(getattr(stmt, block, ()), name, scope)
+
+    visit(ast.parse(source).body, None, "")
+    return found
+
+
+def unrun(checkout: Path, workloads: dict | None = None) -> int:
+    """List the statements of src/vbsprep's functions that no job of `workloads` (by default the checkout's) executes."""
+    cli = _cli(checkout)
+    package = os.path.dirname(sys.modules["vbsprep"].__file__)
+    hit = {os.path.join(package, name): set() for name in sorted(os.listdir(package)) if name.endswith(".py")}
+
+    def on_call(frame, event, arg):
+        lines = hit.get(frame.f_code.co_filename)
+        if lines is None:
+            return None
+
+        def on_line(frame, event, arg):
+            if event == "line":
+                lines.add(frame.f_lineno)
+            return on_line
+
+        return on_line
+
+    previous = sys.gettrace()
+    sys.settrace(on_call)
+    try:
+        for _ in _run_jobs(cli, _workloads(checkout) if workloads is None else workloads):
+            pass
+    finally:
+        sys.settrace(previous)
+    missed = total = 0
+    for path, lines in hit.items():
+        with open(path, encoding="utf-8") as f:
+            source = f.read()
+        text = source.splitlines()
+        for (first, last), name in sorted(_statements(source).items()):
+            total += 1
+            if lines.isdisjoint(range(first, last + 1)):
+                missed += 1
+                print(f"{os.path.relpath(path, checkout)}:{first} {name}: {text[first - 1].strip()}")
+    print(f"{missed} of {total} statements inside functions ran on no job")
     return 0
 
 
@@ -131,13 +218,18 @@ def main(argv=None) -> int:
     commands = parser.add_subparsers(dest="command", required=True)
     dumper = commands.add_parser("dump", help="run every workload job and write its outputs")
     dumper.add_argument("path", type=Path)
-    dumper.add_argument("--checkout", type=Path, default=Path(__file__).resolve().parent.parent)
+    checkout = Path(__file__).resolve().parent.parent
+    dumper.add_argument("--checkout", type=Path, default=checkout)
     comparer = commands.add_parser("compare", help="compare two dumps")
     comparer.add_argument("a", type=Path)
     comparer.add_argument("b", type=Path)
+    lister = commands.add_parser("unrun", help="list the statements of src/vbsprep that no job executes")
+    lister.add_argument("--checkout", type=Path, default=checkout)
     args = parser.parse_args(argv)
     if args.command == "dump":
         return dump(args.path, args.checkout.resolve())
+    if args.command == "unrun":
+        return unrun(args.checkout.resolve())
     return compare(args.a, args.b)
 
 
