@@ -9,10 +9,11 @@ dump that `tests/test_job_outputs.py` checks every job against is made by
 
     OPENBLAS_NUM_THREADS=1 python3 tools/job_outputs.py dump tests/data/job_outputs.jsonl.gz
 
-`dump` runs every job of every workload in `perfbench/workloads.py`, at
-seeds 1 and 7, through `vbsprep.cli.main(argv)` in this one process, with
-the `src/` and the workload list of the checkout at DIR (by default the one
-this file sits in).  The workload file is only read: no bytecode is written
+`dump` runs every job of every workload in `perfbench/workloads.py`, and
+the `contract` jobs listed here (`CONTRACT`), at seeds 1 and 7, through
+`vbsprep.cli.main(argv)` in this one process, with the `src/` and the
+workload list of the checkout at DIR (by default the one this file sits
+in).  The workload file is only read: no bytecode is written
 beside it.  It writes one JSON line per job: workload, argv, exit code,
 stdout and stderr.  Set OPENBLAS_NUM_THREADS=1: a threaded BLAS may sum in
 another order from run to run, and so move the last digits of a float.
@@ -44,6 +45,7 @@ import json
 import os
 import re
 import sys
+import types
 from pathlib import Path
 
 SEEDS = (1, 7)
@@ -51,14 +53,31 @@ NUMBER = re.compile(r"-?\d+(?:\.\d+)?(?:[eE][-+]?\d+)?")
 STREAMS = ("stdout", "stderr")
 # Floats may move this much, relative: a threaded BLAS sums some dot products in another order.
 REL_TOL = 1e-12
+# Paths no benchmark job reaches, pinned here so that the benchmark's workloads stay as they are:
+# routed verify, structural QASM, and --out to a path that cannot be written (exit 5).
+CONTRACT = (
+    "verify --spin 2 --lattice chain:4:open:anti --method probabilistic --coupling linear",
+    "verify --spin 2 --lattice chain:4:ring --method probabilistic --coupling linear",
+    "verify --spin 3 --lattice three-link-pair --method probabilistic --coupling heavy_hex",
+    "verify --spin 3 --lattice three-link-pair --method mitigated_islands --coupling heavy_hex",
+    "emit-qasm --spin 2 --lattice chain:4:ring --qasm-mode structural",
+    "emit-qasm --spin 3 --lattice three-link-pair --qasm-mode structural",
+    "emit-qasm --spin 2 --lattice chain:3:open:aligned --out /nonexistent/vbsprep.qasm",
+    "verify --spin 2 --lattice chain:3:open:aligned --method probabilistic --out /nonexistent/vbsprep.json",
+)
+
+
+def _contract(seed: int) -> list:
+    """The CONTRACT jobs at `seed`, shaped as the workloads' jobs."""
+    return [types.SimpleNamespace(argv=(*line.split(), "--seed", str(seed))) for line in CONTRACT]
 
 
 def _workloads(checkout: Path):
-    """The WORKLOADS table of the checkout's perfbench/workloads.py."""
+    """The WORKLOADS table of the checkout's perfbench/workloads.py, and the contract jobs."""
     spec = importlib.util.spec_from_file_location("workloads", checkout / "perfbench" / "workloads.py")
     module = sys.modules["workloads"] = importlib.util.module_from_spec(spec)  # its dataclass looks itself up there
     spec.loader.exec_module(module)
-    return module.WORKLOADS
+    return {**module.WORKLOADS, "contract": _contract}
 
 
 def _open(path: Path, mode: str):
