@@ -87,7 +87,8 @@ def hadamard_test_fragment(
     """Test on ancilla `anc` whose retained branch symmetrizes the site's 2S qubits.
 
     The retained ancilla outcome is |1>.  For 2S=2 the controlled block is a
-    phased controlled-SWAP.
+    phased controlled-SWAP.  The test, ending in its marker, is declared
+    one of `circ`'s blocks.
     `heavy_hex_box` selects the declared heavy-hex cost variant ("t" or
     "line") for the spin-3/2 block.  The marker takes `creg`, or else the
     first free one (a scan of every gate).
@@ -97,10 +98,12 @@ def hadamard_test_fragment(
     cost_key = f"test_2s{twice_s}" + (f"_{heavy_hex_box or 'line'}" if twice_s == 3 else "")
     if cost_key not in DECLARED_COSTS:
         raise UnsupportedError(f"no declared test costs for 2S={twice_s}")
+    start = len(circ.gates)
     circ.add(u_h(anc))
     circ.add(Opaque(f"ctrl_exp_sym_{twice_s}", (anc, *qubits), _test_block(twice_s), **DECLARED_COSTS[cost_key]))
     circ.add(u_h(anc))
     circ.add(Measure(anc, expect=1, creg=circ.next_creg() if creg is None else creg))
+    circ.blocks.append((start, len(circ.gates)))
     return circ
 
 

@@ -333,29 +333,22 @@ def cmd_emit_qasm(args) -> int:
     lattice = parse_lattice(args.lattice)
     validate_config(lattice, args.spin, "probabilistic")
     circ = probabilistic_method_circuit(assign_qubits(lattice))
-    text = emit_qasm(circ, args.qasm_mode)
+    _write(emit_qasm(circ, args.qasm_mode), args.out)
     if args.out:
-        try:
-            Path(args.out).write_text(text)
-        except OSError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_IO
         print(f"wrote {args.out}")
-    else:
-        sys.stdout.write(text)
     return EXIT_OK
 
 
-def _finish(report: analysis.Report, args) -> int:
-    text = report.to_json()
-    if args.out:
-        try:
-            Path(args.out).write_text(text)
-        except OSError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_IO
+def _write(text: str, out: str | None) -> None:
+    """Write `text` to the --out file, or to stdout without one; an OSError exits 5 (`main`)."""
+    if out:
+        Path(out).write_text(text)
     else:
         sys.stdout.write(text)
+
+
+def _finish(report: analysis.Report, args) -> int:
+    _write(report.to_json(), args.out)
     for c in report.checks:
         status = "pass" if c["pass"] else "FAIL"
         note = "" if c["pass"] or c["name"] not in report.notes else f" ({report.notes[c['name']]})"
@@ -408,6 +401,9 @@ def main(argv=None) -> int:
     except VbsError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CHECK_FAILED
+    except OSError as exc:  # --out cannot be written
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_IO
 
 
 if __name__ == "__main__":

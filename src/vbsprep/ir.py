@@ -1,14 +1,15 @@
 """Circuit intermediate representation and CNOT resource accounting.
 
-Gates are CNOTs, general single-qubit rotations U(theta, phi, lam), opaque
-multi-qubit blocks carrying an exact matrix plus declared per-coupling CNOT
-costs, and measurement markers with an expected post-selection outcome.
+Gates are CNOTs, SWAPs, general single-qubit rotations U(theta, phi, lam),
+opaque multi-qubit blocks carrying an exact matrix plus declared
+per-coupling CNOT costs, and measurement markers with an expected
+post-selection outcome.
 
 Depth accounting counts CNOTs only: single-qubit gates are free, a CNOT
-occupies one layer, and an opaque block occupies its declared depth
-(defaulting to its declared count).  Gates are scheduled in list order at
-the earliest layer allowed by qubit overlap, which makes counts
-deterministic.
+occupies one layer, a SWAP three (one per CNOT of `Swap.cnots`), and an
+opaque block occupies its declared depth (defaulting to its declared
+count).  Gates are scheduled in list order at the earliest layer allowed
+by qubit overlap, which makes counts deterministic.
 """
 from __future__ import annotations
 
@@ -31,6 +32,17 @@ class CNot:
     @property
     def qubits(self) -> tuple[int, ...]:
         return (self.control, self.target)
+
+
+@dataclass(frozen=True)
+class Swap:
+    """SWAP of two qubits: counted and emitted as its three CNOTs, renamed past in a simulation (`_Run`)."""
+
+    qubits: tuple[int, int]
+
+    def cnots(self) -> list[CNot]:
+        a, b = self.qubits
+        return [CNot(a, b), CNot(b, a), CNot(a, b)]
 
 
 @dataclass(frozen=True)
@@ -119,7 +131,7 @@ class Measure:
         return (self.qubit,)
 
 
-Gate = CNot | U1Q | Opaque | Measure
+Gate = CNot | Swap | U1Q | Opaque | Measure
 
 
 def _renamed(gate: Gate, mapping) -> Gate:
@@ -161,8 +173,17 @@ def u_ry(theta: float, q: int) -> U1Q:
 
 @dataclass
 class Circuit:
+    """A register's gates in order.
+
+    `blocks` holds the (start, stop) gate span of each ancilla bank, from
+    the bank's first gate to its markers, which come last: the builder that
+    places the bank declares it, and a simulation fuses the span whole
+    (`_Run.run`).
+    """
+
     n_qubits: int
     gates: list = field(default_factory=list)
+    blocks: list[tuple[int, int]] = field(default_factory=list)
 
     def add(self, gate: Gate) -> "Circuit":
         qs = gate.qubits
@@ -224,6 +245,8 @@ def cnot_count(circuit: Circuit, coupling_name: str) -> int:
     for g in circuit.gates:
         if isinstance(g, CNot):
             total += 1
+        elif isinstance(g, Swap):
+            total += len(g.cnots())
         elif isinstance(g, Opaque):
             total += g.declared_count(coupling_name)
     return total
@@ -234,6 +257,8 @@ def cnot_depth(circuit: Circuit, coupling_name: str) -> int:
     for g in circuit.gates:
         if isinstance(g, CNot):
             width = 1
+        elif isinstance(g, Swap):  # its CNOTs all act on its pair, one layer each
+            width = len(g.cnots())
         elif isinstance(g, Opaque):
             width = g.declared_depth(coupling_name)
         else:
@@ -251,20 +276,24 @@ def cnot_depth(circuit: Circuit, coupling_name: str) -> int:
 _CNOT_MAT = np.array(
     [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex
 )
+_SWAP_MAT = np.eye(4, dtype=complex)[[0, 2, 1, 3]]
 _IDENTITY_1Q = np.eye(2, dtype=complex)
 # shared by every simulation: read-only, so that no caller can change them
 _CNOT_MAT.setflags(write=False)
+_SWAP_MAT.setflags(write=False)
 _IDENTITY_1Q.setflags(write=False)
 
 
 def _gate_matrix(g) -> np.ndarray:
     """Matrix of a unitary gate on g.qubits; qubits[0] is its MSB.
 
-    A CNOT's and an Opaque's matrix are shared and read-only; a U1Q's is a
-    fresh array on every call.
+    A CNOT's, a Swap's and an Opaque's matrix are shared and read-only; a
+    U1Q's is a fresh array on every call.
     """
     if isinstance(g, CNot):
         return _CNOT_MAT
+    if isinstance(g, Swap):
+        return _SWAP_MAT
     if isinstance(g, U1Q):
         return g.matrix()
     if isinstance(g, Opaque):
@@ -317,88 +346,44 @@ def _reused_markers(gates: list) -> set[int]:
     return reused
 
 
-def _segments(gates: list) -> dict[int, tuple[int, list[int]]]:
-    """Start index -> (index of its last marker, its qubits in order of first touch) of each segment.
-
-    A segment runs from the first gate on a set A of qubits untouched since
-    their last markers (so not live, each holding a known value) to the
-    markers that drop all of A.  It touches at most FUSE_WIDTH other qubits
-    D, and 2^(|A| + 2|D|), its columns where A holds its values, fits a TILE.
-    It is given up at any other marker or a gate on A after its marker.
-    """
-    ends: dict[int, list[int]] = {}  # qubit -> the indices of its markers ahead, the next last
-    for i in range(len(gates) - 1, -1, -1):
-        if isinstance(gates[i], Measure):
-            ends.setdefault(gates[i].qubit, []).append(i)
-    touched: set[int] = set()  # qubits a gate touched since their last marker
-    found, seg = {}, None  # seg: the open segment's start, its qubits, and A's qubits -> their markers' indices
-
-    def grow(support, ends_of_a, qubits, i) -> bool:
-        for q in qubits:
-            if q not in support:
-                support.append(q)
-                if q not in touched and ends.get(q):
-                    ends_of_a[q] = ends[q][-1]
-            elif ends_of_a.get(q, i) < i:  # a qubit of A after its marker
-                return False
-        d = len(support) - len(ends_of_a)
-        return d <= FUSE_WIDTH and len(ends_of_a) + 2 * d < TILE.bit_length()
-
-    for i, g in enumerate(gates):
-        if isinstance(g, Measure):
-            ends[g.qubit].pop()
-            touched.discard(g.qubit)
-            if seg is not None and seg[2].get(g.qubit) != i:
-                seg = None
-            elif seg is not None and i == max(seg[2].values()):
-                found[seg[0]] = (i, seg[1])
-                seg = None
-            continue
-        if seg is not None and not grow(seg[1], seg[2], g.qubits, i):
-            seg = None
-        if seg is None and any(q not in touched and ends.get(q) for q in g.qubits):
-            seg = (i, [], {})
-            if not grow(seg[1], seg[2], g.qubits, i):
-                seg = None
-        touched.update(g.qubits)
-    return found
-
-
 class _Run:
     """One simulate_post_selected or born_probabilities call in progress.
 
     `gates` act on wires (`wire` maps a qubit to its wire at the end, and
-    `given` a renamed gate's id to its first qubit as given).  `state` holds
+    `given` a renamed gate's id to its first qubit as given), and `blocks`
+    are the circuit's ancilla-bank spans in `gates`.  `state` holds
     an axis per `live` wire, in wire order (none before the first block),
     its squared norm carried in `norm_sq`: no fold scales it, `select` does.
     The latest block waits in `held` until the next block or a read of the
     state (`write`), so the last can go straight to Born probabilities (`born`).
     `value` maps a wire dropped on a marker to the outcome it holds until it
-    joins again.  `blocks` keeps the block matrices the call composed, by
+    joins again.  `composed` keeps the block matrices the call composed, by
     their `_block_key` and slice.
     """
 
     def __init__(self, circuit: Circuit):
         self.n = _checked_width(circuit.n_qubits)
         self.gates, self.wire, self.given = [], list(range(self.n)), {}  # `run` states the rename rule
-        gates, wire, skip, moved = circuit.gates, self.wire, 0, False
-        for i, g in enumerate(gates):
-            if skip:
-                skip -= 1
-            elif isinstance(g, CNot) and gates[i + 2 : i + 3] == [g] and gates[i + 1] == CNot(g.target, g.control):
-                wire[g.control], wire[g.target] = wire[g.target], wire[g.control]
-                skip, moved = 2, True
+        wire, moved, at = self.wire, False, []  # at: each given gate's index in `gates`, and the end
+        for g in circuit.gates:
+            at.append(len(self.gates))
+            if isinstance(g, Swap):
+                a, b = g.qubits
+                wire[a], wire[b] = wire[b], wire[a]
+                moved = True
             elif not moved or all(wire[q] == q for q in g.qubits):
                 self.gates.append(g)
             else:
                 self.gates.append(_renamed(g, wire))
                 self.given[id(self.gates[-1])] = g.qubits[0]
+        at.append(len(self.gates))
+        self.blocks = [(at[start], at[stop]) for start, stop in circuit.blocks]
         self.state = Statevector(0, np.ones(1, dtype=complex))  # no qubit until the first block
         self.norm_sq = 1.0
         self.held: tuple | None = None  # (mat, axes, new axes, folded qubits) of the write that waits
         self.live: list[int] = []
         self.value: dict[int, int] = {}
-        self.blocks: dict[tuple, np.ndarray] = {}
+        self.composed: dict[tuple, np.ndarray] = {}
 
     def apply(self, mat: np.ndarray, qubits, folded=()) -> None:
         """Apply `mat` on `qubits` (held, once the block held before is written); a qubit not yet live joins in |0>.
@@ -469,7 +454,7 @@ class _Run:
         flips = tuple(i for i, q in enumerate(support) if q in joins and self.value.get(q))
         rows = tuple(fold.get(q) for q in support)
         key = (_block_key(support, block), flips, rows)
-        if key not in self.blocks:
+        if key not in self.composed:
             if flips or fold:  # only the identity's columns where folded qubits hold 0, flipped where a qubit holds 1
                 k, kept = len(support), 2 ** (len(support) - len(fold))
                 columns = np.zeros([2] * k + [kept], dtype=complex)
@@ -479,8 +464,8 @@ class _Run:
             else:
                 mat = _block_matrix(support, block)
             mat.setflags(write=False)
-            self.blocks[key] = mat
-        self.apply(self.blocks[key], [q for q in support if q not in fold], {self.given.get(id(m), m.qubit) for m in markers if m.qubit in fold})
+            self.composed[key] = mat
+        self.apply(self.composed[key], [q for q in support if q not in fold], {self.given.get(id(m), m.qubit) for m in markers if m.qubit in fold})
 
     def select(self, markers: list[Measure], keep: list[int]) -> tuple[float, Statevector]:
         """`post_select` on the live axes: `markers` on their outcomes, and the live `keep` qubits kept.
@@ -510,17 +495,19 @@ class _Run:
     def run(self) -> list[Measure]:
         """Apply every gate; return the markers left to post-select, in circuit order.
 
-        Gates act on wires (`__init__`): three consecutive gates CNot(a, b),
-        CNot(b, a), CNot(a, b) are exactly SWAP(a, b), so they are taken out
-        and wire[a], wire[b] trade places; every later gate is renamed
-        through `wire` (`_renamed`, so an Opaque keeps its matrix), and an
-        error names a marker's qubit as the given circuit does.  Consecutive
-        gates are fused greedily into blocks of at most FUSE_WIDTH qubits,
-        new ones included (a lone gate or segment may be wider), each applied
-        to the state once.  A `_segments` run (an ancilla bank from its first
-        gate to its markers) is fused like one gate, so one block folds the
-        bank: a spin-3/2 lcu site and its bank of six become one 8x8
-        operator.  A one-qubit gate on a qubit neither live nor in the open
+        Gates act on wires (`__init__`): each Swap(a, b) is taken out and
+        wire[a], wire[b] trade places; every later gate is renamed through
+        `wire` (`_renamed`, so an Opaque keeps its matrix), and an error
+        names a marker's qubit as the given circuit does.  Consecutive gates
+        are fused greedily into blocks of at most FUSE_WIDTH qubits, new ones
+        included (a lone gate or declared block may be wider), each applied
+        to the state once.  A declared block (`Circuit.blocks`: an ancilla
+        bank from its first gate to its markers) is fused like one gate when
+        its other qubits D number at most FUSE_WIDTH and its columns where
+        the marked qubits A hold their values, 2^(|A| + 2|D|), fit a TILE, so
+        one block folds the bank: a spin-3/2 lcu site and its bank of six
+        become one 8x8 operator.  A circuit without blocks is fused greedily
+        only.  A one-qubit gate on a qubit neither live nor in the open
         block waits (gates on other qubits commute with it) and joins the
         block of its qubit's next multi-qubit gate, its marker or the
         circuit's end.  Every marker is post-selected, and its qubit leaves
@@ -550,7 +537,12 @@ class _Run:
                 grown = list(qubits)
             support, block = grown, block + gates
 
-        segments, last = _segments(self.gates), -1  # last: the last gate of the latest segment
+        fused, last = {}, -1  # a block's start -> its last gate and its qubits in order of first touch
+        for start, stop in self.blocks:
+            qubits = list(dict.fromkeys(q for g in self.gates[start:stop] for q in g.qubits))
+            d = len(qubits) - len({g.qubit for g in self.gates[start:stop] if isinstance(g, Measure)})
+            if d <= FUSE_WIDTH and len(qubits) + d < TILE.bit_length():  # 2^(|A| + 2|D|) columns fit a tile
+                fused[start] = (stop - 1, qubits)
         for i, g in enumerate(self.gates):
             if i <= last:
                 continue
@@ -564,7 +556,7 @@ class _Run:
                     raise ImpossibleOutcomeError(f"marker on qubit {self.given.get(id(g), g.qubit)} (no state axis): "
                                                  f"outcome {g.expect} on a qubit that holds {1 - g.expect}")
                 continue
-            last, qubits = segments.get(i, (i, g.qubits))  # a segment is fused like one gate
+            last, qubits = fused.get(i, (i, g.qubits))  # a block is fused like one gate
             gates = self.gates[i : last + 1]
             if any(m.qubit in qubits for m in markers):
                 flush()
@@ -584,10 +576,11 @@ def born_probabilities(circuit: Circuit) -> tuple[np.ndarray, list[Measure]]:
     """Run the circuit from the empty register; return the whole register's Born probabilities and its terminal markers.
 
     The terminal markers, the ones no later gate touches, are taken out for
-    the Monte-Carlo draw (`statesim.sample_indices`).  The rest runs as
-    simulate_post_selected keeping every qubit, in order; its last write goes
-    to |a|^2 in index order (`Statevector._born`), so no complex register is
-    held, unless a SWAP taken out leaves the wires in another order
+    the Monte-Carlo draw (`statesim.sample_indices`).  The rest, declaring
+    no blocks (so fused greedily), runs as simulate_post_selected keeping
+    every qubit, in order; its last write goes to |a|^2 in index order
+    (`Statevector._born`), so no complex register is held, unless a Swap
+    taken out leaves the wires in another order
     (`_Run.select` reorders them).  Where a block folded markers, the carried
     norm is not 1: |a|^2 takes `select`'s factor once per factor of a, equal
     to |a|^2 of the state `select` would scale to rounding.

@@ -142,17 +142,19 @@ def run_lcu(lattice: Lattice) -> dict:
 
     Every site's circuit uses one shared bank of (largest 2S)! ancillas,
     n_data_qubits and up, |0...0> before and after each site; a site of 2S
-    qubits uses the first (2S)! of them.  simulate_post_selected folds each
-    site's bank into one operator on the site's qubits (8x8 for spin 3/2),
-    so the bank never becomes a state axis and the register holds only the
-    data qubits.
+    qubits uses the first (2S)! of them.  Each site's circuit is one
+    declared block, which simulate_post_selected folds into one operator on
+    the site's qubits (8x8 for spin 3/2), so the bank never becomes a state
+    axis and the register holds only the data qubits.
     """
     encoding = assign_qubits(lattice)
     n_data = encoding.n_data_qubits
     bank = tuple(range(n_data, n_data + math.factorial(max(map(len, encoding.site_qubits)))))
     circ = pre_vbs_circuit(encoding, len(bank))
     for qs in encoding.site_qubits:
-        circ.extend(lcu_symmetrization_circuit(len(qs), qs, bank[: math.factorial(len(qs))]).gates)
+        site = lcu_symmetrization_circuit(len(qs), qs, bank[: math.factorial(len(qs))])
+        circ.blocks += [(len(circ.gates) + start, len(circ.gates) + stop) for start, stop in site.blocks]
+        circ.extend(site.gates)
     return _post_selected(circ, encoding)
 
 

@@ -2,14 +2,14 @@
 
 Two modes: `structural` keeps multi-qubit blocks as opaque declarations;
 `basis` expands every block through its registered CNOT + u3 expansion and
-fails if a block has none.  Post-selection expectations are emitted as
+fails if a block has none.  Both write a SWAP as its three CNOTs.  Post-selection expectations are emitted as
 `// post-select c[k] == v` comments.  The package reads no QASM back.
 """
 from __future__ import annotations
 
 from .builders import fredkin_fragment
 from .errors import ConfigError, UnsupportedError
-from .ir import CNot, Circuit, Measure, Opaque, U1Q, u_z
+from .ir import CNot, Circuit, Measure, Opaque, Swap, U1Q, u_z
 
 HEADER = 'OPENQASM 2.0;\ninclude "qelib1.inc";'
 
@@ -31,12 +31,9 @@ def expand_opaque(gate: Opaque) -> list:
         fredkin_fragment(anc, qa, qb, sub)
         return sub.gates
     if label.startswith("bond_displacement"):
-        out = []
         q = gate.qubits
         # three swaps: (q0,q1), (q2,q3), (q1,q2) in local order
-        for a, b in ((q[0], q[1]), (q[2], q[3]), (q[1], q[2])):
-            out.extend([CNot(a, b), CNot(b, a), CNot(a, b)])
-        return out
+        return [c for pair in ((q[0], q[1]), (q[2], q[3]), (q[1], q[2])) for c in Swap(pair).cnots()]
     raise UnsupportedError(f"no registered basis expansion for opaque {label!r}")
 
 
@@ -44,14 +41,13 @@ def emit_qasm(circuit: Circuit, mode: str = "structural") -> str:
     if mode not in ("structural", "basis"):
         raise ConfigError(f"unknown QASM mode {mode!r}")
     gates: list = []
-    if mode == "basis":
-        for g in circuit.gates:
-            if isinstance(g, Opaque):
-                gates.extend(expand_opaque(g))
-            else:
-                gates.append(g)
-    else:
-        gates = list(circuit.gates)
+    for g in circuit.gates:
+        if isinstance(g, Swap):
+            gates.extend(g.cnots())
+        elif mode == "basis" and isinstance(g, Opaque):
+            gates.extend(expand_opaque(g))
+        else:
+            gates.append(g)
 
     lines = [HEADER, f"qreg q[{circuit.n_qubits}];"]
     n_measures = sum(1 for g in gates if isinstance(g, Measure))

@@ -2,10 +2,11 @@
 three-link pair on one heavy-hex set.
 
 The generic router walks the gate list, moving logical qubits along
-shortest paths (each inserted SWAP is expanded to 3 CNOTs) until every
-CNOT acts on a coupled pair and every opaque block sits on a connected
-subgraph.  It returns the final logical-to-physical placement, so callers
-can post-select straight to the physical qubits that hold the data.
+shortest paths (each inserted SWAP is one `ir.Swap`, which counts and
+emits as 3 CNOTs) until every CNOT acts on a coupled pair and every
+opaque block sits on a connected subgraph.  It returns the final
+logical-to-physical placement, so callers can post-select straight to the
+physical qubits that hold the data.
 
 The heavy-hex placement is data: the role held at each position of the
 set before the displacement (`PAIR_ROLES`, where the three valence bonds
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 
 from .builders import hadamard_test_fragment, island_block, valence_bond_subcircuit
 from .errors import ConfigError, UnsupportedError
-from .ir import DECLARED_COSTS, CNot, Circuit, Opaque, _renamed
+from .ir import DECLARED_COSTS, CNot, Circuit, Opaque, Swap, _renamed
 from .lattice import CouplingMap, SiteEncoding, assign_qubits, build_three_link_pair, heavy_hex_patch
 from .symmetrize import swap_sequence_matrix
 
@@ -30,10 +31,6 @@ from .symmetrize import swap_sequence_matrix
 class RoutedCircuit:
     circuit: Circuit
     placement: list[int]  # logical -> physical at the end of the circuit
-
-
-def _swap_cnots(a: int, b: int) -> list[CNot]:
-    return [CNot(a, b), CNot(b, a), CNot(a, b)]
 
 
 def _move(placement: list[int], occupied: dict, pa: int, pb: int) -> None:
@@ -47,19 +44,22 @@ def _move(placement: list[int], occupied: dict, pa: int, pb: int) -> None:
 def route(circuit: Circuit, coupling: CouplingMap) -> RoutedCircuit:
     """Rewrite a circuit so all multi-qubit gates respect the coupling map.
 
-    SWAPs bring a CNOT's qubits onto a coupled pair and a block's onto a
+    Swaps bring a CNOT's qubits onto a coupled pair and a block's onto a
     connected set; then the gate is renamed (`ir._renamed`) onto the
-    physical qubits its logical qubits hold.  The simulation takes each SWAP
-    out and renames the later gates back (`ir._Run.run`).
+    physical qubits its logical qubits hold.  Each declared block spans
+    from its first gate to its markers as renamed, the Swaps put in for
+    its later gates included.  The simulation takes each Swap out and
+    renames the later gates back (`ir._Run.run`).
     """
     if circuit.n_qubits > coupling.n_qubits:
         raise ConfigError("circuit does not fit on the coupling map")
     placement = list(range(circuit.n_qubits))
     occupied = {p: l for l, p in enumerate(placement)}
     out = Circuit(coupling.n_qubits)
+    at = []  # each given gate's index in `out`
 
     def do_swap(pa: int, pb: int):  # an edge of the map (see CouplingMap), so Circuit.add's check is skipped
-        out.gates.extend(_swap_cnots(pa, pb))
+        out.gates.append(Swap((pa, pb)))
         _move(placement, occupied, pa, pb)
 
     def bring_adjacent(la: int, lb: int):
@@ -82,7 +82,9 @@ def route(circuit: Circuit, coupling: CouplingMap) -> RoutedCircuit:
             bring_adjacent(g.control, g.target)
         elif isinstance(g, Opaque):
             gather(g.qubits)
+        at.append(len(out.gates))
         out.add(_renamed(g, placement))
+    out.blocks = [(at[start], at[stop - 1] + 1) for start, stop in circuit.blocks]
     return RoutedCircuit(out, placement)
 
 
@@ -116,7 +118,7 @@ def heavy_hex_pair(method: str) -> tuple[RoutedCircuit, SiteEncoding]:
     on its box.  The ancillas follow the 6 data qubits as the route's own
     builder numbers them: probabilistic tests site s on ancilla 6 + s, and
     mitigated_islands tests its one B site, site 1, on ancilla 6.  Each gate is built on logical qubits and renamed
-    (`ir._renamed`) onto the positions they hold.
+    (`ir._renamed`) onto the positions they hold; the tests' declared blocks come with them.
     """
     if method not in ("probabilistic", "mitigated_islands"):
         raise UnsupportedError("heavy-hex placement covers probabilistic and mitigated_islands")
@@ -142,5 +144,6 @@ def heavy_hex_pair(method: str) -> tuple[RoutedCircuit, SiteEncoding]:
     for site, box in ((0, "line"), (1, "t")):
         if site in ancillas:
             hadamard_test_fragment(site, encoding, tests, ancillas[site], heavy_hex_box=box)
+    circ.blocks = [(len(circ.gates) + start, len(circ.gates) + stop) for start, stop in tests.blocks]
     circ.gates.extend(_renamed(g, placement) for g in tests.gates)
     return RoutedCircuit(circ, placement), encoding

@@ -22,10 +22,10 @@ from .spinops import symmetric_subspace_isometry
 
 DEFAULT_MAX_QUBITS = 26
 # The widest fused operator, in qubits.  ir._Run.run fuses gates into blocks
-# of at most FUSE_WIDTH qubits, new ones included; only a lone gate or
-# segment may be wider.  ir._segments counts a segment's qubits beside those
-# its markers fold away, and product_of_factors a join's qubits beside the
-# factor's new ones.
+# of at most FUSE_WIDTH qubits, new ones included; only a lone gate or a
+# circuit's declared ancilla-bank block may be wider.  ir._Run.run counts a
+# declared block's qubits beside those its markers fold away, and
+# product_of_factors a join's qubits beside the factor's new ones.
 FUSE_WIDTH = 4
 UNITARY_TOL = 1e-10
 PROB_FLOOR = 1e-14

@@ -107,7 +107,8 @@ def lcu_symmetrization_circuit(n_halves: int, site_qubits: tuple[int, ...], anci
     post-selection of every ancilla in |0>.
 
     n! ancillas, uniform one-hot prepare oracle, each permutation's SWAPs
-    controlled by its own ancilla.
+    controlled by its own ancilla.  The whole circuit, ending in the
+    ancillas' markers, is its one block.
     """
     if len(site_qubits) != n_halves:
         raise ConfigError("site qubit count must equal n_halves")
@@ -123,6 +124,7 @@ def lcu_symmetrization_circuit(n_halves: int, site_qubits: tuple[int, ...], anci
     first = circ.next_creg()
     for i, anc in enumerate(ancillas):
         circ.add(Measure(anc, expect=0, creg=first + i))
+    circ.blocks.append((0, len(circ.gates)))
     return circ
 
 

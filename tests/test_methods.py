@@ -497,3 +497,48 @@ def test_retry_product_of_chain10_holds_the_state_the_partial_and_an_eighth(monk
     peak, nbytes = peaks[-1]
     assert nbytes == 16 * 3**10
     assert peak <= nbytes + partials[-1] + 4 * statesim.TILE * 16
+
+
+def _assert_blocks_are_banks(circuit):
+    """Declared blocks are disjoint and ordered, each ends in its markers on qubits it acts on, and every marker lies in one."""
+    from vbsprep.ir import Measure
+
+    ends = [end for block in circuit.blocks for end in block]
+    assert ends == sorted(ends) and all(start < stop for start, stop in circuit.blocks)
+    assert 0 <= min(ends, default=0) and max(ends, default=0) <= len(circuit.gates)
+    for start, stop in circuit.blocks:
+        span = circuit.gates[start:stop]
+        marks = [isinstance(g, Measure) for g in span]
+        assert marks == sorted(marks) and marks[-1] and not marks[0]  # gates, then the markers
+        assert {g.qubit for g in span if isinstance(g, Measure)} <= {q for g in span if not isinstance(g, Measure) for q in g.qubits}
+    inside = {i for start, stop in circuit.blocks for i in range(start, stop)}
+    assert all(i in inside for i, g in enumerate(circuit.gates) if isinstance(g, Measure))
+
+
+@pytest.mark.parametrize("lattice,route", _circuit_route_cases())
+def test_every_ancilla_bank_is_a_declared_block_unrouted_and_linear_routed(lattice, route):
+    """Every marker is an ancilla's (qubit >= n_data_qubits, pinned above), so every marker lies in a block.
+
+    Routed onto a line, each block spans its gates as renamed, and the simulation maps it back through the
+    Swaps it takes out onto the unrouted circuit's block.
+    """
+    from vbsprep.builders import mitigated_retry_circuit
+    from vbsprep.ir import _Run
+    from vbsprep.lattice import assign_qubits, linear_coupling
+    from vbsprep.routing import route as route_onto
+
+    circuit = mitigated_retry_circuit(assign_qubits(lattice)) if route == "mitigated_retry" else ROUTES[route](lattice, 3)["circuit"]
+    assert circuit.blocks or not circuit.measures()
+    _assert_blocks_are_banks(circuit)
+    routed = route_onto(circuit, linear_coupling(circuit.n_qubits)).circuit
+    _assert_blocks_are_banks(routed)
+    assert _Run(routed).blocks == circuit.blocks
+
+
+@pytest.mark.parametrize("route", ["probabilistic", "mitigated_islands"])
+def test_every_ancilla_bank_is_a_declared_block_on_heavy_hex(route):
+    from vbsprep.routing import heavy_hex_pair
+
+    circuit = heavy_hex_pair(route)[0].circuit
+    assert len(circuit.blocks) == len(circuit.measures())  # one test per site with an ancilla
+    _assert_blocks_are_banks(circuit)

@@ -8,7 +8,7 @@ from vbsprep import ir, methods
 from vbsprep.builders import mitigated_retry_circuit, probabilistic_method_circuit
 from vbsprep.cli import EXIT_CHECK_FAILED, EXIT_CONFIG, main, parse_lattice, validate_config
 from vbsprep.errors import ImpossibleOutcomeError, VbsError
-from vbsprep.ir import Circuit, CNot, Measure, Opaque, U1Q, post_select, simulate_post_selected, u_h, u_x
+from vbsprep.ir import Circuit, CNot, Measure, Opaque, Swap, U1Q, post_select, simulate_post_selected, u_h, u_x
 from vbsprep.lattice import assign_qubits, linear_coupling
 from vbsprep.methods import ROUTES
 from vbsprep.routing import heavy_hex_pair, route
@@ -300,15 +300,18 @@ def _random_bank_circuit(rng) -> tuple[Circuit, int]:
 
     Each site prepares its bank in the one-hot state, swaps two of its data
     qubits under each ancilla, unprepares and marks every ancilla, mostly on
-    0 and sometimes on 1.  The two banks are reused from site to site, and
-    a stray CNOT inside a site may widen it past FUSE_WIDTH data qubits.
+    0 and sometimes on 1, and declares that span a block.  The two banks are
+    reused from site to site, and a stray CNOT inside a site may widen it
+    past FUSE_WIDTH data qubits.
     """
     n_data = int(rng.integers(3, 6))
     sizes = [int(rng.integers(3, 7)), int(rng.integers(3, 5))]
     banks = [tuple(range(n_data, n_data + sizes[0])), tuple(range(n_data + sizes[0], n_data + sum(sizes)))]
     n = n_data + sum(sizes)
     gates = [U1Q(*rng.uniform(-np.pi, np.pi, size=3), q) for q in range(n_data)] + [CNot(0, 1), CNot(1, 2)]
+    blocks = []
     for _ in range(int(rng.integers(1, 4))):
+        start = len(gates)
         bank = banks[int(rng.integers(2))]
         site = [int(q) for q in rng.permutation(n_data)[: int(rng.integers(2, 4))]]
         prepare = w_state_circuit(len(bank), bank, Circuit(n)).gates
@@ -320,8 +323,9 @@ def _random_bank_circuit(rng) -> tuple[Circuit, int]:
                 a, b = (int(q) for q in rng.permutation(n_data)[:2])
                 gates.append(CNot(a, b))
         gates += inverse_gates(prepare) + [Measure(anc, int(rng.random() < 0.2)) for anc in bank]
+        blocks.append((start, len(gates)))
         gates += [U1Q(*rng.uniform(-np.pi, np.pi, size=3), q) for q in site]
-    return Circuit(n, gates), n_data
+    return Circuit(n, gates, blocks), n_data
 
 
 def test_random_ancilla_banks_wider_than_a_block_post_select_as_they_run(monkeypatch):
@@ -358,6 +362,19 @@ def test_simulate_circuit_folds_the_reused_spin_3_2_lcu_bank_as_the_reference_pr
     assert abs(state.tracked_norm_sq - ref.tracked_norm_sq) <= 1e-12
 
 
+def test_blocks_only_steer_fusion(monkeypatch):
+    """The spin-3/2 lcu circuit with its blocks cleared, fused greedily, gives the same state and probability."""
+    peak = _peak_width(monkeypatch)
+    circ = ROUTES["lcu"](parse_lattice("three-link-pair"), 0)["circuit"]
+    prob, state = simulate_post_selected(circ, range(6))
+    assert circ.blocks and peak[0] == 6  # each bank folded into its site's block
+    peak[0] = 0
+    bare_prob, bare = simulate_post_selected(Circuit(circ.n_qubits, circ.gates), range(6))
+    assert peak[0] > 6  # the banks joined the state
+    assert abs(prob - bare_prob) <= 1e-12
+    assert np.max(np.abs(state.amps - bare.amps)) <= 1e-12
+
+
 def test_the_spin_3_2_lcu_route_on_six_sites_holds_only_its_data_qubits(monkeypatch, capsys):
     peak = _peak_width(monkeypatch)
     assert main(["prepare", "--spin", "3", "--lattice", "three-link-ring:6", "--method", "lcu"]) == 0
@@ -376,17 +393,15 @@ def test_each_lcu_site_pattern_composes_its_segment_once(monkeypatch):
     assert [c for c in composed if c[0] >= 9] == [(9, 8)]
 
 
-def _swap(a: int, b: int) -> list:
-    return [CNot(a, b), CNot(b, a), CNot(a, b)]
-
-
 def _with_swaps(rng, circ: Circuit) -> tuple[Circuit, list[int]]:
-    """`circ` routed by hand: SWAP triples put in at random places, most of them right after a marker (a SWAP of
-    a dropped qubit), every later gate renamed to follow; and where each of its qubits ends."""
+    """`circ` routed by hand: Swaps put in at random places, most of them right after a marker (a SWAP of
+    a dropped qubit), every later gate renamed to follow, each block spanning its gates as renamed; and where
+    each of its qubits ends."""
     n = circ.n_qubits
     at, on = list(range(n)), list(range(n))  # qubit -> the qubit of the new circuit holding it, and back
-    gates = []
+    gates, index = [], []  # index: each given gate's index in `gates`
     for g in circ.gates:
+        index.append(len(gates))
         if isinstance(g, CNot):
             gates.append(CNot(at[g.control], at[g.target]))
         elif isinstance(g, U1Q):
@@ -398,10 +413,10 @@ def _with_swaps(rng, circ: Circuit) -> tuple[Circuit, list[int]]:
         if rng.random() < (0.6 if isinstance(g, Measure) else 0.2):
             a = gates[-1].qubits[0] if isinstance(g, Measure) else int(rng.integers(n))
             b = int(rng.choice([q for q in range(n) if q != a]))
-            gates += _swap(a, b)
+            gates.append(Swap((a, b)))
             on[a], on[b] = on[b], on[a]
             at[on[a]], at[on[b]] = a, b
-    return Circuit(n, gates), at
+    return Circuit(n, gates, [(index[start], index[stop - 1] + 1) for start, stop in circ.blocks]), at
 
 
 def test_random_circuits_with_swaps_match_the_reference(monkeypatch):
@@ -445,6 +460,7 @@ def test_random_circuits_with_swaps_match_the_reference(monkeypatch):
 
 
 @pytest.mark.parametrize("gates", [
+    [CNot(0, 1), CNot(1, 0), CNot(0, 1)],  # a SWAP written as its CNOTs: only a Swap is renamed past
     [CNot(0, 1)] * 3,  # CNot(a, b) three times
     [CNot(0, 1), CNot(1, 0), Measure(2, 0), CNot(0, 1)],  # a triple broken by a marker
     [CNot(0, 1), CNot(1, 0), CNot(1, 0)],
@@ -460,7 +476,7 @@ def test_triples_that_are_not_a_swap_are_simulated_as_gates(gates):
 def test_a_swap_renames_every_later_gate_and_keeps_each_opaque_matrix():
     block = Opaque("random", (1, 2), np.linalg.qr(np.arange(16).reshape(4, 4) + 1j * np.eye(4))[0])
     first, last = u_h(0), u_x(1)
-    run = ir._Run(Circuit(3, [first] + _swap(0, 2) + [CNot(2, 1), block, Measure(0, 1, 3), last]))
+    run = ir._Run(Circuit(3, [first, Swap((0, 2)), CNot(2, 1), block, Measure(0, 1, 3), last]))
     gates, wire, given = run.gates, run.wire, run.given
     assert wire == [2, 1, 0]
     assert gates[0] is first and gates[4] is last  # a gate on no moved qubit is kept as it is
@@ -505,7 +521,7 @@ def test_errors_on_a_routed_circuit_name_the_qubits_it_gives():
 
 def test_a_marker_a_swap_moved_onto_a_state_axis_is_named_as_given():
     # qubit 5 flipped to 1 and swapped onto qubit 6, whose marker expects 0: dropped from its axis mid-circuit
-    circ = Circuit(7, [u_x(5), CNot(5, 0), CNot(1, 2), CNot(3, 4)] + _swap(5, 6) + [Measure(6, 0),
+    circ = Circuit(7, [u_x(5), CNot(5, 0), CNot(1, 2), CNot(3, 4), Swap((5, 6)), Measure(6, 0),
                    CNot(1, 2), CNot(2, 4), CNot(0, 3)])
     with pytest.raises(ImpossibleOutcomeError, match=r"^markers on qubits \[6\] \(state axes \[5\]\)"):
         simulate_post_selected(circ, range(6))

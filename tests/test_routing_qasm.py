@@ -4,7 +4,7 @@ import pytest
 
 from vbsprep.builders import probabilistic_method_circuit
 from vbsprep.errors import ConfigError, UnsupportedError
-from vbsprep.ir import CNot, Circuit, Measure, Opaque, U1Q, cnot_depth, post_select
+from vbsprep.ir import CNot, Circuit, Measure, Opaque, Swap, U1Q, cnot_depth, post_select
 from vbsprep.lattice import (
     CouplingMap,
     assign_qubits,
@@ -298,7 +298,7 @@ def _reference_route(circuit: Circuit, coupling: CouplingMap) -> tuple[list, lis
     gates = []
 
     def swap(pa, pb):
-        gates.extend([CNot(pa, pb), CNot(pb, pa), CNot(pa, pb)])
+        gates.append(Swap((pa, pb)))
         occupied[pa], occupied[pb] = occupied.get(pb), occupied.get(pa)
         for p in (pa, pb):
             if occupied[p] is not None:
@@ -402,7 +402,7 @@ def test_a_router_fault_fails_the_routed_check(skipped, monkeypatch, capsys):
 
     def faulty(placement, occupied, pa, pb):
         calls.append((pa, pb))
-        if len(calls) != skipped + 1:  # one SWAP's CNOTs are written, and its placement update is skipped
+        if len(calls) != skipped + 1:  # one Swap is written, and its placement update is skipped
             move(placement, occupied, pa, pb)
 
     monkeypatch.setattr(routing, "_move", faulty)
@@ -414,3 +414,25 @@ def test_a_router_fault_fails_the_routed_check(skipped, monkeypatch, capsys):
              3: "[FAIL] routed_fidelity_vs_oracle: expected=1 actual=0.4285",
              12: "error: qubit 2 (state axis 3) is neither kept nor post-selected, and is in superposition"}.get(skipped, "")
     assert cause in err
+
+
+@pytest.mark.parametrize("spec", [f"chain:{n}:open:{flavor}" for n in range(2, 6) for flavor in ("aligned", "anti")]
+                         + ["chain:4:ring"])
+def test_a_swap_counts_and_emits_as_its_three_cnots(spec):
+    """A routed circuit's CNOT count and depth on linear, and its QASM in both modes, are those of the same
+    circuit with each Swap(a, b) written as CNot(a, b), CNot(b, a), CNot(a, b); so is a Swap's matrix."""
+    from vbsprep.cli import parse_lattice
+    from vbsprep.ir import circuit_unitary, cnot_count
+
+    circ = probabilistic_method_circuit(assign_qubits(parse_lattice(spec)))
+    routed = route(circ, linear_coupling(circ.n_qubits)).circuit
+    assert any(isinstance(g, Swap) for g in routed.gates)
+    written = Circuit(routed.n_qubits, [c for g in routed.gates
+                                        for c in ([CNot(*g.qubits), CNot(*g.qubits[::-1]), CNot(*g.qubits)]
+                                                  if isinstance(g, Swap) else [g])])
+    for measure in (cnot_count, cnot_depth):
+        assert measure(routed, "linear") == measure(written, "linear")
+    for mode in ("structural", "basis"):
+        assert emit_qasm(routed, mode) == emit_qasm(written, mode)
+    swap = circuit_unitary(Circuit(2, [Swap((0, 1))]))
+    assert np.array_equal(swap, circuit_unitary(Circuit(2, [CNot(0, 1), CNot(1, 0), CNot(0, 1)])))
