@@ -174,8 +174,8 @@ def mps_circuit(n_sites: int, boundary: str, boundary_spins=("up", "up")) -> Cir
     needs no ancilla.  A ring starts from its last tensor prepared by a
     Schmidt split on (R_{N-1}, L_N, R_N, R_1) and ends with the non-unitary
     first-site tensor embedded on (ancilla, L_1, R_1), ancilla 2N measured
-    for |0>, the two declared one block; the embedding scale makes that
-    outcome's probability 1/2.
+    for |0> (the embedding and its marker are one declared block); the
+    embedding scale makes that outcome's probability 1/2.
     """
     if not 2 <= n_sites <= 6:
         raise UnsupportedError("mps_circuit supports 2..6 sites")

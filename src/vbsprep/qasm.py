@@ -2,8 +2,9 @@
 
 Two modes: `structural` keeps multi-qubit blocks as opaque declarations;
 `basis` expands every block through its registered CNOT + u3 expansion and
-fails if a block has none.  Both write a SWAP as its three CNOTs.  Post-selection expectations are emitted as
-`// post-select c[k] == v` comments.  The package reads no QASM back.
+fails if a block has none.  Both write a SWAP as its three CNOTs.
+Post-selection expectations are emitted as `// post-select c[k] == v`
+comments.  The package reads no QASM back.
 """
 from __future__ import annotations
 

@@ -78,8 +78,8 @@ def route(circuit: Circuit, coupling: CouplingMap) -> RoutedCircuit:
             do_swap(*coupling.shortest_path(p, c)[:2])
 
     for g in circuit.gates:
-        if isinstance(g, CNot):
-            bring_adjacent(g.control, g.target)
+        if isinstance(g, (CNot, Swap)):
+            bring_adjacent(*g.qubits)
         elif isinstance(g, Opaque):
             gather(g.qubits)
         at.append(len(out.gates))

@@ -460,11 +460,11 @@ def test_random_circuits_with_swaps_match_the_reference(monkeypatch):
 
 
 @pytest.mark.parametrize("gates", [
-    [CNot(0, 1), CNot(1, 0), CNot(0, 1)],  # a SWAP written as its CNOTs: only a Swap is renamed past
     [CNot(0, 1)] * 3,  # CNot(a, b) three times
     [CNot(0, 1), CNot(1, 0), Measure(2, 0), CNot(0, 1)],  # a triple broken by a marker
     [CNot(0, 1), CNot(1, 0), CNot(1, 0)],
     [CNot(0, 1), CNot(1, 2), CNot(0, 1)],
+    [CNot(0, 1), CNot(1, 0), CNot(0, 1)],  # a SWAP written as its CNOTs: only a Swap is renamed past
 ])
 def test_triples_that_are_not_a_swap_are_simulated_as_gates(gates):
     circ = Circuit(3, [u_h(0), U1Q(0.3, 0.2, 0.1, 1)] + gates + [CNot(2, 0)])

@@ -436,3 +436,13 @@ def test_a_swap_counts_and_emits_as_its_three_cnots(spec):
         assert emit_qasm(routed, mode) == emit_qasm(written, mode)
     swap = circuit_unitary(Circuit(2, [Swap((0, 1))]))
     assert np.array_equal(swap, circuit_unitary(Circuit(2, [CNot(0, 1), CNot(1, 0), CNot(0, 1)])))
+
+
+def test_route_brings_a_given_swaps_qubits_onto_a_coupled_pair():
+    from vbsprep.ir import simulate_post_selected, u_x
+
+    coupling = linear_coupling(3)
+    routed = route(Circuit(3, [u_x(0), Swap((0, 2))]), coupling)
+    assert all(coupling.are_coupled(*g.qubits) for g in routed.circuit.gates if isinstance(g, Swap))
+    _, state = simulate_post_selected(routed.circuit, routed.placement)
+    assert np.allclose(state.amps, np.eye(8)[1])  # logical qubit 2 holds the flipped |1>
