@@ -54,7 +54,7 @@ STREAMS = ("stdout", "stderr")
 # Floats may move this much, relative: a threaded BLAS sums some dot products in another order.
 REL_TOL = 1e-12
 # Paths no benchmark job reaches, pinned here so that the benchmark's workloads stay as they are:
-# routed verify, structural QASM, and --out to a path that cannot be written (exit 5).
+# routed verify, structural QASM, --out to a path that cannot be written (exit 5), and the honeycomb parser.
 CONTRACT = (
     "verify --spin 2 --lattice chain:4:open:anti --method probabilistic --coupling linear",
     "verify --spin 2 --lattice chain:4:ring --method probabilistic --coupling linear",
@@ -64,6 +64,11 @@ CONTRACT = (
     "emit-qasm --spin 3 --lattice three-link-pair --qasm-mode structural",
     "emit-qasm --spin 2 --lattice chain:3:open:aligned --out /nonexistent/vbsprep.qasm",
     "verify --spin 2 --lattice chain:3:open:aligned --method probabilistic --out /nonexistent/vbsprep.json",
+    "verify --spin 2 --lattice honeycomb:1:1 --method probabilistic",
+    "verify --spin 2 --lattice honeycomb:1:1 --method mitigated_islands",
+    "verify --spin 2 --lattice honeycomb:1:1 --method mitigated_retry",
+    "verify --spin 2 --lattice honeycomb:1:1 --method lcu",
+    "verify --spin 2 --lattice honeycomb:0:1 --method probabilistic",
 )
 
 
