@@ -3,7 +3,8 @@
 Gates are CNOTs, SWAPs, general single-qubit rotations U(theta, phi, lam),
 opaque multi-qubit blocks carrying an exact matrix plus declared
 per-coupling CNOT costs, and measurement markers with an expected
-post-selection outcome.
+post-selection outcome.  A simulation post-selects a marker one way only:
+it folds the marker into the declared block it closes (`Circuit.blocks`).
 
 Depth accounting counts CNOTs only: single-qubit gates are free, a CNOT
 occupies one layer, a SWAP three (one per CNOT of `Swap.cnots`), and an
@@ -21,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ImpossibleOutcomeError, MissingCostError, NonUnitaryError, VbsError
-from .statesim import FUSE_WIDTH, PROB_FLOOR, TILE, UNITARY_TOL, Statevector, _check_unitary, _checked_width, _contract, _norm_sq, _scale
+from .statesim import FUSE_WIDTH, TILE, UNITARY_TOL, Statevector, _check_unitary, _checked_width, _contract, _scale
 
 
 @dataclass(frozen=True)
@@ -114,10 +115,10 @@ class Opaque:
 class Measure:
     """Measurement marker with an expected post-selection outcome.
 
-    A simulation post-selects a marker when the next block is applied, or
-    before the first later gate that touches its qubit, and drops the qubit
-    from the state, so an ancilla can be reused after it is measured: it
-    joins again at its next gate, in the outcome it was dropped on.
+    A simulation folds a marker into the declared block it closes, so its
+    qubit never gets a state axis there, and an ancilla can be reused after
+    it is measured: it joins again at its next gate, in its outcome.  A
+    marker that closes no block that fuses raises VbsError (`_Run.run`).
     born_probabilities leaves out the markers no later gate touches (the
     terminal ones) and returns them, for the Monte-Carlo draw.
     """
@@ -177,8 +178,10 @@ class Circuit:
 
     `blocks` holds the (start, stop) gate span of each ancilla bank, from
     the bank's first gate to its markers, which come last: the builder that
-    places the bank declares it, and a simulation fuses the span whole
-    (`_Run.run`).
+    places the bank declares it, and a simulation fuses the span whole and
+    folds the markers into it (`_Run.run`).  Every marker must close such a
+    block: a simulation refuses a marker outside one, so a builder that
+    leaves its bank undeclared fails, naming the marker's qubit.
     """
 
     n_qubits: int
@@ -277,11 +280,9 @@ _CNOT_MAT = np.array(
     [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex
 )
 _SWAP_MAT = np.eye(4, dtype=complex)[[0, 2, 1, 3]]
-_IDENTITY_1Q = np.eye(2, dtype=complex)
 # shared by every simulation: read-only, so that no caller can change them
 _CNOT_MAT.setflags(write=False)
 _SWAP_MAT.setflags(write=False)
-_IDENTITY_1Q.setflags(write=False)
 
 
 def _gate_matrix(g) -> np.ndarray:
@@ -356,9 +357,9 @@ class _Run:
     its squared norm carried in `norm_sq`: no fold scales it, `select` does.
     The latest block waits in `held` until the next block or a read of the
     state (`write`), so the last can go straight to Born probabilities (`born`).
-    `value` maps a wire dropped on a marker to the outcome it holds until it
-    joins again.  `composed` keeps the block matrices the call composed, by
-    their `_block_key` and slice.
+    `value` maps a wire whose marker was folded to the outcome it holds
+    until it joins again.  `composed` keeps the block matrices the call
+    composed, by their `_block_key` and slice.
     """
 
     def __init__(self, circuit: Circuit):
@@ -425,26 +426,22 @@ class _Run:
             exc.args = (f"markers on qubits {sorted(folded)} (folded into a block, no state axis): {exc}",)
             raise
 
-    def make_live(self, qubits) -> None:
-        """Join each qubit that is not live, in the value it holds: the identity's columns flipped where it holds 1."""
-        for q in qubits:
-            if q not in self.live:
-                self.apply(_IDENTITY_1Q[::-1] if self.value.get(q) else _IDENTITY_1Q, [q])
-
     def drop(self, markers: list[Measure]) -> None:
-        """Post-select the markers on live qubits and take those qubits out; each marker's qubit holds its outcome."""
-        if any(m.qubit in self.live for m in markers):
-            gone = {m.qubit for m in markers}
-            keep = [q for q in self.live if q not in gone]
-            _, self.state = self.select(markers, keep)
-            self.live = keep
+        """Record each folded marker's outcome: its qubit holds it until it joins again."""
+        for m in markers:
+            if m.qubit in self.live:
+                raise self.unfolded(m, "was live before its block, which cannot fold it")
         self.value.update((m.qubit, m.expect) for m in markers)
+
+    def unfolded(self, marker: Measure, why: str) -> VbsError:
+        """The error for a marker that no block folds, named by its qubit as the given circuit numbers it."""
+        return VbsError(f"marker on qubit {self.given.get(id(marker), marker.qubit)} {why}")
 
     def apply_block(self, support: list[int], block: list, markers=()) -> None:
         """Apply the block's matrix U, composed once per call under its `_block_key` and slice.
 
         A qubit that is not live joins in the value it holds: 0, or the
-        outcome it was dropped on (U's columns are flipped there).  A joining
+        outcome its marker was folded on (U's columns are flipped there).  A joining
         qubit whose marker waits in `markers` is folded: only U's columns
         where it holds its value are composed, and the block acts as
         <expect|U|value> on its other qubits, so it never gets an axis.
@@ -467,33 +464,30 @@ class _Run:
             self.composed[key] = mat
         self.apply(self.composed[key], [q for q in support if q not in fold], {self.given.get(id(m), m.qubit) for m in markers if m.qubit in fold})
 
-    def select(self, markers: list[Measure], keep: list[int]) -> tuple[float, Statevector]:
-        """`post_select` on the live axes: `markers` on their outcomes, and the live `keep` qubits kept.
+    def select(self, keep: list[int]) -> tuple[float, Statevector]:
+        """Hand out the state of the `keep` wires, in the order given, scaled once by the carried norm.
 
-        A marker whose qubit has no axis is skipped: it was folded into a
-        block, or checked against the value its qubit holds.  With none left
-        and `keep` the live qubits in order, it hands out the state itself.
+        Every live wire must be kept and every kept wire live: else VbsError
+        names the qubit that holds the wire at the end.
         """
         self.write()
         live = self.live
-        on_axes = [m for m in markers if m.qubit in live]
-        norm_sq, self.norm_sq = self.norm_sq, 1.0  # either way, the state handed out is scaled once
-        if not on_axes and keep == live:
-            if norm_sq != 1.0:
-                _scale(self.state.amps, 1 / math.sqrt(norm_sq))
-            return self.state.tracked_norm_sq, self.state
-        try:
-            return post_select(self.state, [Measure(live.index(m.qubit), m.expect) for m in on_axes], [live.index(q) for q in keep])
-        except ImpossibleOutcomeError as exc:
-            named = {live.index(m.qubit): self.given.get(id(m), m.qubit) for m in on_axes}
-            exc.args = (f"markers on qubits {[named[a] for a in sorted(named)]} (state axes {sorted(named)}): {exc}",)
-            raise
-        except ValueError as exc:  # an unkept wire in superposition: the circuit's fault, not `keep`'s, named by the qubit it holds at the end
-            raise VbsError(f"qubit {self.wire.index(live[exc.axis])} (state axis {exc.axis}) is neither kept nor "
-                           "post-selected, and is in superposition") from exc
+        for axis, w in enumerate(live):
+            if w not in keep:  # the circuit's fault, not `keep`'s: no marker folded it
+                raise VbsError(f"qubit {self.wire.index(w)} (state axis {axis}) is neither kept nor post-selected")
+        for w in keep:
+            if w not in live:
+                raise VbsError(f"qubit {self.wire.index(w)} is kept, but no gate put it in the state")
+        norm_sq, self.norm_sq = self.norm_sq, 1.0
+        if norm_sq != 1.0:
+            _scale(self.state.amps, 1 / math.sqrt(norm_sq))
+        if keep != live:
+            amps = np.transpose(self.state.amps.reshape([2] * len(live)), [live.index(w) for w in keep])
+            self.state = Statevector(len(keep), amps.reshape(-1), self.state.tracked_norm_sq)
+        return self.state.tracked_norm_sq, self.state
 
-    def run(self) -> list[Measure]:
-        """Apply every gate; return the markers left to post-select, in circuit order.
+    def run(self) -> None:
+        """Apply every gate, folding each marker into its declared block.
 
         Gates act on wires (`__init__`): each Swap(a, b) is taken out and
         wire[a], wire[b] trade places; every later gate is renamed through
@@ -502,18 +496,16 @@ class _Run:
         are fused greedily into blocks of at most FUSE_WIDTH qubits, new ones
         included (a lone gate or declared block may be wider), each applied
         to the state once.  A declared block (`Circuit.blocks`: an ancilla
-        bank from its first gate to its markers) is fused like one gate when
-        its other qubits D number at most FUSE_WIDTH and its columns where
-        the marked qubits A hold their values, 2^(|A| + 2|D|), fit a TILE, so
-        one block folds the bank: a spin-3/2 lcu site and its bank of six
-        become one 8x8 operator.  A circuit without blocks is fused greedily
-        only.  A one-qubit gate on a qubit neither live nor in the open
-        block waits (gates on other qubits commute with it) and joins the
-        block of its qubit's next multi-qubit gate, its marker or the
-        circuit's end.  Every marker is post-selected, and its qubit leaves
-        the state, when the next block is applied or before its qubit's next
-        gate, so a marker no later gate touches does not end a block.  A
-        marker on a qubit with no axis is checked against the value it holds.
+        bank from its first gate to its markers, which come last) fuses like
+        one gate when its other qubits D number at most FUSE_WIDTH and its
+        columns where the marked qubits A hold their values, 2^(|A| + 2|D|),
+        fit a TILE, so one block folds the bank: a spin-3/2 lcu site and its
+        bank of six become one 8x8 operator.  Every marker must close such a
+        block, on a qubit that joins in it (`drop`): any other marker raises
+        VbsError.  A folded qubit holds its outcome until its next gate, where
+        it joins again.  A one-qubit gate on a qubit neither live nor in the
+        open block waits (gates on other qubits commute with it) and joins
+        the block of its qubit's next multi-qubit gate or the circuit's end.
         A block's matrix is composed once per call under its `_block_key`.
         """
         markers: list[Measure] = []
@@ -523,7 +515,7 @@ class _Run:
 
         def flush() -> None:
             nonlocal markers, support, block
-            if block:
+            if support:
                 self.apply_block(support, block, markers)
             support, block = [], []
             self.drop(markers)
@@ -539,64 +531,55 @@ class _Run:
 
         fused, last = {}, -1  # a block's start -> its last gate and its qubits in order of first touch
         for start, stop in self.blocks:
-            qubits = list(dict.fromkeys(q for g in self.gates[start:stop] for q in g.qubits))
-            d = len(qubits) - len({g.qubit for g in self.gates[start:stop] if isinstance(g, Measure)})
-            if d <= FUSE_WIDTH and len(qubits) + d < TILE.bit_length():  # 2^(|A| + 2|D|) columns fit a tile
+            span = self.gates[start:stop]
+            marked = [g.qubit for g in span if isinstance(g, Measure)]
+            qubits = list(dict.fromkeys(q for g in span for q in g.qubits))
+            d = len(qubits) - len(set(marked))
+            closed = all(isinstance(g, Measure) for g in span[len(span) - len(marked):])
+            if closed and d <= FUSE_WIDTH and len(qubits) + d < TILE.bit_length():  # 2^(|A| + 2|D|) columns fit a tile
                 fused[start] = (stop - 1, qubits)
+        for i, g in enumerate(self.gates):  # before any block is applied
+            if i > last and i in fused:
+                last = fused[i][0]
+            elif i > last and isinstance(g, Measure):
+                raise self.unfolded(g, "closes no declared block that fuses (Circuit.blocks)")
+        last = -1
         for i, g in enumerate(self.gates):
             if i <= last:
-                continue
-            if isinstance(g, Measure):
-                q = g.qubit
-                if q in held:
-                    add(held.pop(q), [q])
-                if q in self.live or q in support:
-                    markers.append(g)
-                elif g.expect != self.value.get(q, 0):
-                    raise ImpossibleOutcomeError(f"marker on qubit {self.given.get(id(g), g.qubit)} (no state axis): "
-                                                 f"outcome {g.expect} on a qubit that holds {1 - g.expect}")
                 continue
             last, qubits = fused.get(i, (i, g.qubits))  # a block is fused like one gate
             gates = self.gates[i : last + 1]
             if any(m.qubit in qubits for m in markers):
                 flush()
-            if len(gates) == 1 and len(qubits) == 1 and qubits[0] not in self.live and qubits[0] not in support:
+            if i not in fused and len(qubits) == 1 and qubits[0] not in self.live and qubits[0] not in support:
                 held.setdefault(qubits[0], []).append(g)
                 continue
             add([h for q in qubits for h in held.pop(q, [])] + [h for h in gates if not isinstance(h, Measure)], qubits)
             markers += [h for h in gates if isinstance(h, Measure)]
         for q, gates in held.items():
             add(gates, [q])
-        if block:
-            self.apply_block(support, block, markers)
-        return markers
+        flush()
 
 
 def born_probabilities(circuit: Circuit) -> tuple[np.ndarray, list[Measure]]:
     """Run the circuit from the empty register; return the whole register's Born probabilities and its terminal markers.
 
     The terminal markers, the ones no later gate touches, are taken out for
-    the Monte-Carlo draw (`statesim.sample_indices`).  The rest, declaring
-    no blocks (so fused greedily), runs as simulate_post_selected keeping
-    every qubit, in order; its last write goes to |a|^2 in index order
-    (`Statevector._born`), so no complex register is held, unless a Swap
-    taken out leaves the wires in another order
-    (`_Run.select` reorders them).  Where a block folded markers, the carried
-    norm is not 1: |a|^2 takes `select`'s factor once per factor of a, equal
-    to |a|^2 of the state `select` would scale to rounding.
+    the Monte-Carlo draw (`statesim.sample_indices`).  The rest runs with no
+    block declared (so fused greedily), every qubit kept in order: a marker
+    left in it, one reused, folds into no block and raises VbsError.  With
+    no fold the carried norm is 1, and the last write goes to |a|^2 in index
+    order (`Statevector._born`), so no complex register is held, unless a
+    Swap taken out leaves the wires in another order (`_Run.select`
+    reorders them).
     """
     terminal = {i for i, g in enumerate(circuit.gates) if isinstance(g, Measure)} - _reused_markers(circuit.gates)
     run = _Run(Circuit(circuit.n_qubits, [g for i, g in enumerate(circuit.gates) if i not in terminal]))
-    run.drop(run.run())
-    run.make_live(run.wire)
+    run.run()
     markers = [circuit.gates[i] for i in sorted(terminal)]
     if run.wire != run.live:
-        return np.square(np.abs(run.select([], run.wire)[1].amps)), markers
-    probs, factor = run.written(run.state._born), 1 / math.sqrt(run.norm_sq)
-    if factor != 1.0:
-        probs *= factor
-        probs *= factor
-    return probs, markers
+        return np.square(np.abs(run.select(run.wire)[1].amps)), markers
+    return run.written(run.state._born), markers
 
 
 def simulate_post_selected(circuit: Circuit, keep) -> tuple[float, Statevector]:
@@ -604,16 +587,14 @@ def simulate_post_selected(circuit: Circuit, keep) -> tuple[float, Statevector]:
 
     Equals post-selecting the whole register, every ancilla held to the
     end (to rounding), without holding them.  Every marker, reused or not,
-    is post-selected when the next block is applied, or before its qubit's
-    next gate, and its qubit leaves the state (`_Run.run`): an ancilla bank
-    that one block holds from its first gate on is folded into it, a live
-    ancilla is sliced off (`post_select`), and a reused qubit joins again in
-    its outcome; `tracked_norm_sq` carries the product of the probabilities.
-    No fold scales the state: the last `_Run.select`, with `keep`, does.  A
-    qubit neither kept nor touched by a gate never joins the state.  `keep`
-    and the terminal markers' outcomes are checked before any block is
-    applied; `keep` is then mapped to wires.  Returns the success
-    probability and the normalized `keep` qubits' state, in the order given.
+    is folded into its declared block (`_Run.run`), so a marked qubit has
+    no state axis there, and a reused qubit joins again in its outcome;
+    `tracked_norm_sq` carries the product of the probabilities.  No fold
+    scales the state: `_Run.select`, with `keep`, does.  A qubit neither
+    kept nor touched by a gate never joins the state.  `keep` and the
+    terminal markers' outcomes are checked before any block is applied;
+    `keep` is then mapped to wires.  Returns the success probability and
+    the normalized `keep` qubits' state, in the order given.
     """
     run = _Run(circuit)
     reused = _reused_markers(circuit.gates)
@@ -623,10 +604,8 @@ def simulate_post_selected(circuit: Circuit, keep) -> tuple[float, Statevector]:
     for q, outcome in expect.items():
         if outcome and q not in touched:
             raise ImpossibleOutcomeError(f"qubit {q} is post-selected on 1, but no gate touches it")
-    markers = run.run()
-    run.drop([m for m in markers if m.qubit in keep])  # a marker a SWAP taken out moved onto a kept qubit
-    run.make_live(keep)  # a kept qubit no gate touched
-    return run.select([m for m in markers if m.qubit not in keep], keep)
+    run.run()
+    return run.select(keep)
 
 
 def _expectations(markers) -> dict[int, int]:
@@ -646,44 +625,6 @@ def _checked_keep(keep, n: int, expect: dict) -> list[int]:
     if both:
         raise ValueError(f"qubits {both} are both kept and post-selected")
     return keep
-
-
-def post_select(state: Statevector, markers, keep) -> tuple[float, Statevector]:
-    """Post-select every marker on its expected outcome and keep the `keep` qubits.
-
-    Takes the slice of `state` where every marker qubit holds its expected
-    value, in one pass.  The probability is the slice's share of the norm
-    times the state's `tracked_norm_sq`, so it also covers the reused
-    markers a run post-selected as it went (`_Run`).  Any other qubit not
-    in `keep` (an ancilla that a SWAP moved after its reused marker, an idle qubit)
-    must hold one definite value, and is dropped on it.  Returns the
-    renormalized state of the `keep` qubits, in the order given; `state` is
-    unchanged.
-    """
-    expect = _expectations(markers)
-    n = state.n_qubits
-    keep = _checked_keep(keep, n, expect)
-    kept = state.amps.reshape([2] * n)[tuple(expect.get(q, slice(None)) for q in range(n))]
-    kept_sq, total = _norm_sq(kept), _norm_sq(state.amps)
-    prob = kept_sq / total if total else 0.0  # a zero state holds no outcome
-    if prob < PROB_FLOOR:
-        raise ImpossibleOutcomeError(f"markers on qubits {sorted(expect)} have joint probability {prob:.3e}")
-    free = [q for q in range(n) if q not in expect]  # the axes of `kept`
-    where = []
-    for axis, q in enumerate(free):
-        if q in keep:
-            where.append(slice(None))
-            continue
-        n0, n1 = (np.linalg.norm(kept[(slice(None),) * axis + (b,)]) for b in (0, 1))
-        if min(n0, n1) > 1e-8 * max(n0, n1):
-            exc = ValueError(f"qubit {q} is neither kept nor post-selected, and is in superposition")
-            exc.axis = q
-            raise exc
-        where.append(0 if n0 >= n1 else 1)
-    left = [q for q in free if q in keep]  # the axes of `kept` after dropping the others
-    amps = np.transpose(kept[tuple(where)], [left.index(q) for q in keep]) / math.sqrt(kept_sq)
-    norm_sq = state.tracked_norm_sq * prob
-    return norm_sq, Statevector(len(keep), amps.reshape(-1), norm_sq)
 
 
 def circuit_unitary(circuit: Circuit) -> np.ndarray:

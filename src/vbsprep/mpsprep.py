@@ -19,7 +19,6 @@ from .errors import ConfigError, UnsupportedError
 from .ir import Circuit, Measure, Opaque
 from .lattice import BOUNDARY_OPEN, BOUNDARY_RING
 from .schmidt import schmidt_prepare
-from .statesim import Statevector
 
 CANONICAL_TOL = 1e-12
 
@@ -84,25 +83,6 @@ def left_canonicalize(arrays: list[np.ndarray]) -> list[np.ndarray]:
     if carry.shape != (1, 1):
         raise RuntimeError("canonical sweep did not terminate on a scalar")
     return out
-
-
-def contract_mps(tensors: list[np.ndarray], boundary: str) -> Statevector:
-    """Exact normalized 2N-qubit statevector of (left, 2, 2, right) tensors (BOUNDARY_RING or BOUNDARY_OPEN)."""
-    if boundary not in (BOUNDARY_RING, BOUNDARY_OPEN):
-        raise ConfigError(f"unknown boundary {boundary!r}")
-    running = tensors[0]
-    l0 = running.shape[0]
-    running = running.reshape(l0, 4, -1)
-    for arr in tensors[1:]:
-        nxt = arr.reshape(arr.shape[0], 4, arr.shape[3])
-        running = np.tensordot(running, nxt, axes=(2, 0))
-        running = running.reshape(l0, -1, arr.shape[3])
-    if boundary == BOUNDARY_RING:
-        amps = np.trace(running, axis1=0, axis2=2)
-    else:
-        amps = running.reshape(-1)
-    amps = amps / np.linalg.norm(amps)
-    return Statevector(2 * len(tensors), amps)
 
 
 # ---------------------------------------------------------------------------

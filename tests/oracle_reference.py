@@ -10,11 +10,15 @@ code with the statesim kernel.  `embed` and
 site) and the qubit basis (a run of 2S qubits per site, in site order), and
 `qubit_amps` embeds a state's folded sites back.
 `overlap`, `fidelity`, `expectation` and `applied_norm` compare and
-measure qubit-basis states.  `circuit_unitary_by_columns` is the unfused
+measure qubit-basis states.  `contract_mps` contracts an MPS into its
+dense state.  `circuit_unitary_by_columns` is the unfused
 reference for `ir.circuit_unitary`.  `simulate_circuit` returns the whole
 register's state, whose Born probabilities `ir.born_probabilities` writes,
 and `gate_by_gate` is its unfused reference: every gate alone, each marker
-projected in place by slicing (`project`).
+projected in place by slicing (`project`).  `post_select` slices the
+terminal markers off such a state; `post_select(*gate_by_gate(c), keep)`
+is the dense reference for `ir.simulate_post_selected`, and it runs any
+circuit, also the ones whose markers close no declared block.
 `zero_state`, `from_amplitudes` and `prepared` give a circuit its starting state.
 
 The spin-algebra references are built another way than the package's
@@ -45,12 +49,12 @@ import numpy as np
 
 from vbsprep import statesim
 from vbsprep.builders import spin_ket
-from vbsprep.errors import CapExceededError, ImpossibleOutcomeError
-from vbsprep.ir import Circuit, Measure, Opaque, _gate_matrix, _reused_markers, simulate_post_selected
-from vbsprep.lattice import SPIN_UP, Lattice, SiteEncoding, assign_qubits
+from vbsprep.errors import CapExceededError, ConfigError, ImpossibleOutcomeError
+from vbsprep.ir import Circuit, Measure, Opaque, _checked_keep, _expectations, _gate_matrix, _reused_markers, simulate_post_selected
+from vbsprep.lattice import BOUNDARY_OPEN, BOUNDARY_RING, SPIN_UP, Lattice, SiteEncoding, assign_qubits
 from vbsprep.schmidt import SINGLET
 from vbsprep.spinops import MAX_SYMMETRIZER_HALVES, _read_only, symmetric_subspace_isometry, symmetrizer
-from vbsprep.statesim import Statevector
+from vbsprep.statesim import PROB_FLOOR, Statevector, _norm_sq
 
 
 def bond_factors(encoding: SiteEncoding, n_qubits: int) -> list:
@@ -155,6 +159,25 @@ def applied_norm(state: Statevector, op, qubits) -> float:
     return float(np.linalg.norm(np.tensordot(np.reshape(op, [2] * (2 * k)), tensor, (range(k, 2 * k), qubits))))
 
 
+def contract_mps(tensors: list[np.ndarray], boundary: str) -> Statevector:
+    """Exact normalized 2N-qubit statevector of (left, 2, 2, right) tensors (BOUNDARY_RING or BOUNDARY_OPEN)."""
+    if boundary not in (BOUNDARY_RING, BOUNDARY_OPEN):
+        raise ConfigError(f"unknown boundary {boundary!r}")
+    running = tensors[0]
+    l0 = running.shape[0]
+    running = running.reshape(l0, 4, -1)
+    for arr in tensors[1:]:
+        nxt = arr.reshape(arr.shape[0], 4, arr.shape[3])
+        running = np.tensordot(running, nxt, axes=(2, 0))
+        running = running.reshape(l0, -1, arr.shape[3])
+    if boundary == BOUNDARY_RING:
+        amps = np.trace(running, axis1=0, axis2=2)
+    else:
+        amps = running.reshape(-1)
+    amps = amps / np.linalg.norm(amps)
+    return Statevector(2 * len(tensors), amps)
+
+
 def circuit_unitary_by_columns(circuit: Circuit) -> np.ndarray:
     """Full matrix of a measurement-free circuit: every gate applied alone to each basis column in turn."""
     dim = 2**circuit.n_qubits
@@ -220,14 +243,54 @@ def project(state: Statevector, qubit: int, outcome: int) -> float:
     return prob
 
 
+def post_select(state: Statevector, markers, keep) -> tuple[float, Statevector]:
+    """Post-select every marker on its expected outcome and keep the `keep` qubits.
+
+    Takes the slice of `state` where every marker qubit holds its expected
+    value, in one pass.  The probability is the slice's share of the norm
+    times the state's `tracked_norm_sq`, so it also covers the reused
+    markers `gate_by_gate` projected as it went.  Any other qubit not
+    in `keep` (an ancilla that a SWAP moved after its reused marker, an idle qubit)
+    must hold one definite value, and is dropped on it.  Returns the
+    renormalized state of the `keep` qubits, in the order given; `state` is
+    unchanged.
+    """
+    expect = _expectations(markers)
+    n = state.n_qubits
+    keep = _checked_keep(keep, n, expect)
+    kept = state.amps.reshape([2] * n)[tuple(expect.get(q, slice(None)) for q in range(n))]
+    kept_sq, total = _norm_sq(kept), _norm_sq(state.amps)
+    prob = kept_sq / total if total else 0.0  # a zero state holds no outcome
+    if prob < PROB_FLOOR:
+        raise ImpossibleOutcomeError(f"markers on qubits {sorted(expect)} have joint probability {prob:.3e}")
+    free = [q for q in range(n) if q not in expect]  # the axes of `kept`
+    where = []
+    for axis, q in enumerate(free):
+        if q in keep:
+            where.append(slice(None))
+            continue
+        n0, n1 = (np.linalg.norm(kept[(slice(None),) * axis + (b,)]) for b in (0, 1))
+        if min(n0, n1) > 1e-8 * max(n0, n1):
+            exc = ValueError(f"qubit {q} is neither kept nor post-selected, and is in superposition")
+            exc.axis = q
+            raise exc
+        where.append(0 if n0 >= n1 else 1)
+    left = [q for q in free if q in keep]  # the axes of `kept` after dropping the others
+    amps = np.transpose(kept[tuple(where)], [left.index(q) for q in keep]) / math.sqrt(kept_sq)
+    norm_sq = state.tracked_norm_sq * prob
+    return norm_sq, Statevector(len(keep), amps.reshape(-1), norm_sq)
+
+
 def simulate_circuit(circuit: Circuit) -> tuple[Statevector, list[Measure]]:
     """Run the circuit from the empty register; return the whole register's state and its terminal markers.
 
     The terminal markers, the ones no later gate touches, are taken out and
     returned, in circuit order, for `post_select` or the Monte-Carlo draw.
-    The other gates run through `ir.simulate_post_selected`, which keeps
-    every qubit, in the circuit's order: each reused marker is post-selected
-    there, and `tracked_norm_sq` carries the product of their probabilities.
+    The other gates run through `ir.simulate_post_selected` with no block
+    declared, keeping every qubit in the circuit's order, as
+    `ir.born_probabilities` runs them: so a reused marker, which folds into
+    no block, or a qubit no gate touches raises VbsError (`gate_by_gate`
+    runs those circuits).
     """
     terminal = {i for i, g in enumerate(circuit.gates) if isinstance(g, Measure)} - _reused_markers(circuit.gates)
     rest = Circuit(circuit.n_qubits, [g for i, g in enumerate(circuit.gates) if i not in terminal])

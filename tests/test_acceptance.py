@@ -16,7 +16,7 @@ from vbsprep.analysis import (
     table_i_grid,
 )
 from vbsprep.builders import probabilistic_method_circuit
-from vbsprep.ir import Circuit, Opaque, born_probabilities, cnot_count, cnot_depth, post_select
+from vbsprep.ir import Circuit, Opaque, born_probabilities, cnot_count, cnot_depth
 from vbsprep.lattice import (
     assign_qubits,
     build_chain,
@@ -46,7 +46,7 @@ from vbsprep.symmetrize import (
     w_state_circuit,
 )
 
-from oracle_reference import aklt_projector_from_product, applied_norm, blbq_hamiltonian_term, embed, expectation, fidelity, simulate_circuit, symmetrizer_from_spin_projector, w_state_vector
+from oracle_reference import aklt_projector_from_product, applied_norm, blbq_hamiltonian_term, embed, expectation, fidelity, gate_by_gate, post_select, simulate_circuit, symmetrizer_from_spin_projector, w_state_vector
 from retry_model import fit_mean_rounds, retry_histogram_zscores, sublattice_retry_simulation
 
 
@@ -280,7 +280,7 @@ def test_criterion_10_routing_soundness():
     routed = route(circ, linear_coupling(circ.n_qubits))
     s0, m0 = simulate_circuit(circ)
     p0, s0 = post_select(s0, m0, range(enc.n_data_qubits))
-    s1, m1 = simulate_circuit(routed.circuit)
+    s1, m1 = gate_by_gate(routed.circuit)  # each routed marker is followed by Swaps
     p1, s1 = post_select(s1, m1, routed.placement[: enc.n_data_qubits])
     assert fidelity(s1, s0) >= 1 - 1e-12
     assert abs(p0 - p1) <= 1e-12
@@ -288,7 +288,7 @@ def test_criterion_10_routing_soundness():
     # the heavy-hex pair: displacement overhead and composite totals
     bare, encoding = heavy_hex_pair("probabilistic")
     oracle, norm = oracle_vbs_state(encoding.lattice)
-    sb, mb = simulate_circuit(bare.circuit)
+    sb, mb = gate_by_gate(bare.circuit)
     pb, sb = post_select(sb, mb, bare.placement[: encoding.n_data_qubits])
     assert sb.spin_fidelity(oracle) >= 1 - 1e-12
     blocks = [g for g in bare.circuit.gates if isinstance(g, Opaque) and g.label == "bond_displacement"]
@@ -297,7 +297,7 @@ def test_criterion_10_routing_soundness():
     assert cnot_depth(bare.circuit, "heavy_hex") == 1 + 9 + 41 == 51
 
     mit, encoding2 = heavy_hex_pair("mitigated_islands")
-    sm, mm = simulate_circuit(mit.circuit)
+    sm, mm = gate_by_gate(mit.circuit)
     pm, sm = post_select(sm, mm, mit.placement[: encoding2.n_data_qubits])
     assert sm.spin_fidelity(oracle) >= 1 - 1e-12
     assert cnot_depth(mit.circuit, "heavy_hex") == 57 + 9 + 39 == 105

@@ -160,7 +160,7 @@ def test_monte_carlo_three_link_single_site():
 
     lat = build_three_link_pair()
     enc = assign_qubits(lat)
-    circ = pre_vbs_circuit(enc, lat.n_sites)
+    circ = pre_vbs_circuit(enc, 1)  # one ancilla: born_probabilities keeps every qubit, and an idle one never joins
     hadamard_test_fragment(0, enc, circ, enc.n_data_qubits)
     rate, z = monte_carlo_success(*born_probabilities(circ), 0.5, 100_000, seed=5)
     assert abs(z) < 3.0

@@ -7,7 +7,6 @@ import vbsprep
 # name -> why it stays although only tests call it
 ALLOWED = {
     "mitigated_retry_circuit": "kept for ROADMAP item 2 (qubit liveness)",
-    "contract_mps": "kept for ROADMAP item 4 (the MPS backend against the dense one)",
 }
 
 

@@ -12,7 +12,8 @@ from vbsprep.builders import (
     toffoli_fragment,
     valence_bond_subcircuit,
 )
-from vbsprep.errors import CapExceededError, ImpossibleOutcomeError, MissingCostError
+from vbsprep import ir
+from vbsprep.errors import CapExceededError, ImpossibleOutcomeError, MissingCostError, VbsError
 from vbsprep.ir import (
     Circuit,
     CNot,
@@ -23,7 +24,7 @@ from vbsprep.ir import (
     circuit_unitary,
     cnot_count,
     cnot_depth,
-    post_select,
+    simulate_post_selected,
     u_h,
 )
 from vbsprep.lattice import assign_qubits, build_chain, build_three_link_pair
@@ -37,6 +38,7 @@ from oracle_reference import (
     fidelity,
     from_amplitudes,
     gate_by_gate,
+    post_select,
     prepared,
     project,
     simulate_circuit,
@@ -86,7 +88,7 @@ def test_pre_vbs_matches_tensor_product_construction():
     for lat in (build_chain(3, "open", ("up", "down")), build_three_link_pair()):
         enc = assign_qubits(lat)
         circ = pre_vbs_circuit(enc, lat.n_sites)
-        state, _ = simulate_circuit(circ)
+        state, _ = gate_by_gate(circ)  # the ancillas stay idle
         oracle = bond_product(enc, circ.n_qubits)
         assert abs(fidelity(state, oracle) - 1.0) < 1e-12
 
@@ -109,7 +111,7 @@ def test_hadamard_test_postselection_equals_symmetrizer():
     enc = assign_qubits(lat)
     test = hadamard_test_fragment(0, enc, Circuit(enc.n_data_qubits + lat.n_sites), enc.n_data_qubits)
     circ = pre_vbs_circuit(enc, lat.n_sites).extend(test.gates)
-    state, markers = simulate_circuit(circ)
+    state, markers = gate_by_gate(circ)  # the second ancilla stays idle
     data = range(enc.n_data_qubits)
     prob, state = post_select(state, markers, data)
 
@@ -287,7 +289,7 @@ def test_builders_preserve_total_probability_before_projection():
     circuits.append(island_prep_circuit(3))
     circuits.append(w_state_circuit(6, tuple(range(6)), Circuit(6)))
     for circ in circuits:
-        state, _ = simulate_circuit(circ)
+        state, _ = (gate_by_gate if ir._reused_markers(circ.gates) else simulate_circuit)(circ)  # the retry circuit reuses
         total = float(np.vdot(state.amps, state.amps).real)
         assert abs(total - 1.0) < 1e-12
 
@@ -312,27 +314,32 @@ def _random_circuit(rng, n: int, n_gates: int) -> Circuit:
     return circ
 
 
+def _first_reused(circ: Circuit) -> str:
+    """The error simulate_circuit raises on a circuit with a reused marker: it declares no block, so the first folds into none."""
+    return rf"^marker on qubit {circ.gates[min(ir._reused_markers(circ.gates))].qubit} closes no declared block that fuses"
+
+
 def test_fused_simulation_matches_gate_by_gate_unitary():
     rng = np.random.default_rng(29)
-    kinds = {"reused": 0, "impossible": 0}
+    kinds = {"refused": 0, "terminal markers": 0}
     for _ in range(30):
         n = int(rng.integers(2, 8))
         circ = _random_circuit(rng, n, int(rng.integers(1, 25)))
         v = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
         v /= np.linalg.norm(v)
-        try:
-            expected, left = gate_by_gate(circ, v)
-        except ImpossibleOutcomeError:
-            kinds["impossible"] += 1
-            with pytest.raises(ImpossibleOutcomeError):
-                simulate_circuit(Circuit(n, [prepared(v, range(n))] + circ.gates))
+        prepared_circ = Circuit(n, [prepared(v, range(n))] + circ.gates)
+        if ir._reused_markers(circ.gates):
+            kinds["refused"] += 1
+            with pytest.raises(VbsError, match=_first_reused(prepared_circ)):
+                simulate_circuit(prepared_circ)
             continue
-        state, markers = simulate_circuit(Circuit(n, [prepared(v, range(n))] + circ.gates))
+        expected, left = gate_by_gate(circ, v)
+        state, markers = simulate_circuit(prepared_circ)
         assert np.max(np.abs(state.amps - expected.amps)) < 1e-12
         assert abs(state.tracked_norm_sq - expected.tracked_norm_sq) < 1e-12
         assert markers == left
-        kinds["reused"] += len(left) < len(circ.measures())
-    assert kinds["reused"] and kinds["impossible"]  # reused markers and impossible outcomes both occur
+        kinds["terminal markers"] += bool(left)
+    assert all(kinds.values()), kinds
 
 
 def _relabelled(circ: Circuit, label, n: int) -> Circuit:
@@ -366,25 +373,25 @@ def test_simulation_from_empty_register_matches_gate_by_gate():
         circ = _random_circuit(rng, n, int(rng.integers(1, 25)))
         circuits += [circ, _relabelled(circ, [2 * (n - 1 - q) + 1 for q in range(n)], 2 * n + 1)]
     # qubits first touched in descending order, with idle ones in between
-    circuits.append(Circuit(6, gates=[u_h(5), CNot(5, 3), Measure(3, 1), U1Q(0.3, 0.2, 0.1, 3),
-                                      CNot(3, 1), Measure(5, 0)]))
-    kinds = {"idle": 0, "descending": 0, "impossible": 0}
+    circuits.append(Circuit(6, gates=[u_h(5), CNot(5, 3), U1Q(0.3, 0.2, 0.1, 3), CNot(3, 1), Measure(5, 0)]))
+    kinds = {"idle": 0, "descending": 0, "refused": 0}
     for circ in circuits:
         touched = _first_touches(circ)
         kinds["idle"] += len(touched) < circ.n_qubits
-        kinds["descending"] += len(touched) > 2 and touched == sorted(touched, reverse=True)
-        try:
-            expected, left = gate_by_gate(circ)
-        except ImpossibleOutcomeError:
-            kinds["impossible"] += 1
-            with pytest.raises(ImpossibleOutcomeError):
+        if ir._reused_markers(circ.gates):
+            kinds["refused"] += 1
+            with pytest.raises(VbsError, match=_first_reused(circ)):
                 simulate_circuit(circ)
             continue
-        state, markers = simulate_circuit(circ)
-        assert state.n_qubits == circ.n_qubits
-        assert np.max(np.abs(state.amps - expected.amps)) < 1e-12
-        assert abs(state.tracked_norm_sq - expected.tracked_norm_sq) < 1e-12
-        assert markers == left
+        kinds["descending"] += len(touched) > 2 and touched == sorted(touched, reverse=True)
+        # every marker is terminal, and the touched qubits are kept: an idle one never joins, and the reference drops it on |0>
+        expected, _ = gate_by_gate(circ)
+        gates = [g for g in circ.gates if not isinstance(g, Measure)]
+        prob, state = simulate_post_selected(Circuit(circ.n_qubits, gates), sorted(touched))
+        ref_prob, ref = post_select(expected, [], sorted(touched))
+        assert state.n_qubits == len(touched)
+        assert np.max(np.abs(state.amps - ref.amps)) < 1e-12
+        assert abs(prob - ref_prob) < 1e-12
     assert all(kinds.values()), kinds
 
 
@@ -472,23 +479,22 @@ def test_concurrent_simulations_are_independent(monkeypatch):
 
 
 def test_impossible_reused_marker_names_its_circuit_qubit():
-    # qubit 3's lone gates wait for its marker, so it joins in their block and is measured right after it:
-    # the block is folded on its expected outcome, and qubit 3 never gets a state axis
-    circ = Circuit(4, gates=[U1Q(np.pi, 0.0, np.pi, 0), u_h(3), u_h(3), Measure(3, 1), CNot(3, 2)])
+    # qubit 3's block is its two lone gates and its marker: it joins in that block and is folded on its
+    # expected outcome, so qubit 3 never gets a state axis
+    circ = Circuit(4, gates=[U1Q(np.pi, 0.0, np.pi, 0), u_h(3), u_h(3), Measure(3, 1), CNot(3, 2)], blocks=[(1, 4)])
     with pytest.raises(ImpossibleOutcomeError, match=r"markers on qubits \[3\] \(folded into a block, no state axis\)"):
-        simulate_circuit(circ)
+        simulate_post_selected(circ, [0, 2, 3])
 
 
-def test_reused_markers_drop_their_qubits_and_name_an_impossible_one():
-    # qubit 2 has no axis when its marker comes (no gate touched it yet), so expecting 1 there is impossible
-    gates = [u_h(0), CNot(0, 1), Measure(0, 1), Measure(2, 1), CNot(0, 2)]
-    msg = r"^marker on qubit 2 \(no state axis\): outcome 1 on a qubit that holds 0$"
-    with pytest.raises(ImpossibleOutcomeError, match=msg):
-        simulate_circuit(Circuit(3, gates=gates))
-    gates[3:] = [Measure(1, 1), CNot(0, 1)]
-    state, markers = simulate_circuit(Circuit(3, gates=gates))
-    assert markers == [] and state.tracked_norm_sq == pytest.approx(0.5, rel=1e-15)
-    assert np.max(np.abs(state.amps - np.eye(8)[4])) < 1e-15  # |11> after the projections, then CNot(0, 1)
+def test_reused_markers_fold_and_their_qubits_join_again_in_their_outcomes():
+    # a Bell pair marked on 1, 1 in its block: both qubits hold 1 when CNot(0, 1) joins them again
+    gates = [u_h(0), CNot(0, 1), Measure(0, 1), Measure(1, 1), CNot(0, 1)]
+    prob, state = simulate_post_selected(Circuit(3, gates, [(0, 4)]), [0, 1])
+    assert prob == pytest.approx(0.5, rel=1e-15)
+    assert np.max(np.abs(state.amps - np.eye(4)[2])) < 1e-15  # |11> after the projections, then CNot(0, 1)
+    # with no block declared, the first marker folds into none
+    with pytest.raises(VbsError, match=r"^marker on qubit 0 closes no declared block that fuses"):
+        simulate_post_selected(Circuit(3, gates), [0, 1])
 
 
 def test_register_cap_is_checked_before_any_block(monkeypatch):
@@ -662,21 +668,20 @@ def test_post_select_probabilities_are_the_squared_row_norms(n):
 
 
 def test_a_reused_marker_on_a_singlet_fixes_its_partner():
-    # qubit 0 is post-selected on 0 before its Hadamard, and rejoins in |0>: the partner is left in |1>
-    circ = Circuit(2, gates=[prepared(SINGLET, (0, 1)), Measure(0, 0), u_h(0)])
-    state, markers = simulate_circuit(circ)
-    assert markers == []
-    assert abs(state.tracked_norm_sq - 0.5) < 1e-12
+    # qubit 0 is folded on 0 in the singlet's block, and rejoins in |0> at its Hadamard: the partner is left in |1>
+    circ = Circuit(2, gates=[prepared(SINGLET, (0, 1)), Measure(0, 0), u_h(0)], blocks=[(0, 2)])
+    prob, state = simulate_post_selected(circ, [0, 1])
+    assert abs(prob - 0.5) < 1e-12 and abs(state.tracked_norm_sq - 0.5) < 1e-12
     assert np.max(np.abs(state.amps - np.array([0, 1, 0, 1]) * INV_SQRT2)) < 1e-12
 
 
-def test_an_empty_circuit_simulates_to_the_zero_state():
+def test_an_empty_circuit_keeps_no_qubit():
+    # a kept qubit must join the state through a gate; kept none, an empty circuit gives the one-amplitude state
     for n in (1, 2, 3):
-        state, markers = simulate_circuit(Circuit(n, gates=[]))
-        assert markers == []
-        assert state.n_qubits == n
-        assert np.array_equal(state.amps, zero_state(n).amps)
-        assert state.tracked_norm_sq == 1.0
+        with pytest.raises(VbsError, match=r"^qubit 0 is kept, but no gate put it in the state"):
+            simulate_circuit(Circuit(n, gates=[]))
+        prob, state = simulate_post_selected(Circuit(n, gates=[]), [])
+        assert prob == 1.0 and state.n_qubits == 0 and np.array_equal(state.amps, [1])
 
 
 def test_measure_markers_collected_not_applied():

@@ -81,6 +81,6 @@ def test_unrun_lists_the_statements_a_one_job_list_never_runs(capsys, monkeypatc
     missed, total = map(int, re.fullmatch(r"(\d+) of (\d+) statements inside functions ran on no job", last).groups())
     assert missed == len(listed) and 0 < missed < total
     functions = {line.split(" ")[1].rstrip(":") for line in listed}
-    assert {"run_lcu", "run_mps", "post_select"} <= functions
+    assert {"run_lcu", "run_mps", "born_probabilities"} <= functions
     assert not {"run_probabilistic", "probabilistic_method_circuit"} & functions
     assert all(line.startswith("src/vbsprep/") for line in listed)

@@ -6,13 +6,12 @@ import numpy as np
 import pytest
 
 from vbsprep.errors import ConfigError, MissingCostError, UnsupportedError
-from vbsprep.ir import Circuit, Opaque, cnot_count, post_select
+from vbsprep.ir import Circuit, Opaque, cnot_count
 from vbsprep.lattice import BOUNDARY_OPEN, assign_qubits, build_chain
 from vbsprep.methods import oracle_vbs_state, run_mps
 from vbsprep.mpsprep import (
     build_disentangler,
     complete_to_unitary,
-    contract_mps,
     embed_nonunitary_periodic,
     fuse_boundary_tensor,
     left_canonicalize,
@@ -25,7 +24,7 @@ from vbsprep.mpsprep import (
 from vbsprep.qasm import emit_qasm
 from vbsprep.statesim import Statevector
 
-from oracle_reference import expectation, fidelity, from_amplitudes, project, simulate_circuit
+from oracle_reference import contract_mps, expectation, fidelity, from_amplitudes, gate_by_gate, post_select, project, simulate_circuit
 from qasm_reader import parse_qasm
 
 R6 = 1.0 / math.sqrt(6.0)
@@ -136,7 +135,7 @@ def test_completion_choice_independence():
     from vbsprep.schmidt import schmidt_prepare
 
     sub = schmidt_prepare(vec, qubits=(5, 6, 7, 1), label="init")
-    state, _ = simulate_circuit(Circuit(9, gates=sub.gates))
+    state, _ = gate_by_gate(Circuit(9, gates=sub.gates))  # qubits 0, 2, 3 and 4 stay idle
     state.apply_unitary(ref, (3, 4, 5))
     state.apply_unitary(ref, (0, 2, 3))
     a_tilde = fuse_boundary_tensor(tensors[0])
@@ -247,7 +246,7 @@ def test_ring_embedding_weight_is_simulated_weight(n):
     circ = mps_circuit(n, "ring")
     *body, boundary, marker = circ.gates
     assert boundary.qubits == (2 * n, 0, 1) and marker.qubit == 2 * n and marker.expect == 0
-    before, _ = simulate_circuit(Circuit(circ.n_qubits, body))
+    before, _ = gate_by_gate(Circuit(circ.n_qubits, body))  # the ancilla stays idle
     a_tilde = fuse_boundary_tensor(local_vbs_tensor())
     simulated = expectation(before, a_tilde.conj().T @ a_tilde, (0, 1))
     assert abs(ring_embedding_weight(n) - simulated) < 1e-12

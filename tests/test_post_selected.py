@@ -8,14 +8,14 @@ from vbsprep import ir, methods
 from vbsprep.builders import mitigated_retry_circuit, probabilistic_method_circuit
 from vbsprep.cli import EXIT_CHECK_FAILED, EXIT_CONFIG, main, parse_lattice, validate_config
 from vbsprep.errors import ImpossibleOutcomeError, VbsError
-from vbsprep.ir import Circuit, CNot, Measure, Opaque, Swap, U1Q, post_select, simulate_post_selected, u_h, u_x
+from vbsprep.ir import Circuit, CNot, Measure, Opaque, Swap, U1Q, simulate_post_selected, u_h, u_x
 from vbsprep.lattice import assign_qubits, linear_coupling
 from vbsprep.methods import ROUTES
 from vbsprep.routing import heavy_hex_pair, route
 from vbsprep.statesim import Statevector
 from vbsprep.symmetrize import inverse_gates, w_state_circuit
 
-from oracle_reference import gate_by_gate, simulate_circuit
+from oracle_reference import gate_by_gate, post_select, simulate_circuit
 
 LATTICES = (
     [(f"chain:{n}:open:{flavor}", 2) for n in range(2, 6) for flavor in ("aligned", "anti")]
@@ -66,12 +66,14 @@ def test_post_selected_as_it_runs_equals_post_selecting_the_whole_register(spec,
 @pytest.mark.parametrize("spec,twice_s", LATTICES + [("chain:7:open:aligned", 2)],
                          ids=[spec for spec, _ in LATTICES] + ["chain:7:open:aligned"])
 def test_born_probabilities_are_those_of_the_whole_register(spec, twice_s):
-    """|a|^2 of the tests' `simulate_circuit`, bit for bit, where the run's carried norm is 1 at its last write.
+    """|a|^2 of the tests' `simulate_circuit`, bit for bit; a circuit with a reused marker raises, naming it.
 
-    The lcu and retry circuits fold markers, so that norm is not 1 there:
-    they agree to 1e-15 relative.  chain:7 (21 qubits) is the register
-    `prepare --shots` draws from in the benchmark; a linear-routed circuit
-    keeps its register in another wire order, which is reordered as a state.
+    born_probabilities declares no block, so a reused marker folds into
+    none: the lcu bank, the retried ancilla, and a linear-routed circuit's
+    markers (each followed by Swaps).  The routed circuit without its
+    markers keeps its register in another wire order, which is reordered as
+    a state.  chain:7 (21 qubits) is the register `prepare --shots` draws
+    from in the benchmark.
     """
     if spec.startswith("chain:7"):
         lattice = parse_lattice(spec)
@@ -79,14 +81,18 @@ def test_born_probabilities_are_those_of_the_whole_register(spec, twice_s):
     else:
         circuits = _route_circuits(spec, twice_s)
     for name, circ, _ in circuits:
+        if name in ("lcu", "retry_circuit", "linear"):
+            first = circ.gates[min(ir._reused_markers(circ.gates))]
+            with pytest.raises(VbsError, match=rf"^marker on qubit {first.qubit} closes no declared block that fuses"):
+                ir.born_probabilities(circ)
+            if name != "linear":
+                continue
+            circ = Circuit(circ.n_qubits, [g for g in circ.gates if not isinstance(g, Measure)])
         probs, markers = ir.born_probabilities(circ)
         state, expected_markers = simulate_circuit(circ)
         expected = np.abs(state.amps) ** 2
         assert markers == expected_markers
-        if name in ("lcu", "retry_circuit"):
-            np.testing.assert_allclose(probs, expected, rtol=1e-15, atol=0)
-        else:
-            assert probs.dtype == expected.dtype and np.array_equal(probs, expected), name
+        assert probs.dtype == expected.dtype and np.array_equal(probs, expected), name
 
 
 @pytest.mark.parametrize("method", ["probabilistic", "mitigated_islands"])
@@ -130,25 +136,16 @@ def test_the_register_never_holds_every_ancilla(spec, twice_s, method, register,
     assert peak[0] <= bound
 
 
-def _impossible_drop(n_qubits: int) -> Circuit:
-    """Qubit n-1 flipped to 1 in a block applied before its marker, which expects 0; then a block that ends.
-
-    Its marker's segment would span five other qubits, more than FUSE_WIDTH, so the qubit joins the state.
-    """
+def _over_the_bound(n_qubits: int) -> Circuit:
+    """Qubit n-1 flipped to 1 in a block with five other qubits, more than FUSE_WIDTH, that its marker closes."""
     last = n_qubits - 1
     return Circuit(n_qubits, [u_x(last), CNot(last, 0), CNot(1, 2), CNot(3, 4), Measure(last, 0),
-                              CNot(1, 2), CNot(2, 4), CNot(0, 3)])
+                              CNot(1, 2), CNot(2, 4), CNot(0, 3)], [(0, 5)])
 
 
 def _impossible_fold(n_qubits: int) -> Circuit:
     """Qubit n-1 flipped to 1, then a marker expecting 0: it joins and is measured in one block."""
-    return Circuit(n_qubits, [u_x(n_qubits - 1), Measure(n_qubits - 1, 0)] + [u_h(q) for q in range(5)])
-
-
-def test_a_dropped_impossible_marker_names_its_qubit():
-    # qubits 0-5 are live when the block of qubits 3, 4, 1, 2 ends, so qubit 5 sits on axis 5: dropped mid-circuit
-    with pytest.raises(ImpossibleOutcomeError, match=r"markers on qubits \[5\] \(state axes \[5\]\)"):
-        simulate_post_selected(_impossible_drop(6), range(5))
+    return Circuit(n_qubits, [u_x(n_qubits - 1), Measure(n_qubits - 1, 0)] + [u_h(q) for q in range(5)], [(0, 2)])
 
 
 def test_a_folded_impossible_marker_names_its_qubit(monkeypatch):
@@ -158,22 +155,17 @@ def test_a_folded_impossible_marker_names_its_qubit(monkeypatch):
     assert peak[0] == 3  # the block of qubits 5, 0, 1, 2, less qubit 5
 
 
-def _prepare_exits_check_failed(circuit, monkeypatch, capsys) -> None:
+@pytest.mark.parametrize("circuit,said", [(_over_the_bound, "error: marker on qubit 5 closes no declared block"),
+                                          (_impossible_fold, "error: markers on qubits [5] (folded into a block")],
+                         ids=["over-the-bound", "impossible-fold"])
+def test_a_marker_the_run_refuses_exits_check_failed(circuit, said, monkeypatch, capsys):
     monkeypatch.setattr(
         methods, "probabilistic_method_circuit", lambda encoding: circuit(encoding.n_data_qubits + encoding.lattice.n_sites)
     )
     argv = ["prepare", "--spin", "2", "--lattice", "chain:2:open:aligned", "--method", "probabilistic"]
     assert main(argv) == EXIT_CHECK_FAILED
     err = capsys.readouterr().err
-    assert "error: markers on qubits [5]" in err and "Traceback" not in err
-
-
-def test_a_dropped_impossible_marker_exits_check_failed(monkeypatch, capsys):
-    _prepare_exits_check_failed(_impossible_drop, monkeypatch, capsys)
-
-
-def test_a_folded_impossible_marker_exits_check_failed(monkeypatch, capsys):
-    _prepare_exits_check_failed(_impossible_fold, monkeypatch, capsys)
+    assert said in err and "Traceback" not in err
 
 
 def test_a_register_over_the_cap_still_exits_config(monkeypatch, capsys):
@@ -186,18 +178,56 @@ def test_a_register_over_the_cap_still_exits_config(monkeypatch, capsys):
 
 def test_untouched_qubits_never_join(monkeypatch):
     peak = _peak_width(monkeypatch)
-    circ = Circuit(5, [u_h(0), CNot(0, 1), u_h(1), Measure(1, 0), Measure(4, 0)])  # 2 and 3 idle, 4 only marked
+    # 2 and 3 idle, 4 only marked: the block of qubits 0, 1 and 4 folds both markers
+    circ = Circuit(5, [u_h(0), CNot(0, 1), u_h(1), Measure(1, 0), Measure(4, 0)], [(0, 5)])
     prob, state = simulate_post_selected(circ, [0])
     assert peak[0] == 1  # qubit 1 joins and is measured in one block: it is folded into it
     assert abs(prob - 0.5) < 1e-12 and np.allclose(state.amps, [2**-0.5, 2**-0.5])
     with pytest.raises(ImpossibleOutcomeError, match="qubit 4 is post-selected on 1, but no gate touches it"):
-        simulate_post_selected(Circuit(5, circ.gates[:-1] + [Measure(4, 1)]), [0])
+        simulate_post_selected(Circuit(5, circ.gates[:-1] + [Measure(4, 1)], circ.blocks), [0])
     # with no gate and nothing kept the result is the one-amplitude state
-    prob, state = simulate_post_selected(Circuit(2, [Measure(1, 0)]), [])
+    prob, state = simulate_post_selected(Circuit(2, [Measure(1, 0)], [(0, 1)]), [])
     assert prob == 1.0 and state.n_qubits == 0 and np.array_equal(state.amps, [1])
-    # a kept qubit no gate touches joins in |0>, in the order kept
-    prob, state = simulate_post_selected(Circuit(3, [u_x(2)]), [2, 0])
-    assert prob == 1.0 and np.allclose(state.amps, [0, 0, 1, 0], atol=1e-15)
+
+
+@pytest.mark.parametrize("circ,keep,named", [
+    (Circuit(3, [u_h(0), CNot(0, 1), Measure(1, 0)]), [0], r"marker on qubit 1 closes no declared block that fuses"),
+    (Circuit(3, [u_h(0), CNot(0, 1), Swap((1, 2)), Measure(2, 0)]), [0],
+     r"marker on qubit 2 closes no declared block that fuses"),
+    (Circuit(6, [u_h(5)] + [CNot(5, q) for q in range(5)] + [Measure(5, 0)], [(0, 7)]), range(5),
+     r"marker on qubit 5 closes no declared block that fuses"),
+    (Circuit(7, [u_h(5)] + [CNot(5, q) for q in range(5)] + [Swap((5, 6)), Measure(6, 0)], [(0, 8)]), range(5),
+     r"marker on qubit 6 closes no declared block that fuses"),
+    (Circuit(6, [CNot(0, 1), CNot(2, 3), CNot(4, 5), u_h(1), Measure(1, 0)], [(3, 5)]), [0, 2, 3, 4, 5],
+     r"marker on qubit 1 was live before its block"),
+    (Circuit(3, [u_h(0), CNot(0, 1)]), [0], r"qubit 1 \(state axis 1\) is neither kept nor post-selected$"),
+    (Circuit(3, [u_h(0), CNot(0, 1), Swap((1, 2))]), [0], r"qubit 2 \(state axis 1\) is neither kept nor post-selected$"),
+    (Circuit(3, [u_h(0)]), [0, 2], r"qubit 2 is kept, but no gate put it in the state$"),
+    (Circuit(3, [u_h(0), Swap((0, 2))]), [0, 2], r"qubit 0 is kept, but no gate put it in the state$"),
+], ids=["marker-outside-any-block", "marker-outside-any-block-behind-a-swap", "bank-over-the-bound",
+        "bank-over-the-bound-behind-a-swap", "marker-live-before-its-block", "live-wire-unkept",
+        "live-wire-unkept-behind-a-swap", "kept-qubit-never-touched", "kept-qubit-never-touched-behind-a-swap"])
+def test_a_circuit_that_breaks_the_marker_rule_names_its_qubit(circ, keep, named, monkeypatch):
+    """Every marker folds into a declared block that fuses, and the live wires are the kept ones: else VbsError
+    names the qubit as the given circuit numbers it at that gate (a wire by the qubit that holds it at the end)."""
+    peak = _peak_width(monkeypatch)
+    with pytest.raises(VbsError, match="^" + named) as caught:
+        simulate_post_selected(circ, keep)
+    assert type(caught.value) is VbsError
+    if "closes no" in named:  # found before any block is written into the state
+        assert peak[0] == 0
+
+
+def test_a_builder_that_declares_no_block_fails_verify_naming_its_first_marker(monkeypatch, capsys):
+    from vbsprep import builders
+
+    monkeypatch.setattr(methods, "probabilistic_method_circuit",
+                        lambda encoding: Circuit(encoding.n_data_qubits + encoding.lattice.n_sites,
+                                                 builders.probabilistic_method_circuit(encoding).gates))
+    argv = ["verify", "--spin", "2", "--lattice", "chain:2:open:aligned", "--method", "probabilistic"]
+    assert main(argv) == EXIT_CHECK_FAILED
+    err = capsys.readouterr().err
+    assert "error: marker on qubit 4 closes no declared block that fuses" in err and "Traceback" not in err
 
 
 def test_keep_and_marker_outcomes_are_checked_before_any_block(monkeypatch):
@@ -212,57 +242,74 @@ def test_keep_and_marker_outcomes_are_checked_before_any_block(monkeypatch):
     assert peak[0] == 0
 
 
-def test_an_unkept_qubit_in_superposition_is_named_by_its_circuit_qubit():
-    # qubit 1 never joins, so qubit 2 sits on axis 1
-    with pytest.raises(VbsError, match=r"^qubit 2 \(state axis 1\) is neither kept nor post-selected"):
-        simulate_post_selected(Circuit(3, [u_h(2)]), [0])
-
-
 def test_reused_and_repeated_markers():
-    # a reused marker is projected before its qubit's next gate; a second marker on a dropped qubit agrees
+    # qubit 2 is folded in each of its blocks and rejoins in its outcome; a second marker on it, a block of its own, agrees
     circ = Circuit(4, [u_h(0), CNot(0, 2), u_h(2), Measure(2, 0), u_h(2), CNot(2, 1), Measure(2, 1),
-                       u_h(3), CNot(1, 3), u_h(0), u_h(1), u_h(3), Measure(2, 1)])
+                       u_h(3), CNot(1, 3), u_h(0), u_h(1), u_h(3), Measure(2, 1)], [(1, 4), (4, 7), (12, 13)])
     _assert_same(circ, [0, 1, 3])
 
 
 def test_a_marker_on_a_qubit_with_no_axis_is_checked_against_the_value_it_holds():
-    # qubit 2 holds |0> (no gate touched it) when its reused marker expects 1
-    circ = Circuit(3, [u_h(0), Measure(2, 1), CNot(0, 2)])
-    with pytest.raises(ImpossibleOutcomeError, match="marker on qubit 2 "):
+    # qubit 2 holds |0> (no gate touched it) when its reused marker, a block of its own, expects 1
+    circ = Circuit(3, [u_h(0), Measure(2, 1), CNot(0, 2)], [(1, 2)])
+    with pytest.raises(ImpossibleOutcomeError, match=r"^markers on qubits \[2\] \(folded into a block, no state axis\)"):
         simulate_post_selected(circ, [0, 1])
-    with pytest.raises(ImpossibleOutcomeError, match="marker on qubit 2 "):
-        simulate_circuit(circ)
-    # qubit 1 is folded into the block of qubits 0-3 on outcome 0, then a second marker expects 1
-    circ = Circuit(6, [u_h(0), CNot(0, 1), Measure(1, 0), CNot(2, 3), CNot(4, 5), Measure(1, 1), CNot(1, 0)])
-    with pytest.raises(ImpossibleOutcomeError, match=r"marker on qubit 1 \(no state axis\): outcome 1 on a qubit that holds 0"):
+    # qubit 1 is folded into its block on outcome 0, then a second marker expects 1
+    circ = Circuit(6, [u_h(0), CNot(0, 1), Measure(1, 0), CNot(2, 3), CNot(4, 5), Measure(1, 1), CNot(1, 0)],
+                   [(0, 3), (5, 6)])
+    with pytest.raises(ImpossibleOutcomeError, match=r"^markers on qubits \[1\] \(folded into a block, no state axis\)"):
         simulate_post_selected(circ, [0, 2, 3, 4, 5])
-    with pytest.raises(ImpossibleOutcomeError, match="marker on qubit 1 "):
-        simulate_circuit(circ)
     # the same marker expecting 0 agrees with the value held, and the qubit rejoins in |0>
-    _assert_same(Circuit(6, circ.gates[:5] + [Measure(1, 0), CNot(1, 0)]), [0, 1, 2, 3, 4, 5])
+    _assert_same(Circuit(6, circ.gates[:5] + [Measure(1, 0), CNot(1, 0)], circ.blocks), [0, 1, 2, 3, 4, 5])
 
 
 def _random_post_selected_circuit(rng, n: int) -> Circuit:
-    """Lone gates on fresh qubits, ancilla tests, reused markers expecting 0 and 1, and definite outcomes."""
+    """Lone gates, ancilla tests, reused markers expecting 0 and 1, and definite outcomes.
+
+    Every marker closes a declared block, on a qubit that is not live when
+    the block begins (`free`): one that no gate has touched, or one whose
+    last touch was its marker, so that it holds the marker's outcome.
+    """
     def lone(q):
         return U1Q(*rng.uniform(-np.pi, np.pi, size=3), q)
 
-    gates = []
+    gates, blocks, free = [], [], set(range(n))
+
+    def block(body) -> None:  # its last gate is the marker of its ancilla, which is free again after it
+        blocks.append((len(gates), len(gates) + len(body)))
+        gates.extend(body)
+        free.difference_update(q for g in body for q in g.qubits)
+        free.add(body[-1].qubit)
+
     for _ in range(int(rng.integers(2, 9))):
         a, b = (int(q) for q in rng.permutation(n)[:2])
         kind = rng.integers(5)
-        if kind == 0:  # a lone gate, held until its qubit's next multi-qubit gate
+        if kind in (1, 2, 3) and free:
+            a = int(rng.choice(sorted(free)))
+            b = int(rng.choice([q for q in range(n) if q != a]))
+        if kind == 0 or kind in (1, 2, 3) and not free:  # a lone gate, held until its qubit's next multi-qubit gate
             gates += [lone(a), CNot(a, b)]
-        elif kind == 1:  # an ancilla test: its marker follows the only block it joins
-            gates += [u_h(a), CNot(a, b), lone(a), Measure(a, int(rng.integers(2)))]
-        elif kind == 2:  # a marker, reused when a later gate touches its qubit
-            gates += [Measure(a, int(rng.integers(2))), lone(a)]
-        elif kind == 3:  # a flip and two CNOTs that cancel: on a fresh qubit, a marker expecting 0 is impossible
-            gates += [u_x(a), CNot(b, a), CNot(b, a), Measure(a, int(rng.integers(2)))]
+            free -= {a, b}
+        elif kind == 1:  # an ancilla test: its block folds its marker
+            block([u_h(a), CNot(a, b), lone(a), Measure(a, int(rng.integers(2)))])
+        elif kind == 2:  # a marker alone, checked against the value its qubit holds; reused by the next gate
+            block([Measure(a, int(rng.integers(2)))])
+            gates.append(lone(a))
+            free.discard(a)
+        elif kind == 3:  # a flip and two CNOTs that cancel: a marker expecting the value held before is impossible
+            block([u_x(a), CNot(b, a), CNot(b, a), Measure(a, int(rng.integers(2)))])
         else:
             m = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
             gates.append(Opaque("random", (a, b), np.linalg.qr(m)[0]))
-    return Circuit(n, gates)
+            free -= {a, b}
+    return Circuit(n, gates, blocks)
+
+
+def _kept(circ: Circuit) -> list[int]:
+    """The qubits a gate touches and no terminal marker folds: every live wire at the end, so the ones to keep."""
+    reused = ir._reused_markers(circ.gates)
+    terminal = {g.qubit for i, g in enumerate(circ.gates) if isinstance(g, Measure) and i not in reused}
+    return sorted({q for g in circ.gates if not isinstance(g, Measure) for q in g.qubits} - terminal)
 
 
 def test_random_circuits_post_select_as_they_run(monkeypatch):
@@ -275,8 +322,7 @@ def test_random_circuits_post_select_as_they_run(monkeypatch):
     for _ in range(120):
         circ = _random_post_selected_circuit(rng, int(rng.integers(3, 8)))
         reused = ir._reused_markers(circ.gates)
-        keep = sorted(set(range(circ.n_qubits)) - {g.qubit for i, g in enumerate(circ.gates)
-                                                    if isinstance(g, Measure) and i not in reused})
+        keep = _kept(circ)
         try:
             ref_prob, ref = post_select(*gate_by_gate(circ), keep)
         except ImpossibleOutcomeError:
@@ -302,9 +348,9 @@ def _random_bank_circuit(rng) -> tuple[Circuit, int]:
     qubits under each ancilla, unprepares and marks every ancilla, mostly on
     0 and sometimes on 1, and declares that span a block.  The two banks are
     reused from site to site, and a stray CNOT inside a site may widen it
-    past FUSE_WIDTH data qubits.
+    to every data qubit: at most FUSE_WIDTH, so that every block fuses.
     """
-    n_data = int(rng.integers(3, 6))
+    n_data = int(rng.integers(3, 5))
     sizes = [int(rng.integers(3, 7)), int(rng.integers(3, 5))]
     banks = [tuple(range(n_data, n_data + sizes[0])), tuple(range(n_data + sizes[0], n_data + sum(sizes)))]
     n = n_data + sum(sizes)
@@ -331,7 +377,7 @@ def _random_bank_circuit(rng) -> tuple[Circuit, int]:
 def test_random_ancilla_banks_wider_than_a_block_post_select_as_they_run(monkeypatch):
     rng = np.random.default_rng(2022)
     peak = _peak_width(monkeypatch)
-    kinds = {"impossible": 0, "folded": 0, "joined": 0, "reused on 1": 0}
+    kinds = {"impossible": 0, "folded": 0, "reused on 1": 0}
     for _ in range(40):
         circ, n_data = _random_bank_circuit(rng)
         keep = list(range(n_data))
@@ -347,32 +393,30 @@ def test_random_ancilla_banks_wider_than_a_block_post_select_as_they_run(monkeyp
         assert abs(prob - ref_prob) <= 1e-12
         assert np.max(np.abs(state.amps - ref.amps)) <= 1e-12
         assert abs(state.tracked_norm_sq - ref.tracked_norm_sq) <= 1e-12
-        kinds["folded" if peak[0] <= n_data else "joined"] += 1
+        assert peak[0] <= n_data  # the bank never joins the state
+        kinds["folded"] += 1
         kinds["reused on 1"] += any(circ.gates[i].expect for i in ir._reused_markers(circ.gates))
     assert all(kinds.values()), kinds
 
 
-def test_simulate_circuit_folds_the_reused_spin_3_2_lcu_bank_as_the_reference_projects_it():
-    # simulate_post_selected on this circuit is checked by the three-link-pair row of the lattice test above
-    circ = ROUTES["lcu"](parse_lattice("three-link-pair"), 0)["circuit"]
-    state, markers = simulate_circuit(circ)
-    ref, ref_markers = gate_by_gate(circ)
-    assert markers == ref_markers
-    assert np.max(np.abs(state.amps - ref.amps)) <= 1e-12
-    assert abs(state.tracked_norm_sq - ref.tracked_norm_sq) <= 1e-12
+def test_the_reused_lcu_bank_folds_only_in_its_declared_blocks(monkeypatch):
+    """The spin-3/2 lcu circuit folds its reused bank in each site's block, as the reference projects it.
 
-
-def test_blocks_only_steer_fusion(monkeypatch):
-    """The spin-3/2 lcu circuit with its blocks cleared, fused greedily, gives the same state and probability."""
+    With its blocks cleared, its first marker folds into none, and is named before any block is written.
+    """
     peak = _peak_width(monkeypatch)
     circ = ROUTES["lcu"](parse_lattice("three-link-pair"), 0)["circuit"]
+    peak[0] = 0
     prob, state = simulate_post_selected(circ, range(6))
     assert circ.blocks and peak[0] == 6  # each bank folded into its site's block
+    ref_prob, ref = post_select(*gate_by_gate(circ), range(6))
+    assert abs(prob - ref_prob) <= 1e-12 and abs(state.tracked_norm_sq - ref.tracked_norm_sq) <= 1e-12
+    assert np.max(np.abs(state.amps - ref.amps)) <= 1e-12
     peak[0] = 0
-    bare_prob, bare = simulate_post_selected(Circuit(circ.n_qubits, circ.gates), range(6))
-    assert peak[0] > 6  # the banks joined the state
-    assert abs(prob - bare_prob) <= 1e-12
-    assert np.max(np.abs(state.amps - bare.amps)) <= 1e-12
+    first = next(g for g in circ.gates if isinstance(g, Measure))
+    with pytest.raises(VbsError, match=rf"^marker on qubit {first.qubit} closes no declared block that fuses"):
+        simulate_post_selected(Circuit(circ.n_qubits, circ.gates), range(6))
+    assert peak[0] == 0
 
 
 def test_the_spin_3_2_lcu_route_on_six_sites_holds_only_its_data_qubits(monkeypatch, capsys):
@@ -421,17 +465,16 @@ def _with_swaps(rng, circ: Circuit) -> tuple[Circuit, list[int]]:
 
 def test_random_circuits_with_swaps_match_the_reference(monkeypatch):
     rng = np.random.default_rng(25)
-    joined = []
-    make_live = ir._Run.make_live
-    monkeypatch.setattr(ir._Run, "make_live", lambda self, qubits: joined.extend(
-        self.value.get(q, 0) for q in qubits if q not in self.live) or make_live(self, qubits))
-    kinds = {"impossible": 0, "bank": 0, "renamed marker": 0, "kept on 1 after its SWAP": 0}
+    joined = []  # the value each qubit holds as it joins again
+    apply_block = ir._Run.apply_block
+    monkeypatch.setattr(ir._Run, "apply_block", lambda self, support, block, markers=(): joined.extend(
+        self.value[q] for q in support if q in self.value and q not in self.live) or apply_block(self, support, block, markers))
+    kinds = {"impossible": 0, "bank": 0, "renamed marker": 0, "joined again on 1": 0}
     for trial in range(160):
         if trial % 4:
-            circ, at = _with_swaps(rng, _random_post_selected_circuit(rng, int(rng.integers(3, 8))))
-            reused = ir._reused_markers(circ.gates)
-            keep = sorted(set(range(circ.n_qubits)) - {g.qubit for i, g in enumerate(circ.gates)
-                                                        if isinstance(g, Measure) and i not in reused})
+            given = _random_post_selected_circuit(rng, int(rng.integers(3, 8)))
+            circ, at = _with_swaps(rng, given)
+            keep = [at[q] for q in _kept(given)]
         else:
             bank, n_data = _random_bank_circuit(rng)
             circ, at = _with_swaps(rng, bank)
@@ -448,14 +491,10 @@ def test_random_circuits_with_swaps_match_the_reference(monkeypatch):
         assert abs(prob - ref_prob) <= 1e-12
         assert np.max(np.abs(state.amps - ref.amps)) <= 1e-12
         assert abs(state.tracked_norm_sq - ref.tracked_norm_sq) <= 1e-12
-        whole, markers = simulate_circuit(circ)
-        ref_whole, ref_markers = gate_by_gate(circ)
-        assert markers == ref_markers
-        assert np.max(np.abs(whole.amps - ref_whole.amps)) <= 1e-12
         kinds["bank"] += trial % 4 == 0
         run = ir._Run(circ)
         kinds["renamed marker"] += any(isinstance(g, Measure) and id(g) in run.given for g in run.gates)
-        kinds["kept on 1 after its SWAP"] += 1 in joined
+        kinds["joined again on 1"] += 1 in joined
     assert all(kinds.values()), kinds
 
 
@@ -468,9 +507,10 @@ def test_random_circuits_with_swaps_match_the_reference(monkeypatch):
 ])
 def test_triples_that_are_not_a_swap_are_simulated_as_gates(gates):
     circ = Circuit(3, [u_h(0), U1Q(0.3, 0.2, 0.1, 1)] + gates + [CNot(2, 0)])
+    circ.blocks = [(i, i + 1) for i, g in enumerate(circ.gates) if isinstance(g, Measure)]  # a marker alone on qubit 2
     run = ir._Run(circ)
     assert (run.gates, run.wire, run.given) == (circ.gates, [0, 1, 2], {})
-    _assert_same(circ, [0, 1] if any(isinstance(g, Measure) for g in gates) else [0, 1, 2])
+    _assert_same(circ, [0, 1, 2])
 
 
 def test_a_swap_renames_every_later_gate_and_keeps_each_opaque_matrix():
@@ -506,22 +546,25 @@ def _routed_chain4():
 
 def test_errors_on_a_routed_circuit_name_the_qubits_it_gives():
     circ, routed, keep = _routed_chain4()
-    # the third site's ancilla, marked on qubit 10, ends on qubit 8 (SWAPs moved it): marked there again, flipped
+    # the third site's ancilla, marked on qubit 10, ends on qubit 8 (SWAPs moved it): marked there again, flipped,
+    # in a block of its own that fuses with the last site's, whose ancilla is qubit 11
     logical = [g for g in circ.gates if isinstance(g, Measure)][2]
     marker = [g for g in routed.circuit.gates if isinstance(g, Measure)][2]
     final = routed.placement[logical.qubit]
     assert (marker.qubit, final) == (10, 8)
-    flipped = Circuit(routed.circuit.n_qubits, routed.circuit.gates + [Measure(final, 1 - marker.expect)])
-    with pytest.raises(ImpossibleOutcomeError, match=r"^marker on qubit 8 \(no state axis\): outcome 0 on a qubit that holds 1"):
+    end = len(routed.circuit.gates)
+    flipped = Circuit(routed.circuit.n_qubits, routed.circuit.gates + [Measure(final, 1 - marker.expect)],
+                      routed.circuit.blocks + [(end, end + 1)])
+    with pytest.raises(ImpossibleOutcomeError, match=r"^markers on qubits \[8, 11\] \(folded into a block, no state axis\)"):
         simulate_post_selected(flipped, keep)
     # a data qubit left out of keep is named by the qubit that holds it at the end
     with pytest.raises(VbsError, match=rf"^qubit {keep[-1]} \(state axis 7\) is neither kept"):
         simulate_post_selected(routed.circuit, keep[:-1])
 
 
-def test_a_marker_a_swap_moved_onto_a_state_axis_is_named_as_given():
-    # qubit 5 flipped to 1 and swapped onto qubit 6, whose marker expects 0: dropped from its axis mid-circuit
+def test_a_marker_a_swap_moved_off_a_state_axis_is_named_as_given():
+    # qubit 5 joins the state in CNot(5, 0) and is swapped onto qubit 6, whose marker closes a block of its own
     circ = Circuit(7, [u_x(5), CNot(5, 0), CNot(1, 2), CNot(3, 4), Swap((5, 6)), Measure(6, 0),
-                   CNot(1, 2), CNot(2, 4), CNot(0, 3)])
-    with pytest.raises(ImpossibleOutcomeError, match=r"^markers on qubits \[6\] \(state axes \[5\]\)"):
-        simulate_post_selected(circ, range(6))
+                   CNot(1, 2), CNot(2, 4), CNot(0, 3)], [(4, 6)])
+    with pytest.raises(VbsError, match=r"^marker on qubit 6 was live before its block, which cannot fold it$"):
+        simulate_post_selected(circ, range(5))

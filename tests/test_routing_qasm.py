@@ -4,7 +4,7 @@ import pytest
 
 from vbsprep.builders import probabilistic_method_circuit
 from vbsprep.errors import ConfigError, UnsupportedError
-from vbsprep.ir import CNot, Circuit, Measure, Opaque, Swap, U1Q, cnot_depth, post_select
+from vbsprep.ir import CNot, Circuit, Measure, Opaque, Swap, U1Q, cnot_depth
 from vbsprep.lattice import (
     CouplingMap,
     assign_qubits,
@@ -17,13 +17,13 @@ from vbsprep.methods import oracle_vbs_state
 from vbsprep.qasm import emit_qasm
 from vbsprep.routing import PAIR_DISPLACEMENT, PAIR_ROLES, displacement_block, heavy_hex_pair, route
 
-from oracle_reference import fidelity, prepared, simulate_circuit
+from oracle_reference import fidelity, gate_by_gate, post_select, prepared, simulate_circuit
 from qasm_reader import parse_qasm
 
 
 def _run_post_selected(circ, keep):
-    state, markers = simulate_circuit(circ)
-    return post_select(state, markers, keep)
+    """The unfused reference: a routed circuit's markers are followed by Swaps, and the mitigated pair leaves a qubit idle."""
+    return post_select(*gate_by_gate(circ), keep)
 
 
 @pytest.mark.parametrize(
@@ -412,7 +412,7 @@ def test_a_router_fault_fails_the_routed_check(skipped, monkeypatch, capsys):
     assert code == (EXIT_OK if skipped in _HARMLESS_SKIPS else EXIT_CHECK_FAILED), err  # never exit 2, a config error
     cause = {1: "error: markers on qubits [7] (folded into a block",
              3: "[FAIL] routed_fidelity_vs_oracle: expected=1 actual=0.4285",
-             12: "error: qubit 2 (state axis 3) is neither kept nor post-selected, and is in superposition"}.get(skipped, "")
+             12: "error: qubit 2 (state axis 3) is neither kept nor post-selected"}.get(skipped, "")
     assert cause in err
 
 
@@ -444,5 +444,5 @@ def test_route_brings_a_given_swaps_qubits_onto_a_coupled_pair():
     coupling = linear_coupling(3)
     routed = route(Circuit(3, [u_x(0), Swap((0, 2))]), coupling)
     assert all(coupling.are_coupled(*g.qubits) for g in routed.circuit.gates if isinstance(g, Swap))
-    _, state = simulate_post_selected(routed.circuit, routed.placement)
-    assert np.allclose(state.amps, np.eye(8)[1])  # logical qubit 2 holds the flipped |1>
+    _, state = simulate_post_selected(routed.circuit, [routed.placement[2]])  # only the flipped wire joins the state
+    assert np.allclose(state.amps, [0, 1])  # logical qubit 2 holds the flipped |1>

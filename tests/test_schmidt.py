@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from vbsprep.errors import ConfigError
-from vbsprep.ir import Circuit, CNot, cnot_count, cnot_depth, post_select
+from vbsprep.ir import Circuit, CNot, cnot_count, cnot_depth
 from vbsprep.schmidt import (
     island_prep_circuit,
     island_state,
@@ -23,7 +23,7 @@ from vbsprep.symmetrize import (
     w_state_circuit,
 )
 
-from oracle_reference import apply_ops, fidelity, from_amplitudes, prepared, simulate_circuit, w_state_vector
+from oracle_reference import apply_ops, fidelity, from_amplitudes, post_select, prepared, simulate_circuit, w_state_vector
 
 # Printed island amplitudes for the spin-1 case: (1/sqrt(3)) * (0,0,0,1/2,...)
 ISLAND_S1_REF = np.array(
