@@ -66,7 +66,8 @@ def max_qubits() -> int:
 def _checked_width(n_qubits: int) -> int:
     cap = max_qubits()
     if not 1 <= n_qubits <= cap:
-        raise CapExceededError(f"n_qubits={n_qubits} outside [1, {cap}]")
+        hint = "; set VBS_MAX_QUBITS to raise the cap" if n_qubits > cap else ""
+        raise CapExceededError(f"n_qubits={n_qubits} outside [1, {cap}]{hint}")
     return n_qubits
 
 

@@ -172,7 +172,7 @@ def test_a_register_over_the_cap_still_exits_config(monkeypatch, capsys):
     peak = _peak_width(monkeypatch)
     argv = ["prepare", "--spin", "2", "--lattice", "chain:9:open:aligned", "--method", "probabilistic"]
     assert main(argv) == EXIT_CONFIG
-    assert "n_qubits=27 outside [1, 26]" in capsys.readouterr().err
+    assert "n_qubits=27 outside [1, 26]; set VBS_MAX_QUBITS to raise the cap" in capsys.readouterr().err
     assert peak[0] == 0  # nothing was applied
 
 
