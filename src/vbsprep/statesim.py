@@ -312,11 +312,9 @@ class Statevector:
 
     `tracked_norm_sq` is the product of the probabilities of every retained
     branch since initialization; it equals 1 until the first non-unitary
-    application (or the first `ir.post_select`, which returns a new state).
-    A non-unitary write sums its squared norm over the tiles it writes; a
-    state is scaled once, where it is handed out normalized
-    (`product_of_factors`, `ir.post_select`, and `ir`'s runs after their
-    last fold).
+    application.  A non-unitary write sums its squared norm over the tiles
+    it writes; a state is scaled once, where it is handed out normalized
+    (`product_of_factors`, and `ir`'s runs after their last fold).
 
     A state is built from its amplitudes, `Statevector(n_qubits, amps)`
     (`dims` for folded sites), or by `product_of_factors`.
@@ -329,7 +327,7 @@ class Statevector:
     __slots__ = ("n_qubits", "amps", "tracked_norm_sq", "_dims", "_kept")
 
     def __init__(self, n_qubits: int, amps: np.ndarray, tracked_norm_sq: float = 1.0, dims=None):
-        # a state of no qubit is one amplitude: what post_select returns when it keeps none
+        # a state of no qubit is one amplitude: what a run hands out when it keeps none
         self.n_qubits = _checked_width(n_qubits) if n_qubits else 0
         self._dims = (2,) * n_qubits if dims is None else tuple(dims)
         if amps.size != math.prod(self._dims):
