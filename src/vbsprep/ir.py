@@ -529,7 +529,7 @@ class _Run:
                 grown = list(qubits)
             support, block = grown, block + gates
 
-        fused, last = {}, -1  # a block's start -> its last gate and its qubits in order of first touch
+        fused = {}  # a block's start -> its last gate and its qubits in order of first touch
         for start, stop in self.blocks:
             span = self.gates[start:stop]
             marked = [g.qubit for g in span if isinstance(g, Measure)]
@@ -538,10 +538,11 @@ class _Run:
             closed = all(isinstance(g, Measure) for g in span[len(span) - len(marked):])
             if closed and d <= FUSE_WIDTH and len(qubits) + d < TILE.bit_length():  # 2^(|A| + 2|D|) columns fit a tile
                 fused[start] = (stop - 1, qubits)
-        for i, g in enumerate(self.gates):  # before any block is applied
-            if i > last and i in fused:
-                last = fused[i][0]
-            elif i > last and isinstance(g, Measure):
+        end = -1  # every marker closes a block that fuses: checked before any block is applied
+        for i, g in enumerate(self.gates):
+            if i > end and i in fused:
+                end = fused[i][0]
+            elif i > end and isinstance(g, Measure):
                 raise self.unfolded(g, "closes no declared block that fuses (Circuit.blocks)")
         last = -1
         for i, g in enumerate(self.gates):

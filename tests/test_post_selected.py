@@ -191,22 +191,27 @@ def test_untouched_qubits_never_join(monkeypatch):
 
 
 @pytest.mark.parametrize("circ,keep,named", [
-    (Circuit(3, [u_h(0), CNot(0, 1), Measure(1, 0)]), [0], r"marker on qubit 1 closes no declared block that fuses"),
-    (Circuit(3, [u_h(0), CNot(0, 1), Swap((1, 2)), Measure(2, 0)]), [0],
-     r"marker on qubit 2 closes no declared block that fuses"),
-    (Circuit(6, [u_h(5)] + [CNot(5, q) for q in range(5)] + [Measure(5, 0)], [(0, 7)]), range(5),
-     r"marker on qubit 5 closes no declared block that fuses"),
-    (Circuit(7, [u_h(5)] + [CNot(5, q) for q in range(5)] + [Swap((5, 6)), Measure(6, 0)], [(0, 8)]), range(5),
-     r"marker on qubit 6 closes no declared block that fuses"),
-    (Circuit(6, [CNot(0, 1), CNot(2, 3), CNot(4, 5), u_h(1), Measure(1, 0)], [(3, 5)]), [0, 2, 3, 4, 5],
-     r"marker on qubit 1 was live before its block"),
-    (Circuit(3, [u_h(0), CNot(0, 1)]), [0], r"qubit 1 \(state axis 1\) is neither kept nor post-selected$"),
-    (Circuit(3, [u_h(0), CNot(0, 1), Swap((1, 2))]), [0], r"qubit 2 \(state axis 1\) is neither kept nor post-selected$"),
-    (Circuit(3, [u_h(0)]), [0, 2], r"qubit 2 is kept, but no gate put it in the state$"),
-    (Circuit(3, [u_h(0), Swap((0, 2))]), [0, 2], r"qubit 0 is kept, but no gate put it in the state$"),
-], ids=["marker-outside-any-block", "marker-outside-any-block-behind-a-swap", "bank-over-the-bound",
-        "bank-over-the-bound-behind-a-swap", "marker-live-before-its-block", "live-wire-unkept",
-        "live-wire-unkept-behind-a-swap", "kept-qubit-never-touched", "kept-qubit-never-touched-behind-a-swap"])
+    pytest.param(Circuit(3, [u_h(0), CNot(0, 1), Measure(1, 0)]), [0],
+                 r"marker on qubit 1 closes no declared block that fuses", id="marker-outside-any-block"),
+    pytest.param(Circuit(3, [u_h(0), CNot(0, 1), Swap((1, 2)), Measure(2, 0)]), [0],
+                 r"marker on qubit 2 closes no declared block that fuses", id="marker-outside-any-block-behind-a-swap"),
+    pytest.param(Circuit(3, [u_h(0), CNot(0, 1), Measure(1, 0), CNot(0, 1)], [(0, 4)]), [0, 1],
+                 r"marker on qubit 1 closes no declared block that fuses", id="marker-not-last-in-its-block"),
+    pytest.param(Circuit(6, [u_h(5)] + [CNot(5, q) for q in range(5)] + [Measure(5, 0)], [(0, 7)]), range(5),
+                 r"marker on qubit 5 closes no declared block that fuses", id="bank-over-the-bound"),
+    pytest.param(Circuit(7, [u_h(5)] + [CNot(5, q) for q in range(5)] + [Swap((5, 6)), Measure(6, 0)], [(0, 8)]),
+                 range(5), r"marker on qubit 6 closes no declared block that fuses", id="bank-over-the-bound-behind-a-swap"),
+    pytest.param(Circuit(6, [CNot(0, 1), CNot(2, 3), CNot(4, 5), u_h(1), Measure(1, 0)], [(3, 5)]), [0, 2, 3, 4, 5],
+                 r"marker on qubit 1 was live before its block", id="marker-live-before-its-block"),
+    pytest.param(Circuit(3, [u_h(0), CNot(0, 1)]), [0],
+                 r"qubit 1 \(state axis 1\) is neither kept nor post-selected$", id="live-wire-unkept"),
+    pytest.param(Circuit(3, [u_h(0), CNot(0, 1), Swap((1, 2))]), [0],
+                 r"qubit 2 \(state axis 1\) is neither kept nor post-selected$", id="live-wire-unkept-behind-a-swap"),
+    pytest.param(Circuit(3, [u_h(0)]), [0, 2],
+                 r"qubit 2 is kept, but no gate put it in the state$", id="kept-qubit-never-touched"),
+    pytest.param(Circuit(3, [u_h(0), Swap((0, 2))]), [0, 2],
+                 r"qubit 0 is kept, but no gate put it in the state$", id="kept-qubit-never-touched-behind-a-swap"),
+])
 def test_a_circuit_that_breaks_the_marker_rule_names_its_qubit(circ, keep, named, monkeypatch):
     """Every marker folds into a declared block that fuses, and the live wires are the kept ones: else VbsError
     names the qubit as the given circuit numbers it at that gate (a wire by the qubit that holds it at the end)."""
@@ -439,7 +444,7 @@ def test_each_lcu_site_pattern_composes_its_segment_once(monkeypatch):
 
 def _with_swaps(rng, circ: Circuit) -> tuple[Circuit, list[int]]:
     """`circ` routed by hand: Swaps put in at random places, most of them right after a marker (a SWAP of
-    a dropped qubit), every later gate renamed to follow, each block spanning its gates as renamed; and where
+    a folded qubit), every later gate renamed to follow, each block spanning its gates as renamed; and where
     each of its qubits ends."""
     n = circ.n_qubits
     at, on = list(range(n)), list(range(n))  # qubit -> the qubit of the new circuit holding it, and back
